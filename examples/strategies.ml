@@ -86,7 +86,8 @@ let () =
   Printf.printf "  mesh partitioning : %7d B of ghost intensities (%d cut faces)\n"
     halo_bytes
     (Fvm.Partition.edge_cut mesh part);
-  Printf.printf "  band partitioning : %7d B (one absorbed-power value per cell)\n"
-    (8 * mesh.Fvm.Mesh.ncells);
   Printf.printf
-    "  => partitioning the equations needs far less communication, as the paper argues\n"
+    "  band partitioning : %7d B (one absorbed-power partial per cell and band)\n"
+    (8 * mesh.Fvm.Mesh.ncells * nb);
+  Printf.printf
+    "  => partitioning the equations needs less communication, as the paper argues\n"

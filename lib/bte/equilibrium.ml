@@ -87,18 +87,31 @@ let make ?(t_lo = 50.) ?(t_hi = 600.) ?(dt_grid = 0.5) ~omega_total disp =
 
 let clamp tbl t = Float.min tbl.t_hi (Float.max tbl.t_lo t)
 
-(* linear interpolation on the grid *)
-let interp table tbl b t =
-  let t = clamp tbl t in
-  let x = (t -. tbl.t_lo) /. tbl.dt_grid in
-  let k = int_of_float x in
-  let k = min k (tbl.ntemps - 2) in
-  let frac = x -. float_of_int k in
-  let row : float array = table.(b) in
+(* Linear interpolation on the grid, split into the temperature-only
+   stencil (grid position, interval) and the per-row blend, so [bands_at]
+   computes the stencil once for all bands and still produces exactly the
+   values [i0]/[di0] return. *)
+let[@inline] grid_pos tbl t = (clamp tbl t -. tbl.t_lo) /. tbl.dt_grid
+let[@inline] interval tbl x = min (int_of_float x) (tbl.ntemps - 2)
+let[@inline] lerp (row : float array) k frac =
   ((1. -. frac) *. row.(k)) +. (frac *. row.(k + 1))
+
+let interp table tbl b t =
+  let x = grid_pos tbl t in
+  let k = interval tbl x in
+  lerp table.(b) k (x -. float_of_int k)
 
 let i0 tbl b t = interp tbl.i0 tbl b t
 let di0 tbl b t = interp tbl.di0 tbl b t
+
+let bands_at tbl t ~i0 ~di0 =
+  let x = grid_pos tbl t in
+  let k = interval tbl x in
+  let frac = x -. float_of_int k in
+  for b = 0 to Array.length tbl.i0 - 1 do
+    i0.(b) <- lerp tbl.i0.(b) k frac;
+    di0.(b) <- lerp tbl.di0.(b) k frac
+  done
 
 (* total equilibrium energy density at T: sum over bands of Omega * I0 / vg *)
 let energy_density tbl t =

@@ -445,6 +445,62 @@ let commit st =
         let c = st.ucomp () in
         Fvm.Field.set st.u cell c (Fvm.Field.get st.u_new cell c))
 
+(* The components of [v] a rank owns: those whose value of every
+   partitioned index [v] carries lies in the rank's slice.  [None] when
+   [v] carries no partitioned index (every rank then computes all of it,
+   like the band-parallel temperature). *)
+let owned_comps (v : Entity.variable) index_ranges =
+  let slices =
+    List.filter_map
+      (fun ((name, _, stride), i) ->
+        Option.map
+          (fun slice -> stride, Entity.index_extent i, slice)
+          (List.assoc_opt name index_ranges))
+      (List.combine (layout_of_var v) v.Entity.vindices)
+  in
+  if slices = [] then None
+  else
+    Some
+      (List.filter
+         (fun c ->
+           List.for_all
+             (fun (stride, ext, (off, len)) ->
+               let x = c / stride mod ext in
+               x >= off && x < off + len)
+             slices)
+         (List.init (Entity.var_ncomp v) Fun.id))
+
+(* Gather every variable across ranks into [into]'s fields: each rank
+   contributes its owned cells (cell-partitioned runs) and its owned
+   component slices (band-partitioned runs); everything else in a rank's
+   storage is stale.  Values not partitioned at all keep [into]'s. *)
+let gather_fields ~into (states : state array) =
+  List.iter
+    (fun (v : Entity.variable) ->
+      let name = v.Entity.vname in
+      let dst = field into name in
+      Array.iter
+        (fun (st : state) ->
+          let src = field st name in
+          let info = st.info in
+          match info.owned_cells, owned_comps v info.index_ranges with
+          | None, None -> ()
+          | Some cells, None -> Fvm.Field.blit_cells ~src ~dst cells
+          | cells, Some comps ->
+            let cells =
+              match cells with
+              | Some cs -> cs
+              | None -> Array.init (Fvm.Field.ncells dst) Fun.id
+            in
+            Array.iter
+              (fun cell ->
+                List.iter
+                  (fun c -> Fvm.Field.set dst cell c (Fvm.Field.get src cell c))
+                  comps)
+              cells)
+        states)
+    into.p.Problem.variables
+
 let make_step_ctx st ~allreduce =
   {
     Problem.st_mesh = st.mesh;

@@ -109,6 +109,13 @@ val boundary_term : state -> bc_resolved -> int -> int -> float
     under a ghost accessor).  Exposed for the native-codegen binding,
     whose generated sweeps call back into it per boundary face. *)
 
+val gather_fields : into:state -> state array -> unit
+(** [gather_fields ~into states] writes every variable's owned cells and
+    owned component slices from each rank's state into [into]'s fields.
+    [into] may be one of [states] (usually rank 0).  A variable carrying
+    no partitioned index keeps [into]'s values: every rank computes it in
+    full. *)
+
 val sweep : state -> unit
 (** Forward-Euler sweep of the owned DOFs into the double buffer. *)
 

@@ -3,7 +3,7 @@
 
 type outcome = {
   u : Fvm.Field.t;                  (* gathered unknown after the run *)
-  fields : (string * Fvm.Field.t) list; (* rank-0 view of all variables *)
+  fields : (string * Fvm.Field.t) list; (* every variable, gathered *)
   breakdown : Prt.Breakdown.t;
   gpu : Target_gpu.result option;   (* present for GPU runs *)
   states : Lower.state array;
@@ -38,6 +38,19 @@ let record_solve_metrics (p : Problem.t) states =
       states
   end
 
+(* Outcome of a partitioned run: every field reassembled into rank 0's
+   storage from the ranks' owned cells and component slices. *)
+let gathered (r : Target_cpu.result) =
+  let st = Target_cpu.primary r in
+  Lower.gather_fields ~into:st r.Target_cpu.states;
+  {
+    u = st.Lower.u;
+    fields = st.Lower.fields;
+    breakdown = r.Target_cpu.breakdown;
+    gpu = None;
+    states = r.Target_cpu.states;
+  }
+
 let solve_dispatch ?band_index ?post_io (p : Problem.t) =
   match p.Problem.target with
   | Config.Cpu Config.Serial ->
@@ -54,35 +67,9 @@ let solve_dispatch ?band_index ?post_io (p : Problem.t) =
     let index =
       match band_index with Some i -> i | None -> default_band_index p
     in
-    let r = Target_cpu.run_band_parallel p ~index ~nranks:n in
-    let u = Target_cpu.gather_unknown r in
-    let st = Target_cpu.primary r in
-    {
-      u;
-      fields =
-        List.map
-          (fun (name, f) ->
-            if name = st.Lower.uvar.Entity.vname then name, u else name, f)
-          st.Lower.fields;
-      breakdown = r.Target_cpu.breakdown;
-      gpu = None;
-      states = r.Target_cpu.states;
-    }
+    gathered (Target_cpu.run_band_parallel p ~index ~nranks:n)
   | Config.Cpu (Config.Cell_parallel n) ->
-    let r = Target_cpu.run_cell_parallel ~overlap:p.Problem.overlap p ~nranks:n in
-    let u = Target_cpu.gather_unknown r in
-    let st = Target_cpu.primary r in
-    {
-      u;
-      fields =
-        List.map
-          (fun (name, f) ->
-            if name = st.Lower.uvar.Entity.vname then name, u else name, f)
-          st.Lower.fields;
-      breakdown = r.Target_cpu.breakdown;
-      gpu = None;
-      states = r.Target_cpu.states;
-    }
+    gathered (Target_cpu.run_cell_parallel ~overlap:p.Problem.overlap p ~nranks:n)
   | Config.Cpu (Config.Threaded n) ->
     (* workers share the base state's fields, so rank 0 already holds the
        complete unknown *)
@@ -99,20 +86,7 @@ let solve_dispatch ?band_index ?post_io (p : Problem.t) =
     let index =
       match band_index with Some i -> i | None -> default_band_index p
     in
-    let r = Target_cpu.run_hybrid p ~index ~nranks ~ndomains in
-    let u = Target_cpu.gather_unknown r in
-    let st = Target_cpu.primary r in
-    {
-      u;
-      fields =
-        List.map
-          (fun (name, f) ->
-            if name = st.Lower.uvar.Entity.vname then name, u else name, f)
-          st.Lower.fields;
-      breakdown = r.Target_cpu.breakdown;
-      gpu = None;
-      states = r.Target_cpu.states;
-    }
+    gathered (Target_cpu.run_hybrid p ~index ~nranks ~ndomains)
   | Config.Gpu _ ->
     let r = Target_gpu.run ?post_io p in
     let st = r.Target_gpu.state in

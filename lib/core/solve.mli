@@ -3,7 +3,9 @@
 
 type outcome = {
   u : Fvm.Field.t;                      (** gathered unknown after the run *)
-  fields : (string * Fvm.Field.t) list; (** rank-0 view of all variables *)
+  fields : (string * Fvm.Field.t) list;
+    (** every variable after the run, gathered from the ranks' owned
+        cells and component slices on partitioned targets *)
   breakdown : Prt.Breakdown.t;
   gpu : Target_gpu.result option;       (** present for GPU runs *)
   states : Lower.state array;

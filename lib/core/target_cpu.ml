@@ -16,31 +16,6 @@ type result = {
 
 let primary r = r.states.(0)
 
-(* Gather a variable's field across ranks into one full field.  For
-   band-partitioned runs each rank owns a component range of the unknown;
-   for cell-partitioned runs each rank owns a cell range.  Non-unknown
-   variables are taken from rank 0 (every rank computes them fully). *)
-let gather_unknown r =
-  let st0 = r.states.(0) in
-  let out = Fvm.Field.copy st0.Lower.u in
-  Array.iter
-    (fun (st : Lower.state) ->
-      let u = st.Lower.u in
-      match st.Lower.info.Lower.owned_cells with
-      | Some cells -> Fvm.Field.blit_cells ~src:u ~dst:out cells
-      | None ->
-        (* band-partitioned: copy the owned component ranges *)
-        let ranges = st.Lower.info.Lower.index_ranges in
-        if ranges = [] then ()
-        else
-          (* enumerate owned comps by iterating the state's own loops *)
-          Lower.iterate_dofs st (fun () ->
-              let cell = st.Lower.env.Eval.cell in
-              let c = st.Lower.ucomp () in
-              Fvm.Field.set out cell c (Fvm.Field.get u cell c)))
-    r.states;
-  out
-
 (* ------------------------------------------------------------------ *)
 (* Serial                                                               *)
 (* ------------------------------------------------------------------ *)

@@ -16,10 +16,6 @@ type result = {
 
 val primary : result -> Lower.state
 
-val gather_unknown : result -> Fvm.Field.t
-(** Reassemble the unknown from the ranks' owned cells / component
-    ranges. *)
-
 val noop_allreduce : float array -> unit
 
 val step_serial : Lower.state -> unit

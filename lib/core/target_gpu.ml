@@ -323,6 +323,12 @@ let run_single ?post_io ?(info = Lower.serial_rankinfo)
     done;
   { state = host; device = dev; breakdown = b; plan; profile_threads = nthreads }
 
+(* Gather every variable's band slices into rank 0's fields. *)
+let gather_ranks (results : result array) =
+  let r0 = results.(0) in
+  Lower.gather_fields ~into:r0.state (Array.map (fun r -> r.state) results);
+  r0
+
 (* Multi-device run: the paper's band-based partitioning across (device,
    rank) pairs.  Each rank owns a slice of the partitioned index (the
    unknown's slow index), drives its own simulated device, and joins the
@@ -355,17 +361,7 @@ let run_multi ?post_io ?(overlap = false) ~spec ~ranks (p : Problem.t) =
       (function Some r -> r | None -> raise (Gpu_error "rank did not run"))
       results
   in
-  (* gather the band slices into rank 0's unknown *)
-  let r0 = results.(0) in
-  let u0 = r0.state.Lower.u in
-  Array.iter
-    (fun (r : result) ->
-      let st = r.state in
-      Lower.iterate_dofs st (fun () ->
-          let cell = st.Lower.env.Eval.cell in
-          let c = st.Lower.ucomp () in
-          Fvm.Field.set u0 cell c (Fvm.Field.get st.Lower.u cell c)))
-    results;
+  let r0 = gather_ranks results in
   let breakdown =
     Prt.Breakdown.sum_distinct
       (Array.to_list (Array.map (fun r -> r.breakdown) results))
@@ -803,16 +799,7 @@ let run_grid ?post_io ?(overlap = false) ~spec ~devices ~ranks
         (function Some r -> r | None -> raise (Gpu_error "rank did not run"))
         results
     in
-    let r0 = results.(0) in
-    let u0 = r0.state.Lower.u in
-    Array.iter
-      (fun (r : result) ->
-        let st = r.state in
-        Lower.iterate_dofs st (fun () ->
-            let cell = st.Lower.env.Eval.cell in
-            let c = st.Lower.ucomp () in
-            Fvm.Field.set u0 cell c (Fvm.Field.get st.Lower.u cell c)))
-      results;
+    let r0 = gather_ranks results in
     let breakdown =
       Prt.Breakdown.sum_distinct
         (Array.to_list (Array.map (fun r -> r.breakdown) results))

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Documentation-coverage lint for the runtime and GPU-simulator interfaces.
+# Documentation-coverage lint for the library interfaces.
 #
 # odoc is not installed in this environment and every library is private,
 # so `dune build @doc` succeeds without rendering anything; this script is
@@ -12,7 +12,9 @@ cd "$(dirname "$0")/.."
 status=0
 for f in lib/prt/*.mli lib/gpu/*.mli lib/analysis/*.mli lib/fvm/*.mli \
          lib/opt/*.mli lib/codegen/*.mli lib/codegen/iface/*.mli \
-         lib/serve/*.mli lib/tune/*.mli; do
+         lib/serve/*.mli lib/tune/*.mli \
+         lib/bte/temperature.mli lib/bte/scattering.mli \
+         lib/bte/equilibrium.mli; do
   out=$(awk '
     function flush() {
       if (pending) {
@@ -32,6 +34,6 @@ for f in lib/prt/*.mli lib/gpu/*.mli lib/analysis/*.mli lib/fvm/*.mli \
 done
 
 if [ "$status" -eq 0 ]; then
-  echo "check_mli_docs: every val in lib/prt, lib/gpu, lib/analysis, lib/fvm, lib/opt, lib/codegen, lib/serve and lib/tune is documented"
+  echo "check_mli_docs: every val in lib/prt, lib/gpu, lib/analysis, lib/fvm, lib/opt, lib/codegen, lib/serve, lib/tune and lib/bte/{temperature,scattering,equilibrium} is documented"
 fi
 exit "$status"

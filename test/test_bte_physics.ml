@@ -245,6 +245,122 @@ let test_newton_from_bad_guess () =
   let t = Bte.Temperature.newton m ~jb ~guess:(tab.Bte.Equilibrium.t_hi) in
   Tutil.check_close ~eps:1e-5 "converges from the clamp" 320. t
 
+(* The paper's 55-band material on a fine table from 2 K: it holds LA,
+   TA-normal and TA-umklapp bands, and at a few kelvin the lowest bands
+   sit on the rate floor. *)
+let paper_model =
+  let m =
+    lazy
+      (let d = Bte.Dispersion.paper () in
+       let a = Bte.Angles.make_2d ~ndirs:8 in
+       let tab =
+         Bte.Equilibrium.make ~omega_total:a.Bte.Angles.total ~t_lo:2.
+           ~t_hi:460. ~dt_grid:0.25 d
+       in
+       d, a, Bte.Temperature.make ~disp:d ~eqtab:tab ~angles:a ())
+  in
+  fun () -> Lazy.force m
+
+let rate_floor = 1e4
+
+let test_rate_slopes_match_fd () =
+  (* every rate law's analytic d(rate)/dT against a central difference of
+     its temperature-dependent term (the impurity term is constant and
+     would swamp the difference), with each law and the floor exercised *)
+  let d, _, _ = paper_model () in
+  let laws = Array.map Bte.Scattering.band_law d.Bte.Dispersion.bands in
+  let nb = Array.length laws in
+  let seen = Hashtbl.create 4 in
+  List.iter
+    (fun t ->
+      let rate = Array.make nb 0. and slope = Array.make nb 0. in
+      Bte.Scattering.rates_at laws t ~rate ~slope;
+      Array.iteri
+        (fun b (band : Bte.Dispersion.band) ->
+          let w = band.Bte.Dispersion.w_center in
+          let branch_rate =
+            match band.Bte.Dispersion.branch with
+            | Bte.Dispersion.LA -> Bte.Scattering.rate_la w
+            | Bte.Dispersion.TA -> Bte.Scattering.rate_ta w
+          in
+          let h = 1e-4 *. t in
+          let fd = (branch_rate (t +. h) -. branch_rate (t -. h)) /. (2. *. h) in
+          let law =
+            if rate.(b) = rate_floor then "floored"
+            else
+              match band.Bte.Dispersion.branch with
+              | Bte.Dispersion.LA -> "LA"
+              | Bte.Dispersion.TA ->
+                if band.Bte.Dispersion.w_center < Bte.Constants.omega_half_ta
+                then "TA-normal"
+                else "TA-umklapp"
+          in
+          Hashtbl.replace seen law ();
+          if law = "floored" then
+            check_bool (Printf.sprintf "band %d floored at %g K: zero slope" b t)
+              true (slope.(b) = 0.)
+          else
+            Tutil.check_close ~eps:1e-6
+              (Printf.sprintf "%s band %d slope at %g K" law b t)
+              fd slope.(b))
+        d.Bte.Dispersion.bands)
+    [ 8.; 60.; 150.; 300.; 450. ];
+  List.iter
+    (fun law -> check_bool (law ^ " bands covered") true (Hashtbl.mem seen law))
+    [ "LA"; "TA-normal"; "TA-umklapp"; "floored" ]
+
+let test_residual_jacobian_matches_fd () =
+  (* dF/dT of both residual forms against a central difference of F:
+     per-band with J_b from 0.9 T (so the rate-derivative term carries
+     weight), scalar with an absorbed power from 0.9 T *)
+  let d, a, m = paper_model () in
+  let tab = m.Bte.Temperature.eqtab in
+  let nb = Bte.Dispersion.nbands d in
+  let omega = a.Bte.Angles.total in
+  List.iter
+    (fun t ->
+      let j = Array.init nb (fun b -> omega *. Bte.Equilibrium.i0 tab b (0.9 *. t)) in
+      let g =
+        let acc = ref 0. in
+        Array.iteri
+          (fun b jb ->
+            let band = Bte.Dispersion.band d b in
+            acc :=
+              !acc +. (jb *. Bte.Scattering.band_rate band t /. band.Bte.Dispersion.vg))
+          j;
+        !acc
+      in
+      let zeros = Array.make nb 0. in
+      List.iter
+        (fun (form, j, g) ->
+          let h = 0.01 in
+          let f_at t = fst (Bte.Temperature.residual m ~j ~g t) in
+          let fd = (f_at (t +. h) -. f_at (t -. h)) /. (2. *. h) in
+          let _, df = Bte.Temperature.residual m ~j ~g t in
+          Tutil.check_close ~eps:1e-4 (Printf.sprintf "%s dF/dT at %g K" form t)
+            fd df)
+        [ "per-band", j, 0.; "scalar", zeros, g ])
+    [ 60.; 150.; 300.; 450. ]
+
+let test_hoisted_rates_bit_identical () =
+  (* the Newton evaluator's hoisted rates are Scattering.band_rate, bit
+     for bit *)
+  let d, _, m = paper_model () in
+  let nb = Array.length m.Bte.Temperature.laws in
+  let rates = Array.make nb 0. and slopes = Array.make nb 0. in
+  let t = ref 2. in
+  while !t <= 750. do
+    Bte.Scattering.rates_at m.Bte.Temperature.laws !t ~rate:rates ~slope:slopes;
+    Array.iteri
+      (fun b band ->
+        let r = Bte.Scattering.band_rate band !t in
+        if Int64.bits_of_float rates.(b) <> Int64.bits_of_float r then
+          Alcotest.failf "band %d at %.17g K: hoisted %h, band_rate %h" b !t
+            rates.(b) r)
+      d.Bte.Dispersion.bands;
+    t := !t +. 0.37
+  done
+
 (* ---------- kinetic-theory conductivity ---------- *)
 
 let test_conductivity_magnitude () =
@@ -307,6 +423,12 @@ let suite =
       Alcotest.test_case "newton roundtrip" `Quick test_newton_roundtrip;
       Alcotest.test_case "newton monotone" `Quick test_newton_monotone;
       Alcotest.test_case "newton from bad guess" `Quick test_newton_from_bad_guess;
+      Alcotest.test_case "rate slopes match finite differences" `Quick
+        test_rate_slopes_match_fd;
+      Alcotest.test_case "residual Jacobian matches finite differences" `Quick
+        test_residual_jacobian_matches_fd;
+      Alcotest.test_case "hoisted rates bit-identical" `Quick
+        test_hoisted_rates_bit_identical;
       Alcotest.test_case "conductivity magnitude" `Quick test_conductivity_magnitude;
       Alcotest.test_case "conductivity trend" `Quick test_conductivity_trend;
       Alcotest.test_case "heat capacity" `Quick test_heat_capacity;

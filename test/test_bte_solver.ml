@@ -81,6 +81,111 @@ let test_pool_executors_match_serial () =
     [ "threads 3", Finch.Config.Cpu (Finch.Config.Threaded 3);
       "hybrid 2x2", Finch.Config.Cpu (Finch.Config.Hybrid (2, 2)) ]
 
+(* The cold regime: the corner source at 100/150 K on a tiny mesh.  A
+   converged Newton carries the last bit of the reduced absorbed power
+   into T, so band-partitioned runs only match serial if they reduce and
+   fold exactly what the serial run does. *)
+let tiny_corner =
+  { Bte.Setup.small_corner with
+    Bte.Setup.nx = 16; ny = 4; lx = 4e-6; ly = 1e-6; ndirs = 4;
+    n_la_bands = 4; hot_radius = 1e-6; nsteps = 12 }
+
+let solve_scenario sc target ~overlap =
+  let built = Bte.Setup.build sc in
+  Finch.Problem.set_target built.Bte.Setup.problem target;
+  Finch.Problem.set_overlap built.Bte.Setup.problem overlap;
+  Finch.Solve.solve ~band_index:"b" built.Bte.Setup.problem
+
+(* every outcome field at exact zero against the serial run *)
+let check_fields_exact label o1 o2 =
+  List.iter
+    (fun name ->
+      let d = field_diff o1 o2 name in
+      if d > 0. then Alcotest.failf "%s: %s diff %g" label name d)
+    [ "I"; "T"; "Io"; "beta" ]
+
+let test_band_partitioned_exact () =
+  List.iter
+    (fun (sname, sc) ->
+      let o1 = solve_scenario sc (Finch.Config.Cpu Finch.Config.Serial) ~overlap:false in
+      List.iter
+        (fun (label, target) ->
+          check_fields_exact (sname ^ " " ^ label) o1
+            (solve_scenario sc target ~overlap:false))
+        [ "bands 2", Finch.Config.Cpu (Finch.Config.Band_parallel 2);
+          "bands 3", Finch.Config.Cpu (Finch.Config.Band_parallel 3);
+          "bands 5", Finch.Config.Cpu (Finch.Config.Band_parallel 5);
+          "threads 3", Finch.Config.Cpu (Finch.Config.Threaded 3);
+          "hybrid 2x2", Finch.Config.Cpu (Finch.Config.Hybrid (2, 2)) ];
+      (* the GPU target adds boundary terms separately, so it matches
+         serial to rounding (see "gpu == serial"); its band-partitioned
+         ranks match the single device exactly *)
+      let gpu ranks =
+        Finch.Config.Gpu { spec = Gpu_sim.Spec.a6000; devices = 1; ranks }
+      in
+      let g1 = solve_scenario sc (gpu 1) ~overlap:false in
+      List.iter
+        (fun ranks ->
+          check_fields_exact (Printf.sprintf "%s gpu ranks %d" sname ranks) g1
+            (solve_scenario sc (gpu ranks) ~overlap:false))
+        [ 2; 3 ])
+    [ "corner", tiny_corner; "hotspot", tiny ]
+
+let test_cell_partitioned_fields_exact () =
+  (* T, Io and beta are gathered from each rank's owned cells, like I *)
+  List.iter
+    (fun (sname, sc) ->
+      let o1 = solve_scenario sc (Finch.Config.Cpu Finch.Config.Serial) ~overlap:false in
+      List.iter
+        (fun n ->
+          List.iter
+            (fun overlap ->
+              check_fields_exact
+                (Printf.sprintf "%s cells %d%s" sname n
+                   (if overlap then " overlap" else ""))
+                o1
+                (solve_scenario sc (Finch.Config.Cpu (Finch.Config.Cell_parallel n))
+                   ~overlap))
+            [ false; true ])
+        [ 2; 3; 4 ])
+    [ "hotspot", tiny; "corner", tiny_corner ]
+
+let test_refresh_matches_tables () =
+  (* the post-step writes Io and beta from the Newton's final evaluation;
+     they are exactly the table and rate values at the cell's T *)
+  let built, o = solve_with (Finch.Config.Cpu Finch.Config.Serial) in
+  let ft = Finch.Solve.field o "T" in
+  let fio = Finch.Solve.field o "Io" and fbeta = Finch.Solve.field o "beta" in
+  let disp = built.Bte.Setup.disp in
+  for cell = 0 to Fvm.Field.ncells ft - 1 do
+    let t = Fvm.Field.get ft cell 0 in
+    for b = 0 to Bte.Dispersion.nbands disp - 1 do
+      if Fvm.Field.get fio cell b <> Bte.Equilibrium.i0 built.Bte.Setup.eqtab b t
+      then Alcotest.failf "cell %d band %d: Io is not I0(T)" cell b;
+      if Fvm.Field.get fbeta cell b
+         <> Bte.Scattering.band_rate (Bte.Dispersion.band disp b) t
+      then Alcotest.failf "cell %d band %d: beta is not rate(T)" cell b
+    done
+  done
+
+let test_newton_counters () =
+  (* the hot scenario converges by Newton alone, in a few evaluations *)
+  let counter = Prt.Metrics.counter in
+  let newton = counter "bte.newton_iters" and bisection = counter "bte.bisection_steps" in
+  let was = Prt.Metrics.enabled () in
+  Prt.Metrics.enable ();
+  let n0 = Prt.Metrics.value newton and b0 = Prt.Metrics.value bisection in
+  Fun.protect
+    ~finally:(fun () -> if not was then Prt.Metrics.disable ())
+    (fun () -> ignore (solve_with (Finch.Config.Cpu Finch.Config.Serial)));
+  let solves = tiny.Bte.Setup.nx * tiny.Bte.Setup.ny * tiny.Bte.Setup.nsteps in
+  let evals = Prt.Metrics.value newton - n0 in
+  Alcotest.(check int) "no bisection steps" 0 (Prt.Metrics.value bisection - b0);
+  check_bool
+    (Printf.sprintf "%d Newton evaluations for %d cell-solves" evals solves)
+    true
+    (evals >= solves && evals <= 3 * solves)
+
 let test_tape_matches_closure_on_hotspot () =
   (* full solve under the tape evaluator is bit-identical to the closure
      evaluator, and the tape measurably skips cached ops *)
@@ -459,6 +564,14 @@ let suite =
         test_cell_parallel_matches_serial;
       Alcotest.test_case "pool executors == serial (exact)" `Quick
         test_pool_executors_match_serial;
+      Alcotest.test_case "band-partitioned == serial, hot and cold (exact)" `Quick
+        test_band_partitioned_exact;
+      Alcotest.test_case "cell-partitioned fields == serial (exact)" `Quick
+        test_cell_partitioned_fields_exact;
+      Alcotest.test_case "refreshed Io/beta are the tables at T" `Quick
+        test_refresh_matches_tables;
+      Alcotest.test_case "Newton counters on the hot scenario" `Quick
+        test_newton_counters;
       Alcotest.test_case "tape == closure on hotspot (exact)" `Quick
         test_tape_matches_closure_on_hotspot;
       Alcotest.test_case "gpu == serial" `Quick test_gpu_matches_serial;

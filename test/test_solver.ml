@@ -302,7 +302,7 @@ let test_post_step_callback_runs () =
   Alcotest.(check int) "post-step called each step" 5 !count
 
 let test_rcb_band_gather () =
-  (* gather_unknown reconstructs the full field from band-partitioned
+  (* Lower.gather_fields reconstructs the full field from band-partitioned
      states without gaps *)
   let p, _, _ = make_advection ~nsteps:3 () in
   Finch.Problem.set_target p (Finch.Config.Cpu (Finch.Config.Band_parallel 3));
