@@ -313,12 +313,12 @@ let e8 ~measured =
   row "\n(paper: T in [100, 150] K, heat spreading from the corner)\n"
 
 (* ------------------------------------------------------------------ *)
-(* E11: execution engines — persistent pool vs respawn, tape vs closure *)
+(* E11: execution engines — persistent pool, tape vs closure vs native   *)
 (* ------------------------------------------------------------------ *)
 
 (* all rows are real reduced-scale solves on this machine; small steps and
-   many of them, so per-step runtime overhead (the respawn executor's
-   Domain.spawn/join churn) is resolvable against the sweep work *)
+   many of them, so per-step runtime overhead is resolvable against the
+   sweep work *)
 let e11_scenario =
   { Bte.Setup.small_hotspot with
     Bte.Setup.nx = 8; ny = 8; ndirs = 4; n_la_bands = 4; nsteps = 200 }
@@ -356,15 +356,6 @@ let e11_rows () =
   in
   let sweep_native_s =
     o_serial_native.Finch.Solve.breakdown.Prt.Breakdown.intensity
-  in
-  (* the respawn executor bypasses [Solve.solve] by design (it is the
-     baseline the pool is measured against), so it keeps a raw build *)
-  let t_respawn =
-    let built = Bte.Setup.build sc in
-    let t0 = Unix.gettimeofday () in
-    ignore
-      (Finch.Target_cpu.run_threaded_respawn built.Bte.Setup.problem ~ndomains);
-    Unix.gettimeofday () -. t0
   in
   let t_pool, _ =
     solve_with (Finch.Config.Cpu (Finch.Config.Threaded ndomains))
@@ -412,7 +403,7 @@ let e11_rows () =
           tape_c.Finch.Eval.flops ))
       st.Finch.Lower.tapes
   in
-  ( t_serial, t_serial_closure, t_serial_native, t_respawn, t_pool,
+  ( t_serial, t_serial_closure, t_serial_native, t_pool,
     t_pool_native, t_hybrid, t_cells, t_cells_ov, t_gpu, ndomains,
     (sweep_closure_s, sweep_native_s) ),
   tape_stats
@@ -559,7 +550,7 @@ let e11 ~measured =
   let sc = e11_scenario in
   row "reduced scale %dx%d, %d dirs, %d steps; all rows real solves\n"
     sc.Bte.Setup.nx sc.Bte.Setup.ny sc.Bte.Setup.ndirs sc.Bte.Setup.nsteps;
-  let (ts, tsc, tsn, tr, tp, tpn, th, tc, tcov, tg, nd, (swc, swn)), tapes =
+  let (ts, tsc, tsn, tp, tpn, th, tc, tcov, tg, nd, (swc, swn)), tapes =
     e11_rows ()
   in
   row "  %-28s %8.3f s\n" "serial (tape)" ts;
@@ -567,10 +558,7 @@ let e11 ~measured =
   row "  %-28s %8.3f s  (%.2fx vs closure)\n" "serial (native)" tsn (tsc /. tsn);
   row "  %-28s %8.3f s -> %.3f s  (%.2fx; temperature callback excluded)\n"
     "serial sweep phase" swc swn (swc /. swn);
-  row "  %-28s %8.3f s\n" (Printf.sprintf "threads(%d) spawn-per-step" nd) tr;
-  row "  %-28s %8.3f s  (%.2fx vs respawn)\n"
-    (Printf.sprintf "threads(%d) persistent pool" nd)
-    tp (tr /. tp);
+  row "  %-28s %8.3f s\n" (Printf.sprintf "threads(%d) persistent pool" nd) tp;
   row "  %-28s %8.3f s\n"
     (Printf.sprintf "threads(%d) pool, native" nd)
     tpn;
@@ -631,7 +619,7 @@ let e11_json path =
      can embed the key runtime counters alongside the wall times *)
   Prt.Metrics.enable ();
   Prt.Metrics.reset_all ();
-  let (ts, tsc, tsn, tr, tp, tpn, th, tc, tcov, tg, nd, (swc, swn)), tapes =
+  let (ts, tsc, tsn, tp, tpn, th, tc, tcov, tg, nd, (swc, swn)), tapes =
     e11_rows ()
   in
   let variants = e11_opt_variants () in
@@ -648,7 +636,6 @@ let e11_json path =
   p "    \"serial_tape\": %.6f,\n" ts;
   p "    \"serial_closure\": %.6f,\n" tsc;
   p "    \"serial_native\": %.6f,\n" tsn;
-  p "    \"threaded_respawn\": %.6f,\n" tr;
   p "    \"threaded_pool\": %.6f,\n" tp;
   p "    \"threaded_pool_native\": %.6f,\n" tpn;
   p "    \"hybrid_2x2\": %.6f,\n" th;
@@ -656,7 +643,6 @@ let e11_json path =
   p "    \"cells_spmd_2_overlap\": %.6f,\n" tcov;
   p "    \"gpu\": %.6f\n" tg;
   p "  },\n";
-  p "  \"pool_speedup_vs_respawn\": %.4f,\n" (tr /. tp);
   p "  \"serial_native_speedup_vs_closure\": %.4f,\n" (tsc /. tsn);
   (* the intensity-phase seconds isolate the evaluators from the
      temperature host callback, which every evaluator shares and which

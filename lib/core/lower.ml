@@ -461,14 +461,15 @@ let owned_comps (v : Entity.variable) index_ranges =
   if slices = [] then None
   else
     Some
-      (List.filter
-         (fun c ->
-           List.for_all
-             (fun (stride, ext, (off, len)) ->
-               let x = c / stride mod ext in
-               x >= off && x < off + len)
-             slices)
-         (List.init (Entity.var_ncomp v) Fun.id))
+      (Array.of_list
+         (List.filter
+            (fun c ->
+              List.for_all
+                (fun (stride, ext, (off, len)) ->
+                  let x = c / stride mod ext in
+                  x >= off && x < off + len)
+                slices)
+            (List.init (Entity.var_ncomp v) Fun.id)))
 
 (* Gather every variable across ranks into [into]'s fields: each rank
    contributes its owned cells (cell-partitioned runs) and its owned
@@ -494,7 +495,7 @@ let gather_fields ~into (states : state array) =
             in
             Array.iter
               (fun cell ->
-                List.iter
+                Array.iter
                   (fun c -> Fvm.Field.set dst cell c (Fvm.Field.get src cell c))
                   comps)
               cells)

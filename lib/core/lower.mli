@@ -20,6 +20,7 @@ type rankinfo = {
 }
 
 val serial_rankinfo : rankinfo
+(** Rank 0 of 1, owning every cell and every index value. *)
 
 (** Generated-code entry points for one state: whole loop bodies emitted
     by [Emit_source.to_ocaml], compiled and bound by lib/codegen.  When a
@@ -80,8 +81,17 @@ val native_hook_installed : bool ref
     Native-mode build warns once and falls back silently thereafter. *)
 
 val field : state -> string -> Fvm.Field.t
+(** [field st name] is the storage of variable [name].
+    @raise Lower_error when the problem declares no such variable. *)
+
 val coef_exn : Problem.t -> string -> Entity.coefficient
+(** The declared coefficient of that name.
+    @raise Lower_error when there is none. *)
+
 val layout_of_var : Entity.variable -> (string * int * int) list
+(** Per declared index of the variable: (index name, 1-based lower bound,
+    stride of that index in the flat component number).  The first
+    declared index is fastest. *)
 
 val build :
   ?info:rankinfo -> ?share_with:state -> ?private_clock:bool -> Problem.t ->
@@ -93,7 +103,22 @@ val build :
     advance workers independently between barriers. *)
 
 val apply_initial_conditions : state -> unit
+(** Fill every variable with its declared initial condition and copy the
+    unknown into the double buffer.  {!build} calls it unless the state
+    shares another state's storage. *)
+
 val index_range : state -> string -> int -> int * int
+(** [index_range st name extent] is the rank's owned (0-based offset,
+    length) of index [name]: its slice from the rank info, or
+    [(0, extent)] when the index is not partitioned. *)
+
+val owned_comps :
+  Entity.variable -> (string * (int * int)) list -> int array option
+(** [owned_comps v index_ranges]: the flat components of [v], ascending,
+    whose value of every partitioned index [v] carries lies in the
+    rank's slice.  [None] when [v] carries no partitioned index: every
+    rank then computes all of it.  The rule {!gather_fields} and the GPU
+    executors use to decide what a band slice owns. *)
 
 val iterate_dofs : state -> (unit -> unit) -> unit
 (** Run a thunk for every owned (cell x index) combination in the
@@ -130,8 +155,16 @@ val commit : state -> unit
 (** Publish the double buffer for the owned DOFs. *)
 
 val make_step_ctx : state -> allreduce:(float array -> unit) -> Problem.step_ctx
+(** The context handed to pre- and post-step callbacks: this state's
+    fields, clock, rank, owned index slices and cells, with [allreduce]
+    as the cross-rank sum (a no-op on a lone rank). *)
+
 val run_post_step : state -> allreduce:(float array -> unit) -> unit
+(** Run the problem's post-step callbacks (the BTE temperature update)
+    in declaration order. *)
+
 val run_pre_step : state -> allreduce:(float array -> unit) -> unit
+(** Run the problem's pre-step callbacks in declaration order. *)
 
 (** {2 Hybrid GPU-target support} *)
 
@@ -154,7 +187,12 @@ val boundary_contributions : state -> into:Fvm.Field.t -> unit
 (** {2 Runge-Kutta stages (serial executor)} *)
 
 val sweep_rhs : state -> into:Fvm.Field.t -> unit
+(** Write R (as {!dof_rhs}) of every owned DOF of the current unknown
+    into [into]: one Runge-Kutta stage derivative. *)
+
 val set_combination : state -> base:Fvm.Field.t -> a:float -> k:Fvm.Field.t -> unit
+(** Set the unknown's owned DOFs to [base + a * k]: the intermediate
+    state a Runge-Kutta stage evaluates at. *)
 
 val dof_flux : state -> float
 (** The surface part of R only (boundary conditions applied). *)

@@ -118,8 +118,8 @@ val set_eval_mode : t -> Config.eval_mode -> unit
 val set_overlap : t -> bool -> unit
 (** Enable communication/computation overlap: the cell-parallel executor
     splits its halo exchange around the sweep ({!Target_cpu.run_cell_parallel})
-    and the GPU target routes per-step transfers through a second stream
-    ({!Target_gpu.run_single}).  Results are bit-identical either way;
+    and the GPU target routes each device's per-step transfers through a
+    second stream ({!Target_gpu.run}).  Results are bit-identical either way;
     targets without point-to-point messages (serial, bands, threads,
     hybrid — collectives only) ignore the flag. *)
 

@@ -428,38 +428,6 @@ let run_threaded ?post_io (p : Problem.t) ~ndomains =
   if fused_schedule_ok ?post_io p then run_threaded_fused p ~ndomains
   else run_threaded_classic p ~ndomains
 
-(* The seed executor, kept as the benchmark baseline: fresh domains are
-   spawned and joined twice per timestep, so their start-up cost is paid
-   2*nsteps times per solve. *)
-let run_threaded_respawn (p : Problem.t) ~ndomains =
-  if ndomains < 1 then raise (Target_error "run_threaded_respawn: ndomains < 1");
-  let base = Lower.build p in
-  let workers = make_workers p ~base ~ndomains ~index_ranges:[] in
-  let b = base.Lower.breakdown in
-  let track = Prt.Trace.main in
-  for _ = 1 to p.Problem.nsteps do
-    Lower.run_pre_step base ~allreduce:noop_allreduce;
-    Prt.Breakdown.timed ~track b Prt.Breakdown.Intensity (fun () ->
-        let spawned =
-          Array.init (ndomains - 1) (fun i ->
-              Domain.spawn (fun () -> Lower.sweep workers.(i + 1)))
-        in
-        Lower.sweep workers.(0);
-        Array.iter Domain.join spawned);
-    Prt.Breakdown.timed ~track b Prt.Breakdown.Intensity (fun () ->
-        let spawned =
-          Array.init (ndomains - 1) (fun i ->
-              Domain.spawn (fun () -> Lower.commit workers.(i + 1)))
-        in
-        Lower.commit workers.(0);
-        Array.iter Domain.join spawned);
-    Prt.Breakdown.timed ~track b Prt.Breakdown.Temperature (fun () ->
-        Lower.run_post_step base ~allreduce:noop_allreduce);
-    base.Lower.time := !(base.Lower.time) +. !(base.Lower.dt);
-    incr base.Lower.step
-  done;
-  { states = [| base |]; breakdown = b }
-
 (* ------------------------------------------------------------------ *)
 (* Hybrid: SPMD band-parallel ranks x pool domains per rank.            *)
 (* ------------------------------------------------------------------ *)

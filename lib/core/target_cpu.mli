@@ -15,11 +15,20 @@ type result = {
 }
 
 val primary : result -> Lower.state
+(** Rank 0's state: the one [Solve] gathers a partitioned run's owned
+    slices into and reports. *)
 
 val noop_allreduce : float array -> unit
+(** The allreduce of a lone rank: leaves its argument unchanged. *)
 
 val step_serial : Lower.state -> unit
+(** One time step on one state: pre-step callbacks, the configured time
+    scheme over the owned DOFs, post-step callbacks, then the clock and
+    step counter advance. *)
+
 val run_serial : Problem.t -> result
+(** Build one state owning everything and take the problem's [nsteps]
+    steps on it. *)
 
 val run_band_parallel : Problem.t -> index:string -> nranks:int -> result
 (** Partition the given index's range across ranks; the post-step
@@ -60,10 +69,6 @@ val make_parity : Lower.state -> Lower.state
     [u_new] storage and the double buffer onto the [u] storage, so a
     sweep of the parity state is the "odd" step of the fused schedule.
     Clock and step refs are shared with the worker. *)
-
-val run_threaded_respawn : Problem.t -> ndomains:int -> result
-(** The pre-pool executor, kept as a benchmark baseline: domains are
-    spawned and joined twice per timestep. *)
 
 val run_hybrid :
   Problem.t -> index:string -> nranks:int -> ndomains:int -> result

@@ -6,7 +6,12 @@
     post-step → re-upload of the variables the data-movement plan marks
     as per-step device inputs. Kernels really execute on device buffers
     (distinct memory), so the numerics are testable against the CPU
-    targets; timings come from the roofline model. *)
+    targets; timings come from the roofline model.
+
+    One executor ({!run}) serves every GPU target: R band-slice ranks of
+    G mesh-tiling devices each, one device per rank being G = 1.  The
+    pieces below are its building blocks, shared with the serve layer's
+    request-batched executor. *)
 
 exception Gpu_error of string
 
@@ -18,25 +23,85 @@ type result = {
   profile_threads : int;       (** grid size, for the profiler report *)
 }
 
-val run_single :
-  ?post_io:Dataflow.callback_io -> ?info:Lower.rankinfo ->
-  ?allreduce:(float array -> unit) -> ?overlap:bool -> spec:Gpu_sim.Spec.t ->
-  Problem.t -> result
-(** One (device, rank) pair; [info] restricts it to a band slice.  With
-    [~overlap:true] the per-step transfers run on a second (copy) stream
-    against a double-buffered unknown: the result download is enqueued
-    behind the kernel and overlaps the boundary host work, next-step
-    uploads stay in flight until the following launch joins them.
-    Numerics are bit-identical; only the modelled timeline and the
-    Communication share of the breakdown change. *)
-
-val run_multi :
-  ?post_io:Dataflow.callback_io -> ?overlap:bool -> spec:Gpu_sim.Spec.t ->
-  ranks:int -> Problem.t -> result * result array
-(** Band-partitioned multi-device run under the SPMD runtime; the first
-    component has rank 0's state with the gathered unknown and the summed
-    breakdown. *)
-
 val run : ?post_io:Dataflow.callback_io -> Problem.t -> result
-(** Dispatch on the problem's GPU target (ranks <= 1: single device).
-    Raises {!Gpu_error} if the target is not a GPU. *)
+(** Run the problem on its [Gpu { devices = G; ranks = R }] target.  Each
+    of the R SPMD ranks owns a contiguous slice of the last declared
+    index (the bands) and drives G devices with global ids [rank*G ..],
+    which tile the mesh by recursive coordinate bisection and exchange
+    ghost cells by peer copies; ranks join in the temperature update's
+    allreduce, and rank 0's state receives the gathered fields and the
+    summed breakdown.  Results do not depend on G or R.
+
+    With the problem's overlap flag set, each device's transfers run on
+    a second (copy) stream against a double-buffered unknown: the result
+    download is enqueued behind the kernel and overlaps the boundary
+    host work, and next-step uploads stay in flight until the following
+    launch joins them.  Numerics are bit-identical; only the modelled
+    timeline and the Communication share of the breakdown change.
+    Raises {!Gpu_error} if the target is not a GPU, or R exceeds the
+    band count. *)
+
+(** {2 Pieces of the schedule} *)
+
+type mirror = {
+  dev : Gpu_sim.Memory.device;
+  bufs : (string * Gpu_sim.Memory.buffer) list;
+      (** one device buffer per host field, by variable name *)
+  u_new : Gpu_sim.Memory.buffer array;
+      (** the kernel's result buffers for the unknown, by step parity *)
+  states : Lower.state array;
+      (** the host state rebound to the device storage, one per result
+          buffer: what kernel threads evaluate against *)
+}
+(** A host state's device-resident copy. *)
+
+val mirror :
+  ?prefix:string -> nbuf:int -> Gpu_sim.Memory.device -> Lower.state ->
+  mirror
+(** [mirror ~nbuf dev host] allocates on [dev] a buffer per host field
+    and [nbuf] result buffers (two when transfers overlap, so step N's
+    download may still be in flight at step N+1's launch), and rebinds
+    [host] to them ({!Lower.rebind}).  Buffer labels are [prefix] (default
+    empty) followed by the variable name, ["u_new"] or ["u_new.alt"]. *)
+
+val upload_all : Lower.state -> mirror -> float
+(** Upload every host field into its mirror in full; returns the
+    modelled seconds. *)
+
+val interior_cost : Lower.state -> Gpu_sim.Kernel.cost
+(** Per-thread roofline cost of the interior kernel: the volume term and
+    one flux per face, four times over for index arithmetic and
+    predication, and the unknown's traffic plus a cache-amortized share
+    of neighbour and coefficient loads. *)
+
+val owned_comps : Lower.state -> int array
+(** The unknown's components the state's rank computes, ascending:
+    {!Lower.owned_comps} over its index ranges, or all of them. *)
+
+val launch_chunks : Lower.state -> int array array
+(** {!owned_comps} split into the component slices one step launches a
+    kernel each for: all in one batched launch at O1/O2, one slice per
+    value of the unknown's slow index at O0. *)
+
+val update_dof : Lower.state -> int -> int -> unit
+(** [update_dof ds cell comp]: one kernel thread — the DOF advanced by
+    [dt] times its interior-face residual, read from [ds]'s unknown and
+    written to its [u_new]. *)
+
+val boundary_part : Lower.state -> into:Fvm.Field.t -> unit
+(** The host's share of a step: zero [into], then accumulate every
+    boundary face's contribution ({!Lower.boundary_contributions}). *)
+
+val combine_boundary : Lower.state -> u_bdry:Fvm.Field.t -> int array -> unit
+(** [combine_boundary host ~u_bdry owned]: set the unknown to the
+    downloaded interior result plus [u_bdry] on every cell and each of
+    the [owned] components. *)
+
+val sanitize_scan : Lower.state -> int array -> unit
+(** In sanitize mode, count poisoned values of the unknown over every
+    cell and the given owned components ({!Fvm.Field.record_poison}): a
+    kernel that read a never-uploaded buffer shows up here.  Other
+    components may legitimately hold poison on band-slice ranks. *)
+
+val every_step_h2d : Dataflow.plan -> string list
+(** The variables the data-movement plan re-uploads after every step. *)

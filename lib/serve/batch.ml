@@ -1,10 +1,13 @@
-(* Batched multi-request GPU execution: Target_gpu.run_single's
-   synchronous schedule generalized with a request axis.  N compatible
-   problems share one simulated device and one stream; every kernel
-   launch covers requests x cells x chunk threads, where the chunk is
-   the component slice the solo executor would launch (the whole
-   component range in one batched launch at O1/O2 — the
-   Opt.batch_band_kernels shape — or one per-band slice at O0).
+(* Batched multi-request GPU execution: the GPU executor's synchronous
+   one-device schedule (Target_gpu.run at G = R = 1) generalized with a
+   request axis.  N compatible problems share one simulated device and
+   one stream; every kernel launch covers requests x cells x chunk
+   threads, where the chunk is the component slice the solo executor
+   would launch (Target_gpu.launch_chunks: the whole component range in
+   one batched launch at O1/O2 — the Opt.batch_band_kernels shape — or
+   one per-band slice at O0).  Mirrors, kernel body and cost, boundary
+   combine, sanitizer scan and per-step uploads are the executor's own
+   pieces; this module adds only the request axis.
 
    Bit-identity with solo execution holds by construction: each thread
    runs the exact per-DOF update of the solo kernel against its own
@@ -119,168 +122,60 @@ let run ?post_io (ps : Finch.Problem.t array) =
   let dev = Gpu_sim.Memory.create_device spec in
   let clock = Gpu_sim.Stream.create_clock () in
   let stream = Gpu_sim.Stream.create dev in
-  (* per-request device mirrors + device-bound state, as in the solo
-     executor, all resident on the one shared device *)
-  let tag r name = Printf.sprintf "r%d.%s" r name in
-  let dev_fields =
+  (* every request's mirrors and device-bound state, all resident on the
+     one shared device *)
+  let mirrors =
     Array.mapi
-      (fun r (host : Lower.state) ->
-        List.map
-          (fun (name, f) ->
-            let buf =
-              Gpu_sim.Memory.alloc dev ~label:(tag r name)
-                ~size:(Fvm.Field.size f)
-            in
-            let view =
-              Fvm.Field.of_bigarray ~name ~ncells:(Fvm.Field.ncells f)
-                ~ncomp:(Fvm.Field.ncomp f) buf.Gpu_sim.Memory.device_data
-            in
-            name, (buf, view))
-          host.Lower.fields)
+      (fun r host ->
+        Target_gpu.mirror ~prefix:(Printf.sprintf "r%d." r) ~nbuf:1 dev host)
       hosts
   in
-  let u_new_bufs =
-    Array.mapi
-      (fun r (host : Lower.state) ->
-        Gpu_sim.Memory.alloc dev ~label:(tag r "u_new")
-          ~size:(Fvm.Field.size host.Lower.u_new))
-      hosts
-  in
-  let dstates =
-    Array.mapi
-      (fun r (host : Lower.state) ->
-        let dev_only = List.map (fun (nm, (_, v)) -> nm, v) dev_fields.(r) in
-        let view =
-          Fvm.Field.of_bigarray ~name:"u_new" ~ncells ~ncomp
-            u_new_bufs.(r).Gpu_sim.Memory.device_data
-        in
-        Lower.rebind host ~fields:dev_only ~u_new:view)
-      hosts
-  in
-  let interior_cost =
-    let open Eval in
-    let cv = cost host0.Lower.eq.Transform.rvol
-    and cs = cost host0.Lower.eq.Transform.rsurf in
-    let nfaces_per_cell =
-      float_of_int (Array.length host0.Lower.mesh.Fvm.Mesh.cell_faces.(0))
-    in
-    let flops = (cv.flops +. (nfaces_per_cell *. cs.flops)) *. 4.0 in
-    let dram = 8. *. (2. +. (0.25 *. float_of_int (cv.loads + cs.loads))) in
-    { Gpu_sim.Kernel.flops_per_thread = flops; dram_bytes_per_thread = dram }
-  in
-  let nd =
-    match host0.Lower.uvar.Entity.vindices with
-    | first :: _ -> Entity.index_extent first
-    | [] -> 1
-  in
-  let owned_comps = Array.init ncomp (fun c -> c) in
-  (* launch shape: O0 keeps the solo executor's per-band chunks (the
-     request axis still folds into each launch); O1/O2 take the batched
-     cells x dirs x bands x requests shape *)
-  let comp_chunks =
-    match p0.Problem.opt_level with
-    | Config.O0 when ncomp > nd && ncomp mod nd = 0 ->
-      Array.init (ncomp / nd) (fun k -> Array.sub owned_comps (k * nd) nd)
-    | _ -> [| owned_comps |]
-  in
-  (* one kernel per chunk, its thread space request-major: threads
-     [r * ncells * n_chunk ..] update request r, exactly as the solo
-     kernel's thread [cell * n_chunk + slot] does *)
-  let make_kernel (chunk : int array) =
-    let n_chunk = Array.length chunk in
-    let per_req = ncells * n_chunk in
-    Gpu_sim.Kernel.make ~name:"interior_update_batch" ~cost:interior_cost
-      (fun tid ->
-        let r = tid / per_req in
-        let rest = tid mod per_req in
-        let cell = rest / n_chunk and slot = rest mod n_chunk in
-        let comp = chunk.(slot) in
-        let dstate = dstates.(r) in
-        let env = dstate.Lower.env in
-        env.Eval.cell <- cell;
-        Lower.set_ivals_of_comp dstate comp;
-        let v =
-          Fvm.Field.get dstate.Lower.u cell comp
-          +. (!(dstate.Lower.dt) *. Lower.dof_rhs_interior dstate)
-        in
-        Fvm.Field.set dstate.Lower.u_new cell comp v)
-  in
-  let kernels = Array.map make_kernel comp_chunks in
-  let launch_step () =
-    Array.iteri
-      (fun i k ->
-        Prt.Metrics.incr m_batched_launches;
-        Gpu_sim.Stream.kernel stream clock k
-          ~nthreads:(n * ncells * Array.length comp_chunks.(i))
-          ())
-      kernels
+  let dstates = Array.map (fun (m : Target_gpu.mirror) -> m.states.(0)) mirrors in
+  let cost = Target_gpu.interior_cost host0 in
+  let owned = Target_gpu.owned_comps host0 in
+  (* one kernel per solo launch chunk, its thread space request-major:
+     threads [r * ncells * n_chunk ..] update request r, exactly as the
+     solo kernel's thread [cell * n_chunk + slot] does *)
+  let kernels =
+    Array.map
+      (fun chunk ->
+        let n_chunk = Array.length chunk in
+        let per_req = ncells * n_chunk in
+        ( Gpu_sim.Kernel.make ~name:"interior_update_batch" ~cost (fun tid ->
+              let rest = tid mod per_req in
+              Target_gpu.update_dof dstates.(tid / per_req) (rest / n_chunk)
+                chunk.(rest mod n_chunk)),
+          n * per_req ))
+      (Target_gpu.launch_chunks host0)
   in
   let u_bdrys =
-    Array.init n (fun r ->
-        ignore r;
-        Fvm.Field.create ~name:"u_bdry" ~ncells ~ncomp ())
+    Array.map (fun _ -> Fvm.Field.create ~name:"u_bdry" ~ncells ~ncomp ()) hosts
   in
   let track = Prt.Trace.main in
-  (* one-time uploads per request *)
   Array.iteri
     (fun r (host : Lower.state) ->
-      List.iter
-        (fun (name, (buf, _)) ->
-          let hf = List.assoc name host.Lower.fields in
-          Prt.Breakdown.record host.Lower.breakdown Prt.Breakdown.Communication
-            (Gpu_sim.Memory.h2d dev buf (Fvm.Field.raw hf)))
-        dev_fields.(r))
+      Prt.Breakdown.record host.Lower.breakdown Prt.Breakdown.Communication
+        (Target_gpu.upload_all host mirrors.(r)))
     hosts;
   let kernel_time_seen = ref 0. in
-  let every_step_h2d =
-    List.filter_map
-      (fun tr ->
-        if tr.Dataflow.tr_h2d_every_step then Some tr.Dataflow.tr_var
-        else None)
-      plan.Dataflow.transfers
-  in
-  let combine_boundary r =
-    let host = hosts.(r) in
-    for cell = 0 to ncells - 1 do
-      Array.iter
-        (fun comp ->
-          let v =
-            Fvm.Field.get host.Lower.u_new cell comp
-            +. Fvm.Field.get u_bdrys.(r) cell comp
-          in
-          Fvm.Field.set host.Lower.u cell comp v)
-        owned_comps
-    done
-  in
-  let sanitize_scan r =
-    if Fvm.Field.sanitize_enabled () then begin
-      let host = hosts.(r) in
-      let cnt = ref 0 in
-      for cell = 0 to ncells - 1 do
-        Array.iter
-          (fun comp ->
-            if Fvm.Field.is_poison (Fvm.Field.get host.Lower.u cell comp)
-            then incr cnt)
-          owned_comps
-      done;
-      Fvm.Field.record_poison !cnt
-    end
-  in
+  let every_step = Target_gpu.every_step_h2d plan in
   for _ = 1 to p0.Problem.nsteps do
     Array.iter (fun host -> Lower.run_pre_step host ~allreduce) hosts;
     (* 1. one async batched launch per chunk, covering every request.
        The kernels mutate the device states' envs directly, so
        invalidate their tape caches first. *)
     Array.iter (fun (ds : Lower.state) -> Eval.bump_epoch ds.Lower.env) dstates;
-    launch_step ();
+    Array.iter
+      (fun (k, nthreads) ->
+        Prt.Metrics.incr m_batched_launches;
+        Gpu_sim.Stream.kernel stream clock k ~nthreads ())
+      kernels;
     (* 2. boundary contributions on the CPU per request, overlapping
        the shared kernel *)
     Array.iteri
       (fun r (host : Lower.state) ->
         Prt.Breakdown.timed ~track host.Lower.breakdown Prt.Breakdown.Boundary
-          (fun () ->
-            Fvm.Field.fill u_bdrys.(r) 0.;
-            Lower.boundary_contributions host ~into:u_bdrys.(r)))
+          (fun () -> Target_gpu.boundary_part host ~into:u_bdrys.(r)))
       hosts;
     (* 3. synchronize once; the modelled kernel time is shared, charged
        in equal shares *)
@@ -295,31 +190,33 @@ let run ?post_io (ps : Finch.Problem.t array) =
     (* 4. download / combine / post-step / re-upload, per request *)
     Array.iteri
       (fun r (host : Lower.state) ->
+        let m = mirrors.(r) in
         let b = host.Lower.breakdown in
         Prt.Breakdown.record b Prt.Breakdown.Communication
-          (Gpu_sim.Memory.d2h dev u_new_bufs.(r) (Fvm.Field.raw host.Lower.u_new));
+          (Gpu_sim.Memory.d2h dev m.Target_gpu.u_new.(0)
+             (Fvm.Field.raw host.Lower.u_new));
         Prt.Breakdown.timed ~track b Prt.Breakdown.Intensity (fun () ->
-            combine_boundary r);
-        sanitize_scan r;
+            Target_gpu.combine_boundary host ~u_bdry:u_bdrys.(r) owned);
+        Target_gpu.sanitize_scan host owned;
         Prt.Breakdown.timed ~track b Prt.Breakdown.Temperature (fun () ->
             Lower.run_post_step host ~allreduce);
         List.iter
           (fun name ->
-            match List.assoc_opt name dev_fields.(r) with
-            | Some (buf, _) ->
-              let hf = List.assoc name host.Lower.fields in
-              Prt.Breakdown.record b Prt.Breakdown.Communication
-                (Gpu_sim.Memory.h2d dev buf (Fvm.Field.raw hf))
-            | None -> ())
-          every_step_h2d;
+            Option.iter
+              (fun buf ->
+                Prt.Breakdown.record b Prt.Breakdown.Communication
+                  (Gpu_sim.Memory.h2d dev buf
+                     (Fvm.Field.raw (Lower.field host name))))
+              (List.assoc_opt name m.Target_gpu.bufs))
+          every_step;
         host.Lower.time := !(host.Lower.time) +. !(host.Lower.dt);
         incr host.Lower.step)
       hosts
   done;
   if Prt.Metrics.enabled () then
     Array.iter (fun (p : Problem.t) -> Prt.Metrics.add m_steps p.Problem.nsteps) ps;
-  Array.mapi
-    (fun r (host : Lower.state) ->
+  Array.map
+    (fun (host : Lower.state) ->
       let gpu =
         { Target_gpu.state = host;
           device = dev;
@@ -327,7 +224,6 @@ let run ?post_io (ps : Finch.Problem.t array) =
           plan;
           profile_threads = n * ncells * ncomp }
       in
-      ignore r;
       { Solve.u = host.Lower.u;
         fields = host.Lower.fields;
         breakdown = host.Lower.breakdown;

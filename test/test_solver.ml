@@ -189,18 +189,6 @@ let test_hybrid_equals_serial () =
         Alcotest.failf "hybrid %dx%d: diff %g" nranks ndomains diff)
     [ 2, 2; 4, 1; 2, 3 ]
 
-let test_pool_respawn_executors_agree () =
-  (* the retained spawn-per-step executor and the pool executor are the
-     same algorithm on different runtimes *)
-  let p1, _, _ = make_advection () in
-  let r1 = Finch.Target_cpu.run_threaded p1 ~ndomains:3 in
-  let p2, _, _ = make_advection () in
-  let r2 = Finch.Target_cpu.run_threaded_respawn p2 ~ndomains:3 in
-  let u1 = (Finch.Target_cpu.primary r1).Finch.Lower.u in
-  let u2 = (Finch.Target_cpu.primary r2).Finch.Lower.u in
-  let diff = Fvm.Field.max_abs_diff u1 u2 in
-  if diff > 0. then Alcotest.failf "pool vs respawn: diff %g" diff
-
 let test_tape_mode_equals_closure_mode () =
   (* whole-solve agreement of the two evaluators, on serial and pooled
      executors; Tape is the default, so force Closure on the reference *)
@@ -465,8 +453,6 @@ let suite =
       Alcotest.test_case "pool-threaded == serial (exact)" `Quick
         test_pool_threaded_equals_serial;
       Alcotest.test_case "hybrid == serial (exact)" `Quick test_hybrid_equals_serial;
-      Alcotest.test_case "pool == respawn executor" `Quick
-        test_pool_respawn_executors_agree;
       Alcotest.test_case "tape mode == closure mode" `Quick
         test_tape_mode_equals_closure_mode;
       Alcotest.test_case "loop order invariance" `Quick test_loop_order_invariance;

@@ -391,6 +391,68 @@ let test_breakdown_of_events () =
         (Prt.Breakdown.total b)
         (Prt.Breakdown.total rebuilt))
 
+(* Every GPU rank drives its own device, so each rank's kernel and DMA
+   spans land on that device's own "gpu stream N" / "gpu N dma" rows
+   instead of piling onto device 0's. *)
+let test_gpu_rank_tracks () =
+  with_observability (fun () ->
+      let built = Bte.Setup.build { tiny with Bte.Setup.nsteps = 2 } in
+      Finch.Problem.set_target built.Bte.Setup.problem
+        (Finch.Config.Gpu { spec = Gpu_sim.Spec.a6000; devices = 1; ranks = 2 });
+      ignore (Finch.Solve.solve ~band_index:"b" built.Bte.Setup.problem);
+      let events =
+        match obj_field "traceEvents" (parse_json (Prt.Trace.chrome_json ())) with
+        | Some (Arr evs) -> evs
+        | _ -> Alcotest.fail "traceEvents array missing"
+      in
+      let num name e =
+        match obj_field name e with Some (Num v) -> v | _ -> nan
+      in
+      let track_names =
+        List.filter_map
+          (fun e ->
+            match str_field "ph" e, str_field "name" e, obj_field "args" e with
+            | Some "M", Some "thread_name", Some args ->
+              Option.map
+                (fun n -> (num "pid" e, num "tid" e), n)
+                (str_field "name" args)
+            | _ -> None)
+          events
+      in
+      (* gpu span count per track, kernels and transfers apart *)
+      let per_track kernels =
+        List.fold_left
+          (fun acc e ->
+            let is_kernel =
+              match str_field "name" e with
+              | Some n -> String.starts_with ~prefix:"interior_update" n
+              | None -> false
+            in
+            if str_field "ph" e = Some "X" && str_field "cat" e = Some "gpu"
+               && is_kernel = kernels
+            then begin
+              let track = List.assoc (num "pid" e, num "tid" e) track_names in
+              let n = Option.value ~default:0 (List.assoc_opt track acc) in
+              (track, n + 1) :: List.remove_assoc track acc
+            end
+            else acc)
+          [] events
+        |> List.sort compare
+      in
+      let check_tracks what expected counts =
+        Alcotest.(check (list string))
+          (what ^ ": one track per rank") expected (List.map fst counts);
+        match counts with
+        | (_, a) :: rest ->
+          check_bool (what ^ ": spans present") true (a > 0);
+          List.iter
+            (fun (t, b) -> check_int (what ^ " on " ^ t ^ ": even split") a b)
+            rest
+        | [] -> ()
+      in
+      check_tracks "kernels" [ "gpu stream 0"; "gpu stream 1" ] (per_track true);
+      check_tracks "transfers" [ "gpu 0 dma"; "gpu 1 dma" ] (per_track false))
+
 (* ------------------------------------------------------------------ *)
 (* observability must not perturb numerics                             *)
 
@@ -448,4 +510,5 @@ let suite =
         test_breakdown_of_events;
       Alcotest.test_case "bit identity under observability" `Quick
         test_bit_identity_under_observability;
+      Alcotest.test_case "gpu rank tracks" `Quick test_gpu_rank_tracks;
     ] )
