@@ -1049,11 +1049,7 @@ let tune_measure_plans base plans =
    the simulated GPU pays more in dispatch than the cells earn back) *)
 let tune_hand_plans (profile : Finch_tune.Tune.profile) (sc : Bte.Setup.scenario) =
   let open Finch.Config in
-  let mk ?opt_level ?eval_mode ?overlap target =
-    Finch_tune.Plan.make ?opt_level ?eval_mode ?overlap
-      ~chunk:(Finch_tune.Plan.chunk_of_target target)
-      target
-  in
+  let mk = Finch_tune.Plan.make in
   let ncells = sc.Bte.Setup.nx * sc.Bte.Setup.ny in
   List.concat
     [ [ mk (Cpu Serial); mk ~opt_level:O0 (Cpu Serial) ];

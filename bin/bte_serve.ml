@@ -7,12 +7,12 @@
 
    The workload is kALDo-style: R requests per scenario differing only in
    the hot-spot temperature, so every request of a scenario shares one
-   lowered program.  The unbatched pass runs them one by one with the
-   program cache off (today's per-request pipeline: optimize, verify,
-   solve).  The batched pass runs the scheduler with coalescing and the
-   content-hash program cache on.  Results must be bit-identical; the
-   emitted JSON carries requests/s and p50/p95 latency for both modes
-   plus the serve.* counter deltas, and validates itself. *)
+   lowered program.  The unbatched pass runs them one by one with
+   scenario-table reuse off (the per-request pipeline: build, verify,
+   solve).  The batched pass runs the scheduler with coalescing and
+   table reuse on.  Results must be bit-identical; the emitted JSON
+   carries requests/s and p50/p95 latency for both modes plus the
+   serve.* counter deltas, and validates itself. *)
 
 open Cmdliner
 
@@ -37,8 +37,8 @@ let backend_t =
         ~doc:
           "Backend every request runs on: serial, threads:N, bands:N, \
            cells:N, hybrid:RxD or gpu[:NAME]. Batched launches need the \
-           single-device gpu target; other backends still share the \
-           program cache.")
+           single-device gpu target; other backends run each request \
+           solo.")
 
 let opt_t =
   Arg.(
@@ -220,31 +220,26 @@ let serve_cmd requests repeat scenario backend opt eval_mode nx ndirs nbands
     (String.concat "+" scenarios)
     requests repeat
     (Finch.Solve_request.summary (List.hd reqs));
-  (* unbatched baseline: window of 1, cache off — every request pays the
-     full optimize-and-verify pipeline, exactly today's entry points *)
+  (* unbatched baseline: window of 1, table reuse off — every request
+     pays the full build-and-verify pipeline, exactly today's entry
+     points *)
   let unbatched =
     run_pass ~label:"unbatched" ~max_batch:1 ~use_cache:false ~batching:false
       reqs
   in
   Printf.printf "  %-10s %6.2f req/s  p50 %7.1f ms  p95 %7.1f ms\n%!"
     unbatched.label unbatched.rps unbatched.p50_ms unbatched.p95_ms;
-  (* batched pass: coalescing + program cache *)
-  let hits0 = counter "serve.program_hits" in
-  let misses0 = counter "serve.program_misses" in
+  (* batched pass: coalescing + table reuse *)
   let batches0 = counter "serve.batches" in
   let launches0 = counter "serve.batched_launches" in
   let batched =
     run_pass ~label:"batched" ~max_batch ~use_cache:true ~batching:true reqs
   in
-  let hits = counter "serve.program_hits" - hits0 in
-  let misses = counter "serve.program_misses" - misses0 in
   let batches = counter "serve.batches" - batches0 in
   let launches = counter "serve.batched_launches" - launches0 in
   Printf.printf
-    "  %-10s %6.2f req/s  p50 %7.1f ms  p95 %7.1f ms  (hits %d, misses %d, \
-     batches %d)\n%!"
-    batched.label batched.rps batched.p50_ms batched.p95_ms hits misses
-    batches;
+    "  %-10s %6.2f req/s  p50 %7.1f ms  p95 %7.1f ms  (batches %d)\n%!"
+    batched.label batched.rps batched.p50_ms batched.p95_ms batches;
   (* bit-identity: the batched pass must reproduce the unbatched results
      exactly, request by request *)
   let max_diff =
@@ -263,8 +258,7 @@ let serve_cmd requests repeat scenario backend opt eval_mode nx ndirs nbands
     && batched.completed = List.length reqs
   in
   let validated =
-    all_completed && max_diff = 0.0 && hits > 0
-    && batched.rps > unbatched.rps
+    all_completed && max_diff = 0.0 && batched.rps > unbatched.rps
   in
   Printf.printf "  max |batched - unbatched| = %g;  %s\n%!" max_diff
     (if validated then "validated" else "VALIDATION FAILED");
@@ -288,9 +282,7 @@ let serve_cmd requests repeat scenario backend opt eval_mode nx ndirs nbands
         "unbatched", pass_json unbatched [];
         ( "batched",
           pass_json batched
-            [ "program_hits", Finch.Json.Num (float_of_int hits);
-              "program_misses", Finch.Json.Num (float_of_int misses);
-              "batches", Finch.Json.Num (float_of_int batches);
+            [ "batches", Finch.Json.Num (float_of_int batches);
               "batched_launches", Finch.Json.Num (float_of_int launches) ] );
         "max_abs_diff", Finch.Json.Num max_diff;
         ( "speedup",

@@ -33,7 +33,7 @@ let scenario_t =
 let backend_t =
   Arg.(
     value
-    & opt (some string) None
+    & opt string "serial"
     & info [ "backend" ] ~docv:"SPEC"
         ~doc:
           "Execution backend: serial, threads:N (persistent domain pool), \
@@ -41,15 +41,6 @@ let backend_t =
            gpu[:NAME[:RANKS|:GxR]] (simulated device, default a6000), or \
            auto (the tuner searches backend x opt x overlap x grid and \
            picks the plan itself; see docs/TUNER.md). Case-insensitive.")
-
-let target_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "target" ] ~docv:"SPEC"
-        ~doc:
-          "Deprecated alias for $(b,--backend); also accepts the legacy \
-           hybrid:R:D spelling.")
 
 let overlap_t =
   Arg.(
@@ -213,19 +204,6 @@ let finish_observability ~trace ~metrics =
   end
 
 (* ---------- run ---------- *)
-
-(* [--backend] wins; [--target] is kept as a warn-once alias so existing
-   scripts keep working. *)
-let resolve_backend ~backend ~target =
-  match backend, target with
-  | Some spec, other ->
-    if other <> None then
-      prerr_endline "warning: both --backend and --target given; using --backend";
-    spec
-  | None, Some spec ->
-    prerr_endline "warning: --target is deprecated; use --backend";
-    spec
-  | None, None -> "serial"
 
 (* ---------- tuner plumbing shared by [run] and [request] ---------- *)
 
@@ -413,7 +391,7 @@ let solve_request ?tune_decision ~t_ambient ~csv ~trace ~metrics ~no_check
        finish_observability ~trace ~metrics;
        finish_sanitize ~sanitize ())
 
-let run_cmd scenario nx ny ndirs nbands nsteps backend target overlap opt
+let run_cmd scenario nx ny ndirs nbands nsteps backend overlap opt
     eval_mode codegen_cache_dir explain_plan tune_measure tune_cache_dir csv
     paper_scale trace metrics no_check sanitize =
   Bte.Setup.register_scenarios ();
@@ -425,7 +403,7 @@ let run_cmd scenario nx ny ndirs nbands nsteps backend target overlap opt
       exit 2
   in
   let tgt =
-    match Finch.Config.target_of_string (resolve_backend ~backend ~target) with
+    match Finch.Config.target_of_string backend with
     | Ok t -> t
     | Error e ->
       Printf.eprintf "error: %s\n" e;
@@ -476,7 +454,7 @@ let run_cmd scenario nx ny ndirs nbands nsteps backend target overlap opt
 let run_term =
   Term.(
     const run_cmd $ scenario_t $ nx_t $ ny_t $ ndirs_t $ nbands_t $ nsteps_t
-    $ backend_t $ target_t $ overlap_t $ opt_t $ eval_mode_t
+    $ backend_t $ overlap_t $ opt_t $ eval_mode_t
     $ codegen_cache_dir_t $ explain_plan_t $ tune_measure_t $ tune_cache_dir_t
     $ csv_t $ paper_scale_t $ trace_t $ metrics_t $ no_check_t $ sanitize_t)
 

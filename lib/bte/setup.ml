@@ -138,7 +138,7 @@ let post_io =
    a process serving many requests may reuse them.  The memo is gated on
    the facade's scenario-cache switch — off (the default), every build
    pays the full table construction, exactly the historical behaviour;
-   the serve scheduler turns it on together with its program cache. *)
+   the serve scheduler turns it on with its [use_cache] setting. *)
 let table_memo :
     ( int * int * float * float,
       Dispersion.t * Angles.t * Equilibrium.t * Temperature.model )

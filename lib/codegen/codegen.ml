@@ -102,7 +102,6 @@ let warn fmt =
 
 let memo : (string, Finch_ci.rt -> Finch_ci.entry) Hashtbl.t = Hashtbl.create 8
 
-let memo_size () = Hashtbl.length memo
 let clear_memo () = Hashtbl.reset memo
 
 let post_io_ref : Finch.Dataflow.callback_io option ref = ref None

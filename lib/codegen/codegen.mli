@@ -22,11 +22,6 @@ val set_cache_dir : string -> unit
 val cache_dir : unit -> string
 (** The directory compiled kernels are persisted under. *)
 
-val memo_size : unit -> int
-(** Number of compiled program objects held in the in-process memo — the
-    serve layer's program-object cache rides on this level; exposed so
-    schedulers and tests can assert reuse without re-deriving keys. *)
-
 val clear_memo : unit -> unit
 (** Drop the in-process memo (the disk level is untouched); for tests
     that assert cold-vs-warm compile behaviour. *)

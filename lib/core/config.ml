@@ -102,11 +102,6 @@ let target_of_string s =
       | Some r, Some d -> Ok (Cpu (Hybrid (r, d)))
       | _ -> fail ())
     | _ -> fail ())
-  | [ "hybrid"; r; d ] -> (
-    (* legacy spelling hybrid:R:D, kept as a parse alias *)
-    match pos_int r, pos_int d with
-    | Some r, Some d -> Ok (Cpu (Hybrid (r, d)))
-    | _ -> fail ())
   | [ "gpu" ] -> Ok (Gpu { spec = Gpu_sim.Spec.a6000; devices = 1; ranks = 1 })
   | [ "gpu"; name ] -> (
     match spec_of name with

@@ -13,7 +13,11 @@ type time_stepper =
         explicit — removes the stiff relaxation bound on dt (extension) *)
 
 val stepper_stages : time_stepper -> int
+(** Right-hand-side evaluations per step: 1 for the Euler steppers, 2 for
+    [RK2], 4 for [RK4]. *)
+
 val stepper_name : time_stepper -> string
+(** The DSL spelling of a stepper, e.g. ["EULER_EXPLICIT"] or ["RK4"]. *)
 
 type bc_kind =
   | Flux      (** prescribes the surface-term integrand (possibly callback) *)
@@ -55,8 +59,8 @@ val target_of_string : string -> (target, string) result
 (** Parse a backend spec
     [auto|serial|threads:N|bands:N|cells:N|hybrid:RxD|gpu[:NAME[:RANKS|:GxR]]]
     (case-insensitive; GPU names as accepted by {!Gpu_sim.Spec.by_name},
-    defaulting to [a6000] with one device and one rank; the legacy
-    spellings [hybrid:R:D] and [gpu:NAME:1xR] are accepted as aliases).
+    defaulting to [a6000] with one device and one rank; [gpu:NAME:1xR]
+    is the same target as [gpu:NAME:R]).
     [Error msg] describes the expected grammar on malformed input. *)
 
 (** How compiled right-hand sides are executed: closure tree, flat

@@ -100,7 +100,20 @@ let solve_dispatch ?band_index ?post_io (p : Problem.t) =
   | Config.Auto ->
     invalid_arg "Solve: unresolved auto target (run the tuner first)"
 
+(* Only the serial executor steps through Lower.rk_step; every other
+   executor sweeps and commits, which is forward Euler. *)
+let check_stepper (p : Problem.t) =
+  match p.Problem.stepper, p.Problem.target with
+  | Config.Euler_explicit, _ | _, Config.Cpu Config.Serial -> ()
+  | stepper, target ->
+    raise
+      (Problem.Problem_error
+         (Printf.sprintf
+            "time stepper %s runs only on the serial target, not on %s"
+            (Config.stepper_name stepper) (Config.target_name target)))
+
 let solve ?band_index ?post_io (p : Problem.t) =
+  check_stepper p;
   let outcome =
     Prt.Trace.span ~cat:"solve" Prt.Trace.main "solve" (fun () ->
         solve_dispatch ?band_index ?post_io p)

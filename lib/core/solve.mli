@@ -17,5 +17,17 @@ val default_band_index : Problem.t -> string
 
 val solve :
   ?band_index:string -> ?post_io:Dataflow.callback_io -> Problem.t -> outcome
+(** Run the problem on its target and gather the outcome.  [band_index]
+    names the index band-parallel targets split (default
+    {!default_band_index}); [post_io] declares the post-step callback's
+    reads and writes to the GPU data-movement planner.  Raises
+    [Problem.Problem_error] naming the stepper and the target when a time
+    stepper other than [Euler_explicit] meets a non-serial target: only
+    the serial executor runs multi-stage and point-implicit steps.
+    Raises {!Target_gpu.Gpu_error} when a GPU target's data-movement plan
+    places the interior update on the host.  Raises [Invalid_argument]
+    on an unresolved [Auto] target. *)
 
 val field : outcome -> string -> Fvm.Field.t
+(** [field outcome name]: the gathered variable [name].  Raises
+    [Problem.Problem_error] if the problem declares no such variable. *)

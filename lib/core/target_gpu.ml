@@ -191,6 +191,21 @@ let every_step_h2d (plan : Dataflow.plan) =
       if tr.Dataflow.tr_h2d_every_step then Some tr.Dataflow.tr_var else None)
     plan.Dataflow.transfers
 
+(* The data-movement plan the executors follow.  They always launch the
+   interior update on the device, so a plan that places it on the host
+   uploads none of its inputs and the kernels would read stale device
+   data. *)
+let device_plan ?post_io (p : Problem.t) =
+  let plan = Dataflow.plan_for_problem ?post_io p in
+  (match List.assoc_opt "interior_update" plan.Dataflow.placement with
+   | Some Dataflow.Cpu_side ->
+     raise
+       (Gpu_error
+          "the data-movement plan places interior_update on the host, but \
+           the GPU executors run it on the device")
+   | Some Dataflow.Gpu_side | None -> ());
+  plan
+
 (* ---- The executor: G devices per rank x R ranks -----------------------
 
    The 2-D band x cell decomposition (Fvm.Decomp2d): each SPMD rank owns
@@ -248,7 +263,7 @@ let run_rank ?post_io ?(info = Lower.serial_rankinfo)
   let host = Lower.build ~info p in
   let mesh = host.Lower.mesh in
   let ncomp = Fvm.Field.ncomp host.Lower.u in
-  let plan = Dataflow.plan_for_problem ?post_io p in
+  let plan = device_plan ?post_io p in
   let decomp =
     Fvm.Decomp2d.build mesh ~ndevices:devices ~nranks:info.Lower.nranks
   in

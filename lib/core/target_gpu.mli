@@ -38,8 +38,9 @@ val run : ?post_io:Dataflow.callback_io -> Problem.t -> result
     host work, and next-step uploads stay in flight until the following
     launch joins them.  Numerics are bit-identical; only the modelled
     timeline and the Communication share of the breakdown change.
-    Raises {!Gpu_error} if the target is not a GPU, or R exceeds the
-    band count. *)
+    Raises {!Gpu_error} if the target is not a GPU, R exceeds the band
+    count, or the data-movement plan places the interior update on the
+    host ({!device_plan}). *)
 
 (** {2 Pieces of the schedule} *)
 
@@ -102,6 +103,12 @@ val sanitize_scan : Lower.state -> int array -> unit
     cell and the given owned components ({!Fvm.Field.record_poison}): a
     kernel that read a never-uploaded buffer shows up here.  Other
     components may legitimately hold poison on band-slice ranks. *)
+
+val device_plan : ?post_io:Dataflow.callback_io -> Problem.t -> Dataflow.plan
+(** The problem's data-movement plan ({!Dataflow.plan_for_problem}).
+    Raises {!Gpu_error} when the plan places [interior_update] on the
+    host: the executors always launch the interior kernel on the device,
+    and such a plan uploads none of its inputs. *)
 
 val every_step_h2d : Dataflow.plan -> string list
 (** The variables the data-movement plan re-uploads after every step. *)

@@ -118,7 +118,7 @@ let run ?post_io (ps : Finch.Problem.t array) =
         || Fvm.Field.ncomp h.Lower.u <> ncomp
       then invalid_arg "Batch.run: unknown shapes differ")
     hosts;
-  let plan = Dataflow.plan_for_problem ?post_io p0 in
+  let plan = Target_gpu.device_plan ?post_io p0 in
   let dev = Gpu_sim.Memory.create_device spec in
   let clock = Gpu_sim.Stream.create_clock () in
   let stream = Gpu_sim.Stream.create dev in

@@ -1,10 +1,10 @@
 (* Admission, queueing and batched dispatch: a bounded FIFO of solve
    requests drained in rounds.  Each round pops the head, coalesces
    every queued request inside the next max_batch window that shares its
-   program hash, and runs the group — batched on the GPU engine when
-   legal, solo otherwise.  Deadlines are checked when a request is
-   picked for execution; admission rejects on a full queue or an invalid
-   request; the analysis gate rejects programs with errors. *)
+   batch key, and runs the group — batched on the GPU engine when legal,
+   solo otherwise.  Deadlines are checked when a request is picked for
+   execution; admission rejects on a full queue or an invalid request;
+   the analysis gate rejects programs with errors. *)
 
 let m_requests = Prt.Metrics.counter "serve.requests"
 let m_completed = Prt.Metrics.counter "serve.completed"
@@ -31,17 +31,19 @@ type ticket = {
 }
 
 (* one queued request; the tuner resolution, prepared problem and
-   program entry are memoized across drain rounds so a request inspected
-   for co-batching but left queued is not re-planned or re-lowered when
-   it reaches the head *)
+   analysis verdict are memoized across drain rounds so a request
+   inspected for co-batching but left queued is not re-planned or
+   re-lowered when it reaches the head *)
 type item = {
   it_ticket : ticket;
   mutable it_req : Finch.Solve_request.t;
     (* tk_req with backend=auto replaced by the tuner's plan; equal to
        tk_req for concrete requests *)
-  mutable it_chunk : int option;
-    (* the plan's requested co-batching window, when the tuner chose it *)
-  mutable it_prep : (Finch.prepared * Programs.entry, Finch.Solve_error.t) result option;
+  mutable it_prep :
+    ( Finch.prepared * Finch_analysis.Driver.report,
+      Finch.Solve_error.t )
+    result
+    option;
 }
 
 type t = {
@@ -90,7 +92,7 @@ let submit t req =
      else begin
        t.queue <-
          t.queue
-         @ [ { it_ticket = tk; it_req = req; it_chunk = None; it_prep = None } ];
+         @ [ { it_ticket = tk; it_req = req; it_prep = None } ];
        set_depth t
      end);
   tk
@@ -98,37 +100,31 @@ let submit t req =
 let outcome (tk : ticket) = tk.tk_outcome
 let trace_id (tk : ticket) = tk.tk_trace
 
-(* tuner resolution + prepare + program lookup, memoized on the item.
+(* tuner resolution + prepare + analysis gate, memoized on the item.
    A backend=auto request is planned here (model-only, so the decision
    is deterministic and amortized by the tuner's two-level cache); the
-   resolved request drives preparation and the program hash, so auto
+   resolved request drives preparation and the batch key, so auto
    requests that land on the same plan co-batch like hand-picked
    ones. *)
 let prep_of t (it : item) =
   match it.it_prep with
   | Some r -> r
   | None ->
-    (* table reuse rides with the program cache: off, scenario builds
-       stay cold per request (the historical per-invocation pipeline) *)
+    (* use_cache switches scenario-table reuse; off, every build stays
+       cold (the historical per-invocation pipeline) *)
     Finch.set_scenario_cache t.use_cache;
     let r =
       match Finch_tune.Tune.resolve ?post_io:t.post_io it.it_ticket.tk_req with
       | Error m ->
         Error (Finch.Solve_error.Invalid_request ("tuner: " ^ m))
-      | Ok (req, decision) ->
+      | Ok (req, _) ->
         it.it_req <- req;
-        (match decision with
-         | Some d ->
-           it.it_chunk <- Some d.Finch_tune.Tune.dc_plan.Finch_tune.Plan.chunk
-         | None -> ());
-        (match Finch.prepare req with
-         | Error e -> Error e
-         | Ok prep ->
-           let entry =
-             if t.use_cache then Programs.lookup ?post_io:t.post_io req prep
-             else Programs.check_uncached ?post_io:t.post_io req prep
-           in
-           Ok (prep, entry))
+        Result.map
+          (fun prep ->
+            ( prep,
+              Finch_analysis.Driver.check_problem ?post_io:t.post_io
+                prep.Finch.pr_problem ))
+          (Finch.prepare req)
     in
     it.it_prep <- Some r;
     r
@@ -198,8 +194,8 @@ let solve_batched t (group : (item * Finch.prepared) list) =
           (Rejected ("engine failure: " ^ Printexc.to_string e)))
       items
 
-(* one drain round: pop the head; gather co-batchable followers from the
-   next max_batch-sized window; execute the group *)
+(* one drain round: pop the head; gather the followers that share its
+   batch key from the next max_batch-sized window; execute the group *)
 let round t =
   match t.queue with
   | [] -> ()
@@ -212,37 +208,32 @@ let round t =
         | Error e ->
           resolve t head.it_ticket
             (Rejected (Finch.Solve_error.to_string e))
-        | Ok (prep, entry) ->
-          if entry.Programs.analysis.Finch_analysis.Driver.errors > 0 then
+        | Ok (prep, report) ->
+          if report.Finch_analysis.Driver.errors > 0 then
             resolve t head.it_ticket
               (Rejected
                  (Printf.sprintf "analysis found %d error(s)"
-                    entry.Programs.analysis.Finch_analysis.Driver.errors))
+                    report.Finch_analysis.Driver.errors))
           else begin
-            (* coalescing window: same program hash, FIFO order kept for
-               everything left behind.  A tuner-chosen plan may narrow
-               the window below max_batch via its chunk (CPU plans ask
-               for 1 — no point scanning for co-batchable followers). *)
-            let window =
-              match head.it_chunk with
-              | Some c -> min t.max_batch c
-              | None -> t.max_batch
-            in
+            (* coalescing window: same batch key and a clean analysis,
+               FIFO order kept for everything left behind *)
+            let key = Finch.Solve_request.batch_key head.it_req in
             let group = ref [ head, prep ] in
-            if t.batching && window > 1 then begin
+            if t.batching && t.max_batch > 1 then begin
               let kept = ref [] in
               let scanned = ref 0 in
               List.iter
                 (fun it ->
                   if
-                    List.length !group < window
-                    && !scanned < window - 1
+                    List.length !group < t.max_batch
+                    && !scanned < t.max_batch - 1
                     && expired t it = None
                   then begin
                     incr scanned;
                     match prep_of t it with
-                    | Ok (p, e)
-                      when e.Programs.key = entry.Programs.key ->
+                    | Ok (p, r)
+                      when r.Finch_analysis.Driver.errors = 0
+                           && Finch.Solve_request.batch_key it.it_req = key ->
                       group := (it, p) :: !group
                     | _ -> kept := it :: !kept
                   end
@@ -277,9 +268,8 @@ let round t =
                  else solve_batched t group
                end
                else
-                 (* compatible hashes but not a batchable backend (CPU
-                    targets, multi-device): run solo, still sharing the
-                    program cache *)
+                 (* equal batch keys but not a batchable backend (CPU
+                    targets, multi-device): run solo *)
                  List.iter (fun (it, p) -> solve_solo t it p) group)
           end));
     set_depth t

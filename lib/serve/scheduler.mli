@@ -2,21 +2,21 @@
 
     Requests are submitted into a bounded FIFO queue and processed by
     {!drain}: each round pops the head, gathers every queued request
-    inside the next [max_batch]-sized window that shares its program
-    hash (see {!Programs}), and executes the group — through the batched
-    GPU engine ({!Batch}) when the group is a co-batchable GPU set of
-    two or more, solo otherwise.  Admission rejects on a full queue or
-    an invalid/unknown request; a request whose deadline has passed when
-    it is picked for execution times out without running; the analysis
-    gate rejects requests whose verified program carries errors.
+    inside the next [max_batch]-sized window that shares its
+    {!Finch.Solve_request.batch_key} and passes the analysis gate, and
+    executes the group — through the batched GPU engine ({!Batch}) when
+    the group is a co-batchable GPU set of two or more, solo otherwise.
+    Admission rejects on a full queue or an invalid/unknown request; a
+    request whose deadline has passed when it is picked for execution
+    times out without running; the analysis gate
+    ([Finch_analysis.Driver.check_problem], run once per request when it
+    is first inspected) rejects requests whose program carries errors.
 
     Requests with [backend = auto] are planned per request by the
     autotuner ({!Finch_tune.Tune.resolve}, model-only so the choice is
     deterministic) when first inspected; the resolved request drives
-    preparation and the program hash, so auto requests landing on the
-    same plan share {!Programs} entries and co-batch with hand-picked
-    ones, and the plan's chunk may narrow the head's coalescing window
-    below [max_batch].
+    preparation and the batch key, so auto requests landing on the same
+    plan co-batch with hand-picked ones.
 
     Observability: every request gets a trace id and a span on the
     ["serve"] track covering submit-to-done; the queue depth is the
@@ -51,9 +51,10 @@ val create :
   t
 (** [max_queue] bounds admission (default 64); [max_batch] bounds the
     coalescing window (default 8); [default_deadline_s] applies to
-    requests carrying no deadline (default none); [use_cache] consults
-    {!Programs} (default true — off, every request pays the
-    optimize-and-verify pipeline, the unbatched baseline); [batching]
+    requests carrying no deadline (default none); [use_cache] switches
+    scenario-table reuse across requests ({!Finch.set_scenario_cache};
+    default true — off, every request builds its dispersion, quadrature
+    and equilibrium tables cold, the unbatched baseline); [batching]
     enables batched GPU execution (default true); [now] injects a clock
     for deadline tests (default [Unix.gettimeofday]). *)
 

@@ -6,34 +6,25 @@ type t = {
   opt_level : Finch.Config.opt_level;
   eval_mode : Finch.Config.eval_mode;
   overlap : bool;
-  chunk : int;
 }
 
-let default_gpu_chunk = 4
-
 let make ?(opt_level = Finch.Config.O2) ?(eval_mode = Finch.Config.Closure)
-    ?(overlap = false) ?(chunk = 1) target =
+    ?(overlap = false) target =
   if target = Finch.Config.Auto then
     invalid_arg "Plan.make: a plan's target must be concrete, not auto";
-  if chunk < 1 then invalid_arg "Plan.make: chunk must be >= 1";
-  { target; opt_level; eval_mode; overlap; chunk }
+  { target; opt_level; eval_mode; overlap }
 
 let name p =
-  Printf.sprintf "%s opt=%s eval=%s %s chunk=%d"
+  Printf.sprintf "%s opt=%s eval=%s %s"
     (Finch.Config.target_name p.target)
     (Finch.Config.opt_level_name p.opt_level)
     (Finch.Config.eval_mode_name p.eval_mode)
     (if p.overlap then "overlap" else "sync")
-    p.chunk
 
 let equal a b =
   Finch.Config.target_name a.target = Finch.Config.target_name b.target
   && a.opt_level = b.opt_level && a.eval_mode = b.eval_mode
-  && a.overlap = b.overlap && a.chunk = b.chunk
-
-let chunk_of_target = function
-  | Finch.Config.Gpu { devices = 1; ranks = 1; _ } -> default_gpu_chunk
-  | Finch.Config.Gpu _ | Finch.Config.Cpu _ | Finch.Config.Auto -> 1
+  && a.overlap = b.overlap
 
 let of_request (req : Finch.Solve_request.t) =
   if req.Finch.Solve_request.backend = Finch.Config.Auto then
@@ -43,7 +34,6 @@ let of_request (req : Finch.Solve_request.t) =
     opt_level = req.Finch.Solve_request.opt_level;
     eval_mode = req.Finch.Solve_request.eval_mode;
     overlap = req.Finch.Solve_request.overlap;
-    chunk = chunk_of_target req.Finch.Solve_request.backend;
   }
 
 let apply p (req : Finch.Solve_request.t) =
@@ -62,7 +52,6 @@ let to_json p =
       "opt", Finch.Json.Str (Finch.Config.opt_level_name p.opt_level);
       "eval", Finch.Json.Str (Finch.Config.eval_mode_name p.eval_mode);
       "overlap", Finch.Json.Bool p.overlap;
-      "chunk", Finch.Json.Num (float_of_int p.chunk);
     ]
 
 let of_json j =
@@ -89,6 +78,4 @@ let of_json j =
     | s -> Error (Printf.sprintf "plan: bad eval mode %S" s)
   in
   let* overlap = field "overlap" Finch.Json.to_bool in
-  let* chunk = field "chunk" Finch.Json.to_int in
-  if chunk < 1 then Error "plan: chunk must be >= 1"
-  else Ok { target; opt_level; eval_mode; overlap; chunk }
+  Ok { target; opt_level; eval_mode; overlap }

@@ -1,57 +1,43 @@
 (** An execution plan — the unit the autotuner searches over.
 
     A plan is plain data: the concrete backend target (never
-    [Config.Auto]), the optimizer level, the evaluator, the overlap
-    toggle, and the serve-layer co-batching chunk.  Applying a plan to a
-    solve request overrides exactly those knobs and nothing else, so two
-    requests that differ only in temperatures resolve onto the same
-    plan and keep sharing program-cache entries. *)
+    [Config.Auto]), the optimizer level, the evaluator and the overlap
+    toggle.  Applying a plan to a solve request overrides exactly those
+    knobs and nothing else, so two requests that differ only in
+    temperatures resolve onto the same plan and keep equal
+    {!Finch.Solve_request.batch_key}s. *)
 
 type t = {
   target : Finch.Config.target;  (** concrete backend; never [Auto] *)
   opt_level : Finch.Config.opt_level;
   eval_mode : Finch.Config.eval_mode;
   overlap : bool;       (** comm/compute overlap on SPMD/GPU paths *)
-  chunk : int;
-    (** serve co-batching window the plan asks for: how many compatible
-        queued requests the scheduler may coalesce with this one
-        (1 = never batch; only single-device GPU plans benefit) *)
 }
 
 val make :
   ?opt_level:Finch.Config.opt_level ->
   ?eval_mode:Finch.Config.eval_mode ->
   ?overlap:bool ->
-  ?chunk:int ->
   Finch.Config.target ->
   t
-(** [make target] with defaults [O2], [Closure], no overlap, chunk 1.
-    Raises [Invalid_argument] on [Config.Auto] or [chunk < 1]. *)
+(** [make target] with defaults [O2], [Closure], no overlap.  Raises
+    [Invalid_argument] on [Config.Auto]. *)
 
 val name : t -> string
 (** Canonical one-line spelling, e.g. ["gpu:a6000 opt=2 eval=closure
-    sync chunk=4"] — stable across runs, usable as a report label. *)
+    sync"] — stable across runs, usable as a report label. *)
 
 val equal : t -> t -> bool
 (** Structural equality (targets compare via their canonical spec). *)
 
 val of_request : Finch.Solve_request.t -> t
-(** The plan a concrete request already encodes (chunk 1; single-device
-    GPU backends get chunk {!default_gpu_chunk}).  Raises
+(** The plan a concrete request already encodes.  Raises
     [Invalid_argument] if the request's backend is [Auto]. *)
 
 val apply : t -> Finch.Solve_request.t -> Finch.Solve_request.t
 (** Rewrite the request's backend, opt level, evaluator and overlap to
     the plan's; every other field (scenario, dims, temperatures,
     deadline, label) is untouched. *)
-
-val default_gpu_chunk : int
-(** The co-batching window granted to single-device GPU plans (the only
-    targets [Finch_serve.Batch] can fuse). *)
-
-val chunk_of_target : Finch.Config.target -> int
-(** {!default_gpu_chunk} for single-device GPU targets, [1] for
-    everything else (CPU and multi-device plans never co-batch). *)
 
 val to_json : t -> Finch.Json.t
 (** Serialize (backend in the {!Finch.Config.target_name} grammar). *)

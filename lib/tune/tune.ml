@@ -125,8 +125,7 @@ let candidates ?profile (req : Finch.Solve_request.t) =
                (fun eval_mode ->
                  List.map
                    (fun overlap ->
-                     Plan.make ~opt_level ~eval_mode ~overlap
-                       ~chunk:(Plan.chunk_of_target target) target)
+                     Plan.make ~opt_level ~eval_mode ~overlap target)
                    overlaps)
                evals)
            [ Finch.Config.O0; Finch.Config.O2 ])
@@ -376,7 +375,6 @@ let rec mkdir_p d =
   end
 
 let memo : (string, Plan.t * float) Hashtbl.t = Hashtbl.create 8
-let memo_size () = Hashtbl.length memo
 let clear_memo () = Hashtbl.reset memo
 
 let entry_path key = Filename.concat (cache_dir ()) ("tune_" ^ key ^ ".json")
@@ -425,8 +423,8 @@ let disk_store ~key ~profile (plan : Plan.t) predicted =
   write_file (entry_path key) (Finch.Json.to_string ~indent:2 j ^ "\n")
 
 (* the problem's identity independent of any backend choice: the naive
-   program text of a canonical serial preparation (value-independent,
-   like the serve program cache) plus the full grid shape *)
+   program text of a canonical serial preparation (value-independent:
+   coefficients appear by name) plus the full grid shape *)
 let cache_key ?post_io:_ ?(measure_steps = 0) ~profile
     (req : Finch.Solve_request.t) =
   let canonical = Plan.apply (Plan.make (Finch.Config.Cpu Finch.Config.Serial)) req in

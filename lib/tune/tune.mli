@@ -130,6 +130,3 @@ val cache_dir : unit -> string
 val clear_memo : unit -> unit
 (** Drop the in-process decision memo (the disk level is untouched);
     for tests that assert cold-vs-warm behaviour. *)
-
-val memo_size : unit -> int
-(** Number of decisions held in the in-process memo. *)

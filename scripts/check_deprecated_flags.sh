@@ -1,9 +1,8 @@
 #!/bin/sh
 # Smoke test of the backend-selection CLI surface:
 #   - `--backend SPEC` parses every canonical spec silently;
-#   - the deprecated `--target` alias still works but warns on stderr,
-#     including the legacy `hybrid:R:D` spelling;
-#   - malformed specs are rejected with exit code 2 and a grammar hint.
+#   - malformed specs, including the removed legacy `hybrid:R:D`
+#     spelling, are rejected with exit code 2 and a grammar hint.
 # Runs a 1-step 4x4 solve per case, so it is cheap enough for CI.
 set -eu
 cd "$(dirname "$0")/.."
@@ -29,17 +28,9 @@ for spec in serial threads:2 bands:2 cells:2 hybrid:2x2 gpu gpu:a100 \
   esac
 done
 
-# deprecated --target alias: accepted, warns on stderr
-for spec in cells:2 hybrid:2:2 gpu:a6000:2x2; do
-  err=$($RUN --target "$spec" 2>&1 >/dev/null) || fail "--target $spec exited nonzero"
-  case "$err" in
-    *deprecated*) : ;;
-    *) fail "--target $spec did not print a deprecation warning" ;;
-  esac
-done
-
 # malformed specs: rejected with exit 2 and the grammar in the message
-for spec in nonsense cells:0 hybrid:2 gpu:v100 gpu:a6000:0x2 gpu:a6000:2x; do
+for spec in nonsense cells:0 hybrid:2 hybrid:2:2 gpu:v100 gpu:a6000:0x2 \
+            gpu:a6000:2x; do
   if err=$($RUN --backend "$spec" 2>&1 >/dev/null); then
     fail "--backend $spec was accepted"
   else
@@ -51,9 +42,8 @@ for spec in nonsense cells:0 hybrid:2 gpu:v100 gpu:a6000:0x2 gpu:a6000:2x; do
 done
 
 # the facade request surface (`bte_sim request`): the same backend
-# grammar arrives through JSON; canonical specs parse silently, bad
-# specs are rejected with exit 2, and the run subcommand above remains
-# the deprecation-warning alias path
+# grammar arrives through JSON; canonical specs parse silently and bad
+# specs are rejected with exit 2
 REQ='{"scenario":"hotspot","nx":4,"ny":4,"ndirs":2,"nbands":2,"nsteps":1'
 for spec in serial cells:2 hybrid:2x2 gpu:a6000:2x2; do
   err=$($SIM request --json "$REQ,\"backend\":\"$spec\"}" 2>&1 >/dev/null) \

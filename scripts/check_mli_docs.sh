@@ -15,7 +15,8 @@ for f in lib/prt/*.mli lib/gpu/*.mli lib/analysis/*.mli lib/fvm/*.mli \
          lib/serve/*.mli lib/tune/*.mli \
          lib/bte/temperature.mli lib/bte/scattering.mli \
          lib/bte/equilibrium.mli \
-         lib/core/target_gpu.mli lib/core/target_cpu.mli lib/core/lower.mli; do
+         lib/core/target_gpu.mli lib/core/target_cpu.mli lib/core/lower.mli \
+         lib/core/solve.mli lib/core/config.mli; do
   out=$(awk '
     function flush() {
       if (pending) {
@@ -35,6 +36,6 @@ for f in lib/prt/*.mli lib/gpu/*.mli lib/analysis/*.mli lib/fvm/*.mli \
 done
 
 if [ "$status" -eq 0 ]; then
-  echo "check_mli_docs: every val in lib/prt, lib/gpu, lib/analysis, lib/fvm, lib/opt, lib/codegen, lib/serve, lib/tune, lib/bte/{temperature,scattering,equilibrium} and lib/core/{target_gpu,target_cpu,lower} is documented"
+  echo "check_mli_docs: every val in lib/prt, lib/gpu, lib/analysis, lib/fvm, lib/opt, lib/codegen, lib/serve, lib/tune, lib/bte/{temperature,scattering,equilibrium} and lib/core/{target_gpu,target_cpu,lower,solve,config} is documented"
 fi
 exit "$status"

@@ -179,9 +179,8 @@ let test_target_roundtrip () =
   check_bool "case-insensitive" true
     (Finch.Config.target_of_string "GPU:A100"
      = Ok (Finch.Config.Gpu { spec = Gpu_sim.Spec.a100; devices = 1; ranks = 1 }));
-  check_bool "legacy hybrid:R:D" true
-    (Finch.Config.target_of_string "hybrid:2:4"
-     = Ok (Finch.Config.Cpu (Finch.Config.Hybrid (2, 4))));
+  check_bool "legacy hybrid:R:D rejected" true
+    (Result.is_error (Finch.Config.target_of_string "hybrid:2:4"));
   check_bool "bare gpu" true
     (Finch.Config.target_of_string "gpu"
      = Ok (Finch.Config.Gpu { spec = Gpu_sim.Spec.a6000; devices = 1; ranks = 1 }));

@@ -320,15 +320,6 @@ let test_p2p_metrics () =
     (Prt.Metrics.value (Prt.Metrics.counter "cluster.p2p_time_ns") > 0);
   Prt.Metrics.reset_all ()
 
-let test_vranks () =
-  let t = Prt.Vranks.create ~nranks:3 ~init:(fun r -> Array.make 2 (float_of_int r)) in
-  Prt.Vranks.superstep t
-    ~compute:(fun _ st -> st.(1) <- st.(0) *. 2.)
-    ~exchange:(fun _ -> ());
-  Tutil.check_close "rank 2 compute" 4. (Prt.Vranks.state t 2).(1);
-  Prt.Vranks.allreduce_sum t ~get:(fun st -> st) ~set:(fun st a -> Array.blit a 0 st 0 2) ~len:2;
-  Tutil.check_close "reduced" 3. (Prt.Vranks.state t 0).(0)
-
 (* --- Commsched: static schedule simulation ----------------------- *)
 
 let send peer tag len label = Prt.Commsched.Send { peer; tag; len; label }
@@ -437,7 +428,6 @@ let suite =
       Alcotest.test_case "allreduce mismatch names ranks" `Quick
         test_allreduce_mismatch_names_ranks;
       Alcotest.test_case "p2p metrics accounted" `Quick test_p2p_metrics;
-      Alcotest.test_case "vranks superstep" `Quick test_vranks;
       Alcotest.test_case "commsched clean" `Quick test_commsched_clean;
       Alcotest.test_case "commsched unmatched halves" `Quick
         test_commsched_unmatched;

@@ -1,8 +1,8 @@
 (* Serve-layer tests: Solve_request JSON round-trips (property), the
-   Finch facade vs the hand-wired pipeline (bit-identity), the program
-   cache counters, scheduler admission/queueing/deadline edge cases, and
-   the headline batching property — batched GPU execution bit-identical
-   to solo solves across scenario x backend x opt level. *)
+   Finch facade vs the hand-wired pipeline (bit-identity), scheduler
+   admission/queueing/deadline edge cases, and the headline batching
+   property — batched GPU execution bit-identical to solo solves across
+   scenario x backend x opt level. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -224,38 +224,11 @@ let test_default_deadline () =
      | Some (Finch_serve.Scheduler.Timed_out _) -> true
      | _ -> false)
 
-let test_cache_hit_counters () =
-  with_metrics (fun () ->
-      let h0 = cval "serve.program_hits" and m0 = cval "serve.program_misses" in
-      let t = Finch_serve.Scheduler.create ~batching:false () in
-      let outs =
-        Finch_serve.Scheduler.run_all t
-          [ tiny (); tiny (); tiny () ]
-      in
-      check_int "all completed" 3
-        (List.length
-           (List.filter
-              (function Finch_serve.Scheduler.Completed _ -> true | _ -> false)
-              outs));
-      let hits = cval "serve.program_hits" - h0 in
-      let misses = cval "serve.program_misses" - m0 in
-      check_bool "repeat requests hit the program cache" true (hits >= 2);
-      check_bool "at most one cold build" true (misses <= 1))
-
-let test_cache_off_no_counters () =
-  with_metrics (fun () ->
-      Finch_serve.Programs.clear ();
-      let h0 = cval "serve.program_hits" and m0 = cval "serve.program_misses" in
-      let t = Finch_serve.Scheduler.create ~use_cache:false ~batching:false () in
-      ignore (Finch_serve.Scheduler.run_all t [ tiny (); tiny () ]);
-      check_int "no hits with the cache off" h0 (cval "serve.program_hits");
-      check_int "no misses with the cache off" m0 (cval "serve.program_misses"))
-
 let test_batch_split_incompatible () =
   with_metrics (fun () ->
       let b0 = cval "serve.batches" in
       let t = Finch_serve.Scheduler.create () in
-      (* same program hash only for the two nx=8 GPU requests; the nx=9
+      (* same batch key only for the two nx=8 GPU requests; the nx=9
          request must be left out of their batch and run alone *)
       let outs =
         Finch_serve.Scheduler.run_all t
@@ -443,10 +416,6 @@ let suite =
         test_deadline_expiry;
       Alcotest.test_case "scheduler default deadline" `Quick
         test_default_deadline;
-      Alcotest.test_case "program cache hit counters" `Quick
-        test_cache_hit_counters;
-      Alcotest.test_case "cache off leaves counters alone" `Quick
-        test_cache_off_no_counters;
       Alcotest.test_case "incompatible request splits batch" `Quick
         test_batch_split_incompatible;
       Alcotest.test_case "cpu requests never batch" `Quick

@@ -314,6 +314,73 @@ let decay_error stepper ~dt ~nsteps =
   let exact = exp (-.(dt *. float_of_int nsteps)) in
   Float.abs (Fvm.Field.get o.Finch.Solve.u 0 0 -. exact)
 
+let gpu1 = Finch.Config.Gpu { spec = Gpu_sim.Spec.a6000; devices = 1; ranks = 1 }
+
+(* du[d]/dt = -u[d] on 4x4 cells, dt 0.1, two components so band-split
+   targets have an index to partition *)
+let indexed_decay ~stepper ~nsteps target =
+  let p = Finch.Problem.init "decay" in
+  Finch.Problem.domain p 2;
+  Finch.Problem.set_mesh p
+    (Fvm.Mesh_gen.rectangle ~nx:4 ~ny:4 ~lx:1.0 ~ly:1.0 ());
+  Finch.Problem.set_steps p ~dt:0.1 ~nsteps;
+  Finch.Problem.time_stepper p stepper;
+  let d = Finch.Problem.index p ~name:"d" ~range:(1, 2) in
+  let u = Finch.Problem.variable p ~name:"u" ~indices:[ d ] () in
+  Finch.Problem.initial p u (Finch.Problem.Init_const 1.0);
+  let _ = Finch.Problem.conservation_form p u "-u[d]" in
+  Finch.Problem.set_target p target;
+  p
+
+let test_stepper_needs_serial () =
+  (* only the serial executor runs multi-stage and point-implicit steps;
+     the others sweep and commit (forward Euler), so they must refuse
+     rather than silently return an Euler result *)
+  List.iter
+    (fun stepper ->
+      List.iter
+        (fun target ->
+          let what =
+            Printf.sprintf "%s on %s"
+              (Finch.Config.stepper_name stepper)
+              (Finch.Config.target_name target)
+          in
+          match Finch.Solve.solve (indexed_decay ~stepper ~nsteps:10 target) with
+          | _ -> Alcotest.failf "%s ran" what
+          | exception Finch.Problem.Problem_error m ->
+            check_bool (what ^ ": names the stepper") true
+              (Tutil.contains m (Finch.Config.stepper_name stepper));
+            check_bool (what ^ ": names the target") true
+              (Tutil.contains m (Finch.Config.target_name target)))
+        [ Finch.Config.Cpu (Finch.Config.Threaded 2);
+          Finch.Config.Cpu (Finch.Config.Band_parallel 2);
+          Finch.Config.Cpu (Finch.Config.Cell_parallel 2);
+          Finch.Config.Cpu (Finch.Config.Hybrid (2, 2));
+          gpu1 ])
+    [ Finch.Config.RK2; Finch.Config.RK4; Finch.Config.Euler_point_implicit ]
+
+let test_gpu_rejects_host_interior () =
+  (* the data-movement plan keeps this tiny interior update on the host,
+     so it uploads no per-step input; both GPU executors launch the
+     interior on the device and must refuse instead of stepping stale
+     device data *)
+  let mk () = indexed_decay ~stepper:Finch.Config.Euler_explicit ~nsteps:3 gpu1 in
+  let p = mk () in
+  check_bool "plan places the interior on the host" true
+    (List.assoc_opt "interior_update"
+       (Finch.Dataflow.plan_for_problem p).Finch.Dataflow.placement
+     = Some Finch.Dataflow.Cpu_side);
+  let expect_error what f =
+    match f () with
+    | _ -> Alcotest.failf "%s ran on a host-placed interior" what
+    | exception Finch.Target_gpu.Gpu_error m ->
+      check_bool (what ^ ": names the placement") true
+        (Tutil.contains m "interior_update" && Tutil.contains m "host")
+  in
+  expect_error "Solve.solve" (fun () -> ignore (Finch.Solve.solve p));
+  expect_error "Batch.run" (fun () ->
+      ignore (Finch_serve.Batch.run [| mk (); mk () |]))
+
 let test_rk_convergence_order () =
   (* halving dt divides the error by ~2^order *)
   let order stepper =
@@ -464,6 +531,10 @@ let suite =
       Alcotest.test_case "band gather completeness" `Quick test_rcb_band_gather;
       Alcotest.test_case "RK convergence orders" `Quick test_rk_convergence_order;
       Alcotest.test_case "RK2 advection stability" `Quick test_rk2_advection_consistent;
+      Alcotest.test_case "non-Euler stepper needs serial" `Quick
+        test_stepper_needs_serial;
+      Alcotest.test_case "gpu rejects a host-placed interior" `Quick
+        test_gpu_rejects_host_interior;
       Alcotest.test_case "point-implicit unconditional stability" `Quick
         test_point_implicit_stability;
       Alcotest.test_case "point-implicit accuracy" `Quick test_point_implicit_accuracy;

@@ -121,17 +121,7 @@ let test_plan_basics () =
   check_bool "label kept" true
     (req'.Finch.Solve_request.label = Some "keep");
   check_int "nsteps kept" req.Finch.Solve_request.nsteps
-    req'.Finch.Solve_request.nsteps;
-  (* only single-device GPU plans ask for a co-batching window *)
-  check_int "gpu chunk"
-    Finch_tune.Plan.default_gpu_chunk
-    (Finch_tune.Plan.chunk_of_target
-       (Finch.Config.Gpu { spec = Gpu_sim.Spec.a6000; devices = 1; ranks = 1 }));
-  check_int "multi-device chunk" 1
-    (Finch_tune.Plan.chunk_of_target
-       (Finch.Config.Gpu { spec = Gpu_sim.Spec.a6000; devices = 2; ranks = 2 }));
-  check_int "cpu chunk" 1
-    (Finch_tune.Plan.chunk_of_target (Finch.Config.Cpu Finch.Config.Serial))
+    req'.Finch.Solve_request.nsteps
 
 (* ---------- determinism ---------- *)
 
