@@ -36,10 +36,10 @@ let scenario_t =
 let opts_t =
   Arg.(
     value
-    & opt (list string) [ "0"; "1"; "2" ]
+    & opt (list string) [ "0"; "2" ]
     & info [ "opt" ] ~docv:"LEVELS"
         ~doc:
-          "Comma-separated IR optimization levels to lint (default 0,1,2). \
+          "Comma-separated IR optimization levels to lint (default 0,2). \
            Every configuration is checked at each listed level — both the \
            program the builders generate at that level and the output of \
            the Finch_opt pass pipeline run on it.")

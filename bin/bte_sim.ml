@@ -59,10 +59,10 @@ let opt_t =
     & info [ "opt" ] ~docv:"LEVEL"
         ~doc:
           "IR optimization level: 0 (naive generated program: one parallel \
-           region per loop, one GPU kernel launch per band), 1 (loop and \
-           step-pair fusion, dead-assign elimination, transfer coalescing) \
-           or 2 (adds band-batched kernel launches and upload hoisting). \
-           Results are bit-identical at every level; see docs/OPTIMIZER.md.")
+           region per loop, one GPU kernel launch per band) or 2 (loop and \
+           step-pair fusion, dead-assign elimination, transfer coalescing, \
+           band-batched kernel launches and upload hoisting). Results are \
+           bit-identical at both levels; see docs/OPTIMIZER.md.")
 
 let eval_mode_t =
   Arg.(

@@ -62,15 +62,18 @@ let plan_nparts = function
 (* Plan derivation and schedule elaboration.                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Read from the layout the executors run: the cell ranks' halo plan,
+   or the device tiling when it has more than one tile. *)
 let plan_of_problem (p : Problem.t) =
-  match p.Problem.mesh, p.Problem.target with
-  | Some mesh, Config.Cpu (Config.Cell_parallel nranks) ->
-    (* the same partition Target_cpu executes over *)
-    let part = Fvm.Partition.rcb_mesh mesh ~nparts:nranks in
-    Some (Ranks (Fvm.Halo.build mesh part))
-  | Some mesh, Config.Gpu { devices; ranks; _ } when devices > 1 ->
-    let d = Fvm.Decomp2d.build mesh ~ndevices:devices ~nranks:ranks in
-    Some (Grid { ndevices = devices; tile_halo = d.Fvm.Decomp2d.halo })
+  let layout () = Finch.Ranks.of_problem p in
+  match p.Problem.target with
+  | Config.Cpu (Config.Cell_parallel _) ->
+    Option.map (fun halo -> Ranks halo) (layout ()).Finch.Ranks.halo
+  | Config.Gpu { devices; _ } when devices > 1 ->
+    Option.map
+      (fun (d : Fvm.Decomp2d.t) ->
+        Grid { ndevices = d.ndevices; tile_halo = d.halo })
+      (layout ()).Finch.Ranks.tiling
   | _ -> None
 
 let elaborate plan tree =

@@ -58,10 +58,13 @@ type input =
 (** How the pass obtains the schedule to verify. *)
 
 val plan_of_problem : Finch.Problem.t -> plan option
-(** The communication plan the executors will use for this problem:
-    {!Ranks} over the cell-parallel CPU partition, {!Grid} over the
-    multi-device GPU decomposition, [None] for targets that exchange
-    no ghosts (serial, threads, bands, hybrid, single-device GPU). *)
+(** The communication plan the executors will use for this problem, read
+    from its {!Finch.Ranks} layout: {!Ranks} over the cell ranks' halo
+    plan, {!Grid} over the GPU ranks' device tiling when it has more than
+    one tile, [None] for targets that exchange no ghosts (serial,
+    threads, bands, hybrid, single-device GPU).  Raises
+    [Finch.Problem.Problem_error] when the target's counts do not fit
+    the problem ({!Finch.Ranks.check}). *)
 
 val elaborate : plan -> Finch.Ir.node -> schedule
 (** Instantiate the schedule the tree implies: every [Halo_exchange]

@@ -305,7 +305,6 @@ let scenario_of_request base (req : Finch.Solve_request.t) =
 let prepared_of built =
   { Finch.pr_problem = built.problem;
     pr_post_io = Some post_io;
-    pr_band_index = Some "b";
     pr_solution = "T" }
 
 let register_scenarios () =

@@ -142,16 +142,15 @@ let eval_mode_name = function
    the matching executor schedules:
    O0 — naive lowering: one pool region / kernel launch per IR loop (one
         launch per band on the device);
-   O1 — CPU loop fusion, dead-assign elimination, transfer coalescing;
-   O2 — O1 plus band-batched kernel launches and loop-invariant H2d
+   O2 — CPU loop and step-pair fusion, dead-assign elimination, transfer
+        coalescing, band-batched kernel launches and loop-invariant H2d
         hoisting on the device path. *)
-type opt_level = O0 | O1 | O2
+type opt_level = O0 | O2
 
-let opt_level_name = function O0 -> "0" | O1 -> "1" | O2 -> "2"
+let opt_level_name = function O0 -> "0" | O2 -> "2"
 
 let opt_level_of_string s =
   match String.trim s with
   | "0" | "O0" | "o0" -> Ok O0
-  | "1" | "O1" | "o1" -> Ok O1
   | "2" | "O2" | "o2" -> Ok O2
-  | s -> Error (Printf.sprintf "bad optimization level %S (expected 0|1|2)" s)
+  | s -> Error (Printf.sprintf "bad optimization level %S (expected 0|2)" s)

@@ -74,15 +74,16 @@ val eval_mode_name : eval_mode -> string
 
 (** Optimization level of the IR middle end and the matching executor
     schedules: [O0] naive lowering (one pool region / kernel launch per
-    IR loop), [O1] CPU loop fusion + dead-assign elimination + transfer
-    coalescing, [O2] additionally band-batched device launches and
-    loop-invariant H2d hoisting.  All levels are bit-identical; see
+    IR loop), [O2] CPU loop and step-pair fusion, dead-assign
+    elimination, transfer coalescing, band-batched device launches and
+    loop-invariant H2d hoisting.  Both levels are bit-identical; see
     docs/OPTIMIZER.md. *)
-type opt_level = O0 | O1 | O2
+type opt_level = O0 | O2
 
 val opt_level_name : opt_level -> string
-(** ["0"], ["1"] or ["2"] — the CLI spelling of a level. *)
+(** ["0"] or ["2"] — the CLI spelling of a level. *)
 
 val opt_level_of_string : string -> (opt_level, string) result
-(** Parse ["0"|"1"|"2"] (also accepts ["O0"].."[O2]", case-insensitive).
-    [Error msg] describes the expected grammar on malformed input. *)
+(** Parse ["0"|"2"] (also accepts ["O0"] and ["O2"], case-insensitive).
+    [Error msg] describes the expected grammar on malformed input,
+    including the retired level ["1"]. *)

@@ -25,11 +25,42 @@ module Json = Json
 module Lower = Lower
 module Operators = Operators
 module Problem = Problem
+module Ranks = Ranks
 module Solve = Solve
 module Solve_request = Solve_request
 module Target_cpu = Target_cpu
 module Target_gpu = Target_gpu
 module Transform = Transform
+
+(* ------------------------------------------------------------------ *)
+(* scenario registry                                                  *)
+
+type prepared = {
+  pr_problem : Problem.t;
+  pr_post_io : Dataflow.callback_io option;
+      (** callback read/write sets for the analyzer and GPU planner *)
+  pr_solution : string;  (** name of the primary solution field *)
+}
+
+let scenario_registry : (string, Solve_request.t -> prepared) Hashtbl.t =
+  Hashtbl.create 8
+
+let register_scenario name build = Hashtbl.replace scenario_registry name build
+
+let scenario_names () =
+  Hashtbl.fold (fun k _ acc -> k :: acc) scenario_registry []
+  |> List.sort compare
+
+(* When on, scenario constructors may memoize pure sub-builds (material
+   dispersion, angular quadrature, equilibrium tables) across requests
+   with identical inputs — bit-identical by construction, since the same
+   inputs produce the same tables.  The serve scheduler switches this
+   with its cache setting so the unbatched baseline keeps today's
+   cold-build-per-request behaviour. *)
+let scenario_cache = ref false
+
+let set_scenario_cache on = scenario_cache := on
+let scenario_cache_enabled () = !scenario_cache
 
 (** Why a request was not solved. *)
 module Solve_error = struct
@@ -45,7 +76,7 @@ module Solve_error = struct
     | Invalid_request m -> "invalid request: " ^ m
     | Unknown_scenario s ->
       Printf.sprintf "unknown scenario %S (registered: %s)" s
-        "see Finch.scenario_names"
+        (String.concat ", " (scenario_names ()))
     | Engine_failure m -> "engine failure: " ^ m
 end
 
@@ -64,37 +95,6 @@ module Solve_result = struct
     outcome : Solve.outcome;  (** full engine outcome, for power users *)
   }
 end
-
-(* ------------------------------------------------------------------ *)
-(* scenario registry                                                  *)
-
-type prepared = {
-  pr_problem : Problem.t;
-  pr_post_io : Dataflow.callback_io option;
-      (** callback read/write sets for the analyzer and GPU planner *)
-  pr_band_index : string option;  (** index split by band-parallel runs *)
-  pr_solution : string;  (** name of the primary solution field *)
-}
-
-let scenario_registry : (string, Solve_request.t -> prepared) Hashtbl.t =
-  Hashtbl.create 8
-
-(* When on, scenario constructors may memoize pure sub-builds (material
-   dispersion, angular quadrature, equilibrium tables) across requests
-   with identical inputs — bit-identical by construction, since the same
-   inputs produce the same tables.  The serve scheduler switches this
-   with its cache setting so the unbatched baseline keeps today's
-   cold-build-per-request behaviour. *)
-let scenario_cache = ref false
-
-let set_scenario_cache on = scenario_cache := on
-let scenario_cache_enabled () = !scenario_cache
-
-let register_scenario name build = Hashtbl.replace scenario_registry name build
-
-let scenario_names () =
-  Hashtbl.fold (fun k _ acc -> k :: acc) scenario_registry []
-  |> List.sort compare
 
 let prepare (req : Solve_request.t) : (prepared, Solve_error.t) result =
   match Solve_request.validate req with
@@ -116,7 +116,11 @@ let prepare (req : Solve_request.t) : (prepared, Solve_error.t) result =
           Problem.set_eval_mode p req.Solve_request.eval_mode;
           Problem.set_opt_level p req.Solve_request.opt_level;
           Problem.set_overlap p req.Solve_request.overlap;
-          Ok prep
+          (* a request for more ranks than the problem holds is invalid,
+             not an engine failure *)
+          (match Ranks.check p with
+           | Ok () -> Ok prep
+           | Error m -> Error (Solve_error.Invalid_request m))
         | exception e ->
           Error (Solve_error.Engine_failure (Printexc.to_string e))))
 
@@ -144,8 +148,7 @@ let solve_prepared ?trace_id (req : Solve_request.t) (prep : prepared) :
   let before = Prt.Metrics.counter_values () in
   let t0 = Unix.gettimeofday () in
   match
-    Solve.solve ?band_index:prep.pr_band_index ?post_io:prep.pr_post_io
-      prep.pr_problem
+    Solve.solve ?post_io:prep.pr_post_io prep.pr_problem
   with
   | outcome ->
     let t1 = Unix.gettimeofday () in

@@ -228,7 +228,7 @@ let build_gpu (p : Problem.t) ~(transfers : (string * bool) list) =
   in
   (* The unbatched (O0) shape launches one kernel per value of every
      index beyond the first: a cells×dirs slab per band instead of one
-     batched cells×dirs×bands launch.  O1/O2 (and problems with at most
+     batched cells×dirs×bands launch.  O2 (and problems with at most
      one declared index, where the two shapes coincide) keep the single
      batched kernel; Opt.batch_band_kernels rewrites the O0 shape into
      the batched one and Target_gpu mirrors the same split. *)

@@ -27,6 +27,9 @@ type bc_ctx = {
 }
 
 val bc_ival : bc_ctx -> string -> int
+(** [bc_ival ctx name]: the current 0-based value of index [name] at the
+    face being evaluated.  Raises {!Problem_error} for an index the
+    variable does not carry. *)
 
 type bc_callback = bc_ctx -> float
 
@@ -95,13 +98,27 @@ type t = {
 }
 
 val init : string -> t
+(** The paper's [initFinch]: an empty 2-D finite-volume problem with the
+    given name — forward Euler, one step of [1e-3], serial target,
+    closure evaluator, no overlap, optimization level O2. *)
 
 (** {2 Configuration commands} *)
 
 val domain : t -> int -> unit
+(** The paper's [domain]: the spatial dimension, 1, 2 or 3.  Raises
+    {!Problem_error} otherwise. *)
+
 val solver_type : t -> Config.solver_type -> unit
+(** The paper's [solverType].  Code generation targets [FV];
+    {!conservation_form} rejects [FE]. *)
+
 val time_stepper : t -> Config.time_stepper -> unit
+(** The paper's [timeStepper].  Only the serial target runs schemes other
+    than [Euler_explicit]; [Solve.solve] rejects them elsewhere. *)
+
 val set_steps : t -> dt:float -> nsteps:int -> unit
+(** The time step and the number of steps [Solve.solve] takes.  Raises
+    {!Problem_error} unless [dt > 0] and [nsteps >= 1]. *)
 
 val use_cuda :
   ?spec:Gpu_sim.Spec.t -> ?devices:int -> ?ranks:int -> t -> unit
@@ -110,48 +127,77 @@ val use_cuda :
     [ranks] SPMD ranks partition the band axis (both default to 1). *)
 
 val set_target : t -> Config.target -> unit
+(** The execution target [Solve.solve] runs: a CPU strategy, the GPU
+    target, or [Auto] for the tuner to resolve first. *)
 
-(** Select the right-hand-side evaluator: the optimizing register tape
-    (default) or the plain closure tree. *)
 val set_eval_mode : t -> Config.eval_mode -> unit
+(** Select the right-hand-side evaluator: the plain closure tree
+    (default), the optimizing register tape, or generated native code. *)
 
 val set_overlap : t -> bool -> unit
-(** Enable communication/computation overlap: the cell-parallel executor
-    splits its halo exchange around the sweep ({!Target_cpu.run_cell_parallel})
-    and the GPU target routes each device's per-step transfers through a
-    second stream ({!Target_gpu.run}).  Results are bit-identical either way;
-    targets without point-to-point messages (serial, bands, threads,
-    hybrid — collectives only) ignore the flag. *)
+(** Enable communication/computation overlap: cell ranks wait for their
+    ghost messages in the next step, between the interior and frontier
+    sweeps ({!Target_cpu.halo}), and GPU ranks route each device's
+    per-step transfers through a second stream ({!Target_gpu.run_rank}).
+    Results are bit-identical either way; targets without point-to-point
+    messages (serial, bands, threads, hybrid — collectives only) ignore
+    the flag. *)
 
 val set_opt_level : t -> Config.opt_level -> unit
 (** Select the optimization level applied by the IR middle end ([Opt])
     and mirrored by the executors: [O0] disables fusion/batching (naive
-    per-loop regions and per-band launches), [O1] fuses pool regions on
-    the threaded path, [O2] (default) additionally batches device
-    launches across bands.  Results are bit-identical at every level. *)
+    per-loop regions and per-band launches), [O2] (default) fuses step
+    pairs on the threaded path and batches device launches across bands.
+    Results are bit-identical at both levels. *)
 
 val set_mesh : t -> Fvm.Mesh.t -> unit
+(** The paper's [mesh] with a mesh built in memory.  Raises
+    {!Problem_error} if its dimension differs from the {!domain}. *)
+
 val mesh_file : t -> string -> unit
+(** The paper's [mesh] from a Gmsh file ({!Fvm.Gmsh.read_file}), checked
+    as {!set_mesh}. *)
 
 (** {2 Entities} *)
 
 val find_index : t -> string -> Entity.index option
+(** The declared index of that name, if any. *)
+
 val index : t -> name:string -> range:int * int -> Entity.index
+(** The paper's [index]: declare an index over the inclusive integer
+    [range].  Indices keep declaration order; band ranks split the last
+    one.  Raises {!Problem_error} on a duplicate name. *)
+
 val find_variable : t -> string -> Entity.variable option
+(** The declared variable of that name, if any. *)
 
 val variable :
   t -> name:string -> ?location:Entity.location ->
   ?indices:Entity.index list -> unit -> Entity.variable
+(** The paper's [variable]: declare an unknown or auxiliary field, by
+    default cell-located and scalar, with one component per combination
+    of its [indices] values.  Raises {!Problem_error} on a duplicate
+    name. *)
 
 val find_coefficient : t -> string -> Entity.coefficient option
+(** The declared coefficient of that name, if any. *)
+
 val coefficient :
   t -> name:string -> ?index:Entity.index -> Entity.coef_value ->
   Entity.coefficient
+(** The paper's [coefficient]: declare a constant, a function of
+    position, or an array over [index].  Raises {!Problem_error} on a
+    duplicate name. *)
 
 (** {2 Callbacks and conditions} *)
 
 val callback_function : t -> string -> bc_callback -> unit
+(** The paper's [callbackFunction]: register a boundary callback under a
+    name that {!boundary} specs may call.  A later registration of the
+    same name shadows the earlier one. *)
+
 val find_callback : t -> string -> bc_callback option
+(** The boundary callback registered under that name, if any. *)
 
 val boundary : t -> Entity.variable -> int -> Config.bc_kind -> string -> unit
 (** [boundary p var region kind spec] parses [spec]: a call form whose
@@ -162,8 +208,16 @@ val boundary : t -> Entity.variable -> int -> Config.bc_kind -> string -> unit
     boundary face. *)
 
 val initial : t -> Entity.variable -> initial_spec -> unit
+(** The paper's [initial]: the variable's initial condition, a constant
+    or a function of cell centroid and component.  Variables without one
+    start at zero. *)
+
 val pre_step_function : t -> step_callback -> unit
+(** Append a callback every rank runs before each step's sweep. *)
+
 val post_step_function : t -> step_callback -> unit
+(** The paper's [postStepFunction]: append a callback every rank runs
+    after each step's sweep, such as the BTE temperature update. *)
 
 (** {2 Equations} *)
 
@@ -178,5 +232,12 @@ val assembly_loops : t -> string list -> unit
 (** {2 Accessors} *)
 
 val mesh_exn : t -> Fvm.Mesh.t
+(** The configured mesh.  Raises {!Problem_error} when there is none. *)
+
 val the_equation : t -> Transform.equation
+(** The one declared equation.  Raises {!Problem_error} when there is
+    none or more than one: the targets solve a single equation. *)
+
 val bcs_for : t -> string -> bc list
+(** The boundary conditions declared for the named variable, in
+    declaration order. *)

@@ -1,5 +1,6 @@
-(* Top-level driver: dispatch a configured problem to its code-generation
-   target and package the results, mirroring the paper's [solve(I)]. *)
+(* Top-level driver: pair the problem's rank layout with its target's
+   per-rank body and package the results, mirroring the paper's
+   [solve(I)]. *)
 
 type outcome = {
   u : Fvm.Field.t;                  (* gathered unknown after the run *)
@@ -8,14 +9,6 @@ type outcome = {
   gpu : Target_gpu.result option;   (* present for GPU runs *)
   states : Lower.state array;
 }
-
-(* Which index is split by band-parallel runs.  Defaults to the last
-   declared index (the paper's band index is declared after the direction
-   index), overridable per call. *)
-let default_band_index (p : Problem.t) =
-  match List.rev p.Problem.indices with
-  | i :: _ -> i.Entity.iname
-  | [] -> raise (Problem.Problem_error "band-parallel run with no indices")
 
 (* Post-solve metrics: steps taken and, for tape-mode runs, the dynamic
    op savings derivable from the tape counters (recorded once here rather
@@ -38,70 +31,9 @@ let record_solve_metrics (p : Problem.t) states =
       states
   end
 
-(* Outcome of a partitioned run: every field reassembled into rank 0's
-   storage from the ranks' owned cells and component slices. *)
-let gathered (r : Target_cpu.result) =
-  let st = Target_cpu.primary r in
-  Lower.gather_fields ~into:st r.Target_cpu.states;
-  {
-    u = st.Lower.u;
-    fields = st.Lower.fields;
-    breakdown = r.Target_cpu.breakdown;
-    gpu = None;
-    states = r.Target_cpu.states;
-  }
-
-let solve_dispatch ?band_index ?post_io (p : Problem.t) =
-  match p.Problem.target with
-  | Config.Cpu Config.Serial ->
-    let r = Target_cpu.run_serial p in
-    let st = Target_cpu.primary r in
-    {
-      u = st.Lower.u;
-      fields = st.Lower.fields;
-      breakdown = r.Target_cpu.breakdown;
-      gpu = None;
-      states = r.Target_cpu.states;
-    }
-  | Config.Cpu (Config.Band_parallel n) ->
-    let index =
-      match band_index with Some i -> i | None -> default_band_index p
-    in
-    gathered (Target_cpu.run_band_parallel p ~index ~nranks:n)
-  | Config.Cpu (Config.Cell_parallel n) ->
-    gathered (Target_cpu.run_cell_parallel ~overlap:p.Problem.overlap p ~nranks:n)
-  | Config.Cpu (Config.Threaded n) ->
-    (* workers share the base state's fields, so rank 0 already holds the
-       complete unknown *)
-    let r = Target_cpu.run_threaded ?post_io p ~ndomains:n in
-    let st = Target_cpu.primary r in
-    {
-      u = st.Lower.u;
-      fields = st.Lower.fields;
-      breakdown = r.Target_cpu.breakdown;
-      gpu = None;
-      states = r.Target_cpu.states;
-    }
-  | Config.Cpu (Config.Hybrid (nranks, ndomains)) ->
-    let index =
-      match band_index with Some i -> i | None -> default_band_index p
-    in
-    gathered (Target_cpu.run_hybrid p ~index ~nranks ~ndomains)
-  | Config.Gpu _ ->
-    let r = Target_gpu.run ?post_io p in
-    let st = r.Target_gpu.state in
-    {
-      u = st.Lower.u;
-      fields = st.Lower.fields;
-      breakdown = r.Target_gpu.breakdown;
-      gpu = Some r;
-      states = [| st |];
-    }
-  | Config.Auto ->
-    invalid_arg "Solve: unresolved auto target (run the tuner first)"
-
-(* Only the serial executor steps through Lower.rk_step; every other
-   executor sweeps and commits, which is forward Euler. *)
+(* Only the serial target runs multi-stage and point-implicit steps.  The
+   other bodies sweep and commit, which is forward Euler, and band ranks,
+   which share the serial body, are held to it here. *)
 let check_stepper (p : Problem.t) =
   match p.Problem.stepper, p.Problem.target with
   | Config.Euler_explicit, _ | _, Config.Cpu Config.Serial -> ()
@@ -112,11 +44,47 @@ let check_stepper (p : Problem.t) =
             "time stepper %s runs only on the serial target, not on %s"
             (Config.stepper_name stepper) (Config.target_name target)))
 
-let solve ?band_index ?post_io (p : Problem.t) =
+(* Every rank's state, the breakdowns it filled, and its GPU record. *)
+let run_ranks ?post_io (p : Problem.t) =
+  let layout = Ranks.of_problem p in
+  let cpu body =
+    Array.map (fun (st, bs) -> st, bs, None) (Ranks.run layout body)
+  in
+  match p.Problem.target, layout.Ranks.halo, layout.Ranks.tiling with
+  | Config.Cpu (Config.Serial | Config.Band_parallel _), _, _ ->
+    cpu (Target_cpu.direct p)
+  | Config.Cpu (Config.Cell_parallel _), Some plan, _ ->
+    cpu (Target_cpu.halo p ~plan)
+  | Config.Cpu (Config.Threaded n | Config.Hybrid (_, n)), _, _ ->
+    Prt.Pool.with_pool ~size:n (fun pool ->
+        cpu (Target_cpu.pooled ?post_io p ~pool))
+  | Config.Gpu { spec; _ }, _, Some tiling ->
+    Array.map
+      (fun (r : Target_gpu.result) ->
+        r.Target_gpu.state, [ r.Target_gpu.breakdown ], Some r)
+      (Ranks.run layout (Target_gpu.run_rank ?post_io p ~spec ~tiling))
+  | (Config.Cpu (Config.Cell_parallel _) | Config.Gpu _ | Config.Auto), _, _ ->
+    invalid_arg "Solve: the rank layout does not fit the target"
+
+let solve ?post_io (p : Problem.t) =
   check_stepper p;
   let outcome =
     Prt.Trace.span ~cat:"solve" Prt.Trace.main "solve" (fun () ->
-        solve_dispatch ?band_index ?post_io p)
+        let ranks = run_ranks ?post_io p in
+        let states = Array.map (fun (st, _, _) -> st) ranks in
+        let breakdown =
+          Prt.Breakdown.sum_distinct
+            (List.concat_map (fun (_, bs, _) -> bs) (Array.to_list ranks))
+        in
+        (* rank 0 receives every rank's owned cells and component slices *)
+        let st = states.(0) in
+        Lower.gather_fields ~into:st states;
+        let _, _, gpu = ranks.(0) in
+        { u = st.Lower.u;
+          fields = st.Lower.fields;
+          breakdown;
+          gpu = Option.map (fun g -> { g with Target_gpu.breakdown }) gpu;
+          states })
   in
   record_solve_metrics p outcome.states;
   outcome

@@ -1,5 +1,5 @@
-(** Top-level driver — the paper's [solve(I)]: dispatch a configured
-    problem to its code-generation target and package the results. *)
+(** Top-level driver — the paper's [solve(I)]: run a configured problem
+    on its code-generation target and package the results. *)
 
 type outcome = {
   u : Fvm.Field.t;                      (** gathered unknown after the run *)
@@ -7,26 +7,26 @@ type outcome = {
     (** every variable after the run, gathered from the ranks' owned
         cells and component slices on partitioned targets *)
   breakdown : Prt.Breakdown.t;
-  gpu : Target_gpu.result option;       (** present for GPU runs *)
-  states : Lower.state array;
+  gpu : Target_gpu.result option;
+    (** present for GPU runs: rank 0's record, with the summed breakdown *)
+  states : Lower.state array;  (** every rank's state, rank 0 first *)
 }
 
-val default_band_index : Problem.t -> string
-(** The index split by band-parallel runs when none is given: the last
-    declared index. *)
-
-val solve :
-  ?band_index:string -> ?post_io:Dataflow.callback_io -> Problem.t -> outcome
-(** Run the problem on its target and gather the outcome.  [band_index]
-    names the index band-parallel targets split (default
-    {!default_band_index}); [post_io] declares the post-step callback's
-    reads and writes to the GPU data-movement planner.  Raises
-    [Problem.Problem_error] naming the stepper and the target when a time
-    stepper other than [Euler_explicit] meets a non-serial target: only
-    the serial executor runs multi-stage and point-implicit steps.
-    Raises {!Target_gpu.Gpu_error} when a GPU target's data-movement plan
-    places the interior update on the host.  Raises [Invalid_argument]
-    on an unresolved [Auto] target. *)
+val solve : ?post_io:Dataflow.callback_io -> Problem.t -> outcome
+(** Run the problem on its target and gather the outcome: {!Ranks} lays
+    the target's ranks out over the problem, each runs its target's
+    per-rank body ({!Target_cpu.direct}, {!Target_cpu.halo},
+    {!Target_cpu.pooled} or {!Target_gpu.run_rank}), and rank 0 receives
+    every field and the summed breakdown.  [post_io] declares the
+    post-step callback's reads and writes to the GPU data-movement
+    planner and the fused-schedule legality check.  Raises
+    [Problem.Problem_error] naming the stepper and the target when a
+    time stepper other than [Euler_explicit] meets a non-serial target
+    (only the serial body runs multi-stage and point-implicit steps),
+    and with {!Ranks.check}'s message when the counts do not fit the
+    problem or the target is an unresolved [Auto].  Raises
+    {!Target_gpu.Gpu_error} when a GPU target's data-movement plan places
+    the interior update on the host. *)
 
 val field : outcome -> string -> Fvm.Field.t
 (** [field outcome name]: the gathered variable [name].  Raises

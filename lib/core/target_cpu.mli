@@ -1,76 +1,57 @@
-(** CPU code-generation target: serial, band-parallel (equation-
-    partitioned) and cell-parallel (mesh-partitioned) executors, plus a
-    shared-memory variant on OCaml domains.
+(** CPU code-generation target: the per-rank bodies of the serial,
+    band-parallel (equation-partitioned), cell-parallel (mesh-partitioned),
+    threaded and MPI+threads hybrid strategies.
 
-    The distributed strategies run as SPMD rank programs under [Prt.Spmd]
-    (deterministic in-process message passing) and are therefore
-    comparable DOF-for-DOF with the serial executor — the double-buffered
-    explicit scheme makes all of them produce identical results. *)
+    {!Ranks} decides what each rank owns and runs a body once per rank
+    (as [Prt.Spmd] fibers when there are several), so every strategy is
+    comparable DOF-for-DOF with the serial run — the double-buffered
+    explicit scheme makes all of them produce identical results.  Each
+    body builds its rank's state, takes the problem's [nsteps] steps
+    (pre-step callbacks, its sweep, post-step callbacks, clock) and
+    returns the state with every breakdown it filled.  A lone rank's
+    steps span on the ["main"] trace track, several ranks' phases on
+    ["spmd rank R"]. *)
 
-exception Target_error of string
+val direct :
+  Problem.t -> Lower.rankinfo -> allreduce:(float array -> unit) ->
+  Lower.state * Prt.Breakdown.t list
+(** Serial and band ranks: each step advances the owned DOFs with
+    {!Lower.rk_step} — the configured time scheme, which off the serial
+    target is forward Euler ([Solve] rejects other steppers there).  The
+    post-step callback performs the cross-band reduction through
+    [allreduce]. *)
 
-type result = {
-  states : Lower.state array; (** one per rank; index 0 for serial *)
-  breakdown : Prt.Breakdown.t;
-}
+val halo :
+  Problem.t -> plan:Fvm.Halo.t -> Lower.rankinfo ->
+  allreduce:(float array -> unit) -> Lower.state * Prt.Breakdown.t list
+(** Cell ranks: after each commit the rank sends its frontier cells of
+    the unknown to its neighbours along [plan] and posts its ghost
+    receives ({!Fvm.Halo.start_exchange}).  Synchronously it receives at
+    once; with the problem's overlap flag it receives in the next step,
+    between the sweep of interior cells (whose stencils read no ghosts)
+    and the sweep of the frontier — bit-identical either way. *)
 
-val primary : result -> Lower.state
-(** Rank 0's state: the one [Solve] gathers a partitioned run's owned
-    slices into and reports. *)
+val pooled :
+  ?post_io:Dataflow.callback_io -> Problem.t -> pool:Prt.Pool.t ->
+  Lower.rankinfo -> allreduce:(float array -> unit) ->
+  Lower.state * Prt.Breakdown.t list
+(** Threads and hybrid ranks: the rank state runs the pre- and
+    post-steps, and each step's sweep runs on [pool] over blocks of
+    cells, one worker state per domain sharing the rank's storage.
+    Hybrid ranks are cooperative fibers, so their parallel regions take
+    turns on the one pool all ranks share.
 
-val noop_allreduce : float array -> unit
-(** The allreduce of a lone rank: leaves its argument unchanged. *)
-
-val step_serial : Lower.state -> unit
-(** One time step on one state: pre-step callbacks, the configured time
-    scheme over the owned DOFs, post-step callbacks, then the clock and
-    step counter advance. *)
-
-val run_serial : Problem.t -> result
-(** Build one state owning everything and take the problem's [nsteps]
-    steps on it. *)
-
-val run_band_parallel : Problem.t -> index:string -> nranks:int -> result
-(** Partition the given index's range across ranks; the post-step
-    callback performs its cross-band reduction through [st_allreduce]. *)
-
-val run_cell_parallel : ?overlap:bool -> Problem.t -> nranks:int -> result
-(** RCB mesh partition with per-step halo exchange of the unknown.  With
-    [~overlap:true] the exchange is split around the next step's sweep:
-    ghost values travel as nonblocking [Prt.Spmd] messages while interior
-    cells (whose stencils read no ghosts) are swept, and the frontier is
-    swept after they land — bit-identical to the synchronous path (the
-    default), with the per-step barriers removed. *)
-
-val run_threaded :
-  ?post_io:Dataflow.callback_io -> Problem.t -> ndomains:int -> result
-(** Shared-memory parallel sweep over cell ranges on a persistent
-    [Prt.Pool] of OCaml domains (spawned once per solve); each domain has
-    its own env/closures, fields are shared.  Per-worker breakdown
-    counters are aggregated into the result like the SPMD executors.
-
-    At [opt_level >= O1] and when {!fused_schedule_ok} holds, two
-    timesteps are fused into one pool region with a single internal
-    barrier (the commit becomes a buffer-role swap), halving
-    [pool.regions] and [pool.barrier_waits]; bit-identical to the classic
-    schedule.  [post_io] declares the post-step callbacks' reads/writes
-    for the legality check — without it, problems with post-steps keep
-    the classic schedule. *)
+    When {!fused_schedule_ok} holds, two timesteps are fused into one
+    pool region with a single internal barrier (the commit becomes a
+    buffer-role swap), halving [pool.regions] and [pool.barrier_waits];
+    bit-identical to the classic schedule.  [post_io] declares the
+    post-step callbacks' reads/writes for the legality check — without
+    it, problems with post-steps keep the classic schedule. *)
 
 val fused_schedule_ok : ?post_io:Dataflow.callback_io -> Problem.t -> bool
-(** Whether the fused step-pair schedule is legal for this problem:
-    [opt_level >= O1], forward Euler, no pre-step callbacks, every
-    expression boundary condition of the unknown closed (no entity
-    references), and declared post-step writes neither the unknown nor
-    any field the surface term reads at the neighbouring cell. *)
-
-val make_parity : Lower.state -> Lower.state
-(** The B-parity of a worker state: unknown binding moved onto the
-    [u_new] storage and the double buffer onto the [u] storage, so a
-    sweep of the parity state is the "odd" step of the fused schedule.
-    Clock and step refs are shared with the worker. *)
-
-val run_hybrid :
-  Problem.t -> index:string -> nranks:int -> ndomains:int -> result
-(** MPI+threads hybrid: band-parallel SPMD ranks whose sweeps run on a
-    shared persistent domain pool over cell ranges. *)
+(** Whether the fused step-pair schedule is legal for this problem: a
+    [threads:N] target at [opt_level] O2, forward Euler, no pre-step
+    callbacks, every expression boundary condition of the unknown closed
+    (no entity references), and declared post-step writes neither the
+    unknown nor any field the surface term reads at the neighbouring
+    cell. *)

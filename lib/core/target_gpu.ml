@@ -12,10 +12,11 @@
      5. uploads the variables the device needs fresh next step, as decided
         by the data-movement analysis ([Dataflow]).
 
-   One executor runs every GPU target: R SPMD ranks each own a band slice
-   and drive G devices that tile the mesh (see [run_rank]).  One device
-   per rank is its G = 1 case: one tile holding every cell, no ghosts, no
-   peer copies, and every transfer a single full-buffer run.
+   One per-rank body runs every GPU target: [Ranks] gives each of the R
+   ranks a band slice and the tiling its G devices share (see
+   [run_rank]).  One device per rank is its G = 1 case: one tile holding
+   every cell, no ghosts, no peer copies, and every transfer a single
+   full-buffer run.
 
    The device is the [Gpu_sim] simulator: kernels really execute (on device
    buffers that are genuinely distinct memory), and their timing comes from
@@ -34,7 +35,7 @@ type result = {
 
 (* ---- Pieces of the schedule -----------------------------------------
 
-   The executor below and the serve layer's request-batched executor
+   The per-rank body below and the serve layer's request-batched executor
    (Finch_serve.Batch) assemble their device state and per-step host work
    from these, so what a thread computes, what it costs, and what the
    host does around the kernel are each written once. *)
@@ -116,7 +117,7 @@ let owned_comps (host : Lower.state) =
   | None -> Array.init (Fvm.Field.ncomp host.Lower.u) Fun.id
 
 (* Launch batching (the IR-level Opt.batch_band_kernels rewrite, mirrored
-   here): O1/O2 launch ONE batched cells x dirs x bands kernel per step;
+   here): O2 launches ONE batched cells x dirs x bands kernel per step;
    O0 keeps the naive per-band shape — one cells x dirs launch per owned
    slow-index value, each paying the modelled launch overhead.  Per-DOF
    updates are independent, so any split of the thread space is
@@ -206,11 +207,11 @@ let device_plan ?post_io (p : Problem.t) =
    | Some Dataflow.Gpu_side | None -> ());
   plan
 
-(* ---- The executor: G devices per rank x R ranks -----------------------
+(* ---- The per-rank body: G devices per rank x R ranks ----------------
 
    The 2-D band x cell decomposition (Fvm.Decomp2d): each SPMD rank owns
-   a contiguous band slice and drives [devices] simulated devices that
-   tile the mesh by recursive coordinate bisection.  Per step, each
+   a contiguous band slice and drives the tiling's simulated devices,
+   which tile the mesh by recursive coordinate bisection.  Per step, each
    device launches the interior kernel over its owned cells x the rank's
    owned components; the host computes boundaries, downloads each
    device's owned slice of the result, combines, runs the post-step
@@ -248,25 +249,23 @@ type slot = {
   mutable kernel_seen : float;         (* device kernel time charged so far *)
 }
 
-(* One rank's share of the grid: [devices] devices with global ids
-   [rank*devices ..], each owning one RCB cell tile of the rank's band
-   slice.  [overlap] routes the per-step transfers through a second
-   (copy) stream per device against the double-buffered unknown: the
-   download of each step's result is enqueued behind the kernel and
+(* One rank's share of the grid: the tiling's G devices with global ids
+   [rank*G ..], each owning one RCB cell tile of the rank's band slice.
+   The problem's overlap flag routes the per-step transfers through a
+   second (copy) stream per device against the double-buffered unknown:
+   the download of each step's result is enqueued behind the kernel and
    overlaps the boundary host work, and uploads for the next step stay in
    flight until the next launch joins them.  Data effects are immediate
    in the simulator, so results are bit-identical; only the modelled
    timeline and the Communication accounting change. *)
-let run_rank ?post_io ?(info = Lower.serial_rankinfo)
-    ?(allreduce = Target_cpu.noop_allreduce) ~overlap ~spec ~devices
-    (p : Problem.t) =
+let run_rank ?post_io (p : Problem.t) ~spec ~(tiling : Fvm.Decomp2d.t)
+    (info : Lower.rankinfo) ~allreduce =
   let host = Lower.build ~info p in
   let mesh = host.Lower.mesh in
   let ncomp = Fvm.Field.ncomp host.Lower.u in
   let plan = device_plan ?post_io p in
-  let decomp =
-    Fvm.Decomp2d.build mesh ~ndevices:devices ~nranks:info.Lower.nranks
-  in
+  let devices = tiling.Fvm.Decomp2d.ndevices in
+  let overlap = p.Problem.overlap in
   let clock = Gpu_sim.Stream.create_clock () in
   let nbuf = if overlap then 2 else 1 in
   let u_name = Fvm.Field.name host.Lower.u in
@@ -288,12 +287,12 @@ let run_rank ?post_io ?(info = Lower.serial_rankinfo)
             spec
         in
         let m = mirror ~nbuf dev host in
-        let cells = Fvm.Decomp2d.owned_cells decomp g in
+        let cells = Fvm.Decomp2d.owned_cells tiling g in
         let u_runs = Fvm.Decomp2d.cell_runs ~cells ~ncomp in
         (* the unknown travels owned-only (ghosts arrive device to device),
            other variables owned+ghost from the host *)
         let reach =
-          Array.append cells decomp.Fvm.Decomp2d.halo.Fvm.Halo.ghosts.(g)
+          Array.append cells tiling.Fvm.Decomp2d.halo.Fvm.Halo.ghosts.(g)
         in
         let uploads =
           List.filter_map
@@ -327,7 +326,7 @@ let run_rank ?post_io ?(info = Lower.serial_rankinfo)
   let d2d_plan =
     List.map
       (fun (src, dst, cells) -> src, dst, Fvm.Decomp2d.cell_runs ~cells ~ncomp)
-      (Fvm.Decomp2d.d2d_edges decomp)
+      (Fvm.Decomp2d.d2d_edges tiling)
   in
   let launch s parity =
     let ncells_g = Array.length s.cells in
@@ -343,12 +342,7 @@ let run_rank ?post_io ?(info = Lower.serial_rankinfo)
     Fvm.Field.create ~name:"u_bdry" ~ncells:mesh.Fvm.Mesh.ncells ~ncomp ()
   in
   let b = host.Lower.breakdown in
-  (* host-side phase spans: the main track for a lone rank, the rank's
-     track when driven as an SPMD fiber *)
-  let track =
-    if info.Lower.nranks > 1 then Prt.Trace.rank info.Lower.rank
-    else Prt.Trace.main
-  in
+  let track = Ranks.track info in
   (* max-over-devices of a per-device modelled duration: concurrent
      devices are charged at their critical path *)
   let record_max cat per_dev =
@@ -516,52 +510,3 @@ let run_rank ?post_io ?(info = Lower.serial_rankinfo)
   in
   { state = host; device = slots.(0).m.dev; breakdown = b; plan;
     profile_threads = nthreads }
-
-(* Every GPU target: ranks slice the band axis (the paper's band-based
-   partitioning), each drives its devices via [run_rank] and joins the
-   others in the temperature update's allreduce through the SPMD
-   runtime; results are gathered into rank 0's fields. *)
-let run ?post_io (p : Problem.t) =
-  let spec, devices, ranks =
-    match p.Problem.target with
-    | Config.Gpu { spec; devices; ranks } -> spec, devices, ranks
-    | Config.Cpu _ | Config.Auto ->
-      raise (Gpu_error "problem target is not a GPU")
-  in
-  let overlap = p.Problem.overlap in
-  if ranks <= 1 then run_rank ?post_io ~overlap ~spec ~devices p
-  else begin
-    let band_index =
-      match List.rev p.Problem.indices with
-      | i :: _ -> i
-      | [] -> raise (Gpu_error "multi-GPU run needs a partitioned index")
-    in
-    let extent = Entity.index_extent band_index in
-    if ranks > extent then
-      raise (Gpu_error "more GPU ranks than index values");
-    let results = Array.make ranks None in
-    Prt.Spmd.run ~nranks:ranks (fun rank ->
-        let off, len =
-          Fvm.Partition.block_range ~nitems:extent ~nparts:ranks rank
-        in
-        let info =
-          { Lower.rank; nranks = ranks; owned_cells = None;
-            index_ranges = [ band_index.Entity.iname, (off, len) ] }
-        in
-        results.(rank) <-
-          Some
-            (run_rank ?post_io ~info ~allreduce:Prt.Spmd.allreduce_sum
-               ~overlap ~spec ~devices p));
-    let results =
-      Array.map
-        (function Some r -> r | None -> raise (Gpu_error "rank did not run"))
-        results
-    in
-    let r0 = results.(0) in
-    Lower.gather_fields ~into:r0.state (Array.map (fun r -> r.state) results);
-    let breakdown =
-      Prt.Breakdown.sum_distinct
-        (Array.to_list (Array.map (fun r -> r.breakdown) results))
-    in
-    { r0 with breakdown }
-  end

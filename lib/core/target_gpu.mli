@@ -8,10 +8,10 @@
     (distinct memory), so the numerics are testable against the CPU
     targets; timings come from the roofline model.
 
-    One executor ({!run}) serves every GPU target: R band-slice ranks of
-    G mesh-tiling devices each, one device per rank being G = 1.  The
-    pieces below are its building blocks, shared with the serve layer's
-    request-batched executor. *)
+    One per-rank body ({!run_rank}) serves every GPU target: R
+    band-slice ranks of G mesh-tiling devices each, one device per rank
+    being G = 1.  The pieces below are its building blocks, shared with
+    the serve layer's request-batched executor. *)
 
 exception Gpu_error of string
 
@@ -23,14 +23,17 @@ type result = {
   profile_threads : int;       (** grid size, for the profiler report *)
 }
 
-val run : ?post_io:Dataflow.callback_io -> Problem.t -> result
-(** Run the problem on its [Gpu { devices = G; ranks = R }] target.  Each
-    of the R SPMD ranks owns a contiguous slice of the last declared
-    index (the bands) and drives G devices with global ids [rank*G ..],
-    which tile the mesh by recursive coordinate bisection and exchange
-    ghost cells by peer copies; ranks join in the temperature update's
-    allreduce, and rank 0's state receives the gathered fields and the
-    summed breakdown.  Results do not depend on G or R.
+val run_rank :
+  ?post_io:Dataflow.callback_io -> Problem.t -> spec:Gpu_sim.Spec.t ->
+  tiling:Fvm.Decomp2d.t -> Lower.rankinfo ->
+  allreduce:(float array -> unit) -> result
+(** One rank of the problem's [Gpu { devices = G; ranks = R }] target, as
+    {!Ranks.run} calls it: the rank owns its rank info's slice of the
+    band index and drives G devices of kind [spec] with global ids [rank*G ..],
+    one per tile of [tiling], which exchange ghost cells by peer copies.
+    The rank joins the others in the temperature update's [allreduce];
+    the result carries its host state, its breakdown and its first
+    device.  Results do not depend on G or R.
 
     With the problem's overlap flag set, each device's transfers run on
     a second (copy) stream against a double-buffered unknown: the result
@@ -38,9 +41,8 @@ val run : ?post_io:Dataflow.callback_io -> Problem.t -> result
     host work, and next-step uploads stay in flight until the following
     launch joins them.  Numerics are bit-identical; only the modelled
     timeline and the Communication share of the breakdown change.
-    Raises {!Gpu_error} if the target is not a GPU, R exceeds the band
-    count, or the data-movement plan places the interior update on the
-    host ({!device_plan}). *)
+    Raises {!Gpu_error} if the data-movement plan places the interior
+    update on the host ({!device_plan}). *)
 
 (** {2 Pieces of the schedule} *)
 
@@ -81,7 +83,7 @@ val owned_comps : Lower.state -> int array
 
 val launch_chunks : Lower.state -> int array array
 (** {!owned_comps} split into the component slices one step launches a
-    kernel each for: all in one batched launch at O1/O2, one slice per
+    kernel each for: all in one batched launch at O2, one slice per
     value of the unknown's slow index at O0. *)
 
 val update_dof : Lower.state -> int -> int -> unit

@@ -9,8 +9,7 @@
    coalescing, step-pair fusion (the IR image of the fused pool schedule
    in [Target_cpu]) and, for the GPU program, band-kernel batching and
    loop-invariant upload hoisting.  [Config.opt_level] selects the
-   pipeline: O0 is identity, O1 enables the CPU-side passes, O2 adds the
-   device-side ones.
+   pipeline: O0 is identity, O2 runs every pass.
 
    Safety is not argued pass-by-pass in prose; it is checked in-repo.
    Every pass that changes the tree re-runs the [Finch_analysis]
@@ -119,7 +118,7 @@ let can_fuse_cell_loops a b =
           (List.concat_map cell2_reads a))
 
 (* ------------------------------------------------------------------ *)
-(* O1 passes.                                                          *)
+(* CPU-side passes.                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let fuse_cell_loops tree =
@@ -236,7 +235,7 @@ let fuse_steps tree =
   (t, !count)
 
 (* ------------------------------------------------------------------ *)
-(* O2 (device) passes.                                                 *)
+(* Device-side passes.                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let batch_band_kernels tree =
@@ -355,7 +354,7 @@ let optimize ?plan ?comm ?(live_out = []) ?(fuse_step_pairs = false) ~level
         rejected := { rej_pass = name; rej_finding = f } :: !rejected
     end
   in
-  if level <> Config.O0 then begin
+  if level = Config.O2 then begin
     apply "fuse_cell_loops" fuse_cell_loops (fun n ->
         Prt.Metrics.add m_loops_fused n;
         stats := { !stats with loops_fused = (!stats).loops_fused + n });
@@ -365,14 +364,12 @@ let optimize ?plan ?comm ?(live_out = []) ?(fuse_step_pairs = false) ~level
     apply "coalesce_transfers" coalesce_transfers (fun n ->
         Prt.Metrics.add m_transfers_coalesced n;
         stats := { !stats with transfers_coalesced = n });
-    if level = Config.O2 then begin
-      apply "batch_band_kernels" batch_band_kernels (fun n ->
-          Prt.Metrics.add m_kernels_fused n;
-          stats := { !stats with kernels_batched = n });
-      apply "hoist_invariant_h2d" hoist_invariant_h2d (fun n ->
-          Prt.Metrics.add m_h2d_hoisted n;
-          stats := { !stats with h2d_hoisted = n })
-    end;
+    apply "batch_band_kernels" batch_band_kernels (fun n ->
+        Prt.Metrics.add m_kernels_fused n;
+        stats := { !stats with kernels_batched = n });
+    apply "hoist_invariant_h2d" hoist_invariant_h2d (fun n ->
+        Prt.Metrics.add m_h2d_hoisted n;
+        stats := { !stats with h2d_hoisted = n });
     if fuse_step_pairs then
       apply "fuse_steps" fuse_steps (fun n ->
           Prt.Metrics.add m_loops_fused n;
@@ -399,11 +396,8 @@ let optimize_problem ?post_io (p : Problem.t) =
     Option.map (fun pl -> A.Comm.Elaborate pl) (A.Comm.plan_of_problem p)
   in
   match p.Problem.target with
-  | Config.Cpu strategy ->
-    let fuse_step_pairs =
-      (match strategy with Config.Threaded _ -> true | _ -> false)
-      && Target_cpu.fused_schedule_ok ?post_io p
-    in
+  | Config.Cpu _ ->
+    let fuse_step_pairs = Target_cpu.fused_schedule_ok ?post_io p in
     optimize ?comm ~live_out ~fuse_step_pairs ~level ctx (Ir.build_cpu p)
   | Config.Gpu _ ->
     let plan = Dataflow.plan_for_problem ?post_io p in

@@ -2,11 +2,10 @@
     program builders ({!Finch.Ir}) and the execution targets.
 
     The pipeline is selected by {!Finch.Config.opt_level}: O0 is the
-    identity, O1 enables the CPU-side passes (cell-loop fusion,
-    dead-assign elimination, transfer coalescing and — when the target's
-    fused pool schedule is legal — step-pair fusion), O2 adds the
-    device-side passes (band-kernel batching, loop-invariant upload
-    hoisting).  Every pass that changes the tree is re-checked by the
+    identity, O2 runs the CPU-side passes (cell-loop fusion, dead-assign
+    elimination, transfer coalescing and — when the target's fused pool
+    schedule is legal — step-pair fusion) and the device-side passes
+    (band-kernel batching, loop-invariant upload hoisting).  Every pass that changes the tree is re-checked by the
     {!Finch_analysis} Wellformed/Race/Movement/Comm passes; a pass whose
     output carries any finding absent from its input is rejected — the
     pre-pass IR is kept and the rejection recorded — so an unsafe
@@ -75,7 +74,7 @@ val coalesce_transfers : Finch.Ir.node -> Finch.Ir.node * int
 
 val fuse_steps : Finch.Ir.node -> Finch.Ir.node * int
 (** Rewrite each [Steps] loop to the fused step-pair schedule the
-    threaded executor runs at O1: the body appears twice (phase A, then
+    threaded executor runs at O2: the body appears twice (phase A, then
     phase B on swapped buffer roles) under half the trip count, one
     pool region and one internal barrier per pair.  Only applied when
     [Target_cpu.fused_schedule_ok] holds for the problem. *)

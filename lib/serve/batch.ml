@@ -1,10 +1,10 @@
 (* Batched multi-request GPU execution: the GPU executor's synchronous
-   one-device schedule (Target_gpu.run at G = R = 1) generalized with a
+   one-device schedule (Target_gpu.run_rank at G = R = 1) generalized with a
    request axis.  N compatible problems share one simulated device and
    one stream; every kernel launch covers requests x cells x chunk
    threads, where the chunk is the component slice the solo executor
    would launch (Target_gpu.launch_chunks: the whole component range in
-   one batched launch at O1/O2 — the Opt.batch_band_kernels shape — or
+   one batched launch at O2 — the Opt.batch_band_kernels shape — or
    one per-band slice at O0).  Mirrors, kernel body and cost, boundary
    combine, sanitizer scan and per-step uploads are the executor's own
    pieces; this module adds only the request axis.
@@ -106,7 +106,7 @@ let run ?post_io (ps : Finch.Problem.t array) =
     | Config.Gpu { spec; _ } -> spec
     | Config.Cpu _ | Config.Auto -> assert false
   in
-  let allreduce = Target_cpu.noop_allreduce in
+  let allreduce = Ranks.noop_allreduce in
   let hosts = Array.map (fun p -> Lower.build p) ps in
   let host0 = hosts.(0) in
   let ncells = host0.Lower.mesh.Fvm.Mesh.ncells in

@@ -7,7 +7,7 @@
     simulated device with a request-major thread space: each launch
     covers [requests x cells x chunk] degrees of freedom, where the
     chunk is the owned component slice the solo executor would use (all
-    components in one batched launch at O1/O2, one slice per band at
+    components in one batched launch at O2, one slice per band at
     O0).  Every thread performs exactly the computation the solo run's
     thread performs, against that request's own device buffers, so
     results are bit-identical to solving each request alone — the

@@ -105,7 +105,8 @@ let trace_id (tk : ticket) = tk.tk_trace
    is deterministic and amortized by the tuner's two-level cache); the
    resolved request drives preparation and the batch key, so auto
    requests that land on the same plan co-batch like hand-picked
-   ones. *)
+   ones.  An exception from any stage rejects this request only: it
+   must not abort the drain and strand the rest of the queue. *)
 let prep_of t (it : item) =
   match it.it_prep with
   | Some r -> r
@@ -114,17 +115,19 @@ let prep_of t (it : item) =
        cold (the historical per-invocation pipeline) *)
     Finch.set_scenario_cache t.use_cache;
     let r =
-      match Finch_tune.Tune.resolve ?post_io:t.post_io it.it_ticket.tk_req with
-      | Error m ->
-        Error (Finch.Solve_error.Invalid_request ("tuner: " ^ m))
-      | Ok (req, _) ->
-        it.it_req <- req;
-        Result.map
-          (fun prep ->
-            ( prep,
-              Finch_analysis.Driver.check_problem ?post_io:t.post_io
-                prep.Finch.pr_problem ))
-          (Finch.prepare req)
+      try
+        match Finch_tune.Tune.resolve ?post_io:t.post_io it.it_ticket.tk_req with
+        | Error m ->
+          Error (Finch.Solve_error.Invalid_request ("tuner: " ^ m))
+        | Ok (req, _) ->
+          it.it_req <- req;
+          Result.map
+            (fun prep ->
+              ( prep,
+                Finch_analysis.Driver.check_problem ?post_io:t.post_io
+                  prep.Finch.pr_problem ))
+            (Finch.prepare req)
+      with e -> Error (Finch.Solve_error.Engine_failure (Printexc.to_string e))
     in
     it.it_prep <- Some r;
     r

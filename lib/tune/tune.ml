@@ -164,8 +164,7 @@ let dispatch_overhead (shape : Bte.Perfmodel.shape) (p : Plan.t) =
   let nb = float_of_int shape.Bte.Perfmodel.nbands in
   let per_step =
     match p.Plan.target, p.Plan.opt_level with
-    | Finch.Config.Gpu _, (Finch.Config.O0 | Finch.Config.O1) ->
-      launch_overhead_s *. nb
+    | Finch.Config.Gpu _, Finch.Config.O0 -> launch_overhead_s *. nb
     | Finch.Config.Gpu _, Finch.Config.O2 -> launch_overhead_s
     | Finch.Config.Cpu (Finch.Config.Threaded _ | Finch.Config.Hybrid _),
       Finch.Config.O0 ->
@@ -242,10 +241,7 @@ type decision = {
   dc_key : string;
 }
 
-let opt_rank = function
-  | Finch.Config.O2 -> 0
-  | Finch.Config.O1 -> 1
-  | Finch.Config.O0 -> 2
+let opt_rank = function Finch.Config.O2 -> 0 | Finch.Config.O0 -> 1
 
 (* ranking: modelled seconds, then (on exact float ties) prefer the
    higher opt level, the sync schedule and the lexicographic name — a

@@ -2,7 +2,9 @@
 # Smoke test of the backend-selection CLI surface:
 #   - `--backend SPEC` parses every canonical spec silently;
 #   - malformed specs, including the removed legacy `hybrid:R:D`
-#     spelling, are rejected with exit code 2 and a grammar hint.
+#     spelling, are rejected with exit code 2 and a grammar hint;
+#   - well-formed specs with more ranks than the problem holds are
+#     rejected with exit code 2 and the spec in the message.
 # Runs a 1-step 4x4 solve per case, so it is cheap enough for CI.
 set -eu
 cd "$(dirname "$0")/.."
@@ -37,6 +39,21 @@ for spec in nonsense cells:0 hybrid:2 hybrid:2:2 gpu:v100 gpu:a6000:0x2 \
     case "$err" in
       *"bad backend spec"*) : ;;
       *) fail "--backend $spec: unexpected error: $err" ;;
+    esac
+  fi
+done
+
+# well-formed specs the 4x4, 2-band problem cannot hold (more ranks,
+# domains or devices than cells or bands): exit 2 naming the spec
+for spec in cells:32 threads:32 bands:8 hybrid:8x2 gpu:a6000:32x1; do
+  code=0
+  err=$($RUN --backend "$spec" 2>&1 >/dev/null) || code=$?
+  if [ "$code" -ne 2 ]; then
+    fail "--backend $spec exited $code, expected 2: $err"
+  else
+    case "$err" in
+      *"$spec"*) : ;;
+      *) fail "--backend $spec: message does not name the spec: $err" ;;
     esac
   fi
 done

@@ -16,7 +16,9 @@ for f in lib/prt/*.mli lib/gpu/*.mli lib/analysis/*.mli lib/fvm/*.mli \
          lib/bte/temperature.mli lib/bte/scattering.mli \
          lib/bte/equilibrium.mli \
          lib/core/target_gpu.mli lib/core/target_cpu.mli lib/core/lower.mli \
-         lib/core/solve.mli lib/core/config.mli; do
+         lib/core/solve.mli lib/core/config.mli lib/core/ranks.mli \
+         lib/core/solve_request.mli lib/core/emit_source.mli \
+         lib/core/json.mli lib/core/problem.mli; do
   out=$(awk '
     function flush() {
       if (pending) {
@@ -36,6 +38,6 @@ for f in lib/prt/*.mli lib/gpu/*.mli lib/analysis/*.mli lib/fvm/*.mli \
 done
 
 if [ "$status" -eq 0 ]; then
-  echo "check_mli_docs: every val in lib/prt, lib/gpu, lib/analysis, lib/fvm, lib/opt, lib/codegen, lib/serve, lib/tune, lib/bte/{temperature,scattering,equilibrium} and lib/core/{target_gpu,target_cpu,lower,solve,config} is documented"
+  echo "check_mli_docs: every val in lib/prt, lib/gpu, lib/analysis, lib/fvm, lib/opt, lib/codegen, lib/serve, lib/tune, lib/bte/{temperature,scattering,equilibrium} and lib/core/{target_gpu,target_cpu,lower,solve,config,ranks,solve_request,emit_source,json,problem} is documented"
 fi
 exit "$status"

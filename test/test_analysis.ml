@@ -123,7 +123,7 @@ let tiny =
 let solve_with target =
   let built = Bte.Setup.build tiny in
   Finch.Problem.set_target built.Bte.Setup.problem target;
-  Finch.Solve.solve ~band_index:"b" built.Bte.Setup.problem
+  Finch.Solve.solve built.Bte.Setup.problem
 
 let test_sanitizer_bit_identical () =
   (* on defect-free programs the sanitized run must produce bit-identical

@@ -22,7 +22,7 @@ let tiny =
 let solve_with target =
   let built = Bte.Setup.build tiny in
   Finch.Problem.set_target built.Bte.Setup.problem target;
-  let o = Finch.Solve.solve ~band_index:"b" built.Bte.Setup.problem in
+  let o = Finch.Solve.solve built.Bte.Setup.problem in
   built, o
 
 let test_dsl_matches_reference () =
@@ -94,7 +94,7 @@ let solve_scenario sc target ~overlap =
   let built = Bte.Setup.build sc in
   Finch.Problem.set_target built.Bte.Setup.problem target;
   Finch.Problem.set_overlap built.Bte.Setup.problem overlap;
-  Finch.Solve.solve ~band_index:"b" built.Bte.Setup.problem
+  Finch.Solve.solve built.Bte.Setup.problem
 
 (* every outcome field at exact zero against the serial run *)
 let check_fields_exact label o1 o2 =
@@ -192,7 +192,7 @@ let test_tape_matches_closure_on_hotspot () =
   let _, o1 = solve_with (Finch.Config.Cpu Finch.Config.Serial) in
   let built = Bte.Setup.build tiny in
   Finch.Problem.set_eval_mode built.Bte.Setup.problem Finch.Config.Tape;
-  let o2 = Finch.Solve.solve ~band_index:"b" built.Bte.Setup.problem in
+  let o2 = Finch.Solve.solve built.Bte.Setup.problem in
   let d = field_diff o1 o2 "I" in
   if d > 0. then Alcotest.failf "tape vs closure on hotspot: diff %g" d;
   let st = o2.Finch.Solve.states.(0) in
@@ -272,7 +272,7 @@ let test_gpu_grid_overlap_matches_sync () =
     let built = Bte.Setup.build tiny in
     Finch.Problem.use_cuda ~devices:2 ~ranks:2 built.Bte.Setup.problem;
     Finch.Problem.set_overlap built.Bte.Setup.problem overlap;
-    Finch.Solve.solve ~band_index:"b" built.Bte.Setup.problem
+    Finch.Solve.solve built.Bte.Setup.problem
   in
   let o1 = solve false and o2 = solve true in
   let d = field_diff o1 o2 "I" in

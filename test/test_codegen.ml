@@ -52,7 +52,7 @@ let solve_at ?(corner = false) ~eval level target overlap =
   Finch.Problem.set_overlap p overlap;
   Finch.Problem.set_opt_level p level;
   Finch.Problem.set_eval_mode p eval;
-  Finch.Solve.solve ~band_index:"b" ~post_io:Bte.Setup.post_io p
+  Finch.Solve.solve ~post_io:Bte.Setup.post_io p
 
 let field_diff o1 o2 name =
   Fvm.Field.max_abs_diff (Finch.Solve.field o1 name) (Finch.Solve.field o2 name)
@@ -136,7 +136,7 @@ let test_native_matches_closure_corner_odd_steps () =
           check_identical ~corner:true
             ("corner " ^ label ^ " " ^ lname)
             level target overlap)
-        [ "opt1", Finch.Config.O1; "opt2", Finch.Config.O2 ])
+        [ "opt2", Finch.Config.O2 ])
     [ "serial", Finch.Config.Cpu Finch.Config.Serial, false;
       "threads:3", Finch.Config.Cpu (Finch.Config.Threaded 3), false;
       "gpu", gpu1, false ]

@@ -48,7 +48,7 @@ let build_at ?(corner = false) level target overlap =
   p
 
 let solve_at ?corner level target overlap =
-  Finch.Solve.solve ~band_index:"b" ~post_io:Bte.Setup.post_io
+  Finch.Solve.solve ~post_io:Bte.Setup.post_io
     (build_at ?corner level target overlap)
 
 let field_diff o1 o2 name =
@@ -81,7 +81,7 @@ let test_opt_levels_bit_identical_hotspot () =
           let dt = field_diff o0 o "T" in
           if dt > 0. then
             Alcotest.failf "%s %s vs opt0: T diff %g" label lname dt)
-        [ "opt1", Finch.Config.O1; "opt2", Finch.Config.O2 ])
+        [ "opt2", Finch.Config.O2 ])
     matrix
 
 let test_opt_levels_bit_identical_corner_odd_steps () =
@@ -99,7 +99,7 @@ let test_opt_levels_bit_identical_corner_odd_steps () =
           let dt = field_diff o0 o "T" in
           if dt > 0. then
             Alcotest.failf "corner %s %s vs opt0: T diff %g" label lname dt)
-        [ "opt1", Finch.Config.O1; "opt2", Finch.Config.O2 ])
+        [ "opt2", Finch.Config.O2 ])
     [ "serial", Finch.Config.Cpu Finch.Config.Serial, false;
       "threads:3", Finch.Config.Cpu (Finch.Config.Threaded 3), false;
       "gpu", gpu1, false ]
@@ -217,7 +217,7 @@ let test_golden_optimized_gpu_listing () =
 let test_fused_step_listing () =
   (* the fused-pair schedule is visible in the optimized CPU listing *)
   let p =
-    build_at Finch.Config.O1 (Finch.Config.Cpu (Finch.Config.Threaded 4)) false
+    build_at Finch.Config.O2 (Finch.Config.Cpu (Finch.Config.Threaded 4)) false
   in
   let res = Opt.optimize_problem ~post_io:Bte.Setup.post_io p in
   check_int "one steps loop fused" 1 res.Opt.stats.Opt.steps_fused;
@@ -279,10 +279,14 @@ let test_opt_level_parsing () =
           (Printf.sprintf "parse %s" s)
           true (l = expect)
       | Error e -> Alcotest.failf "parse %s: %s" s e)
-    [ "0", Finch.Config.O0; "1", Finch.Config.O1; "2", Finch.Config.O2;
-      "O1", Finch.Config.O1; "o2", Finch.Config.O2 ];
-  check_bool "reject bad level" true
-    (Result.is_error (Finch.Config.opt_level_of_string "3"))
+    [ "0", Finch.Config.O0; "2", Finch.Config.O2; "O0", Finch.Config.O0;
+      "o2", Finch.Config.O2 ];
+  (* O1 was folded into O2 *)
+  List.iter
+    (fun s ->
+      check_bool ("reject level " ^ s) true
+        (Result.is_error (Finch.Config.opt_level_of_string s)))
+    [ "1"; "O1"; "3" ]
 
 let suite =
   ( "optimizer",

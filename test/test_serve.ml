@@ -56,7 +56,7 @@ let arb_request =
     let* t_cold = opt (float_range 1. 900.) in
     let* backend = backend in
     let* opt_level =
-      oneofl [ Finch.Config.O0; Finch.Config.O1; Finch.Config.O2 ]
+      oneofl [ Finch.Config.O0; Finch.Config.O2 ]
     in
     let* eval_mode =
       oneofl [ Finch.Config.Closure; Finch.Config.Tape; Finch.Config.Native ]
@@ -136,7 +136,7 @@ let test_facade_matches_direct () =
   in
   let built = Bte.Setup.build sc in
   let direct =
-    Finch.Solve.solve ~band_index:"b" ~post_io:Bte.Setup.post_io
+    Finch.Solve.solve ~post_io:Bte.Setup.post_io
       built.Bte.Setup.problem
   in
   check_string "solution name" "T" res.Finch.Solve_result.solution_name;
@@ -147,16 +147,40 @@ let test_facade_matches_direct () =
 
 let test_facade_unknown_scenario () =
   match Finch.solve (Finch.Solve_request.make "no-such-scenario") with
-  | Error (Finch.Solve_error.Unknown_scenario s) ->
-    check_string "name echoed" "no-such-scenario" s
+  | Error (Finch.Solve_error.Unknown_scenario s as e) ->
+    check_string "name echoed" "no-such-scenario" s;
+    check_bool "message lists the registered scenarios" true
+      (Tutil.contains (Finch.Solve_error.to_string e) "hotspot")
   | Error e -> Alcotest.failf "wrong error: %s" (Finch.Solve_error.to_string e)
   | Ok _ -> Alcotest.fail "solved an unregistered scenario"
 
+(* a 2x2 hotspot with 2 bands: 4 cells, 2 values of the band index *)
+let over_partitioned spec =
+  match Finch.Config.target_of_string spec with
+  | Ok backend ->
+    { (tiny ~nx:2 ~backend ()) with
+      Finch.Solve_request.ny = 2;
+      nbands = 2;
+      nsteps = 2 }
+  | Error m -> Alcotest.fail m
+
 let test_facade_invalid_request () =
-  match Finch.solve (tiny ~nx:0 ()) with
-  | Error (Finch.Solve_error.Invalid_request _) -> ()
-  | Error e -> Alcotest.failf "wrong error: %s" (Finch.Solve_error.to_string e)
-  | Ok _ -> Alcotest.fail "solved an invalid request"
+  (match Finch.solve (tiny ~nx:0 ()) with
+   | Error (Finch.Solve_error.Invalid_request _) -> ()
+   | Error e -> Alcotest.failf "wrong error: %s" (Finch.Solve_error.to_string e)
+   | Ok _ -> Alcotest.fail "solved an invalid request");
+  (* more ranks, domains or devices than the problem holds *)
+  List.iter
+    (fun spec ->
+      match Finch.solve (over_partitioned spec) with
+      | Error (Finch.Solve_error.Invalid_request m) ->
+        check_bool (spec ^ ": message names the spec") true
+          (Tutil.contains m spec)
+      | Error e ->
+        Alcotest.failf "%s: wrong error: %s" spec (Finch.Solve_error.to_string e)
+      | Ok _ -> Alcotest.failf "%s: solved an over-partitioned request" spec)
+    [ "bands:3"; "cells:8"; "threads:8"; "hybrid:3x1"; "hybrid:2x8";
+      "gpu:a6000:3"; "gpu:a6000:8x1" ]
 
 (* ---------- scheduler edge cases ---------- *)
 
@@ -191,6 +215,20 @@ let test_invalid_rejected_at_submit () =
      check_bool "reason" true (Tutil.contains m "invalid request")
    | _ -> Alcotest.fail "invalid request was not rejected at submit");
   check_int "never queued" 0 (Finch_serve.Scheduler.queue_depth t)
+
+let test_over_partitioned_rejected () =
+  (* rejected with a named error; the request behind it still runs *)
+  let t = Finch_serve.Scheduler.create () in
+  let bad = Finch_serve.Scheduler.submit t (over_partitioned "cells:8") in
+  let good = Finch_serve.Scheduler.submit t (tiny ~nsteps:2 ()) in
+  Finch_serve.Scheduler.drain t;
+  (match Finch_serve.Scheduler.outcome bad with
+   | Some (Finch_serve.Scheduler.Rejected m) ->
+     check_bool "reason names the spec" true (Tutil.contains m "cells:8")
+   | _ -> Alcotest.fail "over-partitioned request was not rejected");
+  match Finch_serve.Scheduler.outcome good with
+  | Some (Finch_serve.Scheduler.Completed _) -> ()
+  | _ -> Alcotest.fail "the valid request behind it did not complete"
 
 let test_deadline_expiry () =
   (* fake clock: submission at t=0, execution at t=2 — the head request
@@ -412,6 +450,8 @@ let suite =
       Alcotest.test_case "scheduler queue full" `Quick test_queue_full;
       Alcotest.test_case "scheduler invalid at submit" `Quick
         test_invalid_rejected_at_submit;
+      Alcotest.test_case "scheduler rejects over-partitioned" `Quick
+        test_over_partitioned_rejected;
       Alcotest.test_case "scheduler deadline expiry" `Quick
         test_deadline_expiry;
       Alcotest.test_case "scheduler default deadline" `Quick

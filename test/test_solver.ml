@@ -116,18 +116,41 @@ let test_cell_parallel_equals_serial () =
     [ 2; 3; 4; 7 ]
 
 let test_overlap_equals_sync () =
-  (* the overlapped halo exchange (nonblocking isend/irecv around the
-     interior sweep) must be bit-identical — not just close — to the
-     barriered blit path, for any rank count *)
+  (* the overlapped halo exchange (receives waited on between the
+     interior and frontier sweeps) must be bit-identical — not just
+     close — to the synchronous one, for any rank count, and both must
+     send the same messages: the schedule the Comm pass verifies *)
+  let p2p = [ "spmd.p2p_msgs"; "spmd.p2p_bytes" ] in
+  let with_deltas f =
+    let was = Prt.Metrics.enabled () in
+    Prt.Metrics.enable ();
+    let before = Prt.Metrics.counter_values () in
+    let o =
+      Fun.protect ~finally:(fun () -> if not was then Prt.Metrics.disable ()) f
+    in
+    let delta = Finch.metrics_delta before (Prt.Metrics.counter_values ()) in
+    o, List.map (fun name -> Option.value ~default:0 (List.assoc_opt name delta)) p2p
+  in
   List.iter
     (fun n ->
       let p1, _, _ = make_advection () in
-      let o1 = run_with (Finch.Config.Cpu (Finch.Config.Cell_parallel n)) p1 in
+      let o1, sync =
+        with_deltas (fun () ->
+            run_with (Finch.Config.Cpu (Finch.Config.Cell_parallel n)) p1)
+      in
       let p2, _, _ = make_advection () in
       Finch.Problem.set_overlap p2 true;
-      let o2 = run_with (Finch.Config.Cpu (Finch.Config.Cell_parallel n)) p2 in
+      let o2, overlap =
+        with_deltas (fun () ->
+            run_with (Finch.Config.Cpu (Finch.Config.Cell_parallel n)) p2)
+      in
       let diff = Fvm.Field.max_abs_diff o1.Finch.Solve.u o2.Finch.Solve.u in
-      if diff > 0. then Alcotest.failf "overlap cells %d: diff %g" n diff)
+      if diff > 0. then Alcotest.failf "overlap cells %d: diff %g" n diff;
+      List.iter2
+        (fun name (s, o) ->
+          Alcotest.(check int) (Printf.sprintf "cells:%d %s" n name) o s;
+          check_bool (Printf.sprintf "cells:%d %s nonzero" n name) true (s > 0))
+        p2p (List.combine sync overlap))
     [ 2; 3; 4; 7 ]
 
 let test_overlap_equals_serial () =
@@ -161,9 +184,8 @@ let test_threaded_equals_serial () =
   let p1, _, _ = make_advection () in
   let o1 = run_with (Finch.Config.Cpu Finch.Config.Serial) p1 in
   let p2, _, _ = make_advection () in
-  let r2 = Finch.Target_cpu.run_threaded p2 ~ndomains:3 in
-  let u2 = (Finch.Target_cpu.primary r2).Finch.Lower.u in
-  let diff = Fvm.Field.max_abs_diff o1.Finch.Solve.u u2 in
+  let o2 = run_with (Finch.Config.Cpu (Finch.Config.Threaded 3)) p2 in
+  let diff = Fvm.Field.max_abs_diff o1.Finch.Solve.u o2.Finch.Solve.u in
   if diff > 1e-13 then Alcotest.failf "threaded: diff %g" diff
 
 let test_pool_threaded_equals_serial () =

@@ -399,7 +399,7 @@ let test_gpu_rank_tracks () =
       let built = Bte.Setup.build { tiny with Bte.Setup.nsteps = 2 } in
       Finch.Problem.set_target built.Bte.Setup.problem
         (Finch.Config.Gpu { spec = Gpu_sim.Spec.a6000; devices = 1; ranks = 2 });
-      ignore (Finch.Solve.solve ~band_index:"b" built.Bte.Setup.problem);
+      ignore (Finch.Solve.solve built.Bte.Setup.problem);
       let events =
         match obj_field "traceEvents" (parse_json (Prt.Trace.chrome_json ())) with
         | Some (Arr evs) -> evs
@@ -473,7 +473,7 @@ let solve_tiny_serial () =
   let built = Bte.Setup.build tiny in
   Finch.Problem.set_target built.Bte.Setup.problem
     (Finch.Config.Cpu Finch.Config.Serial);
-  let o = Finch.Solve.solve ~band_index:"b" built.Bte.Setup.problem in
+  let o = Finch.Solve.solve built.Bte.Setup.problem in
   Finch.Solve.field o "I", Finch.Solve.field o "T"
 
 let test_bit_identity_under_observability () =

@@ -103,7 +103,7 @@ let test_target_spellings () =
 
 let test_plan_basics () =
   let pl =
-    Finch_tune.Plan.make ~opt_level:Finch.Config.O1 ~overlap:true
+    Finch_tune.Plan.make ~opt_level:Finch.Config.O0 ~overlap:true
       (Finch.Config.Cpu (Finch.Config.Cell_parallel 2))
   in
   (match Finch_tune.Plan.of_json (Finch_tune.Plan.to_json pl) with
