@@ -717,9 +717,7 @@ let e11_json path =
                Finch.Solve_request.backend = tgt }
          with
          | Ok prep ->
-           ignore
-             (Finch_analysis.Driver.check_problem ~post_io:Bte.Setup.post_io
-                prep.Finch.pr_problem)
+           ignore (Finch_analysis.Driver.check_problem prep.Finch.pr_problem)
          | Error _ -> ()))
     [ "serial"; "threads:2"; "hybrid:2x2"; "cells:2"; "gpu" ];
   let c name = Prt.Metrics.value (Prt.Metrics.counter name) in
@@ -741,9 +739,7 @@ let e11_json path =
                | `Gpu -> gpu1) }
       with
       | Ok prep ->
-        ignore
-          (Finch_opt.Opt.optimize_problem ~post_io:Bte.Setup.post_io
-             prep.Finch.pr_problem)
+        ignore (Finch_opt.Opt.optimize_problem prep.Finch.pr_problem)
       | Error _ -> ())
     [ `Pool; `Gpu ];
   let bw = Prt.Metrics.histogram "pool.barrier_wait_ns" in
@@ -1092,8 +1088,7 @@ let e14_tune path =
         let auto_req = { base with Finch.Solve_request.backend = Finch.Config.Auto } in
         let decision =
           match
-            Finch_tune.Tune.plan ~profile ~post_io:Bte.Setup.post_io
-              ~shortlist:max_int ~measure_steps:sc.Bte.Setup.nsteps
+            Finch_tune.Tune.plan ~profile ~shortlist:max_int ~measure_steps:sc.Bte.Setup.nsteps
               ~measure_trials:tune_trials ~force:true auto_req
           with
           | Ok d -> d
@@ -1458,7 +1453,7 @@ let () =
   (match trace with Some _ -> Prt.Trace.enable () | None -> ());
   if metrics then Prt.Metrics.enable ();
   (* the generated-code evaluator rows need the codegen backend wired in *)
-  Finch_codegen.Codegen.install ~post_io:Bte.Setup.post_io ();
+  Finch_codegen.Codegen.install ();
   let finish_observability () =
     (match trace with
      | Some path ->

@@ -179,25 +179,21 @@ let lint_matrix ~backends ~scenario ~opts ~ignore_codes ~verbose ~format =
                         exit 2
                     in
                     let p = prep.Finch.pr_problem in
-                    let post_io = prep.Finch.pr_post_io in
                     let r =
-                      Finch_analysis.Driver.check_problem ?post_io
-                        ~ignore_codes p
+                      Finch_analysis.Driver.check_problem ~ignore_codes p
                     in
                     (* also lint the optimizer pipeline's output: the
                        rewritten program must stay as clean as the input,
                        including its communication schedule *)
                     let opt_r =
-                      let res =
-                        Finch_opt.Opt.optimize_problem ?post_io p
-                      in
+                      let res = Finch_opt.Opt.optimize_problem p in
                       let comm =
                         Option.map
                           (fun pl -> Finch_analysis.Comm.Elaborate pl)
                           (Finch_analysis.Comm.plan_of_problem p)
                       in
                       Finch_analysis.Driver.check_ir ?comm ~ignore_codes
-                        (Finch_analysis.Ctx.of_problem ?post_io p)
+                        (Finch_analysis.Ctx.of_problem p)
                         res.Finch_opt.Opt.ir
                     in
                     total_errors :=

@@ -43,7 +43,7 @@ let backend_t =
 let opt_t =
   Arg.(
     value & opt string "2"
-    & info [ "opt" ] ~docv:"LEVEL" ~doc:"IR optimization level: 0, 1 or 2.")
+    & info [ "opt" ] ~docv:"LEVEL" ~doc:"IR optimization level: 0 or 2.")
 
 let eval_t =
   Arg.(
@@ -138,8 +138,7 @@ type pass = {
 
 let run_pass ~label ~max_batch ~use_cache ~batching reqs =
   let sched =
-    Finch_serve.Scheduler.create ~max_batch ~use_cache ~batching
-      ~post_io:Bte.Setup.post_io ()
+    Finch_serve.Scheduler.create ~max_batch ~use_cache ~batching ()
   in
   let t0 = Unix.gettimeofday () in
   let outcomes = Finch_serve.Scheduler.run_all sched reqs in
@@ -204,7 +203,7 @@ let serve_cmd requests repeat scenario backend opt eval_mode nx ndirs nbands
       exit 2
   in
   if eval_mode = Finch.Config.Native then
-    Finch_codegen.Codegen.install ~post_io:Bte.Setup.post_io ();
+    Finch_codegen.Codegen.install ();
   let scenarios =
     match scenario with
     | `Hotspot -> [ "hotspot" ]

@@ -237,15 +237,13 @@ let print_plan_table (d : Finch_tune.Tune.decision) =
 (* [--backend auto]: commit to the tuner's plan before preparing; with
    [--explain-plan] the (force-recomputed, so the table is populated)
    candidate ranking is printed either way, but a concrete backend is
-   never overridden.  The tuner's own trial runs and the analysis gate
-   inside it use the same post_io contract as the solve's gate. *)
+   never overridden. *)
 let tune_request ~explain ~measure_steps (req : Finch.Solve_request.t) =
   let is_auto = req.Finch.Solve_request.backend = Finch.Config.Auto in
   if not (is_auto || explain) then req, None
   else
     match
-      Finch_tune.Tune.plan ~post_io:Bte.Setup.post_io ~measure_steps
-        ~force:explain req
+      Finch_tune.Tune.plan ~measure_steps ~force:explain req
     with
     | Error e ->
       Printf.eprintf "error: tuner: %s\n" e;
@@ -308,10 +306,7 @@ let report_result ~t_ambient ~csv (prep : Finch.prepared)
    exit code 3 unless [no_check]. *)
 let analysis_gate ~no_check (prep : Finch.prepared) =
   if not no_check then begin
-    let report =
-      Finch_analysis.Driver.check_problem ?post_io:prep.Finch.pr_post_io
-        prep.Finch.pr_problem
-    in
+    let report = Finch_analysis.Driver.check_problem prep.Finch.pr_problem in
     if report.Finch_analysis.Driver.errors > 0 then begin
       Printf.eprintf "static analysis rejected the generated program:\n";
       Finch_analysis.Driver.pp_report stderr report;
@@ -326,10 +321,7 @@ let analysis_gate ~no_check (prep : Finch.prepared) =
 
 let print_optimizer_stats (prep : Finch.prepared)
     (opt_level : Finch.Config.opt_level) =
-  let opt_result =
-    Finch_opt.Opt.optimize_problem ?post_io:prep.Finch.pr_post_io
-      prep.Finch.pr_problem
-  in
+  let opt_result = Finch_opt.Opt.optimize_problem prep.Finch.pr_problem in
   let os = opt_result.Finch_opt.Opt.stats in
   Printf.printf
     "optimizer: O%s — %d loop(s) fused, %d step pair(s) fused, %d kernel \
@@ -438,7 +430,7 @@ let run_cmd scenario nx ny ndirs nbands nsteps backend overlap opt
   (match codegen_cache_dir with
    | Some d -> Finch_codegen.Codegen.set_cache_dir d
    | None -> ());
-  Finch_codegen.Codegen.install ~post_io:Bte.Setup.post_io ();
+  Finch_codegen.Codegen.install ();
   (match tune_cache_dir with
    | Some d -> Finch_tune.Tune.set_cache_dir d
    | None -> ());
@@ -679,7 +671,7 @@ let request_cmd json file csv trace metrics no_check sanitize =
       | Some base -> (Bte.Setup.scenario_of_request base req).Bte.Setup.t_cold
       | None -> 300.
     in
-    Finch_codegen.Codegen.install ~post_io:Bte.Setup.post_io ();
+    Finch_codegen.Codegen.install ();
     start_observability ~trace ~metrics;
     (* wire requests may also say "backend": "auto" — resolve exactly as
        the run subcommand does, model-only *)

@@ -27,10 +27,7 @@ let () =
     built.Setup.disp.Dispersion.n_la built.Setup.disp.Dispersion.n_ta
     built.Setup.scenario.Setup.dt sc.Setup.nsteps;
 
-  let outcome =
-    if gpu then Finch.Solve.solve ~post_io:Setup.post_io p
-    else Finch.Solve.solve p
-  in
+  let outcome = Finch.Solve.solve p in
   let ft = Finch.Solve.field outcome "T" in
   let stats =
     Diag.temperature_stats built.Setup.mesh ft ~t_ambient:sc.Setup.t_cold

@@ -74,7 +74,8 @@ let build ~length ~ncells ~ndirs ~n_la_bands =
   Finch.Problem.callback_function p "symmetry" (Bc.symmetry bcctx);
   Finch.Problem.boundary p vI 1 Finch.Config.Flux "symmetry(I,Sx,b,d,normal)";
   Finch.Problem.boundary p vI 2 Finch.Config.Flux "symmetry(I,Sx,b,d,normal)";
-  Finch.Problem.post_step_function p (Temperature.post_step temp_model);
+  Finch.Problem.post_step_function ~io:Temperature.post_io p
+    (Temperature.post_step temp_model);
   ignore
     (Finch.Problem.conservation_form p vI
        "(Io[b] - I[d,b]) * beta[b] - surface(vg[b] * upwind([Sx[d]], I[d,b]))");

@@ -20,7 +20,7 @@ let make ?(variables = []) ?(coefficients = []) ?(cell_vars = [])
   { variables; coefficients; cell_vars; defined; partitioned; cb_reads;
     cb_writes }
 
-let of_problem ?post_io (p : Finch.Problem.t) =
+let of_problem (p : Finch.Problem.t) =
   let variables =
     List.map (fun v -> v.Finch.Entity.vname) p.Finch.Problem.variables
   in
@@ -49,18 +49,10 @@ let of_problem ?post_io (p : Finch.Problem.t) =
     | Finch.Config.Gpu { devices; _ } -> devices > 1
     | _ -> false
   in
-  let cb_reads, cb_writes =
-    match post_io with
-    | Some io -> io.Finch.Dataflow.cb_reads, io.Finch.Dataflow.cb_writes
-    | None ->
-      (* no declaration: conservatively assume the callbacks touch every
-         variable (mirrors Dataflow's convention) *)
-      if p.Finch.Problem.post_step <> [] || p.Finch.Problem.pre_step <> []
-      then variables, variables
-      else [], []
-  in
-  { variables; coefficients; cell_vars; defined; partitioned; cb_reads;
-    cb_writes }
+  let io = Finch.Problem.post_io p in
+  { variables; coefficients; cell_vars; defined; partitioned;
+    cb_reads = io.Finch.Problem.cb_reads;
+    cb_writes = io.Finch.Problem.cb_writes }
 
 let is_cell_var t v = List.mem v t.cell_vars
 let is_coefficient t v = List.mem v t.coefficients

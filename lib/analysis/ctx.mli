@@ -12,8 +12,8 @@ type t = {
           variables with an initial condition *)
   partitioned : bool;
       (** mesh-partitioned run (ghost regions need halo exchanges) *)
-  cb_reads : string list;  (** variables the step callbacks read *)
-  cb_writes : string list;  (** variables the step callbacks write *)
+  cb_reads : string list;  (** variables the post-step callbacks read *)
+  cb_writes : string list;  (** variables the post-step callbacks write *)
 }
 
 val make :
@@ -23,10 +23,9 @@ val make :
 (** Explicit construction (fixtures and tests); everything defaults
     empty/false. *)
 
-val of_problem : ?post_io:Finch.Dataflow.callback_io -> Finch.Problem.t -> t
-(** Derive the context from a configured problem.  Without [post_io],
-    callbacks are conservatively assumed to touch every variable
-    (mirroring {!Finch.Dataflow}). *)
+val of_problem : Finch.Problem.t -> t
+(** Derive the context from a configured problem; the callback reads and
+    writes are its post-step contract, {!Finch.Problem.post_io}. *)
 
 val is_cell_var : t -> string -> bool
 (** Whether a name is a per-cell variable. *)

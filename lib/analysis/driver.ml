@@ -53,14 +53,14 @@ let check_ir ?plan ?comm ?(ignore_codes = []) (ctx : Ctx.t) tree =
   in
   of_findings (errs @ warns)
 
-let check_problem ?post_io ?(ignore_codes = []) (p : Problem.t) =
-  let ctx = Ctx.of_problem ?post_io p in
+let check_problem ?(ignore_codes = []) (p : Problem.t) =
+  let ctx = Ctx.of_problem p in
   let comm =
     Option.map (fun pl -> Comm.Elaborate pl) (Comm.plan_of_problem p)
   in
   match p.Problem.target with
   | Config.Gpu _ ->
-    let plan = Dataflow.plan_for_problem ?post_io p in
+    let plan = Dataflow.plan_for_problem p in
     let tree = Ir.build_gpu p ~transfers:(Dataflow.ir_transfers plan) in
     check_ir ~plan ?comm ~ignore_codes ctx tree
   | Config.Cpu _ ->

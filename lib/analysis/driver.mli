@@ -20,8 +20,7 @@ val check_ir :
     activates the A025–A032 schedule verification. *)
 
 val check_problem :
-  ?post_io:Finch.Dataflow.callback_io -> ?ignore_codes:Finding.code list ->
-  Finch.Problem.t -> report
+  ?ignore_codes:Finding.code list -> Finch.Problem.t -> report
 (** Check the program the executors will mirror for this problem: the
     CPU-strategy IR, or the hybrid GPU IR built from the data-movement
     plan (which is then also cross-checked).  On mesh-partitioned

@@ -155,7 +155,7 @@ let all =
         kernel [ flux ];
         Ir.Stream_sync;
         Ir.Swap_buffers "u";
-        Ir.Callback { which = `Post; note = ph_t } ]
+        Ir.Callback { note = ph_t } ]
       [ Finding.Stale_host_read ];
     fx "plan-mismatch"
       "the data-movement plan schedules an upload the IR never performs"

@@ -113,11 +113,8 @@ let rec walk st path (n : Ir.node) =
     st.device_valid <- SS.remove v st.device_valid
   | Ir.Boundary_cpu { var; _ } ->
     check_host_reads st path ("boundary_cpu " ^ var) [ var ]
-  | Ir.Callback { which; _ } ->
-    let what =
-      "callback " ^ (match which with `Pre -> "pre" | `Post -> "post")
-    in
-    check_host_reads st path what st.ctx.Ctx.cb_reads;
+  | Ir.Callback _ ->
+    check_host_reads st path "callback post" st.ctx.Ctx.cb_reads;
     st.host_stale <- SS.diff st.host_stale (SS.of_list st.ctx.Ctx.cb_writes);
     st.device_valid <- SS.diff st.device_valid (SS.of_list st.ctx.Ctx.cb_writes)
   | Ir.Assign { dest; expr; _ } ->

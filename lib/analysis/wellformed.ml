@@ -96,10 +96,8 @@ let rec walk st ~in_kernel path (n : Ir.node) =
       check_reads st path ("boundary_cpu " ^ var) [ var ];
       st.staged <- SS.add var st.staged
     end
-  | Ir.Callback { which; note } ->
-    let what =
-      "callback " ^ (match which with `Pre -> "pre" | `Post -> "post")
-    in
+  | Ir.Callback { note } ->
+    let what = "callback post" in
     if in_kernel then host_only st path what
     else begin
       check_phase st path note what;

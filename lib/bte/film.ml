@@ -103,7 +103,8 @@ let build cfg ~thickness =
     (Bc.isothermal ~wall:(Bc.Const_wall cfg.t_cold) bcctx);
   Finch.Problem.boundary p vI 1 Finch.Config.Flux "hot_wall(I,vg,Sx,b,d,normal)";
   Finch.Problem.boundary p vI 2 Finch.Config.Flux "cold_wall(I,vg,Sx,b,d,normal)";
-  Finch.Problem.post_step_function p (Temperature.post_step temp_model);
+  Finch.Problem.post_step_function ~io:Temperature.post_io p
+    (Temperature.post_step temp_model);
   ignore
     (Finch.Problem.conservation_form p vI
        "(Io[b] - I[d,b]) * beta[b] - surface(vg[b] * upwind([Sx[d]], I[d,b]))");

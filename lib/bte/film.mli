@@ -27,6 +27,9 @@ type config = {
 }
 
 val default_config : config
+(** 40 cells, 16 directions, 8 LA bands, walls at 305 and 295 K, at most
+    40000 steps, steady once the mid-slab flux moves by at most 1e-4
+    (relative) over 100 steps. *)
 
 val build :
   config -> thickness:float ->
@@ -43,3 +46,6 @@ val diffusive_limit : Dispersion.t -> Angles.t -> Equilibrium.t -> float -> floa
     (1/2) Omega sum_b (dI0_b/dT) vg_b tau_b. *)
 
 val effective_conductivity : ?cfg:config -> thickness:float -> unit -> result
+(** March the slab of that thickness (m) in batches of 100 steps until
+    the mid-slab flux is steady or [max_steps] is reached, then report
+    k_eff = q L / dT against the diffusive limit ({!diffusive_limit}). *)

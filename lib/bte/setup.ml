@@ -128,10 +128,7 @@ let cfl_dt sc disp =
   in
   Float.min (dx /. vmax /. 2.) (0.5 /. rate_max)
 
-(* Data-movement declaration for the post-step callback: the temperature
-   update reads the intensity and writes Io/beta/T. *)
-let post_io =
-  { Finch.Dataflow.cb_reads = [ "I" ]; cb_writes = [ "Io"; "beta"; "T" ] }
+let post_io = Temperature.post_io
 
 (* The physics tables are pure functions of (bands, directions,
    temperature range): identical inputs produce bit-identical tables, so
@@ -262,7 +259,8 @@ let build ?(enforce_cfl = true) ?(stepper = Finch.Config.Euler_explicit)
   Finch.Problem.boundary p vI 4 Finch.Config.Flux "symmetry(I,Sx,Sy,b,d,normal)";
 
   (* the temperature update runs after every step *)
-  Finch.Problem.post_step_function p (Temperature.post_step temp_model);
+  Finch.Problem.post_step_function ~io:Temperature.post_io p
+    (Temperature.post_step temp_model);
 
   (* the BTE in conservation form, as in the paper's listing (with the
      surface term's sign written explicitly; see DESIGN.md) *)
@@ -303,9 +301,7 @@ let scenario_of_request base (req : Finch.Solve_request.t) =
        | None -> base.t_cold) }
 
 let prepared_of built =
-  { Finch.pr_problem = built.problem;
-    pr_post_io = Some post_io;
-    pr_solution = "T" }
+  { Finch.pr_problem = built.problem; pr_solution = "T" }
 
 let register_scenarios () =
   Finch.register_scenario "hotspot" (fun req ->

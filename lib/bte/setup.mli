@@ -33,7 +33,13 @@ val small_hotspot : scenario
     in seconds. *)
 
 val paper_corner : scenario
+(** The Fig. 10 corner domain: 200x50 um, 160x40 cells, 20 directions,
+    40 frequency bands, 100 K walls with a 150 K source against the left
+    corner, dt = 1e-12 s. *)
+
 val small_corner : scenario
+(** A reduced corner configuration (8x2 um, 32x8 cells, 8 directions,
+    8 bands) at the same temperatures, for runs in seconds. *)
 
 type built = {
   problem : Finch.Problem.t;
@@ -49,9 +55,9 @@ val cfl_dt : scenario -> Dispersion.t -> float
 (** Stability bound: advective CFL AND the relaxation-rate bound
     dt * max(1/tau) < 1 (high-frequency bands have tau of a few ps). *)
 
-val post_io : Finch.Dataflow.callback_io
-(** Data-movement declaration of the temperature update: reads "I",
-    writes "Io"/"beta"/"T". *)
+val post_io : Finch.Problem.callback_io
+(** The temperature update's contract, {!Temperature.post_io}; the
+    scenarios register their callback with it. *)
 
 val build :
   ?enforce_cfl:bool -> ?stepper:Finch.Config.time_stepper -> scenario -> built
@@ -60,6 +66,8 @@ val build :
 
 val build_corner :
   ?enforce_cfl:bool -> ?stepper:Finch.Config.time_stepper -> scenario -> built
+(** {!build} with the source moved against the left corner
+    ([hot_center = 0]). *)
 
 val scenario_of_request : scenario -> Finch.Solve_request.t -> scenario
 (** Concrete scenario for a request: the base record supplies the

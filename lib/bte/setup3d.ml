@@ -154,7 +154,8 @@ let build (sc : scenario3d) =
       Finch.Problem.boundary p vI r Finch.Config.Flux "symmetry(I,Sx,Sy,b,d,normal)")
     [ 3; 4; 5; 6 ];
 
-  Finch.Problem.post_step_function p (Temperature.post_step temp_model);
+  Finch.Problem.post_step_function ~io:Temperature.post_io p
+    (Temperature.post_step temp_model);
 
   ignore
     (Finch.Problem.conservation_form p vI

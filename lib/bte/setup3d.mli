@@ -23,6 +23,10 @@ type scenario3d = {
 }
 
 val coarse : scenario3d
+(** A 2 um cube on an 8x8x8 mesh, 6x4 sphere directions, 6 LA bands,
+    300 K floor and a 350 K hot spot, 20 steps: deliberately coarse (a
+    resolution comparable to the 2-D runs would need about 400
+    directions). *)
 
 type built3d = {
   problem : Finch.Problem.t;
@@ -35,4 +39,9 @@ type built3d = {
 }
 
 val cfl_dt : scenario3d -> Dispersion.t -> float
+(** Stability bound: a third of the advective CFL step over the smallest
+    cell edge, and the relaxation-rate bound dt * max(1/tau) < 1/2. *)
+
 val build : scenario3d -> built3d
+(** The 3-D DSL problem with dt clamped to {!cfl_dt}; the temperature
+    update is registered with its contract ({!Temperature.post_io}). *)

@@ -147,6 +147,11 @@ let newton_scalar m ~g ~guess =
 let m_newton = Prt.Metrics.counter "bte.newton_iters"
 let m_bisection = Prt.Metrics.counter "bte.bisection_steps"
 
+(* What [post_step] reads and writes: the intensity in, the equilibrium
+   intensity, rates and temperature out.  Every registration passes it. *)
+let post_io =
+  { Finch.Problem.cb_reads = [ "I" ]; cb_writes = [ "Io"; "beta"; "T" ] }
+
 (* The post-step callback wired into the DSL problem.  Field names follow
    the BTE encoding: intensity "I" over [d; b], equilibrium "Io" over [b],
    rates "beta" over [b], temperature "T" (scalar). *)

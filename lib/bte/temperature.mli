@@ -74,6 +74,11 @@ val newton_scalar : model -> g:float -> guess:float -> float
 (** [newton_scalar m ~g ~guess]: the temperature whose emission with
     rates at that temperature equals the absorbed power [g]. *)
 
+val post_io : Finch.Problem.callback_io
+(** The data-movement contract of {!post_step}: reads ["I"], writes
+    ["Io"], ["beta"] and ["T"].  Register the callback with it
+    ([Finch.Problem.post_step_function ~io:post_io]). *)
+
 val post_step : model -> Finch.Problem.step_ctx -> unit
 (** The callback wired into the DSL problem; expects fields "I" (over
     [d; b]), "Io" and "beta" (over [b]) and "T".  Reduces the

@@ -104,8 +104,6 @@ let memo : (string, Finch_ci.rt -> Finch_ci.entry) Hashtbl.t = Hashtbl.create 8
 
 let clear_memo () = Hashtbl.reset memo
 
-let post_io_ref : Finch.Dataflow.callback_io option ref = ref None
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -286,17 +284,20 @@ let bind_state (st : Finch.Lower.state) (em : Finch.Emit_source.ocaml_emission)
 (* The hook.                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* analysis verification runs once per key (the re-check mirrors how
-   optimizer passes are gated; see docs/CODEGEN.md) *)
-let verified : (string, bool) Hashtbl.t = Hashtbl.create 8
+(* analysis verification runs once per key and callback contract (the
+   re-check mirrors how optimizer passes are gated; see docs/CODEGEN.md):
+   each program is gated under its own problem's post-step I/O *)
+let verified : (string * Finch.Problem.callback_io, bool) Hashtbl.t =
+  Hashtbl.create 8
 
 let verify_key key (p : Finch.Problem.t) =
-  match Hashtbl.find_opt verified key with
+  let vkey = key, Finch.Problem.post_io p in
+  match Hashtbl.find_opt verified vkey with
   | Some ok -> ok
   | None ->
-    let report = Finch_analysis.Driver.check_problem ?post_io:!post_io_ref p in
+    let report = Finch_analysis.Driver.check_problem p in
     let ok = report.Finch_analysis.Driver.errors = 0 in
-    Hashtbl.replace verified key ok;
+    Hashtbl.replace verified vkey ok;
     ok
 
 let native_entry_for (st : Finch.Lower.state) : Finch.Lower.native_entry option =
@@ -332,7 +333,6 @@ let native_entry_for (st : Finch.Lower.state) : Finch.Lower.native_entry option 
           None
         | Ok maker -> bind_state st em maker)
 
-let install ?post_io () =
-  post_io_ref := post_io;
+let install ?post_io:_ () =
   Finch.Lower.native_hook := native_entry_for;
   Finch.Lower.native_hook_installed := true

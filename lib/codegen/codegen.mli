@@ -26,11 +26,12 @@ val clear_memo : unit -> unit
 (** Drop the in-process memo (the disk level is untouched); for tests
     that assert cold-vs-warm compile behaviour. *)
 
-val install : ?post_io:Finch.Dataflow.callback_io -> unit -> unit
+val install : ?post_io:Finch.Problem.callback_io -> unit -> unit
 (** Install the codegen backend into [Lower.native_hook]; states built
     with eval mode [Native] then compile and bind generated kernels.
-    [post_io] is the callback IO contract handed to the analysis
-    re-verification (pass the same value the solve's gate uses). *)
+    The analysis re-verification gates each program under its own
+    problem's callback contract ({!Finch.Problem.post_io}); [post_io] is
+    ignored and stays only for existing callers. *)
 
 val native_entry_for : Finch.Lower.state -> Finch.Lower.native_entry option
 (** The hook body itself: emit, verify, compile/load through the cache,

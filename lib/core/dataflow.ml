@@ -120,7 +120,7 @@ let plan_cost ~tasks rates plan =
 (* Enumerate placements of the unpinned tasks (2^k, k small) and keep the
    one minimizing estimated per-step time (compute + data movement),
    breaking ties toward less traffic and then toward more GPU tasks. *)
-let optimize ?(rates = default_rates) ~tasks ~vars () =
+let optimize ~tasks ~vars =
   let free = List.filter (fun t -> t.t_pinned = None) tasks in
   let rec placements = function
     | [] -> [ [] ]
@@ -138,7 +138,10 @@ let optimize ?(rates = default_rates) ~tasks ~vars () =
   match
     List.sort
       (fun a b ->
-        let c = compare (plan_cost ~tasks rates a) (plan_cost ~tasks rates b) in
+        let c =
+          compare (plan_cost ~tasks default_rates a)
+            (plan_cost ~tasks default_rates b)
+        in
         if c <> 0 then c
         else
           let c = compare a.bytes_per_step b.bytes_per_step in
@@ -153,11 +156,8 @@ let optimize ?(rates = default_rates) ~tasks ~vars () =
 (* ------------------------------------------------------------------ *)
 
 (* Reads/writes of user callbacks cannot be inferred from symbolic input;
-   the problem may declare them, otherwise we assume conservatively that
-   callbacks touch every declared variable. *)
-type callback_io = { cb_reads : string list; cb_writes : string list }
-
-let tasks_of_problem (p : Problem.t) ~(post_io : callback_io option) =
+   the post-step task carries the problem's contract ([Problem.post_io]). *)
+let tasks_of_problem (p : Problem.t) =
   let eq = Problem.the_equation p in
   let u = eq.Transform.eq_var in
   let eq_reads =
@@ -165,12 +165,6 @@ let tasks_of_problem (p : Problem.t) ~(post_io : callback_io option) =
     @ Finch_symbolic.Expr.ref_names eq.Transform.rsurf
     @ [ u ]
     |> List.sort_uniq compare
-  in
-  let all_vars = List.map (fun v -> v.Entity.vname) p.Problem.variables in
-  let post_io =
-    match post_io with
-    | Some io -> io
-    | None -> { cb_reads = all_vars; cb_writes = all_vars }
   in
   let mesh = Problem.mesh_exn p in
   let ndofs =
@@ -201,9 +195,10 @@ let tasks_of_problem (p : Problem.t) ~(post_io : callback_io option) =
   let post =
     if p.Problem.post_step = [] then []
     else
+      let io = Problem.post_io p in
       [ { t_name = "post_step";
-          t_reads = post_io.cb_reads;
-          t_writes = post_io.cb_writes;
+          t_reads = io.Problem.cb_reads;
+          t_writes = io.Problem.cb_writes;
           t_pinned = Some Cpu_side;
           t_flops = 40. *. float_of_int ndofs } ]
   in
@@ -228,8 +223,8 @@ let vars_of_problem (p : Problem.t) =
           Some { v_name = c.Entity.cname; v_bytes = 8 * ncells })
       p.Problem.coefficients
 
-let plan_for_problem ?post_io ?rates (p : Problem.t) =
-  optimize ?rates ~tasks:(tasks_of_problem p ~post_io) ~vars:(vars_of_problem p) ()
+let plan_for_problem (p : Problem.t) =
+  optimize ~tasks:(tasks_of_problem p) ~vars:(vars_of_problem p)
 
 (* The (variable, uploaded-every-step) pairs [Ir.build_gpu] consumes: one
    entry per device input the plan uploads, once or per step. *)

@@ -37,6 +37,8 @@ type plan = {
 }
 
 val side_of : placement -> task -> side
+(** Where a task runs: its pin if it has one, else its placement.
+    Raises [Not_found] for an unpinned task the placement omits. *)
 
 val schedule : tasks:task list -> vars:var_info list -> placement -> plan
 (** The transfer schedule induced by a fixed placement. *)
@@ -48,20 +50,30 @@ type rates = {
 }
 
 val default_rates : rates
+(** The host, device and PCIe rates every placement is costed with:
+    5 GFLOP/s, 500 GFLOP/s and 16 GB/s. *)
+
 val plan_cost : tasks:task list -> rates -> plan -> float
+(** Estimated seconds per step of a plan: each task's work at its side's
+    rate plus the per-step traffic at the PCIe rate, serialized. *)
 
-val optimize :
-  ?rates:rates -> tasks:task list -> vars:var_info list -> unit -> plan
-(** Enumerate placements of unpinned tasks (2^k) and keep the cheapest,
-    breaking ties toward less traffic, then toward more GPU tasks. *)
+val optimize : tasks:task list -> vars:var_info list -> plan
+(** Enumerate placements of unpinned tasks (2^k) and keep the cheapest
+    under {!default_rates}, breaking ties toward less traffic, then
+    toward more GPU tasks. *)
 
-type callback_io = { cb_reads : string list; cb_writes : string list }
-(** Declared reads/writes of the post-step user callback; when absent,
-    callbacks are conservatively assumed to touch every variable. *)
+val tasks_of_problem : Problem.t -> task list
+(** The problem's per-step tasks: the interior update (free), the
+    boundary update (pinned to the CPU) and, when post-step callbacks
+    are registered, one CPU-pinned [post_step] task whose reads and
+    writes are {!Problem.post_io}. *)
 
-val tasks_of_problem : Problem.t -> post_io:callback_io option -> task list
 val vars_of_problem : Problem.t -> var_info list
-val plan_for_problem : ?post_io:callback_io -> ?rates:rates -> Problem.t -> plan
+(** Every variable and coefficient with its full size in bytes; a
+    function-of-space coefficient counts as materialized per cell. *)
+
+val plan_for_problem : Problem.t -> plan
+(** {!optimize} over the problem's tasks and variables. *)
 
 val ir_transfers : plan -> (string * bool) list
 (** The (variable, uploaded-every-step) pairs [Ir.build_gpu] consumes:

@@ -46,12 +46,9 @@ let rec julia buf depth node =
   | Ir.Boundary_cpu { var; note } ->
     Option.iter (fun c -> line ("# " ^ c)) note.Ir.m_comment;
     line (Printf.sprintf "apply_boundary_conditions(%s_new)" var)
-  | Ir.Callback { which; note } ->
+  | Ir.Callback { note } ->
     Option.iter (fun c -> line ("# " ^ c)) note.Ir.m_comment;
-    line
-      (match which with
-       | `Pre -> "pre_step_function()"
-       | `Post -> "post_step_function()")
+    line "post_step_function()"
   | Ir.Swap_buffers var -> line (Printf.sprintf "%s = %s_new" var var)
   | Ir.Halo_exchange { vars; note } ->
     Option.iter (fun c -> line ("# " ^ c)) note.Ir.m_comment;
@@ -123,11 +120,7 @@ let rec cuda buf depth node =
          var var)
   | Ir.Boundary_cpu { var; _ } ->
     line (Printf.sprintf "/* host */ compute_boundary_contribution(%s_bdry);" var)
-  | Ir.Callback { which; _ } ->
-    line
-      (match which with
-       | `Pre -> "/* host */ pre_step_function();"
-       | `Post -> "/* host */ post_step_function();")
+  | Ir.Callback _ -> line "/* host */ post_step_function();"
   | Ir.Swap_buffers var ->
     line (Printf.sprintf "/* host */ combine_and_swap(%s, %s_new, %s_bdry);" var var var)
   | Ir.Halo_exchange { vars; _ } ->

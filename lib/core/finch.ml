@@ -37,8 +37,6 @@ module Transform = Transform
 
 type prepared = {
   pr_problem : Problem.t;
-  pr_post_io : Dataflow.callback_io option;
-      (** callback read/write sets for the analyzer and GPU planner *)
   pr_solution : string;  (** name of the primary solution field *)
 }
 
@@ -147,9 +145,7 @@ let solve_prepared ?trace_id (req : Solve_request.t) (prep : prepared) :
   let trace_id = match trace_id with Some t -> t | None -> fresh_trace_id () in
   let before = Prt.Metrics.counter_values () in
   let t0 = Unix.gettimeofday () in
-  match
-    Solve.solve ?post_io:prep.pr_post_io prep.pr_problem
-  with
+  match Solve.solve prep.pr_problem with
   | outcome ->
     let t1 = Unix.gettimeofday () in
     let label =

@@ -47,7 +47,7 @@ type node =
       note : meta;
     }
   | Boundary_cpu of { var : string; note : meta }
-  | Callback of { which : [ `Pre | `Post ]; note : meta }
+  | Callback of { note : meta }  (* the post-step user code *)
   | Swap_buffers of string
   | Halo_exchange of { vars : string list; note : meta }
   | Allreduce of { what : string; vars : string list; note : meta }
@@ -78,7 +78,7 @@ let rec fold f acc n =
    collapsed — host/device/ghost copies share the variable's name), and
    [Swap_buffers v] consumes v's double buffer to publish v.  Callback
    nodes are opaque: their reads/writes are declared by the problem (see
-   [Dataflow.callback_io]). *)
+   [Problem.post_io]). *)
 let writes tree =
   fold
     (fun acc n ->
@@ -198,7 +198,7 @@ let build_cpu (p : Problem.t) =
         Swap_buffers eq.Transform.eq_var ]
     @ comm
     @ (if p.Problem.post_step <> [] then
-         [ Callback { which = `Post; note = meta ~comment:"post-step user code (temperature update)" ~phase:Ph_temperature () } ]
+         [ Callback { note = meta ~comment:"post-step user code (temperature update)" ~phase:Ph_temperature () } ]
        else [])
     @ [ Advance_time ]
   in
@@ -276,7 +276,7 @@ let build_gpu (p : Problem.t) ~(transfers : (string * bool) list) =
       D2h { vars = [ eq.Transform.eq_var ]; every_step = true };
       Comment "combine interior and boundary contributions";
       Swap_buffers eq.Transform.eq_var;
-      Callback { which = `Post; note = meta ~comment:"post-step user code on the host" ~phase:Ph_temperature () };
+      Callback { note = meta ~comment:"post-step user code on the host" ~phase:Ph_temperature () };
       H2d { vars = every_step; every_step = true } ]
     @ ghost_push
     @ [ Advance_time ]

@@ -16,6 +16,7 @@ type meta = {
 }
 
 val meta : ?comment:string -> ?phase:phase -> ?flops:float -> unit -> meta
+(** A node annotation; [flops] defaults to 0 (not annotated). *)
 
 type loop_range =
   | Cells
@@ -41,7 +42,8 @@ type node =
       note : meta;
     }
   | Boundary_cpu of { var : string; note : meta }
-  | Callback of { which : [ `Pre | `Post ]; note : meta }
+  | Callback of { note : meta }
+    (** the problem's post-step callbacks, run on the host *)
   | Swap_buffers of string
   | Halo_exchange of { vars : string list; note : meta }
   | Allreduce of { what : string; vars : string list; note : meta }
@@ -56,13 +58,15 @@ type node =
   | Advance_time
 
 val fold : ('a -> node -> 'a) -> 'a -> node -> 'a
+(** Fold over every node of a tree in pre-order, descending into
+    sequences, loops and kernel bodies. *)
 
 val writes : node -> string list
 (** Variable names a node tree writes (sorted, unique).  Communication
     and transfer nodes write the destination copy of each listed variable
     (ghost region, device or host mirror — name spaces are collapsed);
     [Swap_buffers v] publishes [v].  [Callback] nodes are opaque — their
-    effects are declared via {!Dataflow.callback_io}. *)
+    effects are declared via {!Problem.post_io}. *)
 
 val reads : node -> string list
 (** Variable names a node tree reads (sorted, unique), with the same
@@ -73,6 +77,9 @@ val dof_loops : Problem.t -> node list -> node list
     (default: cells outermost, then the declared indices). *)
 
 val step_body : Problem.t -> Transform.equation -> node list
+(** One step's update of the equation's unknown: a fused
+    conservation-form {!Flux_update} annotated with its per-DOF flop
+    estimate, inside the {!dof_loops} nest. *)
 
 val build_cpu : Problem.t -> node
 (** The CPU program (serial or the rank-local body of an SPMD program,

@@ -523,11 +523,7 @@ let make_step_ctx st ~allreduce =
 
 let run_post_step st ~allreduce =
   let ctx = make_step_ctx st ~allreduce in
-  List.iter (fun f -> f ctx) st.p.Problem.post_step
-
-let run_pre_step st ~allreduce =
-  let ctx = make_step_ctx st ~allreduce in
-  List.iter (fun f -> f ctx) st.p.Problem.pre_step
+  List.iter (fun c -> c.Problem.pc_fn ctx) st.p.Problem.post_step
 
 (* ------------------------------------------------------------------ *)
 (* Support for the hybrid GPU target.                                  *)

@@ -155,16 +155,13 @@ val commit : state -> unit
 (** Publish the double buffer for the owned DOFs. *)
 
 val make_step_ctx : state -> allreduce:(float array -> unit) -> Problem.step_ctx
-(** The context handed to pre- and post-step callbacks: this state's
+(** The context handed to post-step callbacks: this state's
     fields, clock, rank, owned index slices and cells, with [allreduce]
     as the cross-rank sum (a no-op on a lone rank). *)
 
 val run_post_step : state -> allreduce:(float array -> unit) -> unit
 (** Run the problem's post-step callbacks (the BTE temperature update)
     in declaration order. *)
-
-val run_pre_step : state -> allreduce:(float array -> unit) -> unit
-(** Run the problem's pre-step callbacks in declaration order. *)
 
 (** {2 Hybrid GPU-target support} *)
 

@@ -32,7 +32,7 @@ let bc_ival ctx name =
 
 type bc_callback = bc_ctx -> float
 
-(* Context handed to pre-/post-step callbacks (e.g. the BTE temperature
+(* Context handed to post-step callbacks (e.g. the BTE temperature
    update).  [comp_range] exposes the index subrange owned by this rank in
    equation-partitioned (band-parallel) runs; [allreduce] sums an array
    elementwise across ranks (identity for serial runs). *)
@@ -51,6 +51,14 @@ type step_ctx = {
 }
 
 type step_callback = step_ctx -> unit
+
+(* What a post-step callback reads and writes.  The callback is opaque
+   code, so the declaration is the only thing the data-movement planner,
+   the analysis and the fused CPU schedule can see of it. *)
+type callback_io = { cb_reads : string list; cb_writes : string list }
+
+(* A registered post-step callback with its declaration, if it has one. *)
+type post_callback = { pc_fn : step_callback; pc_io : callback_io option }
 
 type bc_spec =
   | Bc_expr of Expr.t
@@ -82,8 +90,7 @@ type t = {
   mutable callbacks : (string * bc_callback) list;
   mutable bcs : bc list;
   mutable initials : (string * initial_spec) list;
-  mutable pre_step : step_callback list;
-  mutable post_step : step_callback list;
+  mutable post_step : post_callback list;
   mutable equations : Transform.equation list;
   mutable loop_order : string list option; (* e.g. ["b"; "elements"; "d"] *)
   mutable eval_mode : Config.eval_mode;
@@ -115,7 +122,6 @@ let init name =
     callbacks = [];
     bcs = [];
     initials = [];
-    pre_step = [];
     post_step = [];
     equations = [];
     loop_order = None;
@@ -222,8 +228,25 @@ let boundary p var region kind spec_text =
 
 let initial p var spec = p.initials <- (var.Entity.vname, spec) :: p.initials
 
-let pre_step_function p f = p.pre_step <- p.pre_step @ [ f ]
-let post_step_function p f = p.post_step <- p.post_step @ [ f ]
+let post_step_function ?io p f =
+  p.post_step <- p.post_step @ [ { pc_fn = f; pc_io = io } ]
+
+(* The callbacks' contract: the union of their declarations in
+   registration order, or every variable as soon as one callback declares
+   nothing.  No callbacks, no effects. *)
+let post_io p =
+  match List.map (fun c -> c.pc_io) p.post_step with
+  | declared when List.mem None declared ->
+    let all = List.map (fun v -> v.Entity.vname) p.variables in
+    { cb_reads = all; cb_writes = all }
+  | declared ->
+    let union names =
+      List.fold_left
+        (fun acc n -> if List.mem n acc then acc else acc @ [ n ])
+        [] (List.concat_map (fun io -> names (Option.get io)) declared)
+    in
+    { cb_reads = union (fun io -> io.cb_reads);
+      cb_writes = union (fun io -> io.cb_writes) }
 
 (* --- equations ---------------------------------------------------------- *)
 

@@ -33,7 +33,7 @@ val bc_ival : bc_ctx -> string -> int
 
 type bc_callback = bc_ctx -> float
 
-(** Context handed to pre-/post-step callbacks (e.g. the BTE temperature
+(** Context handed to post-step callbacks (e.g. the BTE temperature
     update). [st_index_range] exposes the index subrange owned by this
     rank in band-parallel runs; [st_allreduce] sums elementwise across
     ranks (identity for serial); [st_cells] is the owned cell set in
@@ -53,6 +53,18 @@ type step_ctx = {
 }
 
 type step_callback = step_ctx -> unit
+
+type callback_io = { cb_reads : string list; cb_writes : string list }
+(** What a post-step callback reads and writes, by variable name.  The
+    callback itself is opaque; this declaration is what the GPU
+    data-movement planner, the static analysis and the fused CPU schedule
+    see of it (see {!post_io}). *)
+
+type post_callback = {
+  pc_fn : step_callback;
+  pc_io : callback_io option;  (** [None]: registered without a declaration *)
+}
+(** A registered post-step callback together with its declaration. *)
 
 type bc_spec =
   | Bc_expr of Expr.t
@@ -84,8 +96,7 @@ type t = {
   mutable callbacks : (string * bc_callback) list;
   mutable bcs : bc list;
   mutable initials : (string * initial_spec) list;
-  mutable pre_step : step_callback list;
-  mutable post_step : step_callback list;
+  mutable post_step : post_callback list;
   mutable equations : Transform.equation list;
   mutable loop_order : string list option;
   mutable eval_mode : Config.eval_mode; (** Closure unless overridden *)
@@ -212,12 +223,17 @@ val initial : t -> Entity.variable -> initial_spec -> unit
     or a function of cell centroid and component.  Variables without one
     start at zero. *)
 
-val pre_step_function : t -> step_callback -> unit
-(** Append a callback every rank runs before each step's sweep. *)
-
-val post_step_function : t -> step_callback -> unit
+val post_step_function : ?io:callback_io -> t -> step_callback -> unit
 (** The paper's [postStepFunction]: append a callback every rank runs
-    after each step's sweep, such as the BTE temperature update. *)
+    after each step's sweep, such as the BTE temperature update.  [io]
+    declares the fields it reads and writes; without it the callback is
+    taken to touch every variable. *)
+
+val post_io : t -> callback_io
+(** The post-step callbacks' contract: the union of their declarations
+    in registration order; every declared variable, read and written,
+    as soon as one callback was registered without [io]; nothing when no
+    callback is registered. *)
 
 (** {2 Equations} *)
 

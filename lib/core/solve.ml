@@ -45,7 +45,7 @@ let check_stepper (p : Problem.t) =
             (Config.stepper_name stepper) (Config.target_name target)))
 
 (* Every rank's state, the breakdowns it filled, and its GPU record. *)
-let run_ranks ?post_io (p : Problem.t) =
+let run_ranks (p : Problem.t) =
   let layout = Ranks.of_problem p in
   let cpu body =
     Array.map (fun (st, bs) -> st, bs, None) (Ranks.run layout body)
@@ -57,20 +57,20 @@ let run_ranks ?post_io (p : Problem.t) =
     cpu (Target_cpu.halo p ~plan)
   | Config.Cpu (Config.Threaded n | Config.Hybrid (_, n)), _, _ ->
     Prt.Pool.with_pool ~size:n (fun pool ->
-        cpu (Target_cpu.pooled ?post_io p ~pool))
+        cpu (Target_cpu.pooled p ~pool))
   | Config.Gpu { spec; _ }, _, Some tiling ->
     Array.map
       (fun (r : Target_gpu.result) ->
         r.Target_gpu.state, [ r.Target_gpu.breakdown ], Some r)
-      (Ranks.run layout (Target_gpu.run_rank ?post_io p ~spec ~tiling))
+      (Ranks.run layout (Target_gpu.run_rank p ~spec ~tiling))
   | (Config.Cpu (Config.Cell_parallel _) | Config.Gpu _ | Config.Auto), _, _ ->
     invalid_arg "Solve: the rank layout does not fit the target"
 
-let solve ?post_io (p : Problem.t) =
+let solve (p : Problem.t) =
   check_stepper p;
   let outcome =
     Prt.Trace.span ~cat:"solve" Prt.Trace.main "solve" (fun () ->
-        let ranks = run_ranks ?post_io p in
+        let ranks = run_ranks p in
         let states = Array.map (fun (st, _, _) -> st) ranks in
         let breakdown =
           Prt.Breakdown.sum_distinct

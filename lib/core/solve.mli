@@ -12,14 +12,14 @@ type outcome = {
   states : Lower.state array;  (** every rank's state, rank 0 first *)
 }
 
-val solve : ?post_io:Dataflow.callback_io -> Problem.t -> outcome
+val solve : Problem.t -> outcome
 (** Run the problem on its target and gather the outcome: {!Ranks} lays
     the target's ranks out over the problem, each runs its target's
     per-rank body ({!Target_cpu.direct}, {!Target_cpu.halo},
     {!Target_cpu.pooled} or {!Target_gpu.run_rank}), and rank 0 receives
-    every field and the summed breakdown.  [post_io] declares the
-    post-step callback's reads and writes to the GPU data-movement
-    planner and the fused-schedule legality check.  Raises
+    every field and the summed breakdown.  The GPU data-movement planner
+    and the fused-schedule legality check read the post-step callbacks'
+    declared I/O from the problem ({!Problem.post_io}).  Raises
     [Problem.Problem_error] naming the stepper and the target when a
     time stepper other than [Euler_explicit] meets a non-serial target
     (only the serial body runs multi-stage and point-implicit steps),

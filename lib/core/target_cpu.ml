@@ -8,14 +8,13 @@
    directly comparable, DOF for DOF, with the serial run.  All bodies
    advance the same lowered state machinery from [Lower]. *)
 
-(* The time loop every body shares: pre-step callbacks, [advance] (the
-   body's sweep of its DOFs), post-step callbacks (the BTE temperature
-   update, whose cross-band reduction goes through [allreduce]), then
-   the clock.  A lone rank's steps span on the main track. *)
+(* The time loop every body shares: [advance] (the body's sweep of its
+   DOFs), post-step callbacks (the BTE temperature update, whose
+   cross-band reduction goes through [allreduce]), then the clock.  A
+   lone rank's steps span on the main track. *)
 let time_loop (st : Lower.state) ~allreduce advance =
   let track = Ranks.track st.Lower.info in
   let step () =
-    Lower.run_pre_step st ~allreduce;
     advance ();
     Prt.Breakdown.timed ~track st.Lower.breakdown Prt.Breakdown.Temperature
       (fun () -> Lower.run_post_step st ~allreduce);
@@ -159,24 +158,23 @@ let pool_step pool (workers : Lower.state array) =
    - a [threads:N] target: hybrid ranks keep the classic schedule;
    - forward Euler only (the parity trick has no meaning for multi-stage
      schemes or the point-implicit solve's in-place reads);
-   - no pre-step callbacks (they expect the base clock between steps);
    - every expression boundary condition of the unknown is closed (no
      entity references): expression BCs compile against the unswapped
      storage at build time, so one referencing a variable would read the
      stale buffer in phase B.  Callback BCs resolve fields through the
      sweeping state and are parity-safe;
-   - post-step callbacks, if any, declare their I/O and no field they
-     write is read at the neighbouring cell by the surface term (within
-     a phase, one worker's post-step writes would race with another's
-     neighbour reads), nor is the unknown itself written.  Post-steps
-     run per worker restricted to its own cells — the step_ctx st_cells
-     contract already relied on by the cell-parallel body. *)
-let fused_schedule_ok ?post_io (p : Problem.t) =
+   - no field the post-step callbacks write ([Problem.post_io]) is read
+     at the neighbouring cell by the surface term (within a phase, one
+     worker's post-step writes would race with another's neighbour
+     reads), nor is the unknown itself written — which rules out any
+     callback registered without a declaration.  Post-steps run per
+     worker restricted to its own cells — the step_ctx st_cells contract
+     already relied on by the cell-parallel body. *)
+let fused_schedule_ok (p : Problem.t) =
   let module E = Finch_symbolic.Expr in
   match p.Problem.target, p.Problem.opt_level with
   | Config.Cpu (Config.Threaded _), Config.O2 ->
     p.Problem.stepper = Config.Euler_explicit
-    && p.Problem.pre_step = []
     &&
     let eq = Problem.the_equation p in
     let closed_bcs =
@@ -188,21 +186,14 @@ let fused_schedule_ok ?post_io (p : Problem.t) =
         (Problem.bcs_for p eq.Transform.eq_var)
     in
     let post_ok =
-      if p.Problem.post_step = [] then true
-      else
-        match post_io with
-        | None -> false (* opaque callbacks: keep the classic schedule *)
-        | Some (io : Dataflow.callback_io) ->
-          let neighbour_reads =
-            List.filter_map
-              (fun (name, _, side) ->
-                if side = E.Cell2 then Some name else None)
-              (E.refs eq.Transform.rvol @ E.refs eq.Transform.rsurf)
-          in
-          (not (List.mem eq.Transform.eq_var io.Dataflow.cb_writes))
-          && List.for_all
-               (fun w -> not (List.mem w neighbour_reads))
-               io.Dataflow.cb_writes
+      let writes = (Problem.post_io p).Problem.cb_writes in
+      let neighbour_reads =
+        List.filter_map
+          (fun (name, _, side) -> if side = E.Cell2 then Some name else None)
+          (E.refs eq.Transform.rvol @ E.refs eq.Transform.rsurf)
+      in
+      (not (List.mem eq.Transform.eq_var writes))
+      && List.for_all (fun w -> not (List.mem w neighbour_reads)) writes
     in
     closed_bcs && post_ok
   | _ -> false
@@ -281,13 +272,13 @@ let fused (p : Problem.t) ~pool (base : Lower.state) =
   end;
   base.Lower.breakdown :: (breakdowns workers @ breakdowns parity)
 
-(* A rank whose sweeps run on the pool: the rank state runs pre- and
+(* A rank whose sweeps run on the pool: the rank state runs the
    post-steps and owns the storage, its workers sweep cell blocks of it.
    Hybrid ranks are cooperative fibers, so their parallel regions take
    turns on the one shared pool. *)
-let pooled ?post_io (p : Problem.t) ~pool info ~allreduce =
+let pooled (p : Problem.t) ~pool info ~allreduce =
   let base = Lower.build ~info p in
-  if fused_schedule_ok ?post_io p then base, fused p ~pool base
+  if fused_schedule_ok p then base, fused p ~pool base
   else begin
     let workers = make_workers p ~base ~ndomains:(Prt.Pool.size pool) in
     time_loop base ~allreduce (fun () -> pool_step pool workers);

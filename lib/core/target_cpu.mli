@@ -7,7 +7,7 @@
     comparable DOF-for-DOF with the serial run — the double-buffered
     explicit scheme makes all of them produce identical results.  Each
     body builds its rank's state, takes the problem's [nsteps] steps
-    (pre-step callbacks, its sweep, post-step callbacks, clock) and
+    (its sweep, post-step callbacks, clock) and
     returns the state with every breakdown it filled.  A lone rank's
     steps span on the ["main"] trace track, several ranks' phases on
     ["spmd rank R"]. *)
@@ -32,26 +32,24 @@ val halo :
     and the sweep of the frontier — bit-identical either way. *)
 
 val pooled :
-  ?post_io:Dataflow.callback_io -> Problem.t -> pool:Prt.Pool.t ->
-  Lower.rankinfo -> allreduce:(float array -> unit) ->
-  Lower.state * Prt.Breakdown.t list
-(** Threads and hybrid ranks: the rank state runs the pre- and
-    post-steps, and each step's sweep runs on [pool] over blocks of
-    cells, one worker state per domain sharing the rank's storage.
-    Hybrid ranks are cooperative fibers, so their parallel regions take
-    turns on the one pool all ranks share.
+  Problem.t -> pool:Prt.Pool.t -> Lower.rankinfo ->
+  allreduce:(float array -> unit) -> Lower.state * Prt.Breakdown.t list
+(** Threads and hybrid ranks: the rank state runs the post-steps, and
+    each step's sweep runs on [pool] over blocks of cells, one worker
+    state per domain sharing the rank's storage.  Hybrid ranks are
+    cooperative fibers, so their parallel regions take turns on the one
+    pool all ranks share.
 
     When {!fused_schedule_ok} holds, two timesteps are fused into one
     pool region with a single internal barrier (the commit becomes a
     buffer-role swap), halving [pool.regions] and [pool.barrier_waits];
-    bit-identical to the classic schedule.  [post_io] declares the
-    post-step callbacks' reads/writes for the legality check — without
-    it, problems with post-steps keep the classic schedule. *)
+    bit-identical to the classic schedule. *)
 
-val fused_schedule_ok : ?post_io:Dataflow.callback_io -> Problem.t -> bool
+val fused_schedule_ok : Problem.t -> bool
 (** Whether the fused step-pair schedule is legal for this problem: a
-    [threads:N] target at [opt_level] O2, forward Euler, no pre-step
-    callbacks, every expression boundary condition of the unknown closed
-    (no entity references), and declared post-step writes neither the
-    unknown nor any field the surface term reads at the neighbouring
-    cell. *)
+    [threads:N] target at [opt_level] O2, forward Euler, every expression
+    boundary condition of the unknown closed (no entity references), and
+    the post-step writes ({!Problem.post_io}) neither the unknown nor
+    any field the surface term reads at the neighbouring cell.  A
+    callback registered without a declaration writes every variable, so
+    its problem keeps the classic schedule. *)

@@ -196,8 +196,8 @@ let every_step_h2d (plan : Dataflow.plan) =
    interior update on the device, so a plan that places it on the host
    uploads none of its inputs and the kernels would read stale device
    data. *)
-let device_plan ?post_io (p : Problem.t) =
-  let plan = Dataflow.plan_for_problem ?post_io p in
+let device_plan (p : Problem.t) =
+  let plan = Dataflow.plan_for_problem p in
   (match List.assoc_opt "interior_update" plan.Dataflow.placement with
    | Some Dataflow.Cpu_side ->
      raise
@@ -258,12 +258,12 @@ type slot = {
    flight until the next launch joins them.  Data effects are immediate
    in the simulator, so results are bit-identical; only the modelled
    timeline and the Communication accounting change. *)
-let run_rank ?post_io (p : Problem.t) ~spec ~(tiling : Fvm.Decomp2d.t)
+let run_rank (p : Problem.t) ~spec ~(tiling : Fvm.Decomp2d.t)
     (info : Lower.rankinfo) ~allreduce =
   let host = Lower.build ~info p in
   let mesh = host.Lower.mesh in
   let ncomp = Fvm.Field.ncomp host.Lower.u in
-  let plan = device_plan ?post_io p in
+  let plan = device_plan p in
   let devices = tiling.Fvm.Decomp2d.ndevices in
   let overlap = p.Problem.overlap in
   let clock = Gpu_sim.Stream.create_clock () in
@@ -378,7 +378,6 @@ let run_rank ?post_io (p : Problem.t) ~spec ~(tiling : Fvm.Decomp2d.t)
     in
     for step = 0 to p.Problem.nsteps - 1 do
       let parity = step mod nbuf in
-      Lower.run_pre_step host ~allreduce;
       (* 1. async kernel launches, ordered after the uploads still in
          flight on the copy streams; any residual upload time delays the
          launch and is charged as communication.  The kernels mutate the
@@ -451,7 +450,6 @@ let run_rank ?post_io (p : Problem.t) ~spec ~(tiling : Fvm.Decomp2d.t)
   end
   else
     for _ = 1 to p.Problem.nsteps do
-      Lower.run_pre_step host ~allreduce;
       (* 1. async kernel launches (tape caches invalidated as above) *)
       Array.iter
         (fun s ->

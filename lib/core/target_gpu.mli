@@ -24,7 +24,7 @@ type result = {
 }
 
 val run_rank :
-  ?post_io:Dataflow.callback_io -> Problem.t -> spec:Gpu_sim.Spec.t ->
+  Problem.t -> spec:Gpu_sim.Spec.t ->
   tiling:Fvm.Decomp2d.t -> Lower.rankinfo ->
   allreduce:(float array -> unit) -> result
 (** One rank of the problem's [Gpu { devices = G; ranks = R }] target, as
@@ -106,7 +106,7 @@ val sanitize_scan : Lower.state -> int array -> unit
     kernel that read a never-uploaded buffer shows up here.  Other
     components may legitimately hold poison on band-slice ranks. *)
 
-val device_plan : ?post_io:Dataflow.callback_io -> Problem.t -> Dataflow.plan
+val device_plan : Problem.t -> Dataflow.plan
 (** The problem's data-movement plan ({!Dataflow.plan_for_problem}).
     Raises {!Gpu_error} when the plan places [interior_update] on the
     host: the executors always launch the interior kernel on the device,

@@ -383,8 +383,8 @@ let optimize ?plan ?comm ?(live_out = []) ?(fuse_step_pairs = false) ~level
   end;
   { ir = !ir; stats = !stats; rejected = List.rev !rejected }
 
-let optimize_problem ?post_io (p : Problem.t) =
-  let ctx = A.Ctx.of_problem ?post_io p in
+let optimize_problem (p : Problem.t) =
+  let ctx = A.Ctx.of_problem p in
   let level = p.Problem.opt_level in
   let live_out =
     List.map (fun (v : Entity.variable) -> v.Entity.vname) p.Problem.variables
@@ -397,10 +397,10 @@ let optimize_problem ?post_io (p : Problem.t) =
   in
   match p.Problem.target with
   | Config.Cpu _ ->
-    let fuse_step_pairs = Target_cpu.fused_schedule_ok ?post_io p in
+    let fuse_step_pairs = Target_cpu.fused_schedule_ok p in
     optimize ?comm ~live_out ~fuse_step_pairs ~level ctx (Ir.build_cpu p)
   | Config.Gpu _ ->
-    let plan = Dataflow.plan_for_problem ?post_io p in
+    let plan = Dataflow.plan_for_problem p in
     (* start from the naive (unbatched, per-band) device program so the
        pipeline, not the builder, earns the batched shape *)
     let saved = p.Problem.opt_level in

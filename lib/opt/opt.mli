@@ -109,8 +109,7 @@ val optimize :
     false) enables {!fuse_steps} — the caller asserts the executor-side
     legality via [Target_cpu.fused_schedule_ok]. *)
 
-val optimize_problem :
-  ?post_io:Finch.Dataflow.callback_io -> Finch.Problem.t -> result
+val optimize_problem : Finch.Problem.t -> result
 (** Build the naive program for a configured problem (the O0 shape:
     CPU-strategy IR, or the per-band device IR with its data-movement
     plan) and run {!optimize} at the problem's [opt_level], with all

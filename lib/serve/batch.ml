@@ -48,6 +48,9 @@ let compatible (ps : Finch.Problem.t array) =
             Error "optimizer levels differ"
           else if p.Problem.eval_mode <> p0.Problem.eval_mode then
             Error "evaluator modes differ"
+          else if Problem.post_io p <> Problem.post_io p0 then
+            (* the first problem's data-movement plan serves the batch *)
+            Error "post-step callback I/O differs"
           else go (i + 1)
     in
     go 1
@@ -60,13 +63,13 @@ let compatible (ps : Finch.Problem.t array) =
    — runs once per request inside an [Index "request"] loop.  Linting
    this tree (instead of only the per-request program) is what lets the
    analysis gate vet the batching rewrite itself. *)
-let batched_ir ?post_io (ps : Finch.Problem.t array) =
+let batched_ir (ps : Finch.Problem.t array) =
   let open Finch in
   (match compatible ps with
    | Ok () -> ()
    | Error e -> invalid_arg ("Batch.batched_ir: " ^ e));
   let p0 = ps.(0) in
-  let plan = Dataflow.plan_for_problem ?post_io p0 in
+  let plan = Dataflow.plan_for_problem p0 in
   let solo = Ir.build_gpu p0 ~transfers:(Dataflow.ir_transfers plan) in
   let per_request n =
     Ir.Loop { range = Ir.Index "request"; body = [ n ]; parallel = false }
@@ -82,19 +85,19 @@ let batched_ir ?post_io (ps : Finch.Problem.t array) =
   in
   batchify solo
 
-let check ?post_io (ps : Finch.Problem.t array) =
+let check (ps : Finch.Problem.t array) =
   let open Finch in
   let p0 = ps.(0) in
-  let ctx = Finch_analysis.Ctx.of_problem ?post_io p0 in
-  let plan = Dataflow.plan_for_problem ?post_io p0 in
+  let ctx = Finch_analysis.Ctx.of_problem p0 in
+  let plan = Dataflow.plan_for_problem p0 in
   let comm =
     Option.map
       (fun pl -> Finch_analysis.Comm.Elaborate pl)
       (Finch_analysis.Comm.plan_of_problem p0)
   in
-  Finch_analysis.Driver.check_ir ~plan ?comm ctx (batched_ir ?post_io ps)
+  Finch_analysis.Driver.check_ir ~plan ?comm ctx (batched_ir ps)
 
-let run ?post_io (ps : Finch.Problem.t array) =
+let run (ps : Finch.Problem.t array) =
   let open Finch in
   (match compatible ps with
    | Ok () -> ()
@@ -118,7 +121,7 @@ let run ?post_io (ps : Finch.Problem.t array) =
         || Fvm.Field.ncomp h.Lower.u <> ncomp
       then invalid_arg "Batch.run: unknown shapes differ")
     hosts;
-  let plan = Target_gpu.device_plan ?post_io p0 in
+  let plan = Target_gpu.device_plan p0 in
   let dev = Gpu_sim.Memory.create_device spec in
   let clock = Gpu_sim.Stream.create_clock () in
   let stream = Gpu_sim.Stream.create dev in
@@ -160,7 +163,6 @@ let run ?post_io (ps : Finch.Problem.t array) =
   let kernel_time_seen = ref 0. in
   let every_step = Target_gpu.every_step_h2d plan in
   for _ = 1 to p0.Problem.nsteps do
-    Array.iter (fun host -> Lower.run_pre_step host ~allreduce) hosts;
     (* 1. one async batched launch per chunk, covering every request.
        The kernels mutate the device states' envs directly, so
        invalidate their tape caches first. *)

@@ -22,30 +22,23 @@
 val compatible : Finch.Problem.t array -> (unit, string) result
 (** Whether the problems may legally share batched launches: at least
     one, all single-device synchronous GPU with equal spec name, step
-    count, optimizer level, evaluator and unknown shape.  [Error]
-    explains the first violation. *)
+    count, optimizer level, evaluator, post-step callback I/O
+    ({!Finch.Problem.post_io}: the first problem's data-movement plan
+    serves the batch) and unknown shape.  [Error] explains the first
+    violation. *)
 
-val batched_ir :
-  ?post_io:Finch.Dataflow.callback_io ->
-  Finch.Problem.t array ->
-  Finch.Ir.node
+val batched_ir : Finch.Problem.t array -> Finch.Ir.node
 (** The IR image of the schedule {!run} executes: the shared solo GPU
     program with kernels kept as single batched launches and every
     host phase / transfer wrapped in a per-request [Index "request"]
     loop.  @raise Invalid_argument when {!compatible} fails. *)
 
-val check :
-  ?post_io:Finch.Dataflow.callback_io ->
-  Finch.Problem.t array ->
-  Finch_analysis.Driver.report
+val check : Finch.Problem.t array -> Finch_analysis.Driver.report
 (** Run the full static analysis (including the data-movement plan
     cross-check) over {!batched_ir}: the serve layer's gate on the
     batching rewrite itself, not only the per-request program.
     @raise Invalid_argument when {!compatible} fails. *)
 
-val run :
-  ?post_io:Finch.Dataflow.callback_io ->
-  Finch.Problem.t array ->
-  Finch.Solve.outcome array
+val run : Finch.Problem.t array -> Finch.Solve.outcome array
 (** Execute the batch; the outcome array is index-aligned with the
     input.  @raise Invalid_argument when {!compatible} fails. *)

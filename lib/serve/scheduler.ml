@@ -52,16 +52,15 @@ type t = {
   default_deadline_s : float option;
   use_cache : bool;
   batching : bool;
-  post_io : Finch.Dataflow.callback_io option;
   now : unit -> float;
   mutable queue : item list;  (* head first; bounded by max_queue *)
 }
 
 let create ?(max_queue = 64) ?(max_batch = 8) ?default_deadline_s
-    ?(use_cache = true) ?(batching = true) ?post_io
+    ?(use_cache = true) ?(batching = true) ?post_io:_
     ?(now = Unix.gettimeofday) () =
-  { max_queue; max_batch; default_deadline_s; use_cache; batching; post_io;
-    now; queue = [] }
+  { max_queue; max_batch; default_deadline_s; use_cache; batching; now;
+    queue = [] }
 
 let queue_depth t = List.length t.queue
 let set_depth t = Prt.Metrics.set g_queue_depth (float_of_int (queue_depth t))
@@ -116,16 +115,14 @@ let prep_of t (it : item) =
     Finch.set_scenario_cache t.use_cache;
     let r =
       try
-        match Finch_tune.Tune.resolve ?post_io:t.post_io it.it_ticket.tk_req with
+        match Finch_tune.Tune.resolve it.it_ticket.tk_req with
         | Error m ->
           Error (Finch.Solve_error.Invalid_request ("tuner: " ^ m))
         | Ok (req, _) ->
           it.it_req <- req;
           Result.map
             (fun prep ->
-              ( prep,
-                Finch_analysis.Driver.check_problem ?post_io:t.post_io
-                  prep.Finch.pr_problem ))
+              prep, Finch_analysis.Driver.check_problem prep.Finch.pr_problem)
             (Finch.prepare req)
       with e -> Error (Finch.Solve_error.Engine_failure (Printexc.to_string e))
     in
@@ -160,7 +157,7 @@ let solve_batched t (group : (item * Finch.prepared) list) =
   Prt.Metrics.observe h_batch_size (float_of_int (Array.length items));
   let before = Prt.Metrics.counter_values () in
   let t0 = t.now () in
-  match Batch.run ?post_io:t.post_io problems with
+  match Batch.run problems with
   | outcomes ->
     let t1 = t.now () in
     let delta = Finch.metrics_delta before (Prt.Metrics.counter_values ()) in
@@ -257,7 +254,7 @@ let round t =
                  (* gate the batching rewrite itself: lint the
                     request-batched IR, not only the per-request
                     program (which already passed above) *)
-                 let rep = Batch.check ?post_io:t.post_io problems in
+                 let rep = Batch.check problems in
                  Prt.Metrics.add m_batch_errors
                    rep.Finch_analysis.Driver.errors;
                  Prt.Metrics.add m_batch_warnings

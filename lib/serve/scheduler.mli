@@ -45,7 +45,7 @@ val create :
   ?default_deadline_s:float ->
   ?use_cache:bool ->
   ?batching:bool ->
-  ?post_io:Finch.Dataflow.callback_io ->
+  ?post_io:Finch.Problem.callback_io ->
   ?now:(unit -> float) ->
   unit ->
   t
@@ -56,7 +56,10 @@ val create :
     default true — off, every request builds its dispersion, quadrature
     and equilibrium tables cold, the unbatched baseline); [batching]
     enables batched GPU execution (default true); [now] injects a clock
-    for deadline tests (default [Unix.gettimeofday]). *)
+    for deadline tests (default [Unix.gettimeofday]).  [post_io] is
+    ignored: each problem carries its callbacks' I/O
+    ({!Finch.Problem.post_io}); the parameter stays only for existing
+    callers. *)
 
 val submit : t -> Finch.Solve_request.t -> ticket
 (** Enqueue a request.  A full queue or a failed

@@ -208,7 +208,7 @@ let predict_shape (shape : Bte.Perfmodel.shape) (p : Plan.t) =
   in
   Float.max 0. (base -. hidden) +. dispatch_overhead shape p
 
-let predict ?profile:_ (req : Finch.Solve_request.t) (p : Plan.t) =
+let predict (req : Finch.Solve_request.t) (p : Plan.t) =
   match predict_shape (shape_of_request req) p with
   | t -> t
   | exception Invalid_argument _ -> infinity
@@ -278,16 +278,14 @@ let score_all profile req =
 (* A failing plan is discarded — the tuner never edits a program.       *)
 (* ------------------------------------------------------------------ *)
 
-let gate ?post_io req (c : candidate) =
+let gate req (c : candidate) =
   match c.cd_verdict with
   | Unpredictable _ -> c
   | _ -> (
     match Finch.prepare (Plan.apply c.cd_plan req) with
     | Error e -> { c with cd_verdict = Rejected (Finch.Solve_error.to_string e) }
     | Ok prep -> (
-      match
-        Finch_analysis.Driver.check_problem ?post_io prep.Finch.pr_problem
-      with
+      match Finch_analysis.Driver.check_problem prep.Finch.pr_problem with
       | rep ->
         if rep.Finch_analysis.Driver.errors > 0 then
           { c with
@@ -385,11 +383,13 @@ let write_file path s =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc s)
 
+(* an entry that cannot be read (missing, unreadable, a directory) is a
+   miss, as a corrupt one is *)
 let disk_load key =
-  let path = entry_path key in
-  if not (Sys.file_exists path) then None
-  else
-    match Finch.Json.of_string (read_file path) with
+  match read_file (entry_path key) with
+  | exception (Sys_error _ | End_of_file) -> None
+  | text -> (
+    match Finch.Json.of_string text with
     | Error _ -> None
     | Ok j -> (
       match Finch.Json.member "plan" j with
@@ -403,10 +403,11 @@ let disk_load key =
             | Some v -> (match Finch.Json.to_num v with Ok f -> f | Error _ -> nan)
             | None -> nan
           in
-          Some (plan, predicted)))
+          Some (plan, predicted))))
 
+(* a decision that cannot be written is an error naming the directory:
+   the caller asked for a cache it does not get *)
 let disk_store ~key ~profile (plan : Plan.t) predicted =
-  mkdir_p (cache_dir ());
   let j =
     Finch.Json.Obj
       [
@@ -416,12 +417,24 @@ let disk_store ~key ~profile (plan : Plan.t) predicted =
         "profile", Finch.Json.Str (profile_digest profile);
       ]
   in
-  write_file (entry_path key) (Finch.Json.to_string ~indent:2 j ^ "\n")
+  let dir = cache_dir () in
+  let fail reason =
+    Error
+      (Printf.sprintf "tune: cannot write the decision cache in %s: %s" dir
+         reason)
+  in
+  match
+    mkdir_p dir;
+    write_file (entry_path key) (Finch.Json.to_string ~indent:2 j ^ "\n")
+  with
+  | () -> Ok ()
+  | exception Sys_error m -> fail m
+  | exception Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
 
 (* the problem's identity independent of any backend choice: the naive
    program text of a canonical serial preparation (value-independent:
    coefficients appear by name) plus the full grid shape *)
-let cache_key ?post_io:_ ?(measure_steps = 0) ~profile
+let cache_key ?(measure_steps = 0) ~profile
     (req : Finch.Solve_request.t) =
   let canonical = Plan.apply (Plan.make (Finch.Config.Cpu Finch.Config.Serial)) req in
   match Finch.prepare canonical with
@@ -449,7 +462,7 @@ let cache_key ?post_io:_ ?(measure_steps = 0) ~profile
 (* The planner.                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let choose ?post_io ~shortlist ~measure_steps ~measure_trials req scored =
+let choose ~shortlist ~measure_steps ~measure_trials req scored =
   (* walk the ranking, gating candidates until [shortlist] are legal or
      the table is exhausted; rejected candidates stay in the table with
      their verdicts for the explain output *)
@@ -459,7 +472,7 @@ let choose ?post_io ~shortlist ~measure_steps ~measure_trials req scored =
       (fun c ->
         if !legal >= shortlist then c
         else
-          let c = gate ?post_io req c in
+          let c = gate req c in
           (match c.cd_verdict with Legal -> incr legal | _ -> ());
           c)
       scored
@@ -496,11 +509,11 @@ let choose ?post_io ~shortlist ~measure_steps ~measure_trials req scored =
   in
   winner, refined
 
-let plan ?profile ?post_io ?(shortlist = 4) ?(measure_steps = 0)
+let plan ?profile ?(shortlist = 4) ?(measure_steps = 0)
     ?(measure_trials = 1) ?(force = false) (req : Finch.Solve_request.t) =
   let profile = match profile with Some p -> p | None -> detect_profile () in
   Prt.Trace.span ~cat:"tune" Prt.Trace.main "tune:plan" (fun () ->
-      match cache_key ?post_io ~measure_steps ~profile req with
+      match cache_key ~measure_steps ~profile req with
       | Error e -> Error e
       | Ok key -> (
         let cached =
@@ -524,8 +537,7 @@ let plan ?profile ?post_io ?(shortlist = 4) ?(measure_steps = 0)
           Prt.Metrics.incr m_misses;
           let scored = score_all profile req in
           let winner, table =
-            choose ?post_io ~shortlist ~measure_steps ~measure_trials req
-              scored
+            choose ~shortlist ~measure_steps ~measure_trials req scored
           in
           (match winner with
            | None -> Error "tune: no candidate plan survived the analysis gate"
@@ -536,22 +548,22 @@ let plan ?profile ?post_io ?(shortlist = 4) ?(measure_steps = 0)
               | Some (prev, _) when not (Plan.equal prev w.cd_plan) ->
                 Prt.Metrics.incr m_switches
               | _ -> ());
-             disk_store ~key ~profile w.cd_plan w.cd_predicted_s;
-             Hashtbl.replace memo key (w.cd_plan, w.cd_predicted_s);
-             Ok
-               { dc_plan = w.cd_plan;
-                 dc_predicted_s = w.cd_predicted_s;
-                 dc_measured_s = w.cd_measured_s;
-                 dc_candidates = table;
-                 dc_origin = Computed;
-                 dc_key = key })))
+             Result.map
+               (fun () ->
+                 Hashtbl.replace memo key (w.cd_plan, w.cd_predicted_s);
+                 { dc_plan = w.cd_plan;
+                   dc_predicted_s = w.cd_predicted_s;
+                   dc_measured_s = w.cd_measured_s;
+                   dc_candidates = table;
+                   dc_origin = Computed;
+                   dc_key = key })
+               (disk_store ~key ~profile w.cd_plan w.cd_predicted_s))))
 
-let resolve ?profile ?post_io ?shortlist ?measure_steps ?measure_trials ?force
+let resolve ?profile ?post_io:_ ?shortlist ?measure_steps ?measure_trials ?force
     (req : Finch.Solve_request.t) =
   match req.Finch.Solve_request.backend with
   | Finch.Config.Auto ->
     Result.map
       (fun d -> Plan.apply d.dc_plan req, Some d)
-      (plan ?profile ?post_io ?shortlist ?measure_steps ?measure_trials ?force
-         req)
+      (plan ?profile ?shortlist ?measure_steps ?measure_trials ?force req)
   | Finch.Config.Cpu _ | Finch.Config.Gpu _ -> Ok (req, None)

@@ -69,13 +69,12 @@ val candidates : ?profile:profile -> Finch.Solve_request.t -> Plan.t list
     and the problem shape admit, before scoring and the analysis
     gate. *)
 
-val predict : ?profile:profile -> Finch.Solve_request.t -> Plan.t -> float
+val predict : Finch.Solve_request.t -> Plan.t -> float
 (** Modelled runtime of one plan on the request's shape, seconds;
     [infinity] when the cost model refuses the decomposition. *)
 
 val plan :
   ?profile:profile ->
-  ?post_io:Finch.Dataflow.callback_io ->
   ?shortlist:int ->
   ?measure_steps:int ->
   ?measure_trials:int ->
@@ -93,11 +92,13 @@ val plan :
     deterministic model ranking.  [measure_steps = 0] (the default)
     trusts the model, which is fully deterministic.  [force] skips
     cache {e reads} (the winner is still written back).  [Error] when
-    the scenario is unknown or no candidate survives the gate. *)
+    the scenario is unknown, no candidate survives the gate, or the
+    winner cannot be written to the cache directory (the message names
+    the directory).  A cache entry that cannot be read is a miss. *)
 
 val resolve :
   ?profile:profile ->
-  ?post_io:Finch.Dataflow.callback_io ->
+  ?post_io:Finch.Problem.callback_io ->
   ?shortlist:int ->
   ?measure_steps:int ->
   ?measure_trials:int ->
@@ -106,10 +107,12 @@ val resolve :
   (Finch.Solve_request.t * decision option, string) result
 (** The entry-point helper: requests with a concrete backend pass
     through untouched ([None]); a [backend = Auto] request is planned
-    and returned with the winner applied ({!Plan.apply}). *)
+    and returned with the winner applied ({!Plan.apply}).  [post_io] is
+    ignored: the analysis gate reads each prepared problem's own callback
+    contract ({!Finch.Problem.post_io}); the parameter stays only for
+    existing callers. *)
 
 val cache_key :
-  ?post_io:Finch.Dataflow.callback_io ->
   ?measure_steps:int ->
   profile:profile ->
   Finch.Solve_request.t ->

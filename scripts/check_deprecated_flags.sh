@@ -4,7 +4,9 @@
 #   - malformed specs, including the removed legacy `hybrid:R:D`
 #     spelling, are rejected with exit code 2 and a grammar hint;
 #   - well-formed specs with more ranks than the problem holds are
-#     rejected with exit code 2 and the spec in the message.
+#     rejected with exit code 2 and the spec in the message;
+#   - `--backend auto` with a tuner cache directory that cannot be
+#     created exits 2 naming the directory.
 # Runs a 1-step 4x4 solve per case, so it is cheap enough for CI.
 set -eu
 cd "$(dirname "$0")/.."
@@ -79,6 +81,20 @@ else
 fi
 if $SIM request --json '{"nx":4}' >/dev/null 2>&1; then
   fail "request accepted JSON without a scenario"
+fi
+
+# backend auto with a decision cache that cannot be created: exit 2
+# naming the directory, not an uncaught exception
+code=0
+err=$($SIM run --nx 4 --ny 4 --dirs 4 --bands 2 --steps 2 --backend auto \
+        --tune-cache-dir /dev/null/x 2>&1 >/dev/null) || code=$?
+if [ "$code" -ne 2 ]; then
+  fail "unusable --tune-cache-dir exited $code, expected 2: $err"
+else
+  case "$err" in
+    *"/dev/null/x"*) : ;;
+    *) fail "unusable --tune-cache-dir: message does not name it: $err" ;;
+  esac
 fi
 
 if [ "$status" -eq 0 ]; then

@@ -75,7 +75,7 @@ let test_scenarios_lint_clean () =
               let p = built.Bte.Setup.problem in
               Finch.Problem.set_target p tgt;
               Finch.Problem.set_overlap p overlap;
-              let r = A.Driver.check_problem ~post_io:Bte.Setup.post_io p in
+              let r = A.Driver.check_problem p in
               if r.A.Driver.findings <> [] then begin
                 A.Driver.pp_report stdout r;
                 Alcotest.failf "%s %s%s: %d findings (expected none)" sname

@@ -79,7 +79,24 @@ let test_pool_executors_match_serial () =
       let dt = field_diff o1 o2 "T" in
       if dt > 0. then Alcotest.failf "%s: T diff %g" label dt)
     [ "threads 3", Finch.Config.Cpu (Finch.Config.Threaded 3);
-      "hybrid 2x2", Finch.Config.Cpu (Finch.Config.Hybrid (2, 2)) ]
+      "hybrid 2x2", Finch.Config.Cpu (Finch.Config.Hybrid (2, 2)) ];
+  (* a plain threads solve takes the fused step-pair schedule: the
+     temperature update's declared I/O travels with the problem, so no
+     caller has to hand it to the solve *)
+  let threads = Finch.Config.Cpu (Finch.Config.Threaded 3) in
+  let built = Bte.Setup.build tiny in
+  Finch.Problem.set_target built.Bte.Setup.problem threads;
+  check_bool "fused schedule legal" true
+    (Finch.Target_cpu.fused_schedule_ok built.Bte.Setup.problem);
+  let was = Prt.Metrics.enabled () in
+  Prt.Metrics.enable ();
+  let regions () = Prt.Metrics.value (Prt.Metrics.counter "pool.regions") in
+  let r0 = regions () in
+  Fun.protect
+    ~finally:(fun () -> if not was then Prt.Metrics.disable ())
+    (fun () -> ignore (solve_with threads));
+  Alcotest.(check int) "one pool region per step pair"
+    (tiny.Bte.Setup.nsteps / 2) (regions () - r0)
 
 (* The cold regime: the corner source at 100/150 K on a tiny mesh.  A
    converged Newton carries the last bit of the reduced absorbed power

@@ -15,7 +15,7 @@ let cache_root =
 
 let () =
   Finch_codegen.Codegen.set_cache_dir cache_root;
-  Finch_codegen.Codegen.install ~post_io:Bte.Setup.post_io ()
+  Finch_codegen.Codegen.install ()
 
 let tiny =
   {
@@ -52,7 +52,7 @@ let solve_at ?(corner = false) ~eval level target overlap =
   Finch.Problem.set_overlap p overlap;
   Finch.Problem.set_opt_level p level;
   Finch.Problem.set_eval_mode p eval;
-  Finch.Solve.solve ~post_io:Bte.Setup.post_io p
+  Finch.Solve.solve p
 
 let field_diff o1 o2 name =
   Fvm.Field.max_abs_diff (Finch.Solve.field o1 name) (Finch.Solve.field o2 name)
@@ -181,6 +181,39 @@ let test_sanitize_falls_back_and_stays_correct () =
   let d = field_diff oc on "I" in
   if d > 0. then Alcotest.failf "sanitized fallback: I diff %g" d
 
+(* Each program is gated under its own callback contract.  A non-BTE
+   program whose one post-step callback declares nothing must run
+   natively even with codegen installed the way the benchmark installs
+   it, handing over the BTE temperature update's contract: that contract
+   is not this program's. *)
+let decay_with_post_step eval =
+  let p = Finch.Problem.init "decay" in
+  Finch.Problem.domain p 2;
+  Finch.Problem.set_mesh p (Fvm.Mesh_gen.rectangle ~nx:6 ~ny:6 ~lx:1. ~ly:1. ());
+  Finch.Problem.set_steps p ~dt:1e-2 ~nsteps:4;
+  let u = Finch.Problem.variable p ~name:"u" () in
+  let _ = Finch.Problem.coefficient p ~name:"k" (Finch.Entity.Const 1.) in
+  Finch.Problem.initial p u (Finch.Problem.Init_const 1.);
+  let _ = Finch.Problem.conservation_form p u "-k*u" in
+  Finch.Problem.post_step_function p (fun ctx ->
+      let f = ctx.Finch.Problem.st_field "u" in
+      Fvm.Field.set f 0 0 (Fvm.Field.get f 0 0 *. 0.5));
+  Finch.Problem.set_eval_mode p eval;
+  p
+
+let test_gate_uses_the_problem_contract () =
+  Fun.protect ~finally:(fun () -> Finch_codegen.Codegen.install ())
+    (fun () ->
+      Finch_codegen.Codegen.install ~post_io:Bte.Setup.post_io ();
+      let native = Finch.Solve.solve (decay_with_post_step Finch.Config.Native) in
+      check_bool "native kernels bound" true
+        (native.Finch.Solve.states.(0).Finch.Lower.native <> None);
+      let closure =
+        Finch.Solve.solve (decay_with_post_step Finch.Config.Closure)
+      in
+      check_bool "native = closure" true
+        (Fvm.Field.max_abs_diff native.Finch.Solve.u closure.Finch.Solve.u = 0.))
+
 let suite =
   ( "codegen",
     [ Alcotest.test_case "cache hit and miss" `Quick test_cache_hit_and_miss;
@@ -193,4 +226,6 @@ let suite =
       Alcotest.test_case "native matches reference solver" `Quick
         test_native_matches_reference;
       Alcotest.test_case "sanitize falls back to interpreter" `Quick
-        test_sanitize_falls_back_and_stays_correct ] )
+        test_sanitize_falls_back_and_stays_correct;
+      Alcotest.test_case "each program gated under its own contract" `Quick
+        test_gate_uses_the_problem_contract ] )

@@ -56,7 +56,7 @@ let test_serial_strategy_nodes () =
        ir);
   (* a post-step callback node is present since one is registered *)
   check_int "post-step callback" 1
-    (count (function Finch.Ir.Callback { which = `Post; _ } -> true | _ -> false) ir)
+    (count (function Finch.Ir.Callback _ -> true | _ -> false) ir)
 
 let test_gpu_program_order () =
   let p = problem ~strategy:Finch.Config.Serial in
@@ -150,7 +150,7 @@ let test_reads_writes_per_constructor () =
          rsurf = E.ref_ ~side:E.Cell2 "u" []; note = m })
     [ "k"; "u" ] [ "u" ];
   rw "boundary_cpu" (Boundary_cpu { var = "u"; note = m }) [ "u" ] [ "u" ];
-  rw "callback (opaque)" (Callback { which = `Post; note = m }) [] [];
+  rw "callback (opaque)" (Callback { note = m }) [] [];
   rw "swap_buffers" (Swap_buffers "u") [ "u" ] [ "u" ];
   rw "halo_exchange"
     (Halo_exchange { vars = [ "u"; "v" ]; note = m })

@@ -48,8 +48,7 @@ let build_at ?(corner = false) level target overlap =
   p
 
 let solve_at ?corner level target overlap =
-  Finch.Solve.solve ~post_io:Bte.Setup.post_io
-    (build_at ?corner level target overlap)
+  Finch.Solve.solve (build_at ?corner level target overlap)
 
 let field_diff o1 o2 name =
   Fvm.Field.max_abs_diff (Finch.Solve.field o1 name) (Finch.Solve.field o2 name)
@@ -157,7 +156,7 @@ let test_safe_pair_fuses () =
 let test_opaque_body_does_not_fuse () =
   (* a callback's footprint is invisible to the IR, so loops carrying one
      are never fusion candidates *)
-  let opaque = [ Finch.Ir.Callback { which = `Post; note } ] in
+  let opaque = [ Finch.Ir.Callback { note } ] in
   check_bool "opaque body" false
     (Opt.can_fuse_cell_loops writes_u_buffered opaque)
 
@@ -204,10 +203,10 @@ let test_golden_optimized_gpu_listing () =
      builder, and the optimizer batching the O0 per-band program — must
      emit byte-identical CUDA *)
   let p = build_at Finch.Config.O2 gpu1 false in
-  let res = Opt.optimize_problem ~post_io:Bte.Setup.post_io p in
+  let res = Opt.optimize_problem p in
   check_bool "kernel launch loops were batched" true
     (res.Opt.stats.Opt.kernels_batched >= 1);
-  let plan = Finch.Dataflow.plan_for_problem ~post_io:Bte.Setup.post_io p in
+  let plan = Finch.Dataflow.plan_for_problem p in
   let built = Finch.Ir.build_gpu p ~transfers:(Finch.Dataflow.ir_transfers plan) in
   Alcotest.(check string)
     "optimized O0 program emits exactly the O2 builder's CUDA"
@@ -219,7 +218,7 @@ let test_fused_step_listing () =
   let p =
     build_at Finch.Config.O2 (Finch.Config.Cpu (Finch.Config.Threaded 4)) false
   in
-  let res = Opt.optimize_problem ~post_io:Bte.Setup.post_io p in
+  let res = Opt.optimize_problem p in
   check_int "one steps loop fused" 1 res.Opt.stats.Opt.steps_fused;
   let src = Finch.Emit_source.to_julia res.Opt.ir in
   let contains s sub =
@@ -234,10 +233,10 @@ let test_optimized_ir_clean_for_all_backends () =
   List.iter
     (fun (label, target, overlap) ->
       let p = build_at Finch.Config.O2 target overlap in
-      let res = Opt.optimize_problem ~post_io:Bte.Setup.post_io p in
+      let res = Opt.optimize_problem p in
       let r =
         Finch_analysis.Driver.check_ir
-          (Finch_analysis.Ctx.of_problem ~post_io:Bte.Setup.post_io p)
+          (Finch_analysis.Ctx.of_problem p)
           res.Opt.ir
       in
       if r.Finch_analysis.Driver.errors + r.Finch_analysis.Driver.warnings > 0
@@ -252,7 +251,7 @@ let test_unsafe_hoist_rejected_by_analyses () =
      the Movement pass (A020 stale-device / A023 plan mismatch), the
      pre-pass IR kept, and nothing hoisted *)
   let p = build_at Finch.Config.O2 gpu1 false in
-  let res = Opt.optimize_problem ~post_io:Bte.Setup.post_io p in
+  let res = Opt.optimize_problem p in
   check_int "no uploads hoisted" 0 res.Opt.stats.Opt.h2d_hoisted;
   match
     List.find_opt

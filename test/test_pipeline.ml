@@ -164,7 +164,7 @@ let test_dataflow_schedule () =
         t_pinned = Some Finch.Dataflow.Cpu_side; t_flops = 1e5 } ]
   in
   let plan =
-    Finch.Dataflow.optimize ~tasks ~vars:(mk_vars ()) ()
+    Finch.Dataflow.optimize ~tasks ~vars:(mk_vars ())
   in
   (* the big compute task must land on the GPU *)
   Alcotest.(check bool) "interior on gpu" true
@@ -187,7 +187,7 @@ let test_dataflow_all_cpu_when_tiny () =
         t_pinned = Some Finch.Dataflow.Cpu_side; t_flops = 10. } ]
   in
   let vars = [ { Finch.Dataflow.v_name = "I"; v_bytes = 1_000_000_000 } ] in
-  let plan = Finch.Dataflow.optimize ~tasks ~vars () in
+  let plan = Finch.Dataflow.optimize ~tasks ~vars in
   check_bool "tiny compute stays on cpu" true
     (List.assoc "interior" plan.Finch.Dataflow.placement = Finch.Dataflow.Cpu_side);
   check_int "then nothing moves" 0 plan.Finch.Dataflow.bytes_per_step
@@ -195,8 +195,7 @@ let test_dataflow_all_cpu_when_tiny () =
 let test_dataflow_bte_problem () =
   let built = Bte.Setup.build Bte.Setup.small_hotspot in
   let plan =
-    Finch.Dataflow.plan_for_problem ~post_io:Bte.Setup.post_io
-      built.Bte.Setup.problem
+    Finch.Dataflow.plan_for_problem built.Bte.Setup.problem
   in
   check_bool "interior on gpu" true
     (List.assoc "interior_update" plan.Finch.Dataflow.placement

@@ -208,6 +208,53 @@ let test_target_roundtrip () =
       "gpu:v100"; "gpu:a100:0"; "mpi:4"; "gpu:a6000:0x2"; "gpu:a6000:2x0";
       "gpu:a6000:2x"; "gpu:a6000:x2"; "gpu:a6000:2x2x2" ]
 
+(* The post-step contract: nothing without callbacks, the union of the
+   declarations, and every variable once any callback declares nothing —
+   the conservative path the planner, the analysis and the fused CPU
+   schedule then all take. *)
+let test_post_io_contract () =
+  let built =
+    Bte.Setup.build
+      { Bte.Setup.small_hotspot with
+        Bte.Setup.nx = 6; ny = 6; ndirs = 4; n_la_bands = 2; nsteps = 2 }
+  in
+  let p = built.Bte.Setup.problem in
+  Finch.Problem.set_target p (Finch.Config.Cpu (Finch.Config.Threaded 2));
+  Finch.Problem.set_opt_level p Finch.Config.O2;
+  let io = Finch.Problem.post_io in
+  let all = List.map (fun v -> v.Finch.Entity.vname) p.Finch.Problem.variables in
+  let strings = Alcotest.(list string) in
+  check_bool "declared: the temperature contract" true
+    (io p = Bte.Temperature.post_io);
+  check_bool "declared: fused schedule" true
+    (Finch.Target_cpu.fused_schedule_ok p);
+  let update = (List.hd p.Finch.Problem.post_step).Finch.Problem.pc_fn in
+  p.Finch.Problem.post_step <- [];
+  Alcotest.check strings "no callbacks: no reads" [] (io p).Finch.Problem.cb_reads;
+  Alcotest.check strings "no callbacks: no writes" [] (io p).Finch.Problem.cb_writes;
+  Finch.Problem.post_step_function p update;
+  Alcotest.check strings "undeclared: reads every variable" all
+    (io p).Finch.Problem.cb_reads;
+  Alcotest.check strings "undeclared: writes every variable" all
+    (io p).Finch.Problem.cb_writes;
+  check_bool "undeclared: classic schedule" false
+    (Finch.Target_cpu.fused_schedule_ok p);
+  Alcotest.check strings "undeclared: analysis sees every write" all
+    (Finch_analysis.Ctx.of_problem p).Finch_analysis.Ctx.cb_writes;
+  (* one undeclared callback among declared ones still means everything *)
+  Finch.Problem.post_step_function ~io:Bte.Temperature.post_io p update;
+  Alcotest.check strings "mixed: writes every variable" all
+    (io p).Finch.Problem.cb_writes;
+  (* declarations union in registration order *)
+  p.Finch.Problem.post_step <- [];
+  Finch.Problem.post_step_function p update
+    ~io:{ Finch.Problem.cb_reads = [ "I" ]; cb_writes = [ "T" ] };
+  Finch.Problem.post_step_function p update
+    ~io:{ Finch.Problem.cb_reads = [ "T"; "I" ]; cb_writes = [ "beta" ] };
+  Alcotest.check strings "union of reads" [ "I"; "T" ] (io p).Finch.Problem.cb_reads;
+  Alcotest.check strings "union of writes" [ "T"; "beta" ]
+    (io p).Finch.Problem.cb_writes
+
 let suite =
   ( "problem",
     [
@@ -230,4 +277,5 @@ let suite =
       Alcotest.test_case "entity validation" `Quick test_entity_validation;
       Alcotest.test_case "target names" `Quick test_target_names;
       Alcotest.test_case "backend spec round-trip" `Quick test_target_roundtrip;
+      Alcotest.test_case "post-step I/O contract" `Quick test_post_io_contract;
     ] )

@@ -136,8 +136,7 @@ let test_facade_matches_direct () =
   in
   let built = Bte.Setup.build sc in
   let direct =
-    Finch.Solve.solve ~post_io:Bte.Setup.post_io
-      built.Bte.Setup.problem
+    Finch.Solve.solve built.Bte.Setup.problem
   in
   check_string "solution name" "T" res.Finch.Solve_result.solution_name;
   Alcotest.(check (float 0.))
@@ -321,8 +320,7 @@ let test_batched_matches_solo () =
               in
               let solve_via ~batching ~use_cache =
                 let t =
-                  Finch_serve.Scheduler.create ~batching ~use_cache
-                    ~post_io:Bte.Setup.post_io ()
+                  Finch_serve.Scheduler.create ~batching ~use_cache ()
                 in
                 List.map
                   (function
@@ -356,7 +354,7 @@ let test_batched_matches_solo () =
 let test_batch_counters_gpu () =
   with_metrics (fun () ->
       let b0 = cval "serve.batches" and l0 = cval "serve.batched_launches" in
-      let t = Finch_serve.Scheduler.create ~post_io:Bte.Setup.post_io () in
+      let t = Finch_serve.Scheduler.create () in
       let outs =
         Finch_serve.Scheduler.run_all t
           [ tiny ~backend:gpu1 ~t_hot:350. ();
@@ -392,7 +390,7 @@ let test_batched_ir_lints_clean () =
                tiny ~backend:gpu1 ~t_hot:355. () ])
       in
       let ir =
-        Finch_serve.Batch.batched_ir ~post_io:Bte.Setup.post_io problems
+        Finch_serve.Batch.batched_ir problems
       in
       let count pred =
         Finch.Ir.fold (fun n node -> if pred node then n + 1 else n) 0 ir
@@ -412,13 +410,13 @@ let test_batched_ir_lints_clean () =
            | Finch.Ir.Loop { range = Finch.Ir.Index "request"; _ } -> true
            | _ -> false)
          > 0);
-      let rep = Finch_serve.Batch.check ~post_io:Bte.Setup.post_io problems in
+      let rep = Finch_serve.Batch.check problems in
       check_int "batched IR lints clean" 0
         (List.length rep.Finch_analysis.Driver.findings);
       (* and the scheduler therefore batches without falling back *)
       let f0 = cval "serve.batch_fallbacks"
       and e0 = cval "serve.batch_analysis_errors" in
-      let t = Finch_serve.Scheduler.create ~post_io:Bte.Setup.post_io () in
+      let t = Finch_serve.Scheduler.create () in
       let outs =
         Finch_serve.Scheduler.run_all t
           [ tiny ~backend:gpu1 ~t_hot:350. ();
@@ -432,6 +430,27 @@ let test_batched_ir_lints_clean () =
       check_int "no analysis errors on the batched IR" 0
         (cval "serve.batch_analysis_errors" - e0);
       check_int "no solo fallback" 0 (cval "serve.batch_fallbacks" - f0))
+
+(* one data-movement plan, the first problem's, serves a whole batch, so
+   problems whose post-step callbacks read or write different fields must
+   not share one *)
+let test_batch_rejects_differing_post_io () =
+  let prep req =
+    match Finch.prepare req with
+    | Ok p -> p.Finch.pr_problem
+    | Error e -> Alcotest.fail (Finch.Solve_error.to_string e)
+  in
+  let a = prep (tiny ~backend:gpu1 ~t_hot:350. ()) in
+  let b = prep (tiny ~backend:gpu1 ~t_hot:355. ()) in
+  check_bool "same contract batches" true
+    (Finch_serve.Batch.compatible [| a; b |] = Ok ());
+  let update = (List.hd b.Finch.Problem.post_step).Finch.Problem.pc_fn in
+  b.Finch.Problem.post_step <- [];
+  Finch.Problem.post_step_function b update;
+  match Finch_serve.Batch.compatible [| a; b |] with
+  | Ok () -> Alcotest.fail "differing post-step I/O must not batch"
+  | Error m ->
+    check_bool "names the callback I/O" true (Tutil.contains m "post-step")
 
 let suite =
   ( "serve",
@@ -465,4 +484,6 @@ let suite =
       Alcotest.test_case "gpu batch counters" `Quick test_batch_counters_gpu;
       Alcotest.test_case "batched IR lints clean" `Quick
         test_batched_ir_lints_clean;
+      Alcotest.test_case "differing post-step I/O never batches" `Quick
+        test_batch_rejects_differing_post_io;
     ] )

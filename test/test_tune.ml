@@ -236,6 +236,46 @@ let test_cache_hits () =
           (d4.Finch_tune.Tune.dc_key <> d1.Finch_tune.Tune.dc_key)
       | Error m -> Alcotest.fail m)
 
+(* a cache that cannot be used is a value, never an exception: an entry
+   path that cannot be read is a miss, and a decision that cannot be
+   written is an [Error] naming the directory *)
+let test_cache_failures_are_values () =
+  let resolve dir =
+    Finch_tune.Tune.set_cache_dir dir;
+    Finch_tune.Tune.clear_memo ();
+    match Finch_tune.Tune.resolve ~profile (tiny ()) with
+    | r -> r
+    | exception e ->
+      Alcotest.failf "resolve raised %s" (Printexc.to_string e)
+  in
+  let expect_error label dir =
+    match resolve dir with
+    | Ok _ -> Alcotest.failf "%s: expected an error" label
+    | Error m ->
+      check_bool (label ^ ": names the directory") true (Tutil.contains m dir)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Finch_tune.Tune.set_cache_dir (fresh_cache_dir "finch_tune_cache"))
+    (fun () ->
+      (* the cache directory cannot be created: its parent is a file *)
+      let file = Filename.temp_file "finch_tune_file" "" in
+      expect_error "unwritable directory" (Filename.concat file "x");
+      Sys.remove file;
+      (* a directory sits where the decision's entry belongs *)
+      let dir = fresh_cache_dir "finch_tune_blocked" in
+      let key =
+        match Finch_tune.Tune.cache_key ~profile (tiny ()) with
+        | Ok k -> k
+        | Error m -> Alcotest.fail m
+      in
+      Sys.mkdir dir 0o755;
+      let entry = Filename.concat dir ("tune_" ^ key ^ ".json") in
+      Sys.mkdir entry 0o755;
+      expect_error "directory at the entry path" dir;
+      Sys.rmdir entry;
+      Sys.rmdir dir)
+
 (* the machine profile is part of the key: a decision tuned on one host
    never leaks onto a differently-shaped one *)
 let test_cache_key_profile () =
@@ -261,7 +301,7 @@ let test_compile_separation () =
         (* earlier suites may have compiled this program: drop the
            in-process memo so the first solve is genuinely cold *)
         Finch_codegen.Codegen.clear_memo ();
-        Finch_codegen.Codegen.install ~post_io:Bte.Setup.post_io ();
+        Finch_codegen.Codegen.install ();
         let req =
           { (tiny ~backend:(Finch.Config.Cpu Finch.Config.Serial) ()) with
             Finch.Solve_request.eval_mode = Finch.Config.Native }
@@ -292,5 +332,7 @@ let suite =
       Alcotest.test_case "resolve passthrough" `Quick test_resolve_passthrough;
       Alcotest.test_case "decision cache levels" `Quick test_cache_hits;
       Alcotest.test_case "profile keys the cache" `Quick test_cache_key_profile;
+      Alcotest.test_case "cache failures are values" `Quick
+        test_cache_failures_are_values;
       Alcotest.test_case "compile cost separated" `Quick test_compile_separation;
     ] )
