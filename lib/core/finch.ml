@@ -43,7 +43,13 @@ type prepared = {
 let scenario_registry : (string, Solve_request.t -> prepared) Hashtbl.t =
   Hashtbl.create 8
 
-let register_scenario name build = Hashtbl.replace scenario_registry name build
+(* the [program_digest] memo: a registration may change any name's
+   program, so it drops every entry *)
+let program_digests : (string, string) Hashtbl.t = Hashtbl.create 16
+
+let register_scenario name build =
+  Hashtbl.reset program_digests;
+  Hashtbl.replace scenario_registry name build
 
 let scenario_names () =
   Hashtbl.fold (fun k _ acc -> k :: acc) scenario_registry []
@@ -121,6 +127,47 @@ let prepare (req : Solve_request.t) : (prepared, Solve_error.t) result =
            | Error m -> Error (Solve_error.Invalid_request m))
         | exception e ->
           Error (Solve_error.Engine_failure (Printexc.to_string e))))
+
+(* ------------------------------------------------------------------ *)
+(* program digests                                                    *)
+
+(** Most requests {!program_digest} remembers; the entry past it drops
+    them all. *)
+let program_digest_cap = 64
+
+(* the tuner's decision key is the only caller, hence the name *)
+let m_key_builds = Prt.Metrics.counter "tune.key_builds"
+
+(** Forget every memoized {!program_digest}. *)
+let clear_program_digests () = Hashtbl.reset program_digests
+
+(** Hex digest of the naive program text of [req]'s preparation
+    ([Emit_source.to_julia (Ir.build_cpu problem)]; value-independent,
+    coefficients appear by name).  Memoized on the request's wire form
+    with [label] and [deadline_s] cleared (the wire form prints floats
+    exactly, so equal keys are equal requests): the request is prepared, and
+    [tune.key_builds] counted, only on first sight.  An [Error] is never
+    memoized. *)
+let program_digest (req : Solve_request.t) : (string, Solve_error.t) result =
+  let key =
+    Solve_request.to_string
+      { req with Solve_request.label = None; deadline_s = None }
+  in
+  match Hashtbl.find_opt program_digests key with
+  | Some d -> Ok d
+  | None ->
+    Result.map
+      (fun prep ->
+        let d =
+          Digest.to_hex
+            (Digest.string (Emit_source.to_julia (Ir.build_cpu prep.pr_problem)))
+        in
+        Prt.Metrics.incr m_key_builds;
+        if Hashtbl.length program_digests >= program_digest_cap then
+          clear_program_digests ();
+        Hashtbl.replace program_digests key d;
+        d)
+      (prepare req)
 
 (* ------------------------------------------------------------------ *)
 (* request execution                                                  *)

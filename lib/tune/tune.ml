@@ -369,7 +369,10 @@ let rec mkdir_p d =
   end
 
 let memo : (string, Plan.t * float) Hashtbl.t = Hashtbl.create 8
-let clear_memo () = Hashtbl.reset memo
+
+let clear_memo () =
+  Hashtbl.reset memo;
+  Finch.clear_program_digests ()
 
 let entry_path key = Filename.concat (cache_dir ()) ("tune_" ^ key ^ ".json")
 
@@ -433,14 +436,14 @@ let disk_store ~key ~profile (plan : Plan.t) predicted =
 
 (* the problem's identity independent of any backend choice: the naive
    program text of a canonical serial preparation (value-independent:
-   coefficients appear by name) plus the full grid shape *)
+   coefficients appear by name; memoized by [Finch.program_digest]) plus
+   the full grid shape *)
 let cache_key ?(measure_steps = 0) ~profile
     (req : Finch.Solve_request.t) =
   let canonical = Plan.apply (Plan.make (Finch.Config.Cpu Finch.Config.Serial)) req in
-  match Finch.prepare canonical with
+  match Finch.program_digest canonical with
   | Error e -> Error (Finch.Solve_error.to_string e)
-  | Ok prep ->
-    let src = Finch.Emit_source.to_julia (Finch.Ir.build_cpu prep.Finch.pr_problem) in
+  | Ok program ->
     let dims =
       Printf.sprintf "%s|%dx%d|d%d|b%d|s%d" req.Finch.Solve_request.scenario
         req.Finch.Solve_request.nx req.Finch.Solve_request.ny
@@ -455,8 +458,7 @@ let cache_key ?(measure_steps = 0) ~profile
       (Digest.to_hex
          (Digest.string
             (String.concat "|"
-               [ Digest.to_hex (Digest.string src); dims;
-                 profile_digest profile; mode ])))
+               [ program; dims; profile_digest profile; mode ])))
 
 (* ------------------------------------------------------------------ *)
 (* The planner.                                                        *)
@@ -513,7 +515,10 @@ let plan ?profile ?(shortlist = 4) ?(measure_steps = 0)
     ?(measure_trials = 1) ?(force = false) (req : Finch.Solve_request.t) =
   let profile = match profile with Some p -> p | None -> detect_profile () in
   Prt.Trace.span ~cat:"tune" Prt.Trace.main "tune:plan" (fun () ->
-      match cache_key ~measure_steps ~profile req with
+      match
+        Prt.Trace.span ~cat:"tune" Prt.Trace.main "tune:key" (fun () ->
+            cache_key ~measure_steps ~profile req)
+      with
       | Error e -> Error e
       | Ok key -> (
         let cached =

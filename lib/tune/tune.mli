@@ -15,8 +15,9 @@
     [(program digest, grid shape, machine profile, refinement mode)].
 
     Observability: [tune.candidates_scored], [tune.measured_trials],
-    [tune.cache_hits], [tune.cache_misses] and [tune.plan_switches]
-    counters, plus a [tune:plan] span on the main trace track. *)
+    [tune.cache_hits], [tune.cache_misses], [tune.plan_switches] and
+    [tune.key_builds] counters, plus a [tune:plan] span on the main trace
+    track with a [tune:key] span nested in it. *)
 
 type profile = {
   cores : int;       (** pool domains available to CPU plans *)
@@ -120,7 +121,13 @@ val cache_key :
 (** The decision cache key: digest of the value-independent program
     text (emitted from a canonical serial preparation, so all backends
     share it), the grid shape, the machine profile and the refinement
-    mode.  Exposed for tests and cache tooling. *)
+    mode.  The program digest comes from {!Finch.program_digest}, which
+    prepares a request (one [tune.key_builds]) only the first time it
+    sees it, ignoring [label] and [deadline_s]: a repeated key is a hash
+    lookup, and every key equals the one a fresh preparation gives.  At
+    most [Finch.program_digest_cap] requests are remembered;
+    [Finch.register_scenario] and {!clear_memo} forget them.  Exposed for
+    tests and cache tooling. *)
 
 val set_cache_dir : string -> unit
 (** Override the on-disk decision cache directory (highest precedence,
@@ -131,5 +138,6 @@ val cache_dir : unit -> string
 (** The directory decisions are persisted under. *)
 
 val clear_memo : unit -> unit
-(** Drop the in-process decision memo (the disk level is untouched);
-    for tests that assert cold-vs-warm behaviour. *)
+(** Drop the in-process decision memo and the program digests behind
+    {!cache_key} (the disk level is untouched); for tests that assert
+    cold-vs-warm behaviour. *)

@@ -6,7 +6,9 @@
 #   - well-formed specs with more ranks than the problem holds are
 #     rejected with exit code 2 and the spec in the message;
 #   - `--backend auto` with a tuner cache directory that cannot be
-#     created exits 2 naming the directory.
+#     created exits 2 naming the directory;
+#   - the tuner's decision key is stable across processes: a second
+#     `--backend auto` run hits the decision the first one wrote.
 # Runs a 1-step 4x4 solve per case, so it is cheap enough for CI.
 set -eu
 cd "$(dirname "$0")/.."
@@ -96,6 +98,24 @@ else
     *) fail "unusable --tune-cache-dir: message does not name it: $err" ;;
   esac
 fi
+
+# backend auto twice against one fresh decision cache: the first run
+# computes and writes the decision, the second (a new process, so a new
+# in-process memo) finds it on disk under the same key
+TUNE_DIR=$(mktemp -d)
+AUTO="$SIM run --nx 4 --ny 4 --dirs 2 --bands 2 --steps 2 --backend auto \
+  --metrics --tune-cache-dir $TUNE_DIR"
+counter() { printf '%s\n' "$1" | awk -v name="$2" '$1 == name { print $3 }'; }
+first=$($AUTO 2>&1) || fail "first --backend auto run exited nonzero"
+second=$($AUTO 2>&1) || fail "second --backend auto run exited nonzero"
+if [ "$(counter "$first" tune.cache_misses)" != 1 ]; then
+  fail "first --backend auto run: tune.cache_misses is not 1"
+fi
+if [ "$(counter "$second" tune.cache_hits)" != 1 ] \
+   || [ "$(counter "$second" tune.cache_misses)" != 0 ]; then
+  fail "second --backend auto run did not hit the first run's decision"
+fi
+rm -rf "$TUNE_DIR"
 
 if [ "$status" -eq 0 ]; then
   echo "check_deprecated_flags: OK"

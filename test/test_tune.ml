@@ -40,24 +40,23 @@ let fresh_cache_dir prefix =
 
 (* ---------- backend spec grammar (property) ---------- *)
 
-let arb_target =
+let gen_target =
   let open QCheck.Gen in
-  let gen =
-    let small = 1 -- 9 in
-    oneof
-      [ return Finch.Config.Auto;
-        return (Finch.Config.Cpu Finch.Config.Serial);
-        map (fun n -> Finch.Config.Cpu (Finch.Config.Threaded n)) small;
-        map (fun n -> Finch.Config.Cpu (Finch.Config.Band_parallel n)) small;
-        map (fun n -> Finch.Config.Cpu (Finch.Config.Cell_parallel n)) small;
-        map2
-          (fun r d -> Finch.Config.Cpu (Finch.Config.Hybrid (r, d)))
-          small small;
-        (let* spec = oneofl [ Gpu_sim.Spec.a6000; Gpu_sim.Spec.a100 ] in
-         let* devices = small and* ranks = small in
-         return (Finch.Config.Gpu { spec; devices; ranks })) ]
-  in
-  QCheck.make ~print:Finch.Config.target_name gen
+  let small = 1 -- 9 in
+  oneof
+    [ return Finch.Config.Auto;
+      return (Finch.Config.Cpu Finch.Config.Serial);
+      map (fun n -> Finch.Config.Cpu (Finch.Config.Threaded n)) small;
+      map (fun n -> Finch.Config.Cpu (Finch.Config.Band_parallel n)) small;
+      map (fun n -> Finch.Config.Cpu (Finch.Config.Cell_parallel n)) small;
+      map2
+        (fun r d -> Finch.Config.Cpu (Finch.Config.Hybrid (r, d)))
+        small small;
+      (let* spec = oneofl [ Gpu_sim.Spec.a6000; Gpu_sim.Spec.a100 ] in
+       let* devices = small and* ranks = small in
+       return (Finch.Config.Gpu { spec; devices; ranks })) ]
+
+let arb_target = QCheck.make ~print:Finch.Config.target_name gen_target
 
 let prop_target_round_trip =
   QCheck.Test.make ~name:"target_name / target_of_string round-trip"
@@ -289,6 +288,261 @@ let test_cache_key_profile () =
     (key profile <> key { profile with Finch_tune.Tune.cores = 8 });
   check_string "key is stable" (key profile) (key profile)
 
+(* ---------- the decision key: memoized, byte-identical (property) ---- *)
+
+let key ?measure_steps ?(profile = profile) req =
+  match Finch_tune.Tune.cache_key ?measure_steps ~profile req with
+  | Ok k -> k
+  | Error m -> Alcotest.fail m
+
+(* the key as computed before the program digest was memoized: a fresh
+   canonical serial preparation on every call *)
+let formula_key ?(measure_steps = 0) ~profile (req : Finch.Solve_request.t) =
+  let canonical =
+    Finch_tune.Plan.apply
+      (Finch_tune.Plan.make (Finch.Config.Cpu Finch.Config.Serial))
+      req
+  in
+  match Finch.prepare canonical with
+  | Error e -> Alcotest.fail (Finch.Solve_error.to_string e)
+  | Ok prep ->
+    let src =
+      Finch.Emit_source.to_julia (Finch.Ir.build_cpu prep.Finch.pr_problem)
+    in
+    let dims =
+      Printf.sprintf "%s|%dx%d|d%d|b%d|s%d" req.Finch.Solve_request.scenario
+        req.Finch.Solve_request.nx req.Finch.Solve_request.ny
+        req.Finch.Solve_request.ndirs req.Finch.Solve_request.nbands
+        req.Finch.Solve_request.nsteps
+    in
+    let mode =
+      if measure_steps > 0 then Printf.sprintf "measured:%d" measure_steps
+      else "model"
+    in
+    Digest.to_hex
+      (Digest.string
+         (String.concat "|"
+            [ Digest.to_hex (Digest.string src); dims;
+              Finch_tune.Tune.profile_digest profile; mode ]))
+
+let gen_shape =
+  let open QCheck.Gen in
+  let* scenario = oneofl [ "hotspot"; "corner" ] in
+  let* nx = 2 -- 8 and* ny = 2 -- 8 and* ndirs = oneofl [ 2; 4; 8 ]
+  and* nbands = 1 -- 3 and* nsteps = 1 -- 4 in
+  return (Finch.Solve_request.make ~nx ~ny ~ndirs ~nbands ~nsteps scenario)
+
+(* [shape] with random values in every field the key must ignore *)
+let gen_free (shape : Finch.Solve_request.t) =
+  let open QCheck.Gen in
+  let* t_hot = opt (float_range 150. 400.)
+  and* t_cold = opt (float_range 80. 300.)
+  and* backend = gen_target
+  and* opt_level = oneofl [ Finch.Config.O0; Finch.Config.O2 ]
+  and* eval_mode =
+    oneofl [ Finch.Config.Closure; Finch.Config.Tape; Finch.Config.Native ]
+  and* overlap = bool
+  and* label = opt (string_size ~gen:printable (0 -- 6))
+  and* deadline_s = opt (float_range 0. 10.) in
+  return
+    { shape with
+      Finch.Solve_request.t_hot; t_cold; backend; opt_level; eval_mode;
+      overlap; label; deadline_s }
+
+(* [r] with exactly one field the key depends on changed *)
+let gen_reshaped (r : Finch.Solve_request.t) =
+  let open QCheck.Gen in
+  let* d = 0 -- 5 in
+  (* a different value of [v] among the [n] values from [lo] *)
+  let shift lo n v = lo + ((v - lo + 1 + (d mod (n - 1))) mod n) in
+  let dirs = [| 2; 4; 8 |] in
+  let dir_index =
+    match r.Finch.Solve_request.ndirs with 2 -> 0 | 4 -> 1 | _ -> 2
+  in
+  oneofl
+    [ { r with
+        Finch.Solve_request.scenario =
+          (if r.Finch.Solve_request.scenario = "hotspot" then "corner"
+           else "hotspot") };
+      { r with Finch.Solve_request.nx = shift 2 7 r.Finch.Solve_request.nx };
+      { r with Finch.Solve_request.ny = shift 2 7 r.Finch.Solve_request.ny };
+      { r with Finch.Solve_request.ndirs = dirs.(shift 0 3 dir_index) };
+      { r with
+        Finch.Solve_request.nbands = shift 1 3 r.Finch.Solve_request.nbands };
+      { r with
+        Finch.Solve_request.nsteps = shift 1 4 r.Finch.Solve_request.nsteps } ]
+
+let arb_key_case =
+  let gen =
+    let open QCheck.Gen in
+    let* shape = gen_shape in
+    let* a = gen_free shape and* b = gen_free shape in
+    let* reshaped = gen_reshaped a in
+    return (a, b, reshaped)
+  in
+  QCheck.make
+    ~print:(fun (a, b, c) ->
+      String.concat "\n" (List.map Finch.Solve_request.to_string [ a; b; c ]))
+    gen
+
+let prop_keys_preserved =
+  QCheck.Test.make ~name:"memoized decision keys equal the formula"
+    ~count:25 arb_key_case (fun (a, b, reshaped) ->
+      let expect what ok = ok || QCheck.Test.fail_reportf "%s" what in
+      Finch_tune.Tune.clear_memo ();
+      let cold = key a in
+      let warm = key a in
+      let expected = formula_key ~profile a in
+      expect "cold key = formula" (cold = expected)
+      && expect "warm key = formula" (warm = expected)
+      && expect "plan fields, label, deadline and temperatures share a key"
+           (key b = cold)
+      && expect "a different shape never shares a key" (key reshaped <> cold)
+      && expect "a different profile never shares a key"
+           (key ~profile:{ profile with Finch_tune.Tune.cores = 8 } a <> cold)
+      && expect "a different refinement mode never shares a key"
+           (key ~measure_steps:2 a <> cold))
+
+(* ---------- the program digest memo ---------- *)
+
+let probe_req ?t_hot scenario =
+  Finch.Solve_request.make ~nx:4 ~ny:4 ~ndirs:2 ~nbands:1 ~nsteps:1 ?t_hot
+    ~backend:Finch.Config.Auto scenario
+
+(* run [f] with [name] registered to [build]; the name is gone after *)
+let with_scenario name build f =
+  Finch.register_scenario name build;
+  Fun.protect ~finally:(fun () -> Hashtbl.remove Finch.scenario_registry name) f
+
+let test_warm_resolve_builds_nothing () =
+  (* hotspot's builder, counting its calls *)
+  let hotspot = Hashtbl.find Finch.scenario_registry "hotspot" in
+  let calls = ref 0 in
+  with_scenario "probe-keys" (fun req -> incr calls; hotspot req) @@ fun () ->
+  with_metrics @@ fun () ->
+  Finch_tune.Tune.set_cache_dir (fresh_cache_dir "finch_tune_keys");
+  Finch_tune.Tune.clear_memo ();
+  let resolve req =
+    let b0 = !calls and k0 = cval "tune.key_builds" in
+    match Finch_tune.Tune.resolve ~profile req with
+    | Ok (_, Some d) -> d, !calls - b0, cval "tune.key_builds" - k0
+    | Ok (_, None) -> Alcotest.fail "an auto request must be planned"
+    | Error m -> Alcotest.fail m
+  in
+  let req = probe_req "probe-keys" in
+  let _, builds, keys = resolve req in
+  check_int "cold: one key build" 1 keys;
+  check_bool "cold: the gate prepares candidates too" true (builds > 1);
+  let d, builds, keys = resolve req in
+  check_bool "warm: memo hit" true
+    (d.Finch_tune.Tune.dc_origin = Finch_tune.Tune.Memory_hit);
+  check_int "warm: no scenario build" 0 builds;
+  check_int "warm: no key build" 0 keys;
+  let d, builds, keys =
+    resolve { req with Finch.Solve_request.t_hot = Some 360. }
+  in
+  check_bool "new t_hot: still a memo hit" true
+    (d.Finch_tune.Tune.dc_origin = Finch_tune.Tune.Memory_hit);
+  check_int "new t_hot: one scenario build" 1 builds;
+  check_int "new t_hot: one key build" 1 keys;
+  (* the key's span nests in the plan's *)
+  Prt.Trace.clear ();
+  Prt.Trace.enable ();
+  let events =
+    Fun.protect
+      ~finally:(fun () -> Prt.Trace.disable (); Prt.Trace.clear ())
+      (fun () -> ignore (resolve req); Prt.Trace.events ())
+  in
+  let span name =
+    match
+      List.find_opt
+        (fun (e : Prt.Trace.event) -> e.Prt.Trace.ev_name = name)
+        events
+    with
+    | Some e -> e
+    | None -> Alcotest.failf "no %s span" name
+  in
+  let p = span "tune:plan" and k = span "tune:key" in
+  check_bool "tune:key inside tune:plan" true
+    (k.Prt.Trace.ev_ts >= p.Prt.Trace.ev_ts
+     && k.Prt.Trace.ev_ts +. k.Prt.Trace.ev_dur
+        <= p.Prt.Trace.ev_ts +. p.Prt.Trace.ev_dur)
+
+let test_key_errors_not_memoized () =
+  let error req =
+    match Finch_tune.Tune.resolve ~profile req with
+    | Error m -> m
+    | Ok _ -> Alcotest.fail "expected an error"
+  in
+  List.iter
+    (fun (what, req) -> check_string what (error req) (error req))
+    [ "unknown scenario", probe_req "no-such-scenario";
+      "nx = 0", { (probe_req "hotspot") with Finch.Solve_request.nx = 0 } ];
+  (* a build that failed is retried on the next call, never remembered *)
+  let hotspot = Hashtbl.find Finch.scenario_registry "hotspot" in
+  let attempts = ref 0 and failing = ref true in
+  with_scenario "probe-flaky"
+    (fun req ->
+      incr attempts;
+      if !failing then failwith "probe build failed" else hotspot req)
+  @@ fun () ->
+  let req = probe_req "probe-flaky" in
+  (match
+     Finch_tune.Tune.cache_key ~profile req,
+     Finch_tune.Tune.cache_key ~profile req
+   with
+   | Error a, Error b -> check_string "same error twice" a b
+   | _ -> Alcotest.fail "a failing build must be an Error");
+  check_int "each failing call builds again" 2 !attempts;
+  failing := false;
+  check_string "recovers once the build succeeds" (formula_key ~profile req)
+    (key req)
+
+let test_key_memo_cap () =
+  with_metrics @@ fun () ->
+  Finch_tune.Tune.clear_memo ();
+  let cap = Finch.program_digest_cap in
+  let key_builds f =
+    let k0 = cval "tune.key_builds" in
+    f ();
+    cval "tune.key_builds" - k0
+  in
+  let touch i = ignore (key (probe_req ~t_hot:(300. +. float_of_int i) "hotspot")) in
+  let touch_range n = for i = 0 to n - 1 do touch i done in
+  check_int "cap requests: one build each" cap
+    (key_builds (fun () -> touch_range cap));
+  check_int "all memoized at the cap" 0
+    (key_builds (fun () -> touch_range cap));
+  check_int "one past the cap builds" 1 (key_builds (fun () -> touch cap));
+  check_int "and evicted the older entries" 1
+    (key_builds (fun () -> touch 0));
+  check_int "the newest survives" 0 (key_builds (fun () -> touch cap))
+
+(* du/dt = [rhs] on the request's mesh: two [rhs] are two programs *)
+let decay rhs (req : Finch.Solve_request.t) =
+  let p = Finch.Problem.init "decay" in
+  Finch.Problem.domain p 2;
+  Finch.Problem.set_mesh p
+    (Fvm.Mesh_gen.rectangle ~nx:req.Finch.Solve_request.nx
+       ~ny:req.Finch.Solve_request.ny ~lx:1. ~ly:1. ());
+  Finch.Problem.set_steps p ~dt:1e-2 ~nsteps:req.Finch.Solve_request.nsteps;
+  let u = Finch.Problem.variable p ~name:"u" () in
+  let _ = Finch.Problem.coefficient p ~name:"k" (Finch.Entity.Const 1.) in
+  let _ = Finch.Problem.coefficient p ~name:"s" (Finch.Entity.Const 1.) in
+  Finch.Problem.initial p u (Finch.Problem.Init_const 1.);
+  let _ = Finch.Problem.conservation_form p u rhs in
+  { Finch.pr_problem = p; pr_solution = "u" }
+
+let test_reregistration_drops_digests () =
+  with_scenario "probe-rereg" (decay "-k*u") @@ fun () ->
+  let req = probe_req "probe-rereg" in
+  let before = key req in
+  (* the same name now builds the program with an added source term *)
+  Finch.register_scenario "probe-rereg" (decay "-k*u + s");
+  let after = key req in
+  check_bool "re-registration changes the key" true (before <> after);
+  check_string "to the formula's" (formula_key ~profile req) after
+
 (* ---------- bench hygiene: compile cost is one-off and visible ------- *)
 
 let test_compile_separation () =
@@ -335,4 +589,12 @@ let suite =
       Alcotest.test_case "cache failures are values" `Quick
         test_cache_failures_are_values;
       Alcotest.test_case "compile cost separated" `Quick test_compile_separation;
+      QCheck_alcotest.to_alcotest prop_keys_preserved;
+      Alcotest.test_case "warm resolve builds nothing" `Quick
+        test_warm_resolve_builds_nothing;
+      Alcotest.test_case "key errors are not memoized" `Quick
+        test_key_errors_not_memoized;
+      Alcotest.test_case "key memo capped" `Quick test_key_memo_cap;
+      Alcotest.test_case "re-registration drops digests" `Quick
+        test_reregistration_drops_digests;
     ] )
