@@ -16,7 +16,8 @@
               same way optimizer passes are gated — any error falls back
               to the interpreter;
      bind     pack mesh/field/coefficient storage into a Finch_ci.rt,
-              with boundary terms calling back into the interpreter.
+              with boundary terms calling each callback face's staged
+              function (expression conditions: the interpreter).
 
    Every fallback path prints one warning per reason and returns None,
    leaving the closure interpreter in charge — `--eval native` degrades
@@ -116,11 +117,16 @@ let write_file path s =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc s)
 
+(* A .cmxs that cannot be loaded — truncated, or built against another
+   build's Finch_ci interface — is an error value, so the cache can
+   recompile it. *)
 let load_cmxs cmxs =
-  Dynlink.loadfile_private cmxs;
-  match Finch_ci.take () with
-  | Some maker -> Ok maker
-  | None -> Error "loaded module did not register an entry maker"
+  match Dynlink.loadfile_private cmxs with
+  | exception Dynlink.Error e -> Error (Dynlink.error_message e)
+  | () -> (
+    match Finch_ci.take () with
+    | Some maker -> Ok maker
+    | None -> Error "loaded module did not register an entry maker")
 
 let compile_cmxs ~src ~ml ~cmxs ~log =
   match iface_include_dirs () with
@@ -251,20 +257,9 @@ let bind_state (st : Finch.Lower.state) (em : Finch.Emit_source.ocaml_emission)
                       (Finch.Entity.index_extent i)))
                p.Finch.Problem.indices);
         has_bc = Array.map (fun o -> o <> None) st.Finch.Lower.face_bc;
-        bc_term =
-          (* boundary faces stay on the interpreter: set the env exactly
-             as Lower.dof_rhs does before its boundary branch, then
-             evaluate the resolved condition *)
-          (fun face cell comp ->
-            let env = st.Finch.Lower.env in
-            env.Finch.Eval.cell <- cell;
-            Finch.Lower.set_ivals_of_comp st comp;
-            env.Finch.Eval.face <- face;
-            env.Finch.Eval.nsign <- 1.;
-            env.Finch.Eval.cell2 <- -1;
-            match st.Finch.Lower.face_bc.(face) with
-            | Some bc -> Finch.Lower.boundary_term st bc face cell
-            | None -> 0.);
+        (* a callback face is a direct call to its staged function; other
+           conditions evaluate on the interpreter *)
+        bc_term = Finch.Lower.boundary_value st;
       }
     in
     maker rt

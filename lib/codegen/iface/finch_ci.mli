@@ -31,8 +31,9 @@ type rt = {
   index_len : int array;         (** per declared index: owned length *)
   has_bc : bool array;           (** per face: a boundary condition applies *)
   bc_term : int -> int -> int -> float;
-      (** [bc_term face cell comp]: the interpreter-evaluated boundary
-          term (flux value, or rsurf under a Dirichlet ghost) *)
+      (** [bc_term face cell comp]: the boundary term — a callback face's
+          staged function, called directly, or the interpreter-evaluated
+          condition (flux value, or rsurf under a Dirichlet ghost) *)
 }
 (** Everything a generated kernel reads or writes, bound per solver
     state. *)

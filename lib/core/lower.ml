@@ -9,11 +9,20 @@
 
 exception Lower_error of string
 
+(* A boundary face's condition.  Expressions compile once per region;
+   a callback is staged once per face and state (see [stage_face]). *)
 type bc_resolved =
   | RFlux_expr of Eval.compiled
-  | RFlux_callback of Problem.bc_callback * float array
+  | RFlux_callback of staged_bc
   | RDirichlet_expr of Eval.compiled
-  | RDirichlet_callback of Problem.bc_callback * float array
+  | RDirichlet_callback of staged_bc
+
+and staged_bc = {
+  sb_name : string;                (* the callback's registered name *)
+  sb_callback : Problem.bc_callback;
+  sb_args : float array;           (* numeric literals from the bc string *)
+  sb_fn : (int -> float) Lazy.t;   (* the face's per-component function *)
+}
 
 type rankinfo = {
   rank : int;
@@ -103,6 +112,68 @@ let coef_exn (p : Problem.t) name =
   | Some c -> c
   | None -> raise (Lower_error ("unknown coefficient " ^ name))
 
+(* One callback face staged against [fields] (the storage of the state
+   that will evaluate it).  The callback runs when [sb_fn] is forced:
+   [build] forces every face before the first step, [rebind] leaves them
+   to the first evaluation.  Only the domain sweeping a state may force
+   its table: OCaml 5 raises on a concurrent [Lazy.force]. *)
+let stage_face (p : Problem.t) mesh fields ~name ~callback ~args f =
+  let fail what =
+    raise (Lower_error (Printf.sprintf "boundary callback %s: %s" name what))
+  in
+  let ctx () =
+    { Problem.bc_mesh = mesh;
+      bc_field =
+        (fun n ->
+          match List.assoc_opt n fields with
+          | Some fl -> fl
+          | None -> fail ("no field for variable " ^ n));
+      bc_coef =
+        (fun n ->
+          match Problem.find_coefficient p n with
+          | Some c -> c
+          | None -> fail ("unknown coefficient " ^ n));
+      bc_face = f;
+      bc_cell = mesh.Fvm.Mesh.face_cell1.(f);
+      bc_normal = Fvm.Mesh.face_normal mesh f;
+      bc_args = args }
+  in
+  { sb_name = name; sb_callback = callback; sb_args = args;
+    sb_fn = lazy (callback (ctx ())) }
+
+(* The per-face boundary table of the unknown [uvar]: expression
+   conditions compiled once per region by [compile], callback conditions
+   staged per face against [fields], unforced. *)
+let resolve_bcs (p : Problem.t) mesh fields ~compile (uvar : Entity.variable) =
+  let face_bc = Array.make mesh.Fvm.Mesh.nfaces None in
+  List.iter
+    (fun (bc : Problem.bc) ->
+      let on_region resolved =
+        Array.iter
+          (fun f ->
+            if mesh.Fvm.Mesh.face_bid.(f) = bc.Problem.bc_region then
+              face_bc.(f) <- Some (resolved f))
+          mesh.Fvm.Mesh.boundary_faces
+      in
+      match bc.Problem.bc_kind, bc.Problem.bc_spec with
+      | Config.Flux, Problem.Bc_expr e ->
+        let g = compile e in
+        on_region (fun _ -> RFlux_expr g)
+      | Config.Dirichlet, Problem.Bc_expr e ->
+        let g = compile e in
+        on_region (fun _ -> RDirichlet_expr g)
+      | kind, Problem.Bc_callback { name; args } -> (
+        match Problem.find_callback p name with
+        | None -> raise (Lower_error ("unknown callback " ^ name))
+        | Some callback ->
+          let staged f = stage_face p mesh fields ~name ~callback ~args f in
+          on_region (fun f ->
+              match kind with
+              | Config.Flux -> RFlux_callback (staged f)
+              | Config.Dirichlet -> RDirichlet_callback (staged f))))
+    (Problem.bcs_for p uvar.Entity.vname);
+  face_bc
+
 (* Layout metadata for Eval: per-index (name, 1-based lo, stride), first
    declared index fastest. *)
 let layout_of_var (v : Entity.variable) =
@@ -182,7 +253,7 @@ let rec build ?(info = serial_rankinfo) ?share_with ?(private_clock = false)
   let compile_rhs name e =
     match p.Problem.eval_mode with
     (* Native compiles the closures too: they are the fallback and serve
-       the boundary-term evaluation the generated code calls back into *)
+       the expression boundary terms the generated code calls back into *)
     | Config.Closure | Config.Native -> Eval.compile bindings e, None
     | Config.Tape ->
       let t = Eval.compile_tape bindings e in
@@ -205,31 +276,16 @@ let rec build ?(info = serial_rankinfo) ?share_with ?(private_clock = false)
     in
     fun () -> List.fold_left (fun acc f -> acc + f ()) 0 pieces
   in
-  (* resolve boundary conditions into a per-face table *)
-  let face_bc = Array.make mesh.Fvm.Mesh.nfaces None in
-  let bcs = Problem.bcs_for p uvar.Entity.vname in
-  List.iter
-    (fun (bc : Problem.bc) ->
-      let resolved =
-        match bc.Problem.bc_kind, bc.Problem.bc_spec with
-        | Config.Flux, Problem.Bc_expr e -> RFlux_expr (Eval.compile bindings e)
-        | Config.Dirichlet, Problem.Bc_expr e ->
-          RDirichlet_expr (Eval.compile bindings e)
-        | Config.Flux, Problem.Bc_callback { name; args } -> (
-          match Problem.find_callback p name with
-          | Some f -> RFlux_callback (f, args)
-          | None -> raise (Lower_error ("unknown callback " ^ name)))
-        | Config.Dirichlet, Problem.Bc_callback { name; args } -> (
-          match Problem.find_callback p name with
-          | Some f -> RDirichlet_callback (f, args)
-          | None -> raise (Lower_error ("unknown callback " ^ name)))
-      in
-      Array.iter
-        (fun f ->
-          if mesh.Fvm.Mesh.face_bid.(f) = bc.Problem.bc_region then
-            face_bc.(f) <- Some resolved)
-        mesh.Fvm.Mesh.boundary_faces)
-    bcs;
+  (* resolve boundary conditions into a per-face table, every callback
+     face staged now, so a failing stage stops the build *)
+  let face_bc = resolve_bcs p mesh fields ~compile:(Eval.compile bindings) uvar in
+  Array.iter
+    (function
+      | Some (RFlux_callback s | RDirichlet_callback s) ->
+        let (_ : int -> float) = Lazy.force s.sb_fn in
+        ()
+      | Some (RFlux_expr _ | RDirichlet_expr _) | None -> ())
+    face_bc;
   (* loop plan *)
   let loops =
     let order =
@@ -366,21 +422,23 @@ let rec dof_rhs st =
       env.Eval.cell2 <- -1;
       match st.face_bc.(f) with
       | None -> () (* unconstrained boundary: zero surface contribution *)
-      | Some bc -> flux := !flux +. (mesh.Fvm.Mesh.face_area.(f) *. boundary_term st bc f cell)
+      | Some bc -> flux := !flux +. (mesh.Fvm.Mesh.face_area.(f) *. boundary_term st bc)
     end
   done;
   rv +. (!flux /. mesh.Fvm.Mesh.cell_volume.(cell))
 
-and boundary_term st bc f cell =
+(* One boundary condition's term at the current env state: a callback
+   face calls its staged function on the current component *)
+and boundary_term st bc =
   let env = st.env in
   match bc with
   | RFlux_expr g -> g env
-  | RFlux_callback (cb, args) -> cb (make_bc_ctx st ~args f cell)
+  | RFlux_callback s -> Lazy.force s.sb_fn (st.ucomp ())
   | RDirichlet_expr g ->
     let ghost_val = g env in
     with_ghost st ghost_val (fun () -> st.rsurf_f env)
-  | RDirichlet_callback (cb, args) ->
-    let ghost_val = cb (make_bc_ctx st ~args f cell) in
+  | RDirichlet_callback s ->
+    let ghost_val = Lazy.force s.sb_fn (st.ucomp ()) in
     with_ghost st ghost_val (fun () -> st.rsurf_f env)
 
 and with_ghost st ghost_val k =
@@ -396,20 +454,36 @@ and with_ghost st ghost_val k =
   env.Eval.ghost <- saved;
   r
 
-and make_bc_ctx st ~args f cell =
+(* Decompose a flat component id of the unknown into per-index values
+   (first declared index fastest) and store them in the env. *)
+let set_ivals_of_comp st comp =
   let env = st.env in
-  {
-    Problem.bc_mesh = st.mesh;
-    bc_field = (fun n -> field st n);
-    bc_coef = (fun n -> coef_exn st.p n);
-    bc_face = f;
-    bc_cell = cell;
-    bc_normal = Fvm.Mesh.face_normal st.mesh f;
-    bc_ivals = List.map (fun (n, r) -> n, !r) env.Eval.ivals;
-    bc_comp = st.ucomp ();
-    bc_time = !(st.time);
-    bc_args = args;
-  }
+  let rec go comp = function
+    | [] -> ()
+    | (i : Entity.index) :: rest ->
+      let ext = Entity.index_extent i in
+      let r = Eval.ival env i.Entity.iname in
+      r := comp mod ext;
+      go (comp / ext) rest
+  in
+  go comp st.uvar.Entity.vindices
+
+(* The boundary term of [face] (owned by [cell]) for component [comp],
+   with nothing set in the env beforehand: a callback flux face is a
+   direct call to its staged function; any other condition evaluates
+   under the env [dof_rhs] would have set. *)
+let boundary_value st f cell comp =
+  match st.face_bc.(f) with
+  | None -> 0.
+  | Some (RFlux_callback s) -> Lazy.force s.sb_fn comp
+  | Some bc ->
+    let env = st.env in
+    env.Eval.cell <- cell;
+    set_ivals_of_comp st comp;
+    env.Eval.face <- f;
+    env.Eval.nsign <- 1.; (* boundary faces are owned by their cell *)
+    env.Eval.cell2 <- -1;
+    boundary_term st bc
 
 let sweep_dof st ~dt () =
   let cell = st.env.Eval.cell in
@@ -529,23 +603,16 @@ let run_post_step st ~allreduce =
 (* Support for the hybrid GPU target.                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Decompose a flat component id of the unknown into per-index values
-   (first declared index fastest) and store them in the env. *)
-let set_ivals_of_comp st comp =
-  let env = st.env in
-  let rec go comp = function
-    | [] -> ()
-    | (i : Entity.index) :: rest ->
-      let ext = Entity.index_extent i in
-      let r = Eval.ival env i.Entity.iname in
-      r := comp mod ext;
-      go (comp / ext) rest
-  in
-  go comp st.uvar.Entity.vindices
-
 (* A state whose closures read and write the given field storage (device
    views) instead of the base state's host fields.  Time/dt refs are shared
-   with the base so both sides agree on the clock. *)
+   with the base so both sides agree on the clock.  Callback faces stage
+   again against the new storage, on their first evaluation: the fused
+   schedule's B parity reads the unknown through [u_new], and device
+   mirrors, which never evaluate a boundary, stage nothing. *)
+let restage p mesh fields s f =
+  stage_face p mesh fields ~name:s.sb_name ~callback:s.sb_callback
+    ~args:s.sb_args f
+
 let rebind (base : state) ~fields ~u_new =
   let p = base.p in
   let mesh = base.mesh in
@@ -595,6 +662,15 @@ let rebind (base : state) ~fields ~u_new =
       rvol_f;
       rsurf_f;
       ucomp;
+      face_bc =
+        Array.mapi
+          (fun f -> function
+            | Some (RFlux_callback s) ->
+              Some (RFlux_callback (restage p mesh fields s f))
+            | Some (RDirichlet_callback s) ->
+              Some (RDirichlet_callback (restage p mesh fields s f))
+            | other -> other)
+          base.face_bc;
       rvol_du_f = lazy (fst (compile_rhs "rvol_du" (Transform.rvol_linearization base.eq)));
       tapes;
       (* own accounting: sharing base's mutable breakdown record would make
@@ -634,32 +710,27 @@ and dof_rhs_interior_interp st =
   rv +. (!flux /. mesh.Fvm.Mesh.cell_volume.(cell))
 
 (* Accumulate dt * (area * boundary term) / volume for every boundary face
-   and component into [into].  Used by the hybrid target's CPU side. *)
-let boundary_contributions st ~into =
-  let env = st.env in
-  Eval.bump_epoch env; (* fields changed since the last traversal *)
+   and each of [comps] into [into].  Used by the hybrid target's CPU
+   side, which reads back only the rank's own components. *)
+let boundary_contributions st ~comps ~into =
+  Eval.bump_epoch st.env; (* fields changed since the last traversal *)
   let mesh = st.mesh in
   let dt = !(st.dt) in
-  let ncomp = Fvm.Field.ncomp st.u in
   Array.iter
     (fun f ->
       match st.face_bc.(f) with
       | None -> ()
-      | Some bc ->
+      | Some _ ->
         let cell = mesh.Fvm.Mesh.face_cell1.(f) in
-        for comp = 0 to ncomp - 1 do
-          env.Eval.cell <- cell;
-          set_ivals_of_comp st comp;
-          env.Eval.face <- f;
-          env.Eval.nsign <- 1.; (* boundary faces are owned by their cell *)
-          env.Eval.cell2 <- -1;
-          let g = boundary_term st bc f cell in
-          let dv =
-            dt *. mesh.Fvm.Mesh.face_area.(f) *. g
-            /. mesh.Fvm.Mesh.cell_volume.(cell)
-          in
-          Fvm.Field.set into cell comp (Fvm.Field.get into cell comp +. dv)
-        done)
+        Array.iter
+          (fun comp ->
+            let g = boundary_value st f cell comp in
+            let dv =
+              dt *. mesh.Fvm.Mesh.face_area.(f) *. g
+              /. mesh.Fvm.Mesh.cell_volume.(cell)
+            in
+            Fvm.Field.set into cell comp (Fvm.Field.get into cell comp +. dv))
+          comps)
     mesh.Fvm.Mesh.boundary_faces
 
 (* ------------------------------------------------------------------ *)
@@ -703,7 +774,7 @@ let dof_flux st =
       match st.face_bc.(f) with
       | None -> ()
       | Some bc ->
-        flux := !flux +. (mesh.Fvm.Mesh.face_area.(f) *. boundary_term st bc f cell)
+        flux := !flux +. (mesh.Fvm.Mesh.face_area.(f) *. boundary_term st bc)
     end
   done;
   !flux /. mesh.Fvm.Mesh.cell_volume.(cell)

@@ -5,11 +5,25 @@
 
 exception Lower_error of string
 
+(** A boundary face's condition: an expression compiled once per
+    region, or a callback staged for this face (see
+    {!Problem.bc_callback}). *)
 type bc_resolved =
   | RFlux_expr of Eval.compiled
-  | RFlux_callback of Problem.bc_callback * float array
+  | RFlux_callback of staged_bc
   | RDirichlet_expr of Eval.compiled
-  | RDirichlet_callback of Problem.bc_callback * float array
+  | RDirichlet_callback of staged_bc
+
+(** One callback face staged for one state. *)
+and staged_bc = {
+  sb_name : string;                (** the callback's registered name *)
+  sb_callback : Problem.bc_callback;
+  sb_args : float array;           (** numeric literals from the bc string *)
+  sb_fn : (int -> float) Lazy.t;
+      (** the face's per-component function: the callback applied to the
+          face's context over the state's own storage, forced by {!build}
+          and on first evaluation in a {!rebind} state *)
+}
 
 type rankinfo = {
   rank : int;
@@ -50,6 +64,7 @@ type state = {
   rsurf_f : Eval.compiled;
   ucomp : unit -> int;   (** component of the unknown at current ivals *)
   face_bc : bc_resolved option array;
+      (** per face id; [None] on interior and unconstrained faces *)
   time : float ref;
   dt : float ref;
   step : int ref;
@@ -100,7 +115,12 @@ val build :
     storage and time/dt refs (shared-memory workers) and skips initial
     conditions.  [private_clock] (with [share_with]) gives the worker its
     own dt/time refs seeded from the base, so a fused schedule can
-    advance workers independently between barriers. *)
+    advance workers independently between barriers.  Every callback
+    boundary face is staged here, against the state's fields, so a
+    callback that fails to stage raises before the first step.
+    @raise Lower_error for an unknown callback, or a stage reading an
+    undeclared variable or coefficient (the message names the
+    callback). *)
 
 val apply_initial_conditions : state -> unit
 (** Fill every variable with its declared initial condition and copy the
@@ -128,11 +148,13 @@ val dof_rhs : state -> float
 (** R = rvol + (1/V) Σ_faces area·rsurf at the current DOF, boundary
     conditions applied (unconstrained boundary faces contribute zero). *)
 
-val boundary_term : state -> bc_resolved -> int -> int -> float
-(** [boundary_term st bc face cell]: one resolved boundary condition's
-    flux value at the current env state (Dirichlet specs evaluate rsurf
-    under a ghost accessor).  Exposed for the native-codegen binding,
-    whose generated sweeps call back into it per boundary face. *)
+val boundary_value : state -> int -> int -> int -> float
+(** [boundary_value st face cell comp]: the boundary term of [face]
+    (owned by [cell]) for component [comp] of the unknown, 0 without a
+    condition.  A callback flux face calls its staged function directly;
+    expression and Dirichlet conditions first set the env as {!dof_rhs}
+    does (Dirichlet specs evaluate rsurf under a ghost accessor).  The
+    native-codegen binding's [bc_term]. *)
 
 val gather_fields : into:state -> state array -> unit
 (** [gather_fields ~into states] writes every variable's owned cells and
@@ -171,15 +193,19 @@ val set_ivals_of_comp : state -> int -> unit
 val rebind :
   state -> fields:(string * Fvm.Field.t) list -> u_new:Fvm.Field.t -> state
 (** A state whose closures read/write the given (device-view) storage;
-    time/dt refs shared with the base. *)
+    time/dt refs shared with the base.  Callback faces stage again against
+    the new storage, lazily, on their first evaluation: a state that never
+    evaluates a boundary (a device mirror) stages nothing.  Expression
+    conditions keep the base's compiled closures. *)
 
 val dof_rhs_interior : state -> float
 (** Like {!dof_rhs} but interior faces only (the kernel's part; the CPU
     adds boundary contributions separately). *)
 
-val boundary_contributions : state -> into:Fvm.Field.t -> unit
-(** Accumulate dt·area·(boundary term)/V for every boundary face and
-    component into [into]. *)
+val boundary_contributions :
+  state -> comps:int array -> into:Fvm.Field.t -> unit
+(** Accumulate dt·area·(boundary term)/V for every boundary face and each
+    of [comps] (the rank's own components) into [into]. *)
 
 (** {2 Runge-Kutta stages (serial executor)} *)
 

@@ -10,27 +10,23 @@ open Finch_symbolic
 
 exception Problem_error of string
 
-(* Context handed to boundary-condition callbacks (the paper's
-   user-supplied functions that run on the CPU). *)
+(* What a boundary-condition callback is staged with (the paper's
+   user-supplied functions that run on the CPU): one boundary face, seen
+   from the state that evaluates it.  The callback runs once per face and
+   returns the per-component function the sweeps then call. *)
 type bc_ctx = {
   bc_mesh : Fvm.Mesh.t;
-  bc_field : string -> Fvm.Field.t; (* host-side fields of this rank *)
+  bc_field : string -> Fvm.Field.t; (* storage of the staging state *)
   bc_coef : string -> Entity.coefficient;
   bc_face : int;
   bc_cell : int;               (* interior cell adjacent to the face *)
   bc_normal : float array;     (* outward unit normal *)
-  bc_ivals : (string * int) list; (* current 0-based index values *)
-  bc_comp : int;               (* flattened component of the variable *)
-  bc_time : float;
   bc_args : float array;       (* numeric literals from the bc string *)
 }
 
-let bc_ival ctx name =
-  match List.assoc_opt name ctx.bc_ivals with
-  | Some v -> v
-  | None -> raise (Problem_error ("bc callback: unknown index " ^ name))
-
-type bc_callback = bc_ctx -> float
+(* the staged contract: a face's context in, its flux (or Dirichlet
+   ghost value) per flat component of the variable out *)
+type bc_callback = bc_ctx -> int -> float
 
 (* Context handed to post-step callbacks (e.g. the BTE temperature
    update).  [comp_range] exposes the index subrange owned by this rank in

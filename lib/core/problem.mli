@@ -11,27 +11,36 @@ open Finch_symbolic
 
 exception Problem_error of string
 
-(** Context handed to boundary-condition callbacks — the paper's
-    user-supplied functions, always executed on the CPU. *)
+(** One boundary face as a boundary-condition callback sees it when it
+    is staged — the paper's user-supplied functions, always executed on
+    the CPU. *)
 type bc_ctx = {
   bc_mesh : Fvm.Mesh.t;
   bc_field : string -> Fvm.Field.t;
+      (** the storage of the state being staged; raises
+          [Lower.Lower_error] naming the callback for an undeclared
+          variable *)
   bc_coef : string -> Entity.coefficient;
   bc_face : int;
   bc_cell : int;               (** interior cell adjacent to the face *)
   bc_normal : float array;     (** outward unit normal *)
-  bc_ivals : (string * int) list; (** current 0-based index values *)
-  bc_comp : int;               (** flattened component of the variable *)
-  bc_time : float;
   bc_args : float array;       (** numeric literals from the bc string *)
 }
 
-val bc_ival : bc_ctx -> string -> int
-(** [bc_ival ctx name]: the current 0-based value of index [name] at the
-    face being evaluated.  Raises {!Problem_error} for an index the
-    variable does not carry. *)
-
-type bc_callback = bc_ctx -> float
+type bc_callback = bc_ctx -> int -> float
+(** A staged boundary condition.  Lowering applies the callback to each
+    boundary face of its region once per solver state, never per step or
+    per component: [Lower.build] stages every face of the state it
+    builds before the first step, and [Lower.rebind] stages again
+    against the rebound storage on a face's first evaluation (device
+    mirrors, which never evaluate a boundary, stage nothing).  The
+    context's [bc_field] reads that state's own storage, so what the
+    returned function captures is what that state sweeps.  The returned
+    function maps a flat component of the variable (first declared
+    index fastest) to the face's flux integrand — or, for a Dirichlet
+    condition, its ghost value — and the state calls it once per step
+    for each component it owns.  Keep the staged data small: it lives as
+    long as the state. *)
 
 (** Context handed to post-step callbacks (e.g. the BTE temperature
     update). [st_index_range] exposes the index subrange owned by this

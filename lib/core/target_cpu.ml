@@ -161,8 +161,9 @@ let pool_step pool (workers : Lower.state array) =
    - every expression boundary condition of the unknown is closed (no
      entity references): expression BCs compile against the unswapped
      storage at build time, so one referencing a variable would read the
-     stale buffer in phase B.  Callback BCs resolve fields through the
-     sweeping state and are parity-safe;
+     stale buffer in phase B.  Callback BCs stay parity-safe because
+     [Lower.rebind] stages them again against the B parity's own fields
+     (its staged functions read the unknown through the u_new storage);
    - no field the post-step callbacks write ([Problem.post_io]) is read
      at the neighbouring cell by the surface term (within a phase, one
      worker's post-step writes would race with another's neighbour

@@ -147,11 +147,12 @@ let update_dof (ds : Lower.state) cell comp =
   in
   Fvm.Field.set ds.Lower.u_new cell comp v
 
-(* The host's share of a step: every boundary face's contribution,
-   accumulated into a zeroed [into]. *)
-let boundary_part (host : Lower.state) ~into =
+(* The host's share of a step: every boundary face's contribution to the
+   [owned] components, accumulated into a zeroed [into] — the only ones
+   [combine_boundary] reads. *)
+let boundary_part (host : Lower.state) ~into owned =
   Fvm.Field.fill into 0.;
-  Lower.boundary_contributions host ~into
+  Lower.boundary_contributions host ~comps:owned ~into
 
 (* u <- downloaded interior result + boundary part, on the owned slice. *)
 let combine_boundary (host : Lower.state) ~u_bdry owned =
@@ -409,7 +410,7 @@ let run_rank (p : Problem.t) ~spec ~(tiling : Fvm.Decomp2d.t)
       (* 3. boundary contributions on the CPU, overlapping kernel and
          download *)
       timed_host Prt.Breakdown.Boundary (fun () ->
-          boundary_part host ~into:u_bdry);
+          boundary_part host ~into:u_bdry owned);
       (* 4. drain: the kernel is charged at its roofline duration, the
          transfer only what the boundary work left exposed *)
       record_intensity ();
@@ -458,7 +459,7 @@ let run_rank (p : Problem.t) ~spec ~(tiling : Fvm.Decomp2d.t)
         slots;
       (* 2. boundary contributions on the CPU, overlapping the kernels *)
       Prt.Breakdown.timed ~track b Prt.Breakdown.Boundary (fun () ->
-          boundary_part host ~into:u_bdry);
+          boundary_part host ~into:u_bdry owned);
       (* 3. synchronize; download each device's owned slice; combine *)
       Array.iter (fun s -> Gpu_sim.Stream.synchronize s.stream clock) slots;
       record_intensity ();

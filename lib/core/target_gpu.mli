@@ -91,9 +91,11 @@ val update_dof : Lower.state -> int -> int -> unit
     [dt] times its interior-face residual, read from [ds]'s unknown and
     written to its [u_new]. *)
 
-val boundary_part : Lower.state -> into:Fvm.Field.t -> unit
-(** The host's share of a step: zero [into], then accumulate every
-    boundary face's contribution ({!Lower.boundary_contributions}). *)
+val boundary_part : Lower.state -> into:Fvm.Field.t -> int array -> unit
+(** [boundary_part host ~into owned]: the host's share of a step — zero
+    [into], then accumulate every boundary face's contribution to the
+    [owned] components ({!Lower.boundary_contributions}), the only ones
+    {!combine_boundary} reads back. *)
 
 val combine_boundary : Lower.state -> u_bdry:Fvm.Field.t -> int array -> unit
 (** [combine_boundary host ~u_bdry owned]: set the unknown to the

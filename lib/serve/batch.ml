@@ -177,7 +177,7 @@ let run (ps : Finch.Problem.t array) =
     Array.iteri
       (fun r (host : Lower.state) ->
         Prt.Breakdown.timed ~track host.Lower.breakdown Prt.Breakdown.Boundary
-          (fun () -> Target_gpu.boundary_part host ~into:u_bdrys.(r)))
+          (fun () -> Target_gpu.boundary_part host ~into:u_bdrys.(r) owned))
       hosts;
     (* 3. synchronize once; the modelled kernel time is shared, charged
        in equal shares *)

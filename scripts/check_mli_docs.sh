@@ -15,7 +15,7 @@ for f in lib/prt/*.mli lib/gpu/*.mli lib/analysis/*.mli lib/fvm/*.mli \
          lib/serve/*.mli lib/tune/*.mli \
          lib/bte/temperature.mli lib/bte/scattering.mli \
          lib/bte/equilibrium.mli lib/bte/setup.mli lib/bte/setup3d.mli \
-         lib/bte/film.mli \
+         lib/bte/film.mli lib/bte/bc.mli lib/bte/angles.mli \
          lib/core/dataflow.mli lib/core/ir.mli \
          lib/core/target_gpu.mli lib/core/target_cpu.mli lib/core/lower.mli \
          lib/core/solve.mli lib/core/config.mli lib/core/ranks.mli \
@@ -40,6 +40,6 @@ for f in lib/prt/*.mli lib/gpu/*.mli lib/analysis/*.mli lib/fvm/*.mli \
 done
 
 if [ "$status" -eq 0 ]; then
-  echo "check_mli_docs: every val in lib/prt, lib/gpu, lib/analysis, lib/fvm, lib/opt, lib/codegen, lib/serve, lib/tune, lib/bte/{temperature,scattering,equilibrium,setup,setup3d,film} and lib/core/{dataflow,ir,target_gpu,target_cpu,lower,solve,config,ranks,solve_request,emit_source,json,problem} is documented"
+  echo "check_mli_docs: every val in lib/prt, lib/gpu, lib/analysis, lib/fvm, lib/opt, lib/codegen, lib/serve, lib/tune, lib/bte/{temperature,scattering,equilibrium,setup,setup3d,film,bc,angles} and lib/core/{dataflow,ir,target_gpu,target_cpu,lower,solve,config,ranks,solve_request,emit_source,json,problem} is documented"
 fi
 exit "$status"

@@ -214,6 +214,47 @@ let test_gate_uses_the_problem_contract () =
       check_bool "native = closure" true
         (Fvm.Field.max_abs_diff native.Finch.Solve.u closure.Finch.Solve.u = 0.))
 
+(* A cached kernel that cannot be loaded (truncated, or built against
+   another build's Finch_ci interface) is recompiled, not an engine
+   failure.  The unreadable copy sits at a path this process never
+   loaded, as a fresh process would meet it. *)
+let test_unreadable_kernel_recompiled () =
+  let fresh name =
+    let d = Filename.concat cache_root name in
+    Unix.mkdir d 0o755;
+    d
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Finch_codegen.Codegen.set_cache_dir cache_root;
+      Finch_codegen.Codegen.clear_memo ())
+    (fun () ->
+      let first = fresh "first" and second = fresh "second" in
+      Finch_codegen.Codegen.set_cache_dir first;
+      Finch_codegen.Codegen.clear_memo ();
+      ignore (Finch.Solve.solve (decay_with_post_step Finch.Config.Native));
+      Array.iter
+        (fun f ->
+          if Filename.check_suffix f ".cmxs" then
+            Out_channel.with_open_bin (Filename.concat second f) (fun oc ->
+                output_string oc "truncated"))
+        (Sys.readdir first);
+      Finch_codegen.Codegen.set_cache_dir second;
+      Finch_codegen.Codegen.clear_memo ();
+      Prt.Metrics.enable ();
+      Prt.Metrics.reset_all ();
+      let native =
+        Fun.protect ~finally:Prt.Metrics.disable (fun () ->
+            Finch.Solve.solve (decay_with_post_step Finch.Config.Native))
+      in
+      let _, misses = counters () in
+      check_int "the unreadable kernel was recompiled" 1 misses;
+      check_bool "native kernels bound" true
+        (native.Finch.Solve.states.(0).Finch.Lower.native <> None);
+      let closure = Finch.Solve.solve (decay_with_post_step Finch.Config.Closure) in
+      check_bool "native = closure" true
+        (Fvm.Field.max_abs_diff native.Finch.Solve.u closure.Finch.Solve.u = 0.))
+
 let suite =
   ( "codegen",
     [ Alcotest.test_case "cache hit and miss" `Quick test_cache_hit_and_miss;
@@ -228,4 +269,6 @@ let suite =
       Alcotest.test_case "sanitize falls back to interpreter" `Quick
         test_sanitize_falls_back_and_stays_correct;
       Alcotest.test_case "each program gated under its own contract" `Quick
-        test_gate_uses_the_problem_contract ] )
+        test_gate_uses_the_problem_contract;
+      Alcotest.test_case "unreadable cached kernel is recompiled" `Quick
+        test_unreadable_kernel_recompiled ] )

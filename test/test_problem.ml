@@ -80,7 +80,7 @@ let test_unknown_callback_at_lowering () =
   Finch.Problem.initial p u (Finch.Problem.Init_const 0.);
   (* register the callback so the bc parses as a callback form, then remove
      it to simulate a missing import *)
-  Finch.Problem.callback_function p "mybc" (fun _ -> 0.);
+  Finch.Problem.callback_function p "mybc" (fun _ _ -> 0.);
   Finch.Problem.boundary p u 1 Finch.Config.Flux "mybc(u, 1)";
   p.Finch.Problem.callbacks <- [];
   let _ = Finch.Problem.conservation_form p u "-k*u" in
@@ -97,7 +97,7 @@ let test_callback_numeric_args () =
   let seen = ref [] in
   Finch.Problem.callback_function p "probe" (fun ctx ->
       seen := Array.to_list ctx.Finch.Problem.bc_args :: !seen;
-      0.);
+      fun _ -> 0.);
   (* entity arguments are skipped, numeric literals collected in order *)
   Finch.Problem.boundary p u 1 Finch.Config.Flux "probe(u, k, 300, 2.5)";
   List.iter
@@ -108,7 +108,119 @@ let test_callback_numeric_args () =
   (match !seen with
    | args :: _ ->
      Alcotest.(check (list (float 0.))) "collected numeric args" [ 300.; 2.5 ] args
-   | [] -> Alcotest.fail "callback never invoked")
+   | [] -> Alcotest.fail "callback never staged")
+
+(* --- the staged boundary-callback contract ------------------------------ *)
+
+(* hotspot 8x8, 4 dirs, 4 LA bands (5 bands), [nsteps] steps on [target],
+   every boundary callback wrapped to count its stages per callback name
+   and its per-component calls (atomically: pooled targets sweep on
+   several domains) *)
+let counted_hotspot ?(nsteps = 3) target =
+  let built =
+    Bte.Setup.build
+      { Bte.Setup.small_hotspot with
+        Bte.Setup.nx = 8; ny = 8; ndirs = 4; n_la_bands = 4; nsteps }
+  in
+  let p = built.Bte.Setup.problem in
+  let stages = List.map (fun (name, _) -> name, Atomic.make 0) p.Finch.Problem.callbacks in
+  let calls = Atomic.make 0 in
+  p.Finch.Problem.callbacks <-
+    List.map
+      (fun (name, stage) ->
+        ( name,
+          fun ctx ->
+            Atomic.incr (List.assoc name stages);
+            let at = stage ctx in
+            fun comp ->
+              Atomic.incr calls;
+              at comp ))
+      p.Finch.Problem.callbacks;
+  (match Finch.Config.target_of_string target with
+   | Ok t -> Finch.Problem.set_target p t
+   | Error e -> Alcotest.fail e);
+  p, stages, calls
+
+(* boundary faces per callback name, from the problem's own regions *)
+let faces_per_callback (p : Finch.Problem.t) =
+  let mesh = Finch.Problem.mesh_exn p in
+  List.filter_map
+    (fun (bc : Finch.Problem.bc) ->
+      match bc.Finch.Problem.bc_spec with
+      | Finch.Problem.Bc_expr _ -> None
+      | Finch.Problem.Bc_callback { name; _ } ->
+        let n =
+          Array.fold_left
+            (fun acc f ->
+              if mesh.Fvm.Mesh.face_bid.(f) = bc.Finch.Problem.bc_region then acc + 1
+              else acc)
+            0 mesh.Fvm.Mesh.boundary_faces
+        in
+        Some (name, n))
+    p.Finch.Problem.bcs
+  |> List.fold_left
+       (fun acc (name, n) ->
+         let prev = Option.value ~default:0 (List.assoc_opt name acc) in
+         (name, prev + n) :: List.remove_assoc name acc)
+       []
+
+let ncomp_of_unknown p =
+  Finch.Entity.var_ncomp (Option.get (Finch.Problem.find_variable p "I"))
+
+(* each face of a callback's regions is staged once per evaluating state
+   (serial: one; gpu: the host, its device mirrors none), whatever the
+   step count; the staged function runs faces x components x steps
+   times *)
+let test_stage_once_per_face () =
+  List.iter
+    (fun target ->
+      List.iter
+        (fun nsteps ->
+          let p, stages, calls = counted_hotspot ~nsteps target in
+          ignore (Finch.Solve.solve p);
+          let faces = faces_per_callback p in
+          List.iter
+            (fun (name, n) ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s: %s stages, %d steps" target name nsteps)
+                n (Atomic.get (List.assoc name stages)))
+            faces;
+          let nfaces = List.fold_left (fun acc (_, n) -> acc + n) 0 faces in
+          Alcotest.(check int)
+            (Printf.sprintf "%s: per-component calls, %d steps" target nsteps)
+            (nfaces * ncomp_of_unknown p * nsteps)
+            (Atomic.get calls))
+        [ 1; 3 ])
+    [ "serial"; "gpu:a6000" ]
+
+(* every target evaluates each (boundary face, component) once per step:
+   a rank evaluates only the components it owns *)
+let test_boundary_calls_match_serial () =
+  let count target =
+    let p, _, calls = counted_hotspot target in
+    ignore (Finch.Solve.solve p);
+    Atomic.get calls
+  in
+  let serial = count "serial" in
+  List.iter
+    (fun target -> Alcotest.(check int) target serial (count target))
+    [ "bands:2"; "cells:2"; "threads:2"; "hybrid:2x1"; "gpu:a6000";
+      "gpu:a6000:2"; "gpu:a6000:1x2"; "gpu:a6000:4" ]
+
+(* a stage that fails is a named Lower_error before any step runs *)
+let test_failing_stage () =
+  let p, _, _ = counted_hotspot "serial" in
+  Finch.Problem.callback_function p "symmetry" (fun ctx ->
+      ignore (ctx.Finch.Problem.bc_field "no_such_var");
+      fun _ -> 0.);
+  let steps = ref 0 in
+  Finch.Problem.post_step_function p (fun _ -> incr steps);
+  (match Finch.Solve.solve p with
+   | exception Finch.Lower.Lower_error msg ->
+     check_bool ("names the callback: " ^ msg) true
+       (Tutil.contains msg "symmetry" && Tutil.contains msg "no_such_var")
+   | _ -> Alcotest.fail "expected Lower_error from the failing stage");
+  Alcotest.(check int) "no step ran" 0 !steps
 
 let test_initial_unknown_variable () =
   let p = fresh () in
@@ -273,6 +385,12 @@ let suite =
       Alcotest.test_case "unknown callback at lowering" `Quick
         test_unknown_callback_at_lowering;
       Alcotest.test_case "callback numeric args" `Quick test_callback_numeric_args;
+      Alcotest.test_case "callback staged once per face" `Quick
+        test_stage_once_per_face;
+      Alcotest.test_case "boundary calls equal serial on every target" `Quick
+        test_boundary_calls_match_serial;
+      Alcotest.test_case "failing stage is a Lower_error" `Quick
+        test_failing_stage;
       Alcotest.test_case "stray initial condition" `Quick test_initial_unknown_variable;
       Alcotest.test_case "entity validation" `Quick test_entity_validation;
       Alcotest.test_case "target names" `Quick test_target_names;
