@@ -1,18 +1,19 @@
 (* Solver-service benchmark driver.
 
      bte_serve                 -- temperature-sweep workload over both
-                                  scenarios, batched vs unbatched, and a
-                                  self-validated BENCH_serve.json
+                                  scenarios, cold vs warm scenario
+                                  tables, and a self-validated
+                                  BENCH_serve.json
      bte_serve --requests 6 --backend gpu --opt 2
 
    The workload is kALDo-style: R requests per scenario differing only in
-   the hot-spot temperature, so every request of a scenario shares one
-   lowered program.  The unbatched pass runs them one by one with
-   scenario-table reuse off (the per-request pipeline: build, verify,
-   solve).  The batched pass runs the scheduler with coalescing and
-   table reuse on.  Results must be bit-identical; the emitted JSON
-   carries requests/s and p50/p95 latency for both modes plus the
-   serve.* counter deltas, and validates itself. *)
+   the hot-spot temperature, each requested K times.  Two scheduler
+   passes run the same requests and differ in one factor, scenario-table
+   reuse: the cold pass builds every request's dispersion, quadrature
+   and equilibrium tables afresh, the warm pass reuses them across
+   requests.  Results must be bit-identical; the emitted JSON carries
+   requests/s, p50/p95 latency, host CPU and modelled device time per
+   request for both passes, and validates itself. *)
 
 open Cmdliner
 
@@ -36,9 +37,7 @@ let backend_t =
     & info [ "backend" ] ~docv:"SPEC"
         ~doc:
           "Backend every request runs on: serial, threads:N, bands:N, \
-           cells:N, hybrid:RxD or gpu[:NAME]. Batched launches need the \
-           single-device gpu target; other backends run each request \
-           solo.")
+           cells:N, hybrid:RxD or gpu[:NAME].")
 
 let opt_t =
   Arg.(
@@ -68,12 +67,6 @@ let nbands_t =
 let nsteps_t =
   Arg.(value & opt int 6 & info [ "steps" ] ~docv:"N" ~doc:"Time steps.")
 
-let max_batch_t =
-  Arg.(
-    value & opt int 8
-    & info [ "batch" ] ~docv:"N"
-        ~doc:"Coalescing window of the batched pass (default 8).")
-
 let repeat_t =
   Arg.(
     value & opt int 3
@@ -92,7 +85,7 @@ let trace_t =
   Arg.(
     value & opt (some string) None
     & info [ "trace" ] ~docv:"PATH"
-        ~doc:"Also export a Chrome trace of the batched pass.")
+        ~doc:"Also export a Chrome trace of the warm pass.")
 
 (* The sweep: R temperature points per scenario, each requested K times
    (interleaved, like repeated service traffic).  Temperature is a
@@ -132,17 +125,27 @@ type pass = {
   rps : float;
   p50_ms : float;
   p95_ms : float;
+  cpu_ms : float;  (* host CPU per completed request *)
+  kernel_ms : float;  (* modelled device kernel time per completed request *)
   completed : int;
   results : (string * Finch.Solve_result.t) list;  (* label -> result *)
 }
 
-let run_pass ~label ~max_batch ~use_cache ~batching reqs =
-  let sched =
-    Finch_serve.Scheduler.create ~max_batch ~use_cache ~batching ()
-  in
+let counter name = Prt.Metrics.value (Prt.Metrics.counter name)
+
+let cpu_s () =
+  let t = Unix.times () in
+  t.Unix.tms_utime +. t.Unix.tms_stime
+
+let run_pass ~label ~use_cache reqs =
+  let sched = Finch_serve.Scheduler.create ~use_cache () in
+  let kernel_ns0 = counter "gpu.kernel_ns" in
+  let cpu0 = cpu_s () in
   let t0 = Unix.gettimeofday () in
   let outcomes = Finch_serve.Scheduler.run_all sched reqs in
   let wall_s = Unix.gettimeofday () -. t0 in
+  let cpu_used = cpu_s () -. cpu0 in
+  let kernel_ns = counter "gpu.kernel_ns" - kernel_ns0 in
   let results =
     List.filter_map
       (fun (req, oc) ->
@@ -164,30 +167,45 @@ let run_pass ~label ~max_batch ~use_cache ~batching reqs =
   let latencies =
     List.map (fun (_, r) -> r.Finch.Solve_result.wall_s *. 1e3) results
   in
+  let completed = List.length results in
+  let per_req x = x /. float_of_int (max 1 completed) in
   { label;
     wall_s;
-    rps = float_of_int (List.length results) /. wall_s;
+    rps = float_of_int completed /. wall_s;
     p50_ms = percentile 0.50 latencies;
     p95_ms = percentile 0.95 latencies;
-    completed = List.length results;
+    cpu_ms = per_req (cpu_used *. 1e3);
+    kernel_ms = per_req (float_of_int kernel_ns /. 1e6);
+    completed;
     results }
 
-let counter name = Prt.Metrics.value (Prt.Metrics.counter name)
-
-let pass_json (p : pass) extra =
+let pass_json (p : pass) =
   Finch.Json.Obj
-    ([ "wall_s", Finch.Json.Num p.wall_s;
-       "requests_per_s", Finch.Json.Num p.rps;
-       "p50_ms", Finch.Json.Num p.p50_ms;
-       "p95_ms", Finch.Json.Num p.p95_ms;
-       "completed", Finch.Json.Num (float_of_int p.completed) ]
-     @ extra)
+    [ "wall_s", Finch.Json.Num p.wall_s;
+      "requests_per_s", Finch.Json.Num p.rps;
+      "p50_ms", Finch.Json.Num p.p50_ms;
+      "p95_ms", Finch.Json.Num p.p95_ms;
+      "host_cpu_ms_per_req", Finch.Json.Num p.cpu_ms;
+      "kernel_ms_modelled_per_req", Finch.Json.Num p.kernel_ms;
+      "completed", Finch.Json.Num (float_of_int p.completed) ]
+
+let print_pass (p : pass) =
+  Printf.printf
+    "  %-5s %6.2f req/s  p50 %7.1f ms  p95 %7.1f ms  host CPU %6.2f ms/req  \
+     kernel %6.3f ms-model/req\n%!"
+    p.label p.rps p.p50_ms p.p95_ms p.cpu_ms p.kernel_ms
+
+(* largest difference over every field of two results of one request *)
+let max_field_diff (a : Finch.Solve_result.t) (b : Finch.Solve_result.t) =
+  List.fold_left2
+    (fun acc (_, fa) (_, fb) -> Float.max acc (Fvm.Field.max_abs_diff fa fb))
+    0. a.Finch.Solve_result.outcome.Finch.Solve.fields
+    b.Finch.Solve_result.outcome.Finch.Solve.fields
 
 let serve_cmd requests repeat scenario backend opt eval_mode nx ndirs nbands
-    nsteps max_batch json_path trace_path =
+    nsteps json_path trace_path =
   Bte.Setup.register_scenarios ();
   Prt.Metrics.enable ();
-  (match trace_path with Some _ -> Prt.Trace.enable () | None -> ());
   let backend =
     match Finch.Config.target_of_string backend with
     | Ok t -> t
@@ -219,47 +237,27 @@ let serve_cmd requests repeat scenario backend opt eval_mode nx ndirs nbands
     (String.concat "+" scenarios)
     requests repeat
     (Finch.Solve_request.summary (List.hd reqs));
-  (* unbatched baseline: window of 1, table reuse off — every request
-     pays the full build-and-verify pipeline, exactly today's entry
-     points *)
-  let unbatched =
-    run_pass ~label:"unbatched" ~max_batch:1 ~use_cache:false ~batching:false
-      reqs
-  in
-  Printf.printf "  %-10s %6.2f req/s  p50 %7.1f ms  p95 %7.1f ms\n%!"
-    unbatched.label unbatched.rps unbatched.p50_ms unbatched.p95_ms;
-  (* batched pass: coalescing + table reuse *)
-  let batches0 = counter "serve.batches" in
-  let launches0 = counter "serve.batched_launches" in
-  let batched =
-    run_pass ~label:"batched" ~max_batch ~use_cache:true ~batching:true reqs
-  in
-  let batches = counter "serve.batches" - batches0 in
-  let launches = counter "serve.batched_launches" - launches0 in
-  Printf.printf
-    "  %-10s %6.2f req/s  p50 %7.1f ms  p95 %7.1f ms  (batches %d)\n%!"
-    batched.label batched.rps batched.p50_ms batched.p95_ms batches;
-  (* bit-identity: the batched pass must reproduce the unbatched results
-     exactly, request by request *)
+  (* cold pass: every request builds its scenario tables afresh *)
+  let cold = run_pass ~label:"cold" ~use_cache:false reqs in
+  print_pass cold;
+  (* warm pass: the same requests, tables reused across requests *)
+  (match trace_path with Some _ -> Prt.Trace.enable () | None -> ());
+  let warm = run_pass ~label:"warm" ~use_cache:true reqs in
+  print_pass warm;
+  (* bit-identity: table reuse must not move any field of any request *)
   let max_diff =
     List.fold_left
-      (fun acc (lbl, (r : Finch.Solve_result.t)) ->
-        match List.assoc_opt lbl batched.results with
-        | Some rb ->
-          Float.max acc
-            (Fvm.Field.max_abs_diff r.Finch.Solve_result.solution
-               rb.Finch.Solve_result.solution)
-        | None -> Float.max acc infinity)
-      0.0 unbatched.results
+      (fun acc (lbl, r) ->
+        match List.assoc_opt lbl warm.results with
+        | Some rw -> Float.max acc (max_field_diff r rw)
+        | None -> infinity)
+      0.0 cold.results
   in
   let all_completed =
-    unbatched.completed = List.length reqs
-    && batched.completed = List.length reqs
+    cold.completed = List.length reqs && warm.completed = List.length reqs
   in
-  let validated =
-    all_completed && max_diff = 0.0 && batched.rps > unbatched.rps
-  in
-  Printf.printf "  max |batched - unbatched| = %g;  %s\n%!" max_diff
+  let validated = all_completed && max_diff = 0.0 && warm.rps > cold.rps in
+  Printf.printf "  max |warm - cold| = %g;  %s\n%!" max_diff
     (if validated then "validated" else "VALIDATION FAILED");
   let j =
     Finch.Json.Obj
@@ -277,17 +275,11 @@ let serve_cmd requests repeat scenario backend opt eval_mode nx ndirs nbands
               "opt", Finch.Json.Str (Finch.Config.opt_level_name opt_level);
               "eval", Finch.Json.Str (Finch.Config.eval_mode_name eval_mode) ] );
         "total_requests", Finch.Json.Num (float_of_int (List.length reqs));
-        "max_batch", Finch.Json.Num (float_of_int max_batch);
-        "unbatched", pass_json unbatched [];
-        ( "batched",
-          pass_json batched
-            [ "batches", Finch.Json.Num (float_of_int batches);
-              "batched_launches", Finch.Json.Num (float_of_int launches) ] );
+        "cold", pass_json cold;
+        "warm", pass_json warm;
         "max_abs_diff", Finch.Json.Num max_diff;
-        ( "speedup",
-          Finch.Json.Num
-            (if unbatched.rps > 0.0 then batched.rps /. unbatched.rps else 0.0)
-        );
+        ( "table_reuse_speedup",
+          Finch.Json.Num (if cold.rps > 0.0 then warm.rps /. cold.rps else 0.0) );
         "validated", Finch.Json.Bool validated ]
   in
   let oc = open_out json_path in
@@ -306,14 +298,13 @@ let () =
   let term =
     Term.(
       const serve_cmd $ requests_t $ repeat_t $ scenario_t $ backend_t $ opt_t
-      $ eval_t $ nx_t $ ndirs_t $ nbands_t $ nsteps_t $ max_batch_t $ json_t
-      $ trace_t)
+      $ eval_t $ nx_t $ ndirs_t $ nbands_t $ nsteps_t $ json_t $ trace_t)
   in
   let info =
     Cmd.info "bte_serve" ~version:"1.0"
       ~doc:
-        "Batched multi-request solver service benchmark: temperature sweeps \
-         through the serve scheduler, batched vs unbatched, with a \
+        "Solver service benchmark: temperature sweeps through the serve \
+         scheduler with cold and warm scenario tables, with a \
          self-validated BENCH_serve.json."
   in
   exit (Cmd.eval (Cmd.v info term))

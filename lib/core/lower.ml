@@ -10,18 +10,18 @@
 exception Lower_error of string
 
 (* A boundary face's condition.  Expressions compile once per region;
-   a callback is staged once per face and state (see [stage_face]). *)
+   a callback is staged once per face and state, into the state's
+   [staged] table (see [stage_faces]). *)
 type bc_resolved =
   | RFlux_expr of Eval.compiled
-  | RFlux_callback of staged_bc
+  | RFlux_callback of bc_call
   | RDirichlet_expr of Eval.compiled
-  | RDirichlet_callback of staged_bc
+  | RDirichlet_callback of bc_call
 
-and staged_bc = {
-  sb_name : string;                (* the callback's registered name *)
-  sb_callback : Problem.bc_callback;
-  sb_args : float array;           (* numeric literals from the bc string *)
-  sb_fn : (int -> float) Lazy.t;   (* the face's per-component function *)
+and bc_call = {
+  call_name : string;              (* the callback's registered name *)
+  call_fn : Problem.bc_callback;
+  call_args : float array;         (* numeric literals from the bc string *)
 }
 
 type rankinfo = {
@@ -59,6 +59,8 @@ type state = {
   rsurf_f : Eval.compiled;
   ucomp : unit -> int;       (* component of the unknown at current ivals *)
   face_bc : bc_resolved option array; (* indexed by face id; None on interior *)
+  staged : (int -> float) array Lazy.t;
+    (* indexed by face id: a callback face's staged per-component function *)
   time : float ref;
   dt : float ref;
   step : int ref;
@@ -112,65 +114,73 @@ let coef_exn (p : Problem.t) name =
   | Some c -> c
   | None -> raise (Lower_error ("unknown coefficient " ^ name))
 
-(* One callback face staged against [fields] (the storage of the state
-   that will evaluate it).  The callback runs when [sb_fn] is forced:
-   [build] forces every face before the first step, [rebind] leaves them
-   to the first evaluation.  Only the domain sweeping a state may force
-   its table: OCaml 5 raises on a concurrent [Lazy.force]. *)
-let stage_face (p : Problem.t) mesh fields ~name ~callback ~args f =
-  let fail what =
-    raise (Lower_error (Printf.sprintf "boundary callback %s: %s" name what))
+(* Every callback face of [face_bc] staged against [fields] (the storage
+   of the state that will evaluate it): the callback applied to the
+   face's context, which yields the face's per-component function.
+   Faces without a callback hold [not_staged].  [build] stages before the
+   first step, [rebind] on the state's first boundary evaluation.  Only
+   the domain sweeping a state may force its table: OCaml 5 raises on a
+   concurrent [Lazy.force]. *)
+let not_staged _ = invalid_arg "Lower: face has no boundary callback"
+
+let stage_faces (p : Problem.t) mesh fields face_bc =
+  let stage call f =
+    let fail what =
+      raise
+        (Lower_error
+           (Printf.sprintf "boundary callback %s: %s" call.call_name what))
+    in
+    call.call_fn
+      { Problem.bc_mesh = mesh;
+        bc_field =
+          (fun n ->
+            match List.assoc_opt n fields with
+            | Some fl -> fl
+            | None -> fail ("no field for variable " ^ n));
+        bc_coef =
+          (fun n ->
+            match Problem.find_coefficient p n with
+            | Some c -> c
+            | None -> fail ("unknown coefficient " ^ n));
+        bc_face = f;
+        bc_cell = mesh.Fvm.Mesh.face_cell1.(f);
+        bc_normal = Fvm.Mesh.face_normal mesh f;
+        bc_args = call.call_args }
   in
-  let ctx () =
-    { Problem.bc_mesh = mesh;
-      bc_field =
-        (fun n ->
-          match List.assoc_opt n fields with
-          | Some fl -> fl
-          | None -> fail ("no field for variable " ^ n));
-      bc_coef =
-        (fun n ->
-          match Problem.find_coefficient p n with
-          | Some c -> c
-          | None -> fail ("unknown coefficient " ^ n));
-      bc_face = f;
-      bc_cell = mesh.Fvm.Mesh.face_cell1.(f);
-      bc_normal = Fvm.Mesh.face_normal mesh f;
-      bc_args = args }
-  in
-  { sb_name = name; sb_callback = callback; sb_args = args;
-    sb_fn = lazy (callback (ctx ())) }
+  Array.mapi
+    (fun f -> function
+      | Some (RFlux_callback call | RDirichlet_callback call) -> stage call f
+      | Some (RFlux_expr _ | RDirichlet_expr _) | None -> not_staged)
+    face_bc
 
 (* The per-face boundary table of the unknown [uvar]: expression
    conditions compiled once per region by [compile], callback conditions
-   staged per face against [fields], unforced. *)
-let resolve_bcs (p : Problem.t) mesh fields ~compile (uvar : Entity.variable) =
+   resolved once per region and staged by [stage_faces]. *)
+let resolve_bcs (p : Problem.t) mesh ~compile (uvar : Entity.variable) =
   let face_bc = Array.make mesh.Fvm.Mesh.nfaces None in
   List.iter
     (fun (bc : Problem.bc) ->
       let on_region resolved =
+        let resolved = Some resolved in
         Array.iter
           (fun f ->
             if mesh.Fvm.Mesh.face_bid.(f) = bc.Problem.bc_region then
-              face_bc.(f) <- Some (resolved f))
+              face_bc.(f) <- resolved)
           mesh.Fvm.Mesh.boundary_faces
       in
       match bc.Problem.bc_kind, bc.Problem.bc_spec with
-      | Config.Flux, Problem.Bc_expr e ->
-        let g = compile e in
-        on_region (fun _ -> RFlux_expr g)
+      | Config.Flux, Problem.Bc_expr e -> on_region (RFlux_expr (compile e))
       | Config.Dirichlet, Problem.Bc_expr e ->
-        let g = compile e in
-        on_region (fun _ -> RDirichlet_expr g)
+        on_region (RDirichlet_expr (compile e))
       | kind, Problem.Bc_callback { name; args } -> (
         match Problem.find_callback p name with
         | None -> raise (Lower_error ("unknown callback " ^ name))
         | Some callback ->
-          let staged f = stage_face p mesh fields ~name ~callback ~args f in
-          on_region (fun f ->
-              match kind with
-              | Config.Flux -> RFlux_callback (staged f)
-              | Config.Dirichlet -> RDirichlet_callback (staged f))))
+          let c = { call_name = name; call_fn = callback; call_args = args } in
+          on_region
+            (match kind with
+             | Config.Flux -> RFlux_callback c
+             | Config.Dirichlet -> RDirichlet_callback c)))
     (Problem.bcs_for p uvar.Entity.vname);
   face_bc
 
@@ -278,14 +288,8 @@ let rec build ?(info = serial_rankinfo) ?share_with ?(private_clock = false)
   in
   (* resolve boundary conditions into a per-face table, every callback
      face staged now, so a failing stage stops the build *)
-  let face_bc = resolve_bcs p mesh fields ~compile:(Eval.compile bindings) uvar in
-  Array.iter
-    (function
-      | Some (RFlux_callback s | RDirichlet_callback s) ->
-        let (_ : int -> float) = Lazy.force s.sb_fn in
-        ()
-      | Some (RFlux_expr _ | RDirichlet_expr _) | None -> ())
-    face_bc;
+  let face_bc = resolve_bcs p mesh ~compile:(Eval.compile bindings) uvar in
+  let staged = Lazy.from_val (stage_faces p mesh fields face_bc) in
   (* loop plan *)
   let loops =
     let order =
@@ -325,6 +329,7 @@ let rec build ?(info = serial_rankinfo) ?share_with ?(private_clock = false)
       rsurf_f;
       ucomp;
       face_bc;
+      staged;
       time;
       dt;
       step = ref 0;
@@ -422,23 +427,24 @@ let rec dof_rhs st =
       env.Eval.cell2 <- -1;
       match st.face_bc.(f) with
       | None -> () (* unconstrained boundary: zero surface contribution *)
-      | Some bc -> flux := !flux +. (mesh.Fvm.Mesh.face_area.(f) *. boundary_term st bc)
+      | Some bc ->
+        flux := !flux +. (mesh.Fvm.Mesh.face_area.(f) *. boundary_term st f bc)
     end
   done;
   rv +. (!flux /. mesh.Fvm.Mesh.cell_volume.(cell))
 
-(* One boundary condition's term at the current env state: a callback
-   face calls its staged function on the current component *)
-and boundary_term st bc =
+(* Face [f]'s condition at the current env state: a callback face calls
+   its staged function on the current component *)
+and boundary_term st f bc =
   let env = st.env in
   match bc with
   | RFlux_expr g -> g env
-  | RFlux_callback s -> Lazy.force s.sb_fn (st.ucomp ())
+  | RFlux_callback _ -> (Lazy.force st.staged).(f) (st.ucomp ())
   | RDirichlet_expr g ->
     let ghost_val = g env in
     with_ghost st ghost_val (fun () -> st.rsurf_f env)
-  | RDirichlet_callback s ->
-    let ghost_val = Lazy.force s.sb_fn (st.ucomp ()) in
+  | RDirichlet_callback _ ->
+    let ghost_val = (Lazy.force st.staged).(f) (st.ucomp ()) in
     with_ghost st ghost_val (fun () -> st.rsurf_f env)
 
 and with_ghost st ghost_val k =
@@ -475,7 +481,7 @@ let set_ivals_of_comp st comp =
 let boundary_value st f cell comp =
   match st.face_bc.(f) with
   | None -> 0.
-  | Some (RFlux_callback s) -> Lazy.force s.sb_fn comp
+  | Some (RFlux_callback _) -> (Lazy.force st.staged).(f) comp
   | Some bc ->
     let env = st.env in
     env.Eval.cell <- cell;
@@ -483,7 +489,7 @@ let boundary_value st f cell comp =
     env.Eval.face <- f;
     env.Eval.nsign <- 1.; (* boundary faces are owned by their cell *)
     env.Eval.cell2 <- -1;
-    boundary_term st bc
+    boundary_term st f bc
 
 let sweep_dof st ~dt () =
   let cell = st.env.Eval.cell in
@@ -605,14 +611,11 @@ let run_post_step st ~allreduce =
 
 (* A state whose closures read and write the given field storage (device
    views) instead of the base state's host fields.  Time/dt refs are shared
-   with the base so both sides agree on the clock.  Callback faces stage
-   again against the new storage, on their first evaluation: the fused
-   schedule's B parity reads the unknown through [u_new], and device
-   mirrors, which never evaluate a boundary, stage nothing. *)
-let restage p mesh fields s f =
-  stage_face p mesh fields ~name:s.sb_name ~callback:s.sb_callback
-    ~args:s.sb_args f
-
+   with the base so both sides agree on the clock.  The base's condition
+   table is shared; its callback faces stage again against the new
+   storage, all at once on the state's first boundary evaluation: the
+   fused schedule's B parity reads the unknown through [u_new], and
+   device mirrors, which never evaluate a boundary, stage nothing. *)
 let rebind (base : state) ~fields ~u_new =
   let p = base.p in
   let mesh = base.mesh in
@@ -662,15 +665,7 @@ let rebind (base : state) ~fields ~u_new =
       rvol_f;
       rsurf_f;
       ucomp;
-      face_bc =
-        Array.mapi
-          (fun f -> function
-            | Some (RFlux_callback s) ->
-              Some (RFlux_callback (restage p mesh fields s f))
-            | Some (RDirichlet_callback s) ->
-              Some (RDirichlet_callback (restage p mesh fields s f))
-            | other -> other)
-          base.face_bc;
+      staged = lazy (stage_faces p mesh fields base.face_bc);
       rvol_du_f = lazy (fst (compile_rhs "rvol_du" (Transform.rvol_linearization base.eq)));
       tapes;
       (* own accounting: sharing base's mutable breakdown record would make
@@ -774,7 +769,7 @@ let dof_flux st =
       match st.face_bc.(f) with
       | None -> ()
       | Some bc ->
-        flux := !flux +. (mesh.Fvm.Mesh.face_area.(f) *. boundary_term st bc)
+        flux := !flux +. (mesh.Fvm.Mesh.face_area.(f) *. boundary_term st f bc)
     end
   done;
   !flux /. mesh.Fvm.Mesh.cell_volume.(cell)

@@ -6,23 +6,19 @@
 exception Lower_error of string
 
 (** A boundary face's condition: an expression compiled once per
-    region, or a callback staged for this face (see
-    {!Problem.bc_callback}). *)
+    region, or a callback resolved once per region and staged per face
+    in the state's [staged] table (see {!Problem.bc_callback}). *)
 type bc_resolved =
   | RFlux_expr of Eval.compiled
-  | RFlux_callback of staged_bc
+  | RFlux_callback of bc_call
   | RDirichlet_expr of Eval.compiled
-  | RDirichlet_callback of staged_bc
+  | RDirichlet_callback of bc_call
 
-(** One callback face staged for one state. *)
-and staged_bc = {
-  sb_name : string;                (** the callback's registered name *)
-  sb_callback : Problem.bc_callback;
-  sb_args : float array;           (** numeric literals from the bc string *)
-  sb_fn : (int -> float) Lazy.t;
-      (** the face's per-component function: the callback applied to the
-          face's context over the state's own storage, forced by {!build}
-          and on first evaluation in a {!rebind} state *)
+(** A callback condition as the boundary string names it. *)
+and bc_call = {
+  call_name : string;              (** the callback's registered name *)
+  call_fn : Problem.bc_callback;
+  call_args : float array;         (** numeric literals from the bc string *)
 }
 
 type rankinfo = {
@@ -65,6 +61,11 @@ type state = {
   ucomp : unit -> int;   (** component of the unknown at current ivals *)
   face_bc : bc_resolved option array;
       (** per face id; [None] on interior and unconstrained faces *)
+  staged : (int -> float) array Lazy.t;
+      (** per face id, a callback face's per-component function: the
+          callback applied to the face's context over the state's own
+          storage.  Forced by {!build}, and on the first boundary
+          evaluation in a {!rebind} state. *)
   time : float ref;
   dt : float ref;
   step : int ref;
@@ -138,7 +139,7 @@ val owned_comps :
     whose value of every partitioned index [v] carries lies in the
     rank's slice.  [None] when [v] carries no partitioned index: every
     rank then computes all of it.  The rule {!gather_fields} and the GPU
-    executors use to decide what a band slice owns. *)
+    executor use to decide what a band slice owns. *)
 
 val iterate_dofs : state -> (unit -> unit) -> unit
 (** Run a thunk for every owned (cell x index) combination in the
@@ -193,10 +194,11 @@ val set_ivals_of_comp : state -> int -> unit
 val rebind :
   state -> fields:(string * Fvm.Field.t) list -> u_new:Fvm.Field.t -> state
 (** A state whose closures read/write the given (device-view) storage;
-    time/dt refs shared with the base.  Callback faces stage again against
-    the new storage, lazily, on their first evaluation: a state that never
-    evaluates a boundary (a device mirror) stages nothing.  Expression
-    conditions keep the base's compiled closures. *)
+    time/dt refs and the condition table [face_bc] shared with the base.
+    Callback faces stage again against the new storage, all at once on
+    the state's first boundary evaluation: a state that never evaluates a
+    boundary (a device mirror) stages nothing.  Expression conditions
+    keep the base's compiled closures. *)
 
 val dof_rhs_interior : state -> float
 (** Like {!dof_rhs} but interior faces only (the kernel's part; the CPU

@@ -31,9 +31,10 @@ type bc_callback = bc_ctx -> int -> float
 (** A staged boundary condition.  Lowering applies the callback to each
     boundary face of its region once per solver state, never per step or
     per component: [Lower.build] stages every face of the state it
-    builds before the first step, and [Lower.rebind] stages again
-    against the rebound storage on a face's first evaluation (device
-    mirrors, which never evaluate a boundary, stage nothing).  The
+    builds before the first step, and [Lower.rebind] stages every face
+    again against the rebound storage on the state's first boundary
+    evaluation (device mirrors, which never evaluate a boundary, stage
+    nothing).  The
     context's [bc_field] reads that state's own storage, so what the
     returned function captures is what that state sweeps.  The returned
     function maps a flat component of the variable (first declared

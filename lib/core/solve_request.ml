@@ -53,14 +53,6 @@ let equal a b =
   && a.overlap = b.overlap && a.deadline_s = b.deadline_s
   && a.label = b.label
 
-let batch_key r =
-  Printf.sprintf "%s/%dx%d/d%d/b%d/s%d/%s/O%s/%s/%s" r.scenario r.nx r.ny
-    r.ndirs r.nbands r.nsteps
-    (Config.target_name r.backend)
-    (Config.opt_level_name r.opt_level)
-    (Config.eval_mode_name r.eval_mode)
-    (if r.overlap then "ov" else "sync")
-
 let to_json r =
   let base =
     [ "scenario", Json.Str r.scenario;

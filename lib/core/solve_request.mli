@@ -56,11 +56,6 @@ val equal : t -> t -> bool
 (** Structural equality (GPU backends compare by spec name and
     shape). *)
 
-val batch_key : t -> string
-(** Requests with equal [batch_key] generate the same lowered program
-    shape and may be co-batched: everything except the temperature
-    parameters, deadline and label. *)
-
 val to_json : t -> Json.t
 (** Serialize for the service queue / wire protocols.  The backend is
     spelled with the canonical {!Config.target_name} grammar. *)

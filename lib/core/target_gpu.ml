@@ -33,12 +33,7 @@ type result = {
   profile_threads : int;             (* grid size used for profiling *)
 }
 
-(* ---- Pieces of the schedule -----------------------------------------
-
-   The per-rank body below and the serve layer's request-batched executor
-   (Finch_serve.Batch) assemble their device state and per-step host work
-   from these, so what a thread computes, what it costs, and what the
-   host does around the kernel are each written once. *)
+(* ---- Pieces of the schedule -------------------------------------- *)
 
 type mirror = {
   dev : Gpu_sim.Memory.device;
@@ -54,9 +49,9 @@ type mirror = {
    the device storage: same problem, env and closures, compiled against
    the device views.  Coefficient arrays are compiled into the kernel
    closures directly (constant memory). *)
-let mirror ?(prefix = "") ~nbuf dev (host : Lower.state) =
+let mirror ~nbuf dev (host : Lower.state) =
   let alloc name f =
-    Gpu_sim.Memory.alloc dev ~label:(prefix ^ name) ~size:(Fvm.Field.size f)
+    Gpu_sim.Memory.alloc dev ~label:name ~size:(Fvm.Field.size f)
   in
   let view name f (buf : Gpu_sim.Memory.buffer) =
     Fvm.Field.of_bigarray ~name ~ncells:(Fvm.Field.ncells f)
@@ -193,7 +188,7 @@ let every_step_h2d (plan : Dataflow.plan) =
       if tr.Dataflow.tr_h2d_every_step then Some tr.Dataflow.tr_var else None)
     plan.Dataflow.transfers
 
-(* The data-movement plan the executors follow.  They always launch the
+(* The data-movement plan the executor follows.  It always launches the
    interior update on the device, so a plan that places it on the host
    uploads none of its inputs and the kernels would read stale device
    data. *)
@@ -204,7 +199,7 @@ let device_plan (p : Problem.t) =
      raise
        (Gpu_error
           "the data-movement plan places interior_update on the host, but \
-           the GPU executors run it on the device")
+           the GPU executor runs it on the device")
    | Some Dataflow.Gpu_side | None -> ());
   plan
 

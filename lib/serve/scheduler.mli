@@ -1,29 +1,24 @@
-(** Admission, queueing and batched dispatch of solve requests.
+(** Admission, queueing and dispatch of solve requests.
 
     Requests are submitted into a bounded FIFO queue and processed by
-    {!drain}: each round pops the head, gathers every queued request
-    inside the next [max_batch]-sized window that shares its
-    {!Finch.Solve_request.batch_key} and passes the analysis gate, and
-    executes the group — through the batched GPU engine ({!Batch}) when
-    the group is a co-batchable GPU set of two or more, solo otherwise.
+    {!drain}, one request per round in submission order: each round
+    pops the head and solves it alone through {!Finch.solve_prepared}.
     Admission rejects on a full queue or an invalid/unknown request; a
-    request whose deadline has passed when it is picked for execution
-    times out without running; the analysis gate
-    ([Finch_analysis.Driver.check_problem], run once per request when it
-    is first inspected) rejects requests whose program carries errors.
+    request whose deadline has passed when it is picked times out
+    without running; the analysis gate
+    ([Finch_analysis.Driver.check_problem], run once per request)
+    rejects requests whose program carries errors.
 
     Requests with [backend = auto] are planned per request by the
     autotuner ({!Finch_tune.Tune.resolve}, model-only so the choice is
-    deterministic) when first inspected; the resolved request drives
-    preparation and the batch key, so auto requests landing on the same
-    plan co-batch with hand-picked ones.
+    deterministic) when picked; the resolved request drives preparation.
 
     Observability: every request gets a trace id and a span on the
-    ["serve"] track covering submit-to-done; the queue depth is the
+    ["serve"] track covering its solve; the queue depth is the
     [serve.queue_depth] gauge; submit-to-done latency lands in the
-    [serve.latency_ns] histogram and group sizes in [serve.batch_size];
-    counters [serve.requests] / [serve.completed] / [serve.rejected] /
-    [serve.timed_out] / [serve.batches] track totals. *)
+    [serve.latency_ns] histogram; counters [serve.requests] /
+    [serve.completed] / [serve.rejected] / [serve.timed_out] track
+    totals. *)
 
 type outcome =
   | Completed of Finch.Solve_result.t
@@ -49,17 +44,16 @@ val create :
   ?now:(unit -> float) ->
   unit ->
   t
-(** [max_queue] bounds admission (default 64); [max_batch] bounds the
-    coalescing window (default 8); [default_deadline_s] applies to
-    requests carrying no deadline (default none); [use_cache] switches
-    scenario-table reuse across requests ({!Finch.set_scenario_cache};
-    default true — off, every request builds its dispersion, quadrature
-    and equilibrium tables cold, the unbatched baseline); [batching]
-    enables batched GPU execution (default true); [now] injects a clock
-    for deadline tests (default [Unix.gettimeofday]).  [post_io] is
-    ignored: each problem carries its callbacks' I/O
-    ({!Finch.Problem.post_io}); the parameter stays only for existing
-    callers. *)
+(** [max_queue] bounds admission (default 64); [default_deadline_s]
+    applies to requests carrying no deadline (default none); [use_cache]
+    switches scenario-table reuse across requests
+    ({!Finch.set_scenario_cache}; default true — off, every request
+    builds its dispersion, quadrature and equilibrium tables cold);
+    [now] injects a clock for deadline tests (default
+    [Unix.gettimeofday]).  [max_batch], [batching] and [post_io] are
+    ignored: every request runs as its own solve, and each problem
+    carries its callbacks' I/O ({!Finch.Problem.post_io}); the
+    parameters stay only for existing callers. *)
 
 val submit : t -> Finch.Solve_request.t -> ticket
 (** Enqueue a request.  A full queue or a failed

@@ -4,8 +4,7 @@
     [Config.Auto]), the optimizer level, the evaluator and the overlap
     toggle.  Applying a plan to a solve request overrides exactly those
     knobs and nothing else, so two requests that differ only in
-    temperatures resolve onto the same plan and keep equal
-    {!Finch.Solve_request.batch_key}s. *)
+    temperatures resolve onto the same plan. *)
 
 type t = {
   target : Finch.Config.target;  (** concrete backend; never [Auto] *)

@@ -8,13 +8,16 @@
 #   - `--backend auto` with a tuner cache directory that cannot be
 #     created exits 2 naming the directory;
 #   - the tuner's decision key is stable across processes: a second
-#     `--backend auto` run hits the decision the first one wrote.
+#     `--backend auto` run hits the decision the first one wrote;
+#   - `bte_serve --batch N` (request co-batching, removed) is an unknown
+#     option, exit 124.
 # Runs a 1-step 4x4 solve per case, so it is cheap enough for CI.
 set -eu
 cd "$(dirname "$0")/.."
 
-dune build bin/bte_sim.exe 2>/dev/null
+dune build bin/bte_sim.exe bin/bte_serve.exe 2>/dev/null
 SIM=_build/default/bin/bte_sim.exe
+SERVE=_build/default/bin/bte_serve.exe
 RUN="$SIM run --nx 4 --ny 4 --dirs 2 --bands 2 --steps 1"
 
 status=0
@@ -116,6 +119,14 @@ if [ "$(counter "$second" tune.cache_hits)" != 1 ] \
   fail "second --backend auto run did not hit the first run's decision"
 fi
 rm -rf "$TUNE_DIR"
+
+# the removed co-batching window: a cmdliner parse error, before any
+# request runs
+code=0
+$SERVE --batch 8 >/dev/null 2>&1 || code=$?
+if [ "$code" -ne 124 ]; then
+  fail "bte_serve --batch 8 exited $code, expected 124"
+fi
 
 if [ "$status" -eq 0 ]; then
   echo "check_deprecated_flags: OK"

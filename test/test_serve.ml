@@ -1,23 +1,14 @@
 (* Serve-layer tests: Solve_request JSON round-trips (property), the
    Finch facade vs the hand-wired pipeline (bit-identity), scheduler
-   admission/queueing/deadline edge cases, and the headline batching
-   property — batched GPU execution bit-identical to solo solves across
-   scenario x backend x opt level. *)
+   admission/queueing/deadline/ordering edge cases, and served results
+   bit-identical to per-request Finch.solve across scenario x backend x
+   opt level. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
 let () = Bte.Setup.register_scenarios ()
-
-(* run [f] with the metrics registry enabled, restoring the previous
-   enablement after (other suites depend on the default-off state) *)
-let with_metrics f =
-  let was = Prt.Metrics.enabled () in
-  Prt.Metrics.enable ();
-  Fun.protect ~finally:(fun () -> if not was then Prt.Metrics.disable ()) f
-
-let cval name = Prt.Metrics.value (Prt.Metrics.counter name)
 
 (* tiny request: seconds-scale full matrix *)
 let tiny ?(scenario = "hotspot") ?(nx = 8) ?(nsteps = 4)
@@ -105,21 +96,6 @@ let test_json_rejects () =
   bad {|{"scenario":"hotspot","backend":"warp:9"}|};
   bad {|{"scenario":"hotspot"} trailing|};   (* trailing garbage *)
   bad {|{"scenario":}|}
-
-let test_batch_key () =
-  let r = tiny () in
-  let k = Finch.Solve_request.batch_key in
-  check_string "temps excluded" (k r) (k { r with Finch.Solve_request.t_hot = Some 401. });
-  check_string "label excluded" (k r)
-    (k { r with Finch.Solve_request.label = Some "x" });
-  check_string "deadline excluded" (k r)
-    (k { r with Finch.Solve_request.deadline_s = Some 9. });
-  check_bool "dims included" false
-    (k r = k { r with Finch.Solve_request.nx = 9 });
-  check_bool "backend included" false
-    (k r = k { r with Finch.Solve_request.backend = gpu1 });
-  check_bool "opt included" false
-    (k r = k { r with Finch.Solve_request.opt_level = Finch.Config.O0 })
 
 (* ---------- facade ---------- *)
 
@@ -261,196 +237,113 @@ let test_default_deadline () =
      | Some (Finch_serve.Scheduler.Timed_out _) -> true
      | _ -> false)
 
-let test_batch_split_incompatible () =
-  with_metrics (fun () ->
-      let b0 = cval "serve.batches" in
-      let t = Finch_serve.Scheduler.create () in
-      (* same batch key only for the two nx=8 GPU requests; the nx=9
-         request must be left out of their batch and run alone *)
+(* one request per round: a request that cannot share anything with its
+   neighbours still runs in its submission slot *)
+let test_drain_fifo () =
+  let was = Prt.Trace.enabled () in
+  Prt.Trace.clear ();
+  Prt.Trace.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      if not was then Prt.Trace.disable ();
+      Prt.Trace.clear ())
+    (fun () ->
+      let labels = [ "first"; "second"; "third" ] in
       let outs =
-        Finch_serve.Scheduler.run_all t
-          [ tiny ~backend:gpu1 ~t_hot:350. ();
-            tiny ~backend:gpu1 ~nx:9 ();
-            tiny ~backend:gpu1 ~t_hot:360. () ]
+        Finch_serve.Scheduler.run_all
+          (Finch_serve.Scheduler.create ())
+          [ tiny ~backend:gpu1 ~label:"first" ();
+            tiny ~backend:gpu1 ~nx:9 ~label:"second" ();
+            tiny ~backend:gpu1 ~label:"third" () ]
       in
       check_int "all three completed" 3
         (List.length
            (List.filter
               (function Finch_serve.Scheduler.Completed _ -> true | _ -> false)
               outs));
-      check_int "exactly one batch formed" 1 (cval "serve.batches" - b0))
+      (* each solve leaves one span on the serve track, named after the
+         request's label *)
+      let solved =
+        List.filter_map
+          (fun (ev : Prt.Trace.event) ->
+            if ev.Prt.Trace.ev_cat = "serve" then
+              List.find_opt (Tutil.contains ev.Prt.Trace.ev_name) labels
+            else None)
+          (Prt.Trace.events ())
+      in
+      Alcotest.(check (list string)) "solved in submission order" labels solved)
 
-let test_cpu_requests_never_batch () =
-  with_metrics (fun () ->
-      let b0 = cval "serve.batches" in
-      let t = Finch_serve.Scheduler.create () in
-      let outs =
-        Finch_serve.Scheduler.run_all t [ tiny (); tiny (); tiny () ]
-      in
-      check_int "all completed" 3
-        (List.length
-           (List.filter
-              (function Finch_serve.Scheduler.Completed _ -> true | _ -> false)
-              outs));
-      check_int "no CPU batches" 0 (cval "serve.batches" - b0))
+(* ---------- served vs per-request solve bit-identity ---------- *)
 
-(* ---------- batched vs solo bit-identity ---------- *)
-
-(* the ISSUE acceptance matrix: scenario x {serial, cells:2, gpu} x
-   {O0, O2}; a three-request temperature sweep run through a batching
-   scheduler with the caches on must produce exactly the fields the
-   cold per-request pipeline produces *)
-let test_batched_matches_solo () =
-  List.iter
-    (fun scenario ->
-      List.iter
-        (fun backend ->
-          List.iter
-            (fun opt_level ->
-              let base_t =
-                match scenario with "corner" -> 150. | _ -> 350.
-              in
-              let reqs =
-                List.map
-                  (fun i ->
-                    tiny ~scenario ~backend ~opt_level
-                      ~t_hot:(base_t +. (5. *. float_of_int i))
-                      ~label:(Printf.sprintf "t%d" i) ())
-                  [ 0; 1; 2 ]
-              in
-              let solve_via ~batching ~use_cache =
-                let t =
-                  Finch_serve.Scheduler.create ~batching ~use_cache ()
-                in
-                List.map
-                  (function
-                    | Finch_serve.Scheduler.Completed r ->
-                      r.Finch.Solve_result.solution
-                    | Finch_serve.Scheduler.Rejected m ->
-                      Alcotest.failf "rejected: %s" m
-                    | Finch_serve.Scheduler.Timed_out _ ->
-                      Alcotest.fail "timed out")
-                  (Finch_serve.Scheduler.run_all t reqs)
-              in
-              let batched = solve_via ~batching:true ~use_cache:true in
-              let solo = solve_via ~batching:false ~use_cache:false in
-              List.iteri
-                (fun i (b, s) ->
-                  Alcotest.(check (float 0.))
-                    (Printf.sprintf "%s %s O%s #%d"
-                       scenario
-                       (Finch.Config.target_name backend)
-                       (Finch.Config.opt_level_name opt_level)
-                       i)
-                    0.
-                    (Fvm.Field.max_abs_diff b s))
-                (List.combine batched solo))
-            [ Finch.Config.O0; Finch.Config.O2 ])
-        [ Finch.Config.Cpu Finch.Config.Serial;
-          Finch.Config.Cpu (Finch.Config.Cell_parallel 2);
-          gpu1 ])
-    [ "hotspot"; "corner" ]
-
-let test_batch_counters_gpu () =
-  with_metrics (fun () ->
-      let b0 = cval "serve.batches" and l0 = cval "serve.batched_launches" in
-      let t = Finch_serve.Scheduler.create () in
-      let outs =
-        Finch_serve.Scheduler.run_all t
-          [ tiny ~backend:gpu1 ~t_hot:350. ();
-            tiny ~backend:gpu1 ~t_hot:355. () ]
-      in
-      check_int "both completed" 2
-        (List.length
-           (List.filter
-              (function Finch_serve.Scheduler.Completed _ -> true | _ -> false)
-              outs));
-      check_int "one batch" 1 (cval "serve.batches" - b0);
-      check_bool "batched launches recorded" true
-        (cval "serve.batched_launches" - l0 > 0))
-
-(* ---------- batched-IR analysis gate ---------- *)
-
-(* the scheduler's second gate: the request-batched IR itself is linted
-   before dispatch.  On a compatible GPU batch the rewrite must lint
-   clean (so batching actually runs, no silent solo fallback) and keep
-   the documented shape: kernels stay single batched launches, host
-   phases and transfers run under a per-request loop *)
-let test_batched_ir_lints_clean () =
-  with_metrics (fun () ->
-      let prep req =
-        match Finch.prepare req with
-        | Ok p -> p.Finch.pr_problem
-        | Error e -> Alcotest.fail (Finch.Solve_error.to_string e)
-      in
-      let problems =
-        Array.of_list
-          (List.map prep
-             [ tiny ~backend:gpu1 ~t_hot:350. ();
-               tiny ~backend:gpu1 ~t_hot:355. () ])
-      in
-      let ir =
-        Finch_serve.Batch.batched_ir problems
-      in
-      let count pred =
-        Finch.Ir.fold (fun n node -> if pred node then n + 1 else n) 0 ir
-      in
-      let batch_kernels =
-        count (function
-          | Finch.Ir.Kernel { kname; _ } ->
-            let n = String.length kname in
-            n >= 6 && String.sub kname (n - 6) 6 = "_batch"
-          | _ -> false)
-      in
-      check_bool "kernels kept as batched launches" true (batch_kernels > 0);
-      check_int "no un-batched kernels" batch_kernels
-        (count (function Finch.Ir.Kernel _ -> true | _ -> false));
-      check_bool "host phases wrapped per request" true
-        (count (function
-           | Finch.Ir.Loop { range = Finch.Ir.Index "request"; _ } -> true
-           | _ -> false)
-         > 0);
-      let rep = Finch_serve.Batch.check problems in
-      check_int "batched IR lints clean" 0
-        (List.length rep.Finch_analysis.Driver.findings);
-      (* and the scheduler therefore batches without falling back *)
-      let f0 = cval "serve.batch_fallbacks"
-      and e0 = cval "serve.batch_analysis_errors" in
-      let t = Finch_serve.Scheduler.create () in
-      let outs =
-        Finch_serve.Scheduler.run_all t
-          [ tiny ~backend:gpu1 ~t_hot:350. ();
-            tiny ~backend:gpu1 ~t_hot:355. () ]
-      in
-      check_int "both completed" 2
-        (List.length
-           (List.filter
-              (function Finch_serve.Scheduler.Completed _ -> true | _ -> false)
-              outs));
-      check_int "no analysis errors on the batched IR" 0
-        (cval "serve.batch_analysis_errors" - e0);
-      check_int "no solo fallback" 0 (cval "serve.batch_fallbacks" - f0))
-
-(* one data-movement plan, the first problem's, serves a whole batch, so
-   problems whose post-step callbacks read or write different fields must
-   not share one *)
-let test_batch_rejects_differing_post_io () =
-  let prep req =
-    match Finch.prepare req with
-    | Ok p -> p.Finch.pr_problem
-    | Error e -> Alcotest.fail (Finch.Solve_error.to_string e)
+(* scenario x {serial, cells:2, gpu} x {O0, O2}: a three-request
+   temperature sweep through a scheduler that reuses scenario tables must
+   produce exactly the fields a per-request Finch.solve with cold tables
+   produces *)
+let test_served_matches_solve () =
+  let fields = [ "I"; "T"; "Io"; "beta" ] in
+  let field_of (r : Finch.Solve_result.t) name =
+    Finch.Solve.field r.Finch.Solve_result.outcome name
   in
-  let a = prep (tiny ~backend:gpu1 ~t_hot:350. ()) in
-  let b = prep (tiny ~backend:gpu1 ~t_hot:355. ()) in
-  check_bool "same contract batches" true
-    (Finch_serve.Batch.compatible [| a; b |] = Ok ());
-  let update = (List.hd b.Finch.Problem.post_step).Finch.Problem.pc_fn in
-  b.Finch.Problem.post_step <- [];
-  Finch.Problem.post_step_function b update;
-  match Finch_serve.Batch.compatible [| a; b |] with
-  | Ok () -> Alcotest.fail "differing post-step I/O must not batch"
-  | Error m ->
-    check_bool "names the callback I/O" true (Tutil.contains m "post-step")
+  let was = Finch.scenario_cache_enabled () in
+  Fun.protect
+    ~finally:(fun () -> Finch.set_scenario_cache was)
+    (fun () ->
+      List.iter
+        (fun scenario ->
+          List.iter
+            (fun backend ->
+              List.iter
+                (fun opt_level ->
+                  let base_t =
+                    match scenario with "corner" -> 150. | _ -> 350.
+                  in
+                  let reqs =
+                    List.map
+                      (fun i ->
+                        tiny ~scenario ~backend ~opt_level
+                          ~t_hot:(base_t +. (5. *. float_of_int i))
+                          ~label:(Printf.sprintf "t%d" i) ())
+                      [ 0; 1; 2 ]
+                  in
+                  let served =
+                    Finch_serve.Scheduler.run_all
+                      (Finch_serve.Scheduler.create ~use_cache:true ())
+                      reqs
+                  in
+                  List.iteri
+                    (fun i (req, out) ->
+                      let r =
+                        match out with
+                        | Finch_serve.Scheduler.Completed r -> r
+                        | Finch_serve.Scheduler.Rejected m ->
+                          Alcotest.failf "rejected: %s" m
+                        | Finch_serve.Scheduler.Timed_out _ ->
+                          Alcotest.fail "timed out"
+                      in
+                      Finch.set_scenario_cache false;
+                      let cold =
+                        match Finch.solve req with
+                        | Ok c -> c
+                        | Error e ->
+                          Alcotest.fail (Finch.Solve_error.to_string e)
+                      in
+                      List.iter
+                        (fun name ->
+                          Alcotest.(check (float 0.))
+                            (Printf.sprintf "%s %s O%s #%d %s" scenario
+                               (Finch.Config.target_name backend)
+                               (Finch.Config.opt_level_name opt_level)
+                               i name)
+                            0.
+                            (Fvm.Field.max_abs_diff (field_of r name)
+                               (field_of cold name)))
+                        fields)
+                    (List.combine reqs served))
+                [ Finch.Config.O0; Finch.Config.O2 ])
+            [ Finch.Config.Cpu Finch.Config.Serial;
+              Finch.Config.Cpu (Finch.Config.Cell_parallel 2);
+              gpu1 ])
+        [ "hotspot"; "corner" ])
 
 let suite =
   ( "serve",
@@ -458,7 +351,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_json_roundtrip;
       Alcotest.test_case "request JSON defaults" `Quick test_json_defaults;
       Alcotest.test_case "request JSON rejects" `Quick test_json_rejects;
-      Alcotest.test_case "batch key scope" `Quick test_batch_key;
       Alcotest.test_case "facade matches direct pipeline" `Quick
         test_facade_matches_direct;
       Alcotest.test_case "facade unknown scenario" `Quick
@@ -475,15 +367,8 @@ let suite =
         test_deadline_expiry;
       Alcotest.test_case "scheduler default deadline" `Quick
         test_default_deadline;
-      Alcotest.test_case "incompatible request splits batch" `Quick
-        test_batch_split_incompatible;
-      Alcotest.test_case "cpu requests never batch" `Quick
-        test_cpu_requests_never_batch;
-      Alcotest.test_case "batched matches solo (matrix)" `Quick
-        test_batched_matches_solo;
-      Alcotest.test_case "gpu batch counters" `Quick test_batch_counters_gpu;
-      Alcotest.test_case "batched IR lints clean" `Quick
-        test_batched_ir_lints_clean;
-      Alcotest.test_case "differing post-step I/O never batches" `Quick
-        test_batch_rejects_differing_post_io;
+      Alcotest.test_case "drain runs in submission order" `Quick
+        test_drain_fifo;
+      Alcotest.test_case "served results equal Finch.solve (matrix)" `Quick
+        test_served_matches_solve;
     ] )
