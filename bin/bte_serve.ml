@@ -11,9 +11,12 @@
    passes run the same requests and differ in one factor, scenario-table
    reuse: the cold pass builds every request's dispersion, quadrature
    and equilibrium tables afresh, the warm pass reuses them across
-   requests.  Results must be bit-identical; the emitted JSON carries
-   requests/s, p50/p95 latency, host CPU and modelled device time per
-   request for both passes, and validates itself. *)
+   requests.  Each request is submitted and drained alone, so its
+   latency runs from the scheduler picking it to its ticket resolving:
+   preparation, the analysis gate and the solve.  Results must be
+   bit-identical; the emitted JSON carries requests/s, p50/p95 latency,
+   host CPU and modelled device time per request for both passes, and
+   validates itself. *)
 
 open Cmdliner
 
@@ -137,36 +140,48 @@ let cpu_s () =
   let t = Unix.times () in
   t.Unix.tms_utime +. t.Unix.tms_stime
 
+(* One drain round per request: its latency runs from the scheduler
+   picking it to its ticket resolving. *)
+let serve_one sched req =
+  let tk = Finch_serve.Scheduler.submit sched req in
+  let t0 = Unix.gettimeofday () in
+  Finch_serve.Scheduler.drain sched;
+  let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+  Finch_serve.Scheduler.outcome tk, ms
+
 let run_pass ~label ~use_cache reqs =
   let sched = Finch_serve.Scheduler.create ~use_cache () in
   let kernel_ns0 = counter "gpu.kernel_ns" in
   let cpu0 = cpu_s () in
   let t0 = Unix.gettimeofday () in
-  let outcomes = Finch_serve.Scheduler.run_all sched reqs in
+  let served = List.map (serve_one sched) reqs in
   let wall_s = Unix.gettimeofday () -. t0 in
   let cpu_used = cpu_s () -. cpu0 in
   let kernel_ns = counter "gpu.kernel_ns" - kernel_ns0 in
-  let results =
+  let completed_ms =
     List.filter_map
-      (fun (req, oc) ->
+      (fun ((req : Finch.Solve_request.t), (oc, ms)) ->
         match oc with
-        | Finch_serve.Scheduler.Completed r ->
+        | Some (Finch_serve.Scheduler.Completed r) ->
           Some
-            ( (match req.Finch.Solve_request.label with
-               | Some l -> l
-               | None -> r.Finch.Solve_result.trace_id),
-              r )
-        | Finch_serve.Scheduler.Rejected reason ->
+            ( ( (match req.Finch.Solve_request.label with
+                 | Some l -> l
+                 | None -> r.Finch.Solve_result.trace_id),
+                r ),
+              ms )
+        | Some (Finch_serve.Scheduler.Rejected reason) ->
           Printf.eprintf "%s: request rejected: %s\n" label reason;
           None
-        | Finch_serve.Scheduler.Timed_out by ->
+        | Some (Finch_serve.Scheduler.Timed_out by) ->
           Printf.eprintf "%s: request timed out by %.3fs\n" label by;
+          None
+        | None ->
+          Printf.eprintf "%s: request left unresolved by its drain\n" label;
           None)
-      (List.combine reqs outcomes)
+      (List.combine reqs served)
   in
-  let latencies =
-    List.map (fun (_, r) -> r.Finch.Solve_result.wall_s *. 1e3) results
-  in
+  let results = List.map fst completed_ms in
+  let latencies = List.map snd completed_ms in
   let completed = List.length results in
   let per_req x = x /. float_of_int (max 1 completed) in
   { label;

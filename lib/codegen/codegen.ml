@@ -15,9 +15,10 @@
      verify   Finch_analysis.Driver.check_problem gates the program the
               same way optimizer passes are gated — any error falls back
               to the interpreter;
-     bind     pack mesh/field/coefficient storage into a Finch_ci.rt,
-              with boundary terms calling each callback face's staged
-              function (expression conditions: the interpreter).
+     bind     pack the solve's face tables and the mesh/field/coefficient
+              storage into a Finch_ci.rt, with boundary terms calling
+              each callback face's staged function (expression
+              conditions: the interpreter).
 
    Every fallback path prints one warning per reason and returns None,
    leaving the closure interpreter in charge — `--eval native` degrades
@@ -223,15 +224,21 @@ let bind_state (st : Finch.Lower.state) (em : Finch.Emit_source.ocaml_emission)
         (List.map field em.Finch.Emit_source.oc_fields
         @ [ Fvm.Field.raw st.Finch.Lower.u_new ])
     in
+    let faces = st.Finch.Lower.faces in
     let rt =
       {
         Finch_ci.ncells = mesh.Fvm.Mesh.ncells;
         dim = mesh.Fvm.Mesh.dim;
         cell_faces = mesh.Fvm.Mesh.cell_faces;
-        face_cell1 = mesh.Fvm.Mesh.face_cell1;
-        face_cell2 = mesh.Fvm.Mesh.face_cell2;
+        (* the solve's face tables, read in place *)
+        slot_start = faces.Finch.Eval.slot_start;
+        slot_nbr = faces.Finch.Eval.slot_nbr;
+        slot_normal = faces.Finch.Eval.slot_normal;
+        tests =
+          Array.of_list
+            (List.map (fun (t : Finch.Eval.staged) -> t.Finch.Eval.holds)
+               faces.Finch.Eval.tests);
         face_area = mesh.Fvm.Mesh.face_area;
-        face_normal = mesh.Fvm.Mesh.face_normal;
         cell_volume = mesh.Fvm.Mesh.cell_volume;
         cell_centroid = mesh.Fvm.Mesh.cell_centroid;
         fields;

@@ -15,10 +15,11 @@ type rt = {
   ncells : int;
   dim : int;
   cell_faces : int array array;
-  face_cell1 : int array;
-  face_cell2 : int array;
+  slot_start : int array;
+  slot_nbr : int array;
+  slot_normal : float array;
+  tests : Bytes.t array;
   face_area : float array;
-  face_normal : float array;
   cell_volume : float array;
   cell_centroid : float array;
   fields : ba array;

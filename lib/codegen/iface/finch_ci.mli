@@ -15,10 +15,15 @@ type rt = {
   ncells : int;
   dim : int;
   cell_faces : int array array;  (** face ids bounding each cell *)
-  face_cell1 : int array;        (** owning cell of each face *)
-  face_cell2 : int array;        (** neighbour cell, or -1 on the boundary *)
+  slot_start : int array;
+      (** per cell, the (cell, local face) slot of its first face: face
+          [cell_faces.(c).(i)] is slot [slot_start.(c) + i] *)
+  slot_nbr : int array;          (** per slot: neighbour cell, -1 on the boundary *)
+  slot_normal : float array;     (** per slot x dim: the normal seen from the slot's cell *)
+  tests : Bytes.t array;
+      (** staged conditional tests, in emission order: per slot x index
+          values, nonzero where the test holds *)
   face_area : float array;
-  face_normal : float array;     (** nfaces * dim, outward from cell1 *)
   cell_volume : float array;
   cell_centroid : float array;   (** ncells * dim *)
   fields : ba array;             (** slot order fixed by the emission *)
@@ -36,7 +41,10 @@ type rt = {
           condition (flux value, or rsurf under a Dirichlet ghost) *)
 }
 (** Everything a generated kernel reads or writes, bound per solver
-    state. *)
+    state.  The slot tables are the solve's face tables
+    ([Lower.stage_interior]), read in place and shared with every other
+    state of the solve; changing this record changes every emitted
+    source, so every kernel cache goes stale once. *)
 
 type entry = {
   e_sweep : int array option -> unit;

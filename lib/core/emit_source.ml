@@ -199,8 +199,9 @@ type ocaml_emission = {
 }
 
 (* face context of an emitted expression: the volume term has none; the
-   surface term is only emitted for the interior branch (boundary faces
-   go through the runtime's bc_term callback) *)
+   surface term is only emitted for the interior branch of the slot loop
+   (boundary faces go through the runtime's bc_term callback), where the
+   slot [s], its [face] and [cell2] are bound *)
 type face_ctx = No_face | Interior
 
 let unsup fmt = Printf.ksprintf (fun s -> raise (Unsupported_native s)) fmt
@@ -299,6 +300,32 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
       then None
       else unsup "unknown index %s" n
   in
+  (* the staged test [c] is, numbered in list order (the binder passes
+     their tables in the same order) *)
+  let staged_index c =
+    let rec find k = function
+      | [] -> None
+      | (t : Eval.staged) :: rest ->
+        if t.Eval.test = c then Some (k, t) else find (k + 1) rest
+    in
+    find 0 st.Lower.faces.Eval.tests
+  in
+  (* a staged test's table offset within the slot: its index values,
+     first name fastest, as Eval reads it *)
+  let test_offset ~scope (t : Eval.staged) =
+    let _, pieces =
+      List.fold_left
+        (fun (stride, acc) (n, ext) ->
+          let piece =
+            match ivar n scope with
+            | Some v -> Printf.sprintf "(%s * %d)" v stride
+            | None -> "0"
+          in
+          stride * ext, acc @ [ piece ])
+        (1, []) t.Eval.names
+    in
+    if pieces = [] then "0" else "(" ^ String.concat " + " pieces ^ ")"
+  in
   (* component offset of a field reference, mirroring Eval.compile_comp:
      position in the declared index list governs the stride *)
   let comp_of ~scope name layout idx_refs =
@@ -349,10 +376,17 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
        | Expr.Le -> Printf.sprintf "(if %s <= %s then 1. else 0.)" sa sb
        | Expr.Eq -> Printf.sprintf "(if Float.equal %s %s then 1. else 0.)" sa sb
        | Expr.Ne -> Printf.sprintf "(if not (Float.equal %s %s) then 1. else 0.)" sa sb)
-    | Expr.Cond (c, t, el) ->
-      (* lazy, like the closure (the tape is the eager one) *)
-      Printf.sprintf "(if %s <> 0. then %s else %s)" (ex ~scope ~face c)
-        (ex ~scope ~face t) (ex ~scope ~face el)
+    | Expr.Cond (c, t, el) -> (
+      (* lazy, like the closure (the tape is the eager one); a staged
+         test reads its table at the slot, as the closure does *)
+      match staged_index c with
+      | Some (k, staged) when face = Interior ->
+        Printf.sprintf "(if Bytes.get t%d ((s * %d) + %s) <> '\\000' then %s else %s)"
+          k staged.Eval.width (test_offset ~scope staged) (ex ~scope ~face t)
+          (ex ~scope ~face el)
+      | _ ->
+        Printf.sprintf "(if %s <> 0. then %s else %s)" (ex ~scope ~face c)
+          (ex ~scope ~face t) (ex ~scope ~face el))
   and sym ~scope ~face s =
     match s with
     | "dt" -> "dt"
@@ -368,7 +402,7 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
     | s when String.length s > 7 && String.sub s 0 7 = "NORMAL_" ->
       if face = No_face then unsup "%s outside a face context" s;
       let k = int_of_string (String.sub s 7 (String.length s - 7)) - 1 in
-      Printf.sprintf "(nsign *. nrm.((face * dim) + %d))" k
+      Printf.sprintf "snrm.((s * dim) + %d)" k
     | s -> (
       ignore scope;
       match var_slot s with
@@ -496,25 +530,29 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
       emit_loops (d + 1) rest body;
       line d "done"
   in
-  (* the interior-face flux accumulation shared by sweep and dof_interior;
-     [with_bc] adds the boundary branch through the runtime callback *)
+  (* the face sum shared by sweep and dof_interior: one loop over the
+     cell's slots, reading neighbour, signed normal and staged tests from
+     the face tables; [with_bc] adds the boundary branch through the
+     runtime callback *)
   let emit_flux d ~scope ~with_bc =
     let rsurf = ex ~scope ~face:Interior st.Lower.eq.Transform.rsurf in
     line d "let flux = ref 0. in";
-    line d "let fcs = cfaces.(cell) in";
+    line d "let fcs = cfaces.(cell) and s0 = sstart.(cell) in";
     line d "for fi = 0 to Array.length fcs - 1 do";
-    line (d + 1) "let face = fcs.(fi) in";
-    line (d + 1) "let c1 = fc1.(face) in";
-    line (d + 1) "let cell2 = if c1 = cell then fc2.(face) else c1 in";
+    line (d + 1) "let s = s0 + fi in";
+    line (d + 1) "let cell2 = snbr.(s) in";
     line (d + 1) "if cell2 >= 0 then begin";
-    line (d + 2) "let nsign = if c1 = cell then 1. else (-1.) in";
+    line (d + 2) "let face = fcs.(fi) in";
     linef (d + 2) "flux := !flux +. (area.(face) *. %s)" rsurf;
     line (d + 1) "end";
     if with_bc then begin
-      line (d + 1) "else if has_bc.(face) then";
+      line (d + 1) "else begin";
+      line (d + 2) "let face = fcs.(fi) in";
       (* unconstrained boundary faces add nothing — not even +. 0. — so
          signed zeros survive exactly as in the interpreter *)
-      line (d + 2) "flux := !flux +. (area.(face) *. (bc_term face cell comp))"
+      line (d + 2) "if has_bc.(face) then";
+      line (d + 3) "flux := !flux +. (area.(face) *. (bc_term face cell comp))";
+      line (d + 1) "end"
     end;
     line d "done;"
   in
@@ -526,10 +564,13 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
   line d0 "let ncells = rt.Finch_ci.ncells in";
   line d0 "let dim = rt.Finch_ci.dim in";
   line d0 "let cfaces = rt.Finch_ci.cell_faces in";
-  line d0 "let fc1 = rt.Finch_ci.face_cell1 in";
-  line d0 "let fc2 = rt.Finch_ci.face_cell2 in";
+  line d0 "let sstart = rt.Finch_ci.slot_start in";
+  line d0 "let snbr = rt.Finch_ci.slot_nbr in";
+  line d0 "let snrm = rt.Finch_ci.slot_normal in";
+  List.iteri
+    (fun k _ -> linef d0 "let t%d = rt.Finch_ci.tests.(%d) in" k k)
+    st.Lower.faces.Eval.tests;
   line d0 "let area = rt.Finch_ci.face_area in";
-  line d0 "let nrm = rt.Finch_ci.face_normal in";
   line d0 "let vol = rt.Finch_ci.cell_volume in";
   line d0 "let cent = rt.Finch_ci.cell_centroid in";
   List.iteri (fun i _ -> linef d0 "let f%d = rt.Finch_ci.fields.(%d) in" i i) vars;

@@ -22,7 +22,7 @@ type env = {
   mutable cell : int;
   mutable cell2 : int;   (* neighbour across the current face; -1 = ghost *)
   mutable face : int;
-  mutable nsign : float; (* +1 when [cell] owns the current face *)
+  mutable slot : int;    (* the current (cell, local face) slot of [faces] *)
   (* ghost accessor for boundary faces: variable name -> component -> value *)
   mutable ghost : (string -> int -> float) option;
   (* current value of each index variable, 0-based *)
@@ -40,7 +40,7 @@ let make_env ~mesh ~dt ~time ~index_names =
     cell = 0;
     cell2 = -1;
     face = 0;
-    nsign = 1.;
+    slot = 0;
     ghost = None;
     ivals = List.map (fun n -> n, ref 0) index_names;
     epoch = 0;
@@ -64,6 +64,57 @@ type binding =
 type bindings = (string * binding) list
 
 type compiled = env -> float
+
+(* The face-invariant part of the surface integrand, tabulated once per
+   solve (Lower.stage_interior) over the (cell, local face) slots: cell
+   [c]'s face [mesh.cell_faces.(c).(i)] is slot [slot_start.(c) + i].  A
+   compiled [NORMAL_k] reads the current slot's signed normal, and a
+   [Cond] whose test is staged reads the test's byte table instead of
+   evaluating it. *)
+type faces = {
+  dim : int;
+  slot_start : int array;    (* per cell, its first slot; ncells + 1 entries *)
+  slot_nbr : int array;      (* per slot: the neighbour cell, -1 on a boundary *)
+  slot_normal : float array; (* per slot x dim: nsign * n_k *)
+  tests : staged list;
+}
+
+and staged = {
+  test : Expr.t;                 (* the Cond test the table replaces *)
+  names : (string * int) list;   (* indices the test reads, with extents *)
+  width : int;                   (* product of those extents *)
+  holds : Bytes.t;
+    (* per slot x index values (first name fastest): '\001' where the
+       test is nonzero *)
+}
+
+(* Whether the staged test holds at the current slot and index values.
+   The index cells are resolved against the env of the first call and
+   memoized, as [compile_ref] does. *)
+let holds_fn (t : staged) : env -> bool =
+  let tab = t.holds and width = t.width in
+  let strides =
+    let rec go stride = function
+      | [] -> []
+      | (_, ext) :: rest -> stride :: go (stride * ext) rest
+    in
+    Array.of_list (go 1 t.names)
+  in
+  let cache : (env * int ref array) option ref = ref None in
+  fun env ->
+    let refs =
+      match !cache with
+      | Some (e, rs) when e == env -> rs
+      | _ ->
+        let rs = Array.of_list (List.map (fun (n, _) -> ival env n) t.names) in
+        cache := Some (env, rs);
+        rs
+    in
+    let off = ref 0 in
+    for k = 0 to Array.length refs - 1 do
+      off := !off + (!(refs.(k)) * strides.(k))
+    done;
+    Bytes.get tab ((env.slot * width) + !off) <> '\000'
 
 (* Component offset closure for a field reference with the given index
    refs. *)
@@ -94,10 +145,11 @@ let compile_comp env layout (idx_refs : Expr.index_ref list) : env -> int =
   in
   fun env -> List.fold_left (fun acc f -> acc + f env) 0 pieces
 
-let rec compile (bindings : bindings) (e : Expr.t) : compiled =
+let rec compile ?faces (bindings : bindings) (e : Expr.t) : compiled =
+  let compile = compile ?faces in
   match e with
   | Expr.Num x -> fun _ -> x
-  | Expr.Sym s -> compile_sym bindings s
+  | Expr.Sym s -> compile_sym ?faces bindings s
   | Expr.Ref (name, idx_refs, side) -> compile_ref bindings name idx_refs side
   | Expr.Add es ->
     let fs = Array.of_list (List.map (compile bindings) es) in
@@ -126,7 +178,7 @@ let rec compile (bindings : bindings) (e : Expr.t) : compiled =
   | Expr.Pow (a, b) ->
     let fa = compile bindings a and fb = compile bindings b in
     fun env -> Float.pow (fa env) (fb env)
-  | Expr.Call (name, args) -> compile_call bindings name args
+  | Expr.Call (name, args) -> compile_call ?faces bindings name args
   | Expr.Cmp (op, a, b) ->
     let fa = compile bindings a and fb = compile bindings b in
     let test =
@@ -139,13 +191,17 @@ let rec compile (bindings : bindings) (e : Expr.t) : compiled =
       | Expr.Ne -> fun x y -> not (Float.equal x y)
     in
     fun env -> if test (fa env) (fb env) then 1. else 0.
-  | Expr.Cond (c, t, el) ->
-    let fc = compile bindings c
-    and ft = compile bindings t
-    and fe = compile bindings el in
-    fun env -> if fc env <> 0. then ft env else fe env
+  | Expr.Cond (c, t, el) -> (
+    let ft = compile bindings t and fe = compile bindings el in
+    match Option.bind faces (fun fs -> List.find_opt (fun st -> st.test = c) fs.tests) with
+    | Some st ->
+      let holds = holds_fn st in
+      fun env -> if holds env then ft env else fe env
+    | None ->
+      let fc = compile bindings c in
+      fun env -> if fc env <> 0. then ft env else fe env)
 
-and compile_sym bindings s =
+and compile_sym ?faces bindings s =
   match s with
   | "dt" -> fun env -> !(env.dt)
   | "t" | "time" -> fun env -> !(env.time)
@@ -159,10 +215,11 @@ and compile_sym bindings s =
       env.mesh.Fvm.Mesh.cell_centroid.((env.cell * env.mesh.Fvm.Mesh.dim) + 2)
   | "VOLUME" -> fun env -> env.mesh.Fvm.Mesh.cell_volume.(env.cell)
   | "FACEAREA" -> fun env -> env.mesh.Fvm.Mesh.face_area.(env.face)
-  | s when String.length s > 7 && String.sub s 0 7 = "NORMAL_" ->
+  | s when String.length s > 7 && String.sub s 0 7 = "NORMAL_" -> (
     let k = int_of_string (String.sub s 7 (String.length s - 7)) - 1 in
-    fun env ->
-      env.nsign *. env.mesh.Fvm.Mesh.face_normal.((env.face * env.mesh.Fvm.Mesh.dim) + k)
+    match faces with
+    | Some { slot_normal; dim; _ } -> fun env -> slot_normal.((env.slot * dim) + k)
+    | None -> raise (Compile_error (s ^ " needs the face tables")))
   | s -> (
     match List.assoc_opt s bindings with
     | Some (Bcoef_const v) -> fun _ -> v
@@ -244,7 +301,8 @@ and compile_ref bindings name idx_refs side =
       f (Array.init d (fun k -> env.mesh.Fvm.Mesh.cell_centroid.((env.cell * d) + k)))
   | None -> raise (Compile_error ("unknown entity " ^ name))
 
-and compile_call bindings name args =
+and compile_call ?faces bindings name args =
+  let compile = compile ?faces in
   let unary f =
     match args with
     | [ a ] ->
@@ -301,7 +359,7 @@ and compile_call bindings name args =
    (commit, post-step callbacks), so their loads also depend on an [epoch]
    counter which executors bump once per traversal (see [bump_epoch];
    Lower.iterate_dofs and friends call it).  Face-dependent ops (FACEAREA,
-   normals, neighbour reads — whose value also depends on cell2/nsign and
+   normals, neighbour reads — whose value also depends on slot/cell2 and
    the ghost accessor) are never cached.
 
    Evaluation order within Add/Mul and the special-cased powers replicate
@@ -415,7 +473,7 @@ let leaf_sig (bindings : bindings) (e : Expr.t) =
     | None -> sig_epoch (* compile will raise *))
   | _ -> invalid_arg "leaf_sig: not a leaf"
 
-let compile_tape (bindings : bindings) (e : Expr.t) : tape =
+let compile_tape ?faces (bindings : bindings) (e : Expr.t) : tape =
   let ops = ref [] and sigs = ref [] and nops = ref 0 in
   let flops = ref 0. and loads = ref 0 in
   let memo : (Expr.t, int) Hashtbl.t = Hashtbl.create 64 in
@@ -432,7 +490,7 @@ let compile_tape (bindings : bindings) (e : Expr.t) : tape =
      | Expr.Sym s when String.length s > 7 && String.sub s 0 7 = "NORMAL_" ->
        incr loads
      | _ -> ());
-    emit (Tleaf (compile bindings e)) (leaf_sig bindings e)
+    emit (Tleaf (compile ?faces bindings e)) (leaf_sig bindings e)
   in
   let sig_of id = List.nth !sigs (!nops - 1 - id) in
   let union_of ids = List.fold_left (fun s i -> sig_union s (sig_of i)) sig_const ids in

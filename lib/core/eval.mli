@@ -6,8 +6,9 @@
     the executor and performs no lookups or allocation in the inner loop.
 
     Recognized special symbols: [dt], [t]/[time], [pi], [x]/[y]/[z] (cell
-    centroid), [VOLUME], [FACEAREA], [NORMAL_k] (outward normal component,
-    sign-adjusted for the current cell). *)
+    centroid), [VOLUME], [FACEAREA], [NORMAL_k] (outward normal component
+    as seen from the current cell: the current slot's entry of the face
+    tables, {!faces}). *)
 
 exception Compile_error of string
 
@@ -18,7 +19,8 @@ type env = {
   mutable cell : int;
   mutable cell2 : int;   (** neighbour across the current face; -1 = ghost *)
   mutable face : int;
-  mutable nsign : float; (** +1 when [cell] owns the current face *)
+  mutable slot : int;
+    (** the current (cell, local face) slot of the {!faces} tables *)
   mutable ghost : (string -> int -> float) option;
     (** boundary ghost accessor: variable name -> component -> value *)
   ivals : (string * int ref) list; (** current 0-based index values *)
@@ -48,9 +50,39 @@ type bindings = (string * binding) list
 
 type compiled = env -> float
 
-val compile : bindings -> Finch_symbolic.Expr.t -> compiled
-(** Raises {!Compile_error} on unknown entities, unresolved operator
-    calls, or misused indexed entities. *)
+(** The face-invariant part of a surface integrand, tabulated once per
+    solve over the (cell, local face) slots by [Lower.stage_interior].
+    Cell [c]'s slots are [slot_start.(c) + i] for its faces
+    [cell_faces.(c).(i)] in mesh order.  Built once and read by every
+    state of the solve; never written after it is built. *)
+type faces = {
+  dim : int;
+  slot_start : int array;    (** per cell, its first slot; ncells + 1 entries *)
+  slot_nbr : int array;      (** per slot: the neighbour cell, -1 on a boundary face *)
+  slot_normal : float array;
+      (** per slot x [dim]: the face normal as seen from the slot's cell
+          ([nsign * n_k]) *)
+  tests : staged list;       (** the staged [Cond] tests *)
+}
+
+(** One staged [Cond] test: its value at every slot and every value of
+    the indices it reads. *)
+and staged = {
+  test : Finch_symbolic.Expr.t;  (** the test the table replaces *)
+  names : (string * int) list;
+      (** the indices the test reads, with their extents *)
+  width : int;                   (** product of those extents *)
+  holds : Bytes.t;
+      (** at [slot * width + offset] (first name fastest): ['\001'] where
+          the test is nonzero, ['\000'] elsewhere *)
+}
+
+val compile : ?faces:faces -> bindings -> Finch_symbolic.Expr.t -> compiled
+(** With [faces], [NORMAL_k] reads the current slot's signed normal and
+    a [Cond] whose test is one of [faces.tests] reads its table instead
+    of evaluating the test.  Raises {!Compile_error} on unknown
+    entities, unresolved operator calls, misused indexed entities, or a
+    [NORMAL_k] without [faces]. *)
 
 (** {2 Tape compilation}
 
@@ -65,8 +97,9 @@ val compile : bindings -> Finch_symbolic.Expr.t -> compiled
 
 type tape
 
-val compile_tape : bindings -> Finch_symbolic.Expr.t -> tape
-(** Raises {!Compile_error} like {!compile}. *)
+val compile_tape : ?faces:faces -> bindings -> Finch_symbolic.Expr.t -> tape
+(** Raises {!Compile_error} like {!compile}.  Leaves read [faces] as
+    {!compile} does; a staged test still runs as tape ops. *)
 
 val tape_run : tape -> env -> float
 

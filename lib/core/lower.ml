@@ -6,6 +6,7 @@
    need.  One [state] is built per rank; serial runs have a single rank
    owning everything. *)
 
+module Expr = Finch_symbolic.Expr
 
 exception Lower_error of string
 
@@ -55,8 +56,11 @@ type state = {
   fields : (string * Fvm.Field.t) list; (* all variables incl. the unknown *)
   env : Eval.env;
   bindings : Eval.bindings;
+  faces : Eval.faces;        (* the solve's face tables, shared read-only *)
   rvol_f : Eval.compiled;
   rsurf_f : Eval.compiled;
+  comp_index : (int ref * int) array;
+    (* per index of the unknown, first fastest: its env cell and extent *)
   ucomp : unit -> int;       (* component of the unknown at current ivals *)
   face_bc : bc_resolved option array; (* indexed by face id; None on interior *)
   staged : (int -> float) array Lazy.t;
@@ -195,14 +199,201 @@ let layout_of_var (v : Entity.variable) =
   in
   go 1 v.Entity.vindices
 
+(* What expressions may reference of the problem's coefficients. *)
+let coef_bindings (p : Problem.t) : Eval.bindings =
+  List.map
+    (fun (c : Entity.coefficient) ->
+      let b =
+        match c.Entity.cvalue with
+        | Entity.Const x -> Eval.Bcoef_const x
+        | Entity.Arr a ->
+          let iname, lo =
+            match c.Entity.cindex with
+            | Some i -> i.Entity.iname, i.Entity.lo
+            | None -> "", 1
+          in
+          Eval.Bcoef_arr (a, iname, lo)
+        | Entity.Space_fn f -> Eval.Bcoef_fn f
+      in
+      c.Entity.cname, b)
+    p.Problem.coefficients
+
+(* ------------------------------------------------------------------ *)
+(* Interior staging: the face tables, once per solve.                  *)
+(* ------------------------------------------------------------------ *)
+
+let m_stagings = Prt.Metrics.counter "lower.face_stagings"
+
+(* The coefficients a post-step callback may write: the declared writes,
+   or every coefficient once one callback declares nothing. *)
+let written_coefficients (p : Problem.t) =
+  if List.exists (fun c -> c.Problem.pc_io = None) p.Problem.post_step then
+    List.map (fun (c : Entity.coefficient) -> c.Entity.cname) p.Problem.coefficients
+  else (Problem.post_io p).Problem.cb_writes
+
+(* Whether [e] reads only face geometry, numbers and coefficients that
+   no callback writes: its value then depends only on the slot and the
+   indices it names, for the whole solve. *)
+let rec face_invariant ~dim ~bindings ~written ~indices (e : Expr.t) =
+  let ok = face_invariant ~dim ~bindings ~written ~indices in
+  let unwritten name = not (List.mem name written) in
+  match e with
+  | Expr.Num _ | Expr.Sym ("pi" | "FACEAREA") -> true
+  | Expr.Sym s when String.length s > 7 && String.sub s 0 7 = "NORMAL_" -> (
+    match int_of_string_opt (String.sub s 7 (String.length s - 7)) with
+    | Some k -> k >= 1 && k <= dim
+    | None -> false)
+  | Expr.Sym s -> (
+    match List.assoc_opt s bindings with
+    | Some (Eval.Bcoef_const _) -> unwritten s
+    | _ -> false)
+  | Expr.Ref (name, idx, _) -> (
+    match List.assoc_opt name bindings, idx with
+    | Some (Eval.Bcoef_const _), _ -> unwritten name
+    | Some (Eval.Bcoef_arr _), [ Expr.Ivar n ] ->
+      unwritten name && List.mem_assoc n indices
+    | Some (Eval.Bcoef_arr (a, _, lo)), [ Expr.Iconst k ] ->
+      unwritten name && k - lo >= 0 && k - lo < Array.length a
+    | _ -> false)
+  | Expr.Add es | Expr.Mul es | Expr.Call (_, es) -> List.for_all ok es
+  | Expr.Pow (a, b) | Expr.Cmp (_, a, b) -> ok a && ok b
+  | Expr.Cond (c, t, el) -> ok c && ok t && ok el
+
+(* The distinct [Cond] tests of [e] that [stageable] accepts, outermost
+   first; a staged test's own sub-conditions go with it. *)
+let rec stageable_tests stageable acc (e : Expr.t) =
+  let go = stageable_tests stageable in
+  match e with
+  | Expr.Cond (c, t, el) ->
+    let acc =
+      if not (stageable c) then go acc c
+      else if List.mem c acc then acc
+      else acc @ [ c ]
+    in
+    go (go acc t) el
+  | Expr.Add es | Expr.Mul es | Expr.Call (_, es) -> List.fold_left go acc es
+  | Expr.Pow (a, b) | Expr.Cmp (_, a, b) -> go (go acc a) b
+  | Expr.Num _ | Expr.Sym _ | Expr.Ref _ -> acc
+
+let stage_interior (p : Problem.t) : Eval.faces =
+  Prt.Metrics.incr m_stagings;
+  let mesh = Problem.mesh_exn p in
+  let dim = mesh.Fvm.Mesh.dim and ncells = mesh.Fvm.Mesh.ncells in
+  let cell_faces = mesh.Fvm.Mesh.cell_faces in
+  let slot_start = Array.make (ncells + 1) 0 in
+  for c = 0 to ncells - 1 do
+    slot_start.(c + 1) <- slot_start.(c) + Array.length cell_faces.(c)
+  done;
+  let nslots = slot_start.(ncells) in
+  let slot_nbr = Array.make nslots (-1) in
+  let slot_normal = Array.make (nslots * dim) 0. in
+  for c = 0 to ncells - 1 do
+    Array.iteri
+      (fun i f ->
+        let s = slot_start.(c) + i in
+        slot_nbr.(s) <- Fvm.Mesh.neighbour mesh f c;
+        let nsign = Fvm.Mesh.normal_sign mesh f c in
+        for k = 0 to dim - 1 do
+          slot_normal.((s * dim) + k) <-
+            nsign *. mesh.Fvm.Mesh.face_normal.((f * dim) + k)
+        done)
+      cell_faces.(c)
+  done;
+  let geometry = { Eval.dim; slot_start; slot_nbr; slot_normal; tests = [] } in
+  let bindings = coef_bindings p in
+  let indices =
+    List.map (fun (i : Entity.index) -> i.Entity.iname, Entity.index_extent i)
+      p.Problem.indices
+  in
+  let written = written_coefficients p in
+  (* a test the closure compiler rejects stays in the integrand, whose
+     compilation reports the error *)
+  let tests =
+    List.filter_map
+      (fun test ->
+        match Eval.compile ~faces:geometry bindings test with
+        | f -> Some (test, f)
+        | exception Eval.Compile_error _ -> None)
+      (stageable_tests
+         (face_invariant ~dim ~bindings ~written ~indices)
+         [] (Problem.the_equation p).Transform.rsurf)
+  in
+  let env =
+    Eval.make_env ~mesh ~dt:(ref p.Problem.dt) ~time:(ref 0.)
+      ~index_names:(List.map fst indices)
+  in
+  (* evaluate each test once per slot and value of the indices it names *)
+  let stage (test, f) =
+    let named =
+      List.concat_map
+        (fun (_, idx, _) ->
+          List.filter_map (function Expr.Ivar n -> Some n | _ -> None) idx)
+        (Expr.refs test)
+    in
+    let names = List.filter (fun (n, _) -> List.mem n named) indices in
+    let width = List.fold_left (fun acc (_, ext) -> acc * ext) 1 names in
+    let refs = Array.of_list (List.map (fun (n, _) -> Eval.ival env n) names) in
+    let exts = Array.of_list (List.map snd names) in
+    let holds = Bytes.make (nslots * width) '\000' in
+    for c = 0 to ncells - 1 do
+      env.Eval.cell <- c;
+      for s = slot_start.(c) to slot_start.(c + 1) - 1 do
+        env.Eval.slot <- s;
+        env.Eval.face <- cell_faces.(c).(s - slot_start.(c));
+        env.Eval.cell2 <- slot_nbr.(s);
+        for v = 0 to width - 1 do
+          let rest = ref v in
+          for k = 0 to Array.length refs - 1 do
+            refs.(k) := !rest mod exts.(k);
+            rest := !rest / exts.(k)
+          done;
+          if f env <> 0. then Bytes.set holds ((s * width) + v) '\001'
+        done
+      done
+    done;
+    { Eval.test; names; width; holds }
+  in
+  { geometry with tests = List.map stage tests }
+
+(* Per index of [v], first fastest: the env cell holding its value and
+   its extent. *)
+let comp_index env (v : Entity.variable) =
+  Array.of_list
+    (List.map
+       (fun (i : Entity.index) -> Eval.ival env i.Entity.iname, Entity.index_extent i)
+       v.Entity.vindices)
+
+(* The flat component of the unknown at the env's current index values. *)
+let ucomp_of comp_index =
+  let strides =
+    let n = Array.length comp_index in
+    let a = Array.make n 1 in
+    for k = 1 to n - 1 do
+      a.(k) <- a.(k - 1) * snd comp_index.(k - 1)
+    done;
+    a
+  in
+  fun () ->
+    let c = ref 0 in
+    for k = 0 to Array.length comp_index - 1 do
+      c := !c + (!(fst comp_index.(k)) * strides.(k))
+    done;
+    !c
+
 let rec build ?(info = serial_rankinfo) ?share_with ?(private_clock = false)
-    (p : Problem.t) : state =
+    ?faces (p : Problem.t) : state =
   let mesh = Problem.mesh_exn p in
   let eq = Problem.the_equation p in
   let uvar =
     match Problem.find_variable p eq.Transform.eq_var with
     | Some v -> v
     | None -> raise (Lower_error "equation variable not declared")
+  in
+  let faces =
+    match share_with, faces with
+    | Some (base : state), _ -> base.faces
+    | None, Some fs -> fs
+    | None, None -> stage_interior p
   in
   (* fields for every variable; shared-memory workers reuse the base
      state's storage and differ only in env/closures/ownership *)
@@ -232,22 +423,7 @@ let rec build ?(info = serial_rankinfo) ?share_with ?(private_clock = false)
         v.Entity.vname,
         Eval.Bfield (List.assoc v.Entity.vname fields, layout_of_var v))
       p.Problem.variables
-    @ List.map
-        (fun (c : Entity.coefficient) ->
-          let b =
-            match c.Entity.cvalue with
-            | Entity.Const x -> Eval.Bcoef_const x
-            | Entity.Arr a ->
-              let iname, lo =
-                match c.Entity.cindex with
-                | Some i -> i.Entity.iname, i.Entity.lo
-                | None -> "", 1
-              in
-              Eval.Bcoef_arr (a, iname, lo)
-            | Entity.Space_fn f -> Eval.Bcoef_fn f
-          in
-          c.Entity.cname, b)
-        p.Problem.coefficients
+    @ coef_bindings p
   in
   let dt, time =
     match share_with with
@@ -264,9 +440,9 @@ let rec build ?(info = serial_rankinfo) ?share_with ?(private_clock = false)
     match p.Problem.eval_mode with
     (* Native compiles the closures too: they are the fallback and serve
        the expression boundary terms the generated code calls back into *)
-    | Config.Closure | Config.Native -> Eval.compile bindings e, None
+    | Config.Closure | Config.Native -> Eval.compile ~faces bindings e, None
     | Config.Tape ->
-      let t = Eval.compile_tape bindings e in
+      let t = Eval.compile_tape ~faces bindings e in
       Eval.tape_compiled t, Some (name, t)
   in
   let rvol_f, rvol_t = compile_rhs "rvol" eq.Transform.rvol in
@@ -275,20 +451,10 @@ let rec build ?(info = serial_rankinfo) ?share_with ?(private_clock = false)
   let rvol_du_f =
     lazy (fst (compile_rhs "rvol_du" (Transform.rvol_linearization eq)))
   in
-  (* component of the unknown from current index values *)
-  let ucomp =
-    let pieces =
-      List.map
-        (fun (iname, _lo, stride) ->
-          let r = Eval.ival env iname in
-          fun () -> !r * stride)
-        (layout_of_var uvar)
-    in
-    fun () -> List.fold_left (fun acc f -> acc + f ()) 0 pieces
-  in
+  let comp_index = comp_index env uvar in
   (* resolve boundary conditions into a per-face table, every callback
      face staged now, so a failing stage stops the build *)
-  let face_bc = resolve_bcs p mesh ~compile:(Eval.compile bindings) uvar in
+  let face_bc = resolve_bcs p mesh ~compile:(Eval.compile ~faces bindings) uvar in
   let staged = Lazy.from_val (stage_faces p mesh fields face_bc) in
   (* loop plan *)
   let loops =
@@ -325,9 +491,11 @@ let rec build ?(info = serial_rankinfo) ?share_with ?(private_clock = false)
       fields;
       env;
       bindings;
+      faces;
       rvol_f;
       rsurf_f;
-      ucomp;
+      comp_index;
+      ucomp = ucomp_of comp_index;
       face_bc;
       staged;
       time;
@@ -404,34 +572,40 @@ let iterate_dofs_cells st ~cells (f : unit -> unit) =
 (* Run [f] for every owned (cell x index) combination. *)
 let iterate_dofs st f = iterate_dofs_cells st ~cells:st.info.owned_cells f
 
-(* The per-DOF conservation-form update (forward Euler form); assumes
-   [st.env] has cell and index values set.  Returns the updated value but
-   does not store it. *)
-let rec dof_rhs st =
+(* The surface sum of the DOF set in [st.env]: Σ area·rsurf over the
+   cell's slots, in face order, reading neighbour, signed normal and
+   staged tests from the face tables.  Boundary slots add their
+   condition when [with_bc] (unconstrained ones add nothing, not even
+   0.) and are skipped otherwise. *)
+let rec surface st ~with_bc =
   let env = st.env in
-  let mesh = st.mesh in
+  let nbr = st.faces.Eval.slot_nbr in
+  let area = st.mesh.Fvm.Mesh.face_area in
   let cell = env.Eval.cell in
-  let rv = st.rvol_f env in
+  let fcs = st.mesh.Fvm.Mesh.cell_faces.(cell) in
+  let s0 = st.faces.Eval.slot_start.(cell) in
   let flux = ref 0. in
-  let faces = mesh.Fvm.Mesh.cell_faces.(cell) in
-  for i = 0 to Array.length faces - 1 do
-    let f = faces.(i) in
-    env.Eval.face <- f;
-    env.Eval.nsign <- Fvm.Mesh.normal_sign mesh f cell;
-    let c2 = Fvm.Mesh.neighbour mesh f cell in
+  for i = 0 to Array.length fcs - 1 do
+    let s = s0 + i in
+    let c2 = nbr.(s) in
     if c2 >= 0 then begin
+      let f = fcs.(i) in
+      env.Eval.slot <- s;
+      env.Eval.face <- f;
       env.Eval.cell2 <- c2;
-      flux := !flux +. (mesh.Fvm.Mesh.face_area.(f) *. st.rsurf_f env)
+      flux := !flux +. (area.(f) *. st.rsurf_f env)
     end
-    else begin
+    else if with_bc then begin
+      let f = fcs.(i) in
+      env.Eval.slot <- s;
+      env.Eval.face <- f;
       env.Eval.cell2 <- -1;
       match st.face_bc.(f) with
-      | None -> () (* unconstrained boundary: zero surface contribution *)
-      | Some bc ->
-        flux := !flux +. (mesh.Fvm.Mesh.face_area.(f) *. boundary_term st f bc)
+      | None -> ()
+      | Some bc -> flux := !flux +. (area.(f) *. boundary_term st f bc)
     end
   done;
-  rv +. (!flux /. mesh.Fvm.Mesh.cell_volume.(cell))
+  !flux
 
 (* Face [f]'s condition at the current env state: a callback face calls
    its staged function on the current component *)
@@ -460,19 +634,32 @@ and with_ghost st ghost_val k =
   env.Eval.ghost <- saved;
   r
 
+(* The per-DOF conservation-form update (forward Euler form); assumes
+   [st.env] has cell and index values set.  Returns the updated value but
+   does not store it. *)
+let dof_rhs st =
+  let cell = st.env.Eval.cell in
+  let rv = st.rvol_f st.env in
+  rv +. (surface st ~with_bc:true /. st.mesh.Fvm.Mesh.cell_volume.(cell))
+
 (* Decompose a flat component id of the unknown into per-index values
    (first declared index fastest) and store them in the env. *)
 let set_ivals_of_comp st comp =
-  let env = st.env in
-  let rec go comp = function
-    | [] -> ()
-    | (i : Entity.index) :: rest ->
-      let ext = Entity.index_extent i in
-      let r = Eval.ival env i.Entity.iname in
-      r := comp mod ext;
-      go (comp / ext) rest
+  let ix = st.comp_index in
+  let c = ref comp in
+  for k = 0 to Array.length ix - 1 do
+    let r, ext = ix.(k) in
+    r := !c mod ext;
+    c := !c / ext
+  done
+
+(* The slot of face [f] in [cell]. *)
+let slot_of st cell f =
+  let fcs = st.mesh.Fvm.Mesh.cell_faces.(cell) in
+  let rec find i =
+    if fcs.(i) = f then st.faces.Eval.slot_start.(cell) + i else find (i + 1)
   in
-  go comp st.uvar.Entity.vindices
+  find 0
 
 (* The boundary term of [face] (owned by [cell]) for component [comp],
    with nothing set in the env beforehand: a callback flux face is a
@@ -487,7 +674,7 @@ let boundary_value st f cell comp =
     env.Eval.cell <- cell;
     set_ivals_of_comp st comp;
     env.Eval.face <- f;
-    env.Eval.nsign <- 1.; (* boundary faces are owned by their cell *)
+    env.Eval.slot <- slot_of st cell f;
     env.Eval.cell2 <- -1;
     boundary_term st f bc
 
@@ -634,26 +821,18 @@ let rebind (base : state) ~fields ~u_new =
   in
   let index_names = List.map (fun i -> i.Entity.iname) p.Problem.indices in
   let env = Eval.make_env ~mesh ~dt:base.dt ~time:base.time ~index_names in
+  let faces = base.faces in
   let compile_rhs name e =
     match p.Problem.eval_mode with
-    | Config.Closure | Config.Native -> Eval.compile bindings e, None
+    | Config.Closure | Config.Native -> Eval.compile ~faces bindings e, None
     | Config.Tape ->
-      let t = Eval.compile_tape bindings e in
+      let t = Eval.compile_tape ~faces bindings e in
       Eval.tape_compiled t, Some (name, t)
   in
   let rvol_f, rvol_t = compile_rhs "rvol" base.eq.Transform.rvol in
   let rsurf_f, rsurf_t = compile_rhs "rsurf" base.eq.Transform.rsurf in
   let tapes = List.filter_map Fun.id [ rvol_t; rsurf_t ] in
-  let ucomp =
-    let pieces =
-      List.map
-        (fun (iname, _lo, stride) ->
-          let r = Eval.ival env iname in
-          fun () -> !r * stride)
-        (layout_of_var base.uvar)
-    in
-    fun () -> List.fold_left (fun acc f -> acc + f ()) 0 pieces
-  in
+  let comp_index = comp_index env base.uvar in
   let st' =
     {
       base with
@@ -664,7 +843,8 @@ let rebind (base : state) ~fields ~u_new =
       bindings;
       rvol_f;
       rsurf_f;
-      ucomp;
+      comp_index;
+      ucomp = ucomp_of comp_index;
       staged = lazy (stage_faces p mesh fields base.face_bc);
       rvol_du_f = lazy (fst (compile_rhs "rvol_du" (Transform.rvol_linearization base.eq)));
       tapes;
@@ -686,23 +866,9 @@ let rec dof_rhs_interior st =
   | None -> dof_rhs_interior_interp st
 
 and dof_rhs_interior_interp st =
-  let env = st.env in
-  let mesh = st.mesh in
-  let cell = env.Eval.cell in
-  let rv = st.rvol_f env in
-  let flux = ref 0. in
-  let faces = mesh.Fvm.Mesh.cell_faces.(cell) in
-  for i = 0 to Array.length faces - 1 do
-    let f = faces.(i) in
-    let c2 = Fvm.Mesh.neighbour mesh f cell in
-    if c2 >= 0 then begin
-      env.Eval.face <- f;
-      env.Eval.nsign <- Fvm.Mesh.normal_sign mesh f cell;
-      env.Eval.cell2 <- c2;
-      flux := !flux +. (mesh.Fvm.Mesh.face_area.(f) *. st.rsurf_f env)
-    end
-  done;
-  rv +. (!flux /. mesh.Fvm.Mesh.cell_volume.(cell))
+  let cell = st.env.Eval.cell in
+  let rv = st.rvol_f st.env in
+  rv +. (surface st ~with_bc:false /. st.mesh.Fvm.Mesh.cell_volume.(cell))
 
 (* Accumulate dt * (area * boundary term) / volume for every boundary face
    and each of [comps] into [into].  Used by the hybrid target's CPU
@@ -750,29 +916,7 @@ let set_combination st ~base ~a ~k =
 (* The surface part of R only: (1/V) sum over faces of area * rsurf with
    boundary conditions applied — [dof_rhs] minus the volume term. *)
 let dof_flux st =
-  let env = st.env in
-  let mesh = st.mesh in
-  let cell = env.Eval.cell in
-  let flux = ref 0. in
-  let faces = mesh.Fvm.Mesh.cell_faces.(cell) in
-  for i = 0 to Array.length faces - 1 do
-    let f = faces.(i) in
-    env.Eval.face <- f;
-    env.Eval.nsign <- Fvm.Mesh.normal_sign mesh f cell;
-    let c2 = Fvm.Mesh.neighbour mesh f cell in
-    if c2 >= 0 then begin
-      env.Eval.cell2 <- c2;
-      flux := !flux +. (mesh.Fvm.Mesh.face_area.(f) *. st.rsurf_f env)
-    end
-    else begin
-      env.Eval.cell2 <- -1;
-      match st.face_bc.(f) with
-      | None -> ()
-      | Some bc ->
-        flux := !flux +. (mesh.Fvm.Mesh.face_area.(f) *. boundary_term st f bc)
-    end
-  done;
-  !flux /. mesh.Fvm.Mesh.cell_volume.(cell)
+  surface st ~with_bc:true /. st.mesh.Fvm.Mesh.cell_volume.(st.env.Eval.cell)
 
 (* Point-implicit sweep: relaxation-type volume terms treated implicitly
    via the symbolic linearization b = -d(rvol)/du, advection explicit:

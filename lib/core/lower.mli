@@ -56,8 +56,15 @@ type state = {
   fields : (string * Fvm.Field.t) list;
   env : Eval.env;
   bindings : Eval.bindings;
+  faces : Eval.faces;
+      (** the solve's face tables ({!stage_interior}): built once per
+          solve and shared read-only by every rank, pool worker and
+          device mirror *)
   rvol_f : Eval.compiled;
-  rsurf_f : Eval.compiled;
+  rsurf_f : Eval.compiled;   (** reads [faces] (see {!Eval.compile}) *)
+  comp_index : (int ref * int) array;
+      (** per index of the unknown, first declared fastest: the env cell
+          holding its value and its extent, resolved once per state *)
   ucomp : unit -> int;   (** component of the unknown at current ivals *)
   face_bc : bc_resolved option array;
       (** per face id; [None] on interior and unconstrained faces *)
@@ -109,14 +116,34 @@ val layout_of_var : Entity.variable -> (string * int * int) list
     stride of that index in the flat component number).  The first
     declared index is fastest. *)
 
+val stage_interior : Problem.t -> Eval.faces
+(** The lowering step that tabulates, once per solve, the face-invariant
+    parts of the surface integrand for every (cell, local face) slot:
+    the slot's neighbour (-1 on a boundary face), its signed normal
+    [nsign * n_k], and the value of every [Cond] test of the integrand
+    that reads only face geometry ([NORMAL_k], [FACEAREA]), numbers and
+    coefficients, as a byte table over the slot and the values of the
+    indices the test names (for the BTE, the upwind test per slot and
+    direction).  A test reading a coefficient that a post-step callback
+    declares it writes ({!Problem.post_io}'s [cb_writes]), or any
+    coefficient once a callback declares nothing, is not staged: it is
+    evaluated per DOF as before.  Staged values are computed with the
+    same float operations the per-DOF evaluation performed, so every
+    evaluator that reads them stays bit-identical.  Counts each call in
+    the [lower.face_stagings] metric.
+    @raise Problem.Problem_error without a mesh or equation. *)
+
 val build :
-  ?info:rankinfo -> ?share_with:state -> ?private_clock:bool -> Problem.t ->
-  state
+  ?info:rankinfo -> ?share_with:state -> ?private_clock:bool ->
+  ?faces:Eval.faces -> Problem.t -> state
 (** Build a rank's state. [share_with] reuses another state's field
-    storage and time/dt refs (shared-memory workers) and skips initial
-    conditions.  [private_clock] (with [share_with]) gives the worker its
-    own dt/time refs seeded from the base, so a fused schedule can
-    advance workers independently between barriers.  Every callback
+    storage, face tables and time/dt refs (shared-memory workers) and
+    skips initial conditions.  [private_clock] (with [share_with]) gives
+    the worker its own dt/time refs seeded from the base, so a fused
+    schedule can advance workers independently between barriers.
+    [faces] are the solve's face tables, which [Solve] builds once for
+    all ranks; without [faces] or [share_with] the state stages its own
+    with {!stage_interior}.  Every callback
     boundary face is staged here, against the state's fields, so a
     callback that fails to stage raises before the first step.
     @raise Lower_error for an unknown callback, or a stage reading an
@@ -147,7 +174,9 @@ val iterate_dofs : state -> (unit -> unit) -> unit
 
 val dof_rhs : state -> float
 (** R = rvol + (1/V) Σ_faces area·rsurf at the current DOF, boundary
-    conditions applied (unconstrained boundary faces contribute zero). *)
+    conditions applied (unconstrained boundary faces contribute zero).
+    The face sum is one loop over the cell's slots of [faces]; it shares
+    that loop with {!dof_rhs_interior} and {!dof_flux}. *)
 
 val boundary_value : state -> int -> int -> int -> float
 (** [boundary_value st face cell comp]: the boundary term of [face]
@@ -189,12 +218,14 @@ val run_post_step : state -> allreduce:(float array -> unit) -> unit
 (** {2 Hybrid GPU-target support} *)
 
 val set_ivals_of_comp : state -> int -> unit
-(** Decompose a flat component id of the unknown into index values. *)
+(** Decompose a flat component id of the unknown into index values,
+    through the state's [comp_index] (no lookup by name). *)
 
 val rebind :
   state -> fields:(string * Fvm.Field.t) list -> u_new:Fvm.Field.t -> state
 (** A state whose closures read/write the given (device-view) storage;
-    time/dt refs and the condition table [face_bc] shared with the base.
+    time/dt refs, the face tables and the condition table [face_bc]
+    shared with the base.
     Callback faces stage again against the new storage, all at once on
     the state's first boundary evaluation: a state that never evaluates a
     boundary (a device mirror) stages nothing.  Expression conditions

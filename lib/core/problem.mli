@@ -68,7 +68,12 @@ type callback_io = { cb_reads : string list; cb_writes : string list }
 (** What a post-step callback reads and writes, by variable name.  The
     callback itself is opaque; this declaration is what the GPU
     data-movement planner, the static analysis and the fused CPU schedule
-    see of it (see {!post_io}). *)
+    see of it (see {!post_io}).  [cb_writes] may also name coefficients
+    the callback changes in place: [Lower.stage_interior] tabulates the
+    surface integrand's coefficient-reading tests once per solve and
+    relies on this declaration to leave out every test that reads a
+    written coefficient (a callback without a declaration may write any
+    coefficient, so then no such test is tabulated). *)
 
 type post_callback = {
   pc_fn : step_callback;

@@ -44,25 +44,28 @@ let check_stepper (p : Problem.t) =
             "time stepper %s runs only on the serial target, not on %s"
             (Config.stepper_name stepper) (Config.target_name target)))
 
-(* Every rank's state, the breakdowns it filled, and its GPU record. *)
+(* Every rank's state, the breakdowns it filled, and its GPU record.  The
+   face tables are staged once, before any rank starts, and every rank
+   reads them: no two domains race to build them. *)
 let run_ranks (p : Problem.t) =
   let layout = Ranks.of_problem p in
+  let faces = Lower.stage_interior p in
   let cpu body =
     Array.map (fun (st, bs) -> st, bs, None) (Ranks.run layout body)
   in
   match p.Problem.target, layout.Ranks.halo, layout.Ranks.tiling with
   | Config.Cpu (Config.Serial | Config.Band_parallel _), _, _ ->
-    cpu (Target_cpu.direct p)
+    cpu (Target_cpu.direct p ~faces)
   | Config.Cpu (Config.Cell_parallel _), Some plan, _ ->
-    cpu (Target_cpu.halo p ~plan)
+    cpu (Target_cpu.halo p ~faces ~plan)
   | Config.Cpu (Config.Threaded n | Config.Hybrid (_, n)), _, _ ->
     Prt.Pool.with_pool ~size:n (fun pool ->
-        cpu (Target_cpu.pooled p ~pool))
+        cpu (Target_cpu.pooled p ~faces ~pool))
   | Config.Gpu { spec; _ }, _, Some tiling ->
     Array.map
       (fun (r : Target_gpu.result) ->
         r.Target_gpu.state, [ r.Target_gpu.breakdown ], Some r)
-      (Ranks.run layout (Target_gpu.run_rank p ~spec ~tiling))
+      (Ranks.run layout (Target_gpu.run_rank p ~spec ~tiling ~faces))
   | (Config.Cpu (Config.Cell_parallel _) | Config.Gpu _ | Config.Auto), _, _ ->
     invalid_arg "Solve: the rank layout does not fit the target"
 

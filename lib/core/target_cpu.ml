@@ -30,8 +30,8 @@ let time_loop (st : Lower.state) ~allreduce advance =
 (* Serial and band ranks: the configured time scheme on owned DOFs.     *)
 (* ------------------------------------------------------------------ *)
 
-let direct (p : Problem.t) info ~allreduce =
-  let st = Lower.build ~info p in
+let direct (p : Problem.t) ~faces info ~allreduce =
+  let st = Lower.build ~info ~faces p in
   let track = Ranks.track info in
   time_loop st ~allreduce (fun () ->
       Prt.Breakdown.timed ~track st.Lower.breakdown Prt.Breakdown.Intensity
@@ -64,8 +64,8 @@ let sanitize_commit (st : Lower.state) ~owned ~ghosts =
    order-independent, frontier sweeps see exactly the ghost values a
    synchronous exchange delivers, and the temperature update reads owned
    cells only. *)
-let halo (p : Problem.t) ~plan (info : Lower.rankinfo) ~allreduce =
-  let st = Lower.build ~info p in
+let halo (p : Problem.t) ~faces ~plan (info : Lower.rankinfo) ~allreduce =
+  let st = Lower.build ~info ~faces p in
   let b = st.Lower.breakdown in
   let track = Ranks.track info in
   let rank = info.Lower.rank in
@@ -101,8 +101,8 @@ let halo (p : Problem.t) ~plan (info : Lower.rankinfo) ~allreduce =
 (* ------------------------------------------------------------------ *)
 
 (* Each pool worker gets its own lowered state (own env and closures)
-   over the rank's storage: fields are shared by pointing every worker
-   at the rank state's field storage.  Writes are disjoint (cell blocks
+   over the rank's storage: fields and face tables are shared by pointing
+   every worker at the rank state's.  Writes are disjoint (cell blocks
    within the rank's index slice), reads of the previous step go through
    the shared current buffer, so the sweep is race-free. *)
 let make_workers ?(private_clock = false) (p : Problem.t) ~(base : Lower.state)
@@ -277,8 +277,8 @@ let fused (p : Problem.t) ~pool (base : Lower.state) =
    post-steps and owns the storage, its workers sweep cell blocks of it.
    Hybrid ranks are cooperative fibers, so their parallel regions take
    turns on the one shared pool. *)
-let pooled (p : Problem.t) ~pool info ~allreduce =
-  let base = Lower.build ~info p in
+let pooled (p : Problem.t) ~faces ~pool info ~allreduce =
+  let base = Lower.build ~info ~faces p in
   if fused_schedule_ok p then base, fused p ~pool base
   else begin
     let workers = make_workers p ~base ~ndomains:(Prt.Pool.size pool) in

@@ -6,14 +6,17 @@
     (as [Prt.Spmd] fibers when there are several), so every strategy is
     comparable DOF-for-DOF with the serial run — the double-buffered
     explicit scheme makes all of them produce identical results.  Each
-    body builds its rank's state, takes the problem's [nsteps] steps
+    body builds its rank's state over [faces], the solve's face tables
+    ({!Lower.stage_interior}, built once for every rank), takes the
+    problem's [nsteps] steps
     (its sweep, post-step callbacks, clock) and
     returns the state with every breakdown it filled.  A lone rank's
     steps span on the ["main"] trace track, several ranks' phases on
     ["spmd rank R"]. *)
 
 val direct :
-  Problem.t -> Lower.rankinfo -> allreduce:(float array -> unit) ->
+  Problem.t -> faces:Eval.faces -> Lower.rankinfo ->
+  allreduce:(float array -> unit) ->
   Lower.state * Prt.Breakdown.t list
 (** Serial and band ranks: each step advances the owned DOFs with
     {!Lower.rk_step} — the configured time scheme, which off the serial
@@ -22,7 +25,7 @@ val direct :
     [allreduce]. *)
 
 val halo :
-  Problem.t -> plan:Fvm.Halo.t -> Lower.rankinfo ->
+  Problem.t -> faces:Eval.faces -> plan:Fvm.Halo.t -> Lower.rankinfo ->
   allreduce:(float array -> unit) -> Lower.state * Prt.Breakdown.t list
 (** Cell ranks: after each commit the rank sends its frontier cells of
     the unknown to its neighbours along [plan] and posts its ghost
@@ -32,7 +35,7 @@ val halo :
     and the sweep of the frontier — bit-identical either way. *)
 
 val pooled :
-  Problem.t -> pool:Prt.Pool.t -> Lower.rankinfo ->
+  Problem.t -> faces:Eval.faces -> pool:Prt.Pool.t -> Lower.rankinfo ->
   allreduce:(float array -> unit) -> Lower.state * Prt.Breakdown.t list
 (** Threads and hybrid ranks: the rank state runs the post-steps, and
     each step's sweep runs on [pool] over blocks of cells, one worker

@@ -132,7 +132,8 @@ let launch_chunks (host : Lower.state) =
 
 (* One kernel thread: advance the DOF (cell, comp) by its interior-face
    residual against the device-bound state [ds] (boundary contributions
-   are the CPU's job). *)
+   are the CPU's job).  The residual is the interpreter's slot loop over
+   the solve's face tables, or the native kernel's. *)
 let update_dof (ds : Lower.state) cell comp =
   ds.Lower.env.Eval.cell <- cell;
   Lower.set_ivals_of_comp ds comp;
@@ -254,9 +255,9 @@ type slot = {
    flight until the next launch joins them.  Data effects are immediate
    in the simulator, so results are bit-identical; only the modelled
    timeline and the Communication accounting change. *)
-let run_rank (p : Problem.t) ~spec ~(tiling : Fvm.Decomp2d.t)
+let run_rank (p : Problem.t) ~spec ~(tiling : Fvm.Decomp2d.t) ~faces
     (info : Lower.rankinfo) ~allreduce =
-  let host = Lower.build ~info p in
+  let host = Lower.build ~info ~faces p in
   let mesh = host.Lower.mesh in
   let ncomp = Fvm.Field.ncomp host.Lower.u in
   let plan = device_plan p in

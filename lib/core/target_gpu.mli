@@ -24,10 +24,12 @@ type result = {
 
 val run_rank :
   Problem.t -> spec:Gpu_sim.Spec.t ->
-  tiling:Fvm.Decomp2d.t -> Lower.rankinfo ->
+  tiling:Fvm.Decomp2d.t -> faces:Eval.faces -> Lower.rankinfo ->
   allreduce:(float array -> unit) -> result
 (** One rank of the problem's [Gpu { devices = G; ranks = R }] target, as
-    {!Ranks.run} calls it: the rank owns its rank info's slice of the
+    {!Ranks.run} calls it, over the solve's face tables [faces] (its
+    host state and every device mirror read the same ones): the rank
+    owns its rank info's slice of the
     band index and drives G devices of kind [spec] with global ids [rank*G ..],
     one per tile of [tiling], which exchange ghost cells by peer copies.
     The rank joins the others in the temperature update's [allreduce];

@@ -4,8 +4,10 @@
 # Builds the lint CLI, runs the analyzer's seeded-defect selftest (every
 # error code must be reproduced exactly), then lints every shipped
 # scenario under the full backend x overlap matrix and requires zero
-# findings. Exits non-zero on any regression; meant for CI and local
-# pre-commit use. See docs/ANALYSIS.md for the pass catalogue.
+# findings; then smoke-tests codegen, serve, tuner and scaling, and
+# checks that executors agree (examples/field_digest.exe). Exits
+# non-zero on any regression; meant for CI and local pre-commit use.
+# See docs/ANALYSIS.md for the pass catalogue.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -184,4 +186,51 @@ grep -q '"gpu_grid_8dev"' "$scaling_out" || {
 }
 rm -f "$scaling_out"
 
-echo "check_ir: selftest, full lint matrix (opt 0 and 2), comm-schedule verifier, JSON output, native codegen cache, tuner, serve scheduler and scaling smoke clean"
+echo "== executor agreement (field digests of 100 runs: one per scenario for CPU targets, one for GPU targets) =="
+dune build examples/field_digest.exe
+digest_out=$(mktemp)
+# run lines only: warnings (a native fallback, say) go to stderr
+./_build/default/examples/field_digest.exe > "$digest_out" || {
+  echo "check_ir: field_digest failed"
+  cat "$digest_out"
+  rm -f "$digest_out"
+  exit 1
+}
+if grep -q 'error:' "$digest_out"; then
+  echo "check_ir: a field_digest run failed"
+  grep 'error:' "$digest_out"
+  rm -f "$digest_out"
+  exit 1
+fi
+# runs are compared with each other, never with a recorded digest, so
+# the stage holds on any libm: per scenario, the 35 CPU-target runs
+# share one digest and the 15 GPU-target runs share another
+awk '
+  NF >= 4 && $1 != "total" {
+    key = $1 ($2 ~ /^gpu/ ? " gpu" : " cpu")
+    runs[key]++
+    if (!((key, $4) in seen)) { seen[key, $4] = 1; digests[key]++ }
+  }
+  END {
+    bad = 0; groups = 0
+    for (key in runs) {
+      groups++
+      want = (key ~ / gpu$/) ? 15 : 35
+      if (runs[key] != want || digests[key] != 1) {
+        printf "check_ir: %s: %d runs with %d distinct digests (want %d runs, 1 digest)\n", key, runs[key], digests[key], want
+        bad = 1
+      }
+    }
+    if (groups != 4) {
+      printf "check_ir: field_digest printed %d scenario/target groups, want 4\n", groups
+      bad = 1
+    }
+    exit bad
+  }' "$digest_out" || {
+  cat "$digest_out"
+  rm -f "$digest_out"
+  exit 1
+}
+rm -f "$digest_out"
+
+echo "check_ir: selftest, full lint matrix (opt 0 and 2), comm-schedule verifier, JSON output, native codegen cache, tuner, serve scheduler, scaling smoke and executor-agreement digests clean"

@@ -25,7 +25,8 @@ let test_special_symbols () =
 
 let test_normals_with_sign () =
   let env = make_env () in
-  (* find a vertical interior face and read NORMAL_1 from both sides *)
+  (* find a vertical interior face and read NORMAL_1 from both sides:
+     from its slot in each of its two cells *)
   let f = ref (-1) in
   for i = 0 to mesh.Fvm.Mesh.nfaces - 1 do
     if mesh.Fvm.Mesh.face_cell2.(i) >= 0
@@ -34,14 +35,29 @@ let test_normals_with_sign () =
   done;
   let f = !f in
   check_bool "found interior vertical face" true (f >= 0);
-  let n1 = compile [] "NORMAL_1" in
-  env.Finch.Eval.face <- f;
-  env.Finch.Eval.nsign <- 1.;
+  let p = Finch.Problem.init "normals" in
+  Finch.Problem.set_mesh p mesh;
+  let u = Finch.Problem.variable p ~name:"u" () in
+  let _ = Finch.Problem.conservation_form p u "-surface(upwind([1;0], u))" in
+  let faces = Finch.Lower.stage_interior p in
+  let slot_in c =
+    let s = ref (-1) in
+    Array.iteri
+      (fun i g -> if g = f then s := faces.Finch.Eval.slot_start.(c) + i)
+      mesh.Fvm.Mesh.cell_faces.(c);
+    !s
+  in
+  let n1 = Finch.Eval.compile ~faces [] (Parser.parse "NORMAL_1") in
+  env.Finch.Eval.slot <- slot_in mesh.Fvm.Mesh.face_cell1.(f);
   let from_owner = n1 env in
-  env.Finch.Eval.nsign <- -1.;
+  env.Finch.Eval.slot <- slot_in mesh.Fvm.Mesh.face_cell2.(f);
   let from_neighbour = n1 env in
   Tutil.check_close "normals flip" (-.from_owner) from_neighbour;
-  Tutil.check_close "unit" 1. (Float.abs from_owner)
+  Tutil.check_close "unit" 1. (Float.abs from_owner);
+  (* a normal has no value outside the face tables *)
+  match ignore (compile [] "NORMAL_1" : Finch.Eval.compiled) with
+  | exception Finch.Eval.Compile_error _ -> ()
+  | () -> Alcotest.fail "NORMAL_1 without face tables must not compile"
 
 let test_field_access_sides () =
   let env = make_env () in

@@ -520,6 +520,295 @@ let test_linearization_of_bte_form () =
     (Finch_symbolic.Expr.equal lin
        (Finch_symbolic.Expr.ref_ "beta" [ Finch_symbolic.Expr.Ivar "b" ]))
 
+(* --- interior staging: the face tables against a per-face oracle ---- *)
+
+(* The surface evaluation as it ran before staging, independent of the
+   face tables: at every face the neighbour and the normal sign come
+   from the mesh, the signed normal is written into a one-slot table
+   that the oracle's closures read, and every conditional test is
+   evaluated.  Returns [(rvol, interior flux sum, flux sum with boundary
+   conditions)] of one DOF. *)
+let face_oracle (st : Finch.Lower.state) =
+  let mesh = st.Finch.Lower.mesh in
+  let dim = mesh.Fvm.Mesh.dim in
+  let normal = Array.make dim 0. in
+  let faces =
+    { Finch.Eval.dim; slot_start = [| 0; 1 |]; slot_nbr = [| -1 |];
+      slot_normal = normal; tests = [] }
+  in
+  let p = st.Finch.Lower.p in
+  let env =
+    Finch.Eval.make_env ~mesh ~dt:st.Finch.Lower.dt ~time:st.Finch.Lower.time
+      ~index_names:(List.map (fun (i : Finch.Entity.index) -> i.Finch.Entity.iname)
+                      p.Finch.Problem.indices)
+  in
+  let compile = Finch.Eval.compile ~faces st.Finch.Lower.bindings in
+  let eq = st.Finch.Lower.eq in
+  let rvol = compile eq.Finch.Transform.rvol
+  and rsurf = compile eq.Finch.Transform.rsurf in
+  let uname = st.Finch.Lower.uvar.Finch.Entity.vname in
+  let bcs =
+    List.map
+      (fun (bc : Finch.Problem.bc) ->
+        match bc.Finch.Problem.bc_spec with
+        | Finch.Problem.Bc_expr e ->
+          bc.Finch.Problem.bc_region, (bc.Finch.Problem.bc_kind, compile e)
+        | Finch.Problem.Bc_callback _ ->
+          Alcotest.fail "oracle: expression conditions only")
+      (Finch.Problem.bcs_for p uname)
+  in
+  fun cell comp ->
+    env.Finch.Eval.cell <- cell;
+    let c = ref comp in
+    List.iter
+      (fun (i : Finch.Entity.index) ->
+        let ext = Finch.Entity.index_extent i in
+        Finch.Eval.ival env i.Finch.Entity.iname := !c mod ext;
+        c := !c / ext)
+      st.Finch.Lower.uvar.Finch.Entity.vindices;
+    let rv = rvol env in
+    let interior = ref 0. and full = ref 0. in
+    Array.iter
+      (fun f ->
+        let owner = mesh.Fvm.Mesh.face_cell1.(f) = cell in
+        let nsign = if owner then 1. else -1. in
+        let c2 =
+          if owner then mesh.Fvm.Mesh.face_cell2.(f) else mesh.Fvm.Mesh.face_cell1.(f)
+        in
+        for k = 0 to dim - 1 do
+          normal.(k) <- nsign *. mesh.Fvm.Mesh.face_normal.((f * dim) + k)
+        done;
+        env.Finch.Eval.face <- f;
+        env.Finch.Eval.cell2 <- c2;
+        let area = mesh.Fvm.Mesh.face_area.(f) in
+        if c2 >= 0 then begin
+          let v = area *. rsurf env in
+          interior := !interior +. v;
+          full := !full +. v
+        end
+        else
+          match List.assoc_opt mesh.Fvm.Mesh.face_bid.(f) bcs with
+          | None -> ()
+          | Some (Finch.Config.Flux, g) -> full := !full +. (area *. g env)
+          | Some (Finch.Config.Dirichlet, g) ->
+            let ghost = g env in
+            env.Finch.Eval.ghost <-
+              Some
+                (fun name comp ->
+                  if name = uname then ghost
+                  else Fvm.Field.get (Finch.Lower.field st name) cell comp);
+            full := !full +. (area *. rsurf env);
+            env.Finch.Eval.ghost <- None)
+      mesh.Fvm.Mesh.cell_faces.(cell);
+    rv, !interior, !full
+
+(* Advection of u[d,b] on [mesh] whose upwind test names d alone, or d
+   and b when [two]; velocities hold exact zeros, so some faces test
+   0 > 0.  Regions 1 and 3 carry Dirichlet expressions (rsurf under a
+   ghost on a boundary slot), region 2 a flux expression reading a
+   normal; the rest are unconstrained. *)
+let staging_problem rng mesh ~two =
+  let dim = mesh.Fvm.Mesh.dim in
+  let p = Finch.Problem.init "staged" in
+  Finch.Problem.domain p dim;
+  Finch.Problem.set_mesh p mesh;
+  Finch.Problem.set_steps p ~dt:1e-3 ~nsteps:1;
+  let d = Finch.Problem.index p ~name:"d" ~range:(1, 3) in
+  let b = Finch.Problem.index p ~name:"b" ~range:(1, 2) in
+  let u = Finch.Problem.variable p ~name:"u" ~indices:[ d; b ] () in
+  let speeds (i : Finch.Entity.index) =
+    Finch.Entity.Arr
+      (Array.init (Finch.Entity.index_extent i) (fun _ ->
+           0.5 *. float_of_int (Random.State.int rng 5 - 2)))
+  in
+  let _ = Finch.Problem.coefficient p ~name:"cx" ~index:d (speeds d) in
+  let cy_index = if two then b else d in
+  let _ = Finch.Problem.coefficient p ~name:"cy" ~index:cy_index (speeds cy_index) in
+  let _ = Finch.Problem.coefficient p ~name:"cz" ~index:d (speeds d) in
+  let _ = Finch.Problem.coefficient p ~name:"k" (Finch.Entity.Const 0.25) in
+  Finch.Problem.boundary p u 1 Finch.Config.Dirichlet "0.5 * u[d,b]";
+  Finch.Problem.boundary p u 2 Finch.Config.Flux "NORMAL_1 * u[d,b]";
+  Finch.Problem.boundary p u 3 Finch.Config.Dirichlet "1.5";
+  let cy = if two then "cy[b]" else "cy[d]" in
+  let vec =
+    if dim = 3 then Printf.sprintf "[cx[d];%s;cz[d]]" cy
+    else Printf.sprintf "[cx[d];%s]" cy
+  in
+  let _ =
+    Finch.Problem.conservation_form p u
+      (Printf.sprintf "-k*u[d,b] - surface(upwind(%s, u[d,b]))" vec)
+  in
+  p
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* dof_rhs, dof_rhs_interior and dof_flux read the face tables and equal
+   the per-face oracle bit for bit, on quadrilateral, triangular and
+   hexahedral cells (4, 3 and 6 faces per cell) at random small shapes *)
+let test_staged_flux_equals_oracle () =
+  let rng = Random.State.make [| 2117 |] in
+  let size lo hi = lo + Random.State.int rng (hi - lo + 1) in
+  let meshes =
+    List.concat
+      (List.init 3 (fun _ ->
+           [ "rectangle",
+             Fvm.Mesh_gen.rectangle ~nx:(size 2 5) ~ny:(size 2 5) ~lx:1.0 ~ly:0.7 ();
+             "triangles",
+             Fvm.Mesh_gen.triangulated_rectangle ~nx:(size 2 4) ~ny:(size 2 4)
+               ~lx:1.0 ~ly:1.3 ();
+             "box",
+             Fvm.Mesh_gen.box ~nx:(size 2 3) ~ny:(size 2 3) ~nz:(size 2 3)
+               ~lx:1.0 ~ly:0.8 ~lz:0.6 () ]))
+  in
+  List.iter
+    (fun (mname, mesh) ->
+      List.iter
+        (fun two ->
+          let p = staging_problem rng mesh ~two in
+          let st = Finch.Lower.build p in
+          let what =
+            Printf.sprintf "%s (%d cells), two=%b" mname mesh.Fvm.Mesh.ncells two
+          in
+          Alcotest.(check (list (list string)))
+            (what ^ ": the upwind test is staged")
+            [ (if two then [ "d"; "b" ] else [ "d" ]) ]
+            (List.map
+               (fun (t : Finch.Eval.staged) -> List.map fst t.Finch.Eval.names)
+               st.Finch.Lower.faces.Finch.Eval.tests);
+          Fvm.Field.init st.Finch.Lower.u (fun _ _ -> Random.State.float rng 2. -. 0.5);
+          let oracle = face_oracle st in
+          let env = st.Finch.Lower.env in
+          for cell = 0 to mesh.Fvm.Mesh.ncells - 1 do
+            for comp = 0 to Fvm.Field.ncomp st.Finch.Lower.u - 1 do
+              env.Finch.Eval.cell <- cell;
+              Finch.Lower.set_ivals_of_comp st comp;
+              let rhs = Finch.Lower.dof_rhs st in
+              let interior = Finch.Lower.dof_rhs_interior st in
+              let flux = Finch.Lower.dof_flux st in
+              let rv, int_sum, full_sum = oracle cell comp in
+              let vol = mesh.Fvm.Mesh.cell_volume.(cell) in
+              let check name got want =
+                if not (bits_equal got want) then
+                  Alcotest.failf "%s: %s at cell %d comp %d: %h, oracle %h" what
+                    name cell comp got want
+              in
+              check "dof_rhs" rhs (rv +. (full_sum /. vol));
+              check "dof_rhs_interior" interior (rv +. (int_sum /. vol));
+              check "dof_flux" flux (full_sum /. vol)
+            done
+          done)
+        [ false; true ])
+    meshes
+
+(* Advection whose post-step callback declares it writes the speed Sx
+   and flips its sign every step.  No boundary conditions, so the GPU's
+   separate boundary sum adds exact zeros. *)
+let written_speed_problem ~declares () =
+  let p = Finch.Problem.init "written" in
+  Finch.Problem.domain p 2;
+  Finch.Problem.set_mesh p (Fvm.Mesh_gen.rectangle ~nx:6 ~ny:5 ~lx:1.0 ~ly:1.0 ());
+  Finch.Problem.set_steps p ~dt:2e-3 ~nsteps:6;
+  let d = Finch.Problem.index p ~name:"d" ~range:(1, 4) in
+  let u = Finch.Problem.variable p ~name:"u" ~indices:[ d ] () in
+  let _ =
+    Finch.Problem.coefficient p ~name:"Sx" ~index:d
+      (Finch.Entity.Arr [| 1.0; -0.5; 0.0; 0.75 |])
+  in
+  let _ =
+    Finch.Problem.coefficient p ~name:"Sy" ~index:d
+      (Finch.Entity.Arr [| 0.25; 1.0; -1.0; 0.0 |])
+  in
+  Finch.Problem.initial p u
+    (Finch.Problem.Init_fn
+       (fun pos comp ->
+         exp (-10. *. ((pos.(0) -. 0.4) ** 2. +. ((pos.(1) -. 0.6) ** 2.)))
+         +. (0.1 *. float_of_int comp)));
+  let flip (ctx : Finch.Problem.step_ctx) =
+    match (ctx.Finch.Problem.st_coef "Sx").Finch.Entity.cvalue with
+    | Finch.Entity.Arr a -> Array.iteri (fun i x -> a.(i) <- -.x) a
+    | _ -> ()
+  in
+  let io =
+    { Finch.Problem.cb_reads = []; cb_writes = (if declares then [ "Sx" ] else []) }
+  in
+  Finch.Problem.post_step_function ~io p flip;
+  let _ =
+    Finch.Problem.conservation_form p u "-0.5*u[d] - surface(upwind([Sx[d];Sy[d]], u[d]))"
+  in
+  p
+
+(* The per-face oracle as a forward-Euler time loop on a serial state:
+   sweep every DOF, publish, run the post-step callbacks. *)
+let oracle_run (p : Finch.Problem.t) =
+  let st = Finch.Lower.build p in
+  let oracle = face_oracle st in
+  let u = st.Finch.Lower.u and u_new = st.Finch.Lower.u_new in
+  let mesh = st.Finch.Lower.mesh in
+  let dt = !(st.Finch.Lower.dt) in
+  for _ = 1 to p.Finch.Problem.nsteps do
+    for cell = 0 to mesh.Fvm.Mesh.ncells - 1 do
+      for comp = 0 to Fvm.Field.ncomp u - 1 do
+        let rv, _, full = oracle cell comp in
+        Fvm.Field.set u_new cell comp
+          (Fvm.Field.get u cell comp
+          +. (dt *. (rv +. (full /. mesh.Fvm.Mesh.cell_volume.(cell)))))
+      done
+    done;
+    Fvm.Field.blit ~src:u_new ~dst:u;
+    Finch.Lower.run_post_step st ~allreduce:ignore;
+    st.Finch.Lower.time := !(st.Finch.Lower.time) +. dt;
+    incr st.Finch.Lower.step
+  done;
+  u
+
+(* A test reading a coefficient that a callback declares it writes stays
+   unstaged, and every evaluator then follows the callback's writes *)
+let test_written_coefficient_unstaged () =
+  let staged_tests p = List.length (Finch.Lower.stage_interior p).Finch.Eval.tests in
+  Alcotest.(check int) "undeclared write: staged" 1
+    (staged_tests (written_speed_problem ~declares:false ()));
+  Alcotest.(check int) "declared write of Sx: not staged" 0
+    (staged_tests (written_speed_problem ~declares:true ()));
+  let want = oracle_run (written_speed_problem ~declares:true ()) in
+  Finch_codegen.Codegen.install ();
+  List.iter
+    (fun (name, target, eval_mode) ->
+      let p = written_speed_problem ~declares:true () in
+      Finch.Problem.set_eval_mode p eval_mode;
+      let o = run_with target p in
+      let diff = Fvm.Field.max_abs_diff want o.Finch.Solve.u in
+      if diff <> 0. then Alcotest.failf "%s: max abs diff %g from the oracle" name diff)
+    [ "serial/closure", Finch.Config.Cpu Finch.Config.Serial, Finch.Config.Closure;
+      "serial/native", Finch.Config.Cpu Finch.Config.Serial, Finch.Config.Native;
+      "gpu:a6000",
+      (match Finch.Config.target_of_string "gpu:a6000" with
+       | Ok t -> t
+       | Error e -> Alcotest.fail e),
+      Finch.Config.Closure ]
+
+(* one staging per solve, however many ranks, workers and device
+   mirrors read the tables *)
+let test_one_staging_per_solve () =
+  let stagings = Prt.Metrics.counter "lower.face_stagings" in
+  let was = Prt.Metrics.enabled () in
+  Prt.Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () -> if not was then Prt.Metrics.disable ())
+    (fun () ->
+      List.iter
+        (fun spec ->
+          let target =
+            match Finch.Config.target_of_string spec with
+            | Ok t -> t
+            | Error e -> Alcotest.fail e
+          in
+          let p, _, _ = make_advection ~nx:8 ~ny:8 ~nsteps:3 () in
+          let before = Prt.Metrics.value stagings in
+          ignore (run_with target p);
+          Alcotest.(check int) (spec ^ ": stagings") 1
+            (Prt.Metrics.value stagings - before))
+        [ "serial"; "threads:2"; "cells:4"; "gpu:a6000:2" ])
+
 let suite =
   ( "solver",
     [
@@ -559,4 +848,10 @@ let suite =
       Alcotest.test_case "BTE source linearization" `Quick
         test_linearization_of_bte_form;
       QCheck_alcotest.to_alcotest prop_upwind_maximum_principle;
+      Alcotest.test_case "staged face sums == per-face oracle (exact)" `Quick
+        test_staged_flux_equals_oracle;
+      Alcotest.test_case "written coefficient stays unstaged" `Quick
+        test_written_coefficient_unstaged;
+      Alcotest.test_case "one face staging per solve" `Quick
+        test_one_staging_per_solve;
     ] )
