@@ -132,18 +132,21 @@ let post_io = Temperature.post_io
 
 (* The physics tables are pure functions of (bands, directions,
    temperature range): identical inputs produce bit-identical tables, so
-   a process serving many requests may reuse them.  The memo is gated on
-   the facade's scenario-cache switch — off (the default), every build
-   pays the full table construction, exactly the historical behaviour;
-   the serve scheduler turns it on with its [use_cache] setting. *)
+   a process serving many requests may reuse them.  A build reuses them
+   only when its caller asks ([reuse_tables], which the serve scheduler
+   passes from its [use_cache] setting); otherwise, the default, every
+   build pays the full table construction. *)
 let table_memo :
     ( int * int * float * float,
       Dispersion.t * Angles.t * Equilibrium.t * Temperature.model )
     Hashtbl.t =
   Hashtbl.create 16
 
-let tables_for (sc : scenario) =
+let m_table_builds = Prt.Metrics.counter "bte.table_builds"
+
+let tables_for ~reuse_tables (sc : scenario) =
   let fresh () =
+    Prt.Metrics.incr m_table_builds;
     let disp = Dispersion.make ~n_la:sc.n_la_bands in
     let angles = Angles.make_2d ~ndirs:sc.ndirs in
     let eqtab =
@@ -155,7 +158,7 @@ let tables_for (sc : scenario) =
     let temp_model = Temperature.make ~disp ~eqtab ~angles () in
     disp, angles, eqtab, temp_model
   in
-  if not (Finch.scenario_cache_enabled ()) then fresh ()
+  if not reuse_tables then fresh ()
   else begin
     let key = sc.n_la_bands, sc.ndirs, sc.t_cold, sc.t_hot in
     match Hashtbl.find_opt table_memo key with
@@ -167,8 +170,8 @@ let tables_for (sc : scenario) =
   end
 
 let build ?(enforce_cfl = true) ?(stepper = Finch.Config.Euler_explicit)
-    (sc : scenario) =
-  let disp, angles, eqtab, temp_model = tables_for sc in
+    ?(reuse_tables = false) (sc : scenario) =
+  let disp, angles, eqtab, temp_model = tables_for ~reuse_tables sc in
   let nb = Dispersion.nbands disp in
   (* the point-implicit stepper is free of the relaxation-rate bound, so
      only the advective CFL limit applies to it *)
@@ -273,8 +276,8 @@ let build ?(enforce_cfl = true) ?(stepper = Finch.Config.Euler_explicit)
 
 (* The corner scenario differs only in geometry/temperatures: source on the
    top wall against the left corner. *)
-let build_corner ?(enforce_cfl = true) ?stepper (sc : scenario) =
-  build ~enforce_cfl ?stepper { sc with hot_center = 0. }
+let build_corner ?(enforce_cfl = true) ?stepper ?reuse_tables (sc : scenario) =
+  build ~enforce_cfl ?stepper ?reuse_tables { sc with hot_center = 0. }
 
 (* ------------------------------------------------------------------ *)
 (* facade registration                                                *)
@@ -304,17 +307,17 @@ let prepared_of built =
   { Finch.pr_problem = built.problem; pr_solution = "T" }
 
 let register_scenarios () =
-  Finch.register_scenario "hotspot" (fun req ->
-      prepared_of (build (scenario_of_request small_hotspot req)));
-  Finch.register_scenario "corner" (fun req ->
-      prepared_of (build_corner (scenario_of_request small_corner req)));
+  Finch.register_scenario "hotspot" (fun ~reuse_tables req ->
+      prepared_of (build ~reuse_tables (scenario_of_request small_hotspot req)));
+  Finch.register_scenario "corner" (fun ~reuse_tables req ->
+      prepared_of (build_corner ~reuse_tables (scenario_of_request small_corner req)));
   (* paper-scale geometry (Fig. 2 / Fig. 10 domains); the request still
      sets the discretization, so callers pass the paper dims explicitly
      (see [request_of_base]) *)
-  Finch.register_scenario "hotspot-paper" (fun req ->
-      prepared_of (build (scenario_of_request paper_hotspot req)));
-  Finch.register_scenario "corner-paper" (fun req ->
-      prepared_of (build_corner (scenario_of_request paper_corner req)))
+  Finch.register_scenario "hotspot-paper" (fun ~reuse_tables req ->
+      prepared_of (build ~reuse_tables (scenario_of_request paper_hotspot req)));
+  Finch.register_scenario "corner-paper" (fun ~reuse_tables req ->
+      prepared_of (build_corner ~reuse_tables (scenario_of_request paper_corner req)))
 
 let base_of_scenario = function
   | "hotspot" -> Some small_hotspot

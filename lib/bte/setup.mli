@@ -60,12 +60,19 @@ val post_io : Finch.Problem.callback_io
     scenarios register their callback with it. *)
 
 val build :
-  ?enforce_cfl:bool -> ?stepper:Finch.Config.time_stepper -> scenario -> built
+  ?enforce_cfl:bool -> ?stepper:Finch.Config.time_stepper ->
+  ?reuse_tables:bool -> scenario -> built
 (** With the point-implicit stepper only the advective CFL bound applies
-    to dt (the relaxation-rate bound disappears). *)
+    to dt (the relaxation-rate bound disappears).  With [reuse_tables]
+    (default false) the physics tables (dispersion, angles, equilibrium,
+    temperature model) come from a process-wide memo keyed on (bands,
+    directions, temperatures) when an earlier build made them: they are
+    bit-identical to fresh ones.  Every fresh construction counts in the
+    [bte.table_builds] metric. *)
 
 val build_corner :
-  ?enforce_cfl:bool -> ?stepper:Finch.Config.time_stepper -> scenario -> built
+  ?enforce_cfl:bool -> ?stepper:Finch.Config.time_stepper ->
+  ?reuse_tables:bool -> scenario -> built
 (** {!build} with the source moved against the left corner
     ([hot_center = 0]). *)
 

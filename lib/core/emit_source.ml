@@ -6,7 +6,7 @@
    a Julia-like listing (the CPU target's native output in the original
    Finch) and a CUDA-C-like listing for the GPU kernel structure.  The
    output is for humans — it is what a user would inspect or edit — while
-   execution goes through the compiled closures. *)
+   execution goes through the compiled lane programs. *)
 
 open Finch_symbolic
 
@@ -164,12 +164,13 @@ let to_cuda node =
 (* Unlike the listings above, [to_ocaml] is executable: it renders a
    lowered state's full sweep/commit/interior-DOF loop bodies as an OCaml
    module that Finch_codegen compiles to a .cmxs and dynlinks.  The
-   emitted arithmetic mirrors [Eval.compile] operation for operation
-   (fold-from-zero sums, fold-from-one products, the reciprocal/square
-   power special cases, lazy conditionals, Float.equal comparisons), so
-   generated results are bit-identical to the closure interpreter.
+   emitted arithmetic mirrors [Eval.compile] operation for operation —
+   as every lane of a lane program performs it — (fold-from-zero sums,
+   fold-from-one products, the reciprocal/square power special cases,
+   lazy conditionals, Float.equal comparisons), so generated results are
+   bit-identical to the interpreter.
 
-   Anything whose closure semantics cannot be reproduced in straight-line
+   Anything whose interpreted semantics cannot be reproduced in straight-line
    generated code raises [Unsupported_native] and the caller falls back
    to the interpreter: NaN/infinite literals, face-context symbols
    (FACEAREA / NORMAL_k / CELL2 references) inside the volume term —
@@ -179,7 +180,7 @@ let to_cuda node =
 
    Values never land in the source text: field/array/function slots are
    positional, and constants (Const coefficients and the array elements
-   the closure compiler bakes in at [Iconst] indices) are emitted as
+   the lane compiler bakes in at [Iconst] indices) are emitted as
    [const_spec] recipes the binder evaluates at bind time.  The source is
    therefore a pure function of the program structure, which is what
    makes the content-hash cache key stable across runs and mesh sizes. *)
@@ -265,7 +266,7 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
     go 0 names
   in
   (* constant slots: Const coefficients first, then the values the
-     closure compiler bakes in (Arr elements at literal indices),
+     lane compiler bakes in (Arr elements at literal indices),
      appended in emission-walk order *)
   let consts = ref [] and nconsts = ref 0 in
   let const_slot spec =
@@ -356,7 +357,7 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
     | Expr.Sym s -> sym ~scope ~face s
     | Expr.Ref (name, idx_refs, side) -> ref_ ~scope ~face name idx_refs side
     | Expr.Add es ->
-      (* fold from 0, exactly like the closure's accumulator *)
+      (* fold from 0, exactly like each lane's accumulator *)
       "(0." ^ String.concat "" (List.map (fun e -> " +. " ^ ex ~scope ~face e) es) ^ ")"
     | Expr.Mul es ->
       "(1." ^ String.concat "" (List.map (fun e -> " *. " ^ ex ~scope ~face e) es) ^ ")"
@@ -377,8 +378,8 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
        | Expr.Eq -> Printf.sprintf "(if Float.equal %s %s then 1. else 0.)" sa sb
        | Expr.Ne -> Printf.sprintf "(if not (Float.equal %s %s) then 1. else 0.)" sa sb)
     | Expr.Cond (c, t, el) -> (
-      (* lazy, like the closure (the tape is the eager one); a staged
-         test reads its table at the slot, as the closure does *)
+      (* lazy, like the lane programs (the tape is the eager one); a
+         staged test reads its table at the slot, as they do *)
       match staged_index c with
       | Some (k, staged) when face = Interior ->
         Printf.sprintf "(if Bytes.get t%d ((s * %d) + %s) <> '\\000' then %s else %s)"
@@ -443,7 +444,7 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
           | Some v -> Printf.sprintf "a%d.(%s)" slot v
           | None -> Printf.sprintf "a%d.(0)" slot)
         | [ Expr.Iconst k ] ->
-          (* the closure bakes the element's value in at compile time, so
+          (* the lane compiler bakes the element's value in, so
              the binder captures it into a constant slot at bind time *)
           Printf.sprintf "cns.(%d)" (const_slot (Cs_arr_elem (name, k - lo)))
         | _ -> unsup "coefficient %s expects one index" name)

@@ -15,16 +15,16 @@ val to_cuda : Ir.node -> string
     synchronization and memcpy annotations. *)
 
 exception Unsupported_native of string
-(** Raised by {!to_ocaml} when a program's closure semantics cannot be
-    reproduced in generated code (non-finite literals, face-context
+(** Raised by {!to_ocaml} when a program's interpreted semantics cannot
+    be reproduced in generated code (non-finite literals, face-context
     symbols in the volume term, boundary conditions depending on loop
     indices not derivable from the unknown's component, non-cell-major
-    storage); callers fall back to the closure interpreter. *)
+    storage); callers fall back to the interpreter. *)
 
 (** How the binder fills one constant slot at bind time: a [Const]
     coefficient's value, or the element (at a 0-based offset) of an
     indexed coefficient referenced at a literal index — the two value
-    classes [Eval.compile] bakes into closures, kept out of the source
+    classes [Eval.compile] bakes into its programs, kept out of the source
     text so the content-hash cache key is value-independent. *)
 type const_spec =
   | Cs_coef of string
@@ -45,8 +45,9 @@ type ocaml_emission = {
 val to_ocaml : Lower.state -> ocaml_emission
 (** Emit the full sweep/commit/interior-DOF bodies of a lowered state as
     an OCaml module, arithmetic mirroring [Eval.compile] operation for
-    operation so generated results are bit-identical to the closure
-    interpreter.  The source depends only on program structure (never on
-    field or coefficient values), so its digest is a stable cache key.
-    @raise Unsupported_native when emission cannot preserve closure
-    semantics. *)
+    operation, as each lane of a lane program performs it, so generated
+    results are bit-identical to the interpreter.  The source depends
+    only on program structure (never on field or coefficient values), so
+    its digest is a stable cache key.
+    @raise Unsupported_native when emission cannot preserve the
+    interpreter's semantics. *)

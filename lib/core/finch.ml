@@ -13,7 +13,12 @@
     layer depends on [finch], not the reverse), so scenarios arrive
     through {!register_scenario}: [Bte.Setup.register_scenarios ()]
     installs ["hotspot"] and ["corner"].  [Solve.solve] remains the
-    internal engine underneath. *)
+    internal engine underneath.
+
+    Whether a preparation may reuse memoized scenario tables is an
+    argument of that preparation ([?reuse_tables] of {!prepare},
+    {!program_digest} and {!solve}, handed to the registered builder),
+    never process state: the default builds fresh tables. *)
 
 module Config = Config
 module Dataflow = Dataflow
@@ -40,7 +45,12 @@ type prepared = {
   pr_solution : string;  (** name of the primary solution field *)
 }
 
-let scenario_registry : (string, Solve_request.t -> prepared) Hashtbl.t =
+(* A builder takes whether it may reuse memoized scenario tables (material
+   dispersion, angular quadrature, equilibrium tables) across requests
+   with identical inputs — bit-identical by construction, since the same
+   inputs produce the same tables. *)
+let scenario_registry :
+    (string, reuse_tables:bool -> Solve_request.t -> prepared) Hashtbl.t =
   Hashtbl.create 8
 
 (* the [program_digest] memo: a registration may change any name's
@@ -54,17 +64,6 @@ let register_scenario name build =
 let scenario_names () =
   Hashtbl.fold (fun k _ acc -> k :: acc) scenario_registry []
   |> List.sort compare
-
-(* When on, scenario constructors may memoize pure sub-builds (material
-   dispersion, angular quadrature, equilibrium tables) across requests
-   with identical inputs — bit-identical by construction, since the same
-   inputs produce the same tables.  The serve scheduler switches this
-   with its cache setting so the unbatched baseline keeps today's
-   cold-build-per-request behaviour. *)
-let scenario_cache = ref false
-
-let set_scenario_cache on = scenario_cache := on
-let scenario_cache_enabled () = !scenario_cache
 
 (** Why a request was not solved. *)
 module Solve_error = struct
@@ -95,12 +94,15 @@ module Solve_result = struct
       (** counter deltas attributable to this solve (sorted by name,
           zero-delta entries dropped) *)
     trace_id : string;  (** e.g. ["req-42"], also the trace span name *)
-    wall_s : float;  (** submit-to-done wall seconds *)
+    wall_s : float;
+      (** wall seconds of the solve alone ({!solve_prepared}'s span):
+          preparation, tuning and queueing are not in it *)
     outcome : Solve.outcome;  (** full engine outcome, for power users *)
   }
 end
 
-let prepare (req : Solve_request.t) : (prepared, Solve_error.t) result =
+let prepare ?(reuse_tables = false) (req : Solve_request.t) :
+    (prepared, Solve_error.t) result =
   match Solve_request.validate req with
   | Error m -> Error (Solve_error.Invalid_request m)
   | Ok () when req.Solve_request.backend = Config.Auto ->
@@ -113,7 +115,7 @@ let prepare (req : Solve_request.t) : (prepared, Solve_error.t) result =
     (match Hashtbl.find_opt scenario_registry req.Solve_request.scenario with
      | None -> Error (Solve_error.Unknown_scenario req.Solve_request.scenario)
      | Some build ->
-       (match build req with
+       (match build ~reuse_tables req with
         | prep ->
           let p = prep.pr_problem in
           Problem.set_target p req.Solve_request.backend;
@@ -147,8 +149,9 @@ let clear_program_digests () = Hashtbl.reset program_digests
     with [label] and [deadline_s] cleared (the wire form prints floats
     exactly, so equal keys are equal requests): the request is prepared, and
     [tune.key_builds] counted, only on first sight.  An [Error] is never
-    memoized. *)
-let program_digest (req : Solve_request.t) : (string, Solve_error.t) result =
+    memoized.  [reuse_tables] goes to that preparation. *)
+let program_digest ?reuse_tables (req : Solve_request.t) :
+    (string, Solve_error.t) result =
   let key =
     Solve_request.to_string
       { req with Solve_request.label = None; deadline_s = None }
@@ -167,7 +170,7 @@ let program_digest (req : Solve_request.t) : (string, Solve_error.t) result =
           clear_program_digests ();
         Hashtbl.replace program_digests key d;
         d)
-      (prepare req)
+      (prepare ?reuse_tables req)
 
 (* ------------------------------------------------------------------ *)
 (* request execution                                                  *)
@@ -216,7 +219,8 @@ let solve_prepared ?trace_id (req : Solve_request.t) (prep : prepared) :
         outcome }
   | exception e -> Error (Solve_error.Engine_failure (Printexc.to_string e))
 
-let solve (req : Solve_request.t) : (Solve_result.t, Solve_error.t) result =
-  match prepare req with
+let solve ?reuse_tables (req : Solve_request.t) :
+    (Solve_result.t, Solve_error.t) result =
+  match prepare ?reuse_tables req with
   | Error e -> Error e
   | Ok prep -> solve_prepared req prep

@@ -1,10 +1,14 @@
 (* Lowering: from a declared problem to executable state.
 
    Creates field storage for every variable, compiles the equation's volume
-   and flux expressions to closures, resolves boundary conditions to a
+   and flux expressions to lane programs, resolves boundary conditions to a
    per-face table, and packages the loop/rank configuration the executors
    need.  One [state] is built per rank; serial runs have a single rank
-   owning everything. *)
+   owning everything.
+
+   The interpreter evaluates one cell's owned components as a lane group
+   (Eval): the slot loop ([surface]) runs each face's flux once per group,
+   every lane accumulating its own sum in face order. *)
 
 module Expr = Finch_symbolic.Expr
 
@@ -14,9 +18,9 @@ exception Lower_error of string
    a callback is staged once per face and state, into the state's
    [staged] table (see [stage_faces]). *)
 type bc_resolved =
-  | RFlux_expr of Eval.compiled
+  | RFlux_expr of Eval.program
   | RFlux_callback of bc_call
-  | RDirichlet_expr of Eval.compiled
+  | RDirichlet_expr of Eval.program
   | RDirichlet_callback of bc_call
 
 and bc_call = {
@@ -36,14 +40,35 @@ type rankinfo = {
 let serial_rankinfo = { rank = 0; nranks = 1; owned_cells = None; index_ranges = [] }
 
 (* Generated-code entry points for one state (lib/codegen).  When
-   present, [sweep]/[sweep_cells]/[commit]/[dof_rhs_interior] dispatch to
-   them instead of the closure interpreter; the generated bodies are
-   bit-identical by construction, so every executor schedule composes
-   unchanged. *)
+   present, [sweep]/[sweep_cells]/[commit]/[dof_rhs_interior]/
+   [update_interior] dispatch to them instead of the interpreter; the
+   generated bodies are bit-identical by construction, so every executor
+   schedule composes unchanged. *)
 type native_entry = {
   n_sweep : int array option -> unit;
   n_commit : int array option -> unit;
   n_dof_interior : int -> int -> float;
+}
+
+(* The interpreter's per-lane buffers and the layout of the unknown's
+   components over the env's indices; one per state, since a state's
+   programs run on one domain. *)
+type lanebuf = {
+  comp : int array;        (* per lane of the group: component of the unknown *)
+  flux : float array;      (* per lane: the surface sum *)
+  rhs : float array;       (* per lane: the update's right-hand side *)
+  bterm : float array;     (* per lane: the current boundary face's term *)
+  ghost : float array;     (* per lane: the unknown's ghost on a Dirichlet face *)
+  ghost_acc : (string -> int -> int -> float) option;
+    (* the accessor reading [ghost]; other variables read the cell *)
+  upos : int array;        (* per index of the unknown, first fastest: its env position *)
+  uext : int array;        (*   and extent *)
+  others : (int * int ref) array;
+    (* env positions the unknown does not carry, with their env cells *)
+  tup_iv : int array array;
+    (* per env position, per owned index tuple of a cell (configured loop
+       order): the index's value *)
+  tup_comp : int array;    (* per tuple: its component of the unknown *)
 }
 
 type state = {
@@ -57,8 +82,9 @@ type state = {
   env : Eval.env;
   bindings : Eval.bindings;
   faces : Eval.faces;        (* the solve's face tables, shared read-only *)
-  rvol_f : Eval.compiled;
-  rsurf_f : Eval.compiled;
+  rvol : Eval.program;
+  rsurf : Eval.program;
+  lanes : lanebuf;
   comp_index : (int ref * int) array;
     (* per index of the unknown, first fastest: its env cell and extent *)
   ucomp : unit -> int;       (* component of the unknown at current ivals *)
@@ -73,8 +99,8 @@ type state = {
   (* loop plan: outer-to-inner entries *)
   loops : loop_entry list;
   (* -d(rvol)/du, compiled lazily (used by the point-implicit stepper) *)
-  rvol_du_f : Eval.compiled Lazy.t;
-  (* tape handles behind rvol_f/rsurf_f when eval_mode = Tape, for op
+  rvol_du : Eval.program Lazy.t;
+  (* tape handles behind rvol/rsurf when eval_mode = Tape, for op
      statistics; empty in closure mode *)
   tapes : (string * Eval.tape) list;
   (* generated entry points, installed by the native-codegen hook when
@@ -89,7 +115,7 @@ and loop_entry =
 (* Core cannot depend on lib/codegen (which depends on core), so native
    code generation reaches states through this hook: Finch_codegen
    installs a function that emits, compiles/loads and binds a state,
-   returning its entry points (or None to fall back to the closures).
+   returning its entry points (or None to fall back to the interpreter).
    Only consulted when the problem's eval_mode is Native. *)
 let native_hook : (state -> native_entry option) ref = ref (fun _ -> None)
 let native_hook_installed = ref false
@@ -104,7 +130,7 @@ let attach_native st =
       warned_no_hook := true;
       prerr_endline
         "finch: warning: eval mode is native but no codegen backend is \
-         installed; falling back to the closure interpreter"
+         installed; falling back to the interpreter"
     end
   | Config.Closure | Config.Tape -> ()
 
@@ -306,23 +332,22 @@ let stage_interior (p : Problem.t) : Eval.faces =
       p.Problem.indices
   in
   let written = written_coefficients p in
-  (* a test the closure compiler rejects stays in the integrand, whose
+  (* a test the compiler rejects stays in the integrand, whose
      compilation reports the error *)
   let tests =
     List.filter_map
       (fun test ->
-        match Eval.compile ~faces:geometry bindings test with
+        match Eval.program ~faces:geometry bindings test with
         | f -> Some (test, f)
         | exception Eval.Compile_error _ -> None)
       (stageable_tests
          (face_invariant ~dim ~bindings ~written ~indices)
          [] (Problem.the_equation p).Transform.rsurf)
   in
-  let env =
-    Eval.make_env ~mesh ~dt:(ref p.Problem.dt) ~time:(ref 0.)
-      ~index_names:(List.map fst indices)
-  in
-  (* evaluate each test once per slot and value of the indices it names *)
+  let index_names = List.map fst indices in
+  (* evaluate each test at every slot, the values of the indices it names
+     as the lanes of one group (in slices past a group's worth): the
+     lanes are the same at every slot, so they are set once *)
   let stage (test, f) =
     let named =
       List.concat_map
@@ -332,24 +357,48 @@ let stage_interior (p : Problem.t) : Eval.faces =
     in
     let names = List.filter (fun (n, _) -> List.mem n named) indices in
     let width = List.fold_left (fun acc (_, ext) -> acc * ext) 1 names in
-    let refs = Array.of_list (List.map (fun (n, _) -> Eval.ival env n) names) in
-    let exts = Array.of_list (List.map snd names) in
+    let env =
+      Eval.make_env ~lanes:(min Eval.max_lanes width) ~mesh
+        ~dt:(ref p.Problem.dt) ~time:(ref 0.) ~index_names
+    in
+    let g = env.Eval.group in
+    let iv =
+      List.map
+        (fun (n, ext) ->
+          let rec find k = function
+            | m :: rest -> if String.equal m n then k else find (k + 1) rest
+            | [] -> assert false
+          in
+          g.Eval.iv.(find 0 index_names), ext)
+        names
+    in
     let holds = Bytes.make (nslots * width) '\000' in
-    for c = 0 to ncells - 1 do
-      env.Eval.cell <- c;
-      for s = slot_start.(c) to slot_start.(c + 1) - 1 do
-        env.Eval.slot <- s;
-        env.Eval.face <- cell_faces.(c).(s - slot_start.(c));
-        env.Eval.cell2 <- slot_nbr.(s);
-        for v = 0 to width - 1 do
-          let rest = ref v in
-          for k = 0 to Array.length refs - 1 do
-            refs.(k) := !rest mod exts.(k);
-            rest := !rest / exts.(k)
-          done;
-          if f env <> 0. then Bytes.set holds ((s * width) + v) '\001'
+    let first = ref 0 in
+    while !first < width do
+      let n = min env.Eval.lanes (width - !first) in
+      g.Eval.n <- n;
+      for l = 0 to n - 1 do
+        ignore
+          (List.fold_left
+             (fun rest (lane_values, ext) ->
+               lane_values.(l) <- rest mod ext;
+               rest / ext)
+             (!first + l) iv)
+      done;
+      Eval.touch g;
+      for c = 0 to ncells - 1 do
+        env.Eval.cell <- c;
+        for s = slot_start.(c) to slot_start.(c + 1) - 1 do
+          env.Eval.slot <- s;
+          env.Eval.face <- cell_faces.(c).(s - slot_start.(c));
+          env.Eval.cell2 <- slot_nbr.(s);
+          let r = Eval.run f env in
+          for l = 0 to n - 1 do
+            if r.(l) <> 0. then Bytes.set holds ((s * width) + !first + l) '\001'
+          done
         done
-      done
+      done;
+      first := !first + n
     done;
     { Eval.test; names; width; holds }
   in
@@ -380,6 +429,120 @@ let ucomp_of comp_index =
     done;
     !c
 
+(* owned range of an index for a rank (0-based offset, length) *)
+let range_of (info : rankinfo) name extent =
+  match List.assoc_opt name info.index_ranges with
+  | Some r -> r
+  | None -> 0, extent
+
+let index_range st name extent = range_of st.info name extent
+
+let position names name =
+  let rec go k = function
+    | [] -> raise (Lower_error ("unknown index " ^ name))
+    | n :: rest -> if String.equal n name then k else go (k + 1) rest
+  in
+  go 0 names
+
+(* The owned index tuples of one cell, in the configured loop order with
+   the cell loop left out: per position of [index_names], each tuple's
+   value (0 for an index no loop runs, whose env cell stays 0), and each
+   tuple's component of the unknown. *)
+let cell_tuples ~index_names ~loops ~info (uvar : Entity.variable) =
+  let inner =
+    List.filter_map
+      (function
+        | Over_cells -> None
+        | Over_index (name, extent) ->
+          let off, len = range_of info name extent in
+          Some (position index_names name, off, len))
+      loops
+  in
+  let count = List.fold_left (fun acc (_, _, len) -> acc * len) 1 inner in
+  let iv = Array.init (List.length index_names) (fun _ -> Array.make count 0) in
+  let cur = Array.make (List.length index_names) 0 in
+  let k = ref 0 in
+  let rec go = function
+    | [] ->
+      Array.iteri (fun p v -> iv.(p).(!k) <- v) cur;
+      incr k
+    | (p, off, len) :: rest ->
+      for v = off to off + len - 1 do
+        cur.(p) <- v;
+        go rest
+      done
+  in
+  go inner;
+  let stride = ref 1 in
+  let terms =
+    List.map
+      (fun (i : Entity.index) ->
+        let t = position index_names i.Entity.iname, !stride in
+        stride := !stride * Entity.index_extent i;
+        t)
+      uvar.Entity.vindices
+  in
+  let comp =
+    Array.init count (fun t ->
+        List.fold_left (fun acc (p, s) -> acc + (iv.(p).(t) * s)) 0 terms)
+  in
+  iv, comp
+
+let make_lanebuf (env : Eval.env) ~fields (uvar : Entity.variable) ~tuples =
+  let cap = env.Eval.lanes in
+  let names = List.map fst env.Eval.ivals in
+  let upos =
+    Array.of_list
+      (List.map (fun (i : Entity.index) -> position names i.Entity.iname)
+         uvar.Entity.vindices)
+  in
+  let ghost = Array.make cap 0. in
+  let uname = uvar.Entity.vname in
+  let ghost_acc name l comp =
+    if String.equal name uname then ghost.(l)
+    else
+      match List.assoc_opt name fields with
+      | Some f -> Fvm.Field.get f env.Eval.cell comp
+      | None -> raise (Lower_error ("no field for variable " ^ name))
+  in
+  let tup_iv, tup_comp = tuples in
+  { comp = Array.make cap 0;
+    flux = Array.make cap 0.;
+    rhs = Array.make cap 0.;
+    bterm = Array.make cap 0.;
+    ghost;
+    ghost_acc = Some ghost_acc;
+    upos;
+    uext =
+      Array.of_list (List.map Entity.index_extent uvar.Entity.vindices);
+    others =
+      Array.of_list
+        (List.filteri
+           (fun p _ -> not (Array.mem p upos))
+           (List.mapi (fun p (_, r) -> p, r) env.Eval.ivals));
+    tup_iv;
+    tup_comp }
+
+(* Lanes per group: one kernel block at most, and no more than a cell's
+   owned DOFs; one in tape mode, whose caches follow the loop order one
+   DOF at a time. *)
+let lane_count (p : Problem.t) (uvar : Entity.variable) tup_comp =
+  match p.Problem.eval_mode with
+  | Config.Tape -> 1
+  | Config.Closure | Config.Native ->
+    max 1
+      (min Eval.max_lanes
+         (max (Array.length tup_comp) (Entity.var_ncomp uvar)))
+
+let compile_rhs (p : Problem.t) ~faces bindings name e =
+  match p.Problem.eval_mode with
+  (* Native compiles the programs too: they are the fallback and serve
+     the expression boundary terms the generated code calls back into *)
+  | Config.Closure | Config.Native -> Eval.program ~faces bindings e, None
+  | Config.Tape ->
+    let t = Eval.compile_tape ~faces bindings e in
+    Eval.tape_program t, Some (name, t)
+
 let rec build ?(info = serial_rankinfo) ?share_with ?(private_clock = false)
     ?faces (p : Problem.t) : state =
   let mesh = Problem.mesh_exn p in
@@ -396,7 +559,7 @@ let rec build ?(info = serial_rankinfo) ?share_with ?(private_clock = false)
     | None, None -> stage_interior p
   in
   (* fields for every variable; shared-memory workers reuse the base
-     state's storage and differ only in env/closures/ownership *)
+     state's storage and differ only in env/programs/ownership *)
   let fields =
     match share_with with
     | Some (base : state) -> base.fields
@@ -435,27 +598,6 @@ let rec build ?(info = serial_rankinfo) ?share_with ?(private_clock = false)
     | None -> ref p.Problem.dt, ref 0.
   in
   let index_names = List.map (fun i -> i.Entity.iname) p.Problem.indices in
-  let env = Eval.make_env ~mesh ~dt ~time ~index_names in
-  let compile_rhs name e =
-    match p.Problem.eval_mode with
-    (* Native compiles the closures too: they are the fallback and serve
-       the expression boundary terms the generated code calls back into *)
-    | Config.Closure | Config.Native -> Eval.compile ~faces bindings e, None
-    | Config.Tape ->
-      let t = Eval.compile_tape ~faces bindings e in
-      Eval.tape_compiled t, Some (name, t)
-  in
-  let rvol_f, rvol_t = compile_rhs "rvol" eq.Transform.rvol in
-  let rsurf_f, rsurf_t = compile_rhs "rsurf" eq.Transform.rsurf in
-  let tapes = List.filter_map Fun.id [ rvol_t; rsurf_t ] in
-  let rvol_du_f =
-    lazy (fst (compile_rhs "rvol_du" (Transform.rvol_linearization eq)))
-  in
-  let comp_index = comp_index env uvar in
-  (* resolve boundary conditions into a per-face table, every callback
-     face staged now, so a failing stage stops the build *)
-  let face_bc = resolve_bcs p mesh ~compile:(Eval.compile ~faces bindings) uvar in
-  let staged = Lazy.from_val (stage_faces p mesh fields face_bc) in
   (* loop plan *)
   let loops =
     let order =
@@ -480,6 +622,23 @@ let rec build ?(info = serial_rankinfo) ?share_with ?(private_clock = false)
           Over_index (s, Entity.index_extent i))
       order
   in
+  let tuples = cell_tuples ~index_names ~loops ~info uvar in
+  let env =
+    Eval.make_env ~lanes:(lane_count p uvar (snd tuples)) ~mesh ~dt ~time
+      ~index_names
+  in
+  let compile_rhs = compile_rhs p ~faces bindings in
+  let rvol, rvol_t = compile_rhs "rvol" eq.Transform.rvol in
+  let rsurf, rsurf_t = compile_rhs "rsurf" eq.Transform.rsurf in
+  let tapes = List.filter_map Fun.id [ rvol_t; rsurf_t ] in
+  let rvol_du =
+    lazy (fst (compile_rhs "rvol_du" (Transform.rvol_linearization eq)))
+  in
+  let comp_index = comp_index env uvar in
+  (* resolve boundary conditions into a per-face table, every callback
+     face staged now, so a failing stage stops the build *)
+  let face_bc = resolve_bcs p mesh ~compile:(Eval.program ~faces bindings) uvar in
+  let staged = Lazy.from_val (stage_faces p mesh fields face_bc) in
   let st =
     {
       p;
@@ -492,8 +651,9 @@ let rec build ?(info = serial_rankinfo) ?share_with ?(private_clock = false)
       env;
       bindings;
       faces;
-      rvol_f;
-      rsurf_f;
+      rvol;
+      rsurf;
+      lanes = make_lanebuf env ~fields uvar ~tuples;
       comp_index;
       ucomp = ucomp_of comp_index;
       face_bc;
@@ -504,7 +664,7 @@ let rec build ?(info = serial_rankinfo) ?share_with ?(private_clock = false)
       info;
       breakdown = Prt.Breakdown.zero ();
       loops;
-      rvol_du_f;
+      rvol_du;
       tapes;
       native = None;
     }
@@ -530,12 +690,6 @@ and apply_initial_conditions st =
     st.p.Problem.initials;
   (* the double buffer starts as a copy so untouched comps stay coherent *)
   Fvm.Field.blit ~src:st.u ~dst:st.u_new
-
-(* owned range of an index for this rank (0-based offset, length) *)
-let index_range st name extent =
-  match List.assoc_opt name st.info.index_ranges with
-  | Some r -> r
-  | None -> 0, extent
 
 (* Run [f] for every (cell x index) combination in the configured loop
    order, with the cell loop drawn from [cells] ([None] = every mesh
@@ -572,19 +726,131 @@ let iterate_dofs_cells st ~cells (f : unit -> unit) =
 (* Run [f] for every owned (cell x index) combination. *)
 let iterate_dofs st f = iterate_dofs_cells st ~cells:st.info.owned_cells f
 
-(* The surface sum of the DOF set in [st.env]: Σ area·rsurf over the
-   cell's slots, in face order, reading neighbour, signed normal and
-   staged tests from the face tables.  Boundary slots add their
-   condition when [with_bc] (unconstrained ones add nothing, not even
-   0.) and are skipped otherwise. *)
-let rec surface st ~with_bc =
+(* ---- Lane groups ---------------------------------------------------- *)
+
+(* The group of [cell]'s components [comps.(off) .. comps.(off + n - 1)]:
+   each lane's index values, and the env's for the indices the unknown
+   does not carry. *)
+let set_group st cell comps off n =
+  let g = st.env.Eval.group and lb = st.lanes in
+  st.env.Eval.cell <- cell;
+  g.Eval.n <- n;
+  for l = 0 to n - 1 do
+    let c = comps.(off + l) in
+    lb.comp.(l) <- c;
+    let rest = ref c in
+    for k = 0 to Array.length lb.upos - 1 do
+      let ext = lb.uext.(k) in
+      g.Eval.iv.(lb.upos.(k)).(l) <- !rest mod ext;
+      rest := !rest / ext
+    done;
+    for k = 0 to Array.length lb.others - 1 do
+      let p, r = lb.others.(k) in
+      g.Eval.iv.(p).(l) <- !r
+    done
+  done;
+  Eval.touch g
+
+(* The one-lane group of the DOF at the env's cell and index values. *)
+let group_of_env st =
   let env = st.env in
+  let g = env.Eval.group in
+  g.Eval.n <- 1;
+  Eval.lane_of_ivals env g 0;
+  st.lanes.comp.(0) <- st.ucomp ()
+
+(* Run [f] on every lane group of the owned DOFs of [cells] ([None] =
+   every mesh cell): per cell, its owned index tuples in slices of at most
+   the env's lanes.  Tape mode goes one DOF at a time in the configured
+   loop order, which its caches follow. *)
+let iterate_groups_cells st ~cells (f : unit -> unit) =
+  match st.p.Problem.eval_mode with
+  | Config.Tape ->
+    iterate_dofs_cells st ~cells (fun () ->
+        group_of_env st;
+        f ())
+  | Config.Closure | Config.Native ->
+    let env = st.env and lb = st.lanes in
+    Eval.bump_epoch env;
+    let g = env.Eval.group in
+    let ntup = Array.length lb.tup_comp and cap = env.Eval.lanes in
+    let per_cell c =
+      env.Eval.cell <- c;
+      let off = ref 0 in
+      while !off < ntup do
+        let n = min cap (ntup - !off) in
+        g.Eval.n <- n;
+        for p = 0 to Array.length g.Eval.iv - 1 do
+          Array.blit lb.tup_iv.(p) !off g.Eval.iv.(p) 0 n
+        done;
+        Array.blit lb.tup_comp !off lb.comp 0 n;
+        Eval.touch g;
+        f ();
+        off := !off + n
+      done
+    in
+    (match cells with
+     | None ->
+       for c = 0 to st.mesh.Fvm.Mesh.ncells - 1 do
+         per_cell c
+       done
+     | Some cs -> Array.iter per_cell cs)
+
+let iterate_groups st f = iterate_groups_cells st ~cells:st.info.owned_cells f
+
+(* Element of ([cell], [comp]) in [f]'s storage. *)
+let elt f cell comp =
+  match Fvm.Field.layout f with
+  | Fvm.Field.Cell_major -> (cell * Fvm.Field.ncomp f) + comp
+  | Fvm.Field.Comp_major -> (comp * Fvm.Field.ncells f) + cell
+
+(* Face [f]'s condition, per lane of the current group, into
+   [lanes.bterm]: a callback face calls its staged function on each
+   lane's component, a Dirichlet face evaluates the flux integrand under
+   the ghost the condition gives each lane. *)
+let rec boundary_lanes st f bc =
+  let env = st.env and lb = st.lanes in
+  let n = env.Eval.group.Eval.n in
+  match bc with
+  | RFlux_expr g -> Array.blit (Eval.run g env) 0 lb.bterm 0 n
+  | RFlux_callback _ ->
+    let fn = (Lazy.force st.staged).(f) in
+    for l = 0 to n - 1 do
+      lb.bterm.(l) <- fn lb.comp.(l)
+    done
+  | RDirichlet_expr g ->
+    Array.blit (Eval.run g env) 0 lb.ghost 0 n;
+    under_ghost st
+  | RDirichlet_callback _ ->
+    let fn = (Lazy.force st.staged).(f) in
+    for l = 0 to n - 1 do
+      lb.ghost.(l) <- fn lb.comp.(l)
+    done;
+    under_ghost st
+
+and under_ghost st =
+  let env = st.env and lb = st.lanes in
+  let saved = env.Eval.ghost in
+  env.Eval.ghost <- lb.ghost_acc;
+  let r = Eval.run st.rsurf env in
+  env.Eval.ghost <- saved;
+  Array.blit r 0 lb.bterm 0 env.Eval.group.Eval.n
+
+(* The surface sums of the current group into [lanes.flux]: per lane,
+   Σ area·rsurf over the cell's slots in face order, reading neighbour,
+   signed normal and staged tests from the face tables.  Boundary slots
+   add their condition when [with_bc] (unconstrained ones add nothing,
+   not even 0.) and are skipped otherwise. *)
+let surface st ~with_bc =
+  let env = st.env and lb = st.lanes in
+  let n = env.Eval.group.Eval.n in
+  let flux = lb.flux in
   let nbr = st.faces.Eval.slot_nbr in
   let area = st.mesh.Fvm.Mesh.face_area in
   let cell = env.Eval.cell in
   let fcs = st.mesh.Fvm.Mesh.cell_faces.(cell) in
   let s0 = st.faces.Eval.slot_start.(cell) in
-  let flux = ref 0. in
+  Array.fill flux 0 n 0.;
   for i = 0 to Array.length fcs - 1 do
     let s = s0 + i in
     let c2 = nbr.(s) in
@@ -593,7 +859,11 @@ let rec surface st ~with_bc =
       env.Eval.slot <- s;
       env.Eval.face <- f;
       env.Eval.cell2 <- c2;
-      flux := !flux +. (area.(f) *. st.rsurf_f env)
+      let r = Eval.run st.rsurf env in
+      let a = area.(f) in
+      for l = 0 to n - 1 do
+        flux.(l) <- flux.(l) +. (a *. r.(l))
+      done
     end
     else if with_bc then begin
       let f = fcs.(i) in
@@ -602,45 +872,46 @@ let rec surface st ~with_bc =
       env.Eval.cell2 <- -1;
       match st.face_bc.(f) with
       | None -> ()
-      | Some bc -> flux := !flux +. (area.(f) *. boundary_term st f bc)
+      | Some bc ->
+        boundary_lanes st f bc;
+        let a = area.(f) and r = lb.bterm in
+        for l = 0 to n - 1 do
+          flux.(l) <- flux.(l) +. (a *. r.(l))
+        done
     end
-  done;
-  !flux
+  done
 
-(* Face [f]'s condition at the current env state: a callback face calls
-   its staged function on the current component *)
-and boundary_term st f bc =
-  let env = st.env in
-  match bc with
-  | RFlux_expr g -> g env
-  | RFlux_callback _ -> (Lazy.force st.staged).(f) (st.ucomp ())
-  | RDirichlet_expr g ->
-    let ghost_val = g env in
-    with_ghost st ghost_val (fun () -> st.rsurf_f env)
-  | RDirichlet_callback _ ->
-    let ghost_val = (Lazy.force st.staged).(f) (st.ucomp ()) in
-    with_ghost st ghost_val (fun () -> st.rsurf_f env)
+(* The conservation-form right-hand side of the current group (forward
+   Euler form) into [lanes.rhs]: volume term plus surface sum over the
+   cell volume, with or without the boundary faces. *)
+let rhs st ~with_bc =
+  let env = st.env and lb = st.lanes in
+  let rv = Eval.run st.rvol env in
+  surface st ~with_bc;
+  let vol = st.mesh.Fvm.Mesh.cell_volume.(env.Eval.cell) in
+  for l = 0 to env.Eval.group.Eval.n - 1 do
+    lb.rhs.(l) <- rv.(l) +. (lb.flux.(l) /. vol)
+  done
 
-and with_ghost st ghost_val k =
-  let env = st.env in
-  let uname = st.uvar.Entity.vname in
-  let saved = env.Eval.ghost in
-  env.Eval.ghost <-
-    Some
-      (fun name comp ->
-        if String.equal name uname then ghost_val
-        else Fvm.Field.get (field st name) env.Eval.cell comp);
-  let r = k () in
-  env.Eval.ghost <- saved;
-  r
-
-(* The per-DOF conservation-form update (forward Euler form); assumes
-   [st.env] has cell and index values set.  Returns the updated value but
-   does not store it. *)
-let dof_rhs st =
+(* u_new <- u + dt * rhs on the current group's lanes. *)
+let advance_group st =
+  let lb = st.lanes in
+  let dt = !(st.dt) in
   let cell = st.env.Eval.cell in
-  let rv = st.rvol_f st.env in
-  rv +. (surface st ~with_bc:true /. st.mesh.Fvm.Mesh.cell_volume.(cell))
+  let ud = Fvm.Field.raw st.u and nd = Fvm.Field.raw st.u_new in
+  for l = 0 to st.env.Eval.group.Eval.n - 1 do
+    let c = lb.comp.(l) in
+    let v = Bigarray.Array1.unsafe_get ud (elt st.u cell c) +. (dt *. lb.rhs.(l)) in
+    Bigarray.Array1.unsafe_set nd (elt st.u_new cell c) v
+  done
+
+(* The per-DOF conservation-form update (forward Euler form) of the DOF
+   at the env's cell and index values, as a one-lane group.  Returns the
+   updated value but does not store it. *)
+let dof_rhs st =
+  group_of_env st;
+  rhs st ~with_bc:true;
+  st.lanes.rhs.(0)
 
 (* Decompose a flat component id of the unknown into per-index values
    (first declared index fastest) and store them in the env. *)
@@ -664,25 +935,19 @@ let slot_of st cell f =
 (* The boundary term of [face] (owned by [cell]) for component [comp],
    with nothing set in the env beforehand: a callback flux face is a
    direct call to its staged function; any other condition evaluates
-   under the env [dof_rhs] would have set. *)
+   as a one-lane group, under the env [surface] would have set. *)
 let boundary_value st f cell comp =
   match st.face_bc.(f) with
   | None -> 0.
   | Some (RFlux_callback _) -> (Lazy.force st.staged).(f) comp
   | Some bc ->
     let env = st.env in
-    env.Eval.cell <- cell;
-    set_ivals_of_comp st comp;
+    set_group st cell [| comp |] 0 1;
     env.Eval.face <- f;
     env.Eval.slot <- slot_of st cell f;
     env.Eval.cell2 <- -1;
-    boundary_term st f bc
-
-let sweep_dof st ~dt () =
-  let cell = st.env.Eval.cell in
-  let c = st.ucomp () in
-  let v = Fvm.Field.get st.u cell c +. (dt *. dof_rhs st) in
-  Fvm.Field.set st.u_new cell c v
+    boundary_lanes st f bc;
+    st.lanes.bterm.(0)
 
 (* One forward-Euler sweep over the owned DOFs into the double buffer.
    A generated native entry replaces the whole loop nest (bit-identical
@@ -690,7 +955,10 @@ let sweep_dof st ~dt () =
 let sweep st =
   match st.native with
   | Some n -> n.n_sweep st.info.owned_cells
-  | None -> iterate_dofs st (sweep_dof st ~dt:!(st.dt))
+  | None ->
+    iterate_groups st (fun () ->
+        rhs st ~with_bc:true;
+        advance_group st)
 
 (* The same sweep restricted to [cells] (a subset of the owned cells).
    Per-DOF updates are independent, so sweeping disjoint subsets in any
@@ -700,7 +968,10 @@ let sweep st =
 let sweep_cells st cells =
   match st.native with
   | Some n -> n.n_sweep (Some cells)
-  | None -> iterate_dofs_cells st ~cells:(Some cells) (sweep_dof st ~dt:!(st.dt))
+  | None ->
+    iterate_groups_cells st ~cells:(Some cells) (fun () ->
+        rhs st ~with_bc:true;
+        advance_group st)
 
 (* Publish the double buffer: owned DOFs of u_new become current. *)
 let commit st =
@@ -796,13 +1067,16 @@ let run_post_step st ~allreduce =
 (* Support for the hybrid GPU target.                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* A state whose closures read and write the given field storage (device
+(* A state whose programs read and write the given field storage (device
    views) instead of the base state's host fields.  Time/dt refs are shared
    with the base so both sides agree on the clock.  The base's condition
-   table is shared; its callback faces stage again against the new
-   storage, all at once on the state's first boundary evaluation: the
-   fused schedule's B parity reads the unknown through [u_new], and
-   device mirrors, which never evaluate a boundary, stage nothing. *)
+   table is shared, its expression programs included: a program binds to
+   its first env and serves any env of the same indices and lanes, and
+   the two states run on one domain.  Its callback faces stage again
+   against the new storage, all at once on the state's first boundary
+   evaluation: the fused schedule's B parity reads the unknown through
+   [u_new], and device mirrors, which never evaluate a boundary, stage
+   nothing. *)
 let rebind (base : state) ~fields ~u_new =
   let p = base.p in
   let mesh = base.mesh in
@@ -820,17 +1094,13 @@ let rebind (base : state) ~fields ~u_new =
         base.bindings
   in
   let index_names = List.map (fun i -> i.Entity.iname) p.Problem.indices in
-  let env = Eval.make_env ~mesh ~dt:base.dt ~time:base.time ~index_names in
-  let faces = base.faces in
-  let compile_rhs name e =
-    match p.Problem.eval_mode with
-    | Config.Closure | Config.Native -> Eval.compile ~faces bindings e, None
-    | Config.Tape ->
-      let t = Eval.compile_tape ~faces bindings e in
-      Eval.tape_compiled t, Some (name, t)
+  let env =
+    Eval.make_env ~lanes:base.env.Eval.lanes ~mesh ~dt:base.dt ~time:base.time
+      ~index_names
   in
-  let rvol_f, rvol_t = compile_rhs "rvol" base.eq.Transform.rvol in
-  let rsurf_f, rsurf_t = compile_rhs "rsurf" base.eq.Transform.rsurf in
+  let compile_rhs = compile_rhs p ~faces:base.faces bindings in
+  let rvol, rvol_t = compile_rhs "rvol" base.eq.Transform.rvol in
+  let rsurf, rsurf_t = compile_rhs "rsurf" base.eq.Transform.rsurf in
   let tapes = List.filter_map Fun.id [ rvol_t; rsurf_t ] in
   let comp_index = comp_index env base.uvar in
   let st' =
@@ -841,12 +1111,16 @@ let rebind (base : state) ~fields ~u_new =
       u_new;
       env;
       bindings;
-      rvol_f;
-      rsurf_f;
+      rvol;
+      rsurf;
+      lanes =
+        make_lanebuf env ~fields base.uvar
+          ~tuples:(base.lanes.tup_iv, base.lanes.tup_comp);
       comp_index;
       ucomp = ucomp_of comp_index;
       staged = lazy (stage_faces p mesh fields base.face_bc);
-      rvol_du_f = lazy (fst (compile_rhs "rvol_du" (Transform.rvol_linearization base.eq)));
+      rvol_du =
+        lazy (fst (compile_rhs "rvol_du" (Transform.rvol_linearization base.eq)));
       tapes;
       (* own accounting: sharing base's mutable breakdown record would make
          aggregators that sum both states double-count every phase *)
@@ -858,17 +1132,40 @@ let rebind (base : state) ~fields ~u_new =
   attach_native st';
   st'
 
-(* Volume term plus interior-face fluxes only; boundary faces contribute
-   nothing (the CPU adds their part separately in the hybrid schedule). *)
-let rec dof_rhs_interior st =
+(* Volume term plus interior-face fluxes only, of the DOF at the env's
+   cell and index values; boundary faces contribute nothing (the CPU adds
+   their part separately in the hybrid schedule). *)
+let dof_rhs_interior st =
   match st.native with
   | Some n -> n.n_dof_interior st.env.Eval.cell (st.ucomp ())
-  | None -> dof_rhs_interior_interp st
+  | None ->
+    group_of_env st;
+    rhs st ~with_bc:false;
+    st.lanes.rhs.(0)
 
-and dof_rhs_interior_interp st =
-  let cell = st.env.Eval.cell in
-  let rv = st.rvol_f st.env in
-  rv +. (surface st ~with_bc:false /. st.mesh.Fvm.Mesh.cell_volume.(cell))
+(* The hybrid schedule's interior update of [cell]'s components
+   [comps.(off) .. comps.(off + len - 1)]: u_new <- u + dt * (volume term
+   plus interior-face fluxes), evaluated as lane groups of at most the
+   env's lanes, or per DOF by the native kernel. *)
+let update_interior st cell comps off len =
+  match st.native with
+  | Some nt ->
+    let dt = !(st.dt) in
+    for j = off to off + len - 1 do
+      let c = comps.(j) in
+      let v = Fvm.Field.get st.u cell c +. (dt *. nt.n_dof_interior cell c) in
+      Fvm.Field.set st.u_new cell c v
+    done
+  | None ->
+    let cap = st.env.Eval.lanes in
+    let o = ref off in
+    while !o < off + len do
+      let n = min cap (off + len - !o) in
+      set_group st cell comps !o n;
+      rhs st ~with_bc:false;
+      advance_group st;
+      o := !o + n
+    done
 
 (* Accumulate dt * (area * boundary term) / volume for every boundary face
    and each of [comps] into [into].  Used by the hybrid target's CPU
@@ -900,10 +1197,12 @@ let boundary_contributions st ~comps ~into =
 
 (* Evaluate R(u) for every owned DOF into [into] (no dt applied). *)
 let sweep_rhs st ~into =
-  iterate_dofs st (fun () ->
+  iterate_groups st (fun () ->
+      rhs st ~with_bc:true;
       let cell = st.env.Eval.cell in
-      let c = st.ucomp () in
-      Fvm.Field.set into cell c (dof_rhs st))
+      for l = 0 to st.env.Eval.group.Eval.n - 1 do
+        Fvm.Field.set into cell st.lanes.comp.(l) st.lanes.rhs.(l)
+      done)
 
 (* u := base + a * k over the owned DOFs. *)
 let set_combination st ~base ~a ~k =
@@ -913,10 +1212,13 @@ let set_combination st ~base ~a ~k =
       Fvm.Field.set st.u cell c
         (Fvm.Field.get base cell c +. (a *. Fvm.Field.get k cell c)))
 
-(* The surface part of R only: (1/V) sum over faces of area * rsurf with
-   boundary conditions applied — [dof_rhs] minus the volume term. *)
+(* The surface part of R only, of the DOF at the env's cell and index
+   values: (1/V) sum over faces of area * rsurf with boundary conditions
+   applied — [dof_rhs] minus the volume term. *)
 let dof_flux st =
-  surface st ~with_bc:true /. st.mesh.Fvm.Mesh.cell_volume.(st.env.Eval.cell)
+  group_of_env st;
+  surface st ~with_bc:true;
+  st.lanes.flux.(0) /. st.mesh.Fvm.Mesh.cell_volume.(st.env.Eval.cell)
 
 (* Point-implicit sweep: relaxation-type volume terms treated implicitly
    via the symbolic linearization b = -d(rvol)/du, advection explicit:
@@ -925,16 +1227,21 @@ let dof_flux st =
    of the dt * max(1/tau) < 1 stability bound. *)
 let sweep_point_implicit st =
   let dt = !(st.dt) in
-  let bf = Lazy.force st.rvol_du_f in
-  iterate_dofs st (fun () ->
-      let cell = st.env.Eval.cell in
-      let c = st.ucomp () in
-      let u0 = Fvm.Field.get st.u cell c in
-      let b = bf st.env in
-      let rv = st.rvol_f st.env in
-      let flux = dof_flux st in
-      let v = (u0 +. (dt *. (rv +. (b *. u0) +. flux))) /. (1. +. (dt *. b)) in
-      Fvm.Field.set st.u_new cell c v)
+  let bf = Lazy.force st.rvol_du in
+  iterate_groups st (fun () ->
+      let env = st.env and lb = st.lanes in
+      let cell = env.Eval.cell in
+      let b = Eval.run bf env in
+      let rv = Eval.run st.rvol env in
+      surface st ~with_bc:true;
+      let vol = st.mesh.Fvm.Mesh.cell_volume.(cell) in
+      for l = 0 to env.Eval.group.Eval.n - 1 do
+        let c = lb.comp.(l) in
+        let u0 = Fvm.Field.get st.u cell c in
+        let b = b.(l) and flux = lb.flux.(l) /. vol in
+        let v = (u0 +. (dt *. (rv.(l) +. (b *. u0) +. flux))) /. (1. +. (dt *. b)) in
+        Fvm.Field.set st.u_new cell c v
+      done)
 
 (* One step of the configured scheme, advancing the unknown in place.
    Stage evaluations hold boundary data at the step's start time (the

@@ -1,7 +1,15 @@
 (** Lowering: from a declared problem to executable state — field storage
-    for every variable, compiled volume/flux closures, a per-face boundary
-    table, the loop plan, and rank-ownership information. One state is
-    built per rank; serial runs own everything. *)
+    for every variable, the volume/flux expressions compiled to lane
+    programs ({!Eval.program}), a per-face boundary table, the loop plan,
+    and rank-ownership information. One state is built per rank; serial
+    runs own everything.
+
+    The interpreter evaluates a lane group at a time: one cell's owned
+    components, at most the env's [lanes] of them ({!Eval.max_lanes} at
+    most, one in tape mode).  The slot loop behind {!dof_rhs},
+    {!dof_rhs_interior}, {!dof_flux}, {!update_interior} and the sweeps
+    runs each face's integrand once per group, and every lane
+    accumulates its own flux sum in face order. *)
 
 exception Lower_error of string
 
@@ -9,9 +17,9 @@ exception Lower_error of string
     region, or a callback resolved once per region and staged per face
     in the state's [staged] table (see {!Problem.bc_callback}). *)
 type bc_resolved =
-  | RFlux_expr of Eval.compiled
+  | RFlux_expr of Eval.program
   | RFlux_callback of bc_call
-  | RDirichlet_expr of Eval.compiled
+  | RDirichlet_expr of Eval.program
   | RDirichlet_callback of bc_call
 
 (** A callback condition as the boundary string names it. *)
@@ -35,7 +43,7 @@ val serial_rankinfo : rankinfo
 (** Generated-code entry points for one state: whole loop bodies emitted
     by [Emit_source.to_ocaml], compiled and bound by lib/codegen.  When a
     state carries one, {!sweep}/{!sweep_cells}/{!commit}/
-    {!dof_rhs_interior} dispatch to it instead of the closure
+    {!dof_rhs_interior}/{!update_interior} dispatch to it instead of the
     interpreter; the generated bodies are bit-identical by construction,
     so every executor schedule composes unchanged. *)
 type native_entry = {
@@ -45,6 +53,11 @@ type native_entry = {
   n_dof_interior : int -> int -> float;
       (** [n_dof_interior cell comp]: interior-face R for one DOF *)
 }
+
+type lanebuf
+(** A state's per-lane buffers (flux sums, right-hand sides, boundary
+    terms, Dirichlet ghosts) and the layout of the unknown's components
+    over the env's indices. *)
 
 type state = {
   p : Problem.t;
@@ -60,8 +73,9 @@ type state = {
       (** the solve's face tables ({!stage_interior}): built once per
           solve and shared read-only by every rank, pool worker and
           device mirror *)
-  rvol_f : Eval.compiled;
-  rsurf_f : Eval.compiled;   (** reads [faces] (see {!Eval.compile}) *)
+  rvol : Eval.program;
+  rsurf : Eval.program;   (** reads [faces] (see {!Eval.program}) *)
+  lanes : lanebuf;
   comp_index : (int ref * int) array;
       (** per index of the unknown, first declared fastest: the env cell
           holding its value and its extent, resolved once per state *)
@@ -79,10 +93,10 @@ type state = {
   info : rankinfo;
   breakdown : Prt.Breakdown.t;
   loops : loop_entry list;
-  rvol_du_f : Eval.compiled Lazy.t;
+  rvol_du : Eval.program Lazy.t;
     (** -d(rvol)/du, compiled lazily for the point-implicit stepper *)
   tapes : (string * Eval.tape) list;
-    (** tape handles behind rvol_f/rsurf_f ("rvol"/"rsurf") when the
+    (** tape handles behind rvol/rsurf ("rvol"/"rsurf") when the
         problem's eval_mode is Tape, for op statistics; empty otherwise *)
   mutable native : native_entry option;
     (** generated entry points, set by the {!native_hook} when the
@@ -97,7 +111,7 @@ val native_hook : (state -> native_entry option) ref
 (** Backend hook consulted at state construction when eval_mode is
     Native: core cannot depend on lib/codegen, so [Finch_codegen.install]
     stores its emit-compile-load-bind pipeline here (returning [None]
-    falls back to the closure interpreter). *)
+    falls back to the interpreter). *)
 
 val native_hook_installed : bool ref
 (** Set by the codegen backend alongside {!native_hook}; when false, a
@@ -173,18 +187,19 @@ val iterate_dofs : state -> (unit -> unit) -> unit
     configured loop order; loop state is set in [state.env]. *)
 
 val dof_rhs : state -> float
-(** R = rvol + (1/V) Σ_faces area·rsurf at the current DOF, boundary
-    conditions applied (unconstrained boundary faces contribute zero).
-    The face sum is one loop over the cell's slots of [faces]; it shares
-    that loop with {!dof_rhs_interior} and {!dof_flux}. *)
+(** R = rvol + (1/V) Σ_faces area·rsurf at the DOF of the env's cell and
+    index values, boundary conditions applied (unconstrained boundary
+    faces contribute zero), evaluated as a one-lane group.  The face sum
+    is one loop over the cell's slots of [faces]; every interpreter path
+    shares it. *)
 
 val boundary_value : state -> int -> int -> int -> float
 (** [boundary_value st face cell comp]: the boundary term of [face]
     (owned by [cell]) for component [comp] of the unknown, 0 without a
     condition.  A callback flux face calls its staged function directly;
-    expression and Dirichlet conditions first set the env as {!dof_rhs}
-    does (Dirichlet specs evaluate rsurf under a ghost accessor).  The
-    native-codegen binding's [bc_term]. *)
+    expression and Dirichlet conditions evaluate as a one-lane group
+    under the env {!dof_rhs} would set (Dirichlet specs evaluate rsurf
+    under a ghost accessor).  The native-codegen binding's [bc_term]. *)
 
 val gather_fields : into:state -> state array -> unit
 (** [gather_fields ~into states] writes every variable's owned cells and
@@ -194,7 +209,8 @@ val gather_fields : into:state -> state array -> unit
     full. *)
 
 val sweep : state -> unit
-(** Forward-Euler sweep of the owned DOFs into the double buffer. *)
+(** Forward-Euler sweep of the owned DOFs into the double buffer, one
+    lane group at a time: per owned cell, its owned index tuples. *)
 
 val sweep_cells : state -> int array -> unit
 (** [sweep_cells st cells] is {!sweep} restricted to [cells] (a subset of
@@ -223,17 +239,25 @@ val set_ivals_of_comp : state -> int -> unit
 
 val rebind :
   state -> fields:(string * Fvm.Field.t) list -> u_new:Fvm.Field.t -> state
-(** A state whose closures read/write the given (device-view) storage;
-    time/dt refs, the face tables and the condition table [face_bc]
-    shared with the base.
+(** A state whose programs read/write the given (device-view) storage,
+    with its own env and lane buffers; time/dt refs, the face tables and
+    the condition table [face_bc] shared with the base.
     Callback faces stage again against the new storage, all at once on
     the state's first boundary evaluation: a state that never evaluates a
     boundary (a device mirror) stages nothing.  Expression conditions
-    keep the base's compiled closures. *)
+    keep the base's programs (run on the same domain as the base's). *)
 
 val dof_rhs_interior : state -> float
 (** Like {!dof_rhs} but interior faces only (the kernel's part; the CPU
-    adds boundary contributions separately). *)
+    adds boundary contributions separately); the native kernel's entry
+    when the state has one. *)
+
+val update_interior : state -> int -> int array -> int -> int -> unit
+(** [update_interior st cell comps off len], the GPU thread body of a
+    block's threads on one cell: [u_new <- u + dt * R_interior] for the
+    components [comps.(off) .. comps.(off + len - 1)] of [cell].  The
+    interpreter evaluates them in lockstep, as lane groups of at most
+    the env's [lanes]; the native kernel, per DOF. *)
 
 val boundary_contributions :
   state -> comps:int array -> into:Fvm.Field.t -> unit

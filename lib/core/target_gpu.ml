@@ -19,9 +19,10 @@
    full-buffer run.
 
    The device is the [Gpu_sim] simulator: kernels really execute (on device
-   buffers that are genuinely distinct memory), and their timing comes from
-   the roofline model, so both numerics and the communication/compute
-   balance are exercised. *)
+   buffers that are genuinely distinct memory), a block at a time with the
+   block's threads grouped by cell and run in lockstep by the lane
+   interpreter, and their timing comes from the roofline model, so both
+   numerics and the communication/compute balance are exercised. *)
 
 exception Gpu_error of string
 
@@ -46,9 +47,9 @@ type mirror = {
    unknown's result (two alternate by step parity when transfers are
    overlapped, so a download of step N's result may still be in flight at
    step N+1's launch), and per result buffer the host state rebound to
-   the device storage: same problem, env and closures, compiled against
-   the device views.  Coefficient arrays are compiled into the kernel
-   closures directly (constant memory). *)
+   the device storage: same problem, its programs compiled against the
+   device views.  Coefficient arrays are compiled into the kernel
+   programs directly (constant memory). *)
 let mirror ~nbuf dev (host : Lower.state) =
   let alloc name f =
     Gpu_sim.Memory.alloc dev ~label:name ~size:(Fvm.Field.size f)
@@ -130,18 +131,21 @@ let launch_chunks (host : Lower.state) =
     Array.init (n / nd) (fun k -> Array.sub owned (k * nd) nd)
   | _ -> [| owned |]
 
-(* One kernel thread: advance the DOF (cell, comp) by its interior-face
-   residual against the device-bound state [ds] (boundary contributions
-   are the CPU's job).  The residual is the interpreter's slot loop over
-   the solve's face tables, or the native kernel's. *)
-let update_dof (ds : Lower.state) cell comp =
-  ds.Lower.env.Eval.cell <- cell;
-  Lower.set_ivals_of_comp ds comp;
-  let v =
-    Fvm.Field.get ds.Lower.u cell comp
-    +. (!(ds.Lower.dt) *. Lower.dof_rhs_interior ds)
-  in
-  Fvm.Field.set ds.Lower.u_new cell comp v
+(* One kernel block over [cells] x [chunk] (thread [tid] is the DOF
+   (cells.(tid / |chunk|), chunk.(tid mod |chunk|))): the block's threads
+   [first .. first + n - 1] grouped by cell, each group advanced by its
+   interior-face residual against the device-bound state [ds] (boundary
+   contributions are the CPU's job).  A block may split a cell, and a
+   cell's group never spans two blocks. *)
+let update_block (ds : Lower.state) cells chunk first n =
+  let n_chunk = Array.length chunk in
+  let tid = ref first and stop = first + n in
+  while !tid < stop do
+    let j = !tid mod n_chunk in
+    let len = min (stop - !tid) (n_chunk - j) in
+    Lower.update_interior ds cells.(!tid / n_chunk) chunk j len;
+    tid := !tid + len
+  done
 
 (* The host's share of a step: every boundary face's contribution to the
    [owned] components, accumulated into a zeroed [into] — the only ones
@@ -203,6 +207,8 @@ let device_plan (p : Problem.t) =
            the GPU executor runs it on the device")
    | Some Dataflow.Gpu_side | None -> ());
   plan
+
+let m_host_exec_ns = Prt.Metrics.counter "gpu.host_exec_ns"
 
 (* ---- The per-rank body: G devices per rank x R ranks ----------------
 
@@ -272,9 +278,7 @@ let run_rank (p : Problem.t) ~spec ~(tiling : Fvm.Decomp2d.t) ~faces
   let chunks = launch_chunks host in
   (* kernel over one device's owned cells x one component chunk *)
   let kernel ds cells chunk =
-    let n_chunk = Array.length chunk in
-    Gpu_sim.Kernel.make ~name:"interior_update" ~cost (fun tid ->
-        update_dof ds cells.(tid / n_chunk) chunk.(tid mod n_chunk))
+    Gpu_sim.Kernel.make ~name:"interior_update" ~cost (update_block ds cells chunk)
   in
   let slots =
     Array.init devices (fun g ->
@@ -325,21 +329,35 @@ let run_rank (p : Problem.t) ~spec ~(tiling : Fvm.Decomp2d.t) ~faces
       (fun (src, dst, cells) -> src, dst, Fvm.Decomp2d.cell_runs ~cells ~ncomp)
       (Fvm.Decomp2d.d2d_edges tiling)
   in
+  let track = Ranks.track info in
+  (* Host wall time spent executing the thread bodies: its own counter and
+     a span on the rank's track, never mixed into modelled kernel time or
+     a phase; recorded only while metrics or tracing are on. *)
+  let host_exec f =
+    if Prt.Metrics.enabled () || Prt.Trace.enabled () then begin
+      let t0 = Unix.gettimeofday () in
+      f ();
+      let t1 = Unix.gettimeofday () in
+      Prt.Metrics.add m_host_exec_ns (int_of_float ((t1 -. t0) *. 1e9));
+      Prt.Trace.complete track ~cat:"gpu-host" "kernel host exec (wall)" ~t0 ~t1
+    end
+    else f ()
+  in
   let launch s parity =
     let ncells_g = Array.length s.cells in
     if ncells_g > 0 then
       Array.iteri
         (fun i k ->
-          Gpu_sim.Stream.kernel s.stream clock k
-            ~nthreads:(ncells_g * Array.length chunks.(i))
-            ())
+          host_exec (fun () ->
+              Gpu_sim.Stream.kernel s.stream clock k
+                ~nthreads:(ncells_g * Array.length chunks.(i))
+                ()))
         s.kernels.(parity)
   in
   let u_bdry =
     Fvm.Field.create ~name:"u_bdry" ~ncells:mesh.Fvm.Mesh.ncells ~ncomp ()
   in
   let b = host.Lower.breakdown in
-  let track = Ranks.track info in
   (* max-over-devices of a per-device modelled duration: concurrent
      devices are charged at their critical path *)
   let record_max cat per_dev =

@@ -1,10 +1,12 @@
 (* SPMD kernel execution on the simulated device.
 
-   A kernel body receives a global thread index and runs real OCaml code
-   against device buffers.  Launch semantics mirror CUDA's flat 1-D grid:
-   one thread per degree of freedom, the grid rounded up to whole blocks,
-   excess threads guarded out by the body itself (the generated code emits
-   the guard, as CUDA codegen would).
+   A kernel body receives one block's range of global thread indices and
+   runs real OCaml code against device buffers, the block's threads in
+   lockstep as a GPU runs a warp.  Launch semantics mirror CUDA's flat 1-D
+   grid: one thread per degree of freedom, the grid rounded up to whole
+   blocks, the excess threads of the last block guarded out (the range
+   handed to the body stops at the grid's logical size, as the generated
+   guard [if (tid >= n) return;] would).
 
    The cost annotation gives modelled per-thread FLOPs and DRAM bytes; the
    launch advances the device timeline by the roofline time. *)
@@ -17,7 +19,7 @@ type cost = {
 type t = {
   name : string;
   cost : cost;
-  body : int -> unit; (* global thread index *)
+  body : int -> int -> unit; (* a block's first global tid, its live threads *)
 }
 
 let make ~name ~cost body = { name; cost; body }
@@ -29,16 +31,16 @@ let m_kernel_ns = Prt.Metrics.counter "gpu.kernel_ns"
 
 (* Launch [k] over [nthreads] logical threads with blocks of [block] threads.
    Returns the modelled kernel duration.  Execution itself is sequential
-   over threads — simulating the SPMD model, not racing it — which keeps
+   over blocks — simulating the SPMD model, not racing it — which keeps
    results deterministic and bit-reproducible. *)
 let launch dev k ~nthreads ?(block = 256) () =
   if nthreads < 1 then invalid_arg "Kernel.launch: empty grid";
+  if block < 1 then invalid_arg "Kernel.launch: empty block";
   let nblocks = (nthreads + block - 1) / block in
-  let launched = nblocks * block in
-  for tid = 0 to launched - 1 do
-    (* guard: threads past the logical range are no-ops, as in generated
-       CUDA where the body begins with [if (tid >= n) return;] *)
-    if tid < nthreads then k.body tid
+  for b = 0 to nblocks - 1 do
+    let first = b * block in
+    (* guard: threads past the logical range do not run *)
+    k.body first (min block (nthreads - first))
   done;
   let flops = k.cost.flops_per_thread *. float_of_int nthreads in
   let dram = k.cost.dram_bytes_per_thread *. float_of_int nthreads in

@@ -77,17 +77,17 @@ let trace_id (tk : ticket) = tk.tk_trace
    stage rejects this request only: it must not abort the drain and
    strand the rest of the queue. *)
 let prepare t (tk : ticket) =
-  (* use_cache switches scenario-table reuse; off, every build stays
-     cold *)
-  Finch.set_scenario_cache t.use_cache;
+  (* use_cache is the preparations' table reuse, the tuner's included;
+     off, every build stays cold *)
+  let reuse_tables = t.use_cache in
   try
-    match Finch_tune.Tune.resolve tk.tk_req with
+    match Finch_tune.Tune.resolve ~reuse_tables tk.tk_req with
     | Error m -> Error (Finch.Solve_error.Invalid_request ("tuner: " ^ m))
     | Ok (req, _) ->
       Result.map
         (fun prep ->
           req, prep, Finch_analysis.Driver.check_problem prep.Finch.pr_problem)
-        (Finch.prepare req)
+        (Finch.prepare ~reuse_tables req)
   with e -> Error (Finch.Solve_error.Engine_failure (Printexc.to_string e))
 
 (* seconds the request's deadline had passed by at pick time *)

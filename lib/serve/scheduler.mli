@@ -46,9 +46,11 @@ val create :
   t
 (** [max_queue] bounds admission (default 64); [default_deadline_s]
     applies to requests carrying no deadline (default none); [use_cache]
-    switches scenario-table reuse across requests
-    ({!Finch.set_scenario_cache}; default true — off, every request
-    builds its dispersion, quadrature and equilibrium tables cold);
+    is this scheduler's scenario-table reuse across requests, passed to
+    every preparation it runs, the tuner's included ([?reuse_tables] of
+    {!Finch.prepare}; default true — off, every request builds its
+    dispersion, quadrature and equilibrium tables cold); it changes no
+    process state, so schedulers with different settings coexist;
     [now] injects a clock for deadline tests (default
     [Unix.gettimeofday]).  [max_batch], [batching] and [post_io] are
     ignored: every request runs as its own solve, and each problem

@@ -80,6 +80,7 @@ val plan :
   ?measure_steps:int ->
   ?measure_trials:int ->
   ?force:bool ->
+  ?reuse_tables:bool ->
   Finch.Solve_request.t ->
   (decision, string) result
 (** Choose a plan for the request.  [shortlist] bounds how many ranked
@@ -95,7 +96,9 @@ val plan :
     cache {e reads} (the winner is still written back).  [Error] when
     the scenario is unknown, no candidate survives the gate, or the
     winner cannot be written to the cache directory (the message names
-    the directory).  A cache entry that cannot be read is a miss. *)
+    the directory).  A cache entry that cannot be read is a miss.
+    [reuse_tables] goes to every preparation the planning makes (the
+    key's, the gate's and the trials'; default false). *)
 
 val resolve :
   ?profile:profile ->
@@ -104,6 +107,7 @@ val resolve :
   ?measure_steps:int ->
   ?measure_trials:int ->
   ?force:bool ->
+  ?reuse_tables:bool ->
   Finch.Solve_request.t ->
   (Finch.Solve_request.t * decision option, string) result
 (** The entry-point helper: requests with a concrete backend pass
@@ -115,6 +119,7 @@ val resolve :
 
 val cache_key :
   ?measure_steps:int ->
+  ?reuse_tables:bool ->
   profile:profile ->
   Finch.Solve_request.t ->
   (string, string) result

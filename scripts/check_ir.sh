@@ -4,8 +4,10 @@
 # Builds the lint CLI, runs the analyzer's seeded-defect selftest (every
 # error code must be reproduced exactly), then lints every shipped
 # scenario under the full backend x overlap matrix and requires zero
-# findings; then smoke-tests codegen, serve, tuner and scaling, and
-# checks that executors agree (examples/field_digest.exe). Exits
+# findings; then smoke-tests codegen, serve, tuner and scaling, checks
+# that the interpreted GPU (lane-group thread bodies) agrees with the
+# native kernel, and checks that executors agree
+# (examples/field_digest.exe). Exits
 # non-zero on any regression; meant for CI and local pre-commit use.
 # See docs/ANALYSIS.md for the pass catalogue.
 set -eu
@@ -186,6 +188,34 @@ grep -q '"gpu_grid_8dev"' "$scaling_out" || {
 }
 rm -f "$scaling_out"
 
+echo "== interpreted GPU (lane-group thread bodies vs the native kernel) =="
+# 7x5 cells x 20 components: the 256-thread blocks split cells.  The
+# interpreter and the generated kernel must print the same T line, and
+# the interpreted run must report the host time its thread bodies took
+gpu_closure=$(mktemp)
+gpu_native=$(mktemp)
+./_build/default/bin/bte_sim.exe run --nx 7 --ny 5 --dirs 4 --bands 4 \
+  --steps 4 --backend gpu --eval closure --metrics > "$gpu_closure" 2>&1
+./_build/default/bin/bte_sim.exe run --nx 7 --ny 5 --dirs 4 --bands 4 \
+  --steps 4 --backend gpu --eval native --codegen-cache-dir "$cache_dir" \
+  --metrics > "$gpu_native" 2>&1
+t_closure=$(grep '^T in' "$gpu_closure" || true)
+t_native=$(grep '^T in' "$gpu_native" || true)
+if [ -z "$t_closure" ] || [ "$t_closure" != "$t_native" ]; then
+  echo "check_ir: interpreted and native GPU runs print different T lines"
+  echo "closure: $t_closure"
+  echo "native:  $t_native"
+  rm -f "$gpu_closure" "$gpu_native"
+  exit 1
+fi
+grep -q 'gpu.host_exec_ns.*[1-9]' "$gpu_closure" || {
+  echo "check_ir: the interpreted GPU run reported no gpu.host_exec_ns"
+  cat "$gpu_closure"
+  rm -f "$gpu_closure" "$gpu_native"
+  exit 1
+}
+rm -f "$gpu_closure" "$gpu_native"
+
 echo "== executor agreement (field digests of 100 runs: one per scenario for CPU targets, one for GPU targets) =="
 dune build examples/field_digest.exe
 digest_out=$(mktemp)
@@ -233,4 +263,4 @@ awk '
 }
 rm -f "$digest_out"
 
-echo "check_ir: selftest, full lint matrix (opt 0 and 2), comm-schedule verifier, JSON output, native codegen cache, tuner, serve scheduler, scaling smoke and executor-agreement digests clean"
+echo "check_ir: selftest, full lint matrix (opt 0 and 2), comm-schedule verifier, JSON output, native codegen cache, tuner, serve scheduler, scaling smoke, interpreted GPU vs native kernel and executor-agreement digests clean"

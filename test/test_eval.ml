@@ -8,7 +8,7 @@ let check_bool = Alcotest.(check bool)
 let mesh = Fvm.Mesh_gen.rectangle ~nx:3 ~ny:2 ~lx:3.0 ~ly:2.0 ()
 
 let make_env () =
-  Finch.Eval.make_env ~mesh ~dt:(ref 0.5) ~time:(ref 2.0)
+  Finch.Eval.make_env ~lanes:1 ~mesh ~dt:(ref 0.5) ~time:(ref 2.0)
     ~index_names:[ "d"; "b" ]
 
 let compile bindings s = Finch.Eval.compile bindings (Parser.parse s)
@@ -76,8 +76,9 @@ let test_field_access_sides () =
   Tutil.check_close "Cell2 reads neighbour" 50. (cell2 env);
   (* ghost access on the boundary *)
   env.Finch.Eval.cell2 <- -1;
-  env.Finch.Eval.ghost <- Some (fun name comp ->
+  env.Finch.Eval.ghost <- Some (fun name lane comp ->
       check_bool "ghost var name" true (name = "u");
+      check_bool "ghost lane" true (lane = 0);
       check_bool "ghost comp" true (comp = 0);
       99.);
   Tutil.check_close "ghost value" 99. (cell2 env);
@@ -355,7 +356,7 @@ let prop_compile_matches_eval =
       "k", Finch.Eval.Bcoef_const 2.0 ]
   in
   let env =
-    Finch.Eval.make_env ~mesh:mesh_p ~dt:(ref 0.25) ~time:(ref 0.)
+    Finch.Eval.make_env ~lanes:1 ~mesh:mesh_p ~dt:(ref 0.25) ~time:(ref 0.)
       ~index_names:[ "d"; "b" ]
   in
   (* reference interpretation with identical semantics *)
@@ -399,6 +400,352 @@ let prop_compile_matches_eval =
         || (Float.is_nan v1 && Float.is_nan v2)
         || Float.abs v2 > 1e14)
 
+
+(* --- lane groups --------------------------------------------------- *)
+
+(* Advection of I[d,b] (d 1..4, b 1..3) on [mesh] whose upwind test is
+   staged (the speeds hold exact zeros, so it splits the directions),
+   with the fields and coefficients the generated expressions read.
+   [fn] counts its calls. *)
+let lane_fixture () =
+  let p = Finch.Problem.init "lanes" in
+  Finch.Problem.domain p 2;
+  Finch.Problem.set_mesh p mesh;
+  Finch.Problem.set_steps p ~dt:1e-3 ~nsteps:1;
+  let d = Finch.Problem.index p ~name:"d" ~range:(1, 4) in
+  let b = Finch.Problem.index p ~name:"b" ~range:(1, 3) in
+  let vi = Finch.Problem.variable p ~name:"I" ~indices:[ d; b ] () in
+  let _ = Finch.Problem.variable p ~name:"Io" ~indices:[ b ] () in
+  let _ = Finch.Problem.variable p ~name:"beta" ~indices:[ b ] () in
+  let arr name index a =
+    ignore (Finch.Problem.coefficient p ~name ~index (Finch.Entity.Arr a))
+  in
+  arr "Sx" d [| 1.0; -0.5; 0.0; 0.75 |];
+  arr "Sy" d [| 0.25; 0.0; -1.0; 0.5 |];
+  arr "ds" d [| 0.; 1.; 2.; 3. |];
+  arr "vg" b [| 2.0; 0.5; 1.25 |];
+  ignore (Finch.Problem.coefficient p ~name:"k" (Finch.Entity.Const 0.75));
+  let calls = ref 0 in
+  ignore
+    (Finch.Problem.coefficient p ~name:"fn"
+       (Finch.Entity.Space_fn
+          (fun pos ->
+            incr calls;
+            pos.(0) -. (0.5 *. pos.(1)))));
+  let _ =
+    Finch.Problem.conservation_form p vi "-surface(upwind([Sx[d];Sy[d]], I[d,b]))"
+  in
+  let st = Finch.Lower.build p in
+  let rnd = Tutil.lcg 2201 in
+  List.iter
+    (fun (_, f) -> Fvm.Field.init f (fun _ _ -> rnd () -. 0.25))
+    st.Finch.Lower.fields;
+  let faces = st.Finch.Lower.faces in
+  let staged =
+    match faces.Finch.Eval.tests with
+    | [ t ] -> t.Finch.Eval.test
+    | _ -> Alcotest.fail "lane fixture: one staged test expected"
+  in
+  st, staged, calls
+
+(* Every node kind: staged and unstaged conditionals, constant and
+   shifted indices, reads across the face (a ghost on boundary slots),
+   powers, calls and comparisons. *)
+let lane_expr_gen staged =
+  let open QCheck.Gen in
+  let d = Expr.Ivar "d" and b = Expr.Ivar "b" in
+  let leaf =
+    frequency
+      [ 2, map (fun x -> Expr.num (float_of_int x)) (int_range (-3) 3);
+        2, map Expr.sym (oneofl [ "k"; "dt"; "x"; "VOLUME"; "FACEAREA"; "NORMAL_1"; "fn" ]);
+        4,
+        oneofl
+          [ Expr.ref_ "I" [ d; b ];
+            Expr.ref_ ~side:Expr.Cell2 "I" [ d; b ];
+            Expr.ref_ "I" [ Expr.Ishift ("d", 1); b ];
+            Expr.ref_ "I" [ Expr.Ishift ("d", -1); b ];
+            Expr.ref_ "I" [ Expr.Iconst 2; b ];
+            Expr.ref_ "Io" [ b ];
+            Expr.ref_ ~side:Expr.Cell2 "beta" [ b ];
+            Expr.ref_ "Sx" [ d ];
+            Expr.ref_ "vg" [ b ];
+            Expr.ref_ "ds" [ d ];
+            Expr.ref_ "Sy" [ Expr.Iconst 3 ] ] ]
+  in
+  let rec go n =
+    if n <= 0 then leaf
+    else
+      let sub = go (n - 1) in
+      frequency
+        [ 2, leaf;
+          2, map Expr.add (list_size (int_range 0 3) sub);
+          2, map Expr.mul (list_size (int_range 2 3) sub);
+          1, map (fun e -> Expr.pow e (Expr.num 2.)) sub;
+          1, map (fun e -> Expr.pow e (Expr.num (-1.))) sub;
+          1, map2 Expr.pow sub (map (fun k -> Expr.num (float_of_int k)) (int_range 0 3));
+          1, map2 (fun f e -> Expr.call f [ e ]) (oneofl [ "sin"; "exp"; "abs"; "sqrt"; "tanh" ]) sub;
+          1, map3 (fun f a b -> Expr.call f [ a; b ]) (oneofl [ "min"; "max" ]) sub sub;
+          1,
+          map3 Expr.cmp
+            (oneofl Expr.[ Gt; Ge; Lt; Le; Eq; Ne ])
+            sub sub;
+          2, map2 (fun t e -> Expr.cond staged t e) sub sub;
+          2,
+          map3
+            (fun (op, k) t e ->
+              Expr.cond (Expr.cmp op (Expr.ref_ "ds" [ d ]) (Expr.num k)) t e)
+            (pair (oneofl Expr.[ Gt; Le; Eq ]) (map float_of_int (int_range 0 3)))
+            sub sub;
+          1, map3 Expr.cond sub sub sub ]
+  in
+  go 3
+
+let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+  || (Float.is_nan a && Float.is_nan b)
+
+(* A group of the fixture's components: a band slice, a random subset in
+   random order, or the whole cell shuffled. *)
+let pick_comps rng =
+  let shuffle a =
+    for i = Array.length a - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t
+    done;
+    a
+  in
+  match Random.State.int rng 3 with
+  | 0 ->
+    let b = Random.State.int rng 3 in
+    Array.init 4 (fun d -> d + (4 * b))
+  | 1 ->
+    let all = shuffle (Array.init 12 Fun.id) in
+    Array.sub all 0 (1 + Random.State.int rng 12)
+  | _ -> shuffle (Array.init 12 Fun.id)
+
+(* Evaluate [e] over a random group at a random slot, and each of its
+   lanes on one lane and on the tape: every lane equals both, bit for
+   bit, or the group raises exactly when some lane's own evaluation
+   does.  The ghost answers per lane from the lane's DOF, so a lane
+   reading another lane's ghost shows. *)
+let lanes_agree st staged (e, seed) =
+  let bindings = st.Finch.Lower.bindings and faces = st.Finch.Lower.faces in
+  match Finch.Eval.program ~faces bindings e with
+  | exception Finch.Eval.Compile_error _ -> true
+  | prog ->
+    let one = Finch.Eval.compile ~faces bindings e in
+    let tape = Finch.Eval.compile_tape ~faces bindings e in
+    ignore staged;
+    let rng = Random.State.make [| seed |] in
+    let env =
+      Finch.Eval.make_env ~lanes:12 ~mesh ~dt:st.Finch.Lower.dt
+        ~time:st.Finch.Lower.time ~index_names:[ "d"; "b" ]
+    in
+    let cell = Random.State.int rng mesh.Fvm.Mesh.ncells in
+    let fcs = mesh.Fvm.Mesh.cell_faces.(cell) in
+    let i = Random.State.int rng (Array.length fcs) in
+    let s = faces.Finch.Eval.slot_start.(cell) + i in
+    env.Finch.Eval.cell <- cell;
+    env.Finch.Eval.slot <- s;
+    env.Finch.Eval.face <- fcs.(i);
+    env.Finch.Eval.cell2 <- faces.Finch.Eval.slot_nbr.(s);
+    let dofs = ref [||] in
+    env.Finch.Eval.ghost <-
+      Some
+        (fun name l c ->
+          float_of_int (String.length name) +. (0.125 *. float_of_int c)
+          +. (0.01 *. float_of_int !dofs.(l)));
+    Finch.Eval.bump_epoch env;
+    let comps = pick_comps rng in
+    let g = env.Finch.Eval.group in
+    g.Finch.Eval.n <- Array.length comps;
+    Array.iteri
+      (fun l c ->
+        g.Finch.Eval.iv.(0).(l) <- c mod 4;
+        g.Finch.Eval.iv.(1).(l) <- c / 4)
+      comps;
+    Finch.Eval.touch g;
+    let attempt f = match f () with v -> Some v | exception Finch.Eval.Compile_error _ -> None in
+    dofs := comps;
+    let grouped = attempt (fun () -> Array.copy (Finch.Eval.run prog env)) in
+    let per_lane =
+      Array.map
+        (fun c ->
+          Finch.Eval.ival env "d" := c mod 4;
+          Finch.Eval.ival env "b" := c / 4;
+          dofs := [| c |];
+          attempt (fun () -> one env), attempt (fun () -> Finch.Eval.tape_run tape env))
+        comps
+    in
+    let fail fmt = QCheck.Test.fail_reportf fmt in
+    (match grouped with
+     | None ->
+       if Array.for_all (fun (o, _) -> o <> None) per_lane then
+         fail "group raised, but no lane does on its own"
+     | Some vs ->
+       Array.iteri
+         (fun l (o, t) ->
+           match o with
+           | None -> fail "lane %d (comp %d) raises alone, not in the group" l comps.(l)
+           | Some v ->
+             if not (same vs.(l) v) then
+               fail "lane %d (comp %d): group %h, one lane %h" l comps.(l) vs.(l) v;
+             (* the tape evaluates both branches eagerly, so it may raise
+                where the lanes do not; when it answers, it agrees *)
+             (match t with
+              | Some tv when not (same tv v) ->
+                fail "lane %d (comp %d): one lane %h, tape %h" l comps.(l) v tv
+              | _ -> ()))
+         per_lane);
+    true
+
+let prop_lanes_agree =
+  let st, staged, _ = lane_fixture () in
+  QCheck.Test.make ~name:"lane group == one lane == tape" ~count:400
+    (QCheck.make
+       ~print:(fun (e, seed) -> Printf.sprintf "%s (seed %d)" (Printer.to_string e) seed)
+       QCheck.Gen.(pair (lane_expr_gen staged) (int_bound 1_000_000)))
+    (lanes_agree st staged)
+
+(* A group over every component of [cell], at its first interior or
+   boundary slot. *)
+let whole_cell env (st : Finch.Lower.state) ~boundary =
+  let faces = st.Finch.Lower.faces in
+  let pick = ref None in
+  for c = mesh.Fvm.Mesh.ncells - 1 downto 0 do
+    Array.iteri
+      (fun i f ->
+        let s = faces.Finch.Eval.slot_start.(c) + i in
+        if (faces.Finch.Eval.slot_nbr.(s) < 0) = boundary then pick := Some (c, s, f))
+      mesh.Fvm.Mesh.cell_faces.(c)
+  done;
+  let c, s, f = Option.get !pick in
+  env.Finch.Eval.cell <- c;
+  env.Finch.Eval.slot <- s;
+  env.Finch.Eval.face <- f;
+  env.Finch.Eval.cell2 <- faces.Finch.Eval.slot_nbr.(s);
+  let g = env.Finch.Eval.group in
+  g.Finch.Eval.n <- 12;
+  for l = 0 to 11 do
+    g.Finch.Eval.iv.(0).(l) <- l mod 4;
+    g.Finch.Eval.iv.(1).(l) <- l / 4
+  done;
+  Finch.Eval.touch g
+
+(* A conditional's untaken branch runs on no lane: a shift past the last
+   direction, a read across a boundary face with no ghost and a
+   coefficient function, each guarded so that some lanes would reach it
+   and the group's lanes do not; the same program on a group with one
+   lane that takes the branch does raise (or call). *)
+let test_lanes_lazy () =
+  let st, _, calls = lane_fixture () in
+  let env =
+    Finch.Eval.make_env ~lanes:12 ~mesh ~dt:st.Finch.Lower.dt
+      ~time:st.Finch.Lower.time ~index_names:[ "d"; "b" ]
+  in
+  let compile s = Finch.Eval.program ~faces:st.Finch.Lower.faces st.Finch.Lower.bindings (Parser.parse s) in
+  let drop_last_direction () =
+    (* lanes d = 0..2 only: the last direction's shift is never taken *)
+    let g = env.Finch.Eval.group in
+    let n = ref 0 in
+    for c = 0 to 11 do
+      if c mod 4 < 3 then begin
+        g.Finch.Eval.iv.(0).(!n) <- c mod 4;
+        g.Finch.Eval.iv.(1).(!n) <- c / 4;
+        incr n
+      end
+    done;
+    g.Finch.Eval.n <- !n;
+    Finch.Eval.touch g
+  in
+  let raises what f =
+    match f () with
+    | exception Finch.Eval.Compile_error _ -> ()
+    | _ -> Alcotest.failf "%s: expected the taken branch to raise" what
+  in
+  (* the shift: I[d+1,b] past the last component when d = 3, b = 3 *)
+  let shift = compile "conditional(ds[d] < 2.5, I[d+1,b], 7)" in
+  whole_cell env st ~boundary:false;
+  let vs = Finch.Eval.run shift env in
+  Tutil.check_close "the untaken shift is not read" 7. vs.(11);
+  let eager = compile "conditional(ds[d] < 3.5, I[d+1,b], 7)" in
+  raises "shift" (fun () -> Finch.Eval.run eager env);
+  drop_last_direction ();
+  ignore (Finch.Eval.run eager env);
+  (* across a boundary face with no ghost accessor *)
+  let across =
+    Finch.Eval.program ~faces:st.Finch.Lower.faces st.Finch.Lower.bindings
+      (Expr.cond
+         (Expr.cmp Expr.Gt (Expr.ref_ "ds" [ Expr.Ivar "d" ]) (Expr.num 1.5))
+         (Expr.num 1.)
+         (Expr.ref_ ~side:Expr.Cell2 "I" [ Expr.Ivar "d"; Expr.Ivar "b" ]))
+  in
+  whole_cell env st ~boundary:true;
+  env.Finch.Eval.ghost <- None;
+  raises "across" (fun () -> Finch.Eval.run across env);
+  let g = env.Finch.Eval.group in
+  (* lanes d = 2, 3 only take the safe branch *)
+  for l = 0 to 5 do
+    g.Finch.Eval.iv.(0).(l) <- 2 + (l mod 2);
+    g.Finch.Eval.iv.(1).(l) <- l / 2
+  done;
+  g.Finch.Eval.n <- 6;
+  Finch.Eval.touch g;
+  Array.iteri
+    (fun l v -> if l < 6 then Tutil.check_close "the safe branch" 1. v)
+    (Finch.Eval.run across env);
+  (* a coefficient function under a branch no lane takes *)
+  let guarded = compile "conditional(ds[d] > 5, fn, 2)" in
+  whole_cell env st ~boundary:false;
+  calls := 0;
+  ignore (Finch.Eval.run guarded env);
+  Alcotest.(check int) "the function is not called" 0 !calls;
+  let taken = compile "conditional(ds[d] > 2.5, fn, 2)" in
+  ignore (Finch.Eval.run taken env);
+  check_bool "the taken branch calls it" true (!calls > 0)
+
+(* Evaluating a lane group allocates nothing, on the BTE's integrands
+   over a whole serve-sized cell (4 directions x 5 bands) and on the
+   fixture's expressions with powers, calls and comparisons. *)
+let test_lanes_allocate_nothing () =
+  let sc =
+    { Bte.Setup.small_hotspot with Bte.Setup.nx = 4; ny = 4; ndirs = 4; n_la_bands = 4; nsteps = 1 }
+  in
+  let built = Bte.Setup.build sc in
+  let st = Finch.Lower.build built.Bte.Setup.problem in
+  let ncomp = Fvm.Field.ncomp st.Finch.Lower.u in
+  Alcotest.(check int) "20 lanes per cell" 20 st.Finch.Lower.env.Finch.Eval.lanes;
+  let comps = Array.init ncomp Fun.id in
+  let run () =
+    for cell = 0 to 15 do
+      Finch.Lower.update_interior st cell comps 0 ncomp
+    done
+  in
+  run ();
+  let w0 = Gc.minor_words () in
+  run ();
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "update_interior: minor words" 0. (w1 -. w0);
+  let fx, _, _ = lane_fixture () in
+  let env = Finch.Eval.make_env ~lanes:12 ~mesh ~dt:fx.Finch.Lower.dt
+      ~time:fx.Finch.Lower.time ~index_names:[ "d"; "b" ] in
+  whole_cell env fx ~boundary:false;
+  List.iter
+    (fun s ->
+      let p = Finch.Eval.program ~faces:fx.Finch.Lower.faces fx.Finch.Lower.bindings (Parser.parse s) in
+      ignore (Finch.Eval.run p env);
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 10 do
+        Finch.Eval.touch env.Finch.Eval.group;
+        ignore (Finch.Eval.run p env)
+      done;
+      let w1 = Gc.minor_words () in
+      Alcotest.(check (float 0.)) (s ^ ": minor words") 0. (w1 -. w0))
+    [ "(Io[b] - I[d,b])*beta[b] + k*dt*VOLUME";
+      "conditional(ds[d] > 1.5, sqrt(abs(I[d,b]))^2, exp(-Sx[d])*max(I[d+0,b], x))";
+      "(Sx[d] >= Sy[d]) + I[1,b]^(-1) + I[d,b]^3 + min(vg[b], NORMAL_1*FACEAREA)" ]
+
 let suite =
   ( "eval",
     [
@@ -419,4 +766,8 @@ let suite =
       Alcotest.test_case "tape epoch invalidation" `Quick test_tape_epoch_invalidation;
       QCheck_alcotest.to_alcotest prop_tape_matches_closure;
       QCheck_alcotest.to_alcotest prop_compile_matches_eval;
+      QCheck_alcotest.to_alcotest prop_lanes_agree;
+      Alcotest.test_case "lanes: untaken branches run on no lane" `Quick test_lanes_lazy;
+      Alcotest.test_case "lanes: a group evaluation allocates nothing" `Quick
+        test_lanes_allocate_nothing;
     ] )

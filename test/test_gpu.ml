@@ -86,13 +86,20 @@ let test_transfer_size_mismatch () =
 let test_kernel_executes_and_guards () =
   let dev = Gpu_sim.Memory.create_device Gpu_sim.Spec.a6000 in
   let buf = Gpu_sim.Memory.alloc dev ~label:"x" ~size:1000 in
+  let blocks = ref [] in
   let k =
     Gpu_sim.Kernel.make ~name:"fill"
       ~cost:{ Gpu_sim.Kernel.flops_per_thread = 1.; dram_bytes_per_thread = 8. }
-      (fun tid -> Bigarray.Array1.set buf.Gpu_sim.Memory.device_data tid (float_of_int tid))
+      (fun first n ->
+        blocks := (first, n) :: !blocks;
+        for tid = first to first + n - 1 do
+          Bigarray.Array1.set buf.Gpu_sim.Memory.device_data tid (float_of_int tid)
+        done)
   in
-  (* 1000 threads in 256-blocks: 1024 launched, guard keeps 1000 *)
+  (* 1000 threads in 256-blocks: 4 blocks, the guard keeps 1000 *)
   let t = Gpu_sim.Kernel.launch dev k ~nthreads:1000 ~block:256 () in
+  Alcotest.(check (list (pair int int))) "one body call per block, last one guarded"
+    [ 0, 256; 256, 256; 512, 256; 768, 232 ] (List.rev !blocks);
   check_bool "positive time" true (t > 0.);
   Tutil.check_close "last element" 999.
     (Bigarray.Array1.get buf.Gpu_sim.Memory.device_data 999);
@@ -107,7 +114,7 @@ let test_stream_overlap () =
   let k =
     Gpu_sim.Kernel.make ~name:"busy"
       ~cost:{ Gpu_sim.Kernel.flops_per_thread = 1e4; dram_bytes_per_thread = 8. }
-      (fun _ -> ())
+      (fun _ _ -> ())
   in
   Gpu_sim.Stream.kernel st clock k ~nthreads:(Bigarray.Array1.dim buf.Gpu_sim.Memory.device_data) ();
   check_bool "stream pending after async launch" true (Gpu_sim.Stream.pending st clock);
@@ -140,7 +147,7 @@ let test_stream_join () =
   let k =
     Gpu_sim.Kernel.make ~name:"after_copy"
       ~cost:{ Gpu_sim.Kernel.flops_per_thread = 10.; dram_bytes_per_thread = 8. }
-      (fun _ -> ())
+      (fun _ _ -> ())
   in
   Gpu_sim.Stream.kernel compute clock k ~nthreads:1000 ();
   (* the kernel's slot starts no earlier than the upload's completion *)
@@ -152,7 +159,7 @@ let test_perf_report () =
   let k =
     Gpu_sim.Kernel.make ~name:"k"
       ~cost:{ Gpu_sim.Kernel.flops_per_thread = 124.; dram_bytes_per_thread = 18. }
-      (fun _ -> ())
+      (fun _ _ -> ())
   in
   let n = 16_000_000 in
   let _ = Gpu_sim.Kernel.launch dev k ~nthreads:n () in
@@ -233,6 +240,97 @@ let prop_kernel_time_monotone =
       in
       t2 >= t && t > 0.)
 
+
+(* ---------- lockstep blocks on the BTE ---------- *)
+
+(* 35 cells x 20 components (4 directions x 5 bands): 700 threads, so
+   every 256-thread block but the first starts or ends mid-cell *)
+let split_sc =
+  { Bte.Setup.small_hotspot with
+    Bte.Setup.nx = 7; ny = 5; lx = 2e-6; ly = 1.4e-6; ndirs = 4;
+    n_la_bands = 4; nsteps = 3 }
+
+let solve_bte ?(opt = Finch.Config.O2) ?(overlap = false) eval target =
+  let built = Bte.Setup.build split_sc in
+  let p = built.Bte.Setup.problem in
+  Finch.Problem.set_target p target;
+  Finch.Problem.set_eval_mode p eval;
+  Finch.Problem.set_opt_level p opt;
+  Finch.Problem.set_overlap p overlap;
+  Finch.Solve.solve p
+
+let check_exact label o1 o2 =
+  List.iter
+    (fun name ->
+      let d =
+        Fvm.Field.max_abs_diff (Finch.Solve.field o1 name) (Finch.Solve.field o2 name)
+      in
+      if d > 0. then Alcotest.failf "%s: %s differs by %g" label name d)
+    [ "I"; "T"; "Io"; "beta" ]
+
+let gpu ?(devices = 1) ranks =
+  Finch.Config.Gpu { spec = Gpu_sim.Spec.a6000; devices; ranks }
+
+(* Blocks run their threads grouped by cell, in lockstep.  Every GPU
+   shape — blocks splitting cells, O0's one launch per band, two band
+   ranks, two device tiles, transfers overlapped or not — equals the same
+   shape evaluated one DOF at a time (the tape) at exact zero on I, T, Io
+   and beta; the hybrid schedule adds boundary terms separately, so GPU
+   targets match serial to rounding only (see test_bte_solver).  The CPU
+   hybrid:2x1 target equals serial closure exactly. *)
+let test_blocks_split_cells () =
+  let o = solve_bte Finch.Config.Closure (gpu 1) in
+  check_int "threads per launch" 700
+    (Fvm.Field.ncells o.Finch.Solve.u * Fvm.Field.ncomp o.Finch.Solve.u);
+  List.iter
+    (fun (label, opt, target) ->
+      List.iter
+        (fun overlap ->
+          let label = Printf.sprintf "%s%s" label (if overlap then " overlap" else "") in
+          check_exact label
+            (solve_bte ~opt ~overlap Finch.Config.Tape target)
+            (solve_bte ~opt ~overlap Finch.Config.Closure target))
+        [ false; true ])
+    [ "gpu:a6000", Finch.Config.O2, gpu 1;
+      "gpu:a6000 O0 (one launch per band)", Finch.Config.O0, gpu 1;
+      "gpu:a6000:2", Finch.Config.O2, gpu 2;
+      "gpu:a6000:2x1 tiles", Finch.Config.O2, gpu ~devices:2 1 ];
+  check_exact "hybrid:2x1"
+    (solve_bte Finch.Config.Closure (Finch.Config.Cpu Finch.Config.Serial))
+    (solve_bte Finch.Config.Closure (Finch.Config.Cpu (Finch.Config.Hybrid (2, 1))))
+
+(* The host seconds spent running thread bodies get their own counter
+   and a wall span on the rank's track, recorded only while metrics or
+   tracing are on; modelled kernel time and the fields do not move. *)
+let test_host_exec_time () =
+  let was_metrics = Prt.Metrics.enabled () in
+  let untraced = solve_bte Finch.Config.Closure (gpu 1) in
+  let host_ns = Prt.Metrics.counter "gpu.host_exec_ns" in
+  let kernel_ns = Prt.Metrics.counter "gpu.kernel_ns" in
+  Prt.Metrics.enable ();
+  Prt.Trace.clear ();
+  Prt.Trace.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Prt.Trace.disable ();
+      Prt.Trace.clear ();
+      if not was_metrics then Prt.Metrics.disable ())
+    (fun () ->
+      let h0 = Prt.Metrics.value host_ns and k0 = Prt.Metrics.value kernel_ns in
+      let traced = solve_bte Finch.Config.Closure (gpu 1) in
+      let h = Prt.Metrics.value host_ns - h0 and k = Prt.Metrics.value kernel_ns - k0 in
+      check_bool "gpu.host_exec_ns above zero" true (h > 0);
+      check_bool "modelled kernel time recorded apart" true (k > 0);
+      let spans =
+        List.filter
+          (fun ev -> ev.Prt.Trace.ev_cat = "gpu-host")
+          (Prt.Trace.events ())
+      in
+      check_int "one wall span per launch" 3 (List.length spans);
+      check_bool "no phase row carries it" true
+        (List.for_all (fun ev -> ev.Prt.Trace.ev_cat <> "phase") spans);
+      check_exact "traced vs untraced" untraced traced)
+
 let suite =
   ( "gpu-sim",
     [
@@ -249,5 +347,8 @@ let suite =
       Alcotest.test_case "interconnect topology" `Quick test_topology_paths;
       Alcotest.test_case "d2d path costs" `Quick test_topology_d2d_time;
       Alcotest.test_case "d2d copies element runs" `Quick test_memory_d2d_copies_runs;
+      Alcotest.test_case "blocks split cells: lanes == per DOF" `Quick
+        test_blocks_split_cells;
+      Alcotest.test_case "host execution time counted apart" `Quick test_host_exec_time;
       QCheck_alcotest.to_alcotest prop_kernel_time_monotone;
     ] )

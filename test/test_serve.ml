@@ -275,75 +275,107 @@ let test_drain_fifo () =
 
 (* ---------- served vs per-request solve bit-identity ---------- *)
 
+let served_fields = [ "I"; "T"; "Io"; "beta" ]
+
+let field_of (r : Finch.Solve_result.t) name =
+  Finch.Solve.field r.Finch.Solve_result.outcome name
+
+let completed = function
+  | Finch_serve.Scheduler.Completed r -> r
+  | Finch_serve.Scheduler.Rejected m -> Alcotest.failf "rejected: %s" m
+  | Finch_serve.Scheduler.Timed_out _ -> Alcotest.fail "timed out"
+
+let solved req =
+  match Finch.solve req with
+  | Ok c -> c
+  | Error e -> Alcotest.fail (Finch.Solve_error.to_string e)
+
+let check_same what r cold =
+  List.iter
+    (fun name ->
+      Alcotest.(check (float 0.))
+        (what ^ " " ^ name) 0.
+        (Fvm.Field.max_abs_diff (field_of r name) (field_of cold name)))
+    served_fields
+
 (* scenario x {serial, cells:2, gpu} x {O0, O2}: a three-request
    temperature sweep through a scheduler that reuses scenario tables must
    produce exactly the fields a per-request Finch.solve with cold tables
    produces *)
 let test_served_matches_solve () =
-  let fields = [ "I"; "T"; "Io"; "beta" ] in
-  let field_of (r : Finch.Solve_result.t) name =
-    Finch.Solve.field r.Finch.Solve_result.outcome name
-  in
-  let was = Finch.scenario_cache_enabled () in
-  Fun.protect
-    ~finally:(fun () -> Finch.set_scenario_cache was)
-    (fun () ->
+  List.iter
+    (fun scenario ->
       List.iter
-        (fun scenario ->
+        (fun backend ->
           List.iter
-            (fun backend ->
-              List.iter
-                (fun opt_level ->
-                  let base_t =
-                    match scenario with "corner" -> 150. | _ -> 350.
-                  in
-                  let reqs =
-                    List.map
-                      (fun i ->
-                        tiny ~scenario ~backend ~opt_level
-                          ~t_hot:(base_t +. (5. *. float_of_int i))
-                          ~label:(Printf.sprintf "t%d" i) ())
-                      [ 0; 1; 2 ]
-                  in
-                  let served =
-                    Finch_serve.Scheduler.run_all
-                      (Finch_serve.Scheduler.create ~use_cache:true ())
-                      reqs
-                  in
-                  List.iteri
-                    (fun i (req, out) ->
-                      let r =
-                        match out with
-                        | Finch_serve.Scheduler.Completed r -> r
-                        | Finch_serve.Scheduler.Rejected m ->
-                          Alcotest.failf "rejected: %s" m
-                        | Finch_serve.Scheduler.Timed_out _ ->
-                          Alcotest.fail "timed out"
-                      in
-                      Finch.set_scenario_cache false;
-                      let cold =
-                        match Finch.solve req with
-                        | Ok c -> c
-                        | Error e ->
-                          Alcotest.fail (Finch.Solve_error.to_string e)
-                      in
-                      List.iter
-                        (fun name ->
-                          Alcotest.(check (float 0.))
-                            (Printf.sprintf "%s %s O%s #%d %s" scenario
-                               (Finch.Config.target_name backend)
-                               (Finch.Config.opt_level_name opt_level)
-                               i name)
-                            0.
-                            (Fvm.Field.max_abs_diff (field_of r name)
-                               (field_of cold name)))
-                        fields)
-                    (List.combine reqs served))
-                [ Finch.Config.O0; Finch.Config.O2 ])
-            [ Finch.Config.Cpu Finch.Config.Serial;
-              Finch.Config.Cpu (Finch.Config.Cell_parallel 2);
-              gpu1 ])
-        [ "hotspot"; "corner" ])
+            (fun opt_level ->
+              let base_t =
+                match scenario with "corner" -> 150. | _ -> 350.
+              in
+              let reqs =
+                List.map
+                  (fun i ->
+                    tiny ~scenario ~backend ~opt_level
+                      ~t_hot:(base_t +. (5. *. float_of_int i))
+                      ~label:(Printf.sprintf "t%d" i) ())
+                  [ 0; 1; 2 ]
+              in
+              let served =
+                Finch_serve.Scheduler.run_all
+                  (Finch_serve.Scheduler.create ~use_cache:true ())
+                  reqs
+              in
+              List.iteri
+                (fun i (req, out) ->
+                  check_same
+                    (Printf.sprintf "%s %s O%s #%d" scenario
+                       (Finch.Config.target_name backend)
+                       (Finch.Config.opt_level_name opt_level)
+                       i)
+                    (completed out) (solved req))
+                (List.combine reqs served))
+            [ Finch.Config.O0; Finch.Config.O2 ])
+        [ Finch.Config.Cpu Finch.Config.Serial;
+          Finch.Config.Cpu (Finch.Config.Cell_parallel 2);
+          gpu1 ])
+    [ "hotspot"; "corner" ]
+
+(* Table reuse is each scheduler's own setting, passed to its
+   preparations: a reusing and a fresh scheduler drained alternately in
+   one process both return exactly Finch.solve's fields; the reusing one
+   builds no tables for a temperature it has seen, the fresh one builds
+   them every time, and a Finch.solve after a reusing drain builds fresh
+   ones ([bte.table_builds] counts every construction). *)
+let test_schedulers_own_table_reuse () =
+  Prt.Metrics.enable ();
+  Fun.protect ~finally:Prt.Metrics.disable @@ fun () ->
+  let builds = Prt.Metrics.counter "bte.table_builds" in
+  let reuse = Finch_serve.Scheduler.create ~use_cache:true () in
+  let fresh = Finch_serve.Scheduler.create ~use_cache:false () in
+  let drained sched req =
+    let b0 = Prt.Metrics.value builds in
+    let tk = Finch_serve.Scheduler.submit sched req in
+    Finch_serve.Scheduler.drain sched;
+    match Finch_serve.Scheduler.outcome tk with
+    | Some out -> completed out, Prt.Metrics.value builds - b0
+    | None -> Alcotest.fail "the drain did not resolve the ticket"
+  in
+  List.iteri
+    (fun i t_hot ->
+      let req = tiny ~backend:gpu1 ~t_hot ~label:(Printf.sprintf "a%d" i) () in
+      let r_reuse, b_reuse = drained reuse req in
+      let r_fresh, b_fresh = drained fresh req in
+      let b0 = Prt.Metrics.value builds in
+      let cold = solved req in
+      let b_solve = Prt.Metrics.value builds - b0 in
+      let what = Printf.sprintf "#%d (%g K)" i t_hot in
+      check_same (what ^ " reusing") r_reuse cold;
+      check_same (what ^ " fresh") r_fresh cold;
+      if i >= 2 then
+        Alcotest.(check int) (what ^ ": a seen temperature reuses") 0 b_reuse;
+      Alcotest.(check int) (what ^ ": the fresh scheduler builds") 1 b_fresh;
+      Alcotest.(check int) (what ^ ": Finch.solve builds fresh tables") 1 b_solve)
+    [ 361.; 366.; 361.; 366. ]
 
 let suite =
   ( "serve",
@@ -371,4 +403,6 @@ let suite =
         test_drain_fifo;
       Alcotest.test_case "served results equal Finch.solve (matrix)" `Quick
         test_served_matches_solve;
+      Alcotest.test_case "schedulers keep their own table reuse" `Quick
+        test_schedulers_own_table_reuse;
     ] )

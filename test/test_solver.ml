@@ -538,7 +538,7 @@ let face_oracle (st : Finch.Lower.state) =
   in
   let p = st.Finch.Lower.p in
   let env =
-    Finch.Eval.make_env ~mesh ~dt:st.Finch.Lower.dt ~time:st.Finch.Lower.time
+    Finch.Eval.make_env ~lanes:1 ~mesh ~dt:st.Finch.Lower.dt ~time:st.Finch.Lower.time
       ~index_names:(List.map (fun (i : Finch.Entity.index) -> i.Finch.Entity.iname)
                       p.Finch.Problem.indices)
   in
@@ -594,7 +594,7 @@ let face_oracle (st : Finch.Lower.state) =
             let ghost = g env in
             env.Finch.Eval.ghost <-
               Some
-                (fun name comp ->
+                (fun name _lane comp ->
                   if name = uname then ghost
                   else Fvm.Field.get (Finch.Lower.field st name) cell comp);
             full := !full +. (area *. rsurf env);
@@ -607,14 +607,14 @@ let face_oracle (st : Finch.Lower.state) =
    0 > 0.  Regions 1 and 3 carry Dirichlet expressions (rsurf under a
    ghost on a boundary slot), region 2 a flux expression reading a
    normal; the rest are unconstrained. *)
-let staging_problem rng mesh ~two =
+let staging_problem ?(nd = 3) ?(nb = 2) rng mesh ~two =
   let dim = mesh.Fvm.Mesh.dim in
   let p = Finch.Problem.init "staged" in
   Finch.Problem.domain p dim;
   Finch.Problem.set_mesh p mesh;
   Finch.Problem.set_steps p ~dt:1e-3 ~nsteps:1;
-  let d = Finch.Problem.index p ~name:"d" ~range:(1, 3) in
-  let b = Finch.Problem.index p ~name:"b" ~range:(1, 2) in
+  let d = Finch.Problem.index p ~name:"d" ~range:(1, nd) in
+  let b = Finch.Problem.index p ~name:"b" ~range:(1, nb) in
   let u = Finch.Problem.variable p ~name:"u" ~indices:[ d; b ] () in
   let speeds (i : Finch.Entity.index) =
     Finch.Entity.Arr
@@ -699,6 +699,74 @@ let test_staged_flux_equals_oracle () =
           done)
         [ false; true ])
     meshes
+
+
+(* The closure sweep runs lane groups: per owned cell, its owned index
+   tuples in slices of at most 256 lanes.  After one sweep every owned
+   DOF of u_new equals u + dt * R from the per-face oracle bit for bit,
+   and every other DOF is untouched, for cells of 6 and of 300
+   components (two groups of 256 and 44), band slices and cell subsets
+   (partial groups), the permuted loop order, and the tape's one DOF at
+   a time. *)
+let test_group_sweep_equals_oracle () =
+  let rng = Random.State.make [| 2203 |] in
+  let mesh = Fvm.Mesh_gen.rectangle ~nx:4 ~ny:3 ~lx:1.0 ~ly:0.7 () in
+  let cases =
+    [ "6 comps", 3, 2, Finch.Lower.serial_rankinfo, None, Finch.Config.Closure;
+      "300 comps", 20, 15, Finch.Lower.serial_rankinfo, None, Finch.Config.Closure;
+      ( "300 comps, band slice",
+        20, 15,
+        { Finch.Lower.rank = 1; nranks = 2; owned_cells = None;
+          index_ranges = [ "b", (7, 8) ] },
+        None, Finch.Config.Closure );
+      ( "300 comps, cell subset, loops b/elements/d",
+        20, 15,
+        { Finch.Lower.rank = 0; nranks = 2; owned_cells = Some [| 1; 4; 5; 10 |];
+          index_ranges = [ "d", (3, 11) ] },
+        Some [ "b"; "elements"; "d" ], Finch.Config.Closure );
+      "300 comps, tape", 20, 15, Finch.Lower.serial_rankinfo, None, Finch.Config.Tape ]
+  in
+  List.iter
+    (fun (what, nd, nb, info, loops, eval) ->
+      let p = staging_problem ~nd ~nb rng mesh ~two:true in
+      Option.iter (Finch.Problem.assembly_loops p) loops;
+      Finch.Problem.set_eval_mode p eval;
+      let st = Finch.Lower.build ~info p in
+      Fvm.Field.init st.Finch.Lower.u (fun _ _ -> Random.State.float rng 2. -. 0.5);
+      Fvm.Field.fill st.Finch.Lower.u_new 123.;
+      let oracle = face_oracle st in
+      Finch.Lower.sweep st;
+      let ncomp = Fvm.Field.ncomp st.Finch.Lower.u in
+      let owned_cell c =
+        match info.Finch.Lower.owned_cells with
+        | None -> true
+        | Some cs -> Array.mem c cs
+      in
+      let owned_comp comp =
+        List.for_all
+          (fun (name, (off, len)) ->
+            let x = if name = "d" then comp mod nd else comp / nd in
+            x >= off && x < off + len)
+          info.Finch.Lower.index_ranges
+      in
+      let dt = !(st.Finch.Lower.dt) in
+      for cell = 0 to mesh.Fvm.Mesh.ncells - 1 do
+        for comp = 0 to ncomp - 1 do
+          let got = Fvm.Field.get st.Finch.Lower.u_new cell comp in
+          let want =
+            if owned_cell cell && owned_comp comp then begin
+              let rv, _, full = oracle cell comp in
+              Fvm.Field.get st.Finch.Lower.u cell comp
+              +. (dt *. (rv +. (full /. mesh.Fvm.Mesh.cell_volume.(cell))))
+            end
+            else 123.
+          in
+          if not (bits_equal got want) then
+            Alcotest.failf "%s: cell %d comp %d: swept %h, oracle %h" what cell comp
+              got want
+        done
+      done)
+    cases
 
 (* Advection whose post-step callback declares it writes the speed Sx
    and flips its sign every step.  No boundary conditions, so the GPU's
@@ -850,6 +918,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_upwind_maximum_principle;
       Alcotest.test_case "staged face sums == per-face oracle (exact)" `Quick
         test_staged_flux_equals_oracle;
+      Alcotest.test_case "group sweep == per-face oracle" `Quick
+        test_group_sweep_equals_oracle;
       Alcotest.test_case "written coefficient stays unstaged" `Quick
         test_written_coefficient_unstaged;
       Alcotest.test_case "one face staging per solve" `Quick

@@ -418,7 +418,8 @@ let test_warm_resolve_builds_nothing () =
   (* hotspot's builder, counting its calls *)
   let hotspot = Hashtbl.find Finch.scenario_registry "hotspot" in
   let calls = ref 0 in
-  with_scenario "probe-keys" (fun req -> incr calls; hotspot req) @@ fun () ->
+  with_scenario "probe-keys" (fun ~reuse_tables req -> incr calls; hotspot ~reuse_tables req)
+  @@ fun () ->
   with_metrics @@ fun () ->
   Finch_tune.Tune.set_cache_dir (fresh_cache_dir "finch_tune_keys");
   Finch_tune.Tune.clear_memo ();
@@ -482,9 +483,9 @@ let test_key_errors_not_memoized () =
   let hotspot = Hashtbl.find Finch.scenario_registry "hotspot" in
   let attempts = ref 0 and failing = ref true in
   with_scenario "probe-flaky"
-    (fun req ->
+    (fun ~reuse_tables req ->
       incr attempts;
-      if !failing then failwith "probe build failed" else hotspot req)
+      if !failing then failwith "probe build failed" else hotspot ~reuse_tables req)
   @@ fun () ->
   let req = probe_req "probe-flaky" in
   (match
@@ -519,7 +520,7 @@ let test_key_memo_cap () =
   check_int "the newest survives" 0 (key_builds (fun () -> touch cap))
 
 (* du/dt = [rhs] on the request's mesh: two [rhs] are two programs *)
-let decay rhs (req : Finch.Solve_request.t) =
+let decay rhs ~reuse_tables:_ (req : Finch.Solve_request.t) =
   let p = Finch.Problem.init "decay" in
   Finch.Problem.domain p 2;
   Finch.Problem.set_mesh p
