@@ -313,7 +313,7 @@ let e8 ~measured =
   row "\n(paper: T in [100, 150] K, heat spreading from the corner)\n"
 
 (* ------------------------------------------------------------------ *)
-(* E11: execution engines — persistent pool, tape vs closure vs native   *)
+(* E11: execution engines — persistent pool, closure vs native          *)
 (* ------------------------------------------------------------------ *)
 
 (* all rows are real reduced-scale solves on this machine; small steps and
@@ -327,7 +327,7 @@ let e11_rows () =
   let sc = e11_scenario in
   let ndomains = 4 in
   (* every executor row uses the default (closure) evaluator so the rows
-     differ only in runtime; the explicit tape row isolates the evaluator *)
+     differ only in runtime; the native rows isolate the evaluator *)
   let req_with ?(eval = Finch.Config.Closure) ?(overlap = false) target =
     { (request_of ~scenario:"hotspot" sc) with
       Finch.Solve_request.backend = target;
@@ -340,9 +340,6 @@ let e11_rows () =
   in
   let t_serial_closure, o_serial_closure =
     solve_with (Finch.Config.Cpu Finch.Config.Serial)
-  in
-  let t_serial, _ =
-    solve_with ~eval:Finch.Config.Tape (Finch.Config.Cpu Finch.Config.Serial)
   in
   (* generated-code evaluator: same serial solve through the compiled
      kernel (warm cache after the first solve of the process) *)
@@ -379,34 +376,8 @@ let e11_rows () =
   in
   (* the hybrid CPU/GPU executor on the simulated device *)
   let t_gpu, _ = solve_with gpu1 in
-  (* tape statistics from a solve whose primary state does the sweeping
-     (under the pool executors the workers hold the hot tapes) *)
-  let tape_stats =
-    let _, o =
-      solve_with ~eval:Finch.Config.Tape (Finch.Config.Cpu Finch.Config.Serial)
-    in
-    let st = o.Finch.Solve.states.(0) in
-    List.map
-      (fun (name, t) ->
-        let expr =
-          match name with
-          | "rvol" -> st.Finch.Lower.eq.Finch.Transform.rvol
-          | _ -> st.Finch.Lower.eq.Finch.Transform.rsurf
-        in
-        let tree = Finch.Eval.cost expr in
-        let tape_c = Finch.Eval.tape_cost t in
-        ( name,
-          Finch.Eval.tape_length t,
-          Finch.Eval.tape_runs t,
-          Finch.Eval.tape_executed t,
-          tree.Finch.Eval.flops,
-          tape_c.Finch.Eval.flops ))
-      st.Finch.Lower.tapes
-  in
-  ( t_serial, t_serial_closure, t_serial_native, t_pool,
-    t_pool_native, t_hybrid, t_cells, t_cells_ov, t_gpu, ndomains,
-    (sweep_closure_s, sweep_native_s) ),
-  tape_stats
+  ( t_serial_closure, t_serial_native, t_pool, t_pool_native, t_hybrid,
+    t_cells, t_cells_ov, t_gpu, ndomains, (sweep_closure_s, sweep_native_s) )
 
 (* per-step runtime overhead of each serial evaluator across mesh sizes:
    wall seconds divided by nsteps, so the fixed per-step cost (schedule
@@ -544,14 +515,11 @@ let e11_measure ?(overlap = false) target =
 let e11 ~measured =
   ignore measured;
   section
-    "E11 - execution engines: persistent domain pool and tape evaluator (measured)";
+    "E11 - execution engines: persistent domain pool and evaluators (measured)";
   let sc = e11_scenario in
   row "reduced scale %dx%d, %d dirs, %d steps; all rows real solves\n"
     sc.Bte.Setup.nx sc.Bte.Setup.ny sc.Bte.Setup.ndirs sc.Bte.Setup.nsteps;
-  let (ts, tsc, tsn, tp, tpn, th, tc, tcov, tg, nd, (swc, swn)), tapes =
-    e11_rows ()
-  in
-  row "  %-28s %8.3f s\n" "serial (tape)" ts;
+  let tsc, tsn, tp, tpn, th, tc, tcov, tg, nd, (swc, swn) = e11_rows () in
   row "  %-28s %8.3f s\n" "serial (closure)" tsc;
   row "  %-28s %8.3f s  (%.2fx vs closure)\n" "serial (native)" tsn (tsc /. tsn);
   row "  %-28s %8.3f s -> %.3f s  (%.2fx; temperature callback excluded)\n"
@@ -601,25 +569,14 @@ let e11 ~measured =
     "  modelled paper-scale cells(20): step %.3f s sync -> %.3f s overlapped \
      (%.3f s of exchange hidden)\n"
     om.Bte.Perfmodel.sync_step om.Bte.Perfmodel.overlap_step
-    om.Bte.Perfmodel.hidden;
-  List.iter
-    (fun (name, len, runs, exec, tree_flops, tape_flops) ->
-      let per_run = float_of_int exec /. float_of_int (max 1 runs) in
-      row
-        "  tape %-6s %3d ops (tree %.0f flops -> tape %.0f), executed %.1f/run \
-         (%.0f%% skipped)\n"
-        name len tree_flops tape_flops per_run
-        (100. *. (1. -. (per_run /. float_of_int len))))
-    tapes
+    om.Bte.Perfmodel.hidden
 
 let e11_json path =
   (* the executor rows run under the metrics registry so the emitted JSON
      can embed the key runtime counters alongside the wall times *)
   Prt.Metrics.enable ();
   Prt.Metrics.reset_all ();
-  let (ts, tsc, tsn, tp, tpn, th, tc, tcov, tg, nd, (swc, swn)), tapes =
-    e11_rows ()
-  in
+  let tsc, tsn, tp, tpn, th, tc, tcov, tg, nd, (swc, swn) = e11_rows () in
   let variants = e11_opt_variants () in
   let per_step = e11_per_step () in
   let variant l = List.find (fun v -> v.v_label = l) variants in
@@ -631,7 +588,6 @@ let e11_json path =
     sc.Bte.Setup.nx sc.Bte.Setup.ny sc.Bte.Setup.ndirs sc.Bte.Setup.nsteps;
   p "  \"ndomains\": %d,\n" nd;
   p "  \"wall_s\": {\n";
-  p "    \"serial_tape\": %.6f,\n" ts;
   p "    \"serial_closure\": %.6f,\n" tsc;
   p "    \"serial_native\": %.6f,\n" tsn;
   p "    \"threaded_pool\": %.6f,\n" tp;
@@ -766,23 +722,9 @@ let e11_json path =
   p "    \"opt.transfers_coalesced\": %d,\n" (c "opt.transfers_coalesced");
   p "    \"opt.h2d_hoisted\": %d,\n" (c "opt.h2d_hoisted");
   p "    \"opt.passes_rejected\": %d,\n" (c "opt.passes_rejected");
-  p "    \"tape.ops_skipped\": %d,\n" (c "tape.ops_skipped");
   p "    \"analysis.errors\": %d,\n" lint_errors;
   p "    \"analysis.warnings\": %d,\n" lint_warnings;
   p "    \"sanitize.poison_reads\": %d\n" (c "sanitize.poison_reads");
-  p "  },\n";
-  p "  \"tapes\": {\n";
-  List.iteri
-    (fun i (name, len, runs, exec, tree_flops, tape_flops) ->
-      p
-        "    \"%s\": { \"ops\": %d, \"runs\": %d, \"executed\": %d, \
-         \"executed_per_run\": %.3f, \"tree_flops\": %.1f, \"tape_flops\": \
-         %.1f }%s\n"
-        name len runs exec
-        (float_of_int exec /. float_of_int (max 1 runs))
-        tree_flops tape_flops
-        (if i = List.length tapes - 1 then "" else ","))
-    tapes;
   p "  }\n";
   p "}\n";
   close_out oc;
@@ -1250,9 +1192,6 @@ let micro () =
   let refsolver = Bte.Reference.create sc in
   let built = Bte.Setup.build sc in
   let st = Finch.Lower.build built.Bte.Setup.problem in
-  let built_tp = Bte.Setup.build sc in
-  Finch.Problem.set_eval_mode built_tp.Bte.Setup.problem Finch.Config.Tape;
-  let st_tp = Finch.Lower.build built_tp.Bte.Setup.problem in
   let mesh = built.Bte.Setup.mesh in
   let part = Fvm.Partition.rcb_mesh mesh ~nparts:4 in
   let pool = Prt.Pool.create ~size:4 in
@@ -1263,9 +1202,6 @@ let micro () =
         (Staged.stage (fun () -> Bte.Reference.sweep refsolver));
       Test.make ~name:"e2-dsl-sweep"
         (Staged.stage (fun () -> Finch.Lower.sweep st));
-      (* E11: tape vs closure evaluation of the same sweep *)
-      Test.make ~name:"e11-dsl-sweep-tape"
-        (Staged.stage (fun () -> Finch.Lower.sweep st_tp));
       (* E11: pool region dispatch vs per-region domain spawn/join *)
       Test.make ~name:"e11-pool-region"
         (Staged.stage (fun () -> Prt.Pool.run pool (fun _ -> ())));

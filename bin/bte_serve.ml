@@ -52,11 +52,10 @@ let eval_t =
     value
     & opt
         (enum
-           [ "closure", Finch.Config.Closure; "tape", Finch.Config.Tape;
-             "native", Finch.Config.Native ])
+           [ "closure", Finch.Config.Closure; "native", Finch.Config.Native ])
         Finch.Config.Closure
     & info [ "eval" ] ~docv:"MODE"
-        ~doc:"RHS evaluator: closure, tape or native.")
+        ~doc:"RHS evaluator: closure or native.")
 
 let nx_t =
   Arg.(value & opt int 12 & info [ "nx" ] ~docv:"N" ~doc:"Cells per side.")

@@ -69,15 +69,12 @@ let eval_mode_t =
     value
     & opt
         (enum
-           [ "tape", Finch.Config.Tape; "closure", Finch.Config.Closure;
-             "native", Finch.Config.Native ])
+           [ "closure", Finch.Config.Closure; "native", Finch.Config.Native ])
         Finch.Config.Closure
     & info [ "eval" ] ~docv:"MODE"
         ~doc:
-          "Right-hand-side evaluator: closure (plain closure tree, the \
-           default), tape (register tape with CSE and invariant \
-           hoisting; fewer executed ops, with per-evaluation cache \
-           bookkeeping) or native (generated OCaml compiled to a shared \
+          "Right-hand-side evaluator: closure (the lane interpreter, the \
+           default) or native (generated OCaml compiled to a shared \
            object and dynlinked, behind a content-hash cache; falls back \
            to closure with a warning when unavailable — see \
            docs/CODEGEN.md).")
@@ -262,27 +259,12 @@ let tune_request ~explain ~measure_steps (req : Finch.Solve_request.t) =
       end
       else req, None
 
-(* Post-solve reporting shared by [run] and [request]: tape statistics,
-   temperature stats, phase breakdown, GPU perf model and optional CSV. *)
+(* Post-solve reporting shared by [run] and [request]: temperature
+   stats, phase breakdown, GPU perf model and optional CSV. *)
 let report_result ~t_ambient ~csv (prep : Finch.prepared)
     (res : Finch.Solve_result.t) =
   Printf.printf "wall time %.2f s\n" res.Finch.Solve_result.wall_s;
   let outcome = res.Finch.Solve_result.outcome in
-  (match outcome.Finch.Solve.states.(0).Finch.Lower.tapes with
-   | [] -> ()
-   | tapes ->
-     List.iter
-       (fun (name, t) ->
-         let runs = Finch.Eval.tape_runs t in
-         if runs > 0 then
-           Printf.printf "tape %-6s: %3d ops, executed %.1f/run (%.0f%% skipped)\n"
-             name (Finch.Eval.tape_length t)
-             (float_of_int (Finch.Eval.tape_executed t) /. float_of_int runs)
-             (100.
-              *. (1.
-                  -. float_of_int (Finch.Eval.tape_executed t)
-                     /. float_of_int (runs * Finch.Eval.tape_length t))))
-       tapes);
   let ft = res.Finch.Solve_result.solution in
   let mesh = Finch.Problem.mesh_exn prep.Finch.pr_problem in
   let stats = Bte.Diag.temperature_stats mesh ft ~t_ambient in

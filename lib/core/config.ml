@@ -125,18 +125,27 @@ let target_of_string s =
       | _ -> fail ()))
   | _ -> fail ()
 
-(* How the equation's right-hand sides are executed: as a compiled closure
-   tree, as a flat register tape with common-subexpression elimination
-   and loop-invariant caching (see Eval), or as generated OCaml compiled
-   to a shared object and dynlinked (see lib/codegen; falls back to
-   closures with a warning when emission or the toolchain is
-   unavailable). *)
+(* How the equation's right-hand sides are executed: by the lane
+   interpreter (see Eval), or as generated OCaml compiled to a shared
+   object and dynlinked (see lib/codegen; falls back to the interpreter
+   with a warning when emission or the toolchain is unavailable).  [Tape]
+   names the removed register-tape evaluator: no parser produces it and
+   every entry point rejects it. *)
 type eval_mode = Closure | Tape | Native
 
 let eval_mode_name = function
   | Closure -> "closure"
   | Tape -> "tape"
   | Native -> "native"
+
+let tape_removed = "the tape evaluator was removed (closure|native)"
+
+let eval_mode_of_string s =
+  match String.lowercase_ascii (String.trim s) with
+  | "closure" -> Ok Closure
+  | "native" -> Ok Native
+  | "tape" -> Error (Printf.sprintf "eval mode %S: %s" s tape_removed)
+  | _ -> Error (Printf.sprintf "bad eval mode %S (closure|native)" s)
 
 (* Optimization level of the IR middle end (see Opt in lib/opt) and of
    the matching executor schedules:

@@ -63,14 +63,32 @@ val target_of_string : string -> (target, string) result
     is the same target as [gpu:NAME:R]).
     [Error msg] describes the expected grammar on malformed input. *)
 
-(** How compiled right-hand sides are executed: closure tree, flat
-    register tape with CSE and loop-invariant caching, or generated
-    OCaml compiled and dynlinked behind a content-hash cache
-    (docs/CODEGEN.md; falls back to closures with a warning when the
-    toolchain or emission is unavailable). *)
+(** How compiled right-hand sides are executed: [Closure], the lane
+    interpreter ({!Eval.program}), or [Native], generated OCaml compiled
+    and dynlinked behind a content-hash cache (docs/CODEGEN.md; falls
+    back to the interpreter with a warning when the toolchain or
+    emission is unavailable).
+
+    [Tape] is a retired constructor: the register-tape evaluator it
+    named was removed.  It is kept only so the benchmark harness
+    (perfbench) still compiles, until that harness names evaluators by
+    string.  No parser produces it, and every entry
+    point rejects it with a named error ({!tape_removed}):
+    [Solve_request.validate], hence [Finch.prepare] and the serve
+    scheduler, and [Problem.set_eval_mode]. *)
 type eval_mode = Closure | Tape | Native
 
 val eval_mode_name : eval_mode -> string
+(** ["closure"], ["native"] (and ["tape"] for the retired constructor):
+    the CLI and JSON spelling of an evaluator. *)
+
+val tape_removed : string
+(** The message every rejection of [Tape] carries. *)
+
+val eval_mode_of_string : string -> (eval_mode, string) result
+(** Parse ["closure"|"native"] (case-insensitive).  ["tape"] is an
+    [Error] saying the evaluator was removed; any other string an
+    [Error] naming the expected values. *)
 
 (** Optimization level of the IR middle end and the matching executor
     schedules: [O0] naive lowering (one pool region / kernel launch per

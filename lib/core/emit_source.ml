@@ -378,8 +378,8 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
        | Expr.Eq -> Printf.sprintf "(if Float.equal %s %s then 1. else 0.)" sa sb
        | Expr.Ne -> Printf.sprintf "(if not (Float.equal %s %s) then 1. else 0.)" sa sb)
     | Expr.Cond (c, t, el) -> (
-      (* lazy, like the lane programs (the tape is the eager one); a
-         staged test reads its table at the slot, as they do *)
+      (* lazy, like the lane programs; a staged test reads its table
+         at the slot, as they do *)
       match staged_index c with
       | Some (k, staged) when face = Interior ->
         Printf.sprintf "(if Bytes.get t%d ((s * %d) + %s) <> '\\000' then %s else %s)"
@@ -621,7 +621,7 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
      interior-face fluxes, index values decomposed from the component *)
   line d0 "let dof_interior cell comp =";
   let dscope =
-    (* first declared index fastest, as in Lower.set_ivals_of_comp *)
+    (* first declared index fastest, as Lower.set_group decomposes it *)
     let d1 = d0 + 1 in
     line d1 "let dt = !dt_r in";
     line d1 "let dc0 = comp in";

@@ -46,11 +46,8 @@ type env = {
      -> value *)
   mutable ghost : (string -> int -> int -> float) option;
   (* current value of each index variable, 0-based: what the scalar entry
-     and the tape read *)
+     reads *)
   ivals : (string * int ref) list;
-  (* traversal counter: bumped once per DOF traversal so tape evaluation
-     knows when mutable inputs (field contents, dt, time) may have changed *)
-  mutable epoch : int;
   lanes : int;           (* lanes a group may hold; sizes program scratch *)
   group : lanes;         (* the current lane group, written by the executor *)
   one : lanes;           (* the scalar entry's one-lane group *)
@@ -73,13 +70,10 @@ let make_env ~lanes ~mesh ~dt ~time ~index_names =
     slot = 0;
     ghost = None;
     ivals = List.map (fun n -> n, ref 0) index_names;
-    epoch = 0;
     lanes;
     group = make_group nidx lanes;
     one = make_group nidx 1;
   }
-
-let bump_epoch env = env.epoch <- env.epoch + 1
 
 let ival env name =
   match List.assoc_opt name env.ivals with
@@ -87,17 +81,16 @@ let ival env name =
   | None -> raise (Compile_error ("unknown index " ^ name))
 
 (* Lane [l] of [g] takes the env's index values [ivals] (from the [k]-th
-   on), or gives them theirs when [into_env]; closure-free, since the
-   scalar entry and the tape run it per evaluation. *)
-let rec copy_ivals (g : lanes) l ~into_env k = function
+   on); closure-free, since the scalar entry runs it per evaluation. *)
+let rec copy_ivals (g : lanes) l k = function
   | [] -> ()
   | (_, r) :: rest ->
-    if into_env then r := g.iv.(k).(l) else g.iv.(k).(l) <- !r;
-    copy_ivals g l ~into_env (k + 1) rest
+    g.iv.(k).(l) <- !r;
+    copy_ivals g l (k + 1) rest
 
 (* Lane [l] of [g] takes the env's current index values. *)
 let lane_of_ivals env (g : lanes) l =
-  copy_ivals g l ~into_env:false 0 env.ivals;
+  copy_ivals g l 0 env.ivals;
   touch g
 
 (* What a compiled expression can reference. *)
@@ -756,389 +749,6 @@ let compile ?faces bindings e : compiled =
     (run_lanes lp env one).(0)
 
 (* ------------------------------------------------------------------ *)
-(* Tape compilation: flat register tape with CSE and invariant caching. *)
-(* ------------------------------------------------------------------ *)
-
-(* A lane program re-evaluates every node on every call.  A tape
-   lowers the expression into SSA form — op [i] writes register [i], in
-   producer-before-consumer order — which buys two things:
-
-   - common-subexpression elimination: structurally equal subtrees (e.g.
-     the advection speed "b . n" appearing in all three positions of an
-     upwind cond) lower to a single op;
-
-   - loop-invariant caching: each op carries a dependency signature
-     (constant / epoch / cell / specific index variables / face) unioned
-     over its subtree, and ops whose inputs did not change since the last
-     run keep their register value instead of re-executing.  Terms that
-     only depend on the outer loop variables are therefore hoisted out of
-     the inner loops at run time — the band loop does not re-evaluate
-     direction-only terms, the cell loop does not re-evaluate geometry.
-
-   Field and coefficient-array contents can mutate between traversals
-   (commit, post-step callbacks), so their loads also depend on an [epoch]
-   counter which executors bump once per traversal (see [bump_epoch];
-   Lower.iterate_dofs and friends call it).  Face-dependent ops (FACEAREA,
-   normals, neighbour reads — whose value also depends on slot/cell2 and
-   the ghost accessor) are never cached.
-
-   Evaluation order within Add/Mul and the special-cased powers replicate
-   the lane programs exactly, so tape results are bit-identical.  The
-   one semantic difference: [cond] evaluates both branches eagerly (float
-   arithmetic cannot trap, and boundary evaluation always runs under a
-   ghost accessor, so this is safe for every expressible program; an
-   index-shifted reference whose range safety depends on a cond guard
-   would need the lane programs, which range-check shifted reads). *)
-
-type top =
-  | Tleaf of compiled
-  | Tadd of int array
-  | Tmul of int array
-  | Trecip of int
-  | Tsq of int
-  | Tpow of int * int
-  | Tcall1 of (float -> float) * int
-  | Tcall2 of (float -> float -> float) * int * int
-  | Tcmp of (float -> float -> bool) * int * int
-  | Tcond of int * int * int
-
-type tsig = {
-  s_face : bool;           (* never cached *)
-  s_cell : bool;
-  s_epoch : bool;
-  s_ivars : string array;  (* sorted index-variable names *)
-}
-
-let sig_const = { s_face = false; s_cell = false; s_epoch = false; s_ivars = [||] }
-let sig_epoch = { sig_const with s_epoch = true }
-let sig_cell = { sig_const with s_cell = true }
-let sig_face = { sig_const with s_face = true }
-
-let sig_union a b =
-  {
-    s_face = a.s_face || b.s_face;
-    s_cell = a.s_cell || b.s_cell;
-    s_epoch = a.s_epoch || b.s_epoch;
-    s_ivars =
-      (if a.s_ivars = [||] then b.s_ivars
-       else if b.s_ivars = [||] then a.s_ivars
-       else
-         Array.of_list
-           (List.sort_uniq String.compare
-              (Array.to_list a.s_ivars @ Array.to_list b.s_ivars)));
-  }
-
-(* Per-signature cache state: the input snapshot the group's registers
-   were last computed against. *)
-type tgroup = {
-  g_sig : tsig;
-  mutable c_epoch : int;
-  mutable c_cell : int;
-  c_ivals : int array;            (* parallel to g_sig.s_ivars *)
-  mutable g_refs : int ref array; (* env index cells, resolved per env *)
-}
-
-type tape = {
-  t_ops : top array;
-  t_group_of : int array;  (* op index -> group index *)
-  t_groups : tgroup array;
-  t_regs : float array;
-  t_dirty : bool array;    (* per group, scratch *)
-  t_flops : float;         (* static post-CSE cost of one full evaluation *)
-  t_loads : int;
-  mutable t_env : env option;
-  mutable t_valid : bool;  (* false after a run that raised: registers are stale *)
-  mutable t_runs : int;
-  mutable t_exec : int;
-}
-
-let ivars_of_refs idx_refs =
-  List.filter_map
-    (function
-      | Expr.Iconst _ -> None
-      | Expr.Ivar n | Expr.Ishift (n, _) -> Some n)
-    idx_refs
-  |> List.sort_uniq String.compare |> Array.of_list
-
-(* Dependency signature of a leaf (Num/Sym/Ref), mirroring the access
-   each compiled leaf performs. *)
-let leaf_sig (bindings : bindings) (e : Expr.t) =
-  match e with
-  | Expr.Num _ -> sig_const
-  | Expr.Sym s -> (
-    match s with
-    | "dt" | "t" | "time" -> sig_epoch
-    | "pi" -> sig_const
-    | "x" | "y" | "z" | "VOLUME" -> sig_cell (* static mesh geometry *)
-    | "FACEAREA" -> sig_face
-    | s when String.length s > 7 && String.sub s 0 7 = "NORMAL_" -> sig_face
-    | s -> (
-      match List.assoc_opt s bindings with
-      | Some (Bcoef_const _) -> sig_const
-      | Some (Bcoef_fn _) -> sig_cell
-      | _ -> sig_epoch (* compile will raise; be conservative *)))
-  | Expr.Ref (name, idx_refs, side) -> (
-    match List.assoc_opt name bindings with
-    | Some (Bfield _) -> (
-      match side with
-      | Expr.Cell2 -> sig_face (* also covers cell2/nsign/ghost changes *)
-      | Expr.Here | Expr.Cell1 ->
-        { s_face = false; s_cell = true; s_epoch = true;
-          s_ivars = ivars_of_refs idx_refs })
-    | Some (Bcoef_arr _) -> (
-      match idx_refs with
-      | [ Expr.Iconst _ ] -> sig_const (* compile bakes the value in *)
-      | _ -> { sig_epoch with s_ivars = ivars_of_refs idx_refs })
-    | Some (Bcoef_const _) -> sig_const
-    | Some (Bcoef_fn _) -> sig_cell
-    | None -> sig_epoch (* compile will raise *))
-  | _ -> invalid_arg "leaf_sig: not a leaf"
-
-let compile_tape ?faces (bindings : bindings) (e : Expr.t) : tape =
-  let ops = ref [] and sigs = ref [] and nops = ref 0 in
-  let flops = ref 0. and loads = ref 0 in
-  let memo : (Expr.t, int) Hashtbl.t = Hashtbl.create 64 in
-  let emit op s =
-    let id = !nops in
-    ops := op :: !ops;
-    sigs := s :: !sigs;
-    incr nops;
-    id
-  in
-  let leaf e =
-    (match e with
-     | Expr.Ref _ -> incr loads
-     | Expr.Sym s when String.length s > 7 && String.sub s 0 7 = "NORMAL_" ->
-       incr loads
-     | _ -> ());
-    emit (Tleaf (compile ?faces bindings e)) (leaf_sig bindings e)
-  in
-  let sig_of id = List.nth !sigs (!nops - 1 - id) in
-  let union_of ids = List.fold_left (fun s i -> sig_union s (sig_of i)) sig_const ids in
-  let rec go (e : Expr.t) =
-    match Hashtbl.find_opt memo e with
-    | Some id -> id
-    | None ->
-      let id =
-        match e with
-        | Expr.Num _ | Expr.Sym _ | Expr.Ref _ -> leaf e
-        | Expr.Add es ->
-          let ids = List.map go es in
-          flops := !flops +. float_of_int (List.length es - 1);
-          emit (Tadd (Array.of_list ids)) (union_of ids)
-        | Expr.Mul es ->
-          let ids = List.map go es in
-          flops := !flops +. float_of_int (List.length es - 1);
-          emit (Tmul (Array.of_list ids)) (union_of ids)
-        | Expr.Pow (a, Expr.Num x) when Float.equal x (-1.) ->
-          let ia = go a in
-          flops := !flops +. 4.;
-          emit (Trecip ia) (sig_of ia)
-        | Expr.Pow (a, Expr.Num x) when Float.equal x 2. ->
-          let ia = go a in
-          flops := !flops +. 4.;
-          emit (Tsq ia) (sig_of ia)
-        | Expr.Pow (a, b) ->
-          let ia = go a in
-          let ib = go b in
-          flops := !flops +. 4.;
-          emit (Tpow (ia, ib)) (union_of [ ia; ib ])
-        | Expr.Call (("min" | "max") as name, [ a; b ]) ->
-          let ia = go a in
-          let ib = go b in
-          let f = if name = "min" then Float.min else Float.max in
-          flops := !flops +. 1.;
-          emit (Tcall2 (f, ia, ib)) (union_of [ ia; ib ])
-        | Expr.Call (name, args) ->
-          let f, weight =
-            match name with
-            | "sin" -> sin, 8.
-            | "cos" -> cos, 8.
-            | "tan" -> tan, 8.
-            | "exp" -> exp, 8.
-            | "log" -> log, 8.
-            | "sqrt" -> sqrt, 8.
-            | "abs" -> Float.abs, 1.
-            | "sinh" -> sinh, 8.
-            | "cosh" -> cosh, 8.
-            | "tanh" -> tanh, 8.
-            | _ ->
-              raise
-                (Compile_error
-                   (Printf.sprintf
-                      "unresolved call %s/%d (operators must be expanded \
-                       before compilation)"
-                      name (List.length args)))
-          in
-          (match args with
-           | [ a ] ->
-             let ia = go a in
-             flops := !flops +. weight;
-             emit (Tcall1 (f, ia)) (sig_of ia)
-           | _ -> raise (Compile_error (name ^ " expects one argument")))
-        | Expr.Cmp (op, a, b) ->
-          let ia = go a in
-          let ib = go b in
-          let test =
-            match op with
-            | Expr.Gt -> fun x y -> x > y
-            | Expr.Ge -> fun x y -> x >= y
-            | Expr.Lt -> fun x y -> x < y
-            | Expr.Le -> fun x y -> x <= y
-            | Expr.Eq -> fun x y -> Float.equal x y
-            | Expr.Ne -> fun x y -> not (Float.equal x y)
-          in
-          flops := !flops +. 1.;
-          emit (Tcmp (test, ia, ib)) (union_of [ ia; ib ])
-        | Expr.Cond (c, t, el) ->
-          let ic = go c in
-          let it = go t in
-          let ie = go el in
-          emit (Tcond (ic, it, ie)) (union_of [ ic; it; ie ])
-      in
-      Hashtbl.replace memo e id;
-      id
-  in
-  let _root = go e in
-  let ops = Array.of_list (List.rev !ops) in
-  let sigs = Array.of_list (List.rev !sigs) in
-  (* group ops by signature *)
-  let groups = ref [] and ngroups = ref 0 in
-  let group_of =
-    Array.map
-      (fun s ->
-        match
-          List.find_opt (fun (_, s') -> s = s') !groups
-        with
-        | Some (gi, _) -> gi
-        | None ->
-          let gi = !ngroups in
-          groups := (gi, s) :: !groups;
-          incr ngroups;
-          gi)
-      sigs
-  in
-  let groups =
-    Array.init !ngroups (fun gi ->
-        let s = List.assoc gi !groups in
-        {
-          g_sig = s;
-          c_epoch = min_int;
-          c_cell = min_int;
-          c_ivals = Array.make (Array.length s.s_ivars) min_int;
-          g_refs = [||];
-        })
-  in
-  {
-    t_ops = ops;
-    t_group_of = group_of;
-    t_groups = groups;
-    t_regs = Array.make (Array.length ops) 0.;
-    t_dirty = Array.make !ngroups true;
-    t_flops = !flops;
-    t_loads = !loads;
-    t_env = None;
-    t_valid = false;
-    t_runs = 0;
-    t_exec = 0;
-  }
-
-let tape_run (t : tape) (env : env) : float =
-  let groups = t.t_groups in
-  (* bind to the env on first use (or env change): resolve index cells and
-     force a full evaluation *)
-  let fresh =
-    match t.t_env with
-    | Some e when e == env && t.t_valid -> false
-    | _ ->
-      t.t_env <- Some env;
-      Array.iter
-        (fun g -> g.g_refs <- Array.map (fun n -> ival env n) g.g_sig.s_ivars)
-        groups;
-      true
-  in
-  (* a leaf that raises (a shifted read past the range, a read across a
-     boundary face with no ghost) leaves registers unwritten that the
-     cache state below already claims: the next run starts fresh *)
-  t.t_valid <- false;
-  for gi = 0 to Array.length groups - 1 do
-    let g = groups.(gi) in
-    let s = g.g_sig in
-    let dirty =
-      fresh || s.s_face
-      || (s.s_epoch && g.c_epoch <> env.epoch)
-      || (s.s_cell && g.c_cell <> env.cell)
-      ||
-      let n = Array.length g.g_refs in
-      let rec changed i = i < n && (!(g.g_refs.(i)) <> g.c_ivals.(i) || changed (i + 1)) in
-      changed 0
-    in
-    if dirty then begin
-      g.c_epoch <- env.epoch;
-      g.c_cell <- env.cell;
-      Array.iteri (fun i r -> g.c_ivals.(i) <- !r) g.g_refs
-    end;
-    t.t_dirty.(gi) <- dirty
-  done;
-  let ops = t.t_ops and regs = t.t_regs and gof = t.t_group_of in
-  let dirty = t.t_dirty in
-  (* interpreter inner loop: indices are constructed in-range, so use
-     unchecked accesses *)
-  let reg j = Array.unsafe_get regs j in
-  let nexec = ref 0 in
-  for i = 0 to Array.length ops - 1 do
-    if Array.unsafe_get dirty (Array.unsafe_get gof i) then begin
-      incr nexec;
-      Array.unsafe_set regs i
-        (match Array.unsafe_get ops i with
-         | Tleaf f -> f env
-         | Tadd js ->
-           let s = ref 0. in
-           for k = 0 to Array.length js - 1 do
-             s := !s +. reg (Array.unsafe_get js k)
-           done;
-           !s
-         | Tmul js ->
-           let s = ref 1. in
-           for k = 0 to Array.length js - 1 do
-             s := !s *. reg (Array.unsafe_get js k)
-           done;
-           !s
-         | Trecip j -> 1. /. reg j
-         | Tsq j ->
-           let v = reg j in
-           v *. v
-         | Tpow (a, b) -> Float.pow (reg a) (reg b)
-         | Tcall1 (f, a) -> f (reg a)
-         | Tcall2 (f, a, b) -> f (reg a) (reg b)
-         | Tcmp (test, a, b) -> if test (reg a) (reg b) then 1. else 0.
-         | Tcond (c, th, el) -> if reg c <> 0. then reg th else reg el)
-    end
-  done;
-  t.t_valid <- true;
-  t.t_runs <- t.t_runs + 1;
-  t.t_exec <- t.t_exec + !nexec;
-  regs.(Array.length ops - 1)
-
-(* The tape as a program over one-lane groups: the env's index cells,
-   which the tape reads, take the lane's values first. *)
-let tape_program (t : tape) : program =
-  let out = [| 0. |] in
-  fun env ->
-    let g = env.group in
-    if g.n <> 1 then invalid_arg "Eval.tape_program: a tape evaluates one lane";
-    copy_ivals g 0 ~into_env:true 0 env.ivals;
-    out.(0) <- tape_run t env;
-    out
-let tape_length (t : tape) = Array.length t.t_ops
-let tape_runs (t : tape) = t.t_runs
-let tape_executed (t : tape) = t.t_exec
-
-let tape_reset_stats (t : tape) =
-  t.t_runs <- 0;
-  t.t_exec <- 0
-
-(* ------------------------------------------------------------------ *)
 (* Static cost estimation for the roofline model.                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -1162,9 +772,3 @@ let cost e =
   in
   Expr.fold count () e;
   { flops = !flops; loads = !loads }
-
-(* Post-CSE cost of one full tape evaluation: same per-op weights as
-   [cost], but duplicate subtrees are only counted once.  The run-time op
-   skip rate ([tape_executed] / ([tape_runs] * [tape_length])) refines
-   this further. *)
-let tape_cost (t : tape) = { flops = t.t_flops; loads = t.t_loads }

@@ -53,11 +53,7 @@ type env = {
     (** boundary ghost accessor: variable name -> lane -> component ->
         value *)
   ivals : (string * int ref) list;
-    (** current 0-based index values: what {!compile}'s one lane and the
-        tape read *)
-  mutable epoch : int;
-    (** traversal counter; executors bump it once per DOF traversal so tape
-        evaluation knows mutable inputs (fields, dt, time) may have changed *)
+    (** current 0-based index values: what {!compile}'s one lane reads *)
   lanes : int;  (** lanes a group may hold; sizes every program's scratch *)
   group : lanes;  (** the current lane group, written by the executor *)
   one : lanes;  (** {!compile}'s one-lane group *)
@@ -67,12 +63,6 @@ val make_env :
   lanes:int -> mesh:Fvm.Mesh.t -> dt:float ref -> time:float ref ->
   index_names:string list -> env
 (** An env whose groups hold at most [lanes] lanes (1 to {!max_lanes}). *)
-
-val bump_epoch : env -> unit
-
-val lane_of_ivals : env -> lanes -> int -> unit
-(** [lane_of_ivals env g l]: lane [l] of [g] takes the env's current
-    index values ([ivals]), and [g] is touched. *)
 
 val ival : env -> string -> int ref
 (** The mutable cell holding an index's current value; raises
@@ -141,50 +131,8 @@ val compile : ?faces:faces -> bindings -> Finch_symbolic.Expr.t -> compiled
 (** The scalar entry: {!program} run on one lane holding the env's
     current index values ([ivals]).  Raises like {!program} and {!run}. *)
 
-(** {2 Tape compilation}
-
-    [compile_tape] lowers the expression to a flat register tape (SSA op
-    array evaluated over a preallocated float array) with
-    common-subexpression elimination; at run time, ops whose inputs
-    (epoch / cell / index variables) did not change since the previous
-    call keep their register value, hoisting loop-invariant subterms out
-    of the inner loops.  Results are bit-identical to the lane
-    programs.  A tape holds mutable cache state: use one tape per
-    state/env, not shared across domains. *)
-
-type tape
-
-val compile_tape : ?faces:faces -> bindings -> Finch_symbolic.Expr.t -> tape
-(** Raises {!Compile_error} like {!compile}.  Leaves are one-node
-    programs reading [faces] as {!program} does; a staged test still runs
-    as tape ops. *)
-
-val tape_run : tape -> env -> float
-
-val tape_program : tape -> program
-(** The tape as a program over one-lane groups ({!run} rejects any
-    other): the env's index cells take the lane's values, then the tape
-    runs. *)
-
-val tape_length : tape -> int
-(** Total ops in the tape (post-CSE). *)
-
-val tape_runs : tape -> int
-(** Number of [tape_run] calls since the last reset. *)
-
-val tape_executed : tape -> int
-(** Cumulative ops actually executed (cache misses) since the last
-    reset; [tape_executed / (tape_runs * tape_length)] is the dynamic
-    evaluation ratio. *)
-
-val tape_reset_stats : tape -> unit
-
 type cost = { flops : float; loads : int }
 
 val cost : Finch_symbolic.Expr.t -> cost
 (** Static per-evaluation FLOP and load-count estimate, consumed by the
     GPU roofline model. *)
-
-val tape_cost : tape -> cost
-(** Post-CSE static cost of one full tape evaluation, with the same
-    per-op weights as {!cost}. *)

@@ -40,10 +40,10 @@ type rankinfo = {
 let serial_rankinfo = { rank = 0; nranks = 1; owned_cells = None; index_ranges = [] }
 
 (* Generated-code entry points for one state (lib/codegen).  When
-   present, [sweep]/[sweep_cells]/[commit]/[dof_rhs_interior]/
-   [update_interior] dispatch to them instead of the interpreter; the
-   generated bodies are bit-identical by construction, so every executor
-   schedule composes unchanged. *)
+   present, [sweep]/[sweep_cells]/[commit]/[update_interior] dispatch to
+   them instead of the interpreter; the generated bodies are
+   bit-identical by construction, so every executor schedule composes
+   unchanged. *)
 type native_entry = {
   n_sweep : int array option -> unit;
   n_commit : int array option -> unit;
@@ -85,8 +85,6 @@ type state = {
   rvol : Eval.program;
   rsurf : Eval.program;
   lanes : lanebuf;
-  comp_index : (int ref * int) array;
-    (* per index of the unknown, first fastest: its env cell and extent *)
   ucomp : unit -> int;       (* component of the unknown at current ivals *)
   face_bc : bc_resolved option array; (* indexed by face id; None on interior *)
   staged : (int -> float) array Lazy.t;
@@ -100,9 +98,6 @@ type state = {
   loops : loop_entry list;
   (* -d(rvol)/du, compiled lazily (used by the point-implicit stepper) *)
   rvol_du : Eval.program Lazy.t;
-  (* tape handles behind rvol/rsurf when eval_mode = Tape, for op
-     statistics; empty in closure mode *)
-  tapes : (string * Eval.tape) list;
   (* generated entry points, installed by the native-codegen hook when
      eval_mode = Native and emission/compilation succeeded *)
   mutable native : native_entry option;
@@ -524,24 +519,10 @@ let make_lanebuf (env : Eval.env) ~fields (uvar : Entity.variable) ~tuples =
     tup_comp }
 
 (* Lanes per group: one kernel block at most, and no more than a cell's
-   owned DOFs; one in tape mode, whose caches follow the loop order one
-   DOF at a time. *)
-let lane_count (p : Problem.t) (uvar : Entity.variable) tup_comp =
-  match p.Problem.eval_mode with
-  | Config.Tape -> 1
-  | Config.Closure | Config.Native ->
-    max 1
-      (min Eval.max_lanes
-         (max (Array.length tup_comp) (Entity.var_ncomp uvar)))
-
-let compile_rhs (p : Problem.t) ~faces bindings name e =
-  match p.Problem.eval_mode with
-  (* Native compiles the programs too: they are the fallback and serve
-     the expression boundary terms the generated code calls back into *)
-  | Config.Closure | Config.Native -> Eval.program ~faces bindings e, None
-  | Config.Tape ->
-    let t = Eval.compile_tape ~faces bindings e in
-    Eval.tape_program t, Some (name, t)
+   owned DOFs. *)
+let lane_count (uvar : Entity.variable) tup_comp =
+  max 1
+    (min Eval.max_lanes (max (Array.length tup_comp) (Entity.var_ncomp uvar)))
 
 let rec build ?(info = serial_rankinfo) ?share_with ?(private_clock = false)
     ?faces (p : Problem.t) : state =
@@ -624,20 +605,19 @@ let rec build ?(info = serial_rankinfo) ?share_with ?(private_clock = false)
   in
   let tuples = cell_tuples ~index_names ~loops ~info uvar in
   let env =
-    Eval.make_env ~lanes:(lane_count p uvar (snd tuples)) ~mesh ~dt ~time
+    Eval.make_env ~lanes:(lane_count uvar (snd tuples)) ~mesh ~dt ~time
       ~index_names
   in
-  let compile_rhs = compile_rhs p ~faces bindings in
-  let rvol, rvol_t = compile_rhs "rvol" eq.Transform.rvol in
-  let rsurf, rsurf_t = compile_rhs "rsurf" eq.Transform.rsurf in
-  let tapes = List.filter_map Fun.id [ rvol_t; rsurf_t ] in
-  let rvol_du =
-    lazy (fst (compile_rhs "rvol_du" (Transform.rvol_linearization eq)))
-  in
-  let comp_index = comp_index env uvar in
+  (* native mode compiles the programs too: they are the fallback and
+     serve the expression boundary terms the generated code calls back
+     into *)
+  let compile = Eval.program ~faces bindings in
+  let rvol = compile eq.Transform.rvol in
+  let rsurf = compile eq.Transform.rsurf in
+  let rvol_du = lazy (compile (Transform.rvol_linearization eq)) in
   (* resolve boundary conditions into a per-face table, every callback
      face staged now, so a failing stage stops the build *)
-  let face_bc = resolve_bcs p mesh ~compile:(Eval.program ~faces bindings) uvar in
+  let face_bc = resolve_bcs p mesh ~compile uvar in
   let staged = Lazy.from_val (stage_faces p mesh fields face_bc) in
   let st =
     {
@@ -654,8 +634,7 @@ let rec build ?(info = serial_rankinfo) ?share_with ?(private_clock = false)
       rvol;
       rsurf;
       lanes = make_lanebuf env ~fields uvar ~tuples;
-      comp_index;
-      ucomp = ucomp_of comp_index;
+      ucomp = ucomp_of (comp_index env uvar);
       face_bc;
       staged;
       time;
@@ -665,7 +644,6 @@ let rec build ?(info = serial_rankinfo) ?share_with ?(private_clock = false)
       breakdown = Prt.Breakdown.zero ();
       loops;
       rvol_du;
-      tapes;
       native = None;
     }
   in
@@ -691,18 +669,14 @@ and apply_initial_conditions st =
   (* the double buffer starts as a copy so untouched comps stay coherent *)
   Fvm.Field.blit ~src:st.u ~dst:st.u_new
 
-(* Run [f] for every (cell x index) combination in the configured loop
-   order, with the cell loop drawn from [cells] ([None] = every mesh
-   cell).  [f] is called with loop state already set in [st.env]. *)
-let iterate_dofs_cells st ~cells (f : unit -> unit) =
+(* Run [f] for every owned (cell x index) combination in the configured
+   loop order.  [f] is called with loop state already set in [st.env]. *)
+let iterate_dofs st (f : unit -> unit) =
   let env = st.env in
-  (* mutable inputs (fields, dt, time) may have changed since the last
-     traversal: invalidate tape caches *)
-  Eval.bump_epoch env;
   let rec go = function
     | [] -> f ()
     | Over_cells :: rest ->
-      (match cells with
+      (match st.info.owned_cells with
        | None ->
          for c = 0 to st.mesh.Fvm.Mesh.ncells - 1 do
            env.Eval.cell <- c;
@@ -722,9 +696,6 @@ let iterate_dofs_cells st ~cells (f : unit -> unit) =
       done
   in
   go st.loops
-
-(* Run [f] for every owned (cell x index) combination. *)
-let iterate_dofs st f = iterate_dofs_cells st ~cells:st.info.owned_cells f
 
 (* ---- Lane groups ---------------------------------------------------- *)
 
@@ -751,50 +722,34 @@ let set_group st cell comps off n =
   done;
   Eval.touch g
 
-(* The one-lane group of the DOF at the env's cell and index values. *)
-let group_of_env st =
-  let env = st.env in
-  let g = env.Eval.group in
-  g.Eval.n <- 1;
-  Eval.lane_of_ivals env g 0;
-  st.lanes.comp.(0) <- st.ucomp ()
-
 (* Run [f] on every lane group of the owned DOFs of [cells] ([None] =
    every mesh cell): per cell, its owned index tuples in slices of at most
-   the env's lanes.  Tape mode goes one DOF at a time in the configured
-   loop order, which its caches follow. *)
+   the env's lanes. *)
 let iterate_groups_cells st ~cells (f : unit -> unit) =
-  match st.p.Problem.eval_mode with
-  | Config.Tape ->
-    iterate_dofs_cells st ~cells (fun () ->
-        group_of_env st;
-        f ())
-  | Config.Closure | Config.Native ->
-    let env = st.env and lb = st.lanes in
-    Eval.bump_epoch env;
-    let g = env.Eval.group in
-    let ntup = Array.length lb.tup_comp and cap = env.Eval.lanes in
-    let per_cell c =
-      env.Eval.cell <- c;
-      let off = ref 0 in
-      while !off < ntup do
-        let n = min cap (ntup - !off) in
-        g.Eval.n <- n;
-        for p = 0 to Array.length g.Eval.iv - 1 do
-          Array.blit lb.tup_iv.(p) !off g.Eval.iv.(p) 0 n
-        done;
-        Array.blit lb.tup_comp !off lb.comp 0 n;
-        Eval.touch g;
-        f ();
-        off := !off + n
-      done
-    in
-    (match cells with
-     | None ->
-       for c = 0 to st.mesh.Fvm.Mesh.ncells - 1 do
-         per_cell c
-       done
-     | Some cs -> Array.iter per_cell cs)
+  let env = st.env and lb = st.lanes in
+  let g = env.Eval.group in
+  let ntup = Array.length lb.tup_comp and cap = env.Eval.lanes in
+  let per_cell c =
+    env.Eval.cell <- c;
+    let off = ref 0 in
+    while !off < ntup do
+      let n = min cap (ntup - !off) in
+      g.Eval.n <- n;
+      for p = 0 to Array.length g.Eval.iv - 1 do
+        Array.blit lb.tup_iv.(p) !off g.Eval.iv.(p) 0 n
+      done;
+      Array.blit lb.tup_comp !off lb.comp 0 n;
+      Eval.touch g;
+      f ();
+      off := !off + n
+    done
+  in
+  match cells with
+  | None ->
+    for c = 0 to st.mesh.Fvm.Mesh.ncells - 1 do
+      per_cell c
+    done
+  | Some cs -> Array.iter per_cell cs
 
 let iterate_groups st f = iterate_groups_cells st ~cells:st.info.owned_cells f
 
@@ -903,25 +858,6 @@ let advance_group st =
     let c = lb.comp.(l) in
     let v = Bigarray.Array1.unsafe_get ud (elt st.u cell c) +. (dt *. lb.rhs.(l)) in
     Bigarray.Array1.unsafe_set nd (elt st.u_new cell c) v
-  done
-
-(* The per-DOF conservation-form update (forward Euler form) of the DOF
-   at the env's cell and index values, as a one-lane group.  Returns the
-   updated value but does not store it. *)
-let dof_rhs st =
-  group_of_env st;
-  rhs st ~with_bc:true;
-  st.lanes.rhs.(0)
-
-(* Decompose a flat component id of the unknown into per-index values
-   (first declared index fastest) and store them in the env. *)
-let set_ivals_of_comp st comp =
-  let ix = st.comp_index in
-  let c = ref comp in
-  for k = 0 to Array.length ix - 1 do
-    let r, ext = ix.(k) in
-    r := !c mod ext;
-    c := !c / ext
   done
 
 (* The slot of face [f] in [cell]. *)
@@ -1098,11 +1034,7 @@ let rebind (base : state) ~fields ~u_new =
     Eval.make_env ~lanes:base.env.Eval.lanes ~mesh ~dt:base.dt ~time:base.time
       ~index_names
   in
-  let compile_rhs = compile_rhs p ~faces:base.faces bindings in
-  let rvol, rvol_t = compile_rhs "rvol" base.eq.Transform.rvol in
-  let rsurf, rsurf_t = compile_rhs "rsurf" base.eq.Transform.rsurf in
-  let tapes = List.filter_map Fun.id [ rvol_t; rsurf_t ] in
-  let comp_index = comp_index env base.uvar in
+  let compile = Eval.program ~faces:base.faces bindings in
   let st' =
     {
       base with
@@ -1111,17 +1043,14 @@ let rebind (base : state) ~fields ~u_new =
       u_new;
       env;
       bindings;
-      rvol;
-      rsurf;
+      rvol = compile base.eq.Transform.rvol;
+      rsurf = compile base.eq.Transform.rsurf;
       lanes =
         make_lanebuf env ~fields base.uvar
           ~tuples:(base.lanes.tup_iv, base.lanes.tup_comp);
-      comp_index;
-      ucomp = ucomp_of comp_index;
+      ucomp = ucomp_of (comp_index env base.uvar);
       staged = lazy (stage_faces p mesh fields base.face_bc);
-      rvol_du =
-        lazy (fst (compile_rhs "rvol_du" (Transform.rvol_linearization base.eq)));
-      tapes;
+      rvol_du = lazy (compile (Transform.rvol_linearization base.eq));
       (* own accounting: sharing base's mutable breakdown record would make
          aggregators that sum both states double-count every phase *)
       breakdown = Prt.Breakdown.zero ();
@@ -1131,17 +1060,6 @@ let rebind (base : state) ~fields ~u_new =
   in
   attach_native st';
   st'
-
-(* Volume term plus interior-face fluxes only, of the DOF at the env's
-   cell and index values; boundary faces contribute nothing (the CPU adds
-   their part separately in the hybrid schedule). *)
-let dof_rhs_interior st =
-  match st.native with
-  | Some n -> n.n_dof_interior st.env.Eval.cell (st.ucomp ())
-  | None ->
-    group_of_env st;
-    rhs st ~with_bc:false;
-    st.lanes.rhs.(0)
 
 (* The hybrid schedule's interior update of [cell]'s components
    [comps.(off) .. comps.(off + len - 1)]: u_new <- u + dt * (volume term
@@ -1171,9 +1089,9 @@ let update_interior st cell comps off len =
    and each of [comps] into [into].  Used by the hybrid target's CPU
    side, which reads back only the rank's own components. *)
 let boundary_contributions st ~comps ~into =
-  Eval.bump_epoch st.env; (* fields changed since the last traversal *)
   let mesh = st.mesh in
   let dt = !(st.dt) in
+  let acc = Fvm.Field.raw into in
   Array.iter
     (fun f ->
       match st.face_bc.(f) with
@@ -1187,7 +1105,8 @@ let boundary_contributions st ~comps ~into =
               dt *. mesh.Fvm.Mesh.face_area.(f) *. g
               /. mesh.Fvm.Mesh.cell_volume.(cell)
             in
-            Fvm.Field.set into cell comp (Fvm.Field.get into cell comp +. dv))
+            let e = elt into cell comp in
+            Bigarray.Array1.unsafe_set acc e (Bigarray.Array1.unsafe_get acc e +. dv))
           comps)
     mesh.Fvm.Mesh.boundary_faces
 
@@ -1211,14 +1130,6 @@ let set_combination st ~base ~a ~k =
       let c = st.ucomp () in
       Fvm.Field.set st.u cell c
         (Fvm.Field.get base cell c +. (a *. Fvm.Field.get k cell c)))
-
-(* The surface part of R only, of the DOF at the env's cell and index
-   values: (1/V) sum over faces of area * rsurf with boundary conditions
-   applied — [dof_rhs] minus the volume term. *)
-let dof_flux st =
-  group_of_env st;
-  surface st ~with_bc:true;
-  st.lanes.flux.(0) /. st.mesh.Fvm.Mesh.cell_volume.(st.env.Eval.cell)
 
 (* Point-implicit sweep: relaxation-type volume terms treated implicitly
    via the symbolic linearization b = -d(rvol)/du, advection explicit:

@@ -6,10 +6,9 @@
 
     The interpreter evaluates a lane group at a time: one cell's owned
     components, at most the env's [lanes] of them ({!Eval.max_lanes} at
-    most, one in tape mode).  The slot loop behind {!dof_rhs},
-    {!dof_rhs_interior}, {!dof_flux}, {!update_interior} and the sweeps
-    runs each face's integrand once per group, and every lane
-    accumulates its own flux sum in face order. *)
+    most).  The slot loop behind {!update_interior}, {!boundary_value}
+    and the sweeps runs each face's integrand once per group, and every
+    lane accumulates its own flux sum in face order. *)
 
 exception Lower_error of string
 
@@ -43,7 +42,7 @@ val serial_rankinfo : rankinfo
 (** Generated-code entry points for one state: whole loop bodies emitted
     by [Emit_source.to_ocaml], compiled and bound by lib/codegen.  When a
     state carries one, {!sweep}/{!sweep_cells}/{!commit}/
-    {!dof_rhs_interior}/{!update_interior} dispatch to it instead of the
+    {!update_interior} dispatch to it instead of the
     interpreter; the generated bodies are bit-identical by construction,
     so every executor schedule composes unchanged. *)
 type native_entry = {
@@ -76,9 +75,6 @@ type state = {
   rvol : Eval.program;
   rsurf : Eval.program;   (** reads [faces] (see {!Eval.program}) *)
   lanes : lanebuf;
-  comp_index : (int ref * int) array;
-      (** per index of the unknown, first declared fastest: the env cell
-          holding its value and its extent, resolved once per state *)
   ucomp : unit -> int;   (** component of the unknown at current ivals *)
   face_bc : bc_resolved option array;
       (** per face id; [None] on interior and unconstrained faces *)
@@ -95,9 +91,6 @@ type state = {
   loops : loop_entry list;
   rvol_du : Eval.program Lazy.t;
     (** -d(rvol)/du, compiled lazily for the point-implicit stepper *)
-  tapes : (string * Eval.tape) list;
-    (** tape handles behind rvol/rsurf ("rvol"/"rsurf") when the
-        problem's eval_mode is Tape, for op statistics; empty otherwise *)
   mutable native : native_entry option;
     (** generated entry points, set by the {!native_hook} when the
         problem's eval_mode is Native and codegen succeeded *)
@@ -186,20 +179,14 @@ val iterate_dofs : state -> (unit -> unit) -> unit
 (** Run a thunk for every owned (cell x index) combination in the
     configured loop order; loop state is set in [state.env]. *)
 
-val dof_rhs : state -> float
-(** R = rvol + (1/V) Σ_faces area·rsurf at the DOF of the env's cell and
-    index values, boundary conditions applied (unconstrained boundary
-    faces contribute zero), evaluated as a one-lane group.  The face sum
-    is one loop over the cell's slots of [faces]; every interpreter path
-    shares it. *)
-
 val boundary_value : state -> int -> int -> int -> float
 (** [boundary_value st face cell comp]: the boundary term of [face]
     (owned by [cell]) for component [comp] of the unknown, 0 without a
     condition.  A callback flux face calls its staged function directly;
     expression and Dirichlet conditions evaluate as a one-lane group
-    under the env {!dof_rhs} would set (Dirichlet specs evaluate rsurf
-    under a ghost accessor).  The native-codegen binding's [bc_term]. *)
+    under the env the sweeps set at that face (Dirichlet specs evaluate
+    rsurf under a ghost accessor).  The native-codegen binding's
+    [bc_term]. *)
 
 val gather_fields : into:state -> state array -> unit
 (** [gather_fields ~into states] writes every variable's owned cells and
@@ -233,10 +220,6 @@ val run_post_step : state -> allreduce:(float array -> unit) -> unit
 
 (** {2 Hybrid GPU-target support} *)
 
-val set_ivals_of_comp : state -> int -> unit
-(** Decompose a flat component id of the unknown into index values,
-    through the state's [comp_index] (no lookup by name). *)
-
 val rebind :
   state -> fields:(string * Fvm.Field.t) list -> u_new:Fvm.Field.t -> state
 (** A state whose programs read/write the given (device-view) storage,
@@ -246,11 +229,6 @@ val rebind :
     the state's first boundary evaluation: a state that never evaluates a
     boundary (a device mirror) stages nothing.  Expression conditions
     keep the base's programs (run on the same domain as the base's). *)
-
-val dof_rhs_interior : state -> float
-(** Like {!dof_rhs} but interior faces only (the kernel's part; the CPU
-    adds boundary contributions separately); the native kernel's entry
-    when the state has one. *)
 
 val update_interior : state -> int -> int array -> int -> int -> unit
 (** [update_interior st cell comps off len], the GPU thread body of a
@@ -267,15 +245,14 @@ val boundary_contributions :
 (** {2 Runge-Kutta stages (serial executor)} *)
 
 val sweep_rhs : state -> into:Fvm.Field.t -> unit
-(** Write R (as {!dof_rhs}) of every owned DOF of the current unknown
-    into [into]: one Runge-Kutta stage derivative. *)
+(** Write R = rvol + (1/V) Σ_faces area·rsurf, boundary conditions
+    applied (unconstrained boundary faces contribute zero), of every
+    owned DOF of the current unknown into [into]: one Runge-Kutta stage
+    derivative. *)
 
 val set_combination : state -> base:Fvm.Field.t -> a:float -> k:Fvm.Field.t -> unit
 (** Set the unknown's owned DOFs to [base + a * k]: the intermediate
     state a Runge-Kutta stage evaluates at. *)
-
-val dof_flux : state -> float
-(** The surface part of R only (boundary conditions applied). *)
 
 val sweep_point_implicit : state -> unit
 (** Relaxation treated implicitly via the symbolic linearization,

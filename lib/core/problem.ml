@@ -90,8 +90,8 @@ type t = {
   mutable equations : Transform.equation list;
   mutable loop_order : string list option; (* e.g. ["b"; "elements"; "d"] *)
   mutable eval_mode : Config.eval_mode;
-    (* how lowered right-hand sides execute; Tape (the optimizing
-       register-tape evaluator) unless overridden *)
+    (* how lowered right-hand sides execute; the lane interpreter
+       (Closure) unless overridden *)
   mutable overlap : bool;
     (* overlap communication with computation where the target has
        point-to-point messages or transfers (cell-parallel halo
@@ -144,7 +144,9 @@ let use_cuda ?(spec = Gpu_sim.Spec.a6000) ?(devices = 1) ?(ranks = 1) p =
   p.target <- Config.Gpu { spec; devices; ranks }
 
 let set_target p t = p.target <- t
-let set_eval_mode p m = p.eval_mode <- m
+let set_eval_mode p = function
+  | Config.Tape -> raise (Problem_error Config.tape_removed)
+  | m -> p.eval_mode <- m
 let set_overlap p v = p.overlap <- v
 let set_opt_level p l = p.opt_level <- l
 

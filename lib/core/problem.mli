@@ -157,8 +157,9 @@ val set_target : t -> Config.target -> unit
     target, or [Auto] for the tuner to resolve first. *)
 
 val set_eval_mode : t -> Config.eval_mode -> unit
-(** Select the right-hand-side evaluator: the plain closure tree
-    (default), the optimizing register tape, or generated native code. *)
+(** Select the right-hand-side evaluator: the lane interpreter
+    ([Closure], the default) or generated native code.  Raises
+    {!Problem_error} on the retired [Config.Tape]. *)
 
 val set_overlap : t -> bool -> unit
 (** Enable communication/computation overlap: cell ranks wait for their

@@ -10,26 +10,11 @@ type outcome = {
   states : Lower.state array;
 }
 
-(* Post-solve metrics: steps taken and, for tape-mode runs, the dynamic
-   op savings derivable from the tape counters (recorded once here rather
-   than per-DOF in the hot path). *)
+(* Post-solve metrics: the steps taken. *)
 let m_steps = Prt.Metrics.counter "solve.steps"
-let m_tape_skipped = Prt.Metrics.counter "tape.ops_skipped"
 
-let record_solve_metrics (p : Problem.t) states =
-  if Prt.Metrics.enabled () then begin
-    Prt.Metrics.add m_steps p.Problem.nsteps;
-    Array.iter
-      (fun (st : Lower.state) ->
-        List.iter
-          (fun (_, t) ->
-            let skipped =
-              (Eval.tape_runs t * Eval.tape_length t) - Eval.tape_executed t
-            in
-            Prt.Metrics.add m_tape_skipped skipped)
-          st.Lower.tapes)
-      states
-  end
+let record_solve_metrics (p : Problem.t) =
+  if Prt.Metrics.enabled () then Prt.Metrics.add m_steps p.Problem.nsteps
 
 (* Only the serial target runs multi-stage and point-implicit steps.  The
    other bodies sweep and commit, which is forward Euler, and band ranks,
@@ -89,7 +74,7 @@ let solve (p : Problem.t) =
           gpu = Option.map (fun g -> { g with Target_gpu.breakdown }) gpu;
           states })
   in
-  record_solve_metrics p outcome.states;
+  record_solve_metrics p;
   outcome
 
 let field outcome name =

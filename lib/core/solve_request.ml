@@ -40,6 +40,7 @@ let validate r =
   in
   let* () = pos_opt "t_hot" r.t_hot in
   let* () = pos_opt "t_cold" r.t_cold in
+  let* () = check (r.eval_mode <> Config.Tape) Config.tape_removed in
   match r.deadline_s with
   | Some d when d < 0.0 -> Error "deadline_s must be non-negative"
   | _ -> Ok ()
@@ -74,13 +75,6 @@ let to_json r =
     @@ opt "label" (fun s -> Json.Str s) r.label []
   in
   Json.Obj (base @ tail)
-
-let eval_mode_of_string s =
-  match String.lowercase_ascii s with
-  | "closure" -> Ok Config.Closure
-  | "tape" -> Ok Config.Tape
-  | "native" -> Ok Config.Native
-  | _ -> Error (Printf.sprintf "bad eval mode %S (closure|tape|native)" s)
 
 let of_json j =
   let ( let* ) = Result.bind in
@@ -124,7 +118,7 @@ let of_json j =
     let* eval_mode =
       match str_field "eval" with
       | None -> Ok d.eval_mode
-      | Some r -> Result.bind r eval_mode_of_string
+      | Some r -> Result.bind r Config.eval_mode_of_string
     in
     let* overlap =
       match Json.member "overlap" j with

@@ -49,8 +49,9 @@ val make :
 
 val validate : t -> (unit, string) result
 (** Structural checks independent of scenario registration: positive
-    dimensions and step counts, positive temperatures when given,
-    non-negative deadline. *)
+    dimensions and step counts, positive temperatures when given, an
+    evaluator that exists (not the retired [Config.Tape]), non-negative
+    deadline. *)
 
 val equal : t -> t -> bool
 (** Structural equality (GPU backends compare by spec name and
@@ -63,7 +64,8 @@ val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
 (** Parse a request; inverse of {!to_json}.  Unknown members are
     ignored; missing optional members take the {!make} defaults; the
-    backend string goes through {!Config.target_of_string}. *)
+    backend string goes through {!Config.target_of_string} and the
+    evaluator through {!Config.eval_mode_of_string}. *)
 
 val of_string : string -> (t, string) result
 (** [of_json] composed with {!Json.of_string}. *)

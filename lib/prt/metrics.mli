@@ -3,8 +3,8 @@
 
     Instrumented layers create their handles at module-initialisation
     time, so the well-known names ([halo.bytes], [pool.barrier_wait_ns],
-    [gpu.kernel_launches], [spmd.allreduce_bytes], [tape.ops_skipped],
-    ...) are always registered and appear in dumps even at zero.
+    [gpu.kernel_launches], [spmd.allreduce_bytes], [solve.steps], ...)
+    are always registered and appear in dumps even at zero.
     Creation is idempotent — requesting an existing name returns the
     same handle — which is also how consumers read values.  Updates are
     atomic, safe from any domain, and gated on {!enabled}: a disabled

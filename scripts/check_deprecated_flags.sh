@@ -10,7 +10,10 @@
 #   - the tuner's decision key is stable across processes: a second
 #     `--backend auto` run hits the decision the first one wrote;
 #   - `bte_serve --batch N` (request co-batching, removed) is an unknown
-#     option, exit 124.
+#     option, exit 124;
+#   - the removed tape evaluator: `--eval tape` is an unknown value to
+#     both `bte_sim run` and `bte_serve` (exit 124), and a request whose
+#     JSON names `"eval":"tape"` exits 2 with a message naming tape.
 # Runs a 1-step 4x4 solve per case, so it is cheap enough for CI.
 set -eu
 cd "$(dirname "$0")/.."
@@ -126,6 +129,29 @@ code=0
 $SERVE --batch 8 >/dev/null 2>&1 || code=$?
 if [ "$code" -ne 124 ]; then
   fail "bte_serve --batch 8 exited $code, expected 124"
+fi
+
+# the removed tape evaluator: an unknown --eval value on both CLIs (a
+# cmdliner parse error), and a named error through the request JSON
+code=0
+$RUN --eval tape >/dev/null 2>&1 || code=$?
+if [ "$code" -ne 124 ]; then
+  fail "bte_sim run --eval tape exited $code, expected 124"
+fi
+code=0
+$SERVE --eval tape >/dev/null 2>&1 || code=$?
+if [ "$code" -ne 124 ]; then
+  fail "bte_serve --eval tape exited $code, expected 124"
+fi
+code=0
+err=$($SIM request --json "$REQ,\"eval\":\"tape\"}" 2>&1 >/dev/null) || code=$?
+if [ "$code" -ne 2 ]; then
+  fail "request with eval tape exited $code, expected 2: $err"
+else
+  case "$err" in
+    *tape*) : ;;
+    *) fail "request with eval tape: message does not name tape: $err" ;;
+  esac
 fi
 
 if [ "$status" -eq 0 ]; then

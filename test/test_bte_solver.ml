@@ -203,30 +203,6 @@ let test_newton_counters () =
     true
     (evals >= solves && evals <= 3 * solves)
 
-let test_tape_matches_closure_on_hotspot () =
-  (* full solve under the tape evaluator is bit-identical to the closure
-     evaluator, and the tape measurably skips cached ops *)
-  let _, o1 = solve_with (Finch.Config.Cpu Finch.Config.Serial) in
-  let built = Bte.Setup.build tiny in
-  Finch.Problem.set_eval_mode built.Bte.Setup.problem Finch.Config.Tape;
-  let o2 = Finch.Solve.solve built.Bte.Setup.problem in
-  let d = field_diff o1 o2 "I" in
-  if d > 0. then Alcotest.failf "tape vs closure on hotspot: diff %g" d;
-  let st = o2.Finch.Solve.states.(0) in
-  check_bool "tapes present in tape mode" true (st.Finch.Lower.tapes <> []);
-  List.iter
-    (fun (name, t) ->
-      let runs = Finch.Eval.tape_runs t in
-      let len = Finch.Eval.tape_length t in
-      let exec = Finch.Eval.tape_executed t in
-      check_bool (Printf.sprintf "tape %s ran" name) true (runs > 0);
-      check_bool
-        (Printf.sprintf "tape %s executed fewer ops than full re-evaluation"
-           name)
-        true
-        (exec < runs * len))
-    st.Finch.Lower.tapes
-
 let test_gpu_matches_serial () =
   let _, o1 = solve_with (Finch.Config.Cpu Finch.Config.Serial) in
   let _, o2 =
@@ -589,8 +565,6 @@ let suite =
         test_refresh_matches_tables;
       Alcotest.test_case "Newton counters on the hot scenario" `Quick
         test_newton_counters;
-      Alcotest.test_case "tape == closure on hotspot (exact)" `Quick
-        test_tape_matches_closure_on_hotspot;
       Alcotest.test_case "gpu == serial" `Quick test_gpu_matches_serial;
       Alcotest.test_case "multi-gpu == serial" `Quick test_multi_gpu_matches_serial;
       Alcotest.test_case "gpu grid == single device (bitwise)" `Quick

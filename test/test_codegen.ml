@@ -104,6 +104,47 @@ let test_disk_cache_survives_memo_flush () =
     (List.length kernels >= 2)
 
 (* ------------------------------------------------------------------ *)
+(* GPU thread bodies: the lane interpreter against the native kernel.  *)
+(* ------------------------------------------------------------------ *)
+
+(* Blocks run their threads grouped by cell, in lockstep.  Every GPU
+   shape — blocks splitting cells, O0's one launch per band, two band
+   ranks, two device tiles, transfers overlapped or not — equals the
+   same shape run by the native kernel, one DOF at a time, at exact
+   zero on I, T, Io and beta, with the native kernels bound on every
+   rank (no fallback).  The hybrid schedule adds boundary terms
+   separately, so GPU targets match serial to rounding only (see
+   test_bte_solver).  The CPU hybrid:2x1 target equals serial closure
+   exactly.  Registered after the cache test, whose counts need a cold
+   memo. *)
+let test_blocks_split_cells () =
+  let solve = Test_gpu.solve_bte and check_exact = Test_gpu.check_exact in
+  let gpu = Test_gpu.gpu in
+  let o = solve Finch.Config.Closure (gpu 1) in
+  check_int "threads per launch" 700
+    (Fvm.Field.ncells o.Finch.Solve.u * Fvm.Field.ncomp o.Finch.Solve.u);
+  List.iter
+    (fun (label, opt, target) ->
+      List.iter
+        (fun overlap ->
+          let label = Printf.sprintf "%s%s" label (if overlap then " overlap" else "") in
+          let native = solve ~opt ~overlap Finch.Config.Native target in
+          check_bool (label ^ ": native kernels bound") true
+            (Array.for_all
+               (fun st -> st.Finch.Lower.native <> None)
+               native.Finch.Solve.states);
+          check_exact label native
+            (solve ~opt ~overlap Finch.Config.Closure target))
+        [ false; true ])
+    [ "gpu:a6000", Finch.Config.O2, gpu 1;
+      "gpu:a6000 O0 (one launch per band)", Finch.Config.O0, gpu 1;
+      "gpu:a6000:2", Finch.Config.O2, gpu 2;
+      "gpu:a6000:2x1 tiles", Finch.Config.O2, gpu ~devices:2 1 ];
+  check_exact "hybrid:2x1"
+    (solve Finch.Config.Closure (Finch.Config.Cpu Finch.Config.Serial))
+    (solve Finch.Config.Closure (Finch.Config.Cpu (Finch.Config.Hybrid (2, 1))))
+
+(* ------------------------------------------------------------------ *)
 (* Bit-identity matrix.                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -258,6 +299,8 @@ let test_unreadable_kernel_recompiled () =
 let suite =
   ( "codegen",
     [ Alcotest.test_case "cache hit and miss" `Quick test_cache_hit_and_miss;
+      Alcotest.test_case "blocks split cells: lanes == per DOF" `Quick
+        test_blocks_split_cells;
       Alcotest.test_case "kernels persisted on disk" `Quick
         test_disk_cache_survives_memo_flush;
       Alcotest.test_case "native = closure (hotspot matrix)" `Slow

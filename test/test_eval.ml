@@ -191,151 +191,6 @@ let test_compiled_matches_interpreter () =
     done
   done
 
-(* --- tape compiler ------------------------------------------------- *)
-
-let bte_bindings () =
-  let fio = Fvm.Field.create ~name:"Io" ~ncells:6 ~ncomp:3 () in
-  let fi = Fvm.Field.create ~name:"I" ~ncells:6 ~ncomp:12 () in
-  let fbeta = Fvm.Field.create ~name:"beta" ~ncells:6 ~ncomp:3 () in
-  let rnd = Tutil.lcg 99 in
-  Fvm.Field.init fio (fun _ _ -> rnd ());
-  Fvm.Field.init fi (fun _ _ -> rnd ());
-  Fvm.Field.init fbeta (fun _ _ -> rnd () +. 0.5);
-  let bindings =
-    [ "Io", Finch.Eval.Bfield (fio, [ "b", 1, 1 ]);
-      "I", Finch.Eval.Bfield (fi, [ "d", 1, 1; "b", 1, 4 ]);
-      "beta", Finch.Eval.Bfield (fbeta, [ "b", 1, 1 ]) ]
-  in
-  bindings, fi
-
-let test_tape_matches_closure_exactly () =
-  (* bit-identical results on the BTE volume expression over the full
-     (cell, d, b) iteration space *)
-  let bindings, _ = bte_bindings () in
-  let e = Parser.parse "(Io[b] - I[d,b]) * beta[b] + exp(-beta[b]*dt)" in
-  let g = Finch.Eval.compile bindings e in
-  let t = Finch.Eval.compile_tape bindings e in
-  let env = make_env () in
-  Finch.Eval.bump_epoch env;
-  for cell = 0 to 5 do
-    env.Finch.Eval.cell <- cell;
-    for b = 0 to 2 do
-      Finch.Eval.ival env "b" := b;
-      for d = 0 to 3 do
-        Finch.Eval.ival env "d" := d;
-        let vc = g env and vt = Finch.Eval.tape_run t env in
-        if vc <> vt then
-          Alcotest.failf "tape differs at cell=%d d=%d b=%d: %h vs %h" cell d b
-            vc vt
-      done
-    done
-  done
-
-let test_tape_cse_reduces_ops () =
-  (* repeated subterms compile to a single op *)
-  let bindings = [ "a", Finch.Eval.Bcoef_const 1.5; "b", Finch.Eval.Bcoef_const 2.0 ] in
-  let t = Finch.Eval.compile_tape bindings (Parser.parse "(a+b)*(a+b) + (a+b)") in
-  (* leaves a and b, one add, one mul, one outer add: 5 ops for 11 nodes *)
-  Alcotest.(check int) "CSE op count" 5 (Finch.Eval.tape_length t);
-  let bindings2, _ = bte_bindings () in
-  let t2 =
-    Finch.Eval.compile_tape bindings2
-      (Parser.parse "I[d,b]*beta[b] + Io[b]*beta[b]")
-  in
-  (* beta[b] loaded once: I, beta, mul, Io, mul, add *)
-  Alcotest.(check int) "shared load op count" 6 (Finch.Eval.tape_length t2);
-  (* the post-CSE static cost is below the tree cost *)
-  let e = Parser.parse "(a+b)*(a+b) + (a+b)" in
-  let tree = Finch.Eval.cost e in
-  let tape = Finch.Eval.tape_cost (Finch.Eval.compile_tape bindings e) in
-  check_bool "tape flops below tree flops" true
-    (tape.Finch.Eval.flops < tree.Finch.Eval.flops)
-
-let test_tape_hoists_invariant_ops () =
-  (* with d as the innermost loop, the b-only subterms (Io[b], beta[b])
-     execute once per (cell, b) instead of once per (cell, b, d) *)
-  let bindings, _ = bte_bindings () in
-  let e = Parser.parse "(Io[b] - I[d,b]) * beta[b]" in
-  let t = Finch.Eval.compile_tape bindings e in
-  let g = Finch.Eval.compile bindings e in
-  let env = make_env () in
-  Finch.Eval.bump_epoch env;
-  for cell = 0 to 5 do
-    env.Finch.Eval.cell <- cell;
-    for b = 0 to 2 do
-      Finch.Eval.ival env "b" := b;
-      for d = 0 to 3 do
-        Finch.Eval.ival env "d" := d;
-        let vt = Finch.Eval.tape_run t env in
-        if vt <> g env then Alcotest.fail "tape drifted from closure"
-      done
-    done
-  done;
-  let runs = Finch.Eval.tape_runs t in
-  let len = Finch.Eval.tape_length t in
-  let executed = Finch.Eval.tape_executed t in
-  Alcotest.(check int) "runs counted" (6 * 3 * 4) runs;
-  check_bool "some ops executed" true (executed >= len);
-  check_bool
-    (Printf.sprintf "invariant ops skipped (%d executed of %d possible)"
-       executed (runs * len))
-    true
-    (executed < runs * len);
-  Finch.Eval.tape_reset_stats t;
-  Alcotest.(check int) "stats reset" 0 (Finch.Eval.tape_runs t)
-
-let test_tape_epoch_invalidation () =
-  (* mutating a field and bumping the epoch must invalidate cached
-     registers; without the bump the cache contract does not cover it *)
-  let bindings, fi = bte_bindings () in
-  let e = Parser.parse "(Io[b] - I[d,b]) * beta[b]" in
-  let t = Finch.Eval.compile_tape bindings e in
-  let g = Finch.Eval.compile bindings e in
-  let env = make_env () in
-  Finch.Eval.bump_epoch env;
-  env.Finch.Eval.cell <- 3;
-  Finch.Eval.ival env "d" := 2;
-  Finch.Eval.ival env "b" := 1;
-  let v0 = Finch.Eval.tape_run t env in
-  Tutil.check_close "initial agreement" (g env) v0;
-  (* change the intensity field in place, as an executor step would *)
-  Fvm.Field.set fi 3 (2 + 4) 123.456;
-  Finch.Eval.bump_epoch env;
-  let v1 = Finch.Eval.tape_run t env in
-  if v1 = v0 then Alcotest.fail "stale register survived an epoch bump";
-  Tutil.check_close "agreement after mutation" (g env) v1
-
-(* property: the tape evaluator agrees bit-for-bit with the closure
-   compiler on random expressions, including across repeated runs with
-   cached registers *)
-let prop_tape_matches_closure =
-  let bindings, _ = bte_bindings () in
-  let bindings =
-    bindings
-    @ [ "a", Finch.Eval.Bcoef_const 1.25;
-        "b", Finch.Eval.Bcoef_const (-0.75);
-        "k", Finch.Eval.Bcoef_const 2.0 ]
-  in
-  QCheck.Test.make ~name:"tape evaluator == closure evaluator" ~count:200
-    Test_expr.arb_expr (fun e ->
-      match Finch.Eval.compile bindings e with
-      | exception Finch.Eval.Compile_error _ -> true
-      | g ->
-        let t = Finch.Eval.compile_tape bindings e in
-        let env = make_env () in
-        Finch.Eval.bump_epoch env;
-        let same_at cell d b =
-          env.Finch.Eval.cell <- cell;
-          Finch.Eval.ival env "d" := d;
-          Finch.Eval.ival env "b" := b;
-          let vc = g env and vt = Finch.Eval.tape_run t env in
-          vc = vt || (Float.is_nan vc && Float.is_nan vt)
-        in
-        (* sweep d innermost to exercise register caching, then revisit
-           the first point to check nothing stale persists *)
-        same_at 0 0 0 && same_at 0 1 0 && same_at 0 2 0 && same_at 1 2 1
-        && same_at 1 3 2 && same_at 0 0 0)
-
 (* property: the closure compiler agrees with the reference interpreter
    (Expr.eval) on random expressions over a shared vocabulary *)
 let prop_compile_matches_eval =
@@ -524,19 +379,127 @@ let pick_comps rng =
     Array.sub all 0 (1 + Random.State.int rng 12)
   | _ -> shuffle (Array.init 12 Fun.id)
 
+(* A scalar reference for one DOF, independent of the lane programs: a
+   plain tree walk over [e] at [cell]'s face [face], the DOF's 0-based
+   index values [ivals], and [ghost name comp] for a read across a
+   boundary face.  It follows the rules the lane programs document: an
+   Add starts from 0. and a Mul from 1., x^-1 is 1. /. x, x^2 is x *. x
+   and any other power Float.pow; a conditional evaluates its raw test
+   (never a staged table) and then only the branch it takes; a shifted
+   read past the field's components raises.  Geometry comes from the
+   mesh, not from the face tables.  ([Expr.eval] is not exact here: it
+   takes small integer powers by repeated multiplication.) *)
+let walk (st : Finch.Lower.state) ~cell ~face ~ivals ~ghost e =
+  let mesh = st.Finch.Lower.mesh in
+  let cell2 = Fvm.Mesh.neighbour mesh face cell in
+  let iv n = List.assoc n ivals in
+  let coef_fn f = f (Fvm.Mesh.cell_centroid mesh cell) in
+  let rec go (e : Expr.t) =
+    match e with
+    | Expr.Num x -> x
+    | Expr.Sym s -> sym s
+    | Expr.Ref (name, idx, side) -> read name idx side
+    | Expr.Add es -> List.fold_left (fun acc e -> acc +. go e) 0. es
+    | Expr.Mul es -> List.fold_left (fun acc e -> acc *. go e) 1. es
+    | Expr.Pow (a, Expr.Num x) when Float.equal x (-1.) -> 1. /. go a
+    | Expr.Pow (a, Expr.Num x) when Float.equal x 2. ->
+      let v = go a in
+      v *. v
+    | Expr.Pow (a, b) -> Float.pow (go a) (go b)
+    | Expr.Call (("min" | "max") as f, [ a; b ]) ->
+      (if f = "max" then Float.max else Float.min) (go a) (go b)
+    | Expr.Call (f, [ a ]) ->
+      (match f with
+       | "sin" -> sin
+       | "cos" -> cos
+       | "tan" -> tan
+       | "exp" -> exp
+       | "log" -> log
+       | "sqrt" -> sqrt
+       | "abs" -> Float.abs
+       | "sinh" -> sinh
+       | "cosh" -> cosh
+       | "tanh" -> tanh
+       | f -> Alcotest.failf "walk: call %s" f)
+        (go a)
+    | Expr.Call (f, _) -> Alcotest.failf "walk: call %s" f
+    | Expr.Cmp (op, a, b) ->
+      let x = go a and y = go b in
+      let holds =
+        match op with
+        | Expr.Gt -> x > y
+        | Expr.Ge -> x >= y
+        | Expr.Lt -> x < y
+        | Expr.Le -> x <= y
+        | Expr.Eq -> Float.equal x y
+        | Expr.Ne -> not (Float.equal x y)
+      in
+      if holds then 1. else 0.
+    | Expr.Cond (c, t, el) -> if go c <> 0. then go t else go el
+  and sym s =
+    match s with
+    | "dt" -> !(st.Finch.Lower.dt)
+    | "t" | "time" -> !(st.Finch.Lower.time)
+    | "pi" -> Float.pi
+    | "x" -> (Fvm.Mesh.cell_centroid mesh cell).(0)
+    | "y" -> (Fvm.Mesh.cell_centroid mesh cell).(1)
+    | "VOLUME" -> mesh.Fvm.Mesh.cell_volume.(cell)
+    | "FACEAREA" -> mesh.Fvm.Mesh.face_area.(face)
+    | s when String.length s > 7 && String.sub s 0 7 = "NORMAL_" ->
+      let k = int_of_string (String.sub s 7 (String.length s - 7)) - 1 in
+      Fvm.Mesh.normal_sign mesh face cell *. (Fvm.Mesh.face_normal mesh face).(k)
+    | s -> (
+      match List.assoc_opt s st.Finch.Lower.bindings with
+      | Some (Finch.Eval.Bcoef_const v) -> v
+      | Some (Finch.Eval.Bcoef_fn f) -> coef_fn f
+      | _ -> Alcotest.failf "walk: symbol %s" s)
+  and read name idx side =
+    match List.assoc_opt name st.Finch.Lower.bindings with
+    | Some (Finch.Eval.Bfield (fld, layout)) ->
+      let comp =
+        List.fold_left2
+          (fun acc (_, lo, stride) i ->
+            match i with
+            | Expr.Iconst k -> acc + ((k - lo) * stride)
+            | Expr.Ivar n -> acc + (iv n * stride)
+            | Expr.Ishift (n, k) -> acc + ((iv n + k) * stride))
+          0 layout idx
+      in
+      let shifted = List.exists (function Expr.Ishift _ -> true | _ -> false) idx in
+      if shifted && (comp < 0 || comp >= Fvm.Field.ncomp fld) then
+        raise (Finch.Eval.Compile_error (name ^ ": shifted past the range"));
+      (match side with
+       | Expr.Cell2 when cell2 < 0 -> ghost name comp
+       | Expr.Cell2 -> Fvm.Field.get fld cell2 comp
+       | Expr.Here | Expr.Cell1 -> Fvm.Field.get fld cell comp)
+    | Some (Finch.Eval.Bcoef_arr (a, _, lo)) -> (
+      match idx with
+      | [ Expr.Ivar n ] -> a.(iv n)
+      | [ Expr.Iconst k ] -> a.(k - lo)
+      | _ -> Alcotest.failf "walk: %s index" name)
+    | Some (Finch.Eval.Bcoef_const v) -> v
+    | Some (Finch.Eval.Bcoef_fn f) -> coef_fn f
+    | None -> Alcotest.failf "walk: entity %s" name
+  in
+  go e
+
+(* The boundary ghost of [name]'s component [comp] for the DOF [dof]:
+   distinct per DOF, so a lane reading another lane's ghost shows. *)
+let ghost_value name comp dof =
+  float_of_int (String.length name) +. (0.125 *. float_of_int comp)
+  +. (0.01 *. float_of_int dof)
+
 (* Evaluate [e] over a random group at a random slot, and each of its
-   lanes on one lane and on the tape: every lane equals both, bit for
-   bit, or the group raises exactly when some lane's own evaluation
-   does.  The ghost answers per lane from the lane's DOF, so a lane
-   reading another lane's ghost shows. *)
-let lanes_agree st staged (e, seed) =
+   lanes on one lane and by the scalar walk: every lane equals both, bit
+   for bit, or the group raises exactly when some lane's own evaluation
+   does, and the walk raises exactly when the one-lane evaluation
+   does. *)
+let lanes_agree st (e, seed) =
   let bindings = st.Finch.Lower.bindings and faces = st.Finch.Lower.faces in
   match Finch.Eval.program ~faces bindings e with
   | exception Finch.Eval.Compile_error _ -> true
   | prog ->
     let one = Finch.Eval.compile ~faces bindings e in
-    let tape = Finch.Eval.compile_tape ~faces bindings e in
-    ignore staged;
     let rng = Random.State.make [| seed |] in
     let env =
       Finch.Eval.make_env ~lanes:12 ~mesh ~dt:st.Finch.Lower.dt
@@ -546,17 +509,13 @@ let lanes_agree st staged (e, seed) =
     let fcs = mesh.Fvm.Mesh.cell_faces.(cell) in
     let i = Random.State.int rng (Array.length fcs) in
     let s = faces.Finch.Eval.slot_start.(cell) + i in
+    let face = fcs.(i) in
     env.Finch.Eval.cell <- cell;
     env.Finch.Eval.slot <- s;
-    env.Finch.Eval.face <- fcs.(i);
+    env.Finch.Eval.face <- face;
     env.Finch.Eval.cell2 <- faces.Finch.Eval.slot_nbr.(s);
     let dofs = ref [||] in
-    env.Finch.Eval.ghost <-
-      Some
-        (fun name l c ->
-          float_of_int (String.length name) +. (0.125 *. float_of_int c)
-          +. (0.01 *. float_of_int !dofs.(l)));
-    Finch.Eval.bump_epoch env;
+    env.Finch.Eval.ghost <- Some (fun name l c -> ghost_value name c !dofs.(l));
     let comps = pick_comps rng in
     let g = env.Finch.Eval.group in
     g.Finch.Eval.n <- Array.length comps;
@@ -575,7 +534,12 @@ let lanes_agree st staged (e, seed) =
           Finch.Eval.ival env "d" := c mod 4;
           Finch.Eval.ival env "b" := c / 4;
           dofs := [| c |];
-          attempt (fun () -> one env), attempt (fun () -> Finch.Eval.tape_run tape env))
+          ( attempt (fun () -> one env),
+            attempt (fun () ->
+                walk st ~cell ~face
+                  ~ivals:[ "d", c mod 4; "b", c / 4 ]
+                  ~ghost:(fun name k -> ghost_value name k c)
+                  e) ))
         comps
     in
     let fail fmt = QCheck.Test.fail_reportf fmt in
@@ -585,19 +549,23 @@ let lanes_agree st staged (e, seed) =
          fail "group raised, but no lane does on its own"
      | Some vs ->
        Array.iteri
-         (fun l (o, t) ->
+         (fun l (o, _) ->
            match o with
            | None -> fail "lane %d (comp %d) raises alone, not in the group" l comps.(l)
            | Some v ->
              if not (same vs.(l) v) then
-               fail "lane %d (comp %d): group %h, one lane %h" l comps.(l) vs.(l) v;
-             (* the tape evaluates both branches eagerly, so it may raise
-                where the lanes do not; when it answers, it agrees *)
-             (match t with
-              | Some tv when not (same tv v) ->
-                fail "lane %d (comp %d): one lane %h, tape %h" l comps.(l) v tv
-              | _ -> ()))
+               fail "lane %d (comp %d): group %h, one lane %h" l comps.(l) vs.(l) v)
          per_lane);
+    Array.iteri
+      (fun l (o, w) ->
+        match o, w with
+        | Some v, Some wv ->
+          if not (same v wv) then
+            fail "lane %d (comp %d): one lane %h, walk %h" l comps.(l) v wv
+        | None, None -> ()
+        | Some _, None -> fail "lane %d (comp %d): the walk raises alone" l comps.(l)
+        | None, Some _ -> fail "lane %d (comp %d): one lane raises alone" l comps.(l))
+      per_lane;
     true
 
 let prop_lanes_agree =
@@ -606,7 +574,7 @@ let prop_lanes_agree =
     (QCheck.make
        ~print:(fun (e, seed) -> Printf.sprintf "%s (seed %d)" (Printer.to_string e) seed)
        QCheck.Gen.(pair (lane_expr_gen staged) (int_bound 1_000_000)))
-    (lanes_agree st staged)
+    (lanes_agree st)
 
 (* A group over every component of [cell], at its first interior or
    boundary slot. *)
@@ -758,13 +726,6 @@ let suite =
       Alcotest.test_case "cost estimation" `Quick test_cost_estimation;
       Alcotest.test_case "closure compiler vs direct evaluation" `Quick
         test_compiled_matches_interpreter;
-      Alcotest.test_case "tape == closure (bit-identical)" `Quick
-        test_tape_matches_closure_exactly;
-      Alcotest.test_case "tape CSE reduces op count" `Quick test_tape_cse_reduces_ops;
-      Alcotest.test_case "tape hoists loop-invariant ops" `Quick
-        test_tape_hoists_invariant_ops;
-      Alcotest.test_case "tape epoch invalidation" `Quick test_tape_epoch_invalidation;
-      QCheck_alcotest.to_alcotest prop_tape_matches_closure;
       QCheck_alcotest.to_alcotest prop_compile_matches_eval;
       QCheck_alcotest.to_alcotest prop_lanes_agree;
       Alcotest.test_case "lanes: untaken branches run on no lane" `Quick test_lanes_lazy;

@@ -244,7 +244,8 @@ let prop_kernel_time_monotone =
 (* ---------- lockstep blocks on the BTE ---------- *)
 
 (* 35 cells x 20 components (4 directions x 5 bands): 700 threads, so
-   every 256-thread block but the first starts or ends mid-cell *)
+   every 256-thread block but the first starts or ends mid-cell (also
+   the shape of test_codegen's lanes-against-native test) *)
 let split_sc =
   { Bte.Setup.small_hotspot with
     Bte.Setup.nx = 7; ny = 5; lx = 2e-6; ly = 1.4e-6; ndirs = 4;
@@ -270,34 +271,6 @@ let check_exact label o1 o2 =
 
 let gpu ?(devices = 1) ranks =
   Finch.Config.Gpu { spec = Gpu_sim.Spec.a6000; devices; ranks }
-
-(* Blocks run their threads grouped by cell, in lockstep.  Every GPU
-   shape — blocks splitting cells, O0's one launch per band, two band
-   ranks, two device tiles, transfers overlapped or not — equals the same
-   shape evaluated one DOF at a time (the tape) at exact zero on I, T, Io
-   and beta; the hybrid schedule adds boundary terms separately, so GPU
-   targets match serial to rounding only (see test_bte_solver).  The CPU
-   hybrid:2x1 target equals serial closure exactly. *)
-let test_blocks_split_cells () =
-  let o = solve_bte Finch.Config.Closure (gpu 1) in
-  check_int "threads per launch" 700
-    (Fvm.Field.ncells o.Finch.Solve.u * Fvm.Field.ncomp o.Finch.Solve.u);
-  List.iter
-    (fun (label, opt, target) ->
-      List.iter
-        (fun overlap ->
-          let label = Printf.sprintf "%s%s" label (if overlap then " overlap" else "") in
-          check_exact label
-            (solve_bte ~opt ~overlap Finch.Config.Tape target)
-            (solve_bte ~opt ~overlap Finch.Config.Closure target))
-        [ false; true ])
-    [ "gpu:a6000", Finch.Config.O2, gpu 1;
-      "gpu:a6000 O0 (one launch per band)", Finch.Config.O0, gpu 1;
-      "gpu:a6000:2", Finch.Config.O2, gpu 2;
-      "gpu:a6000:2x1 tiles", Finch.Config.O2, gpu ~devices:2 1 ];
-  check_exact "hybrid:2x1"
-    (solve_bte Finch.Config.Closure (Finch.Config.Cpu Finch.Config.Serial))
-    (solve_bte Finch.Config.Closure (Finch.Config.Cpu (Finch.Config.Hybrid (2, 1))))
 
 (* The host seconds spent running thread bodies get their own counter
    and a wall span on the rank's track, recorded only while metrics or
@@ -347,8 +320,6 @@ let suite =
       Alcotest.test_case "interconnect topology" `Quick test_topology_paths;
       Alcotest.test_case "d2d path costs" `Quick test_topology_d2d_time;
       Alcotest.test_case "d2d copies element runs" `Quick test_memory_d2d_copies_runs;
-      Alcotest.test_case "blocks split cells: lanes == per DOF" `Quick
-        test_blocks_split_cells;
       Alcotest.test_case "host execution time counted apart" `Quick test_host_exec_time;
       QCheck_alcotest.to_alcotest prop_kernel_time_monotone;
     ] )

@@ -49,9 +49,7 @@ let arb_request =
     let* opt_level =
       oneofl [ Finch.Config.O0; Finch.Config.O2 ]
     in
-    let* eval_mode =
-      oneofl [ Finch.Config.Closure; Finch.Config.Tape; Finch.Config.Native ]
-    in
+    let* eval_mode = oneofl [ Finch.Config.Closure; Finch.Config.Native ] in
     let* overlap = bool in
     let* deadline_s = opt (float_range 0. 60.) in
     let* label = opt (string_size ~gen:printable (1 -- 20)) in
@@ -155,7 +153,30 @@ let test_facade_invalid_request () =
         Alcotest.failf "%s: wrong error: %s" spec (Finch.Solve_error.to_string e)
       | Ok _ -> Alcotest.failf "%s: solved an over-partitioned request" spec)
     [ "bands:3"; "cells:8"; "threads:8"; "hybrid:3x1"; "hybrid:2x8";
-      "gpu:a6000:3"; "gpu:a6000:8x1" ]
+      "gpu:a6000:3"; "gpu:a6000:8x1" ];
+  (* the removed tape evaluator: a named error at every entry point,
+     never an exception *)
+  let tape = { (tiny ()) with Finch.Solve_request.eval_mode = Finch.Config.Tape } in
+  (match Finch.solve tape with
+   | Error (Finch.Solve_error.Invalid_request m) ->
+     check_bool "tape: message names tape" true (Tutil.contains m "tape")
+   | Error e -> Alcotest.failf "tape: wrong error: %s" (Finch.Solve_error.to_string e)
+   | Ok _ -> Alcotest.fail "solved a tape request");
+  (match
+     Finch.Solve_request.of_string
+       {|{"scenario":"hotspot","nx":4,"ny":4,"eval":"tape"}|}
+   with
+   | Error m -> check_bool "tape JSON: message names tape" true (Tutil.contains m "tape")
+   | Ok _ -> Alcotest.fail "parsed a tape request");
+  let t = Finch_serve.Scheduler.create () in
+  (match Finch_serve.Scheduler.outcome (Finch_serve.Scheduler.submit t tape) with
+   | Some (Finch_serve.Scheduler.Rejected m) ->
+     check_bool "tape: rejected naming tape" true (Tutil.contains m "tape")
+   | _ -> Alcotest.fail "the scheduler did not reject a tape request");
+  match Finch.Problem.set_eval_mode (Finch.Problem.init "t") Finch.Config.Tape with
+  | exception Finch.Problem.Problem_error m ->
+    check_bool "set_eval_mode: message names tape" true (Tutil.contains m "tape")
+  | () -> Alcotest.fail "set_eval_mode accepted tape"
 
 (* ---------- scheduler edge cases ---------- *)
 

@@ -211,24 +211,6 @@ let test_hybrid_equals_serial () =
         Alcotest.failf "hybrid %dx%d: diff %g" nranks ndomains diff)
     [ 2, 2; 4, 1; 2, 3 ]
 
-let test_tape_mode_equals_closure_mode () =
-  (* whole-solve agreement of the two evaluators, on serial and pooled
-     executors; Tape is the default, so force Closure on the reference *)
-  List.iter
-    (fun target ->
-      let p1, _, _ = make_advection () in
-      Finch.Problem.set_eval_mode p1 Finch.Config.Closure;
-      let o1 = run_with target p1 in
-      let p2, _, _ = make_advection () in
-      Finch.Problem.set_eval_mode p2 Finch.Config.Tape;
-      let o2 = run_with target p2 in
-      let diff = Fvm.Field.max_abs_diff o1.Finch.Solve.u o2.Finch.Solve.u in
-      if diff > 0. then
-        Alcotest.failf "tape vs closure (%s): diff %g"
-          (Finch.Config.target_name target) diff)
-    [ Finch.Config.Cpu Finch.Config.Serial;
-      Finch.Config.Cpu (Finch.Config.Threaded 3) ]
-
 let test_loop_order_invariance () =
   (* permuting assembly loops must not change results *)
   let p1, _, _ = make_advection () in
@@ -642,9 +624,12 @@ let staging_problem ?(nd = 3) ?(nb = 2) rng mesh ~two =
 
 let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-(* dof_rhs, dof_rhs_interior and dof_flux read the face tables and equal
-   the per-face oracle bit for bit, on quadrilateral, triangular and
-   hexahedral cells (4, 3 and 6 faces per cell) at random small shapes *)
+(* The entries the executors call read the face tables and equal the
+   per-face oracle bit for bit, on quadrilateral, triangular and
+   hexahedral cells (4, 3 and 6 faces per cell) at random small shapes:
+   [sweep_rhs] (volume term plus every face, boundary conditions
+   included) and [update_interior] (u + dt * (volume term plus interior
+   faces)), each cell's components as one lane group *)
 let test_staged_flux_equals_oracle () =
   let rng = Random.State.make [| 2117 |] in
   let size lo hi = lo + Random.State.int rng (hi - lo + 1) in
@@ -675,16 +660,19 @@ let test_staged_flux_equals_oracle () =
             (List.map
                (fun (t : Finch.Eval.staged) -> List.map fst t.Finch.Eval.names)
                st.Finch.Lower.faces.Finch.Eval.tests);
-          Fvm.Field.init st.Finch.Lower.u (fun _ _ -> Random.State.float rng 2. -. 0.5);
+          let u = st.Finch.Lower.u in
+          Fvm.Field.init u (fun _ _ -> Random.State.float rng 2. -. 0.5);
           let oracle = face_oracle st in
-          let env = st.Finch.Lower.env in
+          let ncomp = Fvm.Field.ncomp u in
+          let k = Fvm.Field.create ~name:"k" ~ncells:mesh.Fvm.Mesh.ncells ~ncomp () in
+          Finch.Lower.sweep_rhs st ~into:k;
+          let comps = Array.init ncomp Fun.id in
           for cell = 0 to mesh.Fvm.Mesh.ncells - 1 do
-            for comp = 0 to Fvm.Field.ncomp st.Finch.Lower.u - 1 do
-              env.Finch.Eval.cell <- cell;
-              Finch.Lower.set_ivals_of_comp st comp;
-              let rhs = Finch.Lower.dof_rhs st in
-              let interior = Finch.Lower.dof_rhs_interior st in
-              let flux = Finch.Lower.dof_flux st in
+            Finch.Lower.update_interior st cell comps 0 ncomp
+          done;
+          let dt = !(st.Finch.Lower.dt) in
+          for cell = 0 to mesh.Fvm.Mesh.ncells - 1 do
+            for comp = 0 to ncomp - 1 do
               let rv, int_sum, full_sum = oracle cell comp in
               let vol = mesh.Fvm.Mesh.cell_volume.(cell) in
               let check name got want =
@@ -692,9 +680,10 @@ let test_staged_flux_equals_oracle () =
                   Alcotest.failf "%s: %s at cell %d comp %d: %h, oracle %h" what
                     name cell comp got want
               in
-              check "dof_rhs" rhs (rv +. (full_sum /. vol));
-              check "dof_rhs_interior" interior (rv +. (int_sum /. vol));
-              check "dof_flux" flux (full_sum /. vol)
+              check "sweep_rhs" (Fvm.Field.get k cell comp) (rv +. (full_sum /. vol));
+              check "update_interior"
+                (Fvm.Field.get st.Finch.Lower.u_new cell comp)
+                (Fvm.Field.get u cell comp +. (dt *. (rv +. (int_sum /. vol))))
             done
           done)
         [ false; true ])
@@ -706,31 +695,28 @@ let test_staged_flux_equals_oracle () =
    DOF of u_new equals u + dt * R from the per-face oracle bit for bit,
    and every other DOF is untouched, for cells of 6 and of 300
    components (two groups of 256 and 44), band slices and cell subsets
-   (partial groups), the permuted loop order, and the tape's one DOF at
-   a time. *)
+   (partial groups), and the permuted loop order. *)
 let test_group_sweep_equals_oracle () =
   let rng = Random.State.make [| 2203 |] in
   let mesh = Fvm.Mesh_gen.rectangle ~nx:4 ~ny:3 ~lx:1.0 ~ly:0.7 () in
   let cases =
-    [ "6 comps", 3, 2, Finch.Lower.serial_rankinfo, None, Finch.Config.Closure;
-      "300 comps", 20, 15, Finch.Lower.serial_rankinfo, None, Finch.Config.Closure;
+    [ "6 comps", 3, 2, Finch.Lower.serial_rankinfo, None;
+      "300 comps", 20, 15, Finch.Lower.serial_rankinfo, None;
       ( "300 comps, band slice",
         20, 15,
         { Finch.Lower.rank = 1; nranks = 2; owned_cells = None;
           index_ranges = [ "b", (7, 8) ] },
-        None, Finch.Config.Closure );
+        None );
       ( "300 comps, cell subset, loops b/elements/d",
         20, 15,
         { Finch.Lower.rank = 0; nranks = 2; owned_cells = Some [| 1; 4; 5; 10 |];
           index_ranges = [ "d", (3, 11) ] },
-        Some [ "b"; "elements"; "d" ], Finch.Config.Closure );
-      "300 comps, tape", 20, 15, Finch.Lower.serial_rankinfo, None, Finch.Config.Tape ]
+        Some [ "b"; "elements"; "d" ] ) ]
   in
   List.iter
-    (fun (what, nd, nb, info, loops, eval) ->
+    (fun (what, nd, nb, info, loops) ->
       let p = staging_problem ~nd ~nb rng mesh ~two:true in
       Option.iter (Finch.Problem.assembly_loops p) loops;
-      Finch.Problem.set_eval_mode p eval;
       let st = Finch.Lower.build ~info p in
       Fvm.Field.init st.Finch.Lower.u (fun _ _ -> Random.State.float rng 2. -. 0.5);
       Fvm.Field.fill st.Finch.Lower.u_new 123.;
@@ -893,8 +879,6 @@ let suite =
       Alcotest.test_case "pool-threaded == serial (exact)" `Quick
         test_pool_threaded_equals_serial;
       Alcotest.test_case "hybrid == serial (exact)" `Quick test_hybrid_equals_serial;
-      Alcotest.test_case "tape mode == closure mode" `Quick
-        test_tape_mode_equals_closure_mode;
       Alcotest.test_case "loop order invariance" `Quick test_loop_order_invariance;
       Alcotest.test_case "assembly loops validation" `Quick test_assembly_loops_validation;
       Alcotest.test_case "dirichlet inflow steady state" `Quick test_dirichlet_inflow;

@@ -108,6 +108,15 @@ let test_plan_basics () =
   (match Finch_tune.Plan.of_json (Finch_tune.Plan.to_json pl) with
    | Ok pl' -> check_bool "json round-trip" true (Finch_tune.Plan.equal pl pl')
    | Error m -> Alcotest.fail m);
+  (* the removed tape evaluator does not parse *)
+  (match
+     Finch_tune.Plan.of_json
+       (Finch.Json.Obj
+          [ "backend", Finch.Json.Str "serial"; "opt", Finch.Json.Str "2";
+            "eval", Finch.Json.Str "tape"; "overlap", Finch.Json.Bool false ])
+   with
+   | Error m -> check_bool "tape plan: message names tape" true (Tutil.contains m "tape")
+   | Ok _ -> Alcotest.fail "Plan.of_json accepted eval tape");
   (match Finch_tune.Plan.make Finch.Config.Auto with
    | exception Invalid_argument _ -> ()
    | _ -> Alcotest.fail "Plan.make must reject Auto");
@@ -339,8 +348,7 @@ let gen_free (shape : Finch.Solve_request.t) =
   and* t_cold = opt (float_range 80. 300.)
   and* backend = gen_target
   and* opt_level = oneofl [ Finch.Config.O0; Finch.Config.O2 ]
-  and* eval_mode =
-    oneofl [ Finch.Config.Closure; Finch.Config.Tape; Finch.Config.Native ]
+  and* eval_mode = oneofl [ Finch.Config.Closure; Finch.Config.Native ]
   and* overlap = bool
   and* label = opt (string_size ~gen:printable (0 -- 6))
   and* deadline_s = opt (float_range 0. 10.) in
