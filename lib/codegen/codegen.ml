@@ -1,20 +1,22 @@
 (* Native code generation: compile lowered programs to OCaml, dynlink
-   them, and splice the generated loop bodies into solver states.
+   them, and bind the generated kernel to solver states.
 
    The pipeline per state (behind Lower.native_hook, engaged only when
    the problem's eval_mode is Native):
 
-     emit     Emit_source.to_ocaml renders the sweep/commit/interior-DOF
-              bodies as a module registering itself through Finch_ci;
-     key      the source digest plus the optimizer level — the source is
-              value-independent, so identical programs at identical
-              levels share one compilation across scenarios and runs;
+     emit     Emit_source.to_ocaml renders the one kernel body, advance,
+              as a module registering itself through Finch_ci;
+     key      the source digest alone — the source is value-independent
+              and does not depend on the opt level or the loop order,
+              so identical programs share one compilation across
+              scenarios, levels and runs;
      compile  `ocamlfind ocamlopt -shared` against the Finch_ci
               interface, persisted as <key>.cmxs under the cache dir
               (default _build/finch_cache) with an in-process memo;
      verify   Finch_analysis.Driver.check_problem gates the program the
-              same way optimizer passes are gated — any error falls back
-              to the interpreter;
+              same way optimizer passes are gated, once per key, opt
+              level and callback contract — any error falls back to the
+              interpreter;
      bind     pack the solve's face tables and the mesh/field/coefficient
               storage into a Finch_ci.rt, with boundary terms calling
               each callback face's staged function (expression
@@ -227,8 +229,7 @@ let bind_state (st : Finch.Lower.state) (em : Finch.Emit_source.ocaml_emission)
     let faces = st.Finch.Lower.faces in
     let rt =
       {
-        Finch_ci.ncells = mesh.Fvm.Mesh.ncells;
-        dim = mesh.Fvm.Mesh.dim;
+        Finch_ci.dim = mesh.Fvm.Mesh.dim;
         cell_faces = mesh.Fvm.Mesh.cell_faces;
         (* the solve's face tables, read in place *)
         slot_start = faces.Finch.Eval.slot_start;
@@ -247,22 +248,6 @@ let bind_state (st : Finch.Lower.state) (em : Finch.Emit_source.ocaml_emission)
         fns = Array.of_list (List.map coef_fn em.Finch.Emit_source.oc_fns);
         dt = st.Finch.Lower.dt;
         time = st.Finch.Lower.time;
-        index_off =
-          Array.of_list
-            (List.map
-               (fun (i : Finch.Entity.index) ->
-                 fst
-                   (Finch.Lower.index_range st i.Finch.Entity.iname
-                      (Finch.Entity.index_extent i)))
-               p.Finch.Problem.indices);
-        index_len =
-          Array.of_list
-            (List.map
-               (fun (i : Finch.Entity.index) ->
-                 snd
-                   (Finch.Lower.index_range st i.Finch.Entity.iname
-                      (Finch.Entity.index_extent i)))
-               p.Finch.Problem.indices);
         has_bc = Array.map (fun o -> o <> None) st.Finch.Lower.face_bc;
         (* a callback face is a direct call to its staged function; other
            conditions evaluate on the interpreter *)
@@ -274,26 +259,23 @@ let bind_state (st : Finch.Lower.state) (em : Finch.Emit_source.ocaml_emission)
   | exception Failure msg ->
     warn "cannot bind generated code (%s)" msg;
     None
-  | entry ->
-    Some
-      {
-        Finch.Lower.n_sweep = entry.Finch_ci.e_sweep;
-        n_commit = entry.Finch_ci.e_commit;
-        n_dof_interior = entry.Finch_ci.e_dof_interior;
-      }
+  | entry -> Some { Finch.Lower.n_advance = entry.Finch_ci.e_advance }
 
 (* ------------------------------------------------------------------ *)
 (* The hook.                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* analysis verification runs once per key and callback contract (the
-   re-check mirrors how optimizer passes are gated; see docs/CODEGEN.md):
-   each program is gated under its own problem's post-step I/O *)
-let verified : (string * Finch.Problem.callback_io, bool) Hashtbl.t =
+(* analysis verification runs once per key, optimizer level and
+   callback contract (the re-check mirrors how optimizer passes are
+   gated; see docs/CODEGEN.md): the generated source does not depend on
+   the level, but the gate's checks do, and each program is gated under
+   its own problem's post-step I/O *)
+let verified :
+    (string * Finch.Config.opt_level * Finch.Problem.callback_io, bool) Hashtbl.t =
   Hashtbl.create 8
 
 let verify_key key (p : Finch.Problem.t) =
-  let vkey = key, Finch.Problem.post_io p in
+  let vkey = key, p.Finch.Problem.opt_level, Finch.Problem.post_io p in
   match Hashtbl.find_opt verified vkey with
   | Some ok -> ok
   | None ->
@@ -318,12 +300,7 @@ let native_entry_for (st : Finch.Lower.state) : Finch.Lower.native_entry option 
       warn "program not supported by the emitter (%s)" msg;
       None
     | em ->
-      let key =
-        Digest.to_hex
-          (Digest.string
-             (em.Finch.Emit_source.oc_src ^ "|opt"
-             ^ Finch.Config.opt_level_name st.Finch.Lower.p.Finch.Problem.opt_level))
-      in
+      let key = Digest.to_hex (Digest.string em.Finch.Emit_source.oc_src) in
       if not (verify_key key st.Finch.Lower.p) then begin
         warn "static analysis reported errors for the generated program";
         None

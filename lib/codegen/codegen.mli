@@ -1,14 +1,14 @@
 (** Native code generation: emit lowered programs as OCaml
     ([Emit_source.to_ocaml]), compile them with
-    [ocamlfind ocamlopt -shared], dynlink the result, and splice the
-    generated loop bodies into solver states through [Lower.native_hook].
+    [ocamlfind ocamlopt -shared], dynlink the result, and bind the
+    generated kernel to solver states through [Lower.native_hook].
 
     Compilations sit behind a two-level content-hash cache — an
     in-process memo plus [<cache-dir>/finch_kernel_<key>.cmxs] on disk,
-    keyed on the digest of the (value-independent) generated source and
-    the optimizer level — and are observable as [codegen.cache_hits] /
-    [codegen.cache_misses] / [codegen.compile_ns] plus a compile span on
-    the main trace track.  Generated programs are re-verified with
+    keyed on the digest of the (value-independent) generated source
+    alone, which no opt level or loop order changes — and are observable
+    as [codegen.cache_hits] / [codegen.cache_misses] /
+    [codegen.compile_ns] plus a compile span on the main trace track.  Generated programs are re-verified with
     [Finch_analysis] before first use, the same gate optimizer passes
     run behind.  Every failure path (bytecode runtime, missing
     toolchain, unsupported program, analysis errors) warns once and

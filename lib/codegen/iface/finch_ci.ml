@@ -2,7 +2,7 @@
 
    Generated kernel modules (see Finch_codegen) are compiled out of
    process and loaded with Dynlink, so they cannot link against the full
-   solver libraries: everything a generated sweep needs crosses this one
+   solver libraries: everything a generated kernel needs crosses this one
    tiny module, which both the host executable and every plugin compile
    against.  A plugin's top-level code calls [register] with its
    entry-point maker; the host calls [take] right after loading to claim
@@ -12,7 +12,6 @@
 type ba = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type rt = {
-  ncells : int;
   dim : int;
   cell_faces : int array array;
   slot_start : int array;
@@ -28,17 +27,11 @@ type rt = {
   fns : (float array -> float) array;
   dt : float ref;
   time : float ref;
-  index_off : int array;
-  index_len : int array;
   has_bc : bool array;
   bc_term : int -> int -> int -> float;
 }
 
-type entry = {
-  e_sweep : int array option -> unit;
-  e_commit : int array option -> unit;
-  e_dof_interior : int -> int -> float;
-}
+type entry = { e_advance : bool -> int -> int array -> int -> int -> unit }
 
 let pending : (rt -> entry) option ref = ref None
 let register f = pending := Some f

@@ -2,17 +2,16 @@
 
     Generated modules (emitted by [Emit_source.to_ocaml], compiled and
     dynlinked by [Finch_codegen]) are built against this module alone, so
-    it must stay dependency-free: the host packs everything a sweep needs
-    into an {!rt} record of plain arrays, refs and callbacks, and the
-    plugin hands back an {!entry} of loop bodies.  The register/take
-    handshake keys nothing on the generated source, keeping the
-    content-hash cache key value-independent. *)
+    it must stay dependency-free: the host packs everything a kernel
+    needs into an {!rt} record of plain arrays, refs and callbacks, and
+    the plugin hands back an {!entry} holding its one body.  The
+    register/take handshake keys nothing on the generated source, keeping
+    the content-hash cache key value-independent. *)
 
 type ba = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Raw cell-major field storage as exposed by [Fvm.Field.raw]. *)
 
 type rt = {
-  ncells : int;
   dim : int;
   cell_faces : int array array;  (** face ids bounding each cell *)
   slot_start : int array;
@@ -32,8 +31,6 @@ type rt = {
   fns : (float array -> float) array;  (** space-function coefficients *)
   dt : float ref;
   time : float ref;
-  index_off : int array;         (** per declared index: owned offset *)
-  index_len : int array;         (** per declared index: owned length *)
   has_bc : bool array;           (** per face: a boundary condition applies *)
   bc_term : int -> int -> int -> float;
       (** [bc_term face cell comp]: the boundary term — a callback face's
@@ -47,16 +44,15 @@ type rt = {
     source, so every kernel cache goes stale once. *)
 
 type entry = {
-  e_sweep : int array option -> unit;
-      (** forward-Euler sweep into the double buffer over the given cells
-          ([None] = every cell), restricted to the owned index ranges *)
-  e_commit : int array option -> unit;
-      (** publish the double buffer over the given cells *)
-  e_dof_interior : int -> int -> float;
-      (** [e_dof_interior cell comp]: volume term plus interior-face
-          fluxes only (the GPU kernel's per-thread body) *)
+  e_advance : bool -> int -> int array -> int -> int -> unit;
+      (** [e_advance with_bc cell comps off len]: [u_new <- u + dt * R]
+          for the components [comps.(off) .. comps.(off + len - 1)] of
+          [cell], each component's index values decoded from it.  R is
+          the volume term plus the face fluxes: every face with
+          [with_bc] (the sweep), interior faces only without it (the GPU
+          thread body, whose boundary terms the host adds). *)
 }
-(** The generated loop bodies for one compiled program. *)
+(** The generated body for one compiled program. *)
 
 val register : (rt -> entry) -> unit
 (** Called by a plugin's top-level code to publish its entry maker. *)

@@ -162,21 +162,25 @@ let to_cuda node =
 (* ------------------------------------------------------------------ *)
 
 (* Unlike the listings above, [to_ocaml] is executable: it renders a
-   lowered state's full sweep/commit/interior-DOF loop bodies as an OCaml
-   module that Finch_codegen compiles to a .cmxs and dynlinks.  The
-   emitted arithmetic mirrors [Eval.compile] operation for operation —
-   as every lane of a lane program performs it — (fold-from-zero sums,
-   fold-from-one products, the reciprocal/square power special cases,
-   lazy conditionals, Float.equal comparisons), so generated results are
-   bit-identical to the interpreter.
+   lowered state's one kernel body, [advance with_bc cell comps off len]
+   (u_new <- u + dt * R over a slice of one cell's components, the slice
+   [Lower] would evaluate as a lane group), as an OCaml module that
+   Finch_codegen compiles to a .cmxs and dynlinks.  [Lower] walks the
+   cells and slices; the kernel decodes each component's index values
+   from the component.  The emitted arithmetic mirrors [Eval.compile]
+   operation for operation — as every lane of a lane program performs
+   it — (fold-from-zero sums, fold-from-one products, the
+   reciprocal/square power special cases, lazy conditionals,
+   Float.equal comparisons), so generated results are bit-identical to
+   the interpreter.
 
    Anything whose interpreted semantics cannot be reproduced in straight-line
    generated code raises [Unsupported_native] and the caller falls back
    to the interpreter: NaN/infinite literals, face-context symbols
    (FACEAREA / NORMAL_k / CELL2 references) inside the volume term —
-   whose interpreted value would depend on stale traversal state — and
-   boundary conditions that depend on loop indices the generated
-   callback cannot reconstruct from the unknown's component id.
+   whose interpreted value would depend on stale traversal state — and a
+   problem declaring an index its unknown does not carry, whose value
+   no component encodes.
 
    Values never land in the source text: field/array/function slots are
    positional, and constants (Const coefficients and the array elements
@@ -288,18 +292,23 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
       | Entity.Const _ -> ignore (const_slot (Cs_coef c.Entity.cname))
       | _ -> ())
     p.Problem.coefficients;
-  List.iter (fun (i : Entity.index) -> check_ident "index" i.Entity.iname) p.Problem.indices;
-  let idx_slot name = slot_of (List.map (fun (i : Entity.index) -> i.Entity.iname) p.Problem.indices) name in
-  let ivar n scope =
-    match List.assoc_opt n scope with
-    | Some v -> Some v
-    | None ->
-      (* a declared index that no enclosing loop (or component
-         decomposition) sets: the interpreter reads its env cell, which
-         stays 0 for the whole traversal *)
-      if List.exists (fun (i : Entity.index) -> String.equal i.Entity.iname n) p.Problem.indices
-      then None
-      else unsup "unknown index %s" n
+  (* the one loop-plan rule: every declared index is one the unknown
+     carries, so each index value decodes from the component *)
+  List.iter
+    (fun (i : Entity.index) ->
+      let n = i.Entity.iname in
+      check_ident "index" n;
+      if
+        not
+          (List.exists
+             (fun (u : Entity.index) -> String.equal u.Entity.iname n)
+             uvar.Entity.vindices)
+      then unsup "index %s is not carried by the unknown %s" n uvar.Entity.vname)
+    p.Problem.indices;
+  let ivar n =
+    if List.exists (fun (i : Entity.index) -> String.equal i.Entity.iname n) p.Problem.indices
+    then "i_" ^ n
+    else unsup "unknown index %s" n
   in
   (* the staged test [c] is, numbered in list order (the binder passes
      their tables in the same order) *)
@@ -313,23 +322,18 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
   in
   (* a staged test's table offset within the slot: its index values,
      first name fastest, as Eval reads it *)
-  let test_offset ~scope (t : Eval.staged) =
+  let test_offset (t : Eval.staged) =
     let _, pieces =
       List.fold_left
         (fun (stride, acc) (n, ext) ->
-          let piece =
-            match ivar n scope with
-            | Some v -> Printf.sprintf "(%s * %d)" v stride
-            | None -> "0"
-          in
-          stride * ext, acc @ [ piece ])
+          stride * ext, acc @ [ Printf.sprintf "(%s * %d)" (ivar n) stride ])
         (1, []) t.Eval.names
     in
     if pieces = [] then "0" else "(" ^ String.concat " + " pieces ^ ")"
   in
   (* component offset of a field reference, mirroring Eval.compile_comp:
      position in the declared index list governs the stride *)
-  let comp_of ~scope name layout idx_refs =
+  let comp_of name layout idx_refs =
     if idx_refs = [] && layout = [] then "0"
     else if List.length layout <> List.length idx_refs then
       unsup "%s: index arity mismatch" name
@@ -339,37 +343,31 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
           (fun (_iname, lo, stride) (iref : Expr.index_ref) ->
             match iref with
             | Expr.Iconst k -> string_of_int ((k - lo) * stride)
-            | Expr.Ivar n -> (
-              match ivar n scope with
-              | Some v -> Printf.sprintf "(%s * %d)" v stride
-              | None -> "0")
-            | Expr.Ishift (n, k) -> (
-              match ivar n scope with
-              | Some v -> Printf.sprintf "((%s + %d) * %d)" v k stride
-              | None -> Printf.sprintf "(%d * %d)" k stride))
+            | Expr.Ivar n -> Printf.sprintf "(%s * %d)" (ivar n) stride
+            | Expr.Ishift (n, k) -> Printf.sprintf "((%s + %d) * %d)" (ivar n) k stride)
           layout idx_refs
       in
       "(" ^ String.concat " + " pieces ^ ")"
   in
-  let rec ex ~scope ~face (e : Expr.t) : string =
+  let rec ex ~face (e : Expr.t) : string =
     match e with
     | Expr.Num x -> lit x
-    | Expr.Sym s -> sym ~scope ~face s
-    | Expr.Ref (name, idx_refs, side) -> ref_ ~scope ~face name idx_refs side
+    | Expr.Sym s -> sym ~face s
+    | Expr.Ref (name, idx_refs, side) -> ref_ ~face name idx_refs side
     | Expr.Add es ->
       (* fold from 0, exactly like each lane's accumulator *)
-      "(0." ^ String.concat "" (List.map (fun e -> " +. " ^ ex ~scope ~face e) es) ^ ")"
+      "(0." ^ String.concat "" (List.map (fun e -> " +. " ^ ex ~face e) es) ^ ")"
     | Expr.Mul es ->
-      "(1." ^ String.concat "" (List.map (fun e -> " *. " ^ ex ~scope ~face e) es) ^ ")"
+      "(1." ^ String.concat "" (List.map (fun e -> " *. " ^ ex ~face e) es) ^ ")"
     | Expr.Pow (a, Expr.Num x) when Float.equal x (-1.) ->
-      "(1. /. " ^ ex ~scope ~face a ^ ")"
+      "(1. /. " ^ ex ~face a ^ ")"
     | Expr.Pow (a, Expr.Num x) when Float.equal x 2. ->
-      "(let pv = " ^ ex ~scope ~face a ^ " in pv *. pv)"
+      "(let pv = " ^ ex ~face a ^ " in pv *. pv)"
     | Expr.Pow (a, b) ->
-      "(Float.pow " ^ ex ~scope ~face a ^ " " ^ ex ~scope ~face b ^ ")"
-    | Expr.Call (name, args) -> call ~scope ~face name args
+      "(Float.pow " ^ ex ~face a ^ " " ^ ex ~face b ^ ")"
+    | Expr.Call (name, args) -> call ~face name args
     | Expr.Cmp (op, a, b) ->
-      let sa = ex ~scope ~face a and sb = ex ~scope ~face b in
+      let sa = ex ~face a and sb = ex ~face b in
       (match op with
        | Expr.Gt -> Printf.sprintf "(if %s > %s then 1. else 0.)" sa sb
        | Expr.Ge -> Printf.sprintf "(if %s >= %s then 1. else 0.)" sa sb
@@ -383,12 +381,11 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
       match staged_index c with
       | Some (k, staged) when face = Interior ->
         Printf.sprintf "(if Bytes.get t%d ((s * %d) + %s) <> '\\000' then %s else %s)"
-          k staged.Eval.width (test_offset ~scope staged) (ex ~scope ~face t)
-          (ex ~scope ~face el)
+          k staged.Eval.width (test_offset staged) (ex ~face t) (ex ~face el)
       | _ ->
-        Printf.sprintf "(if %s <> 0. then %s else %s)" (ex ~scope ~face c)
-          (ex ~scope ~face t) (ex ~scope ~face el))
-  and sym ~scope ~face s =
+        Printf.sprintf "(if %s <> 0. then %s else %s)" (ex ~face c) (ex ~face t)
+          (ex ~face el))
+  and sym ~face s =
     match s with
     | "dt" -> "dt"
     | "t" | "time" -> "(!time_r)"
@@ -405,7 +402,6 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
       let k = int_of_string (String.sub s 7 (String.length s - 7)) - 1 in
       Printf.sprintf "snrm.((s * dim) + %d)" k
     | s -> (
-      ignore scope;
       match var_slot s with
       | Some _ -> unsup "%s is an indexed variable used as a scalar" s
       | None -> (
@@ -419,11 +415,10 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
         | Some { Entity.cvalue = Entity.Arr _; _ } ->
           unsup "%s is an indexed coefficient used as a scalar" s
         | None -> unsup "unknown symbol %s" s))
-  and ref_ ~scope ~face name idx_refs side =
+  and ref_ ~face name idx_refs side =
     match var_slot name with
     | Some (vi, v) -> (
-      let layout = Lower.layout_of_var v in
-      let comp = comp_of ~scope name layout idx_refs in
+      let comp = comp_of name (Lower.layout_of_var v) idx_refs in
       let nc = Entity.var_ncomp v in
       match side with
       | Expr.Here | Expr.Cell1 ->
@@ -438,11 +433,9 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
       | Some { Entity.cvalue = Entity.Arr _; cindex; _ } -> (
         let lo = match cindex with Some i -> i.Entity.lo | None -> 1 in
         match idx_refs with
-        | [ Expr.Ivar n ] -> (
+        | [ Expr.Ivar n ] ->
           let slot = match slot_of arr_names name with Some i -> i | None -> assert false in
-          match ivar n scope with
-          | Some v -> Printf.sprintf "a%d.(%s)" slot v
-          | None -> Printf.sprintf "a%d.(0)" slot)
+          Printf.sprintf "a%d.(%s)" slot (ivar n)
         | [ Expr.Iconst k ] ->
           (* the lane compiler bakes the element's value in, so
              the binder captures it into a constant slot at bind time *)
@@ -455,10 +448,10 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
          | Some i -> Printf.sprintf "(fnv %d cell)" i
          | None -> assert false)
       | None -> unsup "unknown entity %s" name)
-  and call ~scope ~face name args =
+  and call ~face name args =
     let unary fname =
       match args with
-      | [ a ] -> Printf.sprintf "(%s %s)" fname (ex ~scope ~face a)
+      | [ a ] -> Printf.sprintf "(%s %s)" fname (ex ~face a)
       | _ -> unsup "%s expects one argument" name
     in
     match name with
@@ -468,101 +461,27 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
     | "min" | "max" -> (
       match args with
       | [ a; b ] ->
-        Printf.sprintf "(Float.%s %s %s)" name (ex ~scope ~face a)
-          (ex ~scope ~face b)
+        Printf.sprintf "(Float.%s %s %s)" name (ex ~face a) (ex ~face b)
       | _ -> unsup "%s expects two arguments" name)
     | _ -> unsup "unresolved call %s/%d" name (List.length args)
   in
-  (* ---- feasibility checks beyond per-expression support ---- *)
-  let u_layout = Lower.layout_of_var uvar in
-  let u_nc = Entity.var_ncomp uvar in
-  let u_slot = match var_slot uvar.Entity.vname with Some (i, _) -> i | None -> assert false in
   if Fvm.Field.layout st.Lower.u <> Fvm.Field.Cell_major
      || Fvm.Field.layout st.Lower.u_new <> Fvm.Field.Cell_major
   then unsup "non-cell-major unknown storage";
-  let uvar_inames = List.map (fun (i : Entity.index) -> i.Entity.iname) uvar.Entity.vindices in
-  let has_any_bc = Array.exists (fun o -> o <> None) st.Lower.face_bc in
-  List.iter
-    (fun entry ->
-      match entry with
-      | Lower.Over_cells -> ()
-      | Lower.Over_index (n, _) ->
-        if has_any_bc && not (List.mem n uvar_inames) then
-          unsup
-            "boundary conditions with loop index %s not derivable from the \
-             unknown's component"
-            n)
-    st.Lower.loops;
+  let u_slot = match var_slot uvar.Entity.vname with Some (i, _) -> i | None -> assert false in
   (* ---- source assembly ---- *)
   let buf = Buffer.create 4096 in
-  let out fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s) fmt in
-  let line d s = out "%s%s\n" (String.make (2 * d) ' ') s in
+  let line d s =
+    Buffer.add_string buf (String.make (2 * d) ' ');
+    Buffer.add_string buf s;
+    Buffer.add_char buf '\n'
+  in
   let linef d fmt = Printf.ksprintf (line d) fmt in
-  let gensym =
-    let n = ref 0 in
-    fun base ->
-      incr n;
-      Printf.sprintf "%s%d" base !n
-  in
-  (* the loop nest around a per-DOF body; [scope] maps index names to the
-     generated loop variables *)
-  let scope =
-    List.filter_map
-      (function
-        | Lower.Over_cells -> None
-        | Lower.Over_index (n, _) -> Some (n, "i_" ^ n))
-      st.Lower.loops
-  in
-  let rec emit_loops d loops body =
-    match loops with
-    | [] -> body d
-    | Lower.Over_cells :: rest ->
-      let fn = gensym "cell_body" in
-      linef d "let %s cell =" fn;
-      emit_loops (d + 1) rest body;
-      line d "in";
-      line d "(match cells with";
-      linef d " | None -> for cell = 0 to ncells - 1 do %s cell done" fn;
-      linef d " | Some cs -> Array.iter %s cs)" fn
-    | Lower.Over_index (n, _) :: rest ->
-      let slot = match idx_slot n with Some i -> i | None -> assert false in
-      linef d "for i_%s = ioff.(%d) to ioff.(%d) + ilen.(%d) - 1 do" n slot slot
-        slot;
-      emit_loops (d + 1) rest body;
-      line d "done"
-  in
-  (* the face sum shared by sweep and dof_interior: one loop over the
-     cell's slots, reading neighbour, signed normal and staged tests from
-     the face tables; [with_bc] adds the boundary branch through the
-     runtime callback *)
-  let emit_flux d ~scope ~with_bc =
-    let rsurf = ex ~scope ~face:Interior st.Lower.eq.Transform.rsurf in
-    line d "let flux = ref 0. in";
-    line d "let fcs = cfaces.(cell) and s0 = sstart.(cell) in";
-    line d "for fi = 0 to Array.length fcs - 1 do";
-    line (d + 1) "let s = s0 + fi in";
-    line (d + 1) "let cell2 = snbr.(s) in";
-    line (d + 1) "if cell2 >= 0 then begin";
-    line (d + 2) "let face = fcs.(fi) in";
-    linef (d + 2) "flux := !flux +. (area.(face) *. %s)" rsurf;
-    line (d + 1) "end";
-    if with_bc then begin
-      line (d + 1) "else begin";
-      line (d + 2) "let face = fcs.(fi) in";
-      (* unconstrained boundary faces add nothing — not even +. 0. — so
-         signed zeros survive exactly as in the interpreter *)
-      line (d + 2) "if has_bc.(face) then";
-      line (d + 3) "flux := !flux +. (area.(face) *. (bc_term face cell comp))";
-      line (d + 1) "end"
-    end;
-    line d "done;"
-  in
   line 0 "[@@@warning \"-a\"]";
   line 0 "";
   line 0 "let () =";
   line 1 "Finch_ci.register (fun rt ->";
   let d0 = 2 in
-  line d0 "let ncells = rt.Finch_ci.ncells in";
   line d0 "let dim = rt.Finch_ci.dim in";
   line d0 "let cfaces = rt.Finch_ci.cell_faces in";
   line d0 "let sstart = rt.Finch_ci.slot_start in";
@@ -584,63 +503,48 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
      k))) in";
   line d0 "let dt_r = rt.Finch_ci.dt in";
   line d0 "let time_r = rt.Finch_ci.time in";
-  line d0 "let ioff = rt.Finch_ci.index_off in";
-  line d0 "let ilen = rt.Finch_ci.index_len in";
   line d0 "let has_bc = rt.Finch_ci.has_bc in";
   line d0 "let bc_term = rt.Finch_ci.bc_term in";
-  (* sweep: the full forward-Euler update over the loop plan *)
-  line d0 "let sweep cells =";
-  line (d0 + 1) "let dt = !dt_r in";
-  emit_loops (d0 + 1) st.Lower.loops (fun d ->
-      linef d "let comp = %s in"
-        (comp_of ~scope uvar.Entity.vname u_layout
-           (List.map (fun (i : Entity.index) -> Expr.Ivar i.Entity.iname)
-              uvar.Entity.vindices));
-      linef d "let rv = %s in" (ex ~scope ~face:No_face st.Lower.eq.Transform.rvol);
-      emit_flux d ~scope ~with_bc:true;
-      linef d "let idx = (cell * %d) + comp in" u_nc;
-      linef d
-        "Bigarray.Array1.unsafe_set fnew idx ((Bigarray.Array1.unsafe_get f%d \
-         idx) +. (dt *. (rv +. (!flux /. vol.(cell)))))"
-        u_slot);
+  (* advance: u_new <- u + dt * R over a slice of one cell's components.
+     Each component's index values decode from it, first declared index
+     fastest (as Lower.set_group decomposes it).  The face sum is one
+     loop over the cell's slots, reading neighbour, signed normal and
+     staged tests from the face tables; with [with_bc] a boundary face
+     adds its term through the runtime callback *)
+  line d0 "let advance with_bc cell comps off len =";
+  line 3 "let dt = !dt_r in";
+  line 3 "let fcs = cfaces.(cell) and s0 = sstart.(cell) in";
+  line 3 "for j = off to off + len - 1 do";
+  line 4 "let comp = comps.(j) in";
+  (* comp < ncomp: the last index needs no mod, the first no division *)
+  let nidx = List.length uvar.Entity.vindices in
+  List.iteri
+    (fun k ((n, _, stride), (i : Entity.index)) ->
+      let q = if stride = 1 then "comp" else Printf.sprintf "(comp / %d)" stride in
+      if k = nidx - 1 then linef 4 "let i_%s = %s in" n q
+      else linef 4 "let i_%s = %s mod %d in" n q (Entity.index_extent i))
+    (List.combine (Lower.layout_of_var uvar) uvar.Entity.vindices);
+  linef 4 "let rv = %s in" (ex ~face:No_face st.Lower.eq.Transform.rvol);
+  line 4 "let flux = ref 0. in";
+  line 4 "for fi = 0 to Array.length fcs - 1 do";
+  line 5 "let s = s0 + fi in";
+  line 5 "let cell2 = snbr.(s) and face = fcs.(fi) in";
+  line 5 "if cell2 >= 0 then";
+  linef 6 "flux := !flux +. (area.(face) *. %s)"
+    (ex ~face:Interior st.Lower.eq.Transform.rsurf);
+  (* unconstrained boundary faces add nothing — not even +. 0. — so
+     signed zeros survive exactly as in the interpreter *)
+  line 5 "else if with_bc && has_bc.(face) then";
+  line 6 "flux := !flux +. (area.(face) *. (bc_term face cell comp))";
+  line 4 "done;";
+  linef 4 "let idx = (cell * %d) + comp in" (Entity.var_ncomp uvar);
+  linef 4
+    "Bigarray.Array1.unsafe_set fnew idx ((Bigarray.Array1.unsafe_get f%d \
+     idx) +. (dt *. (rv +. (!flux /. vol.(cell)))))"
+    u_slot;
+  line 3 "done";
   line d0 "in";
-  (* commit: publish the double buffer over the same loop plan *)
-  line d0 "let commit cells =";
-  emit_loops (d0 + 1) st.Lower.loops (fun d ->
-      linef d "let comp = %s in"
-        (comp_of ~scope uvar.Entity.vname u_layout
-           (List.map (fun (i : Entity.index) -> Expr.Ivar i.Entity.iname)
-              uvar.Entity.vindices));
-      linef d "let idx = (cell * %d) + comp in" u_nc;
-      linef d
-        "Bigarray.Array1.unsafe_set f%d idx (Bigarray.Array1.unsafe_get fnew \
-         idx)"
-        u_slot);
-  line d0 "in";
-  (* dof_interior: the GPU kernel's per-thread body — volume term plus
-     interior-face fluxes, index values decomposed from the component *)
-  line d0 "let dof_interior cell comp =";
-  let dscope =
-    (* first declared index fastest, as Lower.set_group decomposes it *)
-    let d1 = d0 + 1 in
-    line d1 "let dt = !dt_r in";
-    line d1 "let dc0 = comp in";
-    List.mapi
-      (fun k (i : Entity.index) ->
-        let ext = Entity.index_extent i in
-        linef d1 "let i_%s = dc%d mod %d in" i.Entity.iname k ext;
-        linef d1 "let dc%d = dc%d / %d in" (k + 1) k ext;
-        (i.Entity.iname, "i_" ^ i.Entity.iname))
-      uvar.Entity.vindices
-  in
-  let d1 = d0 + 1 in
-  linef d1 "let rv = %s in" (ex ~scope:dscope ~face:No_face st.Lower.eq.Transform.rvol);
-  emit_flux d1 ~scope:dscope ~with_bc:false;
-  line d1 "rv +. (!flux /. vol.(cell))";
-  line d0 "in";
-  line d0
-    "{ Finch_ci.e_sweep = sweep; e_commit = commit; e_dof_interior = \
-     dof_interior })";
+  line d0 "{ Finch_ci.e_advance = advance })";
   {
     oc_src = Buffer.contents buf;
     oc_fields = List.map (fun (v : Entity.variable) -> v.Entity.vname) vars;

@@ -2,9 +2,9 @@
 
     [to_julia]/[to_cuda] are the documentation-grade listings a Finch
     user would inspect or hand-modify.  [to_ocaml] is executable: it
-    renders a lowered program's sweep/commit/interior-DOF loop bodies as
-    an OCaml module that lib/codegen compiles to a shared object and
-    dynlinks (docs/CODEGEN.md). *)
+    renders a lowered program's one kernel body as an OCaml module that
+    lib/codegen compiles to a shared object and dynlinks
+    (docs/CODEGEN.md). *)
 
 val to_julia : Ir.node -> string
 (** Julia-like CPU listing (the original Finch's native output style). *)
@@ -17,9 +17,9 @@ val to_cuda : Ir.node -> string
 exception Unsupported_native of string
 (** Raised by {!to_ocaml} when a program's interpreted semantics cannot
     be reproduced in generated code (non-finite literals, face-context
-    symbols in the volume term, boundary conditions depending on loop
-    indices not derivable from the unknown's component, non-cell-major
-    storage); callers fall back to the interpreter. *)
+    symbols in the volume term, a declared index the unknown does not
+    carry, non-cell-major storage); callers fall back to the
+    interpreter. *)
 
 (** How the binder fills one constant slot at bind time: a [Const]
     coefficient's value, or the element (at a 0-based offset) of an
@@ -43,11 +43,15 @@ type ocaml_emission = {
     the binder resolves against a concrete state. *)
 
 val to_ocaml : Lower.state -> ocaml_emission
-(** Emit the full sweep/commit/interior-DOF bodies of a lowered state as
-    an OCaml module, arithmetic mirroring [Eval.compile] operation for
-    operation, as each lane of a lane program performs it, so generated
-    results are bit-identical to the interpreter.  The source depends
-    only on program structure (never on field or coefficient values), so
-    its digest is a stable cache key.
+(** Emit a lowered state's kernel as an OCaml module registering one
+    body, [advance with_bc cell comps off len] ([Finch_ci.entry]):
+    [u_new <- u + dt * R] over a slice of one cell's components, each
+    component's index values decoded from it, R taking the boundary
+    faces with [with_bc].  The arithmetic mirrors [Eval.compile]
+    operation for operation, as each lane of a lane program performs it,
+    so generated results are bit-identical to the interpreter.  The
+    source depends only on program structure (never on field or
+    coefficient values, mesh size or loop order), so its digest is a
+    stable cache key.
     @raise Unsupported_native when emission cannot preserve the
     interpreter's semantics. *)

@@ -39,15 +39,14 @@ type rankinfo = {
 
 let serial_rankinfo = { rank = 0; nranks = 1; owned_cells = None; index_ranges = [] }
 
-(* Generated-code entry points for one state (lib/codegen).  When
-   present, [sweep]/[sweep_cells]/[commit]/[update_interior] dispatch to
-   them instead of the interpreter; the generated bodies are
-   bit-identical by construction, so every executor schedule composes
-   unchanged. *)
+(* The generated kernel of one state (lib/codegen): u_new <- u + dt * R
+   over a slice of one cell's components, with or without the boundary
+   faces.  When present, [sweep]/[sweep_cells]/[update_interior] hand it
+   the slices the interpreter would run as lane groups; the generated
+   body is bit-identical by construction, so every executor schedule
+   composes unchanged. *)
 type native_entry = {
-  n_sweep : int array option -> unit;
-  n_commit : int array option -> unit;
-  n_dof_interior : int -> int -> float;
+  n_advance : bool -> int -> int array -> int -> int -> unit;
 }
 
 (* The interpreter's per-lane buffers and the layout of the unknown's
@@ -63,8 +62,7 @@ type lanebuf = {
     (* the accessor reading [ghost]; other variables read the cell *)
   upos : int array;        (* per index of the unknown, first fastest: its env position *)
   uext : int array;        (*   and extent *)
-  others : (int * int ref) array;
-    (* env positions the unknown does not carry, with their env cells *)
+  others : int array;      (* env positions the unknown does not carry *)
   tup_iv : int array array;
     (* per env position, per owned index tuple of a cell (configured loop
        order): the index's value *)
@@ -85,7 +83,6 @@ type state = {
   rvol : Eval.program;
   rsurf : Eval.program;
   lanes : lanebuf;
-  ucomp : unit -> int;       (* component of the unknown at current ivals *)
   face_bc : bc_resolved option array; (* indexed by face id; None on interior *)
   staged : (int -> float) array Lazy.t;
     (* indexed by face id: a callback face's staged per-component function *)
@@ -94,18 +91,12 @@ type state = {
   step : int ref;
   info : rankinfo;
   breakdown : Prt.Breakdown.t;
-  (* loop plan: outer-to-inner entries *)
-  loops : loop_entry list;
   (* -d(rvol)/du, compiled lazily (used by the point-implicit stepper) *)
   rvol_du : Eval.program Lazy.t;
   (* generated entry points, installed by the native-codegen hook when
      eval_mode = Native and emission/compilation succeeded *)
   mutable native : native_entry option;
 }
-
-and loop_entry =
-  | Over_cells
-  | Over_index of string * int (* extent (full); rank restriction applied at run time *)
 
 (* Core cannot depend on lib/codegen (which depends on core), so native
    code generation reaches states through this hook: Finch_codegen
@@ -399,38 +390,11 @@ let stage_interior (p : Problem.t) : Eval.faces =
   in
   { geometry with tests = List.map stage tests }
 
-(* Per index of [v], first fastest: the env cell holding its value and
-   its extent. *)
-let comp_index env (v : Entity.variable) =
-  Array.of_list
-    (List.map
-       (fun (i : Entity.index) -> Eval.ival env i.Entity.iname, Entity.index_extent i)
-       v.Entity.vindices)
-
-(* The flat component of the unknown at the env's current index values. *)
-let ucomp_of comp_index =
-  let strides =
-    let n = Array.length comp_index in
-    let a = Array.make n 1 in
-    for k = 1 to n - 1 do
-      a.(k) <- a.(k - 1) * snd comp_index.(k - 1)
-    done;
-    a
-  in
-  fun () ->
-    let c = ref 0 in
-    for k = 0 to Array.length comp_index - 1 do
-      c := !c + (!(fst comp_index.(k)) * strides.(k))
-    done;
-    !c
-
 (* owned range of an index for a rank (0-based offset, length) *)
 let range_of (info : rankinfo) name extent =
   match List.assoc_opt name info.index_ranges with
   | Some r -> r
   | None -> 0, extent
-
-let index_range st name extent = range_of st.info name extent
 
 let position names name =
   let rec go k = function
@@ -439,19 +403,17 @@ let position names name =
   in
   go 0 names
 
-(* The owned index tuples of one cell, in the configured loop order with
-   the cell loop left out: per position of [index_names], each tuple's
-   value (0 for an index no loop runs, whose env cell stays 0), and each
-   tuple's component of the unknown. *)
-let cell_tuples ~index_names ~loops ~info (uvar : Entity.variable) =
+(* The owned index tuples of one cell, in the loop plan's order (its
+   index loops, outer to inner, with their extents): per position of
+   [index_names], each tuple's value (0 for an index no loop runs), and
+   each tuple's component of the unknown. *)
+let cell_tuples ~index_names ~plan ~info (uvar : Entity.variable) =
   let inner =
-    List.filter_map
-      (function
-        | Over_cells -> None
-        | Over_index (name, extent) ->
-          let off, len = range_of info name extent in
-          Some (position index_names name, off, len))
-      loops
+    List.map
+      (fun (name, extent) ->
+        let off, len = range_of info name extent in
+        position index_names name, off, len)
+      plan
   in
   let count = List.fold_left (fun acc (_, _, len) -> acc * len) 1 inner in
   let iv = Array.init (List.length index_names) (fun _ -> Array.make count 0) in
@@ -512,9 +474,9 @@ let make_lanebuf (env : Eval.env) ~fields (uvar : Entity.variable) ~tuples =
       Array.of_list (List.map Entity.index_extent uvar.Entity.vindices);
     others =
       Array.of_list
-        (List.filteri
-           (fun p _ -> not (Array.mem p upos))
-           (List.mapi (fun p (_, r) -> p, r) env.Eval.ivals));
+        (List.filter
+           (fun p -> not (Array.mem p upos))
+           (List.init (List.length names) Fun.id));
     tup_iv;
     tup_comp }
 
@@ -579,31 +541,27 @@ let rec build ?(info = serial_rankinfo) ?share_with ?(private_clock = false)
     | None -> ref p.Problem.dt, ref 0.
   in
   let index_names = List.map (fun i -> i.Entity.iname) p.Problem.indices in
-  (* loop plan *)
-  let loops =
+  (* the loop plan ([assemblyLoops]) orders only a cell's index tuples:
+     every walk runs cells outermost *)
+  let plan =
     let order =
       match p.Problem.loop_order with
       | Some o -> o
       | None -> "elements" :: index_names
     in
-    let seen_cells = List.exists (fun s -> s = "elements" || s = "cells") order in
-    if not seen_cells then raise (Lower_error "assemblyLoops must include \"elements\"");
-    List.iter
+    let is_cells s = s = "elements" || s = "cells" in
+    if not (List.exists is_cells order) then
+      raise (Lower_error "assemblyLoops must include \"elements\"");
+    List.filter_map
       (fun s ->
-        if s <> "elements" && s <> "cells" && Problem.find_index p s = None then
-          raise (Lower_error ("assemblyLoops: unknown index " ^ s)))
-      order;
-    List.map
-      (fun s ->
-        if s = "elements" || s = "cells" then Over_cells
+        if is_cells s then None
         else
-          let i =
-            match Problem.find_index p s with Some i -> i | None -> assert false
-          in
-          Over_index (s, Entity.index_extent i))
+          match Problem.find_index p s with
+          | Some i -> Some (s, Entity.index_extent i)
+          | None -> raise (Lower_error ("assemblyLoops: unknown index " ^ s)))
       order
   in
-  let tuples = cell_tuples ~index_names ~loops ~info uvar in
+  let tuples = cell_tuples ~index_names ~plan ~info uvar in
   let env =
     Eval.make_env ~lanes:(lane_count uvar (snd tuples)) ~mesh ~dt ~time
       ~index_names
@@ -634,7 +592,6 @@ let rec build ?(info = serial_rankinfo) ?share_with ?(private_clock = false)
       rvol;
       rsurf;
       lanes = make_lanebuf env ~fields uvar ~tuples;
-      ucomp = ucomp_of (comp_index env uvar);
       face_bc;
       staged;
       time;
@@ -642,7 +599,6 @@ let rec build ?(info = serial_rankinfo) ?share_with ?(private_clock = false)
       step = ref 0;
       info;
       breakdown = Prt.Breakdown.zero ();
-      loops;
       rvol_du;
       native = None;
     }
@@ -669,39 +625,11 @@ and apply_initial_conditions st =
   (* the double buffer starts as a copy so untouched comps stay coherent *)
   Fvm.Field.blit ~src:st.u ~dst:st.u_new
 
-(* Run [f] for every owned (cell x index) combination in the configured
-   loop order.  [f] is called with loop state already set in [st.env]. *)
-let iterate_dofs st (f : unit -> unit) =
-  let env = st.env in
-  let rec go = function
-    | [] -> f ()
-    | Over_cells :: rest ->
-      (match st.info.owned_cells with
-       | None ->
-         for c = 0 to st.mesh.Fvm.Mesh.ncells - 1 do
-           env.Eval.cell <- c;
-           go rest
-         done
-       | Some cs ->
-         for i = 0 to Array.length cs - 1 do
-           env.Eval.cell <- cs.(i);
-           go rest
-         done)
-    | Over_index (name, extent) :: rest ->
-      let off, len = index_range st name extent in
-      let r = Eval.ival env name in
-      for v = off to off + len - 1 do
-        r := v;
-        go rest
-      done
-  in
-  go st.loops
-
 (* ---- Lane groups ---------------------------------------------------- *)
 
 (* The group of [cell]'s components [comps.(off) .. comps.(off + n - 1)]:
-   each lane's index values, and the env's for the indices the unknown
-   does not carry. *)
+   each lane's index values, decoded from its component, and 0 for the
+   indices the unknown does not carry. *)
 let set_group st cell comps off n =
   let g = st.env.Eval.group and lb = st.lanes in
   st.env.Eval.cell <- cell;
@@ -716,31 +644,24 @@ let set_group st cell comps off n =
       rest := !rest / ext
     done;
     for k = 0 to Array.length lb.others - 1 do
-      let p, r = lb.others.(k) in
-      g.Eval.iv.(p).(l) <- !r
+      g.Eval.iv.(lb.others.(k)).(l) <- 0
     done
   done;
   Eval.touch g
 
-(* Run [f] on every lane group of the owned DOFs of [cells] ([None] =
-   every mesh cell): per cell, its owned index tuples in slices of at most
-   the env's lanes. *)
-let iterate_groups_cells st ~cells (f : unit -> unit) =
-  let env = st.env and lb = st.lanes in
-  let g = env.Eval.group in
-  let ntup = Array.length lb.tup_comp and cap = env.Eval.lanes in
+(* Run [f cell off n] on every lane-group slice of the owned DOFs of
+   [cells] ([None] = every mesh cell): per cell, its owned index tuples
+   ([tup_comp], in the loop plan's order) in slices of at most the env's
+   lanes.  The one walk over a state's DOFs: the interpreter evaluates
+   each slice as a lane group, the generated kernel advances it, and
+   [iterate_owned] visits its elements. *)
+let iterate_slices st ~cells f =
+  let ntup = Array.length st.lanes.tup_comp and cap = st.env.Eval.lanes in
   let per_cell c =
-    env.Eval.cell <- c;
     let off = ref 0 in
     while !off < ntup do
       let n = min cap (ntup - !off) in
-      g.Eval.n <- n;
-      for p = 0 to Array.length g.Eval.iv - 1 do
-        Array.blit lb.tup_iv.(p) !off g.Eval.iv.(p) 0 n
-      done;
-      Array.blit lb.tup_comp !off lb.comp 0 n;
-      Eval.touch g;
-      f ();
+      f c !off n;
       off := !off + n
     done
   in
@@ -750,6 +671,20 @@ let iterate_groups_cells st ~cells (f : unit -> unit) =
       per_cell c
     done
   | Some cs -> Array.iter per_cell cs
+
+(* Run [f] on every lane group of the owned DOFs of [cells]. *)
+let iterate_groups_cells st ~cells (f : unit -> unit) =
+  let env = st.env and lb = st.lanes in
+  let g = env.Eval.group in
+  iterate_slices st ~cells (fun c off n ->
+      env.Eval.cell <- c;
+      g.Eval.n <- n;
+      for p = 0 to Array.length g.Eval.iv - 1 do
+        Array.blit lb.tup_iv.(p) off g.Eval.iv.(p) 0 n
+      done;
+      Array.blit lb.tup_comp off lb.comp 0 n;
+      Eval.touch g;
+      f ())
 
 let iterate_groups st f = iterate_groups_cells st ~cells:st.info.owned_cells f
 
@@ -885,39 +820,58 @@ let boundary_value st f cell comp =
     boundary_lanes st f bc;
     st.lanes.bterm.(0)
 
-(* One forward-Euler sweep over the owned DOFs into the double buffer.
-   A generated native entry replaces the whole loop nest (bit-identical
-   by construction), not just the expression evaluation. *)
-let sweep st =
+(* The forward-Euler sweep of the owned DOFs of [cells] into the double
+   buffer: each slice through the generated kernel when the state has
+   one (bit-identical by construction), else as a lane group. *)
+let advance_cells st cells =
   match st.native with
-  | Some n -> n.n_sweep st.info.owned_cells
+  | Some nt ->
+    let comps = st.lanes.tup_comp in
+    iterate_slices st ~cells (fun cell off n -> nt.n_advance true cell comps off n)
   | None ->
-    iterate_groups st (fun () ->
+    iterate_groups_cells st ~cells (fun () ->
         rhs st ~with_bc:true;
         advance_group st)
+
+let sweep st = advance_cells st st.info.owned_cells
 
 (* The same sweep restricted to [cells] (a subset of the owned cells).
    Per-DOF updates are independent, so sweeping disjoint subsets in any
    order is bit-identical to one full [sweep] — which is what lets an
    executor sweep interior cells while ghost messages are in flight and
    frontier cells after they land. *)
-let sweep_cells st cells =
-  match st.native with
-  | Some n -> n.n_sweep (Some cells)
-  | None ->
-    iterate_groups_cells st ~cells:(Some cells) (fun () ->
-        rhs st ~with_bc:true;
-        advance_group st)
+let sweep_cells st cells = advance_cells st (Some cells)
+
+(* Run [f base off n] on every slice of the owned DOFs (the owned cells'
+   [iterate_slices]): the slice's elements in the unknown's storage, and
+   in every field shaped like it ([raw_like]), are [base + tup_comp.(j)]
+   for [j] in [off, off + n).  [f] loops over the elements itself, so no
+   call is paid per element. *)
+let iterate_owned st f =
+  let ncomp = Fvm.Field.ncomp st.u in
+  iterate_slices st ~cells:st.info.owned_cells (fun cell off n ->
+      f (cell * ncomp) off n)
+
+(* [f]'s storage, which [iterate_owned]'s elements index.
+   @raise Invalid_argument unless [f] is cell-major and shaped like the
+   unknown. *)
+let raw_like st f =
+  if
+    Fvm.Field.layout f <> Fvm.Field.Cell_major
+    || Fvm.Field.ncells f <> Fvm.Field.ncells st.u
+    || Fvm.Field.ncomp f <> Fvm.Field.ncomp st.u
+  then invalid_arg ("Lower: " ^ Fvm.Field.name f ^ " is not shaped like the unknown");
+  Fvm.Field.raw f
 
 (* Publish the double buffer: owned DOFs of u_new become current. *)
 let commit st =
-  match st.native with
-  | Some n -> n.n_commit st.info.owned_cells
-  | None ->
-    iterate_dofs st (fun () ->
-        let cell = st.env.Eval.cell in
-        let c = st.ucomp () in
-        Fvm.Field.set st.u cell c (Fvm.Field.get st.u_new cell c))
+  let ud = raw_like st st.u and nd = raw_like st st.u_new in
+  let comps = st.lanes.tup_comp in
+  iterate_owned st (fun base off n ->
+      for j = off to off + n - 1 do
+        let e = base + comps.(j) in
+        Bigarray.Array1.unsafe_set ud e (Bigarray.Array1.unsafe_get nd e)
+      done)
 
 (* The components of [v] a rank owns: those whose value of every
    partitioned index [v] carries lies in the rank's slice.  [None] when
@@ -990,7 +944,7 @@ let make_step_ctx st ~allreduce =
       (fun name ->
         match Problem.find_index st.p name with
         | None -> raise (Lower_error ("step ctx: unknown index " ^ name))
-        | Some i -> index_range st name (Entity.index_extent i));
+        | Some i -> range_of st.info name (Entity.index_extent i));
     st_allreduce = allreduce;
     st_cells = st.info.owned_cells;
   }
@@ -1048,7 +1002,6 @@ let rebind (base : state) ~fields ~u_new =
       lanes =
         make_lanebuf env ~fields base.uvar
           ~tuples:(base.lanes.tup_iv, base.lanes.tup_comp);
-      ucomp = ucomp_of (comp_index env base.uvar);
       staged = lazy (stage_faces p mesh fields base.face_bc);
       rvol_du = lazy (compile (Transform.rvol_linearization base.eq));
       (* own accounting: sharing base's mutable breakdown record would make
@@ -1063,17 +1016,11 @@ let rebind (base : state) ~fields ~u_new =
 
 (* The hybrid schedule's interior update of [cell]'s components
    [comps.(off) .. comps.(off + len - 1)]: u_new <- u + dt * (volume term
-   plus interior-face fluxes), evaluated as lane groups of at most the
-   env's lanes, or per DOF by the native kernel. *)
+   plus interior-face fluxes), by the generated kernel or evaluated as
+   lane groups of at most the env's lanes. *)
 let update_interior st cell comps off len =
   match st.native with
-  | Some nt ->
-    let dt = !(st.dt) in
-    for j = off to off + len - 1 do
-      let c = comps.(j) in
-      let v = Fvm.Field.get st.u cell c +. (dt *. nt.n_dof_interior cell c) in
-      Fvm.Field.set st.u_new cell c v
-    done
+  | Some nt -> nt.n_advance false cell comps off len
   | None ->
     let cap = st.env.Eval.lanes in
     let o = ref off in
@@ -1125,11 +1072,14 @@ let sweep_rhs st ~into =
 
 (* u := base + a * k over the owned DOFs. *)
 let set_combination st ~base ~a ~k =
-  iterate_dofs st (fun () ->
-      let cell = st.env.Eval.cell in
-      let c = st.ucomp () in
-      Fvm.Field.set st.u cell c
-        (Fvm.Field.get base cell c +. (a *. Fvm.Field.get k cell c)))
+  let ud = raw_like st st.u and bd = raw_like st base and kd = raw_like st k in
+  let comps = st.lanes.tup_comp in
+  iterate_owned st (fun b off n ->
+      for j = off to off + n - 1 do
+        let e = b + comps.(j) in
+        Bigarray.Array1.unsafe_set ud e
+          (Bigarray.Array1.unsafe_get bd e +. (a *. Bigarray.Array1.unsafe_get kd e))
+      done)
 
 (* Point-implicit sweep: relaxation-type volume terms treated implicitly
    via the symbolic linearization b = -d(rvol)/du, advection explicit:
@@ -1192,14 +1142,19 @@ let rk_step st =
     sweep_rhs st ~into:k3;
     set_combination st ~base ~a:dt ~k:k3;
     sweep_rhs st ~into:k4;
-    iterate_dofs st (fun () ->
-        let cell = st.env.Eval.cell in
-        let c = st.ucomp () in
-        let combo =
-          Fvm.Field.get k1 cell c
-          +. (2. *. Fvm.Field.get k2 cell c)
-          +. (2. *. Fvm.Field.get k3 cell c)
-          +. Fvm.Field.get k4 cell c
-        in
-        Fvm.Field.set st.u cell c
-          (Fvm.Field.get base cell c +. (dt /. 6. *. combo)))
+    let ud = raw_like st st.u and bd = raw_like st base in
+    let k1 = raw_like st k1 and k2 = raw_like st k2
+    and k3 = raw_like st k3 and k4 = raw_like st k4 in
+    let comps = st.lanes.tup_comp and h = dt /. 6. in
+    iterate_owned st (fun b off n ->
+        let open Bigarray.Array1 in
+        for j = off to off + n - 1 do
+          let e = b + comps.(j) in
+          let combo =
+            unsafe_get k1 e
+            +. (2. *. unsafe_get k2 e)
+            +. (2. *. unsafe_get k3 e)
+            +. unsafe_get k4 e
+          in
+          unsafe_set ud e (unsafe_get bd e +. (h *. combo))
+        done)

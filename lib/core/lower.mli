@@ -1,14 +1,18 @@
 (** Lowering: from a declared problem to executable state — field storage
     for every variable, the volume/flux expressions compiled to lane
-    programs ({!Eval.program}), a per-face boundary table, the loop plan,
-    and rank-ownership information. One state is built per rank; serial
-    runs own everything.
+    programs ({!Eval.program}), a per-face boundary table, and
+    rank-ownership information. One state is built per rank; serial runs
+    own everything.
 
-    The interpreter evaluates a lane group at a time: one cell's owned
-    components, at most the env's [lanes] of them ({!Eval.max_lanes} at
-    most).  The slot loop behind {!update_interior}, {!boundary_value}
-    and the sweeps runs each face's integrand once per group, and every
-    lane accumulates its own flux sum in face order. *)
+    One walk visits a state's DOFs: per owned cell (cells outermost), its
+    owned index tuples in the loop plan's order ([assemblyLoops], which
+    orders only the tuples), in slices of at most the env's [lanes]
+    ({!Eval.max_lanes} at most).  The interpreter evaluates each slice as
+    a lane group: the slot loop behind {!update_interior},
+    {!boundary_value} and the sweeps runs each face's integrand once per
+    group, and every lane accumulates its own flux sum in face order.
+    The generated kernel advances the same slices; {!commit} and the
+    Runge-Kutta combinations visit their elements. *)
 
 exception Lower_error of string
 
@@ -39,18 +43,18 @@ type rankinfo = {
 val serial_rankinfo : rankinfo
 (** Rank 0 of 1, owning every cell and every index value. *)
 
-(** Generated-code entry points for one state: whole loop bodies emitted
-    by [Emit_source.to_ocaml], compiled and bound by lib/codegen.  When a
-    state carries one, {!sweep}/{!sweep_cells}/{!commit}/
-    {!update_interior} dispatch to it instead of the
-    interpreter; the generated bodies are bit-identical by construction,
-    so every executor schedule composes unchanged. *)
+(** The generated kernel of one state: the body emitted by
+    [Emit_source.to_ocaml], compiled and bound by lib/codegen.  When a
+    state carries one, {!sweep}/{!sweep_cells}/{!update_interior} hand
+    it the slices the interpreter would evaluate as lane groups; the
+    generated body is bit-identical by construction, so every executor
+    schedule composes unchanged. *)
 type native_entry = {
-  n_sweep : int array option -> unit;
-      (** sweep the given cells ([None] = owned/all) into the buffer *)
-  n_commit : int array option -> unit;  (** publish the double buffer *)
-  n_dof_interior : int -> int -> float;
-      (** [n_dof_interior cell comp]: interior-face R for one DOF *)
+  n_advance : bool -> int -> int array -> int -> int -> unit;
+      (** [n_advance with_bc cell comps off len]: [u_new <- u + dt * R]
+          for the components [comps.(off) .. comps.(off + len - 1)] of
+          [cell]; R takes every face with [with_bc], interior faces
+          only without it *)
 }
 
 type lanebuf
@@ -75,7 +79,6 @@ type state = {
   rvol : Eval.program;
   rsurf : Eval.program;   (** reads [faces] (see {!Eval.program}) *)
   lanes : lanebuf;
-  ucomp : unit -> int;   (** component of the unknown at current ivals *)
   face_bc : bc_resolved option array;
       (** per face id; [None] on interior and unconstrained faces *)
   staged : (int -> float) array Lazy.t;
@@ -88,17 +91,12 @@ type state = {
   step : int ref;
   info : rankinfo;
   breakdown : Prt.Breakdown.t;
-  loops : loop_entry list;
   rvol_du : Eval.program Lazy.t;
     (** -d(rvol)/du, compiled lazily for the point-implicit stepper *)
   mutable native : native_entry option;
     (** generated entry points, set by the {!native_hook} when the
         problem's eval_mode is Native and codegen succeeded *)
 }
-
-and loop_entry =
-  | Over_cells
-  | Over_index of string * int
 
 val native_hook : (state -> native_entry option) ref
 (** Backend hook consulted at state construction when eval_mode is
@@ -162,11 +160,6 @@ val apply_initial_conditions : state -> unit
     unknown into the double buffer.  {!build} calls it unless the state
     shares another state's storage. *)
 
-val index_range : state -> string -> int -> int * int
-(** [index_range st name extent] is the rank's owned (0-based offset,
-    length) of index [name]: its slice from the rank info, or
-    [(0, extent)] when the index is not partitioned. *)
-
 val owned_comps :
   Entity.variable -> (string * (int * int)) list -> int array option
 (** [owned_comps v index_ranges]: the flat components of [v], ascending,
@@ -174,10 +167,6 @@ val owned_comps :
     rank's slice.  [None] when [v] carries no partitioned index: every
     rank then computes all of it.  The rule {!gather_fields} and the GPU
     executor use to decide what a band slice owns. *)
-
-val iterate_dofs : state -> (unit -> unit) -> unit
-(** Run a thunk for every owned (cell x index) combination in the
-    configured loop order; loop state is set in [state.env]. *)
 
 val boundary_value : state -> int -> int -> int -> float
 (** [boundary_value st face cell comp]: the boundary term of [face]
@@ -197,7 +186,8 @@ val gather_fields : into:state -> state array -> unit
 
 val sweep : state -> unit
 (** Forward-Euler sweep of the owned DOFs into the double buffer, one
-    lane group at a time: per owned cell, its owned index tuples. *)
+    slice at a time: per owned cell, its owned index tuples, through the
+    generated kernel or as lane groups. *)
 
 val sweep_cells : state -> int array -> unit
 (** [sweep_cells st cells] is {!sweep} restricted to [cells] (a subset of
@@ -234,8 +224,8 @@ val update_interior : state -> int -> int array -> int -> int -> unit
 (** [update_interior st cell comps off len], the GPU thread body of a
     block's threads on one cell: [u_new <- u + dt * R_interior] for the
     components [comps.(off) .. comps.(off + len - 1)] of [cell].  The
-    interpreter evaluates them in lockstep, as lane groups of at most
-    the env's [lanes]; the native kernel, per DOF. *)
+    generated kernel takes the whole slice; the interpreter evaluates it
+    in lockstep, as lane groups of at most the env's [lanes]. *)
 
 val boundary_contributions :
   state -> comps:int array -> into:Fvm.Field.t -> unit
@@ -252,7 +242,9 @@ val sweep_rhs : state -> into:Fvm.Field.t -> unit
 
 val set_combination : state -> base:Fvm.Field.t -> a:float -> k:Fvm.Field.t -> unit
 (** Set the unknown's owned DOFs to [base + a * k]: the intermediate
-    state a Runge-Kutta stage evaluates at. *)
+    state a Runge-Kutta stage evaluates at.
+    @raise Invalid_argument unless [base] and [k] have the unknown's
+    shape and layout. *)
 
 val sweep_point_implicit : state -> unit
 (** Relaxation treated implicitly via the symbolic linearization,

@@ -7,9 +7,12 @@
 # findings; then smoke-tests codegen, serve, tuner and scaling, checks
 # that the interpreted GPU (lane-group thread bodies) agrees with the
 # native kernel, and checks that executors agree
-# (examples/field_digest.exe). Exits
-# non-zero on any regression; meant for CI and local pre-commit use.
-# See docs/ANALYSIS.md for the pass catalogue.
+# (examples/field_digest.exe, its kernels compiled into a fresh cache).
+# A native run that falls back to the interpreter (any
+# "finch-codegen: warning" line) fails the last two stages, since its
+# results would be the interpreter's. Exits non-zero on any regression;
+# meant for CI and local pre-commit use. See docs/ANALYSIS.md for the
+# pass catalogue.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -201,6 +204,12 @@ gpu_native=$(mktemp)
   --metrics > "$gpu_native" 2>&1
 t_closure=$(grep '^T in' "$gpu_closure" || true)
 t_native=$(grep '^T in' "$gpu_native" || true)
+if grep -q 'finch-codegen: warning' "$gpu_native"; then
+  echo "check_ir: the native GPU run fell back to the interpreter"
+  cat "$gpu_native"
+  rm -f "$gpu_closure" "$gpu_native"
+  exit 1
+fi
 if [ -z "$t_closure" ] || [ "$t_closure" != "$t_native" ]; then
   echo "check_ir: interpreted and native GPU runs print different T lines"
   echo "closure: $t_closure"
@@ -219,13 +228,25 @@ rm -f "$gpu_closure" "$gpu_native"
 echo "== executor agreement (field digests of 100 runs: one per scenario for CPU targets, one for GPU targets) =="
 dune build examples/field_digest.exe
 digest_out=$(mktemp)
-# run lines only: warnings (a native fallback, say) go to stderr
-./_build/default/examples/field_digest.exe > "$digest_out" || {
+digest_err=$(mktemp)
+digest_cache=$(mktemp -d)
+trap 'rm -rf "$cache_dir" "$digest_cache"' EXIT
+# run lines only: warnings go to stderr.  A fresh kernel cache, so no
+# kernel built against an older Finch_ci interface can make a run fall
+# back; a fallback would print the interpreter's digest
+FINCH_CODEGEN_CACHE_DIR="$digest_cache" ./_build/default/examples/field_digest.exe \
+  > "$digest_out" 2> "$digest_err" || {
   echo "check_ir: field_digest failed"
-  cat "$digest_out"
-  rm -f "$digest_out"
+  cat "$digest_out" "$digest_err"
+  rm -f "$digest_out" "$digest_err"
   exit 1
 }
+if grep 'finch-codegen: warning' "$digest_err"; then
+  echo "check_ir: a native field_digest run fell back to the interpreter"
+  rm -f "$digest_out" "$digest_err"
+  exit 1
+fi
+rm -f "$digest_err"
 if grep -q 'error:' "$digest_out"; then
   echo "check_ir: a field_digest run failed"
   grep 'error:' "$digest_out"
@@ -263,4 +284,4 @@ awk '
 }
 rm -f "$digest_out"
 
-echo "check_ir: selftest, full lint matrix (opt 0 and 2), comm-schedule verifier, JSON output, native codegen cache, tuner, serve scheduler, scaling smoke, interpreted GPU vs native kernel and executor-agreement digests clean"
+echo "check_ir: selftest, full lint matrix (opt 0 and 2), comm-schedule verifier, JSON output, native codegen cache, tuner, serve scheduler, scaling smoke, interpreted GPU vs native kernel and executor-agreement digests clean, no native run fell back"

@@ -1,8 +1,9 @@
 (* Native codegen tests: generated-kernel runs must be bit-identical to
-   the closure interpreter across the scenario x backend x opt-level
-   matrix (including the odd-nsteps fused step-pair schedule), the
-   compile cache must hit on identical programs and miss across opt
-   levels, and every fallback path must still produce correct results. *)
+   the closure interpreter across the scenario x backend x opt-level x
+   loop-order matrix (including the odd-nsteps fused step-pair
+   schedule), with the kernels bound on every state; the compile cache
+   must hit on identical sources, whatever the opt level; and every
+   fallback path must still produce correct results. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -42,12 +43,13 @@ let tiny_corner =
     nsteps = 9;
   }
 
-let solve_at ?(corner = false) ~eval level target overlap =
+let solve_at ?(corner = false) ?loops ~eval level target overlap =
   let built =
     if corner then Bte.Setup.build_corner tiny_corner
     else Bte.Setup.build tiny
   in
   let p = built.Bte.Setup.problem in
+  Option.iter (Finch.Problem.assembly_loops p) loops;
   Finch.Problem.set_target p target;
   Finch.Problem.set_overlap p overlap;
   Finch.Problem.set_opt_level p level;
@@ -57,13 +59,19 @@ let solve_at ?(corner = false) ~eval level target overlap =
 let field_diff o1 o2 name =
   Fvm.Field.max_abs_diff (Finch.Solve.field o1 name) (Finch.Solve.field o2 name)
 
-let check_identical ?corner label level target overlap =
-  let oc = solve_at ?corner ~eval:Finch.Config.Closure level target overlap in
-  let on = solve_at ?corner ~eval:Finch.Config.Native level target overlap in
-  let d = field_diff oc on "I" in
-  if d > 0. then Alcotest.failf "%s: native vs closure I diff %g" label d;
-  let dt = field_diff oc on "T" in
-  if dt > 0. then Alcotest.failf "%s: native vs closure T diff %g" label dt
+(* Native equals closure on every field, and the native run really ran
+   generated code: a fallback to the interpreter would pass the
+   comparison without testing a kernel. *)
+let check_identical ?corner ?loops label level target overlap =
+  let oc = solve_at ?corner ?loops ~eval:Finch.Config.Closure level target overlap in
+  let on = solve_at ?corner ?loops ~eval:Finch.Config.Native level target overlap in
+  if not (Array.for_all (fun st -> st.Finch.Lower.native <> None) on.Finch.Solve.states)
+  then Alcotest.failf "%s: a native state fell back to the interpreter" label;
+  List.iter
+    (fun name ->
+      let d = field_diff oc on name in
+      if d > 0. then Alcotest.failf "%s: native vs closure %s diff %g" label name d)
+    [ "I"; "T"; "Io"; "beta" ]
 
 (* ------------------------------------------------------------------ *)
 (* Cache behaviour.  Runs FIRST so the in-process memo is cold.        *)
@@ -87,21 +95,33 @@ let test_cache_hit_and_miss () =
   let h2, m2 = counters () in
   check_int "identical program is a cache hit" 1 h2;
   check_int "no recompilation" 1 m2;
+  (* the emitted source does not depend on the opt level, so neither
+     does the key *)
   let _ = solve_at ~eval:Finch.Config.Native Finch.Config.O2 serial false in
-  let _, m3 = counters () in
-  check_int "differing opt level is a miss" 2 m3;
+  let h3, m3 = counters () in
+  check_int "the same program at O2 is a hit" 2 h3;
+  check_int "still no recompilation" 1 m3;
   Prt.Metrics.reset_all ();
   Prt.Metrics.disable ()
 
 let test_disk_cache_survives_memo_flush () =
   (* a second solver process would start with an empty memo but a warm
-     disk cache; simulate by loading the persisted kernel directly *)
+     disk cache: the compiled kernels are on disk, each under the digest
+     of its source alone (both opt levels share one) *)
   let kernels =
     Sys.readdir cache_root |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".cmxs")
   in
-  check_bool "compiled kernels persisted on disk" true
-    (List.length kernels >= 2)
+  check_bool "compiled kernels persisted on disk" true (kernels <> []);
+  List.iter
+    (fun f ->
+      let base = Filename.concat cache_root (Filename.chop_suffix f ".cmxs") in
+      let src = In_channel.with_open_bin (base ^ ".ml") In_channel.input_all in
+      Alcotest.(check string)
+        (f ^ " is keyed by its source")
+        ("finch_kernel_" ^ Digest.to_hex (Digest.string src))
+        (Filename.basename base))
+    kernels
 
 (* ------------------------------------------------------------------ *)
 (* GPU thread bodies: the lane interpreter against the native kernel.  *)
@@ -150,21 +170,31 @@ let test_blocks_split_cells () =
 
 let gpu1 = Finch.Config.Gpu { spec = Gpu_sim.Spec.a6000; devices = 1; ranks = 1 }
 
+(* label, target, overlap, assemblyLoops; the index-outer orders (the
+   paper's listing order b/elements/d, and d/b/elements) run on the
+   serial and band-sliced walks *)
 let matrix =
-  [ "serial", Finch.Config.Cpu Finch.Config.Serial, false;
-    "threads:3", Finch.Config.Cpu (Finch.Config.Threaded 3), false;
-    "bands:2", Finch.Config.Cpu (Finch.Config.Band_parallel 2), false;
-    "cells:2", Finch.Config.Cpu (Finch.Config.Cell_parallel 2), false;
-    "cells:2+overlap", Finch.Config.Cpu (Finch.Config.Cell_parallel 2), true;
-    "hybrid:2x2", Finch.Config.Cpu (Finch.Config.Hybrid (2, 2)), false;
-    "gpu", gpu1, false ]
+  let serial = Finch.Config.Cpu Finch.Config.Serial
+  and bands2 = Finch.Config.Cpu (Finch.Config.Band_parallel 2) in
+  let b_cells_d = [ "b"; "elements"; "d" ] and d_b_cells = [ "d"; "b"; "elements" ] in
+  [ "serial", serial, false, None;
+    "serial b;elements;d", serial, false, Some b_cells_d;
+    "serial d;b;elements", serial, false, Some d_b_cells;
+    "threads:3", Finch.Config.Cpu (Finch.Config.Threaded 3), false, None;
+    "bands:2", bands2, false, None;
+    "bands:2 b;elements;d", bands2, false, Some b_cells_d;
+    "bands:2 d;b;elements", bands2, false, Some d_b_cells;
+    "cells:2", Finch.Config.Cpu (Finch.Config.Cell_parallel 2), false, None;
+    "cells:2+overlap", Finch.Config.Cpu (Finch.Config.Cell_parallel 2), true, None;
+    "hybrid:2x2", Finch.Config.Cpu (Finch.Config.Hybrid (2, 2)), false, None;
+    "gpu", gpu1, false, None ]
 
 let test_native_matches_closure_hotspot () =
   List.iter
-    (fun (label, target, overlap) ->
+    (fun (label, target, overlap, loops) ->
       List.iter
         (fun (lname, level) ->
-          check_identical (label ^ " " ^ lname) level target overlap)
+          check_identical ?loops (label ^ " " ^ lname) level target overlap)
         [ "opt0", Finch.Config.O0; "opt2", Finch.Config.O2 ])
     matrix
 
@@ -242,6 +272,26 @@ let decay_with_post_step eval =
   Finch.Problem.set_eval_mode p eval;
   p
 
+(* The emitter's one loop-plan rule: a problem declaring an index its
+   unknown does not carry (here an unused one, which the default loop
+   plan still runs) cannot decode index values from the component, so
+   it gets no kernel, and the native solve is the interpreter's. *)
+let decay_with_unused_index eval =
+  let p = decay_with_post_step eval in
+  ignore (Finch.Problem.index p ~name:"m" ~range:(1, 3));
+  p
+
+let test_uncarried_index_falls_back () =
+  let st = Finch.Lower.build (decay_with_unused_index Finch.Config.Closure) in
+  check_bool "no kernel for an uncarried index" true
+    (Finch_codegen.Codegen.native_entry_for st = None);
+  let native = Finch.Solve.solve (decay_with_unused_index Finch.Config.Native) in
+  check_bool "the native solve fell back" true
+    (Array.for_all (fun st -> st.Finch.Lower.native = None) native.Finch.Solve.states);
+  let closure = Finch.Solve.solve (decay_with_unused_index Finch.Config.Closure) in
+  check_bool "native = closure" true
+    (Fvm.Field.max_abs_diff native.Finch.Solve.u closure.Finch.Solve.u = 0.)
+
 let test_gate_uses_the_problem_contract () =
   Fun.protect ~finally:(fun () -> Finch_codegen.Codegen.install ())
     (fun () ->
@@ -313,5 +363,7 @@ let suite =
         test_sanitize_falls_back_and_stays_correct;
       Alcotest.test_case "each program gated under its own contract" `Quick
         test_gate_uses_the_problem_contract;
+      Alcotest.test_case "uncarried index falls back" `Quick
+        test_uncarried_index_falls_back;
       Alcotest.test_case "unreadable cached kernel is recompiled" `Quick
         test_unreadable_kernel_recompiled ] )
