@@ -10,6 +10,9 @@
      dune exec examples/field_digest.exe > after.txt
 
    Identical outputs mean every field of every run is bitwise equal.
+   Every executor forms the same sum (u + dt * interior, then the
+   boundary part), so all 50 runs of a scenario print one digest, CPU
+   and GPU targets alike; scripts/check_ir.sh fails otherwise.
    Native configurations compile their kernels into the codegen cache
    (_build/finch_cache under the working directory) on first use; where
    no native toolchain is available they fall back to the closure

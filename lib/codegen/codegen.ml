@@ -18,9 +18,8 @@
               level and callback contract — any error falls back to the
               interpreter;
      bind     pack the solve's face tables and the mesh/field/coefficient
-              storage into a Finch_ci.rt, with boundary terms calling
-              each callback face's staged function (expression
-              conditions: the interpreter).
+              storage into a Finch_ci.rt.  The kernel is interior-only:
+              Lower adds the boundary part after it, as lane groups.
 
    Every fallback path prints one warning per reason and returns None,
    leaving the closure interpreter in charge — `--eval native` degrades
@@ -248,10 +247,6 @@ let bind_state (st : Finch.Lower.state) (em : Finch.Emit_source.ocaml_emission)
         fns = Array.of_list (List.map coef_fn em.Finch.Emit_source.oc_fns);
         dt = st.Finch.Lower.dt;
         time = st.Finch.Lower.time;
-        has_bc = Array.map (fun o -> o <> None) st.Finch.Lower.face_bc;
-        (* a callback face is a direct call to its staged function; other
-           conditions evaluate on the interpreter *)
-        bc_term = Finch.Lower.boundary_value st;
       }
     in
     maker rt

@@ -27,11 +27,9 @@ type rt = {
   fns : (float array -> float) array;
   dt : float ref;
   time : float ref;
-  has_bc : bool array;
-  bc_term : int -> int -> int -> float;
 }
 
-type entry = { e_advance : bool -> int -> int array -> int -> int -> unit }
+type entry = { e_advance : int -> int array -> int -> int -> unit }
 
 let pending : (rt -> entry) option ref = ref None
 let register f = pending := Some f

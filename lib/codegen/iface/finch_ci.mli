@@ -3,8 +3,9 @@
     Generated modules (emitted by [Emit_source.to_ocaml], compiled and
     dynlinked by [Finch_codegen]) are built against this module alone, so
     it must stay dependency-free: the host packs everything a kernel
-    needs into an {!rt} record of plain arrays, refs and callbacks, and
-    the plugin hands back an {!entry} holding its one body.  The
+    needs into an {!rt} record of plain arrays and refs, and the plugin
+    hands back an {!entry} holding its one body.  Nothing crosses back:
+    the kernel calls no host code.  The
     register/take handshake keys nothing on the generated source, keeping
     the content-hash cache key value-independent. *)
 
@@ -31,11 +32,6 @@ type rt = {
   fns : (float array -> float) array;  (** space-function coefficients *)
   dt : float ref;
   time : float ref;
-  has_bc : bool array;           (** per face: a boundary condition applies *)
-  bc_term : int -> int -> int -> float;
-      (** [bc_term face cell comp]: the boundary term — a callback face's
-          staged function, called directly, or the interpreter-evaluated
-          condition (flux value, or rsurf under a Dirichlet ghost) *)
 }
 (** Everything a generated kernel reads or writes, bound per solver
     state.  The slot tables are the solve's face tables
@@ -44,13 +40,12 @@ type rt = {
     source, so every kernel cache goes stale once. *)
 
 type entry = {
-  e_advance : bool -> int -> int array -> int -> int -> unit;
-      (** [e_advance with_bc cell comps off len]: [u_new <- u + dt * R]
-          for the components [comps.(off) .. comps.(off + len - 1)] of
-          [cell], each component's index values decoded from it.  R is
-          the volume term plus the face fluxes: every face with
-          [with_bc] (the sweep), interior faces only without it (the GPU
-          thread body, whose boundary terms the host adds). *)
+  e_advance : int -> int array -> int -> int -> unit;
+      (** [e_advance cell comps off len]: [u_new <- u + dt * R] for the
+          components [comps.(off) .. comps.(off + len - 1)] of [cell],
+          each component's index values decoded from it.  R is the volume
+          term plus the interior face fluxes; the host adds the boundary
+          part afterwards, on every executor. *)
 }
 (** The generated body for one compiled program. *)
 

@@ -40,6 +40,8 @@ let rec julia buf depth node =
     line (Printf.sprintf "source = %s" (Printer.to_string rvol));
     line "flux = 0.0";
     line "for face = 1:Nfaces(cell)";
+    line
+      (indent 1 ^ "is_boundary(face) && continue  # boundary: apply_boundary_conditions adds it");
     line (indent 1 ^ Printf.sprintf "flux += area[face] * (%s)" (Printer.to_string rsurf));
     line "end";
     line (Printf.sprintf "%s_new = %s + dt * (source + flux / volume[cell])" var var)
@@ -162,12 +164,12 @@ let to_cuda node =
 (* ------------------------------------------------------------------ *)
 
 (* Unlike the listings above, [to_ocaml] is executable: it renders a
-   lowered state's one kernel body, [advance with_bc cell comps off len]
+   lowered state's one kernel body, [advance cell comps off len]
    (u_new <- u + dt * R over a slice of one cell's components, the slice
    [Lower] would evaluate as a lane group), as an OCaml module that
-   Finch_codegen compiles to a .cmxs and dynlinks.  [Lower] walks the
-   cells and slices; the kernel decodes each component's index values
-   from the component.  The emitted arithmetic mirrors [Eval.compile]
+   Finch_codegen compiles to a .cmxs and dynlinks.  R is interior-only:
+   [Lower] walks the cells and slices and adds the boundary part; the
+   kernel decodes each component's index values from the component.  The emitted arithmetic mirrors [Eval.compile]
    operation for operation — as every lane of a lane program performs
    it — (fold-from-zero sums, fold-from-one products, the
    reciprocal/square power special cases, lazy conditionals,
@@ -205,8 +207,8 @@ type ocaml_emission = {
 
 (* face context of an emitted expression: the volume term has none; the
    surface term is only emitted for the interior branch of the slot loop
-   (boundary faces go through the runtime's bc_term callback), where the
-   slot [s], its [face] and [cell2] are bound *)
+   (boundary faces are Lower's boundary part), where the slot [s], its
+   [face] and [cell2] are bound *)
 type face_ctx = No_face | Interior
 
 let unsup fmt = Printf.ksprintf (fun s -> raise (Unsupported_native s)) fmt
@@ -503,15 +505,13 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
      k))) in";
   line d0 "let dt_r = rt.Finch_ci.dt in";
   line d0 "let time_r = rt.Finch_ci.time in";
-  line d0 "let has_bc = rt.Finch_ci.has_bc in";
-  line d0 "let bc_term = rt.Finch_ci.bc_term in";
   (* advance: u_new <- u + dt * R over a slice of one cell's components.
      Each component's index values decode from it, first declared index
      fastest (as Lower.set_group decomposes it).  The face sum is one
-     loop over the cell's slots, reading neighbour, signed normal and
-     staged tests from the face tables; with [with_bc] a boundary face
-     adds its term through the runtime callback *)
-  line d0 "let advance with_bc cell comps off len =";
+     loop over the cell's interior slots, reading neighbour, signed
+     normal and staged tests from the face tables; Lower adds the
+     boundary part afterwards *)
+  line d0 "let advance cell comps off len =";
   line 3 "let dt = !dt_r in";
   line 3 "let fcs = cfaces.(cell) and s0 = sstart.(cell) in";
   line 3 "for j = off to off + len - 1 do";
@@ -532,10 +532,6 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
   line 5 "if cell2 >= 0 then";
   linef 6 "flux := !flux +. (area.(face) *. %s)"
     (ex ~face:Interior st.Lower.eq.Transform.rsurf);
-  (* unconstrained boundary faces add nothing — not even +. 0. — so
-     signed zeros survive exactly as in the interpreter *)
-  line 5 "else if with_bc && has_bc.(face) then";
-  line 6 "flux := !flux +. (area.(face) *. (bc_term face cell comp))";
   line 4 "done;";
   linef 4 "let idx = (cell * %d) + comp in" (Entity.var_ncomp uvar);
   linef 4

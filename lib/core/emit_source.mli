@@ -7,7 +7,9 @@
     (docs/CODEGEN.md). *)
 
 val to_julia : Ir.node -> string
-(** Julia-like CPU listing (the original Finch's native output style). *)
+(** Julia-like CPU listing (the original Finch's native output style).
+    The flux update skips boundary faces: [apply_boundary_conditions]
+    adds them after the interior update, as every executor does. *)
 
 val to_cuda : Ir.node -> string
 (** CUDA-C-like hybrid listing: kernel body with thread-index
@@ -44,10 +46,11 @@ type ocaml_emission = {
 
 val to_ocaml : Lower.state -> ocaml_emission
 (** Emit a lowered state's kernel as an OCaml module registering one
-    body, [advance with_bc cell comps off len] ([Finch_ci.entry]):
+    body, [advance cell comps off len] ([Finch_ci.entry]):
     [u_new <- u + dt * R] over a slice of one cell's components, each
-    component's index values decoded from it, R taking the boundary
-    faces with [with_bc].  The arithmetic mirrors [Eval.compile]
+    component's index values decoded from it, R the volume term plus the
+    interior faces ([Lower] adds the boundary part; the kernel calls no
+    host code).  The arithmetic mirrors [Eval.compile]
     operation for operation, as each lane of a lane program performs it,
     so generated results are bit-identical to the interpreter.  The
     source depends only on program structure (never on field or

@@ -40,13 +40,13 @@ type rankinfo = {
 let serial_rankinfo = { rank = 0; nranks = 1; owned_cells = None; index_ranges = [] }
 
 (* The generated kernel of one state (lib/codegen): u_new <- u + dt * R
-   over a slice of one cell's components, with or without the boundary
-   faces.  When present, [sweep]/[sweep_cells]/[update_interior] hand it
-   the slices the interpreter would run as lane groups; the generated
-   body is bit-identical by construction, so every executor schedule
-   composes unchanged. *)
+   over a slice of one cell's components, R the volume term plus the
+   interior faces.  When present, [sweep]/[sweep_cells]/[update_interior]
+   hand it the slices the interpreter would run as lane groups; the
+   generated body is bit-identical by construction, so every executor
+   schedule composes unchanged. *)
 type native_entry = {
-  n_advance : bool -> int -> int array -> int -> int -> unit;
+  n_advance : int -> int array -> int -> int -> unit;
 }
 
 (* The interpreter's per-lane buffers and the layout of the unknown's
@@ -57,6 +57,7 @@ type lanebuf = {
   flux : float array;      (* per lane: the surface sum *)
   rhs : float array;       (* per lane: the update's right-hand side *)
   bterm : float array;     (* per lane: the current boundary face's term *)
+  bpart : float array;     (* per lane: the cell's boundary part *)
   ghost : float array;     (* per lane: the unknown's ghost on a Dirichlet face *)
   ghost_acc : (string -> int -> int -> float) option;
     (* the accessor reading [ghost]; other variables read the cell *)
@@ -67,6 +68,9 @@ type lanebuf = {
     (* per env position, per owned index tuple of a cell (configured loop
        order): the index's value *)
   tup_comp : int array;    (* per tuple: its component of the unknown *)
+  bcells : int array;
+    (* the owned cells owning a boundary face with a condition, in walk
+       order: the cells whose DOFs get a boundary part *)
 }
 
 type state = {
@@ -445,7 +449,13 @@ let cell_tuples ~index_names ~plan ~info (uvar : Entity.variable) =
   in
   iv, comp
 
-let make_lanebuf (env : Eval.env) ~fields (uvar : Entity.variable) ~tuples =
+(* Whether a face of [fcs] from the [i]th on has a boundary condition. *)
+let rec conditioned face_bc fcs i =
+  i < Array.length fcs
+  && (Option.is_some face_bc.(fcs.(i)) || conditioned face_bc fcs (i + 1))
+
+let make_lanebuf (env : Eval.env) ~fields (uvar : Entity.variable) ~tuples
+    ~bcells =
   let cap = env.Eval.lanes in
   let names = List.map fst env.Eval.ivals in
   let upos =
@@ -467,6 +477,7 @@ let make_lanebuf (env : Eval.env) ~fields (uvar : Entity.variable) ~tuples =
     flux = Array.make cap 0.;
     rhs = Array.make cap 0.;
     bterm = Array.make cap 0.;
+    bpart = Array.make cap 0.;
     ghost;
     ghost_acc = Some ghost_acc;
     upos;
@@ -478,7 +489,8 @@ let make_lanebuf (env : Eval.env) ~fields (uvar : Entity.variable) ~tuples =
            (fun p -> not (Array.mem p upos))
            (List.init (List.length names) Fun.id));
     tup_iv;
-    tup_comp }
+    tup_comp;
+    bcells }
 
 (* Lanes per group: one kernel block at most, and no more than a cell's
    owned DOFs. *)
@@ -577,6 +589,13 @@ let rec build ?(info = serial_rankinfo) ?share_with ?(private_clock = false)
      face staged now, so a failing stage stops the build *)
   let face_bc = resolve_bcs p mesh ~compile uvar in
   let staged = Lazy.from_val (stage_faces p mesh fields face_bc) in
+  let bcells =
+    Array.of_list
+      (List.filter (fun c -> conditioned face_bc mesh.Fvm.Mesh.cell_faces.(c) 0)
+         (match info.owned_cells with
+          | Some cs -> Array.to_list cs
+          | None -> List.init mesh.Fvm.Mesh.ncells Fun.id))
+  in
   let st =
     {
       p;
@@ -591,7 +610,7 @@ let rec build ?(info = serial_rankinfo) ?share_with ?(private_clock = false)
       faces;
       rvol;
       rsurf;
-      lanes = make_lanebuf env ~fields uvar ~tuples;
+      lanes = make_lanebuf env ~fields uvar ~tuples ~bcells;
       face_bc;
       staged;
       time;
@@ -672,19 +691,23 @@ let iterate_slices st ~cells f =
     done
   | Some cs -> Array.iter per_cell cs
 
-(* Run [f] on every lane group of the owned DOFs of [cells]. *)
-let iterate_groups_cells st ~cells (f : unit -> unit) =
+(* The group of [cell]'s owned tuples [off .. off + n - 1], copied by int
+   loops: [Array.blit] writes these long-lived arrays via [caml_modify]. *)
+let load_group st cell off n =
   let env = st.env and lb = st.lanes in
   let g = env.Eval.group in
-  iterate_slices st ~cells (fun c off n ->
-      env.Eval.cell <- c;
-      g.Eval.n <- n;
-      for p = 0 to Array.length g.Eval.iv - 1 do
-        Array.blit lb.tup_iv.(p) off g.Eval.iv.(p) 0 n
-      done;
-      Array.blit lb.tup_comp off lb.comp 0 n;
-      Eval.touch g;
-      f ())
+  env.Eval.cell <- cell;
+  g.Eval.n <- n;
+  for p = 0 to Array.length g.Eval.iv - 1 do
+    let src = lb.tup_iv.(p) and dst = g.Eval.iv.(p) in
+    for l = 0 to n - 1 do dst.(l) <- src.(off + l) done
+  done;
+  for l = 0 to n - 1 do lb.comp.(l) <- lb.tup_comp.(off + l) done;
+  Eval.touch g
+
+(* Run [f] on every lane group of the owned DOFs of [cells]. *)
+let iterate_groups_cells st ~cells (f : unit -> unit) =
+  iterate_slices st ~cells (fun c off n -> load_group st c off n; f ())
 
 let iterate_groups st f = iterate_groups_cells st ~cells:st.info.owned_cells f
 
@@ -726,15 +749,14 @@ and under_ghost st =
   env.Eval.ghost <- saved;
   Array.blit r 0 lb.bterm 0 env.Eval.group.Eval.n
 
-(* The surface sums of the current group into [lanes.flux]: per lane,
-   Σ area·rsurf over the cell's slots in face order, reading neighbour,
-   signed normal and staged tests from the face tables.  Boundary slots
-   add their condition when [with_bc] (unconstrained ones add nothing,
-   not even 0.) and are skipped otherwise. *)
-let surface st ~with_bc =
-  let env = st.env and lb = st.lanes in
+(* The interior surface sums of the current group into [lanes.flux]:
+   per lane, Σ area·rsurf over the cell's interior slots in face order,
+   reading neighbour, signed normal and staged tests from the face
+   tables.  Boundary slots are [boundary_part]'s. *)
+let surface st =
+  let env = st.env in
   let n = env.Eval.group.Eval.n in
-  let flux = lb.flux in
+  let flux = st.lanes.flux in
   let nbr = st.faces.Eval.slot_nbr in
   let area = st.mesh.Fvm.Mesh.face_area in
   let cell = env.Eval.cell in
@@ -755,32 +777,44 @@ let surface st ~with_bc =
         flux.(l) <- flux.(l) +. (a *. r.(l))
       done
     end
-    else if with_bc then begin
-      let f = fcs.(i) in
-      env.Eval.slot <- s;
-      env.Eval.face <- f;
-      env.Eval.cell2 <- -1;
-      match st.face_bc.(f) with
-      | None -> ()
-      | Some bc ->
-        boundary_lanes st f bc;
-        let a = area.(f) and r = lb.bterm in
-        for l = 0 to n - 1 do
-          flux.(l) <- flux.(l) +. (a *. r.(l))
-        done
-    end
   done
 
-(* The conservation-form right-hand side of the current group (forward
-   Euler form) into [lanes.rhs]: volume term plus surface sum over the
-   cell volume, with or without the boundary faces. *)
-let rhs st ~with_bc =
+(* The interior right-hand side of the current group (forward Euler
+   form) into [lanes.rhs]: volume term plus interior surface sum over
+   the cell volume. *)
+let rhs st =
   let env = st.env and lb = st.lanes in
   let rv = Eval.run st.rvol env in
-  surface st ~with_bc;
+  surface st;
   let vol = st.mesh.Fvm.Mesh.cell_volume.(env.Eval.cell) in
   for l = 0 to env.Eval.group.Eval.n - 1 do
     lb.rhs.(l) <- rv.(l) +. (lb.flux.(l) /. vol)
+  done
+
+(* The boundary part of the current group into [lanes.bpart], the one
+   every executor adds after the interior update: per lane, 0 + Σ
+   ((scale·area)·g)/V over the cell's conditioned boundary faces in face
+   order (g the face's term).  Adding a 0 part changes nothing: interior
+   updates and right-hand sides are never -0. *)
+let boundary_part st ~scale =
+  let env = st.env and lb = st.lanes in
+  let n = env.Eval.group.Eval.n and cell = env.Eval.cell in
+  let fcs = st.mesh.Fvm.Mesh.cell_faces.(cell) in
+  let vol = st.mesh.Fvm.Mesh.cell_volume.(cell) in
+  Array.fill lb.bpart 0 n 0.;
+  for i = 0 to Array.length fcs - 1 do
+    let f = fcs.(i) in
+    match st.face_bc.(f) with
+    | None -> ()
+    | Some bc ->
+      env.Eval.slot <- st.faces.Eval.slot_start.(cell) + i;
+      env.Eval.face <- f;
+      env.Eval.cell2 <- -1;
+      boundary_lanes st f bc;
+      let w = scale *. st.mesh.Fvm.Mesh.face_area.(f) in
+      for l = 0 to n - 1 do
+        lb.bpart.(l) <- lb.bpart.(l) +. (w *. lb.bterm.(l) /. vol)
+      done
   done
 
 (* u_new <- u + dt * rhs on the current group's lanes. *)
@@ -795,43 +829,34 @@ let advance_group st =
     Bigarray.Array1.unsafe_set nd (elt st.u_new cell c) v
   done
 
-(* The slot of face [f] in [cell]. *)
-let slot_of st cell f =
-  let fcs = st.mesh.Fvm.Mesh.cell_faces.(cell) in
-  let rec find i =
-    if fcs.(i) = f then st.faces.Eval.slot_start.(cell) + i else find (i + 1)
-  in
-  find 0
-
-(* The boundary term of [face] (owned by [cell]) for component [comp],
-   with nothing set in the env beforehand: a callback flux face is a
-   direct call to its staged function; any other condition evaluates
-   as a one-lane group, under the env [surface] would have set. *)
-let boundary_value st f cell comp =
-  match st.face_bc.(f) with
-  | None -> 0.
-  | Some (RFlux_callback _) -> (Lazy.force st.staged).(f) comp
-  | Some bc ->
-    let env = st.env in
-    set_group st cell [| comp |] 0 1;
-    env.Eval.face <- f;
-    env.Eval.slot <- slot_of st cell f;
-    env.Eval.cell2 <- -1;
-    boundary_lanes st f bc;
-    st.lanes.bterm.(0)
+(* u_new += the boundary part on the current group's lanes. *)
+let advance_boundary st =
+  boundary_part st ~scale:!(st.dt);
+  let lb = st.lanes and cell = st.env.Eval.cell in
+  let nd = Fvm.Field.raw st.u_new in
+  for l = 0 to st.env.Eval.group.Eval.n - 1 do
+    let e = elt st.u_new cell lb.comp.(l) in
+    Bigarray.Array1.unsafe_set nd e (Bigarray.Array1.unsafe_get nd e +. lb.bpart.(l))
+  done
 
 (* The forward-Euler sweep of the owned DOFs of [cells] into the double
-   buffer: each slice through the generated kernel when the state has
-   one (bit-identical by construction), else as a lane group. *)
+   buffer: each slice's interior update through the generated kernel
+   when the state has one (bit-identical by construction), else as a
+   lane group, then, on a cell owning a conditioned boundary face, the
+   slice's boundary part. *)
 let advance_cells st cells =
-  match st.native with
-  | Some nt ->
-    let comps = st.lanes.tup_comp in
-    iterate_slices st ~cells (fun cell off n -> nt.n_advance true cell comps off n)
-  | None ->
-    iterate_groups_cells st ~cells (fun () ->
-        rhs st ~with_bc:true;
-        advance_group st)
+  let comps = st.lanes.tup_comp in
+  iterate_slices st ~cells (fun cell off n ->
+      (match st.native with
+       | Some nt -> nt.n_advance cell comps off n
+       | None ->
+         load_group st cell off n;
+         rhs st;
+         advance_group st);
+      if conditioned st.face_bc st.mesh.Fvm.Mesh.cell_faces.(cell) 0 then begin
+        if Option.is_some st.native then load_group st cell off n; (* no group yet *)
+        advance_boundary st
+      end)
 
 let sweep st = advance_cells st st.info.owned_cells
 
@@ -1001,7 +1026,8 @@ let rebind (base : state) ~fields ~u_new =
       rsurf = compile base.eq.Transform.rsurf;
       lanes =
         make_lanebuf env ~fields base.uvar
-          ~tuples:(base.lanes.tup_iv, base.lanes.tup_comp);
+          ~tuples:(base.lanes.tup_iv, base.lanes.tup_comp)
+          ~bcells:base.lanes.bcells;
       staged = lazy (stage_faces p mesh fields base.face_bc);
       rvol_du = lazy (compile (Transform.rvol_linearization base.eq));
       (* own accounting: sharing base's mutable breakdown record would make
@@ -1020,54 +1046,43 @@ let rebind (base : state) ~fields ~u_new =
    lane groups of at most the env's lanes. *)
 let update_interior st cell comps off len =
   match st.native with
-  | Some nt -> nt.n_advance false cell comps off len
+  | Some nt -> nt.n_advance cell comps off len
   | None ->
     let cap = st.env.Eval.lanes in
     let o = ref off in
     while !o < off + len do
       let n = min cap (off + len - !o) in
       set_group st cell comps !o n;
-      rhs st ~with_bc:false;
+      rhs st;
       advance_group st;
       o := !o + n
     done
 
-(* Accumulate dt * (area * boundary term) / volume for every boundary face
-   and each of [comps] into [into].  Used by the hybrid target's CPU
-   side, which reads back only the rank's own components. *)
-let boundary_contributions st ~comps ~into =
-  let mesh = st.mesh in
-  let dt = !(st.dt) in
-  let acc = Fvm.Field.raw into in
-  Array.iter
-    (fun f ->
-      match st.face_bc.(f) with
-      | None -> ()
-      | Some _ ->
-        let cell = mesh.Fvm.Mesh.face_cell1.(f) in
-        Array.iter
-          (fun comp ->
-            let g = boundary_value st f cell comp in
-            let dv =
-              dt *. mesh.Fvm.Mesh.face_area.(f) *. g
-              /. mesh.Fvm.Mesh.cell_volume.(cell)
-            in
-            let e = elt into cell comp in
-            Bigarray.Array1.unsafe_set acc e (Bigarray.Array1.unsafe_get acc e +. dv))
-          comps)
-    mesh.Fvm.Mesh.boundary_faces
+(* The hybrid schedule's host share: the boundary part of every owned
+   DOF of the cells owning a conditioned boundary face, written into
+   [into], the same part the sweeps add.  Other values of [into] are
+   left alone. *)
+let boundary_contributions st ~into =
+  let d = Fvm.Field.raw into and lb = st.lanes in
+  iterate_groups_cells st ~cells:(Some lb.bcells) (fun () ->
+      boundary_part st ~scale:!(st.dt);
+      for l = 0 to st.env.Eval.group.Eval.n - 1 do
+        Bigarray.Array1.unsafe_set d (elt into st.env.Eval.cell lb.comp.(l)) lb.bpart.(l)
+      done)
 
 (* ------------------------------------------------------------------ *)
 (* Runge-Kutta stage support (serial executor).                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Evaluate R(u) for every owned DOF into [into] (no dt applied). *)
+(* Evaluate R(u) for every owned DOF into [into] (no dt applied): the
+   interior right-hand side, then the boundary part at scale 1. *)
 let sweep_rhs st ~into =
   iterate_groups st (fun () ->
-      rhs st ~with_bc:true;
-      let cell = st.env.Eval.cell in
+      let lb = st.lanes and cell = st.env.Eval.cell in
+      rhs st;
+      boundary_part st ~scale:1.;
       for l = 0 to st.env.Eval.group.Eval.n - 1 do
-        Fvm.Field.set into cell st.lanes.comp.(l) st.lanes.rhs.(l)
+        Fvm.Field.set into cell lb.comp.(l) (lb.rhs.(l) +. lb.bpart.(l))
       done)
 
 (* u := base + a * k over the owned DOFs. *)
@@ -1083,9 +1098,10 @@ let set_combination st ~base ~a ~k =
 
 (* Point-implicit sweep: relaxation-type volume terms treated implicitly
    via the symbolic linearization b = -d(rvol)/du, advection explicit:
-     u' = (u + dt*(rvol(u) + b*u + flux)) / (1 + dt*b).
-   Exact for volume terms affine in u (the BTE's (Io - I)*beta), and free
-   of the dt * max(1/tau) < 1 stability bound. *)
+     u' = (u + dt*(rvol(u) + b*u + flux)) / (1 + dt*b),
+   flux = interior sum / V + boundary part at scale 1.  Exact for volume
+   terms affine in u (the BTE's (Io - I)*beta), and free of the
+   dt * max(1/tau) < 1 stability bound. *)
 let sweep_point_implicit st =
   let dt = !(st.dt) in
   let bf = Lazy.force st.rvol_du in
@@ -1094,12 +1110,13 @@ let sweep_point_implicit st =
       let cell = env.Eval.cell in
       let b = Eval.run bf env in
       let rv = Eval.run st.rvol env in
-      surface st ~with_bc:true;
+      surface st;
+      boundary_part st ~scale:1.;
       let vol = st.mesh.Fvm.Mesh.cell_volume.(cell) in
       for l = 0 to env.Eval.group.Eval.n - 1 do
         let c = lb.comp.(l) in
         let u0 = Fvm.Field.get st.u cell c in
-        let b = b.(l) and flux = lb.flux.(l) /. vol in
+        let b = b.(l) and flux = (lb.flux.(l) /. vol) +. lb.bpart.(l) in
         let v = (u0 +. (dt *. (rv.(l) +. (b *. u0) +. flux))) /. (1. +. (dt *. b)) in
         Fvm.Field.set st.u_new cell c v
       done)

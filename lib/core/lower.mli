@@ -8,11 +8,17 @@
     owned index tuples in the loop plan's order ([assemblyLoops], which
     orders only the tuples), in slices of at most the env's [lanes]
     ({!Eval.max_lanes} at most).  The interpreter evaluates each slice as
-    a lane group: the slot loop behind {!update_interior},
-    {!boundary_value} and the sweeps runs each face's integrand once per
-    group, and every lane accumulates its own flux sum in face order.
-    The generated kernel advances the same slices; {!commit} and the
-    Runge-Kutta combinations visit their elements. *)
+    a lane group: the slot loop behind {!update_interior} and the sweeps
+    runs each face's integrand once per group, and every lane
+    accumulates its own flux sum in face order.  The generated kernel
+    advances the same slices; {!commit} and the Runge-Kutta combinations
+    visit their elements.
+
+    One association serves every executor: u + dt·(volume + interior
+    faces/V), then the boundary part 0 + Σ ((dt·area)·g)/V over the
+    cell's conditioned boundary faces in face order (g the face's term),
+    as lane groups on the CPU: the sweeps add it after each slice's
+    interior update, the GPU host via {!boundary_contributions}. *)
 
 exception Lower_error of string
 
@@ -50,17 +56,16 @@ val serial_rankinfo : rankinfo
     generated body is bit-identical by construction, so every executor
     schedule composes unchanged. *)
 type native_entry = {
-  n_advance : bool -> int -> int array -> int -> int -> unit;
-      (** [n_advance with_bc cell comps off len]: [u_new <- u + dt * R]
-          for the components [comps.(off) .. comps.(off + len - 1)] of
-          [cell]; R takes every face with [with_bc], interior faces
-          only without it *)
+  n_advance : int -> int array -> int -> int -> unit;
+      (** [n_advance cell comps off len]: [u_new <- u + dt * R] for the
+          components [comps.(off) .. comps.(off + len - 1)] of [cell], R
+          the volume term plus the interior faces *)
 }
 
 type lanebuf
-(** A state's per-lane buffers (flux sums, right-hand sides, boundary
-    terms, Dirichlet ghosts) and the layout of the unknown's components
-    over the env's indices. *)
+(** A state's per-lane buffers, the layout of the unknown's components
+    over the env's indices, and the owned cells owning a conditioned
+    boundary face. *)
 
 type state = {
   p : Problem.t;
@@ -168,15 +173,6 @@ val owned_comps :
     rank then computes all of it.  The rule {!gather_fields} and the GPU
     executor use to decide what a band slice owns. *)
 
-val boundary_value : state -> int -> int -> int -> float
-(** [boundary_value st face cell comp]: the boundary term of [face]
-    (owned by [cell]) for component [comp] of the unknown, 0 without a
-    condition.  A callback flux face calls its staged function directly;
-    expression and Dirichlet conditions evaluate as a one-lane group
-    under the env the sweeps set at that face (Dirichlet specs evaluate
-    rsurf under a ghost accessor).  The native-codegen binding's
-    [bc_term]. *)
-
 val gather_fields : into:state -> state array -> unit
 (** [gather_fields ~into states] writes every variable's owned cells and
     owned component slices from each rank's state into [into]'s fields.
@@ -186,8 +182,9 @@ val gather_fields : into:state -> state array -> unit
 
 val sweep : state -> unit
 (** Forward-Euler sweep of the owned DOFs into the double buffer, one
-    slice at a time: per owned cell, its owned index tuples, through the
-    generated kernel or as lane groups. *)
+    slice at a time: per owned cell, its owned index tuples, the interior
+    update through the generated kernel or as lane groups, then the
+    slice's boundary part. *)
 
 val sweep_cells : state -> int array -> unit
 (** [sweep_cells st cells] is {!sweep} restricted to [cells] (a subset of
@@ -227,18 +224,18 @@ val update_interior : state -> int -> int array -> int -> int -> unit
     generated kernel takes the whole slice; the interpreter evaluates it
     in lockstep, as lane groups of at most the env's [lanes]. *)
 
-val boundary_contributions :
-  state -> comps:int array -> into:Fvm.Field.t -> unit
-(** Accumulate dt·area·(boundary term)/V for every boundary face and each
-    of [comps] (the rank's own components) into [into]. *)
+val boundary_contributions : state -> into:Fvm.Field.t -> unit
+(** Write the boundary part (see above) of every owned DOF of the owned
+    cells that own a conditioned boundary face into [into], a field
+    shaped like the unknown; its other values are left alone.  The cell
+    list is computed once per state. *)
 
 (** {2 Runge-Kutta stages (serial executor)} *)
 
 val sweep_rhs : state -> into:Fvm.Field.t -> unit
-(** Write R = rvol + (1/V) Σ_faces area·rsurf, boundary conditions
-    applied (unconstrained boundary faces contribute zero), of every
-    owned DOF of the current unknown into [into]: one Runge-Kutta stage
-    derivative. *)
+(** Write R = (rvol + (1/V) Σ_interior area·rsurf) + the boundary part
+    at scale 1 (0 + Σ (area·g)/V) of every owned DOF of the current
+    unknown into [into]: one Runge-Kutta stage derivative. *)
 
 val set_combination : state -> base:Fvm.Field.t -> a:float -> k:Fvm.Field.t -> unit
 (** Set the unknown's owned DOFs to [base + a * k]: the intermediate
@@ -248,7 +245,8 @@ val set_combination : state -> base:Fvm.Field.t -> a:float -> k:Fvm.Field.t -> u
 
 val sweep_point_implicit : state -> unit
 (** Relaxation treated implicitly via the symbolic linearization,
-    advection explicit — removes the dt*max(1/tau) stability bound. *)
+    advection explicit (interior faces, then the boundary part at scale
+    1) — removes the dt*max(1/tau) stability bound. *)
 
 val rk_step : state -> unit
 (** One step of the configured scheme (Euler / RK2 midpoint / classic

@@ -147,17 +147,10 @@ let update_block (ds : Lower.state) cells chunk first n =
     tid := !tid + len
   done
 
-(* The host's share of a step: every boundary face's contribution to the
-   [owned] components, accumulated into a zeroed [into] — the only ones
-   [combine_boundary] reads. *)
-let boundary_part (host : Lower.state) ~into owned =
-  Fvm.Field.fill into 0.;
-  Lower.boundary_contributions host ~comps:owned ~into
-
-(* u <- downloaded interior result + boundary part, on the owned slice.
-   The three fields are built with one shape and layout, so one element
-   index serves all three; reading the raw bigarrays keeps the floats
-   unboxed. *)
+(* u <- downloaded interior result + boundary part on the owned slice,
+   the sum every CPU sweep forms.  The three fields share one shape and
+   layout, so one element index serves all three; reading the raw
+   bigarrays keeps the floats unboxed. *)
 let combine_boundary (host : Lower.state) ~u_bdry owned =
   let u = host.Lower.u in
   let ud = Fvm.Field.raw u
@@ -361,6 +354,7 @@ let run_rank (p : Problem.t) ~spec ~(tiling : Fvm.Decomp2d.t) ~faces
                 ()))
         s.kernels.(parity)
   in
+  (* the boundary part: rewritten each step where it is nonzero *)
   let u_bdry =
     Fvm.Field.create ~name:"u_bdry" ~ncells:mesh.Fvm.Mesh.ncells ~ncomp ()
   in
@@ -427,7 +421,7 @@ let run_rank (p : Problem.t) ~spec ~(tiling : Fvm.Decomp2d.t) ~faces
       (* 3. boundary contributions on the CPU, overlapping kernel and
          download *)
       timed_host Prt.Breakdown.Boundary (fun () ->
-          boundary_part host ~into:u_bdry owned);
+          Lower.boundary_contributions host ~into:u_bdry);
       (* 4. drain: the kernel is charged at its roofline duration, the
          transfer only what the boundary work left exposed *)
       record_intensity ();
@@ -472,7 +466,7 @@ let run_rank (p : Problem.t) ~spec ~(tiling : Fvm.Decomp2d.t) ~faces
       Array.iter (fun s -> launch s 0) slots;
       (* 2. boundary contributions on the CPU, overlapping the kernels *)
       Prt.Breakdown.timed ~track b Prt.Breakdown.Boundary (fun () ->
-          boundary_part host ~into:u_bdry owned);
+          Lower.boundary_contributions host ~into:u_bdry);
       (* 3. synchronize; download each device's owned slice; combine *)
       Array.iter (fun s -> Gpu_sim.Stream.synchronize s.stream clock) slots;
       record_intensity ();

@@ -6,7 +6,8 @@
 # scenario under the full backend x overlap matrix and requires zero
 # findings; then smoke-tests codegen, serve, tuner and scaling, checks
 # that the interpreted GPU (lane-group thread bodies) agrees with the
-# native kernel, and checks that executors agree
+# native kernel, and checks that executors agree exactly: every run of
+# a scenario, CPU and GPU targets alike, prints one field digest
 # (examples/field_digest.exe, its kernels compiled into a fresh cache).
 # A native run that falls back to the interpreter (any
 # "finch-codegen: warning" line) fails the last two stages, since its
@@ -225,7 +226,7 @@ grep -q 'gpu.host_exec_ns.*[1-9]' "$gpu_closure" || {
 }
 rm -f "$gpu_closure" "$gpu_native"
 
-echo "== executor agreement (field digests of 100 runs: one per scenario for CPU targets, one for GPU targets) =="
+echo "== executor agreement (field digests of 100 runs: one digest per scenario, CPU and GPU targets alike) =="
 dune build examples/field_digest.exe
 digest_out=$(mktemp)
 digest_err=$(mktemp)
@@ -254,11 +255,11 @@ if grep -q 'error:' "$digest_out"; then
   exit 1
 fi
 # runs are compared with each other, never with a recorded digest, so
-# the stage holds on any libm: per scenario, the 35 CPU-target runs
-# share one digest and the 15 GPU-target runs share another
+# the stage holds on any libm: per scenario, all 50 runs (35 on CPU
+# targets, 15 on GPU targets) share one digest
 awk '
   NF >= 4 && $1 != "total" {
-    key = $1 ($2 ~ /^gpu/ ? " gpu" : " cpu")
+    key = $1
     runs[key]++
     if (!((key, $4) in seen)) { seen[key, $4] = 1; digests[key]++ }
   }
@@ -266,14 +267,13 @@ awk '
     bad = 0; groups = 0
     for (key in runs) {
       groups++
-      want = (key ~ / gpu$/) ? 15 : 35
-      if (runs[key] != want || digests[key] != 1) {
-        printf "check_ir: %s: %d runs with %d distinct digests (want %d runs, 1 digest)\n", key, runs[key], digests[key], want
+      if (runs[key] != 50 || digests[key] != 1) {
+        printf "check_ir: %s: %d runs with %d distinct digests (want 50 runs, 1 digest)\n", key, runs[key], digests[key]
         bad = 1
       }
     }
-    if (groups != 4) {
-      printf "check_ir: field_digest printed %d scenario/target groups, want 4\n", groups
+    if (groups != 2) {
+      printf "check_ir: field_digest printed %d scenario groups, want 2\n", groups
       bad = 1
     }
     exit bad
@@ -284,4 +284,4 @@ awk '
 }
 rm -f "$digest_out"
 
-echo "check_ir: selftest, full lint matrix (opt 0 and 2), comm-schedule verifier, JSON output, native codegen cache, tuner, serve scheduler, scaling smoke, interpreted GPU vs native kernel and executor-agreement digests clean, no native run fell back"
+echo "check_ir: selftest, full lint matrix (opt 0 and 2), comm-schedule verifier, JSON output, native codegen cache, tuner, serve scheduler, scaling smoke, interpreted GPU vs native kernel clean, one field digest per scenario on every CPU and GPU target, no native run fell back"

@@ -55,7 +55,7 @@ let test_band_parallel_matches_serial () =
     (fun n ->
       let _, o2 = solve_with (Finch.Config.Cpu (Finch.Config.Band_parallel n)) in
       let d = field_diff o1 o2 "I" in
-      if d > 1e-13 then Alcotest.failf "bands %d: diff %g" n d)
+      if d > 0. then Alcotest.failf "bands %d: diff %g" n d)
     [ 2; 3; 5 ]
 
 let test_cell_parallel_matches_serial () =
@@ -64,7 +64,7 @@ let test_cell_parallel_matches_serial () =
     (fun n ->
       let _, o2 = solve_with (Finch.Config.Cpu (Finch.Config.Cell_parallel n)) in
       let d = field_diff o1 o2 "I" in
-      if d > 1e-13 then Alcotest.failf "cells %d: diff %g" n d)
+      if d > 0. then Alcotest.failf "cells %d: diff %g" n d)
     [ 2; 4 ]
 
 let test_pool_executors_match_serial () =
@@ -121,7 +121,12 @@ let check_fields_exact label o1 o2 =
       if d > 0. then Alcotest.failf "%s: %s diff %g" label name d)
     [ "I"; "T"; "Io"; "beta" ]
 
+(* the GPU targets too: the device's interior result plus the host's
+   boundary part is the sum every CPU sweep forms *)
 let test_band_partitioned_exact () =
+  let gpu ?(devices = 1) ranks =
+    Finch.Config.Gpu { spec = Gpu_sim.Spec.a6000; devices; ranks }
+  in
   List.iter
     (fun (sname, sc) ->
       let o1 = solve_scenario sc (Finch.Config.Cpu Finch.Config.Serial) ~overlap:false in
@@ -133,19 +138,11 @@ let test_band_partitioned_exact () =
           "bands 3", Finch.Config.Cpu (Finch.Config.Band_parallel 3);
           "bands 5", Finch.Config.Cpu (Finch.Config.Band_parallel 5);
           "threads 3", Finch.Config.Cpu (Finch.Config.Threaded 3);
-          "hybrid 2x2", Finch.Config.Cpu (Finch.Config.Hybrid (2, 2)) ];
-      (* the GPU target adds boundary terms separately, so it matches
-         serial to rounding (see "gpu == serial"); its band-partitioned
-         ranks match the single device exactly *)
-      let gpu ranks =
-        Finch.Config.Gpu { spec = Gpu_sim.Spec.a6000; devices = 1; ranks }
-      in
-      let g1 = solve_scenario sc (gpu 1) ~overlap:false in
-      List.iter
-        (fun ranks ->
-          check_fields_exact (Printf.sprintf "%s gpu ranks %d" sname ranks) g1
-            (solve_scenario sc (gpu ranks) ~overlap:false))
-        [ 2; 3 ])
+          "hybrid 2x2", Finch.Config.Cpu (Finch.Config.Hybrid (2, 2));
+          "gpu 1", gpu 1;
+          "gpu 2", gpu 2;
+          "gpu 3", gpu 3;
+          "gpu:a6000:2x1", gpu ~devices:2 1 ])
     [ "corner", tiny_corner; "hotspot", tiny ]
 
 let test_cell_partitioned_fields_exact () =
@@ -208,13 +205,9 @@ let test_gpu_matches_serial () =
   let _, o2 =
     solve_with (Finch.Config.Gpu { spec = Gpu_sim.Spec.a6000; devices = 1; ranks = 1 })
   in
-  (* the hybrid schedule adds the boundary contribution in a separate term,
-     so agreement is to rounding (relative), not bitwise *)
-  let scale = Fvm.Field.max_abs (Finch.Solve.field o1 "I") in
-  let d = field_diff o1 o2 "I" /. scale in
-  if d > 1e-12 then Alcotest.failf "gpu relative diff %g" d;
-  let dt = field_diff o1 o2 "T" in
-  if dt > 1e-8 then Alcotest.failf "gpu T diff %g" dt
+  (* the hybrid schedule adds the host's boundary part after the
+     device's interior update, as the serial sweep does: exact *)
+  check_fields_exact "gpu" o1 o2
 
 let test_multi_gpu_matches_serial () =
   (* the paper's multi-GPU configuration: band partitioning with one
@@ -226,9 +219,7 @@ let test_multi_gpu_matches_serial () =
       let _, o2 =
         solve_with (Finch.Config.Gpu { spec = Gpu_sim.Spec.a6000; devices = 1; ranks })
       in
-      let scale = Fvm.Field.max_abs (Finch.Solve.field o1 "I") in
-      let d = field_diff o1 o2 "I" /. scale in
-      if d > 1e-12 then Alcotest.failf "gpu ranks=%d: relative diff %g" ranks d)
+      check_fields_exact (Printf.sprintf "gpu ranks=%d" ranks) o1 o2)
     [ 2; 3; 4 ]
 
 let test_gpu_grid_matches_single_device () =

@@ -132,11 +132,9 @@ let test_disk_cache_survives_memo_flush () =
    ranks, two device tiles, transfers overlapped or not — equals the
    same shape run by the native kernel, one DOF at a time, at exact
    zero on I, T, Io and beta, with the native kernels bound on every
-   rank (no fallback).  The hybrid schedule adds boundary terms
-   separately, so GPU targets match serial to rounding only (see
-   test_bte_solver).  The CPU hybrid:2x1 target equals serial closure
-   exactly.  Registered after the cache test, whose counts need a cold
-   memo. *)
+   rank (no fallback).  The CPU hybrid:2x1 target equals serial closure
+   exactly (GPU targets equal serial in test_bte_solver).  Registered
+   after the cache test, whose counts need a cold memo. *)
 let test_blocks_split_cells () =
   let solve = Test_gpu.solve_bte and check_exact = Test_gpu.check_exact in
   let gpu = Test_gpu.gpu in
@@ -231,6 +229,55 @@ let test_native_matches_reference () =
     done
   done;
   if !max_i > 1e-10 then Alcotest.failf "native vs reference: rel %g" !max_i
+
+(* ------------------------------------------------------------------ *)
+(* Expression and Dirichlet conditions on every executor.              *)
+(* ------------------------------------------------------------------ *)
+
+(* The BTE's boundary faces are callback fluxes only.  The staging
+   problem's are a Dirichlet expression reading u, a flux expression
+   reading a normal and a Dirichlet constant (regions 1-3).  Solved on a
+   5x3 rectangle for 5 steps from a nonuniform u, every executor under
+   either evaluator equals serial closure at exact zero, with the
+   kernels bound on every native state. *)
+let test_expression_conditions_matrix () =
+  let solve spec eval overlap =
+    let rng = Random.State.make [| 2311 |] in
+    let mesh = Fvm.Mesh_gen.rectangle ~nx:5 ~ny:3 ~lx:1.0 ~ly:0.6 () in
+    let p = Test_solver.staging_problem rng mesh ~two:true in
+    Finch.Problem.set_steps p ~dt:1e-3 ~nsteps:5;
+    Finch.Problem.initial p
+      (Option.get (Finch.Problem.find_variable p "u"))
+      (Finch.Problem.Init_fn
+         (fun pos comp ->
+           sin ((3. *. pos.(0)) +. float_of_int comp) +. (2. *. pos.(1))));
+    (match Finch.Config.target_of_string spec with
+     | Ok t -> Finch.Problem.set_target p t
+     | Error e -> Alcotest.fail e);
+    Finch.Problem.set_overlap p overlap;
+    Finch.Problem.set_eval_mode p eval;
+    Finch.Solve.solve p
+  in
+  let want = solve "serial" Finch.Config.Closure false in
+  List.iter
+    (fun (spec, overlap) ->
+      List.iter
+        (fun (ename, eval) ->
+          let label =
+            Printf.sprintf "%s%s %s" spec (if overlap then " overlap" else "") ename
+          in
+          let o = solve spec eval overlap in
+          if eval = Finch.Config.Native then
+            check_bool (label ^ ": native kernels bound") true
+              (Array.for_all
+                 (fun st -> st.Finch.Lower.native <> None)
+                 o.Finch.Solve.states);
+          let d = Fvm.Field.max_abs_diff want.Finch.Solve.u o.Finch.Solve.u in
+          if d > 0. then Alcotest.failf "%s: diff %g from serial closure" label d)
+        [ "closure", Finch.Config.Closure; "native", Finch.Config.Native ])
+    [ "serial", false; "cells:2", false; "cells:2", true; "threads:2", false;
+      "bands:2", false; "gpu:a6000", false; "gpu:a6000", true;
+      "gpu:a6000:2", false; "gpu:a6000:2x1", false ]
 
 (* ------------------------------------------------------------------ *)
 (* Fallback paths.                                                     *)
@@ -359,6 +406,8 @@ let suite =
         test_native_matches_closure_corner_odd_steps;
       Alcotest.test_case "native matches reference solver" `Quick
         test_native_matches_reference;
+      Alcotest.test_case "expression and Dirichlet conditions == serial (exact)"
+        `Quick test_expression_conditions_matrix;
       Alcotest.test_case "sanitize falls back to interpreter" `Quick
         test_sanitize_falls_back_and_stays_correct;
       Alcotest.test_case "each program gated under its own contract" `Quick

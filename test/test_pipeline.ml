@@ -254,6 +254,7 @@ let test_emit_julia () =
   List.iter
     (fun marker -> check_bool ("julia has " ^ marker) true (Tutil.contains src marker))
     [ "for step = 1:Nsteps"; "for cell = 1:Ncells"; "apply_boundary_conditions";
+      "boundary: apply_boundary_conditions adds it";
       "u = u_new"; "time += dt"; "conditional(" ]
 
 let test_emit_cuda () =
