@@ -527,7 +527,20 @@ let codegen_cmd equation cuda =
   else begin
     print_endline "\n=== generated CPU code (Julia-like) ===";
     print_endline (Finch.Emit_source.to_julia (Finch.Ir.build_cpu p))
-  end
+  end;
+  print_endline "\n=== lowered face form ===";
+  let form = (Finch.Lower.stage_interior p).Finch.Eval.form in
+  match form.Finch.Eval.unfactored with
+  | Some why -> Printf.printf "no face form: %s\n" why
+  | None ->
+    let show = Finch_symbolic.Printer.to_string in
+    Printf.printf "P (once per DOF): %s\n"
+      (match form.Finch.Eval.pre with Some e -> show e | None -> "none");
+    Printf.printf "K (table over %s): %s\n"
+      (String.concat " x " ("slot" :: List.map fst form.Finch.Eval.knames))
+      (show form.Finch.Eval.coef);
+    Printf.printf "V (per interior face): %s\n" (show form.Finch.Eval.var);
+    print_endline "interior sum: 0 + sum over interior faces of (area*K)*V; R = rv + (P*sum)/volume"
 
 let codegen_term = Term.(const codegen_cmd $ equation_t $ cuda_t)
 

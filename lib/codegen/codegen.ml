@@ -17,8 +17,9 @@
               same way optimizer passes are gated, once per key, opt
               level and callback contract — any error falls back to the
               interpreter;
-     bind     pack the solve's face tables and the mesh/field/coefficient
-              storage into a Finch_ci.rt.  The kernel is interior-only:
+     bind     pack the solve's face tables (the face coefficient's
+              included) and the mesh/field/coefficient storage into a
+              Finch_ci.rt.  The kernel is interior-only:
               Lower adds the boundary part after it, as lane groups.
 
    Every fallback path prints one warning per reason and returns None,
@@ -238,6 +239,7 @@ let bind_state (st : Finch.Lower.state) (em : Finch.Emit_source.ocaml_emission)
           Array.of_list
             (List.map (fun (t : Finch.Eval.staged) -> t.Finch.Eval.holds)
                faces.Finch.Eval.tests);
+        face_coef = faces.Finch.Eval.form.Finch.Eval.ktable;
         face_area = mesh.Fvm.Mesh.face_area;
         cell_volume = mesh.Fvm.Mesh.cell_volume;
         cell_centroid = mesh.Fvm.Mesh.cell_centroid;

@@ -18,6 +18,7 @@ type rt = {
   slot_nbr : int array;
   slot_normal : float array;
   tests : Bytes.t array;
+  face_coef : ba;
   face_area : float array;
   cell_volume : float array;
   cell_centroid : float array;

@@ -23,6 +23,9 @@ type rt = {
   tests : Bytes.t array;
       (** staged conditional tests, in emission order: per slot x index
           values, nonzero where the test holds *)
+  face_coef : ba;
+      (** the face form's coefficient ([Eval.form]): per slot x the
+          values of the indices K reads, the face area times K *)
   face_area : float array;
   cell_volume : float array;
   cell_centroid : float array;   (** ncells * dim *)
@@ -34,18 +37,19 @@ type rt = {
   time : float ref;
 }
 (** Everything a generated kernel reads or writes, bound per solver
-    state.  The slot tables are the solve's face tables
-    ([Lower.stage_interior]), read in place and shared with every other
-    state of the solve; changing this record changes every emitted
-    source, so every kernel cache goes stale once. *)
+    state.  The slot tables and the face coefficient are the solve's
+    face tables ([Lower.stage_interior]), read in place and shared with
+    every other state of the solve; changing this record changes every
+    emitted source, so every kernel cache goes stale once. *)
 
 type entry = {
   e_advance : int -> int array -> int -> int -> unit;
       (** [e_advance cell comps off len]: [u_new <- u + dt * R] for the
           components [comps.(off) .. comps.(off + len - 1)] of [cell],
           each component's index values decoded from it.  R is the volume
-          term plus the interior face fluxes; the host adds the boundary
-          part afterwards, on every executor. *)
+          term plus the interior face fluxes in the face form, rv +
+          (P·Σ face_coef·V)/vol; the host adds the boundary part
+          afterwards, on every executor. *)
 }
 (** The generated body for one compiled program. *)
 

@@ -169,8 +169,10 @@ let to_cuda node =
    [Lower] would evaluate as a lane group), as an OCaml module that
    Finch_codegen compiles to a .cmxs and dynlinks.  R is interior-only:
    [Lower] walks the cells and slices and adds the boundary part; the
-   kernel decodes each component's index values from the component.  The emitted arithmetic mirrors [Eval.compile]
-   operation for operation — as every lane of a lane program performs
+   kernel decodes each component's index values from the component.
+   The interior sum is the face form's (Eval.form), reading area·K from
+   the solve's table, in Lower.surface's association.  The emitted
+   arithmetic mirrors [Eval.compile] operation for operation — as every lane of a lane program performs
    it — (fold-from-zero sums, fold-from-one products, the
    reciprocal/square power special cases, lazy conditionals,
    Float.equal comparisons), so generated results are bit-identical to
@@ -322,14 +324,15 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
     in
     find 0 st.Lower.faces.Eval.tests
   in
-  (* a staged test's table offset within the slot: its index values,
-     first name fastest, as Eval reads it *)
-  let test_offset (t : Eval.staged) =
+  (* a table's offset within the slot (a staged test's, the face
+     coefficient's): the values of the indices it spans, first name
+     fastest, as Eval and Lower read it *)
+  let row_offset names =
     let _, pieces =
       List.fold_left
         (fun (stride, acc) (n, ext) ->
           stride * ext, acc @ [ Printf.sprintf "(%s * %d)" (ivar n) stride ])
-        (1, []) t.Eval.names
+        (1, []) names
     in
     if pieces = [] then "0" else "(" ^ String.concat " + " pieces ^ ")"
   in
@@ -383,7 +386,7 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
       match staged_index c with
       | Some (k, staged) when face = Interior ->
         Printf.sprintf "(if Bytes.get t%d ((s * %d) + %s) <> '\\000' then %s else %s)"
-          k staged.Eval.width (test_offset staged) (ex ~face t) (ex ~face el)
+          k staged.Eval.width (row_offset staged.Eval.names) (ex ~face t) (ex ~face el)
       | _ ->
         Printf.sprintf "(if %s <> 0. then %s else %s)" (ex ~face c) (ex ~face t)
           (ex ~face el))
@@ -492,6 +495,7 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
   List.iteri
     (fun k _ -> linef d0 "let t%d = rt.Finch_ci.tests.(%d) in" k k)
     st.Lower.faces.Eval.tests;
+  line d0 "let kt = rt.Finch_ci.face_coef in";
   line d0 "let area = rt.Finch_ci.face_area in";
   line d0 "let vol = rt.Finch_ci.cell_volume in";
   line d0 "let cent = rt.Finch_ci.cell_centroid in";
@@ -508,9 +512,11 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
   (* advance: u_new <- u + dt * R over a slice of one cell's components.
      Each component's index values decode from it, first declared index
      fastest (as Lower.set_group decomposes it).  The face sum is one
-     loop over the cell's interior slots, reading neighbour, signed
-     normal and staged tests from the face tables; Lower adds the
-     boundary part afterwards *)
+     loop over the cell's interior slots in the face form, as
+     Lower.surface forms it: 0 + Σ (area·K)[s]·V, the coefficient read
+     from its table and V from neighbour, signed normal and staged tests,
+     then P·sum once (no P, no multiply); Lower adds the boundary part
+     afterwards *)
   line d0 "let advance cell comps off len =";
   line 3 "let dt = !dt_r in";
   line 3 "let fcs = cfaces.(cell) and s0 = sstart.(cell) in";
@@ -524,19 +530,25 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
       if k = nidx - 1 then linef 4 "let i_%s = %s in" n q
       else linef 4 "let i_%s = %s mod %d in" n q (Entity.index_extent i))
     (List.combine (Lower.layout_of_var uvar) uvar.Entity.vindices);
+  let form = st.Lower.faces.Eval.form in
   linef 4 "let rv = %s in" (ex ~face:No_face st.Lower.eq.Transform.rvol);
+  linef 4 "let kof = %s in" (row_offset form.Eval.knames);
   line 4 "let flux = ref 0. in";
   line 4 "for fi = 0 to Array.length fcs - 1 do";
   line 5 "let s = s0 + fi in";
   line 5 "let cell2 = snbr.(s) and face = fcs.(fi) in";
   line 5 "if cell2 >= 0 then";
-  linef 6 "flux := !flux +. (area.(face) *. %s)"
-    (ex ~face:Interior st.Lower.eq.Transform.rsurf);
+  linef 6 "flux := !flux +. (Bigarray.Array1.unsafe_get kt ((s * %d) + kof) *. %s)"
+    form.Eval.kwidth
+    (ex ~face:Interior form.Eval.var);
   line 4 "done;";
+  (match form.Eval.pre with
+   | Some pre -> linef 4 "let flux = %s *. !flux in" (ex ~face:No_face pre)
+   | None -> line 4 "let flux = !flux in");
   linef 4 "let idx = (cell * %d) + comp in" (Entity.var_ncomp uvar);
   linef 4
     "Bigarray.Array1.unsafe_set fnew idx ((Bigarray.Array1.unsafe_get f%d \
-     idx) +. (dt *. (rv +. (!flux /. vol.(cell)))))"
+     idx) +. (dt *. (rv +. (flux /. vol.(cell)))))"
     u_slot;
   line 3 "done";
   line d0 "in";

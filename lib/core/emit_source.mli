@@ -50,7 +50,10 @@ val to_ocaml : Lower.state -> ocaml_emission
     [u_new <- u + dt * R] over a slice of one cell's components, each
     component's index values decoded from it, R the volume term plus the
     interior faces ([Lower] adds the boundary part; the kernel calls no
-    host code).  The arithmetic mirrors [Eval.compile]
+    host code).  The interior faces are summed in the face form
+    ([Eval.form]), R = rv + (P·(0 + Σ (area·K)[s]·V))/vol, reading
+    area·K from the solve's table ([Finch_ci.rt]'s [face_coef]) in the
+    association [Lower] uses.  The arithmetic mirrors [Eval.compile]
     operation for operation, as each lane of a lane program performs it,
     so generated results are bit-identical to the interpreter.  The
     source depends only on program structure (never on field or

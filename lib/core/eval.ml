@@ -110,13 +110,30 @@ type compiled = env -> float
    [c]'s face [mesh.cell_faces.(c).(i)] is slot [slot_start.(c) + i].  A
    compiled [NORMAL_k] reads the current slot's signed normal, and a
    [Cond] whose test is staged reads the test's byte table instead of
-   evaluating it. *)
+   evaluating it.  [form] is the integrand factored for the interior
+   face sum, its face coefficient tabulated; programs never read it,
+   the executors do. *)
 type faces = {
   dim : int;
   slot_start : int array;    (* per cell, its first slot; ncells + 1 entries *)
   slot_nbr : int array;      (* per slot: the neighbour cell, -1 on a boundary *)
   slot_normal : float array; (* per slot x dim: nsign * n_k *)
   tests : staged list;
+  form : form;
+}
+
+(* The face form E = P·K·V: the interior sum is 0 + Σ (area·K)[s]·V in
+   face order, then scaled by P once per DOF. *)
+and form = {
+  pre : Expr.t option;           (* P; None: no multiply *)
+  coef : Expr.t;                 (* K; [Num 1.] when nothing factors into it *)
+  var : Expr.t;                  (* V *)
+  knames : (string * int) list;  (* indices K reads, with extents *)
+  kwidth : int;                  (* product of those extents *)
+  ktable : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t;
+    (* per slot x K's index values: area·K; outside the OCaml heap, like
+       the fields, so a table per solve does not grow the major heap *)
+  unfactored : string option;    (* why nothing factors (P and K empty) *)
 }
 
 and staged = {

@@ -92,6 +92,32 @@ type faces = {
       (** per slot x [dim]: the face normal as seen from the slot's cell
           ([nsign * n_k]) *)
   tests : staged list;       (** the staged [Cond] tests *)
+  form : form;               (** the integrand factored for the interior sum *)
+}
+
+(** The face form of the surface integrand, E = P·K·V: every executor
+    forms a DOF's interior face sum as [0 + Σ (area·K)[s,·]·V] over the
+    cell's interior slots in face order, reading [area·K] from
+    [ktable], then R = rv + (P·sum)/V.  P takes the top-level factors
+    reading no face context, evaluated once per DOF; K the face-invariant
+    rest, tabulated once per solve; V is evaluated per interior face.
+    When nothing factors, [pre] is [None], [coef] is [Num 1.] (the table
+    holds the face area) and [var] is the whole integrand: the sum is
+    then [0 + Σ area·rsurf] and R = rv + sum/V.  Programs never read the
+    form; [Lower] and the generated kernel do. *)
+and form = {
+  pre : Finch_symbolic.Expr.t option;  (** P; [None]: no multiply *)
+  coef : Finch_symbolic.Expr.t;        (** K *)
+  var : Finch_symbolic.Expr.t;         (** V *)
+  knames : (string * int) list;        (** the indices K reads, with extents *)
+  kwidth : int;                        (** product of those extents *)
+  ktable : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t;
+      (** at [slot * kwidth + offset] (first name fastest): the face
+          area times K at that slot and index values.  Held outside the
+          OCaml heap, like field storage: one table per solve does not
+          grow the major heap. *)
+  unfactored : string option;
+      (** why nothing factors, when [pre] is [None] and [coef] is 1 *)
 }
 
 (** One staged [Cond] test: its value at every slot and every value of

@@ -7,8 +7,9 @@
    owning everything.
 
    The interpreter evaluates one cell's owned components as a lane group
-   (Eval): the slot loop ([surface]) runs each face's flux once per group,
-   every lane accumulating its own sum in face order. *)
+   (Eval): the slot loop ([surface]) runs the face form's V once per
+   interior face and group, every lane accumulating (area·K)·V from the
+   solve's table in face order, then scaling its sum by P. *)
 
 module Expr = Finch_symbolic.Expr
 
@@ -71,6 +72,9 @@ type lanebuf = {
   bcells : int array;
     (* the owned cells owning a boundary face with a condition, in walk
        order: the cells whose DOFs get a boundary part *)
+  kpos : int array;        (* per index the face coefficient reads: its env position *)
+  kstride : int array;     (*   and stride in a slot's row of the table *)
+  koff : int array;        (* per lane: its offset in a slot's row *)
 }
 
 type state = {
@@ -86,6 +90,8 @@ type state = {
   faces : Eval.faces;        (* the solve's face tables, shared read-only *)
   rvol : Eval.program;
   rsurf : Eval.program;
+  fpre : Eval.program option;  (* the face form's P, once per DOF *)
+  fvar : Eval.program;         (*   and V, once per interior face *)
   lanes : lanebuf;
   face_bc : bc_resolved option array; (* indexed by face id; None on interior *)
   staged : (int -> float) array Lazy.t;
@@ -247,6 +253,8 @@ let written_coefficients (p : Problem.t) =
     List.map (fun (c : Entity.coefficient) -> c.Entity.cname) p.Problem.coefficients
   else (Problem.post_io p).Problem.cb_writes
 
+let is_normal s = String.length s > 7 && String.sub s 0 7 = "NORMAL_"
+
 (* Whether [e] reads only face geometry, numbers and coefficients that
    no callback writes: its value then depends only on the slot and the
    indices it names, for the whole solve. *)
@@ -255,7 +263,7 @@ let rec face_invariant ~dim ~bindings ~written ~indices (e : Expr.t) =
   let unwritten name = not (List.mem name written) in
   match e with
   | Expr.Num _ | Expr.Sym ("pi" | "FACEAREA") -> true
-  | Expr.Sym s when String.length s > 7 && String.sub s 0 7 = "NORMAL_" -> (
+  | Expr.Sym s when is_normal s -> (
     match int_of_string_opt (String.sub s 7 (String.length s - 7)) with
     | Some k -> k >= 1 && k <= dim
     | None -> false)
@@ -291,6 +299,138 @@ let rec stageable_tests stageable acc (e : Expr.t) =
   | Expr.Pow (a, b) | Expr.Cmp (_, a, b) -> go (go acc a) b
   | Expr.Num _ | Expr.Sym _ | Expr.Ref _ -> acc
 
+(* Whether [e] reads no face context: no normal, no face area, no
+   reference across the face and no staged test.  Its value is then one
+   per DOF, whatever the face. *)
+let rec face_free staged (e : Expr.t) =
+  let ok = face_free staged in
+  match e with
+  | Expr.Num _ -> true
+  | Expr.Sym s -> not (s = "FACEAREA" || is_normal s)
+  | Expr.Ref (_, _, side) -> side <> Expr.Cell2
+  | Expr.Add es | Expr.Mul es | Expr.Call (_, es) -> List.for_all ok es
+  | Expr.Pow (a, b) | Expr.Cmp (_, a, b) -> ok a && ok b
+  | Expr.Cond (c, t, el) -> (not (List.mem c staged)) && ok c && ok t && ok el
+
+(* [e] as K·V: K the list of its face-invariant factors ([] when none
+   splits out), V the rest.  A product splits factor by factor; a sum
+   whose terms split with one structurally equal V, and a staged [Cond]
+   whose branches split with structurally equal K, give their K out;
+   anything else is all V.  [why] keeps the first shape that does not
+   split. *)
+let rec split ~invariant ~staged why (e : Expr.t) =
+  let whole reason =
+    if Option.is_none !why then why := Some reason;
+    [], e
+  in
+  match e with
+  | _ when invariant e -> [ e ], Expr.one
+  | Expr.Mul fs -> split_factors ~invariant ~staged why fs
+  | Expr.Add ms -> (
+    match List.map (split ~invariant ~staged why) ms with
+    | (_, v0) :: _ as parts
+      when List.for_all (fun (k, v) -> k <> [] && Expr.equal v v0) parts ->
+      [ Expr.add (List.map (fun (k, _) -> Expr.mul k) parts) ], v0
+    | _ -> whole "the terms of a sum share no variant factor")
+  | Expr.Cond (c, t, el) when List.mem c staged ->
+    let kt, vt = split ~invariant ~staged why t
+    and ke, ve = split ~invariant ~staged why el in
+    if kt <> [] && Expr.equal (Expr.mul kt) (Expr.mul ke) then kt, Expr.cond c vt ve
+    else whole "the branches of a staged conditional have different face coefficients"
+  | Expr.Cond _ -> whole "a conditional's test is evaluated per face"
+  | _ -> [], e
+
+and split_factors ~invariant ~staged why fs =
+  let ks, vs =
+    List.fold_left
+      (fun (ks, vs) f ->
+        if invariant f then ks @ [ f ], vs
+        else
+          let k, v = split ~invariant ~staged why f in
+          ks @ k, vs @ [ v ])
+      ([], []) fs
+  in
+  ks, Expr.mul vs
+
+(* The face form of the surface integrand [e]: P its top-level factors
+   free of face context (slot-independent, so they stay out of the
+   table), K and V the split of the rest.  [Error why] when neither P
+   nor K takes anything. *)
+let factor ~invariant ~staged (e : Expr.t) =
+  let fs = match e with Expr.Mul fs -> fs | e -> [ e ] in
+  let pre, rest = List.partition (face_free staged) fs in
+  let why = ref None in
+  match pre, split_factors ~invariant ~staged why rest with
+  | [], ([], _) ->
+    Error
+      (Option.value !why
+         ~default:"no factor is free of face context or face-invariant")
+  | pre, (k, v) ->
+    Ok ((if pre = [] then None else Some (Expr.mul pre)), Expr.mul k, v)
+
+let position names name =
+  let rec go k = function
+    | [] -> raise (Lower_error ("unknown index " ^ name))
+    | n :: rest -> if String.equal n name then k else go (k + 1) rest
+  in
+  go 0 names
+
+(* The product of the extents of [names]. *)
+let extent names = List.fold_left (fun acc (_, ext) -> acc * ext) 1 names
+
+(* The indices of [indices] that [e] reads by name, with extents. *)
+let named_indices indices e =
+  let named =
+    List.concat_map
+      (fun (_, idx, _) ->
+        List.filter_map (function Expr.Ivar n -> Some n | _ -> None) idx)
+      (Expr.refs e)
+  in
+  List.filter (fun (n, _) -> List.mem n named) indices
+
+(* Evaluate [f] at every slot of [geometry] and every value of the
+   indices [names] (first fastest), those values as the lanes of one
+   group, in slices past a group's worth: the lanes are the same at
+   every slot, so they are set once per slice.  [put ~slot ~face j n r]
+   takes the values [r.(0) .. r.(n - 1)] of the slot's entries [j ..
+   j + n - 1]. *)
+let tabulate (p : Problem.t) (geometry : Eval.faces) ~index_names names f put =
+  let mesh = Problem.mesh_exn p in
+  let cell_faces = mesh.Fvm.Mesh.cell_faces in
+  let slot_start = geometry.Eval.slot_start in
+  let width = extent names in
+  let env =
+    Eval.make_env ~lanes:(min Eval.max_lanes width) ~mesh
+      ~dt:(ref p.Problem.dt) ~time:(ref 0.) ~index_names
+  in
+  let g = env.Eval.group in
+  let iv = List.map (fun (n, ext) -> g.Eval.iv.(position index_names n), ext) names in
+  let first = ref 0 in
+  while !first < width do
+    let n = min env.Eval.lanes (width - !first) in
+    g.Eval.n <- n;
+    for l = 0 to n - 1 do
+      ignore
+        (List.fold_left
+           (fun rest (lane_values, ext) ->
+             lane_values.(l) <- rest mod ext;
+             rest / ext)
+           (!first + l) iv)
+    done;
+    Eval.touch g;
+    for c = 0 to mesh.Fvm.Mesh.ncells - 1 do
+      env.Eval.cell <- c;
+      for s = slot_start.(c) to slot_start.(c + 1) - 1 do
+        let face = cell_faces.(c).(s - slot_start.(c)) in
+        env.Eval.slot <- s;
+        env.Eval.face <- face;
+        env.Eval.cell2 <- geometry.Eval.slot_nbr.(s);
+        put ~slot:s ~face !first n (Eval.run f env)
+      done
+    done;
+    first := !first + n
+  done
+
 let stage_interior (p : Problem.t) : Eval.faces =
   Prt.Metrics.incr m_stagings;
   let mesh = Problem.mesh_exn p in
@@ -315,97 +455,73 @@ let stage_interior (p : Problem.t) : Eval.faces =
         done)
       cell_faces.(c)
   done;
-  let geometry = { Eval.dim; slot_start; slot_nbr; slot_normal; tests = [] } in
+  let rsurf = (Problem.the_equation p).Transform.rsurf in
+  (* the tables the tests and K compile against; the form is not read *)
+  let geometry =
+    { Eval.dim; slot_start; slot_nbr; slot_normal; tests = [];
+      form =
+        { Eval.pre = None; coef = Expr.one; var = rsurf; knames = []; kwidth = 1;
+          ktable = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 0;
+          unfactored = None } }
+  in
   let bindings = coef_bindings p in
   let indices =
     List.map (fun (i : Entity.index) -> i.Entity.iname, Entity.index_extent i)
       p.Problem.indices
   in
-  let written = written_coefficients p in
-  (* a test the compiler rejects stays in the integrand, whose
-     compilation reports the error *)
+  let index_names = List.map fst indices in
+  let invariant = face_invariant ~dim ~bindings ~written:(written_coefficients p) ~indices in
+  (* a test or coefficient the compiler rejects stays in the integrand,
+     whose compilation reports the error *)
+  let compiled faces e =
+    match Eval.program ~faces bindings e with
+    | f -> Some f
+    | exception Eval.Compile_error _ -> None
+  in
   let tests =
     List.filter_map
       (fun test ->
-        match Eval.program ~faces:geometry bindings test with
-        | f -> Some (test, f)
-        | exception Eval.Compile_error _ -> None)
-      (stageable_tests
-         (face_invariant ~dim ~bindings ~written ~indices)
-         [] (Problem.the_equation p).Transform.rsurf)
+        Option.map
+          (fun f ->
+            let names = named_indices indices test in
+            let width = extent names in
+            let holds = Bytes.make (nslots * width) '\000' in
+            tabulate p geometry ~index_names names f (fun ~slot ~face:_ j n r ->
+                for l = 0 to n - 1 do
+                  if r.(l) <> 0. then Bytes.set holds ((slot * width) + j + l) '\001'
+                done);
+            { Eval.test; names; width; holds })
+          (compiled geometry test))
+      (stageable_tests invariant [] rsurf)
   in
-  let index_names = List.map fst indices in
-  (* evaluate each test at every slot, the values of the indices it names
-     as the lanes of one group (in slices past a group's worth): the
-     lanes are the same at every slot, so they are set once *)
-  let stage (test, f) =
-    let named =
-      List.concat_map
-        (fun (_, idx, _) ->
-          List.filter_map (function Expr.Ivar n -> Some n | _ -> None) idx)
-        (Expr.refs test)
-    in
-    let names = List.filter (fun (n, _) -> List.mem n named) indices in
-    let width = List.fold_left (fun acc (_, ext) -> acc * ext) 1 names in
-    let env =
-      Eval.make_env ~lanes:(min Eval.max_lanes width) ~mesh
-        ~dt:(ref p.Problem.dt) ~time:(ref 0.) ~index_names
-    in
-    let g = env.Eval.group in
-    let iv =
-      List.map
-        (fun (n, ext) ->
-          let rec find k = function
-            | m :: rest -> if String.equal m n then k else find (k + 1) rest
-            | [] -> assert false
-          in
-          g.Eval.iv.(find 0 index_names), ext)
-        names
-    in
-    let holds = Bytes.make (nslots * width) '\000' in
-    let first = ref 0 in
-    while !first < width do
-      let n = min env.Eval.lanes (width - !first) in
-      g.Eval.n <- n;
+  let with_tests = { geometry with tests } in
+  let staged = List.map (fun (t : Eval.staged) -> t.Eval.test) tests in
+  (* nothing factors: no P, K = 1, the whole integrand per face *)
+  let pre, coef, var, unfactored =
+    match factor ~invariant ~staged rsurf with
+    | Ok (pre, coef, var) when Option.is_some (compiled with_tests coef) ->
+      pre, coef, var, None
+    | Ok _ -> None, Expr.one, rsurf, Some "the face coefficient does not compile"
+    | Error why -> None, Expr.one, rsurf, Some why
+  in
+  let knames = named_indices indices coef in
+  let kwidth = extent knames in
+  let ktable = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (nslots * kwidth) in
+  let area = mesh.Fvm.Mesh.face_area in
+  tabulate p with_tests ~index_names knames
+    (Eval.program ~faces:with_tests bindings coef)
+    (fun ~slot ~face j n r ->
+      let a = area.(face) in
       for l = 0 to n - 1 do
-        ignore
-          (List.fold_left
-             (fun rest (lane_values, ext) ->
-               lane_values.(l) <- rest mod ext;
-               rest / ext)
-             (!first + l) iv)
-      done;
-      Eval.touch g;
-      for c = 0 to ncells - 1 do
-        env.Eval.cell <- c;
-        for s = slot_start.(c) to slot_start.(c + 1) - 1 do
-          env.Eval.slot <- s;
-          env.Eval.face <- cell_faces.(c).(s - slot_start.(c));
-          env.Eval.cell2 <- slot_nbr.(s);
-          let r = Eval.run f env in
-          for l = 0 to n - 1 do
-            if r.(l) <> 0. then Bytes.set holds ((s * width) + !first + l) '\001'
-          done
-        done
-      done;
-      first := !first + n
-    done;
-    { Eval.test; names; width; holds }
-  in
-  { geometry with tests = List.map stage tests }
+        Bigarray.Array1.set ktable ((slot * kwidth) + j + l) (a *. r.(l))
+      done);
+  { with_tests with form = { Eval.pre; coef; var; knames; kwidth; ktable; unfactored } }
 
 (* owned range of an index for a rank (0-based offset, length) *)
 let range_of (info : rankinfo) name extent =
   match List.assoc_opt name info.index_ranges with
   | Some r -> r
   | None -> 0, extent
-
-let position names name =
-  let rec go k = function
-    | [] -> raise (Lower_error ("unknown index " ^ name))
-    | n :: rest -> if String.equal n name then k else go (k + 1) rest
-  in
-  go 0 names
 
 (* The owned index tuples of one cell, in the loop plan's order (its
    index loops, outer to inner, with their extents): per position of
@@ -454,10 +570,11 @@ let rec conditioned face_bc fcs i =
   i < Array.length fcs
   && (Option.is_some face_bc.(fcs.(i)) || conditioned face_bc fcs (i + 1))
 
-let make_lanebuf (env : Eval.env) ~fields (uvar : Entity.variable) ~tuples
-    ~bcells =
+let make_lanebuf (env : Eval.env) ~(faces : Eval.faces) ~fields
+    (uvar : Entity.variable) ~tuples ~bcells =
   let cap = env.Eval.lanes in
   let names = List.map fst env.Eval.ivals in
+  let knames = faces.Eval.form.Eval.knames in
   let upos =
     Array.of_list
       (List.map (fun (i : Entity.index) -> position names i.Entity.iname)
@@ -490,7 +607,13 @@ let make_lanebuf (env : Eval.env) ~fields (uvar : Entity.variable) ~tuples
            (List.init (List.length names) Fun.id));
     tup_iv;
     tup_comp;
-    bcells }
+    bcells;
+    kpos = Array.of_list (List.map (fun (n, _) -> position names n) knames);
+    kstride =
+      (* first name fastest: the product of the extents before it *)
+      Array.of_list
+        (List.mapi (fun k _ -> extent (List.filteri (fun j _ -> j < k) knames)) knames);
+    koff = Array.make cap 0 }
 
 (* Lanes per group: one kernel block at most, and no more than a cell's
    owned DOFs. *)
@@ -584,6 +707,9 @@ let rec build ?(info = serial_rankinfo) ?share_with ?(private_clock = false)
   let compile = Eval.program ~faces bindings in
   let rvol = compile eq.Transform.rvol in
   let rsurf = compile eq.Transform.rsurf in
+  let form = faces.Eval.form in
+  let fpre = Option.map compile form.Eval.pre in
+  let fvar = compile form.Eval.var in
   let rvol_du = lazy (compile (Transform.rvol_linearization eq)) in
   (* resolve boundary conditions into a per-face table, every callback
      face staged now, so a failing stage stops the build *)
@@ -610,7 +736,9 @@ let rec build ?(info = serial_rankinfo) ?share_with ?(private_clock = false)
       faces;
       rvol;
       rsurf;
-      lanes = make_lanebuf env ~fields uvar ~tuples ~bcells;
+      fpre;
+      fvar;
+      lanes = make_lanebuf env ~faces ~fields uvar ~tuples ~bcells;
       face_bc;
       staged;
       time;
@@ -749,39 +877,55 @@ and under_ghost st =
   env.Eval.ghost <- saved;
   Array.blit r 0 lb.bterm 0 env.Eval.group.Eval.n
 
-(* The interior surface sums of the current group into [lanes.flux]:
-   per lane, Σ area·rsurf over the cell's interior slots in face order,
-   reading neighbour, signed normal and staged tests from the face
-   tables.  Boundary slots are [boundary_part]'s. *)
+(* The interior surface sums of the current group into [lanes.flux], in
+   the face form: per lane, P·(0 + Σ (area·K)[s]·V) over the cell's
+   interior slots in face order, (area·K)[s] read from the table and V
+   evaluated per slot (reading neighbour, signed normal and staged tests
+   from the face tables), then P evaluated once; no P, no multiply.
+   Boundary slots are [boundary_part]'s. *)
 let surface st =
-  let env = st.env in
-  let n = env.Eval.group.Eval.n in
-  let flux = st.lanes.flux in
+  let env = st.env and lb = st.lanes in
+  let g = env.Eval.group in
+  let n = g.Eval.n in
+  let flux = lb.flux and koff = lb.koff in
   let nbr = st.faces.Eval.slot_nbr in
-  let area = st.mesh.Fvm.Mesh.face_area in
+  let form = st.faces.Eval.form in
+  let kt = form.Eval.ktable and kw = form.Eval.kwidth in
   let cell = env.Eval.cell in
   let fcs = st.mesh.Fvm.Mesh.cell_faces.(cell) in
   let s0 = st.faces.Eval.slot_start.(cell) in
+  for l = 0 to n - 1 do
+    let o = ref 0 in
+    for k = 0 to Array.length lb.kpos - 1 do
+      o := !o + (g.Eval.iv.(lb.kpos.(k)).(l) * lb.kstride.(k))
+    done;
+    koff.(l) <- !o
+  done;
   Array.fill flux 0 n 0.;
   for i = 0 to Array.length fcs - 1 do
     let s = s0 + i in
     let c2 = nbr.(s) in
     if c2 >= 0 then begin
-      let f = fcs.(i) in
       env.Eval.slot <- s;
-      env.Eval.face <- f;
+      env.Eval.face <- fcs.(i);
       env.Eval.cell2 <- c2;
-      let r = Eval.run st.rsurf env in
-      let a = area.(f) in
+      let r = Eval.run st.fvar env in
+      let row = s * kw in
       for l = 0 to n - 1 do
-        flux.(l) <- flux.(l) +. (a *. r.(l))
+        flux.(l) <- flux.(l) +. (Bigarray.Array1.unsafe_get kt (row + koff.(l)) *. r.(l))
       done
     end
-  done
+  done;
+  match st.fpre with
+  | None -> ()
+  | Some pf ->
+    let pv = Eval.run pf env in
+    for l = 0 to n - 1 do
+      flux.(l) <- pv.(l) *. flux.(l)
+    done
 
 (* The interior right-hand side of the current group (forward Euler
-   form) into [lanes.rhs]: volume term plus interior surface sum over
-   the cell volume. *)
+   form) into [lanes.rhs]: rv + (P·sum)/V. *)
 let rhs st =
   let env = st.env and lb = st.lanes in
   let rv = Eval.run st.rvol env in
@@ -1024,8 +1168,10 @@ let rebind (base : state) ~fields ~u_new =
       bindings;
       rvol = compile base.eq.Transform.rvol;
       rsurf = compile base.eq.Transform.rsurf;
+      fpre = Option.map compile base.faces.Eval.form.Eval.pre;
+      fvar = compile base.faces.Eval.form.Eval.var;
       lanes =
-        make_lanebuf env ~fields base.uvar
+        make_lanebuf env ~faces:base.faces ~fields base.uvar
           ~tuples:(base.lanes.tup_iv, base.lanes.tup_comp)
           ~bcells:base.lanes.bcells;
       staged = lazy (stage_faces p mesh fields base.face_bc);

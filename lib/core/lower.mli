@@ -14,11 +14,15 @@
     advances the same slices; {!commit} and the Runge-Kutta combinations
     visit their elements.
 
-    One association serves every executor: u + dt·(volume + interior
-    faces/V), then the boundary part 0 + Σ ((dt·area)·g)/V over the
-    cell's conditioned boundary faces in face order (g the face's term),
-    as lane groups on the CPU: the sweeps add it after each slice's
-    interior update, the GPU host via {!boundary_contributions}. *)
+    One association serves every executor: u + dt·(rv + (P·sum)/V), the
+    interior sum in the face form ({!Eval.form}) sum = 0 + Σ
+    (area·K)[s]·V over the cell's interior slots in face order, then the
+    boundary part 0 + Σ ((dt·area)·g)/V over the cell's conditioned
+    boundary faces in face order (g the face's term), as lane groups on
+    the CPU: the sweeps add it after each slice's interior update, the
+    GPU host via {!boundary_contributions}.  With nothing to factor
+    there is no P and the table holds the face area: sum = 0 + Σ
+    area·rsurf. *)
 
 exception Lower_error of string
 
@@ -82,7 +86,13 @@ type state = {
           solve and shared read-only by every rank, pool worker and
           device mirror *)
   rvol : Eval.program;
-  rsurf : Eval.program;   (** reads [faces] (see {!Eval.program}) *)
+  rsurf : Eval.program;
+      (** reads [faces] (see {!Eval.program}); evaluated whole on a
+          Dirichlet face, under the condition's ghost *)
+  fpre : Eval.program option;
+      (** the face form's P ({!Eval.form}), evaluated once per DOF *)
+  fvar : Eval.program;
+      (** the face form's V, evaluated once per interior face *)
   lanes : lanebuf;
   face_bc : bc_resolved option array;
       (** per face id; [None] on interior and unconstrained faces *)
@@ -137,10 +147,23 @@ val stage_interior : Problem.t -> Eval.faces
     direction).  A test reading a coefficient that a post-step callback
     declares it writes ({!Problem.post_io}'s [cb_writes]), or any
     coefficient once a callback declares nothing, is not staged: it is
-    evaluated per DOF as before.  Staged values are computed with the
-    same float operations the per-DOF evaluation performed, so every
-    evaluator that reads them stays bit-identical.  Counts each call in
-    the [lower.face_stagings] metric.
+    evaluated per DOF as before.  Staged tests are computed with the
+    same float operations the per-DOF evaluation performed.
+
+    It also factors the integrand into its face form E = P·K·V
+    ({!Eval.form}) and tabulates [area·K] over the slot and the values
+    of the indices K names.  P takes the top-level factors that read no
+    face context (no [NORMAL_k], [FACEAREA], [CELL2] reference or staged
+    test): they may read written coefficients and cell-local fields.  K
+    takes the face-invariant factors (the staging rule above, so never a
+    written coefficient), and the invariant part of a staged [Cond]
+    whose branches factor with structurally equal K, or of a sum whose
+    terms share one variant part.  V is the rest.  For the BTE, P =
+    -1·vg[b], K = NORMAL_1·Sx[d] + NORMAL_2·Sy[d] over slot × d and V =
+    [Cond(upwind, I[d,b], CELL2 I[d,b])].  When nothing factors the
+    table holds the face area and V is the whole integrand, so the
+    interior sum keeps the association [0 + Σ area·rsurf].  Counts each
+    call in the [lower.face_stagings] metric.
     @raise Problem.Problem_error without a mesh or equation. *)
 
 val build :
@@ -210,8 +233,10 @@ val run_post_step : state -> allreduce:(float array -> unit) -> unit
 val rebind :
   state -> fields:(string * Fvm.Field.t) list -> u_new:Fvm.Field.t -> state
 (** A state whose programs read/write the given (device-view) storage,
-    with its own env and lane buffers; time/dt refs, the face tables and
-    the condition table [face_bc] shared with the base.
+    with its own env and lane buffers; time/dt refs, the face tables
+    (the face coefficient's included) and the condition table [face_bc]
+    shared with the base: P and V compile again against the new
+    storage, the table is the base's.
     Callback faces stage again against the new storage, all at once on
     the state's first boundary evaluation: a state that never evaluates a
     boundary (a device mirror) stages nothing.  Expression conditions
@@ -233,7 +258,7 @@ val boundary_contributions : state -> into:Fvm.Field.t -> unit
 (** {2 Runge-Kutta stages (serial executor)} *)
 
 val sweep_rhs : state -> into:Fvm.Field.t -> unit
-(** Write R = (rvol + (1/V) Σ_interior area·rsurf) + the boundary part
+(** Write R = (rvol + (P·Σ_interior (area·K)·V)/V) + the boundary part
     at scale 1 (0 + Σ (area·g)/V) of every owned DOF of the current
     unknown into [into]: one Runge-Kutta stage derivative. *)
 

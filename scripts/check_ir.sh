@@ -4,7 +4,8 @@
 # Builds the lint CLI, runs the analyzer's seeded-defect selftest (every
 # error code must be reproduced exactly), then lints every shipped
 # scenario under the full backend x overlap matrix and requires zero
-# findings; then smoke-tests codegen, serve, tuner and scaling, checks
+# findings; then smoke-tests codegen (the kernel cache, and the face
+# form the default equation lowers to), serve, tuner and scaling, checks
 # that the interpreted GPU (lane-group thread bodies) agrees with the
 # native kernel, and checks that executors agree exactly: every run of
 # a scenario, CPU and GPU targets alike, prints one field digest
@@ -52,7 +53,7 @@ grep -q '"errors": 0' "$json_out" || {
 }
 rm -f "$json_out"
 
-echo "== native codegen smoke test (cold compile, then warm cache) =="
+echo "== native codegen smoke test (cold compile, then warm cache; the default face form) =="
 dune build bin/bte_sim.exe
 cache_dir=$(mktemp -d)
 trap 'rm -rf "$cache_dir"' EXIT
@@ -82,6 +83,20 @@ grep -q 'codegen.cache_misses.*0$' /tmp/check_ir_native_warm.$$ || {
   exit 1
 }
 rm -f /tmp/check_ir_native_warm.$$
+# the default equation's integrand factors: the listing ends with its
+# face form (P, the tabulated K, V), not "no face form"
+codegen_out=$(mktemp)
+./_build/default/bin/bte_sim.exe codegen > "$codegen_out" 2>&1
+for line in '=== lowered face form ===' 'P (once per DOF): ' \
+            'K (table over slot): ' 'V (per interior face): '; do
+  grep -q "^$line" "$codegen_out" || {
+    echo "check_ir: bte_sim codegen printed no face form (missing \"$line\")"
+    cat "$codegen_out"
+    rm -f "$codegen_out"
+    exit 1
+  }
+done
+rm -f "$codegen_out"
 
 echo "== serve scheduler smoke (3 requests, cold vs warm tables; emitter self-validates) =="
 dune build bin/bte_serve.exe
@@ -284,4 +299,4 @@ awk '
 }
 rm -f "$digest_out"
 
-echo "check_ir: selftest, full lint matrix (opt 0 and 2), comm-schedule verifier, JSON output, native codegen cache, tuner, serve scheduler, scaling smoke, interpreted GPU vs native kernel clean, one field digest per scenario on every CPU and GPU target, no native run fell back"
+echo "check_ir: selftest, full lint matrix (opt 0 and 2), comm-schedule verifier, JSON output, native codegen cache, face form, tuner, serve scheduler, scaling smoke, interpreted GPU vs native kernel clean, one field digest per scenario on every CPU and GPU target, no native run fell back"

@@ -508,16 +508,20 @@ let test_linearization_of_bte_form () =
    face tables: at every face the neighbour and the normal sign come
    from the mesh, the signed normal is written into a one-slot table
    that the oracle's closures read, and every conditional test is
-   evaluated.  Returns [(rvol, interior flux sum, boundary terms)] of one
-   DOF, the terms as (area, g) per conditioned boundary face in face
-   order. *)
-let face_oracle (st : Finch.Lower.state) =
+   evaluated.  The interior sum is the face form's, P·(0 + Σ
+   (area·K)·V) in face order with K and V evaluated at the face and P
+   once; with [~today] it is the unfactored 0 + Σ area·rsurf.  Returns
+   [(rvol, interior sum, boundary terms)] of one DOF, the terms as
+   (area, g) per conditioned boundary face in face order. *)
+let face_oracle ?(today = false) (st : Finch.Lower.state) =
   let mesh = st.Finch.Lower.mesh in
   let dim = mesh.Fvm.Mesh.dim in
   let normal = Array.make dim 0. in
+  (* the programs read only the one-slot normal; [form] is not read *)
+  let form = st.Finch.Lower.faces.Finch.Eval.form in
   let faces =
     { Finch.Eval.dim; slot_start = [| 0; 1 |]; slot_nbr = [| -1 |];
-      slot_normal = normal; tests = [] }
+      slot_normal = normal; tests = []; form }
   in
   let p = st.Finch.Lower.p in
   let env =
@@ -529,6 +533,9 @@ let face_oracle (st : Finch.Lower.state) =
   let eq = st.Finch.Lower.eq in
   let rvol = compile eq.Finch.Transform.rvol
   and rsurf = compile eq.Finch.Transform.rsurf in
+  let pre = Option.map compile form.Finch.Eval.pre
+  and coef = compile form.Finch.Eval.coef
+  and var = compile form.Finch.Eval.var in
   let uname = st.Finch.Lower.uvar.Finch.Entity.vname in
   let bcs =
     List.map
@@ -564,7 +571,10 @@ let face_oracle (st : Finch.Lower.state) =
         env.Finch.Eval.face <- f;
         env.Finch.Eval.cell2 <- c2;
         let area = mesh.Fvm.Mesh.face_area.(f) in
-        if c2 >= 0 then interior := !interior +. (area *. rsurf env)
+        if c2 >= 0 then
+          interior :=
+            !interior
+            +. (if today then area *. rsurf env else area *. coef env *. var env)
         else
           match List.assoc_opt mesh.Fvm.Mesh.face_bid.(f) bcs with
           | None -> ()
@@ -579,7 +589,12 @@ let face_oracle (st : Finch.Lower.state) =
             terms := (area, rsurf env) :: !terms;
             env.Finch.Eval.ghost <- None)
       mesh.Fvm.Mesh.cell_faces.(cell);
-    rv, !interior, List.rev !terms
+    let interior =
+      match pre with
+      | Some pre when not today -> pre env *. !interior
+      | _ -> !interior
+    in
+    rv, interior, List.rev !terms
 
 (* The boundary part of the oracle's [terms] at [scale]:
    0 + Σ ((scale·area)·g)/V in face order, [None] for a cell owning no
@@ -601,9 +616,9 @@ let oracle_step (st : Finch.Lower.state) oracle ~dt cell comp =
     (Fvm.Field.get st.Finch.Lower.u cell comp +. (dt *. (rv +. (int_sum /. vol))))
     (boundary_part ~scale:dt ~vol terms)
 
-(* Advection of u[d,b] on [mesh] whose upwind test names d alone, or d
-   and b when [two]; velocities hold exact zeros, so some faces test
-   0 > 0.  Regions 1 and 3 carry Dirichlet expressions (rsurf under a
+(* Advection of u[d,b] at the rate w[b] on [mesh] whose upwind test
+   names d alone, or d and b when [two]; velocities hold exact zeros, so
+   some faces test 0 > 0.  Regions 1 and 3 carry Dirichlet expressions (rsurf under a
    ghost on a boundary slot), region 2 a flux expression reading a
    normal, and on a box region 4 (x = lx) a Dirichlet expression, so a
    corner cell owns three conditioned faces (z = 0, y = 0, x = lx); the
@@ -627,6 +642,11 @@ let staging_problem ?(nd = 3) ?(nb = 2) rng mesh ~two =
   let _ = Finch.Problem.coefficient p ~name:"cy" ~index:cy_index (speeds cy_index) in
   let _ = Finch.Problem.coefficient p ~name:"cz" ~index:d (speeds d) in
   let _ = Finch.Problem.coefficient p ~name:"k" (Finch.Entity.Const 0.25) in
+  (* a rate per b: the face form's P, -w[b], is not exact to apply *)
+  let _ =
+    Finch.Problem.coefficient p ~name:"w" ~index:b
+      (Finch.Entity.Arr (Array.init nb (fun i -> 0.7 +. (0.3 *. float_of_int i))))
+  in
   Finch.Problem.boundary p u 1 Finch.Config.Dirichlet "0.5 * u[d,b]";
   Finch.Problem.boundary p u 2 Finch.Config.Flux "NORMAL_1 * u[d,b]";
   Finch.Problem.boundary p u 3 Finch.Config.Dirichlet "1.5";
@@ -639,7 +659,7 @@ let staging_problem ?(nd = 3) ?(nb = 2) rng mesh ~two =
   in
   let _ =
     Finch.Problem.conservation_form p u
-      (Printf.sprintf "-k*u[d,b] - surface(upwind(%s, u[d,b]))" vec)
+      (Printf.sprintf "-k*u[d,b] - surface(w[b] * upwind(%s, u[d,b]))" vec)
   in
   p
 
@@ -647,7 +667,8 @@ let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 (* The entries the executors call read the face tables and equal the
    per-face oracle bit for bit, on quadrilateral, triangular and
-   hexahedral cells (4, 3 and 6 faces per cell) at random small shapes:
+   hexahedral cells (4, 3 and 6 faces per cell) at random small shapes,
+   int the face form's interior sum P·(0 + Σ (a·K)·V):
    [sweep_rhs] ((rv + int/V) + (0 + Σ (a·g)/V)), [update_interior]
    (u + dt·(rv + int/V)) and [boundary_contributions]
    (0 + Σ ((dt·a)·g)/V, zero-filled field elsewhere), each cell's
@@ -677,12 +698,17 @@ let test_staged_flux_equals_oracle () =
           let what =
             Printf.sprintf "%s (%d cells), two=%b" mname mesh.Fvm.Mesh.ncells two
           in
+          let names = if two then [ "d"; "b" ] else [ "d" ] in
           Alcotest.(check (list (list string)))
             (what ^ ": the upwind test is staged")
-            [ (if two then [ "d"; "b" ] else [ "d" ]) ]
+            [ names ]
             (List.map
                (fun (t : Finch.Eval.staged) -> List.map fst t.Finch.Eval.names)
                st.Finch.Lower.faces.Finch.Eval.tests);
+          Alcotest.(check (list string))
+            (what ^ ": the face coefficient spans the test's indices")
+            names
+            (List.map fst st.Finch.Lower.faces.Finch.Eval.form.Finch.Eval.knames);
           let u = st.Finch.Lower.u in
           Fvm.Field.init u (fun _ _ -> Random.State.float rng 2. -. 0.5);
           let oracle = face_oracle st in
@@ -722,7 +748,7 @@ let test_staged_flux_equals_oracle () =
 (* The closure sweep runs lane groups: per owned cell, its owned index
    tuples in slices of at most 256 lanes.  After one sweep every owned
    DOF of u_new equals (u + dt·(rv + int/V)) + (0 + Σ ((dt·a)·g)/V) from
-   the per-face oracle bit for bit,
+   the per-face oracle bit for bit (int in the face form),
    and every other DOF is untouched, for cells of 6 and of 300
    components (two groups of 256 and 44), band slices and cell subsets
    (partial groups), and the permuted loop order. *)
@@ -887,6 +913,194 @@ let test_one_staging_per_solve () =
             (Prt.Metrics.value stagings - before))
         [ "serial"; "threads:2"; "cells:4"; "gpu:a6000:2" ])
 
+(* --- the face form: E = P·K·V ------------------------------------ *)
+
+let show = Finch_symbolic.Printer.to_string
+
+let form_of p = (Finch.Lower.stage_interior p).Finch.Eval.form
+
+(* [eq] over u[d] (3 directions) on a 3x2 rectangle, with the speeds
+   cx and cy and the rate vx over d, a constant k, Dirichlet inflow on
+   region 1, and a post-step callback declaring it writes [writes] when
+   that is not empty. *)
+let form_problem ?(writes = []) eq =
+  let p = Finch.Problem.init "form" in
+  Finch.Problem.domain p 2;
+  Finch.Problem.set_mesh p (Fvm.Mesh_gen.rectangle ~nx:3 ~ny:2 ~lx:1.0 ~ly:0.7 ());
+  Finch.Problem.set_steps p ~dt:1e-3 ~nsteps:1;
+  let d = Finch.Problem.index p ~name:"d" ~range:(1, 3) in
+  let u = Finch.Problem.variable p ~name:"u" ~indices:[ d ] () in
+  List.iter
+    (fun (name, a) ->
+      ignore (Finch.Problem.coefficient p ~name ~index:d (Finch.Entity.Arr a)))
+    [ "cx", [| 1.0; -0.5; 0.0 |]; "cy", [| 0.25; 1.0; -1.0 |]; "vx", [| 2.0; 3.0; 0.5 |] ];
+  ignore (Finch.Problem.coefficient p ~name:"k" (Finch.Entity.Const 0.25));
+  Finch.Problem.initial p u (Finch.Problem.Init_const 0.);
+  Finch.Problem.boundary p u 1 Finch.Config.Dirichlet "0.5 * u[d] + 1";
+  if writes <> [] then
+    Finch.Problem.post_step_function
+      ~io:{ Finch.Problem.cb_reads = []; cb_writes = writes }
+      p ignore;
+  ignore (Finch.Problem.conservation_form p u eq);
+  p
+
+(* P, K with the indices its table spans, and V, as printed *)
+let show_form (form : Finch.Eval.form) =
+  Printf.sprintf "P = %s; K over slot x [%s] = %s; V = %s"
+    (match form.Finch.Eval.pre with Some e -> show e | None -> "none")
+    (String.concat ", " (List.map fst form.Finch.Eval.knames))
+    (show form.Finch.Eval.coef) (show form.Finch.Eval.var)
+
+(* Every slot's table entry, computed by [want ~slot ~face j] and
+   compared bit for bit. *)
+let check_table what p (form : Finch.Eval.form) want =
+  let faces = Finch.Lower.stage_interior p in
+  let mesh = Finch.Problem.mesh_exn p in
+  let kw = form.Finch.Eval.kwidth in
+  for c = 0 to mesh.Fvm.Mesh.ncells - 1 do
+    Array.iteri
+      (fun i f ->
+        let slot = faces.Finch.Eval.slot_start.(c) + i in
+        for j = 0 to kw - 1 do
+          let got = Bigarray.Array1.get form.Finch.Eval.ktable ((slot * kw) + j) in
+          let w = want ~cell:c ~face:f j in
+          if not (Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float w)) then
+            Alcotest.failf "%s: slot %d entry %d: %h, want %h" what slot j got w
+        done)
+      mesh.Fvm.Mesh.cell_faces.(c)
+  done
+
+(* The BTE integrand factors into P = -1·vg[b], K = NORMAL_1·Sx[d] +
+   NORMAL_2·Sy[d] tabulated over slot x d as area·K (each entry the
+   lane programs' fold, (0 + (1·n1)·Sx) + (1·n2)·Sy, times the area),
+   and V the select between the two loads. *)
+let test_form_bte () =
+  let p = Finch.Problem.init "bte-form" in
+  Finch.Problem.domain p 2;
+  Finch.Problem.set_mesh p (Fvm.Mesh_gen.rectangle ~nx:4 ~ny:3 ~lx:1.0 ~ly:0.7 ());
+  Finch.Problem.set_steps p ~dt:1e-3 ~nsteps:1;
+  let d = Finch.Problem.index p ~name:"d" ~range:(1, 4) in
+  let b = Finch.Problem.index p ~name:"b" ~range:(1, 3) in
+  let vi = Finch.Problem.variable p ~name:"I" ~indices:[ d; b ] () in
+  let _ = Finch.Problem.variable p ~name:"Io" ~indices:[ b ] () in
+  let _ = Finch.Problem.variable p ~name:"beta" ~indices:[ b ] () in
+  let sx = [| 0.6; -0.8; 0.0; 0.3 |] and sy = [| 0.8; 0.6; -1.0; 0.0 |] in
+  let _ = Finch.Problem.coefficient p ~name:"Sx" ~index:d (Finch.Entity.Arr sx) in
+  let _ = Finch.Problem.coefficient p ~name:"Sy" ~index:d (Finch.Entity.Arr sy) in
+  let _ =
+    Finch.Problem.coefficient p ~name:"vg" ~index:b
+      (Finch.Entity.Arr [| 1.5; 2.5; 3.5 |])
+  in
+  let _ =
+    Finch.Problem.conservation_form p vi
+      "(Io[b] - I[d,b]) * beta[b] - surface(vg[b] * upwind([Sx[d];Sy[d]], I[d,b]))"
+  in
+  let form = form_of p in
+  Alcotest.(check string) "P, K, V"
+    "P = (-1)*vg[b]; K over slot x [d] = NORMAL_1*Sx[d] + NORMAL_2*Sy[d]; \
+     V = conditional(NORMAL_1*Sx[d] + NORMAL_2*Sy[d] > 0, CELL1_I[d,b], CELL2_I[d,b])"
+    (show_form form);
+  Alcotest.(check int) "table width" 4 form.Finch.Eval.kwidth;
+  let mesh = Finch.Problem.mesh_exn p in
+  check_table "area·K" p form (fun ~cell ~face j ->
+      let nsign = Fvm.Mesh.normal_sign mesh face cell in
+      let n k = nsign *. mesh.Fvm.Mesh.face_normal.((face * 2) + k) in
+      mesh.Fvm.Mesh.face_area.(face)
+      *. (0. +. (1. *. n 0 *. sx.(j)) +. (1. *. n 1 *. sy.(j))))
+
+(* A staged conditional whose branches carry different coefficients
+   stays whole in V: P takes the sign, K is 1 and the table the area. *)
+let test_form_unequal_branches () =
+  let p =
+    form_problem
+      "-k*u[d] - surface(conditional(NORMAL_1*cx[d] > 0, NORMAL_1*cx[d]*u[d], \
+       NORMAL_2*cy[d]*u[d]))"
+  in
+  let form = form_of p in
+  Alcotest.(check int) "the test is staged" 1
+    (List.length (Finch.Lower.stage_interior p).Finch.Eval.tests);
+  Alcotest.(check string) "P, K, V"
+    "P = -1; K over slot x [] = 1; \
+     V = conditional(NORMAL_1*cx[d] > 0, NORMAL_1*cx[d]*u[d], NORMAL_2*cy[d]*u[d])"
+    (show_form form);
+  let mesh = Finch.Problem.mesh_exn p in
+  check_table "area" p form (fun ~cell:_ ~face _ -> mesh.Fvm.Mesh.face_area.(face))
+
+(* A coefficient a callback declares it writes may sit in P but never
+   in K: written, the rate vx stays in P; written, the speed cx keeps
+   the upwind test per face (V whole) and the sum whole. *)
+let test_form_written_coefficient () =
+  let upwind = "-k*u[d] - surface(vx[d] * upwind([cx[d];cy[d]], u[d]))"
+  and sum = "-k*u[d] - surface(NORMAL_1*cx[d]*u[d] + NORMAL_2*cy[d]*u[d])" in
+  List.iter
+    (fun (eq, writes, want) ->
+      let what = Printf.sprintf "%s, writes [%s]" eq (String.concat "; " writes) in
+      let form = form_of (form_problem ~writes eq) in
+      Alcotest.(check string) what want (show_form form);
+      List.iter
+        (fun w ->
+          if Finch_symbolic.Expr.contains_ref w form.Finch.Eval.coef then
+            Alcotest.failf "%s: K reads the written %s" what w)
+        writes)
+    [ ( upwind, [],
+        "P = (-1)*vx[d]; K over slot x [d] = NORMAL_1*cx[d] + NORMAL_2*cy[d]; \
+         V = conditional(NORMAL_1*cx[d] + NORMAL_2*cy[d] > 0, CELL1_u[d], CELL2_u[d])" );
+      ( upwind, [ "vx" ],
+        "P = (-1)*vx[d]; K over slot x [d] = NORMAL_1*cx[d] + NORMAL_2*cy[d]; \
+         V = conditional(NORMAL_1*cx[d] + NORMAL_2*cy[d] > 0, CELL1_u[d], CELL2_u[d])" );
+      ( upwind, [ "cx" ],
+        "P = (-1)*vx[d]; K over slot x [] = 1; \
+         V = conditional(NORMAL_1*cx[d] + NORMAL_2*cy[d] > 0, \
+         NORMAL_1*cx[d]*CELL1_u[d] + NORMAL_2*cy[d]*CELL1_u[d], \
+         NORMAL_1*cx[d]*CELL2_u[d] + NORMAL_2*cy[d]*CELL2_u[d])" );
+      ( sum, [],
+        "P = none; K over slot x [d] = -NORMAL_1*cx[d] - NORMAL_2*cy[d]; V = u[d]" );
+      ( sum, [ "cx" ],
+        "P = none; K over slot x [] = 1; V = -NORMAL_1*cx[d]*u[d] - NORMAL_2*cy[d]*u[d]" ) ]
+
+(* An integrand with nothing to stage (the central flux: its terms read
+   either side) keeps today's association: no P, a table holding the
+   face area, V the whole integrand, and a sweep on either evaluator
+   equal bit for bit to the unfactored loop, (u + dt·(rv + (0 + Σ
+   area·rsurf)/V)) + the boundary part. *)
+let test_form_nothing_to_stage () =
+  let eq = "-k*u[d] - surface(central([cx[d];cy[d]], u[d]))" in
+  let p = form_problem eq in
+  let form = form_of p in
+  (match form.Finch.Eval.unfactored with
+   | Some _ -> ()
+   | None -> Alcotest.fail "the central flux must not factor");
+  check_bool "no P" true (form.Finch.Eval.pre = None);
+  check_bool "K is 1" true (Finch_symbolic.Expr.equal form.Finch.Eval.coef Finch_symbolic.Expr.one);
+  check_bool "V is the integrand" true
+    (Finch_symbolic.Expr.equal form.Finch.Eval.var
+       (Finch.Problem.the_equation p).Finch.Transform.rsurf);
+  let mesh = Finch.Problem.mesh_exn p in
+  check_table "area" p form (fun ~cell:_ ~face _ -> mesh.Fvm.Mesh.face_area.(face));
+  Finch_codegen.Codegen.install ();
+  List.iter
+    (fun eval_mode ->
+      let p = form_problem eq in
+      Finch.Problem.set_eval_mode p eval_mode;
+      let st = Finch.Lower.build p in
+      if eval_mode = Finch.Config.Native && Option.is_none st.Finch.Lower.native then
+        Alcotest.fail "native: no kernel bound";
+      let rng = Random.State.make [| 2411 |] in
+      Fvm.Field.init st.Finch.Lower.u (fun _ _ -> Random.State.float rng 2. -. 0.5);
+      let oracle = face_oracle ~today:true st in
+      Finch.Lower.sweep st;
+      let dt = !(st.Finch.Lower.dt) in
+      for cell = 0 to mesh.Fvm.Mesh.ncells - 1 do
+        for comp = 0 to Fvm.Field.ncomp st.Finch.Lower.u - 1 do
+          let got = Fvm.Field.get st.Finch.Lower.u_new cell comp in
+          let want = oracle_step st oracle ~dt cell comp in
+          if not (bits_equal got want) then
+            Alcotest.failf "%s: cell %d comp %d: swept %h, unfactored loop %h"
+              (Finch.Config.eval_mode_name eval_mode) cell comp got want
+        done
+      done)
+    [ Finch.Config.Closure; Finch.Config.Native ]
+
 let suite =
   ( "solver",
     [
@@ -932,4 +1146,11 @@ let suite =
         test_written_coefficient_unstaged;
       Alcotest.test_case "one face staging per solve" `Quick
         test_one_staging_per_solve;
+      Alcotest.test_case "face form: the BTE integrand" `Quick test_form_bte;
+      Alcotest.test_case "face form: unequal branches stay in V" `Quick
+        test_form_unequal_branches;
+      Alcotest.test_case "face form: written coefficients stay out of K" `Quick
+        test_form_written_coefficient;
+      Alcotest.test_case "face form: nothing to stage keeps today's bits" `Quick
+        test_form_nothing_to_stage;
     ] )
