@@ -9,7 +9,8 @@
    group instead of once per DOF, and an evaluation allocates nothing.
    Every lane performs exactly the float operations of a per-DOF
    evaluation, in the same order; the scalar entry [compile] is the same
-   program run on one lane.
+   program run on one lane.  Offsets are derived once per group stamp,
+   which a driver that reuses a group leaves alone.
 
    [cost] statically estimates FLOPs and DRAM traffic per evaluation; the
    GPU simulator's roofline model consumes these numbers. *)
@@ -131,8 +132,9 @@ and form = {
   knames : (string * int) list;  (* indices K reads, with extents *)
   kwidth : int;                  (* product of those extents *)
   ktable : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t;
-    (* per slot x K's index values: area·K; outside the OCaml heap, like
-       the fields, so a table per solve does not grow the major heap *)
+    (* per slot x K's index values: area·K, 0 on a boundary slot; outside
+       the OCaml heap, like the fields, so a table per solve does not
+       grow the major heap *)
   unfactored : string option;    (* why nothing factors (P and K empty) *)
 }
 
@@ -443,44 +445,72 @@ let load_row env ld =
   in
   if cell >= 0 then cell * ld.cell_stride else -1
 
+(* A shifted load's components at the active lanes, checked before any
+   lane reads: the first out of range raises. *)
+let check_shift ld (offs : int array) (act : int array) na =
+  if ld.shifted then
+    for i = 0 to na - 1 do
+      let c = Array.unsafe_get offs (Array.unsafe_get act i) in
+      if c < 0 || c >= ld.ncomp then shift_error ld c
+    done
+
+(* Per lane, what the first operand of a sum (0.) or a product (1.)
+   combines with; read-only, shared by every program. *)
+let zeros = Array.make max_lanes 0.
+let ones = Array.make max_lanes 1.
+
 (* The combining step of an Add ([mul] false) or Mul node: each active
-   lane's accumulator, starting from 0. or 1. at the first operand, takes
-   the operand's value at that lane.  One function per operand source,
-   so leaves are read in the same pass; none allocates. *)
-let combine_scalar out (act : int array) na mul first (v : float array) =
-  let x = v.(0) in
-  for i = 0 to na - 1 do
-    let l = Array.unsafe_get act i in
-    let a = if first then (if mul then 1. else 0.) else Array.unsafe_get out l in
-    Array.unsafe_set out l (if mul then a *. x else a +. x)
-  done
+   lane's accumulator takes the operand's value at that lane, the first
+   operand combining with 0. or 1. ([seed]).  The variant is chosen once
+   per pass, so each lane does one float operation and no branch.  One
+   function per operand source, so field and coefficient reads happen in
+   the same pass; none allocates. *)
+let seed out mul first = if not first then out else if mul then ones else zeros
 
 let combine_buf out (act : int array) na mul first (v : float array) =
-  for i = 0 to na - 1 do
-    let l = Array.unsafe_get act i in
-    let x = Array.unsafe_get v l in
-    let a = if first then (if mul then 1. else 0.) else Array.unsafe_get out l in
-    Array.unsafe_set out l (if mul then a *. x else a +. x)
-  done
+  let acc = seed out mul first in
+  if mul then
+    for i = 0 to na - 1 do
+      let l = Array.unsafe_get act i in
+      Array.unsafe_set out l (Array.unsafe_get acc l *. Array.unsafe_get v l)
+    done
+  else
+    for i = 0 to na - 1 do
+      let l = Array.unsafe_get act i in
+      Array.unsafe_set out l (Array.unsafe_get acc l +. Array.unsafe_get v l)
+    done
 
 let combine_load out (act : int array) na mul first ld row (offs : int array) =
-  for i = 0 to na - 1 do
-    let l = Array.unsafe_get act i in
-    let c = Array.unsafe_get offs l in
-    if ld.shifted && (c < 0 || c >= ld.ncomp) then shift_error ld c;
-    let x = Bigarray.Array1.unsafe_get ld.data (row + (c * ld.comp_stride)) in
-    let a = if first then (if mul then 1. else 0.) else Array.unsafe_get out l in
-    Array.unsafe_set out l (if mul then a *. x else a +. x)
-  done
+  check_shift ld offs act na;
+  let acc = seed out mul first and d = ld.data and cs = ld.comp_stride in
+  if mul then
+    for i = 0 to na - 1 do
+      let l = Array.unsafe_get act i in
+      Array.unsafe_set out l
+        (Array.unsafe_get acc l
+        *. Bigarray.Array1.unsafe_get d (row + (Array.unsafe_get offs l * cs)))
+    done
+  else
+    for i = 0 to na - 1 do
+      let l = Array.unsafe_get act i in
+      Array.unsafe_set out l
+        (Array.unsafe_get acc l
+        +. Bigarray.Array1.unsafe_get d (row + (Array.unsafe_get offs l * cs)))
+    done
 
 let combine_coef out (act : int array) na mul first (arr : float array)
     (offs : int array) =
-  for i = 0 to na - 1 do
-    let l = Array.unsafe_get act i in
-    let x = arr.(Array.unsafe_get offs l) in
-    let a = if first then (if mul then 1. else 0.) else Array.unsafe_get out l in
-    Array.unsafe_set out l (if mul then a *. x else a +. x)
-  done
+  let acc = seed out mul first in
+  if mul then
+    for i = 0 to na - 1 do
+      let l = Array.unsafe_get act i in
+      Array.unsafe_set out l (Array.unsafe_get acc l *. arr.(Array.unsafe_get offs l))
+    done
+  else
+    for i = 0 to na - 1 do
+      let l = Array.unsafe_get act i in
+      Array.unsafe_set out l (Array.unsafe_get acc l +. arr.(Array.unsafe_get offs l))
+    done
 
 (* Evaluate [nd] at the first [na] lanes of [act].  Lane indices below
    the env's lane count and buffers of that length are established at
@@ -500,22 +530,22 @@ let rec exec env (g : lanes) nd (act : int array) na =
   | Load ld ->
     let offs = offsets ld.sel g in
     let row = load_row env ld in
-    if row >= 0 then
+    if row >= 0 then begin
+      check_shift ld offs act na;
+      let d = ld.data and cs = ld.comp_stride in
       for i = 0 to na - 1 do
         let l = Array.unsafe_get act i in
-        let c = Array.unsafe_get offs l in
-        if ld.shifted && (c < 0 || c >= ld.ncomp) then shift_error ld c;
         Array.unsafe_set out l
-          (Bigarray.Array1.unsafe_get ld.data (row + (c * ld.comp_stride)))
+          (Bigarray.Array1.unsafe_get d (row + (Array.unsafe_get offs l * cs)))
       done
+    end
     else begin
       match env.ghost with
       | Some gh ->
+        check_shift ld offs act na;
         for i = 0 to na - 1 do
           let l = Array.unsafe_get act i in
-          let c = Array.unsafe_get offs l in
-          if ld.shifted && (c < 0 || c >= ld.ncomp) then shift_error ld c;
-          Array.unsafe_set out l (gh ld.name l c)
+          Array.unsafe_set out l (gh ld.name l (Array.unsafe_get offs l))
         done
       | None ->
         raise
@@ -600,6 +630,27 @@ let rec exec env (g : lanes) nd (act : int array) na =
       in
       Array.unsafe_set out l (if holds then 1. else 0.)
     done
+  | Cond
+      { test = Staged (holds, width, s);
+        th = { op = Load lt; _ };
+        el = { op = Load le; _ };
+        _ }
+    when (not lt.shifted) && (not le.shifted)
+         && load_row env lt >= 0 && load_row env le >= 0 ->
+    (* the upwind select: each lane reads only the row its byte picks.
+       A ghost row (a boundary slot) takes the split below, so the
+       accessor is called only for the lanes that take it *)
+    let offs = offsets s g and ot = offsets lt.sel g and oe = offsets le.sel g in
+    let at = env.slot * width in
+    let dt = lt.data and rt = load_row env lt and ct = lt.comp_stride in
+    let de = le.data and re = load_row env le and ce = le.comp_stride in
+    for i = 0 to na - 1 do
+      let l = Array.unsafe_get act i in
+      Array.unsafe_set out l
+        (if Bytes.get holds (at + Array.unsafe_get offs l) <> '\000' then
+           Bigarray.Array1.unsafe_get dt (rt + (Array.unsafe_get ot l * ct))
+         else Bigarray.Array1.unsafe_get de (re + (Array.unsafe_get oe l * ce)))
+    done
   | Cond cd ->
     (* split the active lanes by the test, then run each branch on its
        own lanes only *)
@@ -652,17 +703,14 @@ let rec exec env (g : lanes) nd (act : int array) na =
       done
     end
 
-(* An Add or Mul: operands in order, a leaf read in the combining pass
-   itself, any other operand evaluated into its buffer first. *)
+(* An Add or Mul: operands in order, a cell read or coefficient read in
+   the combining pass itself, any other operand evaluated into its
+   buffer first (a constant's was filled at bind). *)
 and fold env g out cs act na mul =
   for j = 0 to Array.length cs - 1 do
     let c = Array.unsafe_get cs j in
     let first = j = 0 in
     match c.op with
-    | Const v -> combine_scalar out act na mul first v
-    | Uniform (u, v) ->
-      set_uniform env u v;
-      combine_scalar out act na mul first v
     | Load ld when load_row env ld >= 0 ->
       combine_load out act na mul first ld (load_row env ld) (offsets ld.sel g)
     | Coef (arr, s) -> combine_coef out act na mul first arr (offsets s g)

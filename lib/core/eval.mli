@@ -8,11 +8,16 @@
     is paid once per group and an evaluation allocates nothing.  Every
     lane performs exactly the float operations a per-DOF evaluation
     performs, in the same order, so results are bit-identical whatever
-    the group.  A [Cond] splits the active lanes by its test and runs
+    the group.  Each Add/Mul pass picks its variant once, so a lane
+    does one float operation per operand; the first operand combines
+    with 0. or 1.  A [Cond] splits the active lanes by its test and runs
     each branch on its own lanes only: no lane reads across a face, reads
     a shifted index or calls a coefficient function that a one-lane
-    evaluation of its DOF would not.  {!compile}, the scalar entry, is
-    the same program run on one lane.
+    evaluation of its DOF would not.  The upwind select, a staged test
+    choosing between two unshifted reads of cell rows, runs as one pass,
+    each lane reading only the row its byte picks; across a boundary
+    face, where one row is a ghost, it splits.  {!compile}, the scalar
+    entry, is the same program run on one lane.
 
     Recognized special symbols: [dt], [t]/[time], [pi], [x]/[y]/[z] (cell
     centroid), [VOLUME], [FACEAREA], [NORMAL_k] (outward normal component
@@ -29,7 +34,10 @@ val max_lanes : int
     and slot are the env's, shared by every lane.  Whoever writes [n] or
     [iv] calls {!touch} before the next {!run}: a program derives each
     lane's field components, coefficient indices and staged-test
-    offsets once per group and reuses them until the stamp changes. *)
+    offsets once per stamp and reuses them until it changes.  A group
+    left unwritten keeps its stamp across cells, so a driver that
+    reloads a group only when its slice changes ([Lower] does) has them
+    derived once per distinct slice. *)
 type lanes = {
   mutable n : int;        (** lanes in the group, at most the env's [lanes] *)
   iv : int array array;   (** per index, per lane: the 0-based value *)
@@ -37,7 +45,9 @@ type lanes = {
 }
 
 val touch : lanes -> unit
-(** Mark the group's lanes as changed. *)
+(** Mark the group's lanes as changed: the next {!run} derives every
+    offset again.  A driver that finds the stamp moved since it loaded
+    the group knows someone else wrote it. *)
 
 
 type env = {
@@ -113,7 +123,8 @@ and form = {
   kwidth : int;                        (** product of those extents *)
   ktable : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t;
       (** at [slot * kwidth + offset] (first name fastest): the face
-          area times K at that slot and index values.  Held outside the
+          area times K at that interior slot and index values; 0 on a
+          boundary slot, which no executor reads.  Held outside the
           OCaml heap, like field storage: one table per solve does not
           grow the major heap. *)
   unfactored : string option;

@@ -9,7 +9,9 @@
    The interpreter evaluates one cell's owned components as a lane group
    (Eval): the slot loop ([surface]) runs the face form's V once per
    interior face and group, every lane accumulating (area·K)·V from the
-   solve's table in face order, then scaling its sum by P. *)
+   solve's table in face order, then scaling its sum by P.  A group
+   whose slice repeats from cell to cell is kept with its stamp, so the
+   offsets derived from it are derived once per distinct slice. *)
 
 module Expr = Finch_symbolic.Expr
 
@@ -74,8 +76,14 @@ type lanebuf = {
        order: the cells whose DOFs get a boundary part *)
   kpos : int array;        (* per index the face coefficient reads: its env position *)
   kstride : int array;     (*   and stride in a slot's row of the table *)
-  koff : int array;        (* per lane: its offset in a slot's row *)
+  koff : int array;        (* per lane: its offset in a slot's row, set by [loaded] *)
+  mutable held : int;
+    (* how Lower last loaded the group: [by_comps] ([set_group]) or a
+       tuple offset ([load_group]) *)
+  mutable held_stamp : int;  (* the group's stamp then; -1: never *)
 }
+
+let by_comps = -1
 
 type state = {
   p : Problem.t;
@@ -388,13 +396,14 @@ let named_indices indices e =
   in
   List.filter (fun (n, _) -> List.mem n named) indices
 
-(* Evaluate [f] at every slot of [geometry] and every value of the
-   indices [names] (first fastest), those values as the lanes of one
-   group, in slices past a group's worth: the lanes are the same at
-   every slot, so they are set once per slice.  [put ~slot ~face j n r]
-   takes the values [r.(0) .. r.(n - 1)] of the slot's entries [j ..
-   j + n - 1]. *)
-let tabulate (p : Problem.t) (geometry : Eval.faces) ~index_names names f put =
+(* Evaluate [f] at every slot of [geometry] ([interior]: every interior
+   slot) and every value of the indices [names] (first fastest), those
+   values as the lanes of one group, in slices past a group's worth: the
+   lanes are the same at every slot, so they are set once per slice.
+   [put ~slot ~face j n r] takes the values [r.(0) .. r.(n - 1)] of the
+   slot's entries [j .. j + n - 1]. *)
+let tabulate ?(interior = false) (p : Problem.t) (geometry : Eval.faces) ~index_names
+    names f put =
   let mesh = Problem.mesh_exn p in
   let cell_faces = mesh.Fvm.Mesh.cell_faces in
   let slot_start = geometry.Eval.slot_start in
@@ -425,7 +434,8 @@ let tabulate (p : Problem.t) (geometry : Eval.faces) ~index_names names f put =
         env.Eval.slot <- s;
         env.Eval.face <- face;
         env.Eval.cell2 <- geometry.Eval.slot_nbr.(s);
-        put ~slot:s ~face !first n (Eval.run f env)
+        if not (interior && env.Eval.cell2 < 0) then
+          put ~slot:s ~face !first n (Eval.run f env)
       done
     done;
     first := !first + n
@@ -507,8 +517,11 @@ let stage_interior (p : Problem.t) : Eval.faces =
   let knames = named_indices indices coef in
   let kwidth = extent knames in
   let ktable = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (nslots * kwidth) in
+  (* boundary slots hold 0: the interior sum skips them, and a boundary
+     face's term comes from its condition *)
+  Bigarray.Array1.fill ktable 0.;
   let area = mesh.Fvm.Mesh.face_area in
-  tabulate p with_tests ~index_names knames
+  tabulate ~interior:true p with_tests ~index_names knames
     (Eval.program ~faces:with_tests bindings coef)
     (fun ~slot ~face j n r ->
       let a = area.(face) in
@@ -613,7 +626,9 @@ let make_lanebuf (env : Eval.env) ~(faces : Eval.faces) ~fields
       (* first name fastest: the product of the extents before it *)
       Array.of_list
         (List.mapi (fun k _ -> extent (List.filteri (fun j _ -> j < k) knames)) knames);
-    koff = Array.make cap 0 }
+    koff = Array.make cap 0;
+    held = by_comps;
+    held_stamp = -1 }
 
 (* Lanes per group: one kernel block at most, and no more than a cell's
    owned DOFs. *)
@@ -774,27 +789,61 @@ and apply_initial_conditions st =
 
 (* ---- Lane groups ---------------------------------------------------- *)
 
+(* Whether the group still holds what Lower loaded as [how] ([by_comps]
+   or a tuple offset), [n] lanes of it: nobody has touched it since. *)
+let still_held st how n =
+  let g = st.env.Eval.group and lb = st.lanes in
+  lb.held = how && lb.held_stamp = g.Eval.stamp && g.Eval.n = n
+
+(* Record that Lower loaded the group as [how], mark it changed, and
+   derive each lane's offset in a slot's row of the face coefficient
+   table. *)
+let loaded st how =
+  let g = st.env.Eval.group and lb = st.lanes in
+  Eval.touch g;
+  lb.held <- how;
+  lb.held_stamp <- g.Eval.stamp;
+  for l = 0 to g.Eval.n - 1 do
+    let o = ref 0 in
+    for k = 0 to Array.length lb.kpos - 1 do
+      o := !o + (g.Eval.iv.(lb.kpos.(k)).(l) * lb.kstride.(k))
+    done;
+    lb.koff.(l) <- !o
+  done
+
+(* Whether the lanes' components are [comps.(off) .. comps.(off + n -
+   1)]; a loop, since a local closure would allocate. *)
+let same_comps (lb : lanebuf) comps off n =
+  let l = ref 0 in
+  while !l < n && lb.comp.(!l) = comps.(off + !l) do incr l done;
+  !l = n
+
 (* The group of [cell]'s components [comps.(off) .. comps.(off + n - 1)]:
    each lane's index values, decoded from its component, and 0 for the
-   indices the unknown does not carry. *)
+   indices the unknown does not carry.  A group that already holds those
+   components keeps them and its stamp, so every selector keeps the
+   offsets it derived: the GPU thread body gives every cell the same
+   slice. *)
 let set_group st cell comps off n =
   let g = st.env.Eval.group and lb = st.lanes in
   st.env.Eval.cell <- cell;
-  g.Eval.n <- n;
-  for l = 0 to n - 1 do
-    let c = comps.(off + l) in
-    lb.comp.(l) <- c;
-    let rest = ref c in
-    for k = 0 to Array.length lb.upos - 1 do
-      let ext = lb.uext.(k) in
-      g.Eval.iv.(lb.upos.(k)).(l) <- !rest mod ext;
-      rest := !rest / ext
+  if not (still_held st by_comps n && same_comps lb comps off n) then begin
+    g.Eval.n <- n;
+    for l = 0 to n - 1 do
+      let c = comps.(off + l) in
+      lb.comp.(l) <- c;
+      let rest = ref c in
+      for k = 0 to Array.length lb.upos - 1 do
+        let ext = lb.uext.(k) in
+        g.Eval.iv.(lb.upos.(k)).(l) <- !rest mod ext;
+        rest := !rest / ext
+      done;
+      for k = 0 to Array.length lb.others - 1 do
+        g.Eval.iv.(lb.others.(k)).(l) <- 0
+      done
     done;
-    for k = 0 to Array.length lb.others - 1 do
-      g.Eval.iv.(lb.others.(k)).(l) <- 0
-    done
-  done;
-  Eval.touch g
+    loaded st by_comps
+  end
 
 (* Run [f cell off n] on every lane-group slice of the owned DOFs of
    [cells] ([None] = every mesh cell): per cell, its owned index tuples
@@ -820,18 +869,22 @@ let iterate_slices st ~cells f =
   | Some cs -> Array.iter per_cell cs
 
 (* The group of [cell]'s owned tuples [off .. off + n - 1], copied by int
-   loops: [Array.blit] writes these long-lived arrays via [caml_modify]. *)
+   loops: [Array.blit] writes these long-lived arrays via [caml_modify].
+   Every cell has the same tuples, so a group that already holds them
+   keeps them and its stamp. *)
 let load_group st cell off n =
   let env = st.env and lb = st.lanes in
   let g = env.Eval.group in
   env.Eval.cell <- cell;
-  g.Eval.n <- n;
-  for p = 0 to Array.length g.Eval.iv - 1 do
-    let src = lb.tup_iv.(p) and dst = g.Eval.iv.(p) in
-    for l = 0 to n - 1 do dst.(l) <- src.(off + l) done
-  done;
-  for l = 0 to n - 1 do lb.comp.(l) <- lb.tup_comp.(off + l) done;
-  Eval.touch g
+  if not (still_held st off n) then begin
+    g.Eval.n <- n;
+    for p = 0 to Array.length g.Eval.iv - 1 do
+      let src = lb.tup_iv.(p) and dst = g.Eval.iv.(p) in
+      for l = 0 to n - 1 do dst.(l) <- src.(off + l) done
+    done;
+    for l = 0 to n - 1 do lb.comp.(l) <- lb.tup_comp.(off + l) done;
+    loaded st off
+  end
 
 (* Run [f] on every lane group of the owned DOFs of [cells]. *)
 let iterate_groups_cells st ~cells (f : unit -> unit) =
@@ -839,11 +892,17 @@ let iterate_groups_cells st ~cells (f : unit -> unit) =
 
 let iterate_groups st f = iterate_groups_cells st ~cells:st.info.owned_cells f
 
-(* Element of ([cell], [comp]) in [f]'s storage. *)
-let elt f cell comp =
+(* [f]'s storage holds ([cell], comp) at [cell_base f cell + comp *
+   comp_stride f]. *)
+let cell_base f cell =
   match Fvm.Field.layout f with
-  | Fvm.Field.Cell_major -> (cell * Fvm.Field.ncomp f) + comp
-  | Fvm.Field.Comp_major -> (comp * Fvm.Field.ncells f) + cell
+  | Fvm.Field.Cell_major -> cell * Fvm.Field.ncomp f
+  | Fvm.Field.Comp_major -> cell
+
+let comp_stride f =
+  match Fvm.Field.layout f with
+  | Fvm.Field.Cell_major -> 1
+  | Fvm.Field.Comp_major -> Fvm.Field.ncells f
 
 (* Face [f]'s condition, per lane of the current group, into
    [lanes.bterm]: a callback face calls its staged function on each
@@ -894,13 +953,6 @@ let surface st =
   let cell = env.Eval.cell in
   let fcs = st.mesh.Fvm.Mesh.cell_faces.(cell) in
   let s0 = st.faces.Eval.slot_start.(cell) in
-  for l = 0 to n - 1 do
-    let o = ref 0 in
-    for k = 0 to Array.length lb.kpos - 1 do
-      o := !o + (g.Eval.iv.(lb.kpos.(k)).(l) * lb.kstride.(k))
-    done;
-    koff.(l) <- !o
-  done;
   Array.fill flux 0 n 0.;
   for i = 0 to Array.length fcs - 1 do
     let s = s0 + i in
@@ -961,25 +1013,27 @@ let boundary_part st ~scale =
       done
   done
 
-(* u_new <- u + dt * rhs on the current group's lanes. *)
+(* u_new <- u + dt * rhs on the current group's lanes.  [u] and [u_new]
+   share one shape and layout, so one element index serves both. *)
 let advance_group st =
   let lb = st.lanes in
   let dt = !(st.dt) in
-  let cell = st.env.Eval.cell in
+  let base = cell_base st.u st.env.Eval.cell and cs = comp_stride st.u in
   let ud = Fvm.Field.raw st.u and nd = Fvm.Field.raw st.u_new in
   for l = 0 to st.env.Eval.group.Eval.n - 1 do
-    let c = lb.comp.(l) in
-    let v = Bigarray.Array1.unsafe_get ud (elt st.u cell c) +. (dt *. lb.rhs.(l)) in
-    Bigarray.Array1.unsafe_set nd (elt st.u_new cell c) v
+    let e = base + (lb.comp.(l) * cs) in
+    Bigarray.Array1.unsafe_set nd e
+      (Bigarray.Array1.unsafe_get ud e +. (dt *. lb.rhs.(l)))
   done
 
 (* u_new += the boundary part on the current group's lanes. *)
 let advance_boundary st =
   boundary_part st ~scale:!(st.dt);
-  let lb = st.lanes and cell = st.env.Eval.cell in
+  let lb = st.lanes in
+  let base = cell_base st.u_new st.env.Eval.cell and cs = comp_stride st.u_new in
   let nd = Fvm.Field.raw st.u_new in
   for l = 0 to st.env.Eval.group.Eval.n - 1 do
-    let e = elt st.u_new cell lb.comp.(l) in
+    let e = base + (lb.comp.(l) * cs) in
     Bigarray.Array1.unsafe_set nd e (Bigarray.Array1.unsafe_get nd e +. lb.bpart.(l))
   done
 
@@ -1209,11 +1263,12 @@ let update_interior st cell comps off len =
    [into], the same part the sweeps add.  Other values of [into] are
    left alone. *)
 let boundary_contributions st ~into =
-  let d = Fvm.Field.raw into and lb = st.lanes in
+  let d = Fvm.Field.raw into and lb = st.lanes and cs = comp_stride into in
   iterate_groups_cells st ~cells:(Some lb.bcells) (fun () ->
       boundary_part st ~scale:!(st.dt);
+      let base = cell_base into st.env.Eval.cell in
       for l = 0 to st.env.Eval.group.Eval.n - 1 do
-        Bigarray.Array1.unsafe_set d (elt into st.env.Eval.cell lb.comp.(l)) lb.bpart.(l)
+        Bigarray.Array1.unsafe_set d (base + (lb.comp.(l) * cs)) lb.bpart.(l)
       done)
 
 (* ------------------------------------------------------------------ *)

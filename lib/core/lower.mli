@@ -10,7 +10,10 @@
     ({!Eval.max_lanes} at most).  The interpreter evaluates each slice as
     a lane group: the slot loop behind {!update_interior} and the sweeps
     runs each face's integrand once per group, and every lane
-    accumulates its own flux sum in face order.  The generated kernel
+    accumulates its own flux sum in face order.  A group whose slice
+    repeats from one cell to the next is kept with its stamp, so every
+    program's offsets, and the slot loop's rows into the face
+    coefficient table, are derived once per distinct slice.  The generated kernel
     advances the same slices; {!commit} and the Runge-Kutta combinations
     visit their elements.
 
@@ -151,8 +154,9 @@ val stage_interior : Problem.t -> Eval.faces
     same float operations the per-DOF evaluation performed.
 
     It also factors the integrand into its face form E = P·K·V
-    ({!Eval.form}) and tabulates [area·K] over the slot and the values
-    of the indices K names.  P takes the top-level factors that read no
+    ({!Eval.form}) and tabulates [area·K] over the interior slots and
+    the values of the indices K names; boundary slots hold 0, since
+    no executor reads them.  P takes the top-level factors that read no
     face context (no [NORMAL_k], [FACEAREA], [CELL2] reference or staged
     test): they may read written coefficients and cell-local fields.  K
     takes the face-invariant factors (the staging rule above, so never a
@@ -247,7 +251,10 @@ val update_interior : state -> int -> int array -> int -> int -> unit
     block's threads on one cell: [u_new <- u + dt * R_interior] for the
     components [comps.(off) .. comps.(off + len - 1)] of [cell].  The
     generated kernel takes the whole slice; the interpreter evaluates it
-    in lockstep, as lane groups of at most the env's [lanes]. *)
+    in lockstep, as lane groups of at most the env's [lanes].  A group
+    holding the same components as the previous call (compared by
+    content, so a caller may pass a fresh or reused array) is kept,
+    unless someone touched it since. *)
 
 val boundary_contributions : state -> into:Fvm.Field.t -> unit
 (** Write the boundary part (see above) of every owned DOF of the owned

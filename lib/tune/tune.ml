@@ -134,9 +134,12 @@ let candidates ?profile (req : Finch.Solve_request.t) =
 (* Scoring: Perfmodel runtime plus the knobs the model is blind to.    *)
 (* ------------------------------------------------------------------ *)
 
-(* measured in BENCH_cpu.json: generated native loop bodies sweep the
-   intensity DOFs about 3x faster than the closure interpreter (the
-   boundary callbacks stay host OCaml either way) *)
+(* how much faster the generated kernel sweeps the intensity DOFs than
+   the closure interpreter (the boundary callbacks stay host OCaml either
+   way): BENCH_cpu.json's serial_native_sweep_speedup read 3.35 when this
+   was set and about 1.9 since the interpreter reuses lane groups.  Kept
+   at 3 until a host calibration prices both evaluators: moving it alone
+   could move the plans the tuner picks. *)
 let native_sweep_speedup = 3.0
 
 (* per-dispatch overheads separating the optimizer levels: O0 pays one

@@ -6,8 +6,10 @@
 # scenario under the full backend x overlap matrix and requires zero
 # findings; then smoke-tests codegen (the kernel cache, and the face
 # form the default equation lowers to), serve, tuner and scaling, checks
-# that the interpreted GPU (lane-group thread bodies) agrees with the
-# native kernel, and checks that executors agree exactly: every run of
+# that the interpreted GPU (lane-group thread bodies) writes the native
+# kernel's temperatures under every slice pattern (blocks splitting
+# cells, one launch per band, alternating mirrors), and checks that
+# executors agree exactly: every run of
 # a scenario, CPU and GPU targets alike, prints one field digest
 # (examples/field_digest.exe, its kernels compiled into a fresh cache).
 # A native run that falls back to the interpreter (any
@@ -207,39 +209,39 @@ grep -q '"gpu_grid_8dev"' "$scaling_out" || {
 }
 rm -f "$scaling_out"
 
-echo "== interpreted GPU (lane-group thread bodies vs the native kernel) =="
-# 7x5 cells x 20 components: the 256-thread blocks split cells.  The
-# interpreter and the generated kernel must print the same T line, and
-# the interpreted run must report the host time its thread bodies took
-gpu_closure=$(mktemp)
-gpu_native=$(mktemp)
-./_build/default/bin/bte_sim.exe run --nx 7 --ny 5 --dirs 4 --bands 4 \
-  --steps 4 --backend gpu --eval closure --metrics > "$gpu_closure" 2>&1
-./_build/default/bin/bte_sim.exe run --nx 7 --ny 5 --dirs 4 --bands 4 \
-  --steps 4 --backend gpu --eval native --codegen-cache-dir "$cache_dir" \
-  --metrics > "$gpu_native" 2>&1
-t_closure=$(grep '^T in' "$gpu_closure" || true)
-t_native=$(grep '^T in' "$gpu_native" || true)
-if grep -q 'finch-codegen: warning' "$gpu_native"; then
-  echo "check_ir: the native GPU run fell back to the interpreter"
-  cat "$gpu_native"
-  rm -f "$gpu_closure" "$gpu_native"
-  exit 1
-fi
-if [ -z "$t_closure" ] || [ "$t_closure" != "$t_native" ]; then
-  echo "check_ir: interpreted and native GPU runs print different T lines"
-  echo "closure: $t_closure"
-  echo "native:  $t_native"
-  rm -f "$gpu_closure" "$gpu_native"
-  exit 1
-fi
-grep -q 'gpu.host_exec_ns.*[1-9]' "$gpu_closure" || {
-  echo "check_ir: the interpreted GPU run reported no gpu.host_exec_ns"
-  cat "$gpu_closure"
-  rm -f "$gpu_closure" "$gpu_native"
-  exit 1
-}
-rm -f "$gpu_closure" "$gpu_native"
+echo "== interpreted GPU (lane-group thread bodies vs the native kernel, every slice pattern) =="
+# 7x5 cells x 20 components: the 256-thread blocks split cells.  --opt 0
+# launches one kernel per band (a new slice per launch) and --overlap
+# alternates two device mirror states by step parity.  Under each, the
+# interpreter and the generated kernel must write the same temperature
+# in every cell (--csv), and the interpreted run must report the host
+# time its thread bodies took
+gpu_dir=$(mktemp -d)
+trap 'rm -rf "$cache_dir" "$gpu_dir"' EXIT
+for shape in "--opt 2" "--opt 0" "--overlap"; do
+  ./_build/default/bin/bte_sim.exe run --nx 7 --ny 5 --dirs 4 --bands 4 \
+    --steps 4 --backend gpu $shape --eval closure --metrics \
+    --csv "$gpu_dir/closure.csv" > "$gpu_dir/closure.out" 2>&1
+  ./_build/default/bin/bte_sim.exe run --nx 7 --ny 5 --dirs 4 --bands 4 \
+    --steps 4 --backend gpu $shape --eval native --codegen-cache-dir "$cache_dir" \
+    --csv "$gpu_dir/native.csv" > "$gpu_dir/native.out" 2>&1
+  if grep -q 'finch-codegen: warning' "$gpu_dir/native.out"; then
+    echo "check_ir: the native GPU run ($shape) fell back to the interpreter"
+    cat "$gpu_dir/native.out"
+    exit 1
+  fi
+  if ! cmp -s "$gpu_dir/closure.csv" "$gpu_dir/native.csv"; then
+    echo "check_ir: interpreted and native GPU runs ($shape) write different temperatures"
+    diff "$gpu_dir/closure.csv" "$gpu_dir/native.csv" | head -20
+    exit 1
+  fi
+  grep -q 'gpu.host_exec_ns.*[1-9]' "$gpu_dir/closure.out" || {
+    echo "check_ir: the interpreted GPU run ($shape) reported no gpu.host_exec_ns"
+    cat "$gpu_dir/closure.out"
+    exit 1
+  }
+done
+rm -rf "$gpu_dir"
 
 echo "== executor agreement (field digests of 100 runs: one digest per scenario, CPU and GPU targets alike) =="
 dune build examples/field_digest.exe
@@ -299,4 +301,4 @@ awk '
 }
 rm -f "$digest_out"
 
-echo "check_ir: selftest, full lint matrix (opt 0 and 2), comm-schedule verifier, JSON output, native codegen cache, face form, tuner, serve scheduler, scaling smoke, interpreted GPU vs native kernel clean, one field digest per scenario on every CPU and GPU target, no native run fell back"
+echo "check_ir: selftest, full lint matrix (opt 0 and 2), comm-schedule verifier, JSON output, native codegen cache, face form, tuner, serve scheduler, scaling smoke, interpreted GPU vs native kernel clean under every slice pattern, one field digest per scenario on every CPU and GPU target, no native run fell back"

@@ -393,6 +393,60 @@ let test_unreadable_kernel_recompiled () =
       check_bool "native = closure" true
         (Fvm.Field.max_abs_diff native.Finch.Solve.u closure.Finch.Solve.u = 0.))
 
+(* Boundary slots of the face-coefficient table are never read: the
+   interior sum skips them, and a boundary face's term comes from its
+   condition.  Staging stores 0 there; with NaN written into every
+   boundary slot's entries instead, the closure and native sweeps and
+   [update_interior] equal the untouched table's, bit for bit. *)
+let test_boundary_slots_unread () =
+  let p = (Bte.Setup.build tiny).Bte.Setup.problem in
+  let faces = Finch.Lower.stage_interior p in
+  let form = faces.Finch.Eval.form in
+  let kw = form.Finch.Eval.kwidth and kt = form.Finch.Eval.ktable in
+  let poisoned =
+    Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (Bigarray.Array1.dim kt)
+  in
+  Bigarray.Array1.blit kt poisoned;
+  let nbound = ref 0 in
+  Array.iteri
+    (fun s nbr ->
+      if nbr < 0 then begin
+        incr nbound;
+        for j = (s * kw) to (s * kw) + kw - 1 do
+          check_bool "a boundary slot holds 0" true (Bigarray.Array1.get kt j = 0.);
+          Bigarray.Array1.set poisoned j Float.nan
+        done
+      end)
+    faces.Finch.Eval.slot_nbr;
+  check_bool "the mesh has boundary slots" true (!nbound > 0);
+  let nan_faces = { faces with Finch.Eval.form = { form with Finch.Eval.ktable = poisoned } } in
+  let same what (a : Finch.Lower.state) (b : Finch.Lower.state) =
+    let x = Fvm.Field.raw a.Finch.Lower.u_new and y = Fvm.Field.raw b.Finch.Lower.u_new in
+    for e = 0 to Bigarray.Array1.dim x - 1 do
+      let v = Bigarray.Array1.get x e and w = Bigarray.Array1.get y e in
+      if Int64.bits_of_float v <> Int64.bits_of_float w then
+        Alcotest.failf "%s: element %d: %h, with NaN boundary slots %h" what e v w
+    done
+  in
+  List.iter
+    (fun (name, eval) ->
+      Finch.Problem.set_eval_mode p eval;
+      let a = Finch.Lower.build ~faces p and b = Finch.Lower.build ~faces:nan_faces p in
+      if eval = Finch.Config.Native then
+        check_bool "native kernels bound" true
+          (a.Finch.Lower.native <> None && b.Finch.Lower.native <> None);
+      Finch.Lower.sweep a;
+      Finch.Lower.sweep b;
+      same (name ^ " sweep") a b;
+      let ncomp = Fvm.Field.ncomp a.Finch.Lower.u in
+      let comps = Array.init ncomp Fun.id in
+      for cell = 0 to Fvm.Field.ncells a.Finch.Lower.u - 1 do
+        Finch.Lower.update_interior a cell comps 0 ncomp;
+        Finch.Lower.update_interior b cell comps 0 ncomp
+      done;
+      same (name ^ " update_interior") a b)
+    [ "closure", Finch.Config.Closure; "native", Finch.Config.Native ]
+
 let suite =
   ( "codegen",
     [ Alcotest.test_case "cache hit and miss" `Quick test_cache_hit_and_miss;
@@ -415,4 +469,6 @@ let suite =
       Alcotest.test_case "uncarried index falls back" `Quick
         test_uncarried_index_falls_back;
       Alcotest.test_case "unreadable cached kernel is recompiled" `Quick
-        test_unreadable_kernel_recompiled ] )
+        test_unreadable_kernel_recompiled;
+      Alcotest.test_case "boundary slots of the face coefficient are never read"
+        `Quick test_boundary_slots_unread ] )

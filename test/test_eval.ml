@@ -303,9 +303,23 @@ let lane_fixture () =
   in
   st, staged, calls
 
-(* Every node kind: staged and unstaged conditionals, constant and
-   shifted indices, reads across the face (a ghost on boundary slots),
-   powers, calls and comparisons. *)
+(* The upwind select, [conditional(staged, I[d,b], CELL2 I[d,b])], and
+   its variants: branches swapped, another field, and a shifted branch,
+   which keeps the lane split.  On an interior slot the unshifted ones
+   run as one pass; on a boundary slot, where the across row is a ghost,
+   they split. *)
+let selects staged =
+  let d = Expr.Ivar "d" and b = Expr.Ivar "b" in
+  let here = Expr.ref_ "I" [ d; b ] and across = Expr.ref_ ~side:Expr.Cell2 "I" [ d; b ] in
+  [ Expr.cond staged here across;
+    Expr.cond staged across here;
+    Expr.cond staged (Expr.ref_ "Io" [ b ]) across;
+    Expr.cond staged (Expr.ref_ "I" [ Expr.Ishift ("d", 1); b ]) across;
+    Expr.cond staged here (Expr.ref_ ~side:Expr.Cell2 "I" [ Expr.Ishift ("d", -1); b ]) ]
+
+(* Every node kind: staged and unstaged conditionals, the upwind select,
+   constant and shifted indices, reads across the face (a ghost on
+   boundary slots), powers, calls and comparisons. *)
 let lane_expr_gen staged =
   let open QCheck.Gen in
   let d = Expr.Ivar "d" and b = Expr.Ivar "b" in
@@ -345,6 +359,7 @@ let lane_expr_gen staged =
             (oneofl Expr.[ Gt; Ge; Lt; Le; Eq; Ne ])
             sub sub;
           2, map2 (fun t e -> Expr.cond staged t e) sub sub;
+          2, oneofl (selects staged);
           2,
           map3
             (fun (op, k) t e ->
@@ -675,7 +690,8 @@ let test_lanes_lazy () =
 
 (* Evaluating a lane group allocates nothing, on the BTE's integrands
    over a whole serve-sized cell (4 directions x 5 bands) and on the
-   fixture's expressions with powers, calls and comparisons. *)
+   fixture's expressions with powers, calls, comparisons and the upwind
+   select (its one pass, on an interior slot). *)
 let test_lanes_allocate_nothing () =
   let sc =
     { Bte.Setup.small_hotspot with Bte.Setup.nx = 4; ny = 4; ndirs = 4; n_la_bands = 4; nsteps = 1 }
@@ -695,13 +711,13 @@ let test_lanes_allocate_nothing () =
   run ();
   let w1 = Gc.minor_words () in
   Alcotest.(check (float 0.)) "update_interior: minor words" 0. (w1 -. w0);
-  let fx, _, _ = lane_fixture () in
+  let fx, staged, _ = lane_fixture () in
   let env = Finch.Eval.make_env ~lanes:12 ~mesh ~dt:fx.Finch.Lower.dt
       ~time:fx.Finch.Lower.time ~index_names:[ "d"; "b" ] in
   whole_cell env fx ~boundary:false;
   List.iter
-    (fun s ->
-      let p = Finch.Eval.program ~faces:fx.Finch.Lower.faces fx.Finch.Lower.bindings (Parser.parse s) in
+    (fun (what, e) ->
+      let p = Finch.Eval.program ~faces:fx.Finch.Lower.faces fx.Finch.Lower.bindings e in
       ignore (Finch.Eval.run p env);
       let w0 = Gc.minor_words () in
       for _ = 1 to 10 do
@@ -709,10 +725,13 @@ let test_lanes_allocate_nothing () =
         ignore (Finch.Eval.run p env)
       done;
       let w1 = Gc.minor_words () in
-      Alcotest.(check (float 0.)) (s ^ ": minor words") 0. (w1 -. w0))
-    [ "(Io[b] - I[d,b])*beta[b] + k*dt*VOLUME";
-      "conditional(ds[d] > 1.5, sqrt(abs(I[d,b]))^2, exp(-Sx[d])*max(I[d+0,b], x))";
-      "(Sx[d] >= Sy[d]) + I[1,b]^(-1) + I[d,b]^3 + min(vg[b], NORMAL_1*FACEAREA)" ]
+      Alcotest.(check (float 0.)) (what ^ ": minor words") 0. (w1 -. w0))
+    (("the upwind select", List.hd (selects staged))
+     :: List.map
+          (fun s -> s, Parser.parse s)
+          [ "(Io[b] - I[d,b])*beta[b] + k*dt*VOLUME";
+            "conditional(ds[d] > 1.5, sqrt(abs(I[d,b]))^2, exp(-Sx[d])*max(I[d+0,b], x))";
+            "(Sx[d] >= Sy[d]) + I[1,b]^(-1) + I[d,b]^3 + min(vg[b], NORMAL_1*FACEAREA)" ])
 
 let suite =
   ( "eval",
