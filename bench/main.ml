@@ -1279,9 +1279,9 @@ let micro () =
         (fun name est ->
           match Analyze.OLS.estimates est, List.assoc_opt name per_dof with
           | Some [ ns ], Some dofs ->
-            row "  %-36s %14.1f ns/run %8.1f ns/DOF\n" name ns (ns /. float_of_int dofs)
-          | Some [ ns ], None -> row "  %-36s %14.1f ns/run\n" name ns
-          | _ -> row "  %-36s (no estimate)\n" name)
+            row "  %-36s %14.1f ns/run %8.1f ns/DOF\n%!" name ns (ns /. float_of_int dofs)
+          | Some [ ns ], None -> row "  %-36s %14.1f ns/run\n%!" name ns
+          | _ -> row "  %-36s (no estimate)\n%!" name)
         analyzed)
     tests;
   Prt.Pool.shutdown pool

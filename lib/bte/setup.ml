@@ -131,47 +131,34 @@ let cfl_dt sc disp =
 let post_io = Temperature.post_io
 
 (* The physics tables are pure functions of (bands, directions,
-   temperature range): identical inputs produce bit-identical tables, so
-   a process serving many requests may reuse them.  A build reuses them
-   only when its caller asks ([reuse_tables], which the serve scheduler
-   passes from its [use_cache] setting); otherwise, the default, every
-   build pays the full table construction. *)
-let table_memo :
-    ( int * int * float * float,
-      Dispersion.t * Angles.t * Equilibrium.t * Temperature.model )
-    Hashtbl.t =
-  Hashtbl.create 16
+   temperatures): identical inputs produce bit-identical tables, so a
+   build handed a cache keeps them there under those four values. *)
+let tables : (Dispersion.t * Angles.t * Equilibrium.t * Temperature.model)
+    Finch.Stage_cache.kind =
+  Finch.Stage_cache.kind ()
 
 let m_table_builds = Prt.Metrics.counter "bte.table_builds"
 
-let tables_for ~reuse_tables (sc : scenario) =
-  let fresh () =
-    Prt.Metrics.incr m_table_builds;
-    let disp = Dispersion.make ~n_la:sc.n_la_bands in
-    let angles = Angles.make_2d ~ndirs:sc.ndirs in
-    let eqtab =
-      Equilibrium.make ~omega_total:angles.Angles.total
-        ~t_lo:(Float.max 2. (Float.min sc.t_cold sc.t_hot /. 2.))
-        ~t_hi:(2. *. Float.max sc.t_cold sc.t_hot)
-        disp
-    in
-    let temp_model = Temperature.make ~disp ~eqtab ~angles () in
-    disp, angles, eqtab, temp_model
-  in
-  if not reuse_tables then fresh ()
-  else begin
-    let key = sc.n_la_bands, sc.ndirs, sc.t_cold, sc.t_hot in
-    match Hashtbl.find_opt table_memo key with
-    | Some tables -> tables
-    | None ->
-      let tables = fresh () in
-      Hashtbl.add table_memo key tables;
-      tables
-  end
+let physics_tables ?cache (sc : scenario) =
+  Finch.Stage_cache.find cache tables
+    (fun _ ->
+      Some (Printf.sprintf "%d|%d|%h|%h" sc.n_la_bands sc.ndirs sc.t_cold sc.t_hot))
+    (fun () ->
+      Prt.Metrics.incr m_table_builds;
+      let disp = Dispersion.make ~n_la:sc.n_la_bands in
+      let angles = Angles.make_2d ~ndirs:sc.ndirs in
+      let eqtab =
+        Equilibrium.make ~omega_total:angles.Angles.total
+          ~t_lo:(Float.max 2. (Float.min sc.t_cold sc.t_hot /. 2.))
+          ~t_hi:(2. *. Float.max sc.t_cold sc.t_hot)
+          disp
+      in
+      let temp_model = Temperature.make ~disp ~eqtab ~angles () in
+      disp, angles, eqtab, temp_model)
 
 let build ?(enforce_cfl = true) ?(stepper = Finch.Config.Euler_explicit)
-    ?(reuse_tables = false) (sc : scenario) =
-  let disp, angles, eqtab, temp_model = tables_for ~reuse_tables sc in
+    ?cache (sc : scenario) =
+  let disp, angles, eqtab, temp_model = physics_tables ?cache sc in
   let nb = Dispersion.nbands disp in
   (* the point-implicit stepper is free of the relaxation-rate bound, so
      only the advective CFL limit applies to it *)
@@ -196,7 +183,11 @@ let build ?(enforce_cfl = true) ?(stepper = Finch.Config.Euler_explicit)
   Finch.Problem.domain p 2;
   Finch.Problem.solver_type p Finch.Config.FV;
   Finch.Problem.time_stepper p stepper;
-  let mesh = Fvm.Mesh_gen.rectangle ~nx:sc.nx ~ny:sc.ny ~lx:sc.lx ~ly:sc.ly () in
+  let mesh =
+    Finch.Stage_cache.find cache Finch.Stage_cache.mesh
+      (fun _ -> Some (Printf.sprintf "rectangle|%d|%d|%h|%h" sc.nx sc.ny sc.lx sc.ly))
+      (fun () -> Fvm.Mesh_gen.rectangle ~nx:sc.nx ~ny:sc.ny ~lx:sc.lx ~ly:sc.ly ())
+  in
   Finch.Problem.set_mesh p mesh;
   Finch.Problem.set_steps p ~dt ~nsteps:sc.nsteps;
 
@@ -231,14 +222,14 @@ let build ?(enforce_cfl = true) ?(stepper = Finch.Config.Euler_explicit)
 
   (* initial thermal equilibrium at the cold temperature *)
   let i_init = Array.init nb (fun bb -> Equilibrium.i0 eqtab bb sc.t_cold) in
+  let beta_init =
+    Array.init nb (fun bb -> Scattering.band_rate (Dispersion.band disp bb) sc.t_cold)
+  in
   Finch.Problem.initial p vI
     (Finch.Problem.Init_fn (fun _pos comp -> i_init.(comp / sc.ndirs)));
   Finch.Problem.initial p vIo
     (Finch.Problem.Init_fn (fun _pos bb -> i_init.(bb)));
-  Finch.Problem.initial p _vbeta
-    (Finch.Problem.Init_fn
-       (fun _pos bb ->
-         Scattering.band_rate (Dispersion.band disp bb) sc.t_cold));
+  Finch.Problem.initial p _vbeta (Finch.Problem.Init_fn (fun _pos bb -> beta_init.(bb)));
   Finch.Problem.initial p _vT (Finch.Problem.Init_const sc.t_cold);
 
   (* boundary conditions: bottom (1) cold isothermal; top (3) isothermal
@@ -268,7 +259,7 @@ let build ?(enforce_cfl = true) ?(stepper = Finch.Config.Euler_explicit)
   (* the BTE in conservation form, as in the paper's listing (with the
      surface term's sign written explicitly; see DESIGN.md) *)
   let _eq =
-    Finch.Problem.conservation_form p vI
+    Finch.Problem.conservation_form ?cache p vI
       "(Io[b] - I[d,b]) * beta[b] - surface(vg[b] * upwind([Sx[d];Sy[d]], I[d,b]))"
   in
   ignore vIo;
@@ -276,8 +267,8 @@ let build ?(enforce_cfl = true) ?(stepper = Finch.Config.Euler_explicit)
 
 (* The corner scenario differs only in geometry/temperatures: source on the
    top wall against the left corner. *)
-let build_corner ?(enforce_cfl = true) ?stepper ?reuse_tables (sc : scenario) =
-  build ~enforce_cfl ?stepper ?reuse_tables { sc with hot_center = 0. }
+let build_corner ?(enforce_cfl = true) ?stepper ?cache (sc : scenario) =
+  build ~enforce_cfl ?stepper ?cache { sc with hot_center = 0. }
 
 (* ------------------------------------------------------------------ *)
 (* facade registration                                                *)
@@ -303,21 +294,21 @@ let scenario_of_request base (req : Finch.Solve_request.t) =
        | Some t -> t
        | None -> base.t_cold) }
 
-let prepared_of built =
-  { Finch.pr_problem = built.problem; pr_solution = "T" }
+let prepared_of ~cache built =
+  { Finch.pr_problem = built.problem; pr_solution = "T"; pr_cache = cache }
 
 let register_scenarios () =
-  Finch.register_scenario "hotspot" (fun ~reuse_tables req ->
-      prepared_of (build ~reuse_tables (scenario_of_request small_hotspot req)));
-  Finch.register_scenario "corner" (fun ~reuse_tables req ->
-      prepared_of (build_corner ~reuse_tables (scenario_of_request small_corner req)));
+  Finch.register_scenario "hotspot" (fun ~cache req ->
+      prepared_of ~cache (build ?cache (scenario_of_request small_hotspot req)));
+  Finch.register_scenario "corner" (fun ~cache req ->
+      prepared_of ~cache (build_corner ?cache (scenario_of_request small_corner req)));
   (* paper-scale geometry (Fig. 2 / Fig. 10 domains); the request still
      sets the discretization, so callers pass the paper dims explicitly
      (see [request_of_base]) *)
-  Finch.register_scenario "hotspot-paper" (fun ~reuse_tables req ->
-      prepared_of (build ~reuse_tables (scenario_of_request paper_hotspot req)));
-  Finch.register_scenario "corner-paper" (fun ~reuse_tables req ->
-      prepared_of (build_corner ~reuse_tables (scenario_of_request paper_corner req)))
+  Finch.register_scenario "hotspot-paper" (fun ~cache req ->
+      prepared_of ~cache (build ?cache (scenario_of_request paper_hotspot req)));
+  Finch.register_scenario "corner-paper" (fun ~cache req ->
+      prepared_of ~cache (build_corner ?cache (scenario_of_request paper_corner req)))
 
 let base_of_scenario = function
   | "hotspot" -> Some small_hotspot

@@ -61,18 +61,20 @@ val post_io : Finch.Problem.callback_io
 
 val build :
   ?enforce_cfl:bool -> ?stepper:Finch.Config.time_stepper ->
-  ?reuse_tables:bool -> scenario -> built
+  ?cache:Finch.Stage_cache.t -> scenario -> built
 (** With the point-implicit stepper only the advective CFL bound applies
-    to dt (the relaxation-rate bound disappears).  With [reuse_tables]
-    (default false) the physics tables (dispersion, angles, equilibrium,
-    temperature model) come from a process-wide memo keyed on (bands,
-    directions, temperatures) when an earlier build made them: they are
-    bit-identical to fresh ones.  Every fresh construction counts in the
-    [bte.table_builds] metric. *)
+    to dt (the relaxation-rate bound disappears).  With [cache], three
+    shape-only artefacts are entries of it, each bit-identical to a
+    fresh build: the physics tables (dispersion, angles, equilibrium,
+    temperature model) keyed by (LA bands, directions, t_cold, t_hot);
+    the mesh ([Fvm.Mesh_gen.rectangle]) keyed by (nx, ny, lx, ly); and
+    the transformed equation ({!Finch.Problem.conservation_form}).
+    Without one, the default, all three are built fresh.  Every fresh
+    table construction counts in the [bte.table_builds] metric. *)
 
 val build_corner :
   ?enforce_cfl:bool -> ?stepper:Finch.Config.time_stepper ->
-  ?reuse_tables:bool -> scenario -> built
+  ?cache:Finch.Stage_cache.t -> scenario -> built
 (** {!build} with the source moved against the left corner
     ([hot_center = 0]). *)
 

@@ -15,10 +15,13 @@
     installs ["hotspot"] and ["corner"].  [Solve.solve] remains the
     internal engine underneath.
 
-    Whether a preparation may reuse memoized scenario tables is an
-    argument of that preparation ([?reuse_tables] of {!prepare},
-    {!program_digest} and {!solve}, handed to the registered builder),
-    never process state: the default builds fresh tables. *)
+    A preparation may build its shape-only artefacts through a
+    {!Stage_cache.t} its caller owns ([?cache] of {!prepare},
+    {!program_digest} and {!solve}, handed to the registered builder):
+    the scenario's physics tables, the mesh, the transformed equation,
+    and at solve time the interior face tables.  The preparation carries
+    its cache to {!solve_prepared}.  Without one, the default, every
+    artefact is built fresh; no cache is process state. *)
 
 module Config = Config
 module Dataflow = Dataflow
@@ -33,6 +36,7 @@ module Problem = Problem
 module Ranks = Ranks
 module Solve = Solve
 module Solve_request = Solve_request
+module Stage_cache = Stage_cache
 module Target_cpu = Target_cpu
 module Target_gpu = Target_gpu
 module Transform = Transform
@@ -43,14 +47,17 @@ module Transform = Transform
 type prepared = {
   pr_problem : Problem.t;
   pr_solution : string;  (** name of the primary solution field *)
+  pr_cache : Stage_cache.t option;
+    (** the cache the builder was handed; {!solve_prepared} stages the
+        face tables through it *)
 }
 
-(* A builder takes whether it may reuse memoized scenario tables (material
-   dispersion, angular quadrature, equilibrium tables) across requests
-   with identical inputs — bit-identical by construction, since the same
-   inputs produce the same tables. *)
+(* A builder takes the cache it may build its shape-only artefacts
+   through (tables, mesh, equation), [None] for fresh ones: an entry is
+   keyed by every value its builder reads, so either way the problem is
+   bit-identical. *)
 let scenario_registry :
-    (string, reuse_tables:bool -> Solve_request.t -> prepared) Hashtbl.t =
+    (string, cache:Stage_cache.t option -> Solve_request.t -> prepared) Hashtbl.t =
   Hashtbl.create 8
 
 (* the [program_digest] memo: a registration may change any name's
@@ -101,7 +108,7 @@ module Solve_result = struct
   }
 end
 
-let prepare ?(reuse_tables = false) (req : Solve_request.t) :
+let prepare ?cache (req : Solve_request.t) :
     (prepared, Solve_error.t) result =
   match Solve_request.validate req with
   | Error m -> Error (Solve_error.Invalid_request m)
@@ -115,7 +122,7 @@ let prepare ?(reuse_tables = false) (req : Solve_request.t) :
     (match Hashtbl.find_opt scenario_registry req.Solve_request.scenario with
      | None -> Error (Solve_error.Unknown_scenario req.Solve_request.scenario)
      | Some build ->
-       (match build ~reuse_tables req with
+       (match build ~cache req with
         | prep ->
           let p = prep.pr_problem in
           Problem.set_target p req.Solve_request.backend;
@@ -149,8 +156,8 @@ let clear_program_digests () = Hashtbl.reset program_digests
     with [label] and [deadline_s] cleared (the wire form prints floats
     exactly, so equal keys are equal requests): the request is prepared, and
     [tune.key_builds] counted, only on first sight.  An [Error] is never
-    memoized.  [reuse_tables] goes to that preparation. *)
-let program_digest ?reuse_tables (req : Solve_request.t) :
+    memoized.  [cache] goes to that preparation. *)
+let program_digest ?cache (req : Solve_request.t) :
     (string, Solve_error.t) result =
   let key =
     Solve_request.to_string
@@ -170,7 +177,7 @@ let program_digest ?reuse_tables (req : Solve_request.t) :
           clear_program_digests ();
         Hashtbl.replace program_digests key d;
         d)
-      (prepare ?reuse_tables req)
+      (prepare ?cache req)
 
 (* ------------------------------------------------------------------ *)
 (* request execution                                                  *)
@@ -195,7 +202,7 @@ let solve_prepared ?trace_id (req : Solve_request.t) (prep : prepared) :
   let trace_id = match trace_id with Some t -> t | None -> fresh_trace_id () in
   let before = Prt.Metrics.counter_values () in
   let t0 = Unix.gettimeofday () in
-  match Solve.solve prep.pr_problem with
+  match Solve.solve ?cache:prep.pr_cache prep.pr_problem with
   | outcome ->
     let t1 = Unix.gettimeofday () in
     let label =
@@ -219,8 +226,8 @@ let solve_prepared ?trace_id (req : Solve_request.t) (prep : prepared) :
         outcome }
   | exception e -> Error (Solve_error.Engine_failure (Printexc.to_string e))
 
-let solve ?reuse_tables (req : Solve_request.t) :
+let solve ?cache (req : Solve_request.t) :
     (Solve_result.t, Solve_error.t) result =
-  match prepare ?reuse_tables req with
+  match prepare ?cache req with
   | Error e -> Error e
   | Ok prep -> solve_prepared req prep

@@ -530,6 +530,30 @@ let stage_interior (p : Problem.t) : Eval.faces =
       done);
   { with_tests with form = { Eval.pre; coef; var; knames; kwidth; ktable; unfactored } }
 
+(* Everything [stage_interior] reads but the mesh: the surface
+   integrand, the value of every coefficient it names, the indices, the
+   written coefficients, and dt when the integrand reads it. *)
+let stage_key (p : Problem.t) =
+  let rsurf = (Problem.the_equation p).Transform.rsurf in
+  let values =
+    List.map
+      (fun name ->
+        ( name,
+          Option.map
+            (fun (c : Entity.coefficient) -> c.Entity.cvalue, c.Entity.cindex)
+            (Problem.find_coefficient p name) ))
+      (List.sort_uniq String.compare (Expr.ref_names rsurf @ Expr.sym_names rsurf))
+  in
+  if List.exists (function _, Some (Entity.Space_fn _, _) -> true | _ -> false) values
+  then None
+  else
+    let dt = if Expr.contains_sym "dt" rsurf then Some p.Problem.dt else None in
+    Some
+      (Digest.string
+         (Marshal.to_string
+            (rsurf, values, p.Problem.indices, written_coefficients p, dt)
+            [ Marshal.No_sharing ]))
+
 (* owned range of an index for a rank (0-based offset, length) *)
 let range_of (info : rankinfo) name extent =
   match List.assoc_opt name info.index_ranges with
@@ -781,8 +805,13 @@ and apply_initial_conditions st =
         match spec with
         | Problem.Init_const v -> Fvm.Field.fill f v
         | Problem.Init_fn g ->
-          Fvm.Field.init f (fun cell comp ->
-              g (Fvm.Mesh.cell_centroid mesh cell) comp)))
+          (* one centroid per cell, read by each of its components *)
+          for cell = 0 to mesh.Fvm.Mesh.ncells - 1 do
+            let pos = Fvm.Mesh.cell_centroid mesh cell in
+            for comp = 0 to Fvm.Field.ncomp f - 1 do
+              Fvm.Field.set f cell comp (g pos comp)
+            done
+          done))
     st.p.Problem.initials;
   (* the double buffer starts as a copy so untouched comps stay coherent *)
   Fvm.Field.blit ~src:st.u ~dst:st.u_new

@@ -170,6 +170,17 @@ val stage_interior : Problem.t -> Eval.faces
     call in the [lower.face_stagings] metric.
     @raise Problem.Problem_error without a mesh or equation. *)
 
+val stage_key : Problem.t -> string option
+(** A digest of everything {!stage_interior} reads but the mesh: the
+    surface integrand, the value of every coefficient it names, the
+    problem's indices, the coefficients a post-step callback may write
+    (see {!stage_interior}), and dt only when the integrand reads it.
+    [None] when the integrand names a function coefficient
+    ([Entity.Space_fn]), whose closure has no digest: such tables are
+    always staged fresh.  With the mesh's identity it keys a cached
+    staging ([Solve.solve ?cache]).
+    @raise Problem.Problem_error without an equation. *)
+
 val build :
   ?info:rankinfo -> ?share_with:state -> ?private_clock:bool ->
   ?faces:Eval.faces -> Problem.t -> state

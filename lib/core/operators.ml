@@ -21,7 +21,15 @@ type t = Expr.t list -> Expr.t
 
 let registry : (string, t) Hashtbl.t = Hashtbl.create 16
 
-let define name f = Hashtbl.replace registry name f
+(* bumped by every [define]: an expansion cached under one generation is
+   never served after a redefinition *)
+let definitions = ref 0
+
+let define name f =
+  Hashtbl.replace registry name f;
+  incr definitions
+
+let generation () = !definitions
 let is_defined name = Hashtbl.mem registry name
 let find name = Hashtbl.find_opt registry name
 

@@ -11,6 +11,12 @@ type t = Expr.t list -> Expr.t
 (** An operator rewrites its argument list into an expression. *)
 
 val define : string -> t -> unit
+(** Register (or replace) the operator of that name. *)
+
+val generation : unit -> int
+(** How many {!define}s have run: a key for anything derived from an
+    expansion, since a redefinition may change it. *)
+
 val is_defined : string -> bool
 val find : string -> t option
 

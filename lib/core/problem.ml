@@ -248,13 +248,29 @@ let post_io p =
 
 (* --- equations ---------------------------------------------------------- *)
 
-let conservation_form p var text =
+let equation : Transform.equation Stage_cache.kind = Stage_cache.kind ()
+
+(* what [Transform.conservation_form] reads: the text, the variable
+   names, the unknown and its indices, and the operators it expands *)
+let equation_key ~var_names (var : Entity.variable) text =
+  String.concat "|"
+    (text :: string_of_int (Operators.generation ()) :: var.Entity.vname
+     :: List.map
+          (fun (i : Entity.index) -> Printf.sprintf "%s:%d:%d" i.Entity.iname i.lo i.hi)
+          var.Entity.vindices
+     @ ("vars" :: var_names))
+
+let conservation_form ?cache p var text =
   (match p.solver with
    | Config.FV -> ()
    | Config.FE ->
      raise (Problem_error "conservationForm requires the FV solver type"));
   let var_names = List.map (fun v -> v.Entity.vname) p.variables in
-  let eq = Transform.conservation_form ~var_names var text in
+  let eq =
+    Stage_cache.find cache equation
+      (fun _ -> Some (equation_key ~var_names var text))
+      (fun () -> Transform.conservation_form ~var_names var text)
+  in
   (* validate that every referenced entity is declared *)
   List.iter
     (fun name ->

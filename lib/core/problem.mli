@@ -94,7 +94,9 @@ type bc = {
 
 type initial_spec =
   | Init_const of float
-  | Init_fn of (float array -> int -> float) (** position, component *)
+  | Init_fn of (float array -> int -> float)
+    (** position, component; a cell's components share one position
+        array, which the function must not write *)
 
 type t = {
   name : string;
@@ -253,9 +255,14 @@ val post_io : t -> callback_io
 
 (** {2 Equations} *)
 
-val conservation_form : t -> Entity.variable -> string -> Transform.equation
+val conservation_form :
+  ?cache:Stage_cache.t -> t -> Entity.variable -> string -> Transform.equation
 (** Parse, expand and classify a conservation-form equation; validates
-    that referenced entities are declared. *)
+    that referenced entities are declared.  With [cache], the transform
+    ({!Transform.conservation_form}) is an entry keyed by the text, the
+    problem's variable names, the unknown's name and indices (name, lo,
+    hi) and {!Operators.generation}, so a redefined operator misses; the
+    validation runs on every call. *)
 
 val assembly_loops : t -> string list -> unit
 (** The paper's [assemblyLoops]: the generated loop-nest order, as index

@@ -29,12 +29,27 @@ let check_stepper (p : Problem.t) =
             "time stepper %s runs only on the serial target, not on %s"
             (Config.stepper_name stepper) (Config.target_name target)))
 
+(* Staged face tables, keyed by the mesh entry they were staged on and
+   everything else the staging reads: a mesh the cache does not hold has
+   no key, so its tables are staged fresh. *)
+let faces : Eval.faces Stage_cache.kind = Stage_cache.kind ()
+
+let stage ?cache (p : Problem.t) =
+  Stage_cache.find cache faces
+    (fun c ->
+      match Stage_cache.serial c Stage_cache.mesh (Problem.mesh_exn p) with
+      | None -> None
+      | Some mesh ->
+        Option.map (fun k -> string_of_int mesh ^ "|" ^ k) (Lower.stage_key p))
+    (fun () -> Lower.stage_interior p)
+
 (* Every rank's state, the breakdowns it filled, and its GPU record.  The
    face tables are staged once, before any rank starts, and every rank
-   reads them: no two domains race to build them. *)
-let run_ranks (p : Problem.t) =
+   reads them: no two domains race to build them, or to reach the
+   cache. *)
+let run_ranks ?cache (p : Problem.t) =
   let layout = Ranks.of_problem p in
-  let faces = Lower.stage_interior p in
+  let faces = stage ?cache p in
   let cpu body =
     Array.map (fun (st, bs) -> st, bs, None) (Ranks.run layout body)
   in
@@ -54,11 +69,11 @@ let run_ranks (p : Problem.t) =
   | (Config.Cpu (Config.Cell_parallel _) | Config.Gpu _ | Config.Auto), _, _ ->
     invalid_arg "Solve: the rank layout does not fit the target"
 
-let solve (p : Problem.t) =
+let solve ?cache (p : Problem.t) =
   check_stepper p;
   let outcome =
     Prt.Trace.span ~cat:"solve" Prt.Trace.main "solve" (fun () ->
-        let ranks = run_ranks p in
+        let ranks = run_ranks ?cache p in
         let states = Array.map (fun (st, _, _) -> st) ranks in
         let breakdown =
           Prt.Breakdown.sum_distinct

@@ -12,12 +12,17 @@ type outcome = {
   states : Lower.state array;  (** every rank's state, rank 0 first *)
 }
 
-val solve : Problem.t -> outcome
+val solve : ?cache:Stage_cache.t -> Problem.t -> outcome
 (** Run the problem on its target and gather the outcome: {!Ranks} lays
     the target's ranks out over the problem, each runs its target's
     per-rank body ({!Target_cpu.direct}, {!Target_cpu.halo},
     {!Target_cpu.pooled} or {!Target_gpu.run_rank}), and rank 0 receives
-    every field and the summed breakdown.  The GPU data-movement planner
+    every field and the summed breakdown.  The interior face tables
+    ({!Lower.stage_interior}) are staged once, before any rank starts;
+    with [cache] they are an entry keyed by the mesh's entry
+    ({!Stage_cache.serial}) and {!Lower.stage_key}, and staged fresh
+    when the mesh is not an entry or the key is [None].  The GPU
+    data-movement planner
     and the fused-schedule legality check read the post-step callbacks'
     declared I/O from the problem ({!Problem.post_io}).  Raises
     [Problem.Problem_error] naming the stepper and the target when a

@@ -27,14 +27,18 @@ type ticket = {
 type t = {
   max_queue : int;
   default_deadline_s : float option;
-  use_cache : bool;
+  cache : Finch.Stage_cache.t option;  (* this scheduler's own, if any *)
   now : unit -> float;
   queue : ticket Queue.t;
 }
 
 let create ?(max_queue = 64) ?max_batch:_ ?default_deadline_s
     ?(use_cache = true) ?batching:_ ?post_io:_ ?(now = Unix.gettimeofday) () =
-  { max_queue; default_deadline_s; use_cache; now; queue = Queue.create () }
+  { max_queue;
+    default_deadline_s;
+    cache = (if use_cache then Some (Finch.Stage_cache.create ()) else None);
+    now;
+    queue = Queue.create () }
 
 let queue_depth t = Queue.length t.queue
 let set_depth t = Prt.Metrics.set g_queue_depth (float_of_int (queue_depth t))
@@ -77,17 +81,16 @@ let trace_id (tk : ticket) = tk.tk_trace
    stage rejects this request only: it must not abort the drain and
    strand the rest of the queue. *)
 let prepare t (tk : ticket) =
-  (* use_cache is the preparations' table reuse, the tuner's included;
-     off, every build stays cold *)
-  let reuse_tables = t.use_cache in
+  (* every preparation stages through the scheduler's cache, the
+     tuner's included; without one, every build stays cold *)
   try
-    match Finch_tune.Tune.resolve ~reuse_tables tk.tk_req with
+    match Finch_tune.Tune.resolve ?cache:t.cache tk.tk_req with
     | Error m -> Error (Finch.Solve_error.Invalid_request ("tuner: " ^ m))
     | Ok (req, _) ->
       Result.map
         (fun prep ->
           req, prep, Finch_analysis.Driver.check_problem prep.Finch.pr_problem)
-        (Finch.prepare ~reuse_tables req)
+        (Finch.prepare ?cache:t.cache req)
   with e -> Error (Finch.Solve_error.Engine_failure (Printexc.to_string e))
 
 (* seconds the request's deadline had passed by at pick time *)

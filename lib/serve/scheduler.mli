@@ -45,12 +45,16 @@ val create :
   unit ->
   t
 (** [max_queue] bounds admission (default 64); [default_deadline_s]
-    applies to requests carrying no deadline (default none); [use_cache]
-    is this scheduler's scenario-table reuse across requests, passed to
-    every preparation it runs, the tuner's included ([?reuse_tables] of
-    {!Finch.prepare}; default true — off, every request builds its
-    dispersion, quadrature and equilibrium tables cold); it changes no
-    process state, so schedulers with different settings coexist;
+    applies to requests carrying no deadline (default none); with
+    [use_cache] (default true) the scheduler owns one
+    {!Finch.Stage_cache.t} and hands it to every preparation it runs,
+    the tuner's included ([?cache] of {!Finch.prepare} and
+    [Finch_tune.Tune.resolve]), so a request of a shape seen before
+    builds only what its temperatures change: its physics tables, if
+    new.  The mesh, the transformed equation and the interior face
+    tables are hits.  Off, there is no cache, and every request builds
+    everything cold.  The cache is this scheduler's, used from the
+    domain that drains it; schedulers with different settings coexist.
     [now] injects a clock for deadline tests (default
     [Unix.gettimeofday]).  [max_batch], [batching] and [post_io] are
     ignored: every request runs as its own solve, and each problem

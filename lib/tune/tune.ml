@@ -281,11 +281,11 @@ let score_all profile req =
 (* A failing plan is discarded — the tuner never edits a program.       *)
 (* ------------------------------------------------------------------ *)
 
-let gate ?reuse_tables req (c : candidate) =
+let gate ?cache req (c : candidate) =
   match c.cd_verdict with
   | Unpredictable _ -> c
   | _ -> (
-    match Finch.prepare ?reuse_tables (Plan.apply c.cd_plan req) with
+    match Finch.prepare ?cache (Plan.apply c.cd_plan req) with
     | Error e -> { c with cd_verdict = Rejected (Finch.Solve_error.to_string e) }
     | Ok prep -> (
       match Finch_analysis.Driver.check_problem prep.Finch.pr_problem with
@@ -304,7 +304,7 @@ let gate ?reuse_tables req (c : candidate) =
 (* Measured refinement: short calibration runs on the real executors.   *)
 (* ------------------------------------------------------------------ *)
 
-let measure_once ?reuse_tables ~steps req (c : candidate) =
+let measure_once ?cache ~steps req (c : candidate) =
   let treq = Plan.apply c.cd_plan req in
   let treq =
     { treq with
@@ -313,14 +313,14 @@ let measure_once ?reuse_tables ~steps req (c : candidate) =
       label = Some "tune-trial" }
   in
   Prt.Metrics.incr m_trials;
-  match Finch.solve ?reuse_tables treq with
+  match Finch.solve ?cache treq with
   | Ok res -> Some res.Finch.Solve_result.wall_s
   | Error _ -> None
 
 (* trial rounds interleave across the shortlist (one solve per candidate
    per round) so clock drift — warmup, frequency scaling, cache state —
    biases no candidate; each candidate keeps its best trial *)
-let measure_shortlist ?reuse_tables ~steps ~trials req gated =
+let measure_shortlist ?cache ~steps ~trials req gated =
   let arr = Array.of_list gated in
   let best = Array.make (Array.length arr) infinity in
   for _ = 1 to max 1 trials do
@@ -328,7 +328,7 @@ let measure_shortlist ?reuse_tables ~steps ~trials req gated =
       (fun i c ->
         match c.cd_verdict with
         | Legal -> (
-          match measure_once ?reuse_tables ~steps req c with
+          match measure_once ?cache ~steps req c with
           | Some w -> best.(i) <- Float.min best.(i) w
           | None -> ())
         | _ -> ())
@@ -441,10 +441,10 @@ let disk_store ~key ~profile (plan : Plan.t) predicted =
    program text of a canonical serial preparation (value-independent:
    coefficients appear by name; memoized by [Finch.program_digest]) plus
    the full grid shape *)
-let cache_key ?(measure_steps = 0) ?reuse_tables ~profile
+let cache_key ?(measure_steps = 0) ?cache ~profile
     (req : Finch.Solve_request.t) =
   let canonical = Plan.apply (Plan.make (Finch.Config.Cpu Finch.Config.Serial)) req in
-  match Finch.program_digest ?reuse_tables canonical with
+  match Finch.program_digest ?cache canonical with
   | Error e -> Error (Finch.Solve_error.to_string e)
   | Ok program ->
     let dims =
@@ -467,7 +467,7 @@ let cache_key ?(measure_steps = 0) ?reuse_tables ~profile
 (* The planner.                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let choose ?reuse_tables ~shortlist ~measure_steps ~measure_trials req scored =
+let choose ?cache ~shortlist ~measure_steps ~measure_trials req scored =
   (* walk the ranking, gating candidates until [shortlist] are legal or
      the table is exhausted; rejected candidates stay in the table with
      their verdicts for the explain output *)
@@ -477,14 +477,14 @@ let choose ?reuse_tables ~shortlist ~measure_steps ~measure_trials req scored =
       (fun c ->
         if !legal >= shortlist then c
         else
-          let c = gate ?reuse_tables req c in
+          let c = gate ?cache req c in
           (match c.cd_verdict with Legal -> incr legal | _ -> ());
           c)
       scored
   in
   let refined =
     if measure_steps > 0 then
-      measure_shortlist ?reuse_tables ~steps:measure_steps ~trials:measure_trials
+      measure_shortlist ?cache ~steps:measure_steps ~trials:measure_trials
         req gated
     else gated
   in
@@ -516,13 +516,13 @@ let choose ?reuse_tables ~shortlist ~measure_steps ~measure_trials req scored =
   winner, refined
 
 let plan ?profile ?(shortlist = 4) ?(measure_steps = 0)
-    ?(measure_trials = 1) ?(force = false) ?reuse_tables
+    ?(measure_trials = 1) ?(force = false) ?cache
     (req : Finch.Solve_request.t) =
   let profile = match profile with Some p -> p | None -> detect_profile () in
   Prt.Trace.span ~cat:"tune" Prt.Trace.main "tune:plan" (fun () ->
       match
         Prt.Trace.span ~cat:"tune" Prt.Trace.main "tune:key" (fun () ->
-            cache_key ~measure_steps ?reuse_tables ~profile req)
+            cache_key ~measure_steps ?cache ~profile req)
       with
       | Error e -> Error e
       | Ok key -> (
@@ -547,7 +547,7 @@ let plan ?profile ?(shortlist = 4) ?(measure_steps = 0)
           Prt.Metrics.incr m_misses;
           let scored = score_all profile req in
           let winner, table =
-            choose ?reuse_tables ~shortlist ~measure_steps ~measure_trials req
+            choose ?cache ~shortlist ~measure_steps ~measure_trials req
               scored
           in
           (match winner with
@@ -571,11 +571,11 @@ let plan ?profile ?(shortlist = 4) ?(measure_steps = 0)
                (disk_store ~key ~profile w.cd_plan w.cd_predicted_s))))
 
 let resolve ?profile ?post_io:_ ?shortlist ?measure_steps ?measure_trials ?force
-    ?reuse_tables (req : Finch.Solve_request.t) =
+    ?cache (req : Finch.Solve_request.t) =
   match req.Finch.Solve_request.backend with
   | Finch.Config.Auto ->
     Result.map
       (fun d -> Plan.apply d.dc_plan req, Some d)
       (plan ?profile ?shortlist ?measure_steps ?measure_trials ?force
-         ?reuse_tables req)
+         ?cache req)
   | Finch.Config.Cpu _ | Finch.Config.Gpu _ -> Ok (req, None)

@@ -80,7 +80,7 @@ val plan :
   ?measure_steps:int ->
   ?measure_trials:int ->
   ?force:bool ->
-  ?reuse_tables:bool ->
+  ?cache:Finch.Stage_cache.t ->
   Finch.Solve_request.t ->
   (decision, string) result
 (** Choose a plan for the request.  [shortlist] bounds how many ranked
@@ -97,8 +97,10 @@ val plan :
     the scenario is unknown, no candidate survives the gate, or the
     winner cannot be written to the cache directory (the message names
     the directory).  A cache entry that cannot be read is a miss.
-    [reuse_tables] goes to every preparation the planning makes (the
-    key's, the gate's and the trials'; default false). *)
+    [cache], a stage cache ({!Finch.Stage_cache}, not the decision
+    cache), goes to every preparation the planning makes (the key's,
+    the gate's and the trials', whose solves stage through it too);
+    without it every preparation builds fresh. *)
 
 val resolve :
   ?profile:profile ->
@@ -107,7 +109,7 @@ val resolve :
   ?measure_steps:int ->
   ?measure_trials:int ->
   ?force:bool ->
-  ?reuse_tables:bool ->
+  ?cache:Finch.Stage_cache.t ->
   Finch.Solve_request.t ->
   (Finch.Solve_request.t * decision option, string) result
 (** The entry-point helper: requests with a concrete backend pass
@@ -115,11 +117,11 @@ val resolve :
     and returned with the winner applied ({!Plan.apply}).  [post_io] is
     ignored: the analysis gate reads each prepared problem's own callback
     contract ({!Finch.Problem.post_io}); the parameter stays only for
-    existing callers. *)
+    existing callers.  [cache] goes to {!plan}. *)
 
 val cache_key :
   ?measure_steps:int ->
-  ?reuse_tables:bool ->
+  ?cache:Finch.Stage_cache.t ->
   profile:profile ->
   Finch.Solve_request.t ->
   (string, string) result
@@ -131,8 +133,8 @@ val cache_key :
     sees it, ignoring [label] and [deadline_s]: a repeated key is a hash
     lookup, and every key equals the one a fresh preparation gives.  At
     most [Finch.program_digest_cap] requests are remembered;
-    [Finch.register_scenario] and {!clear_memo} forget them.  Exposed for
-    tests and cache tooling. *)
+    [Finch.register_scenario] and {!clear_memo} forget them.  [cache]
+    goes to that preparation.  Exposed for tests and cache tooling. *)
 
 val set_cache_dir : string -> unit
 (** Override the on-disk decision cache directory (highest precedence,

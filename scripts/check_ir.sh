@@ -100,12 +100,13 @@ for line in '=== lowered face form ===' 'P (once per DOF): ' \
 done
 rm -f "$codegen_out"
 
-echo "== serve scheduler smoke (3 requests, cold vs warm tables; emitter self-validates) =="
+echo "== serve scheduler smoke (3 requests, no cache vs a stage cache; emitter self-validates) =="
 dune build bin/bte_serve.exe
 serve_out=$(mktemp)
-# one temperature repeated three times: the warm pass builds the
-# scenario tables once and reuses them on the repeats, so its throughput
-# is robustly above the cold pass, which builds them three times
+# one temperature repeated three times: the warm pass's scheduler builds
+# the tables, mesh, equation and face tables once and hits its stage
+# cache on the repeats, so its throughput is robustly above the cold
+# pass, which has no cache and builds them three times
 ./_build/default/bin/bte_serve.exe --requests 1 --repeat 3 --scenario hotspot \
   --nx 8 --dirs 4 --bands 3 --steps 4 --json "$serve_out" > /dev/null || {
   echo "check_ir: serve smoke run failed (warm != cold, or warm not faster)"
@@ -120,6 +121,17 @@ for field in '"validated": true' '"max_abs_diff": 0' \
     exit 1
   }
 done
+python3 - "$serve_out" <<'PY' || { rm -f "$serve_out"; exit 1; }
+import json, sys
+j = json.load(open(sys.argv[1]))
+cold, warm = j["cold"], j["warm"]
+if not j["validated"]:
+    sys.exit("check_ir: serve smoke not validated")
+if warm["stage_hits"] <= 0:
+    sys.exit("check_ir: the warm pass never hit its stage cache")
+if cold["stage_hits"] + cold["stage_misses"] != 0:
+    sys.exit("check_ir: the cold pass has no cache but counted stage lookups")
+PY
 rm -f "$serve_out"
 
 echo "== tuner smoke (--backend auto cold+warm, both scenarios; bench campaign self-validates) =="

@@ -20,7 +20,7 @@ for f in lib/prt/*.mli lib/gpu/*.mli lib/analysis/*.mli lib/fvm/*.mli \
          lib/core/target_gpu.mli lib/core/target_cpu.mli lib/core/lower.mli \
          lib/core/solve.mli lib/core/config.mli lib/core/ranks.mli \
          lib/core/solve_request.mli lib/core/emit_source.mli \
-         lib/core/json.mli lib/core/problem.mli; do
+         lib/core/json.mli lib/core/problem.mli lib/core/stage_cache.mli; do
   out=$(awk '
     function flush() {
       if (pending) {
@@ -40,6 +40,6 @@ for f in lib/prt/*.mli lib/gpu/*.mli lib/analysis/*.mli lib/fvm/*.mli \
 done
 
 if [ "$status" -eq 0 ]; then
-  echo "check_mli_docs: every val in lib/prt, lib/gpu, lib/analysis, lib/fvm, lib/opt, lib/codegen, lib/serve, lib/tune, lib/bte/{temperature,scattering,equilibrium,setup,setup3d,film,bc,angles} and lib/core/{dataflow,ir,target_gpu,target_cpu,lower,solve,config,ranks,solve_request,emit_source,json,problem} is documented"
+  echo "check_mli_docs: every val in lib/prt, lib/gpu, lib/analysis, lib/fvm, lib/opt, lib/codegen, lib/serve, lib/tune, lib/bte/{temperature,scattering,equilibrium,setup,setup3d,film,bc,angles} and lib/core/{dataflow,ir,target_gpu,target_cpu,lower,solve,config,ranks,solve_request,emit_source,json,problem,stage_cache} is documented"
 fi
 exit "$status"

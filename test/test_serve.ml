@@ -361,41 +361,249 @@ let test_served_matches_solve () =
           gpu1 ])
     [ "hotspot"; "corner" ]
 
-(* Table reuse is each scheduler's own setting, passed to its
-   preparations: a reusing and a fresh scheduler drained alternately in
-   one process both return exactly Finch.solve's fields; the reusing one
-   builds no tables for a temperature it has seen, the fresh one builds
-   them every time, and a Finch.solve after a reusing drain builds fresh
-   ones ([bte.table_builds] counts every construction). *)
-let test_schedulers_own_table_reuse () =
+(* ---------- the stage cache ---------- *)
+
+let cval name = Prt.Metrics.value (Prt.Metrics.counter name)
+
+(* counter deltas over [f ()]: stage hits, misses, evictions, table
+   builds and face stagings *)
+type counts = { hits : int; misses : int; evictions : int; builds : int; stagings : int }
+
+let counted f =
+  let names =
+    [ "stage.hits"; "stage.misses"; "stage.evictions"; "bte.table_builds";
+      "lower.face_stagings" ]
+  in
+  let before = List.map cval names in
+  let x = f () in
+  match List.map2 (fun n b -> cval n - b) names before with
+  | [ hits; misses; evictions; builds; stagings ] ->
+    x, { hits; misses; evictions; builds; stagings }
+  | _ -> assert false
+
+let with_metrics f =
   Prt.Metrics.enable ();
-  Fun.protect ~finally:Prt.Metrics.disable @@ fun () ->
-  let builds = Prt.Metrics.counter "bte.table_builds" in
+  Fun.protect ~finally:Prt.Metrics.disable f
+
+(* A warm request through one cache equals a fresh solve at exact zero,
+   on every executor shape and both evaluators, and builds nothing its
+   temperature does not change: its four entries (tables, mesh,
+   equation, face tables) hit. *)
+let test_cache_hit_equals_fresh () =
+  Finch_codegen.Codegen.install ();
+  with_metrics @@ fun () ->
+  let targets =
+    [ "serial"; "cells:2"; "threads:2"; "bands:2"; "gpu:a6000" ]
+  in
+  List.iter
+    (fun spec ->
+      List.iter
+        (fun eval_mode ->
+          let backend =
+            match Finch.Config.target_of_string spec with
+            | Ok t -> t
+            | Error m -> Alcotest.fail m
+          in
+          let req =
+            { (tiny ~backend ~t_hot:358. ()) with Finch.Solve_request.eval_mode }
+          in
+          let what =
+            Printf.sprintf "%s %s" spec (Finch.Config.eval_mode_name eval_mode)
+          in
+          let cache = Finch.Stage_cache.create () in
+          let through () =
+            match Finch.solve ~cache req with
+            | Ok r -> r
+            | Error e -> Alcotest.fail (Finch.Solve_error.to_string e)
+          in
+          let cold, n = counted through in
+          check_int (what ^ ": cold misses") 4 n.misses;
+          let warm, n = counted through in
+          check_int (what ^ ": warm hits") 4 n.hits;
+          check_int (what ^ ": warm misses") 0 n.misses;
+          check_int (what ^ ": warm stagings") 0 n.stagings;
+          check_int (what ^ ": warm table builds") 0 n.builds;
+          let fresh = solved req in
+          check_same (what ^ " cold") cold fresh;
+          check_same (what ^ " warm") warm fresh)
+        [ Finch.Config.Closure; Finch.Config.Native ])
+    targets
+
+let prepare_solve cache req =
+  counted (fun () ->
+      match Finch.prepare ~cache req with
+      | Error e -> Alcotest.fail (Finch.Solve_error.to_string e)
+      | Ok prep -> (
+        match Finch.solve_prepared req prep with
+        | Ok r -> r
+        | Error e -> Alcotest.fail (Finch.Solve_error.to_string e)))
+
+(* Each key holds every value its builder reads: a new temperature
+   misses only the tables, and each other change misses what it reads. *)
+let test_cache_keys () =
+  with_metrics @@ fun () ->
+  let cache = Finch.Stage_cache.create () in
+  let run req = snd (prepare_solve cache req) in
+  let base = tiny ~t_hot:360. () in
+  let n = run base in
+  check_int "first: four misses" 4 n.misses;
+  check_int "first: one staging" 1 n.stagings;
+  let n = run { base with Finch.Solve_request.t_hot = Some 370. } in
+  check_int "new temperature: the tables miss" 1 n.misses;
+  check_int "new temperature: one table build" 1 n.builds;
+  check_int "new temperature: mesh, equation and faces hit" 3 n.hits;
+  check_int "new temperature: no staging" 0 n.stagings;
+  (* another ndirs: new Sx/Sy values and extents, same mesh *)
+  let n = run { base with Finch.Solve_request.ndirs = 8 } in
+  check_int "ndirs: only the mesh hits" 1 n.hits;
+  check_int "ndirs: faces staged" 1 n.stagings;
+  (* corner: the same nx/ny on another lx/ly *)
+  let n = run (tiny ~scenario:"corner" ~t_hot:360. ()) in
+  check_int "corner: the equation hits, the mesh does not" 1 n.hits;
+  check_int "corner: faces staged" 1 n.stagings;
+  let n = run base in
+  check_int "hotspot again: every entry hits" 4 n.hits
+
+(* a problem the tests build by hand: du/dt = -surface(flux) on a mesh
+   the cache may hold *)
+let hand_problem ?cache ?mesh ?(cx = Finch.Entity.Const 1.) ~dt flux =
+  let p = Finch.Problem.init "hand" in
+  Finch.Problem.domain p 2;
+  let mesh =
+    match mesh with
+    | Some m -> m
+    | None -> Fvm.Mesh_gen.rectangle ~nx:4 ~ny:3 ~lx:1. ~ly:1. ()
+  in
+  Finch.Problem.set_mesh p mesh;
+  Finch.Problem.set_steps p ~dt ~nsteps:2;
+  let u = Finch.Problem.variable p ~name:"u" () in
+  let _ = Finch.Problem.coefficient p ~name:"cx" cx in
+  let _ = Finch.Problem.coefficient p ~name:"cy" (Finch.Entity.Const 0.5) in
+  Finch.Problem.initial p u (Finch.Problem.Init_fn (fun x _ -> x.(0) +. x.(1)));
+  let eq = Finch.Problem.conservation_form ?cache p u ("-surface(" ^ flux ^ ")") in
+  p, eq
+
+let held_mesh cache =
+  Finch.Stage_cache.find (Some cache) Finch.Stage_cache.mesh
+    (fun _ -> Some "hand-4x3")
+    (fun () -> Fvm.Mesh_gen.rectangle ~nx:4 ~ny:3 ~lx:1. ~ly:1. ())
+
+let stagings_of cache p =
+  (snd (counted (fun () -> ignore (Finch.Solve.solve ~cache p)))).stagings
+
+let test_cache_misses_and_never () =
+  with_metrics @@ fun () ->
+  let cache = Finch.Stage_cache.create () in
+  let mesh = held_mesh cache in
+  let upwind = "upwind([cx;cy], u)" and timed = "dt*upwind([cx;cy], u)" in
+  let stagings ?cx ?(mesh = mesh) ~dt flux =
+    stagings_of cache (fst (hand_problem ~cache ~mesh ?cx ~dt flux))
+  in
+  check_int "first staging" 1 (stagings ~dt:0.01 upwind);
+  check_int "a dt-free integrand hits at another dt" 0 (stagings ~dt:0.02 upwind);
+  check_int "an integrand reading dt: first dt" 1 (stagings ~dt:0.01 timed);
+  check_int "an integrand reading dt: same dt hits" 0 (stagings ~dt:0.01 timed);
+  check_int "an integrand reading dt: another dt misses" 1 (stagings ~dt:0.02 timed);
+  check_int "another coefficient value misses" 1
+    (stagings ~cx:(Finch.Entity.Const 2.) ~dt:0.01 upwind);
+  (* never cached: a function coefficient, a mesh the cache does not hold *)
+  let fn = Finch.Entity.Space_fn (fun x -> 1. +. x.(0)) in
+  let p, _ = hand_problem ~cache ~mesh ~cx:fn ~dt:0.01 upwind in
+  check_bool "a function coefficient has no key" true (Finch.Lower.stage_key p = None);
+  let _, n = counted (fun () -> ignore (Finch.Solve.solve ~cache p)) in
+  check_int "function coefficient: staged" 1 n.stagings;
+  check_int "function coefficient: no face entry" 0 (n.hits + n.misses);
+  check_int "function coefficient: staged again" 1 (stagings_of cache p);
+  let own = Fvm.Mesh_gen.rectangle ~nx:4 ~ny:3 ~lx:1. ~ly:1. () in
+  let p, _ = hand_problem ~cache ~mesh:own ~dt:0.01 upwind in
+  let _, n = counted (fun () -> ignore (Finch.Solve.solve ~cache p)) in
+  check_int "own mesh: staged" 1 n.stagings;
+  check_int "own mesh: no face entry" 0 (n.hits + n.misses);
+  check_int "own mesh: staged again" 1 (stagings_of cache p);
+  (* a cached result equals a fresh one *)
+  let p, _ = hand_problem ~cache ~mesh ~dt:0.01 timed in
+  let fresh, _ = hand_problem ~dt:0.01 timed in
+  Alcotest.(check (float 0.)) "cached faces: same u" 0.
+    (Fvm.Field.max_abs_diff (Finch.Solve.solve ~cache p).Finch.Solve.u
+       (Finch.Solve.solve fresh).Finch.Solve.u)
+
+(* a redefined operator misses the transformed equation *)
+let test_cache_operator_generation () =
+  let cache = Finch.Stage_cache.create () in
+  let mesh = held_mesh cache in
+  let eq () = snd (hand_problem ~cache ~mesh ~dt:0.01 "myflux([cx;cy], u)") in
+  (* a name no other test expands *)
+  Finch.Operators.define "myflux" Finch.Operators.upwind;
+  let first = eq () in
+  check_bool "same generation: a hit" true (eq () == first);
+  Finch.Operators.define "myflux" Finch.Operators.central;
+  let second = eq () in
+  check_bool "after define: a miss" true (second != first);
+  check_bool "after define: the new expansion" false
+    (Finch_symbolic.Expr.equal first.Finch.Transform.rsurf
+       second.Finch.Transform.rsurf)
+
+let test_cache_evicts_lru () =
+  with_metrics @@ fun () ->
+  let cache = Finch.Stage_cache.create () in
+  let k : int Finch.Stage_cache.kind = Finch.Stage_cache.kind () in
+  let get i = Finch.Stage_cache.find (Some cache) k (fun _ -> Some (string_of_int i)) (fun () -> i) in
+  let cap = Finch.Stage_cache.capacity in
+  let _, n = counted (fun () -> for i = 0 to cap - 1 do ignore (get i) done) in
+  check_int "fills to capacity" cap n.misses;
+  check_int "no eviction below capacity" 0 n.evictions;
+  let _, n = counted (fun () -> get 0) in
+  check_int "entry 0 hits, now most recent" 1 n.hits;
+  let _, n = counted (fun () -> get cap) in
+  check_int "one past capacity evicts" 1 n.evictions;
+  let _, n = counted (fun () -> get 0) in
+  check_int "the recently used entry stays" 1 n.hits;
+  let _, n = counted (fun () -> get 1) in
+  check_int "the least recently used went" 1 n.misses;
+  (* another kind never meets this one's entries *)
+  let k' : int Finch.Stage_cache.kind = Finch.Stage_cache.kind () in
+  check_int "kinds are apart" (-1)
+    (Finch.Stage_cache.find (Some cache) k' (fun _ -> Some "0") (fun () -> -1))
+
+(* Each scheduler owns its cache, or none: a caching and a cache-less
+   scheduler drained alternately in one process both return exactly
+   Finch.solve's fields.  After the first request of the shape the
+   caching one stages no face tables, and for a temperature it has seen
+   it builds no tables and misses nothing; the cache-less one and a
+   Finch.solve after a caching drain build and stage every time. *)
+let test_schedulers_own_table_reuse () =
+  with_metrics @@ fun () ->
   let reuse = Finch_serve.Scheduler.create ~use_cache:true () in
   let fresh = Finch_serve.Scheduler.create ~use_cache:false () in
   let drained sched req =
-    let b0 = Prt.Metrics.value builds in
-    let tk = Finch_serve.Scheduler.submit sched req in
-    Finch_serve.Scheduler.drain sched;
-    match Finch_serve.Scheduler.outcome tk with
-    | Some out -> completed out, Prt.Metrics.value builds - b0
-    | None -> Alcotest.fail "the drain did not resolve the ticket"
+    counted (fun () ->
+        let tk = Finch_serve.Scheduler.submit sched req in
+        Finch_serve.Scheduler.drain sched;
+        match Finch_serve.Scheduler.outcome tk with
+        | Some out -> completed out
+        | None -> Alcotest.fail "the drain did not resolve the ticket")
   in
   List.iteri
     (fun i t_hot ->
       let req = tiny ~backend:gpu1 ~t_hot ~label:(Printf.sprintf "a%d" i) () in
-      let r_reuse, b_reuse = drained reuse req in
-      let r_fresh, b_fresh = drained fresh req in
-      let b0 = Prt.Metrics.value builds in
-      let cold = solved req in
-      let b_solve = Prt.Metrics.value builds - b0 in
+      let r_reuse, n_reuse = drained reuse req in
+      let r_fresh, n_fresh = drained fresh req in
+      let cold, n_solve = counted (fun () -> solved req) in
       let what = Printf.sprintf "#%d (%g K)" i t_hot in
       check_same (what ^ " reusing") r_reuse cold;
       check_same (what ^ " fresh") r_fresh cold;
-      if i >= 2 then
-        Alcotest.(check int) (what ^ ": a seen temperature reuses") 0 b_reuse;
-      Alcotest.(check int) (what ^ ": the fresh scheduler builds") 1 b_fresh;
-      Alcotest.(check int) (what ^ ": Finch.solve builds fresh tables") 1 b_solve)
+      if i >= 1 then
+        check_int (what ^ ": a seen shape stages nothing") 0 n_reuse.stagings;
+      if i >= 2 then begin
+        check_int (what ^ ": a seen temperature builds no tables") 0 n_reuse.builds;
+        check_int (what ^ ": a seen temperature misses nothing") 0 n_reuse.misses
+      end;
+      check_int (what ^ ": the fresh scheduler builds") 1 n_fresh.builds;
+      check_int (what ^ ": the fresh scheduler stages") 1 n_fresh.stagings;
+      check_int (what ^ ": the fresh scheduler has no cache") 0
+        (n_fresh.hits + n_fresh.misses);
+      check_int (what ^ ": Finch.solve builds fresh tables") 1 n_solve.builds;
+      check_int (what ^ ": Finch.solve stages") 1 n_solve.stagings)
     [ 361.; 366.; 361.; 366. ]
 
 let suite =
@@ -426,4 +634,14 @@ let suite =
         test_served_matches_solve;
       Alcotest.test_case "schedulers keep their own table reuse" `Quick
         test_schedulers_own_table_reuse;
+      Alcotest.test_case "stage cache: a hit equals a fresh build" `Quick
+        test_cache_hit_equals_fresh;
+      Alcotest.test_case "stage cache: keys hold what builders read" `Quick
+        test_cache_keys;
+      Alcotest.test_case "stage cache: misses and uncached stagings" `Quick
+        test_cache_misses_and_never;
+      Alcotest.test_case "stage cache: operator redefinition misses" `Quick
+        test_cache_operator_generation;
+      Alcotest.test_case "stage cache: least recently used evicted" `Quick
+        test_cache_evicts_lru;
     ] )

@@ -426,7 +426,7 @@ let test_warm_resolve_builds_nothing () =
   (* hotspot's builder, counting its calls *)
   let hotspot = Hashtbl.find Finch.scenario_registry "hotspot" in
   let calls = ref 0 in
-  with_scenario "probe-keys" (fun ~reuse_tables req -> incr calls; hotspot ~reuse_tables req)
+  with_scenario "probe-keys" (fun ~cache req -> incr calls; hotspot ~cache req)
   @@ fun () ->
   with_metrics @@ fun () ->
   Finch_tune.Tune.set_cache_dir (fresh_cache_dir "finch_tune_keys");
@@ -491,9 +491,9 @@ let test_key_errors_not_memoized () =
   let hotspot = Hashtbl.find Finch.scenario_registry "hotspot" in
   let attempts = ref 0 and failing = ref true in
   with_scenario "probe-flaky"
-    (fun ~reuse_tables req ->
+    (fun ~cache req ->
       incr attempts;
-      if !failing then failwith "probe build failed" else hotspot ~reuse_tables req)
+      if !failing then failwith "probe build failed" else hotspot ~cache req)
   @@ fun () ->
   let req = probe_req "probe-flaky" in
   (match
@@ -528,7 +528,7 @@ let test_key_memo_cap () =
   check_int "the newest survives" 0 (key_builds (fun () -> touch cap))
 
 (* du/dt = [rhs] on the request's mesh: two [rhs] are two programs *)
-let decay rhs ~reuse_tables:_ (req : Finch.Solve_request.t) =
+let decay rhs ~cache (req : Finch.Solve_request.t) =
   let p = Finch.Problem.init "decay" in
   Finch.Problem.domain p 2;
   Finch.Problem.set_mesh p
@@ -540,7 +540,7 @@ let decay rhs ~reuse_tables:_ (req : Finch.Solve_request.t) =
   let _ = Finch.Problem.coefficient p ~name:"s" (Finch.Entity.Const 1.) in
   Finch.Problem.initial p u (Finch.Problem.Init_const 1.);
   let _ = Finch.Problem.conservation_form p u rhs in
-  { Finch.pr_problem = p; pr_solution = "u" }
+  { Finch.pr_problem = p; pr_solution = "u"; pr_cache = cache }
 
 let test_reregistration_drops_digests () =
   with_scenario "probe-rereg" (decay "-k*u") @@ fun () ->
